@@ -7,13 +7,17 @@
 //! `(network, outputs, stimulus, fault list, budget)` — the worker
 //! count changes only wall-clock time. The argument has three legs:
 //!
-//! 1. **Per-fault determinism.** Each fault is evaluated by a private
-//!    replay engine — the serial [`Simulator`] by default, or the
-//!    level-sliced [`WavefrontSimulator`] via
-//!    [`CampaignEngine::Wavefront`] — under a [`FaultOverlay`]; both
-//!    engines are deterministic and bit-identical, and the overlay is a
-//!    pure rewrite, so a fault's outcome depends on neither the worker
-//!    that runs it nor the engine that replays it.
+//! 1. **Per-fault determinism.** Each fault is replayed by a private
+//!    [`ConeReplay`] against the shared, read-only [`GoldenRun`]: only
+//!    the gates whose fan-in differs from golden are re-evaluated, and
+//!    a re-evaluated gate whose output equals golden stops the
+//!    propagation. Cone replay is bit-identical to a full serial
+//!    [`mis_sim::Simulator`] replay under the same [`FaultOverlay`]
+//!    (see `mis_sim::cone`), and it charges the same budget totals, so
+//!    a fault's outcome is that of its full replay — a pure function
+//!    of the fault, independent of the worker that runs it. An output
+//!    is detected exactly when the replay marks it dirty, by the same
+//!    exact trace equality that stops propagation.
 //! 2. **Fixed partition.** Faults are split into contiguous chunks
 //!    (`chunks` / `chunks_mut`), and each worker writes outcomes only
 //!    into its own chunk of the result vector — no shared accumulator
@@ -27,37 +31,20 @@
 //! Each worker owns one warm [`TraceArena`] reused across all its
 //! faulty runs, so a campaign's steady state allocates only the
 //! per-fault outcome bookkeeping, never trace storage.
+//!
+//! The golden run is the campaign's only full evaluation. A fault costs
+//! its perturbed gates — on the committed C880 fixture about 4 % of the
+//! netlist on average (EXPERIMENTS.md).
 
 use mis_digital::{Network, SignalId, SimError};
 use mis_probe::{EventKind, Probe, TraceSink};
-use mis_sim::{RunBudget, Simulator, TraceOverlay, WavefrontSimulator};
-use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
+use mis_sim::{ConeReplay, GoldenRun, RunBudget, Simulator};
+use mis_waveform::{DigitalTrace, TraceArena};
 
 use crate::error::FaultError;
 use crate::site::{FaultOverlay, FaultSite};
 
-/// Which simulation engine each campaign worker replays faults on.
-///
-/// Both engines are bit-identical, so the choice changes only
-/// wall-clock time, never the report — pinned by
-/// `report_is_identical_on_the_wavefront_engine`. The wavefront option
-/// nests its level-parallel threads *inside* each campaign worker, so
-/// it pays off on deep circuits with few faults per worker; the serial
-/// default wins when the fault list itself supplies the parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignEngine {
-    /// The serial event-queue [`Simulator`] (default).
-    Serial,
-    /// The level-sliced [`WavefrontSimulator`] with this many
-    /// level-parallel threads per campaign worker (≥ 1).
-    Wavefront {
-        /// Level-parallel threads inside each campaign worker.
-        workers: usize,
-    },
-}
-
-/// How a campaign runs: worker count, per-run budget, and the replay
-/// engine.
+/// How a campaign runs: worker count and per-run budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Worker threads evaluating faults (≥ 1; the report is identical
@@ -66,9 +53,6 @@ pub struct CampaignConfig {
     /// Budget each faulty run is held to; a tripped run records
     /// [`FaultOutcome::BudgetTripped`] instead of failing the campaign.
     pub budget: RunBudget,
-    /// Engine each worker replays faults on; the report is identical
-    /// for every choice.
-    pub engine: CampaignEngine,
 }
 
 impl Default for CampaignConfig {
@@ -76,47 +60,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             workers: 1,
             budget: RunBudget::UNLIMITED,
-            engine: CampaignEngine::Serial,
-        }
-    }
-}
-
-/// One campaign worker's private replay engine: either serial or
-/// wavefront, behind one dispatch point so the fault loop stays
-/// engine-agnostic. Both variants share the `run_controlled_in` /
-/// `trace` surface.
-enum ReplaySim<'n> {
-    Serial(Box<Simulator<'n>>),
-    Wavefront(Box<WavefrontSimulator<'n>>),
-}
-
-impl<'n> ReplaySim<'n> {
-    fn build(net: &'n Network, engine: CampaignEngine) -> Result<Self, SimError> {
-        Ok(match engine {
-            CampaignEngine::Serial => ReplaySim::Serial(Box::new(Simulator::new(net)?)),
-            CampaignEngine::Wavefront { workers } => {
-                ReplaySim::Wavefront(Box::new(WavefrontSimulator::new(net, workers)?))
-            }
-        })
-    }
-
-    fn run_controlled_in(
-        &mut self,
-        inputs: &[DigitalTrace],
-        arena: &mut TraceArena,
-        budget: &RunBudget,
-        overlay: Option<&dyn TraceOverlay>,
-    ) -> Result<(), SimError> {
-        match self {
-            ReplaySim::Serial(sim) => sim.run_controlled_in(inputs, arena, budget, overlay),
-            ReplaySim::Wavefront(sim) => sim.run_controlled_in(inputs, arena, budget, overlay),
-        }
-    }
-
-    fn trace<'a>(&self, arena: &'a TraceArena, id: SignalId) -> TraceRef<'a> {
-        match self {
-            ReplaySim::Serial(sim) => sim.trace(arena, id),
-            ReplaySim::Wavefront(sim) => sim.trace(arena, id),
         }
     }
 }
@@ -177,26 +120,15 @@ impl CampaignReport {
     }
 }
 
-/// Whether a faulty output view differs from its golden trace. Exact
-/// comparison is the right notion here: both engines are bit-identical
-/// and deterministic, so any difference is the fault's doing.
-fn differs(view: TraceRef<'_>, golden: &DigitalTrace) -> bool {
-    view.initial_value() != golden.initial_value()
-        || view.len() != golden.edges().len()
-        || view
-            .times()
-            .iter()
-            .zip(golden.edges())
-            .any(|(&t, e)| t != e.time)
-}
-
-/// [`run_campaign`] with the three campaign counters —
-/// `fault.injected`, `fault.detected`, `fault.budget_trips` — and one
-/// `fault.w<i>.busy` span timer per worker (the campaign-utilization
-/// picture, matching the parallel engine's `par.w<i>.busy`) recording
-/// into `probe`. The counters are atomic and shared, so the workers
-/// increment them directly; totals are exact, arrival order is not
-/// part of the report.
+/// [`run_campaign`] with the campaign counters — `fault.injected`,
+/// `fault.detected`, `fault.budget_trips`, and `fault.cone_gates` (gates
+/// re-evaluated across all faulty replays, the campaign's exact work
+/// count) — and one `fault.w<i>.busy` span timer per worker (the
+/// campaign-utilization picture, matching the parallel engine's
+/// `par.w<i>.busy`) recording into `probe`. The counters are atomic and
+/// shared, so the workers increment them directly; totals are exact and
+/// independent of the worker count, arrival order is not part of the
+/// report.
 ///
 /// # Errors
 ///
@@ -248,33 +180,26 @@ pub fn run_campaign_traced(
             reason: "campaign needs at least one worker".into(),
         });
     }
-    if matches!(config.engine, CampaignEngine::Wavefront { workers: 0 }) {
-        return Err(FaultError::Invalid {
-            reason: "wavefront replay engine needs at least one worker".into(),
-        });
-    }
-    // The golden run: fault-free, unbudgeted, serial. Output traces are
-    // materialized once and shared read-only with every worker. It
-    // traces onto the `sim` track (with a detached counter bundle, so
-    // the campaign's probe keeps only `fault.*` engine-independent
+    // The golden run: fault-free, unbudgeted, serial. Its arena and
+    // span table are shared read-only with every worker. It traces onto
+    // the `sim` track (with a detached counter bundle, so the
+    // campaign's probe keeps only `fault.*` engine-independent
     // metrics).
-    let mut sim = Simulator::new_traced(net, &Probe::disabled(), sink)?;
-    let mut arena = TraceArena::new();
-    sim.run_in(inputs, &mut arena)?;
-    let golden: Vec<DigitalTrace> = outputs
-        .iter()
-        .map(|&id| sim.trace(&arena, id).to_trace())
-        .collect();
-    drop(sim);
+    let golden = GoldenRun::record(
+        &mut Simulator::new_traced(net, &Probe::disabled(), sink)?,
+        inputs,
+    )?;
 
     let injected = probe.counter("fault.injected");
     let detected_ctr = probe.counter("fault.detected");
     let trips_ctr = probe.counter("fault.budget_trips");
+    let cone_ctr = probe.counter("fault.cone_gates");
 
     let mut results: Vec<Option<FaultResult>> = vec![None; faults.len()];
     let chunk = faults.len().div_ceil(config.workers).max(1);
     let golden = &golden;
-    let (injected_ref, detected_ref, trips_ref) = (&injected, &detected_ctr, &trips_ctr);
+    let (injected_ref, detected_ref, trips_ref, cone_ref) =
+        (&injected, &detected_ctr, &trips_ctr, &cone_ctr);
     std::thread::scope(|scope| -> Result<(), FaultError> {
         let handles: Vec<_> = faults
             .chunks(chunk)
@@ -290,26 +215,28 @@ pub fn run_campaign_traced(
                     let busy_started = busy.start();
                     let chunk_started = track.start();
                     let mut detected_here = 0u32;
-                    // One engine and one warm arena per worker, reused
+                    // One replay and one warm arena per worker, reused
                     // across every fault in the chunk.
-                    let mut sim = ReplaySim::build(net, config.engine)?;
+                    let mut cone = ConeReplay::new(net)?;
                     let mut arena = TraceArena::new();
+                    let mut cone_gates = 0u64;
                     for (j, (site, slot)) in sites.iter().zip(slots.iter_mut()).enumerate() {
-                        let overlay = FaultOverlay::new(*site);
                         injected_ref.inc();
                         let fault_started = track.start();
-                        let run = sim.run_controlled_in(
-                            inputs,
+                        let run = cone.run(
+                            golden,
+                            site.signal,
+                            &FaultOverlay::new(*site),
                             &mut arena,
                             &config.budget,
-                            Some(&overlay),
                         );
+                        cone_gates += cone.gates_evaluated();
                         let result = match run {
                             Ok(()) => {
                                 let detecting: Vec<usize> = outputs
                                     .iter()
                                     .enumerate()
-                                    .filter(|&(k, &id)| differs(sim.trace(&arena, id), &golden[k]))
+                                    .filter(|&(_, &id)| cone.is_dirty(id))
                                     .map(|(k, _)| k)
                                     .collect();
                                 let outcome = if detecting.is_empty() {
@@ -357,6 +284,7 @@ pub fn run_campaign_traced(
                         sites.len() as u32,
                         chunk_started,
                     );
+                    cone_ref.add(cone_gates);
                     busy.stop(busy_started);
                     Ok(())
                 })
@@ -485,7 +413,6 @@ mod tests {
             &CampaignConfig {
                 workers: 1,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap();
@@ -498,59 +425,11 @@ mod tests {
                 &CampaignConfig {
                     workers,
                     budget: RunBudget::UNLIMITED,
-                    engine: CampaignEngine::Serial,
                 },
             )
             .unwrap();
             assert_eq!(report, baseline, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn report_is_identical_on_the_wavefront_engine() {
-        let (net, outputs, inputs) = nor_fixture();
-        let faults = stuck_at_sites(&net);
-        let baseline =
-            run_campaign(&net, &outputs, &inputs, &faults, &CampaignConfig::default()).unwrap();
-        for campaign_workers in [1, 3] {
-            for engine_workers in [1, 4] {
-                let report = run_campaign(
-                    &net,
-                    &outputs,
-                    &inputs,
-                    &faults,
-                    &CampaignConfig {
-                        workers: campaign_workers,
-                        budget: RunBudget::UNLIMITED,
-                        engine: CampaignEngine::Wavefront {
-                            workers: engine_workers,
-                        },
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    report, baseline,
-                    "{campaign_workers} campaign workers x {engine_workers} engine workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_wavefront_workers_is_invalid() {
-        let (net, outputs, inputs) = nor_fixture();
-        let err = run_campaign(
-            &net,
-            &outputs,
-            &inputs,
-            &[],
-            &CampaignConfig {
-                engine: CampaignEngine::Wavefront { workers: 0 },
-                ..CampaignConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, FaultError::Invalid { .. }));
     }
 
     #[test]
@@ -565,7 +444,6 @@ mod tests {
             &CampaignConfig {
                 workers: 2,
                 budget: RunBudget::UNLIMITED.with_max_events(0),
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap();
@@ -588,7 +466,6 @@ mod tests {
             &CampaignConfig {
                 workers: 0,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap_err();
@@ -609,7 +486,6 @@ mod tests {
             &CampaignConfig {
                 workers: 2,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
             &probe,
             &sink,
@@ -624,7 +500,6 @@ mod tests {
             &CampaignConfig {
                 workers: 2,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap();
@@ -695,5 +570,27 @@ mod tests {
             Some(report.detected as u64)
         );
         assert_eq!(snap.get("fault.budget_trips").unwrap().scalar(), Some(0));
+        // Only y is ever re-evaluated: under sa0@a, sa1@a and sa1@b. The
+        // count is exact at every worker count.
+        for workers in [1, 3] {
+            let probe = Probe::new();
+            run_campaign_probed(
+                &net,
+                &outputs,
+                &inputs,
+                &faults,
+                &CampaignConfig {
+                    workers,
+                    ..CampaignConfig::default()
+                },
+                &probe,
+            )
+            .unwrap();
+            assert_eq!(
+                probe.report().get("fault.cone_gates").unwrap().scalar(),
+                Some(3),
+                "{workers} workers"
+            );
+        }
     }
 }

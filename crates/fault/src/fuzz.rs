@@ -16,7 +16,9 @@
 //!
 //! * **Engine bit-identity under faults.** The serial and parallel
 //!   engines produce exactly the same trace for every signal, at every
-//!   worker count up to the configured maximum.
+//!   worker count up to the configured maximum, and so does the
+//!   campaigns' cone-only [`ConeReplay`] against the fault-free golden
+//!   run.
 //! * **Faulted STA soundness.** Every edge of every faulty trace lands
 //!   inside the signal's arrival window computed by
 //!   [`TimingAnalysis::arrival_windows_edited`] under the fault's
@@ -33,10 +35,10 @@
 
 use mis_analyze::TimingAnalysis;
 use mis_digital::{GateKind, InertialChannel, Network, PureDelayChannel, SimError};
-use mis_sim::{ParallelSimulator, RunBudget, Simulator};
+use mis_sim::{ConeReplay, GoldenRun, ParallelSimulator, RunBudget, Simulator};
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
-use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
+use mis_waveform::{DigitalTrace, TraceArena};
 
 use crate::site::{FaultOverlay, FaultSite};
 
@@ -68,8 +70,8 @@ pub struct FuzzReport {
     pub iterations: u32,
     /// Faulty-trace edges checked against their STA windows.
     pub edges_checked: u64,
-    /// Engine runs compared for bit-identity (serial + each worker
-    /// count, per iteration).
+    /// Engine runs compared for bit-identity (serial, each worker
+    /// count and the cone replay, per iteration).
     pub runs_compared: u64,
 }
 
@@ -162,12 +164,6 @@ fn random_fault(rng: &mut TestRng, net: &Network) -> FaultSite {
     }
 }
 
-/// Exact trace equality between two views (bit-identity, not
-/// approximate agreement).
-fn same_trace(a: TraceRef<'_>, b: TraceRef<'_>) -> bool {
-    a.initial_value() == b.initial_value() && a.times() == b.times()
-}
-
 /// Runs the differential fuzz. Returns coverage statistics on success.
 ///
 /// # Errors
@@ -212,12 +208,37 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             runs_compared += 1;
             for s in 0..net.signal_count() {
                 let id = net.signal_id(s).expect("s < signal_count");
-                if !same_trace(serial.trace(&serial_arena, id), par.trace(&arena, id)) {
+                if serial.trace(&serial_arena, id) != par.trace(&arena, id) {
                     return Err(tag(&format!(
                         "engines diverge on signal {} under fault {site} at {workers} workers",
                         net.signal_name(id)
                     )));
                 }
+            }
+        }
+
+        // Cone replay against the golden run: bit-identical too.
+        let golden = Simulator::new(&net)
+            .and_then(|mut sim| GoldenRun::record(&mut sim, &inputs))
+            .map_err(|e| tag(&e.to_string()))?;
+        let mut cone = ConeReplay::new(&net).map_err(|e| tag(&e.to_string()))?;
+        let mut cone_arena = TraceArena::new();
+        cone.run(
+            &golden,
+            site.signal,
+            &overlay,
+            &mut cone_arena,
+            &RunBudget::UNLIMITED,
+        )
+        .map_err(|e| tag(&e.to_string()))?;
+        runs_compared += 1;
+        for s in 0..net.signal_count() {
+            let id = net.signal_id(s).expect("s < signal_count");
+            if serial.trace(&serial_arena, id) != cone.trace(&golden, &cone_arena, id) {
+                return Err(tag(&format!(
+                    "cone replay diverges on signal {} under fault {site}",
+                    net.signal_name(id)
+                )));
             }
         }
 
@@ -309,7 +330,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.iterations, 12);
         assert!(report.edges_checked > 0, "fuzz must exercise real edges");
-        assert_eq!(report.runs_compared, 12 * 5);
+        assert_eq!(report.runs_compared, 12 * 6);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   both engines apply at the sealed-span boundary.
 //! * [`campaign`] — the deterministic campaign runner: a fault list
 //!   evaluated against a golden run over scoped worker threads (one
-//!   warm arena per worker), reporting per-output detection and
-//!   aggregate coverage. The report is identical at every worker
-//!   count.
+//!   warm arena per worker), each fault replaying only the gates it
+//!   perturbs ([`mis_sim::ConeReplay`]), reporting per-output detection
+//!   and aggregate coverage. The report is identical at every worker
+//!   count and to full-netlist replay.
 //! * [`fuzz`] — the differential fuzz harness: random bounded-channel
 //!   circuits, stimuli and faults, cross-checking serial vs parallel
 //!   engines bit-for-bit, asserting every faulty edge lands inside its
@@ -62,8 +63,8 @@ pub mod fuzz;
 pub mod site;
 
 pub use campaign::{
-    run_campaign, run_campaign_probed, run_campaign_traced, CampaignConfig, CampaignEngine,
-    CampaignReport, FaultOutcome, FaultResult,
+    run_campaign, run_campaign_probed, run_campaign_traced, CampaignConfig, CampaignReport,
+    FaultOutcome, FaultResult,
 };
 pub use error::FaultError;
 pub use fuzz::{fuzz_differential, FuzzConfig, FuzzReport};

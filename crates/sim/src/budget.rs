@@ -30,6 +30,14 @@
 //!   is "stops within a bounded number of gate evaluations past the
 //!   deadline", not hard real time.
 //!
+//! [`crate::ConeReplay`] evaluates only a fault's perturbed gates but
+//! charges what a full serial replay would: every gate's event up
+//! front, and the full run's edge total (golden gate edges with each
+//! re-evaluated, changed gate's golden count swapped for its faulty
+//! one) once the cone is done. Both totals are exact, so a cone replay
+//! trips if and only if the serial replay would; its deadline ticks
+//! count the gates it actually evaluates.
+//!
 //! A limit trips when the tally *exceeds* it: a run that needs exactly
 //! `max_events` events succeeds, one more event fails. A zero budget
 //! therefore trips on the first event — useful as a "validate only"
@@ -140,7 +148,15 @@ impl<'b> BudgetMeter<'b> {
     /// event and every [`DEADLINE_STRIDE`]-th thereafter.
     #[inline]
     pub(crate) fn on_event(&mut self) -> Result<(), SimError> {
-        self.events += 1;
+        self.on_events(1)?;
+        self.tick_deadline(self.events)
+    }
+
+    /// Charges `n` evaluation events at once, without a deadline check
+    /// (the cone replay charges a full replay's event count up front).
+    #[inline]
+    pub(crate) fn on_events(&mut self, n: u64) -> Result<(), SimError> {
+        self.events += n;
         if let Some(max) = self.budget.max_events {
             if self.events > max {
                 return Err(SimError::BudgetExceeded {
@@ -149,10 +165,16 @@ impl<'b> BudgetMeter<'b> {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Checks the deadline for the `k`-th unit of work (1-based): on the
+    /// first and on every [`DEADLINE_STRIDE`]-th, so `Instant::now`
+    /// stays off the per-gate path.
+    #[inline]
+    pub(crate) fn tick_deadline(&self, k: u64) -> Result<(), SimError> {
         if let Some(at) = self.deadline_at {
-            if (self.events == 1 || self.events.is_multiple_of(DEADLINE_STRIDE))
-                && Instant::now() > at
-            {
+            if (k == 1 || k.is_multiple_of(DEADLINE_STRIDE)) && Instant::now() > at {
                 let deadline = self.budget.deadline.unwrap_or_default();
                 return Err(SimError::BudgetExceeded {
                     resource: BudgetResource::Deadline,

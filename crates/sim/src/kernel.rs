@@ -4,7 +4,8 @@
 //!
 //! All three engines — the serial event-queue [`crate::Simulator`], the
 //! parallel per-cone [`crate::ParallelSimulator`] and the level-sliced
-//! [`crate::WavefrontSimulator`] — evaluate gates through
+//! [`crate::WavefrontSimulator`] — and the cone-only fault replay
+//! [`crate::ConeReplay`] evaluate gates through
 //! [`eval_signal_into`], the very same fused ideal-gate + channel
 //! passes `mis_digital::Network::run_in` uses. Keeping the kernel in
 //! one place is what makes the engines' bit-identity argument
@@ -161,9 +162,10 @@ pub(crate) fn for_each_fanin_of(source: SignalSource<'_>, f: &mut impl FnMut(usi
 /// SoA layout logical NOT is an initial-value flip, so no staging round
 /// trip is needed). Returns the source signal and whether to invert.
 ///
-/// Both engines consult this **one** predicate before falling back to
-/// [`eval_signal_into`], so the fast-path decision (which gates qualify,
-/// and the invert flag) cannot silently diverge between them.
+/// Every engine and the cone replay consult this **one** predicate
+/// before falling back to [`eval_signal_into`], so the fast-path
+/// decision (which gates qualify, and the invert flag) cannot silently
+/// diverge between them.
 pub(crate) fn duplicate_shortcut(source: &SignalSource<'_>) -> Option<(SignalId, bool)> {
     match source {
         SignalSource::Gate {

@@ -32,6 +32,11 @@
 //!   per-level merge barrier and a hybrid serial tail for narrow
 //!   fronts — bit-identical to the serial engine at every worker
 //!   count and cutover.
+//! * [`cone`] — [`ConeReplay`], fault replay that re-evaluates only the
+//!   gates a fault perturbs, seeded from a recorded [`GoldenRun`] and
+//!   stopping wherever a re-evaluated trace equals golden —
+//!   bit-identical to a full [`Simulator`] replay under the same
+//!   overlay.
 //!
 //! Two cross-cutting controls thread through both engines:
 //! [`mod@budget`] bounds a run (events, edges, deadline) with a graceful
@@ -68,6 +73,7 @@
 pub mod bench;
 pub mod budget;
 pub mod cells;
+pub mod cone;
 pub mod engine;
 mod error;
 mod kernel;
@@ -79,6 +85,7 @@ pub mod wavefront;
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
 pub use cells::CellLibrary;
+pub use cone::{ConeReplay, GoldenRun};
 pub use engine::Simulator;
 pub use error::BenchError;
 pub use kernel::ENGINE_INDEX_MAX;

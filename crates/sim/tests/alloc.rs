@@ -4,7 +4,8 @@
 //! [`Simulator::run_in`] over same-shaped inputs performs **zero** heap
 //! allocations — on the committed C432- and C880-scale fixtures with
 //! `Arc`-shared cached-hybrid cells, the exact workloads of the
-//! `netlist_throughput` bench tier. The parallel engine is deliberately
+//! `netlist_throughput` bench tier. Warm `ConeReplay` fault replays are
+//! held to the same bar. The parallel engine is deliberately
 //! *not* under this gate: its steady-state allocations are the scoped
 //! thread spawns themselves (worker arenas are warm and reused), and
 //! the counter is thread-local — see
@@ -17,13 +18,16 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::InertialChannel;
+use mis_digital::{InertialChannel, SignalId, SimError};
 use mis_probe::{Probe, TraceSink};
-use mis_sim::{BenchNetlist, CellLibrary, Simulator, WavefrontSimulator};
+use mis_sim::{
+    BenchNetlist, CellLibrary, ConeReplay, GoldenRun, RunBudget, Simulator, TraceOverlay,
+    WavefrontSimulator,
+};
 use mis_testkit::alloc::{self, CountingAllocator};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
-use mis_waveform::{DigitalTrace, TraceArena};
+use mis_waveform::{DigitalTrace, EdgeBuf, TraceArena, TraceRef};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -255,6 +259,114 @@ fn tripped_budget_runs_stay_allocation_free() {
             "{file}: tripped-budget cycling allocated {allocations} times"
         );
         assert_eq!(arena.total_edges(), warm_edges, "{file}: reproducible");
+    }
+}
+
+/// The two fault shapes campaigns replay: a signal held at a constant,
+/// or a pulse `[t0, t1]` merged into its trace (the times are chosen
+/// off every stimulus edge, so no edges coincide).
+enum Fault {
+    Stuck(SignalId, bool),
+    Glitch(SignalId, f64, f64),
+}
+
+impl Fault {
+    fn site(&self) -> SignalId {
+        match *self {
+            Fault::Stuck(id, _) | Fault::Glitch(id, ..) => id,
+        }
+    }
+}
+
+impl TraceOverlay for Fault {
+    fn rewrites(&self, id: SignalId) -> bool {
+        id == self.site()
+    }
+
+    fn rewrite(
+        &self,
+        _id: SignalId,
+        view: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<(), SimError> {
+        match *self {
+            Fault::Stuck(_, value) => out.clear(value),
+            Fault::Glitch(_, t0, t1) => {
+                out.clear(view.initial_value());
+                let mut pulse = [t0, t1].into_iter().peekable();
+                for &t in view.times() {
+                    while let Some(p) = pulse.next_if(|&p| p < t) {
+                        out.push_time(p)?;
+                    }
+                    out.push_time(t)?;
+                }
+                for p in pulse {
+                    out.push_time(p)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn warm_cone_replay_is_allocation_free_including_budget_trips() {
+    // A campaign worker's steady state: one ConeReplay and one faulty
+    // arena reused across faults. Once each fault has sized the arena,
+    // replaying it again allocates nothing — stuck-at and glitch sites
+    // alike, and runs that trip an edge budget after walking the cone.
+    let cells = committed_cells();
+    for (file, seed) in [("c432.bench", 0x432), ("c880.bench", 0x880)] {
+        let lowered = fixture(file).lower(&cells).expect("lowering");
+        let net = &lowered.net;
+        let inputs = traffic(lowered.inputs.len(), seed);
+        let golden = GoldenRun::record(&mut Simulator::new(net).expect("engine"), &inputs)
+            .expect("golden run");
+        let input = net.signal_id(0).expect("an input");
+        let gate = net.signal_id(net.input_count() + 3).expect("a gate");
+        let faults = [
+            Fault::Stuck(input, !golden.trace(input).initial_value()),
+            Fault::Glitch(gate, ps(1234.567), ps(1281.123)),
+        ];
+        let tight = RunBudget::UNLIMITED.with_max_edges(1);
+        let mut cone = ConeReplay::new(net).expect("replay construction");
+        let mut arena = TraceArena::new();
+        for fault in &faults {
+            cone.run(
+                &golden,
+                fault.site(),
+                fault,
+                &mut arena,
+                &RunBudget::UNLIMITED,
+            )
+            .expect("warm-up replay");
+            assert!(
+                cone.gates_evaluated() > 0,
+                "{file}: the fault reaches gates"
+            );
+        }
+        let (allocations, ()) = alloc::count_in(|| {
+            for _ in 0..5 {
+                for fault in &faults {
+                    cone.run(
+                        &golden,
+                        fault.site(),
+                        fault,
+                        &mut arena,
+                        &RunBudget::UNLIMITED,
+                    )
+                    .expect("steady-state replay");
+                    match cone.run(&golden, fault.site(), fault, &mut arena, &tight) {
+                        Err(SimError::BudgetExceeded { .. }) => {}
+                        other => panic!("{file}: a 1-edge budget must trip, got {other:?}"),
+                    }
+                }
+            }
+        });
+        assert_eq!(
+            allocations, 0,
+            "{file}: steady-state cone replay allocated {allocations} times"
+        );
     }
 }
 

@@ -51,7 +51,10 @@ use crate::{Edge, WaveformError};
 /// value plus a strictly increasing slice of edge times. Edge polarities
 /// are implied: a well-formed trace alternates, so edge `k` is rising iff
 /// `k` is even and the initial value is low (and vice versa).
-#[derive(Debug, Clone, Copy)]
+///
+/// Equality is exact: same initial value, same edge count, and `f64 ==`
+/// per edge time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRef<'a> {
     initial: bool,
     times: &'a [f64],

@@ -94,17 +94,20 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     # counts on, and compares the fault.* probe counters against the
     # frozen values below. Coverage is a pure function of the netlist,
     # cells and traffic, and the campaign report is identical at every
-    # worker count — any drift means detection behavior changed. Re-pin
-    # via `fault_sim --json [--glitches 24] <fixture>`.
+    # worker count — any drift means detection behavior changed.
+    # fault.cone_gates is the campaign's exact work: gates re-evaluated
+    # by cone-only replay across all faults (also worker-count
+    # independent); drift means the replay's early stop or scheduling
+    # changed. Re-pin via `fault_sim --json [--glitches 24] <fixture>`.
     echo "== fault-coverage pinning gate (fault_sim --expect, c17/c432/c880)"
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json \
-        --expect fault.injected=22,fault.detected=22,fault.budget_trips=0 \
+        --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52 \
         data/bench/c17.bench > /dev/null
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
-        --expect fault.injected=464,fault.detected=356,fault.budget_trips=0 \
+        --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765 \
         data/bench/c432.bench > /dev/null
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
-        --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0 \
+        --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
         data/bench/c880.bench > /dev/null
     # Timeline-tracing smoke: both binaries export a Chrome Trace JSON
     # timeline (self-validated by mis_probe::json::is_wellformed before
@@ -138,13 +141,19 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     cargo run --release -q -p mis-bench --bin bench_diff --offline -- \
         --history "$trace_scratch/history.jsonl" --env ci-smoke BENCH_*.json > /dev/null
     # Differential-fuzz smoke: a bounded run of the mis-fault harness
-    # (random bounded-channel circuits; serial-vs-parallel bit-identity,
-    # faulted-STA soundness, graceful budget trips on both engines).
+    # (random bounded-channel circuits; serial-vs-parallel and
+    # serial-vs-cone-replay bit-identity, faulted-STA soundness,
+    # graceful budget trips on both engines).
     # Deterministic per seed, so a failure here reproduces locally with
     # the same command.
     echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
         --fuzz 16 --workers 4 > /dev/null
+    # The C880 benchmark harness is a workspace of its own that drives
+    # the library's public API from outside; build and self-test it so
+    # an API change cannot silently break the benchmark.
+    echo "== benchmark harness self-tests (c880bench)"
+    cargo test -q --offline --manifest-path c880bench/Cargo.toml
     echo "== bench regression gate (scripts/bench_diff.sh)"
     scripts/bench_diff.sh
 fi
