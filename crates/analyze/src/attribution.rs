@@ -4,17 +4,15 @@
 //! The event-tracing layer (`mis_probe::trace`) records one `gate` span
 //! per evaluated signal — signal index, output-edge count, wall-clock
 //! interval. [`crate::TimingAnalysis::levels`] assigns every signal a
-//! topological level. Joining the two answers the question the
-//! ROADMAP's level-sliced wavefront redesign needs answered with data
-//! rather than guesses: *where does evaluation time actually go, level
-//! by level?* A level whose signal count is large but whose time share
-//! is small is cheap parallelism; a level holding most of the time in
-//! few signals bounds any level-barrier schedule from below.
+//! topological level. Joining the two answers, with data rather than
+//! guesses: *where does evaluation time actually go, level by level?*
+//! A level whose signal count is large but whose time share is small is
+//! cheap parallelism; a level holding most of the time in few signals
+//! bounds any level-barrier schedule from below.
 //!
 //! [`attribute_levels`] performs the join over a [`TraceSnapshot`] —
-//! every `gate` event on every track, so serial `sim` runs, parallel
-//! `par.w<i>` workers and campaign timelines all attribute the same way
-//! — and both returns the per-level table ([`LevelAttribution`],
+//! every `gate` event on every track, so engine runs and campaign
+//! timelines attribute the same way — and both returns the per-level table ([`LevelAttribution`],
 //! `Display`-renderable) and records per-level `level.L<n>.eval_ns`
 //! histograms into a [`Probe`], so the numbers travel in ordinary probe
 //! reports too.
@@ -112,18 +110,17 @@ impl fmt::Display for LevelAttribution {
     }
 }
 
-/// Joins every `gate` span in `snap` (across all tracks — serial
-/// engine, parallel workers, campaign timelines alike) against the
+/// Joins every `gate` span in `snap` (across all tracks — engine runs
+/// and campaign timelines alike) against the
 /// per-signal `levels` table from [`crate::TimingAnalysis::levels`],
 /// and records each gate's span duration into that level's
 /// `level.L<n>.eval_ns` histogram on `probe` (a no-op on a disabled
 /// probe).
 ///
 /// Level 0 rows count input signals but normally attribute no time:
-/// inputs are sealed, not evaluated. On a parallel snapshot the same
-/// signal may appear on several worker tracks (cone overlap) — each
-/// evaluation is real work and each is attributed, so parallel totals
-/// exceed serial totals by exactly the replication redundancy.
+/// inputs are sealed, not evaluated. A signal evaluated several times
+/// in the snapshot (several runs, or several tracks) is attributed once
+/// per evaluation.
 #[must_use]
 pub fn attribute_levels(levels: &[u32], snap: &TraceSnapshot, probe: &Probe) -> LevelAttribution {
     let max_level = levels.iter().copied().max().unwrap_or(0);
@@ -213,10 +210,10 @@ mod tests {
     fn events_from_every_track_are_joined() {
         let levels = vec![0, 1, 1];
         let sink = TraceSink::new();
-        gate(&sink.track("par.w0"), 1, 2);
-        gate(&sink.track("par.w1"), 2, 4);
-        // Cone overlap: w1 also evaluated signal 1.
-        gate(&sink.track("par.w1"), 1, 2);
+        gate(&sink.track("sim"), 1, 2);
+        gate(&sink.track("fault.w1"), 2, 4);
+        // A second evaluation of signal 1, on another track.
+        gate(&sink.track("fault.w1"), 1, 2);
         let attr = attribute_levels(&levels, &sink.snapshot(), &Probe::disabled());
         assert_eq!(attr.rows[1].gate_events, 3, "overlap counts each run");
         assert_eq!(attr.rows[1].edges, 8);

@@ -11,8 +11,9 @@ use std::fmt;
 /// How bad a diagnostic is.
 ///
 /// * [`Severity::Error`] — the netlist cannot be simulated as written
-///   (today only `A007`: the lowered size exceeds the engines' `u32`
-///   index width, so [`mis_sim::Simulator::new`] is guaranteed to
+///   (today only `A007`: the lowered size exceeds the `u32` index
+///   width, so [`mis_sim::Simulator::new`] (signal count) or
+///   [`mis_sim::ConeReplay::new`] (fan-out edge count) is guaranteed to
 ///   reject it).
 /// * [`Severity::Warning`] — the netlist simulates, but something is
 ///   structurally suspicious (dead logic, unused declarations,

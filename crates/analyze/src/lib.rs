@@ -24,9 +24,9 @@
 //!   against, plus per-level `level.L<n>.eval_ns` probe histograms.
 //!
 //! The load-bearing guarantee is **soundness**: every transition the
-//! event-driven [`mis_sim::Simulator`] (and its parallel twin) emits
-//! lands inside its signal's statically computed window — on random
-//! DAGs over every channel kind and on the committed ISCAS fixtures.
+//! [`mis_sim::Simulator`] emits lands inside its signal's statically
+//! computed window — on random DAGs over every channel kind and on the
+//! committed ISCAS fixtures.
 //! The property suite in `tests/proptests.rs` enforces exactly that;
 //! the inductive argument lives in the [`sta`] module docs.
 //!

@@ -192,8 +192,9 @@ pub fn lint(nl: &BenchNetlist, config: &LintConfig) -> LintReport {
             line: 0,
             signal: None,
             message: format!(
-                "lowering would produce {} signals and {} fan-out edges; the engines \
-                 index both as u32 (max {ENGINE_INDEX_MAX}), so Simulator::new is \
+                "lowering would produce {} signals and {} fan-out edges; the engine \
+                 and the cone replay index both as u32 (max {ENGINE_INDEX_MAX}), so \
+                 Simulator::new (signals) or ConeReplay::new (fan-out edges) is \
                  guaranteed to reject this netlist",
                 stats.signals, stats.edges
             ),

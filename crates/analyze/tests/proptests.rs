@@ -1,15 +1,13 @@
 //! Property-based tests for `mis-analyze`: the **soundness** guarantee.
 //!
-//! Static timing promises that every transition the dynamic engines
-//! emit on a signal lands inside that signal's statically computed
-//! arrival window. This suite enforces the promise three ways:
+//! Static timing promises that every transition the dynamic engine
+//! emits on a signal lands inside that signal's statically computed
+//! arrival window. This suite enforces the promise two ways:
 //!
 //! * randomized feed-forward DAGs over *every* channel kind (zero-time,
 //!   pure, inertial, exact involution — which is unbounded — and cached
 //!   hybrid NOR/NAND), with grid-aligned stimuli that include empty
 //!   traces and exactly-simultaneous edges;
-//! * the same property through [`ParallelSimulator`] at worker counts
-//!   1–8, so the cone partitioning cannot leak edges outside a window;
 //! * the committed ISCAS fixtures (C17, C432, C880) under the ideal,
 //!   inertial and characterized-hybrid cell libraries.
 //!
@@ -27,7 +25,7 @@ use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
     PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
-use mis_sim::{BenchNetlist, CellLibrary, ParallelSimulator, Simulator};
+use mis_sim::{BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
@@ -204,33 +202,8 @@ fn windows_contain_event_engine_edges_on_random_dags() {
         prop_assert_eq!(ta.signal_count(), net.signal_count());
         let windows = ta.arrival_windows(&input_windows(&inputs));
         let mut sim = Simulator::new(&net).expect("engine construction");
-        let traces = sim.run(&inputs).expect("event-queue run");
+        let traces = sim.run(&inputs).expect("engine run");
         assert_sound(&net, &windows, &traces, &format!("seed {seed}"));
-        Ok(())
-    });
-}
-
-#[test]
-fn windows_contain_parallel_engine_edges_at_all_worker_counts() {
-    // Same property through the per-cone partitioning, workers 1–8:
-    // no schedule may move an edge outside its window.
-    Config::with_cases(CASES / 4).run(&(0u64..u64::MAX), |&seed| {
-        let mut rng = TestRng::seed_from_u64(seed);
-        let net = random_network(&mut rng);
-        let inputs: Vec<DigitalTrace> = (0..net.input_count())
-            .map(|_| grid_trace(&mut rng, 8))
-            .collect();
-        let windows = TimingAnalysis::new(&net).arrival_windows(&input_windows(&inputs));
-        for workers in 1..=8 {
-            let mut par = ParallelSimulator::new(&net, workers).expect("partitioning");
-            let traces = par.run(&inputs).expect("parallel run");
-            assert_sound(
-                &net,
-                &windows,
-                &traces,
-                &format!("seed {seed}, {workers} workers"),
-            );
-        }
         Ok(())
     });
 }
@@ -256,7 +229,7 @@ fn quiet_inputs_produce_quiet_windows_and_quiet_traces() {
 }
 
 /// Loads a committed fixture and checks soundness under one cell
-/// library, through both engines.
+/// library.
 fn assert_fixture_sound(file: &str, cells: &CellLibrary, context: &str) {
     let path = workspace_root().join("data/bench").join(file);
     let text = std::fs::read_to_string(&path).expect("committed fixture");
@@ -276,14 +249,6 @@ fn assert_fixture_sound(file: &str, cells: &CellLibrary, context: &str) {
     let mut sim = Simulator::new(&lowered.net).expect("engine construction");
     let traces = sim.run(&inputs).expect("run");
     assert_sound(&lowered.net, &windows, &traces, context);
-    let mut par = ParallelSimulator::new(&lowered.net, 4).expect("partitioning");
-    let ptraces = par.run(&inputs).expect("parallel run");
-    assert_sound(
-        &lowered.net,
-        &windows,
-        &ptraces,
-        &format!("{context} (parallel)"),
-    );
     // The report is well-formed: finite critical path under bounded
     // libraries, level census sums to the signal count.
     let timing = ta.report(&lowered.outputs);

@@ -2,29 +2,21 @@
 //! benchmark circuits, the workload of the interconnected-gates
 //! follow-up paper (Ferdowsi et al., arXiv:2403.10540).
 //!
-//! Three engines over the same circuits and channel objects:
+//! Two evaluators over the same circuits and channel objects:
 //!
 //! * `run_in` ids — `Network::run_in`, the levelized topological sweep
 //!   into a warm `TraceArena` (zero heap allocations, asserted by
 //!   `crates/digital/tests/alloc.rs`);
-//! * `sim` ids — `mis_sim::Simulator::run_in`, the event-queue engine
-//!   (dependency counting + time-ordered ready heap over the same fused
-//!   kernels; zero allocations asserted by `crates/sim/tests/alloc.rs`).
-//!   The gap between a `sim` id and its `run_in` twin is the price of
-//!   event-queue scheduling — the cost the paper's full-simulator
-//!   setting actually measures. The `sim_probed` ids re-run the C432
+//! * `sim` ids — `mis_sim::Simulator::run_in`, the signal-order engine
+//!   (the same sweep over the same fused kernels, plus the per-gate
+//!   budget, overlay, probe and trace hooks; zero allocations asserted
+//!   by `crates/sim/tests/alloc.rs`). The gap between a `sim` id and its
+//!   `run_in` twin is the price of those hooks. The `sim_probed` ids
+//!   re-run the C432
 //!   workloads with a live `mis_probe::Probe` registry attached; the
 //!   gap to the plain `sim` twin is the price of *enabled*
 //!   instrumentation (the disabled-probe price is already inside `sim`,
 //!   which carries a disabled bundle through the same code).
-//! * `parN` ids — `mis_sim::ParallelSimulator::run_in` with N workers,
-//!   the per-cone engine (scoped thread spawns timed; worker arenas
-//!   warm), bit-identical to `sim` by the property suite.
-//! * `wavefrontN` ids — `mis_sim::WavefrontSimulator::run_in` with N
-//!   workers at the default cutover: level-sliced parallel fronts with
-//!   a hybrid serial tail, every gate computed exactly once
-//!   (replication 1.0, vs the per-cone engine's overlap recomputation),
-//!   bit-identical to `sim` by the same property suite.
 //!
 //! Circuits: the eight-stage reconvergent NOR chain and the ISCAS-85
 //! C17 cut (from `mis_digital::netlists`), the depth-4 inverter tree,
@@ -47,7 +39,7 @@ use std::path::PathBuf;
 use mis_charlib::CharLib;
 use mis_digital::netlists::{self, CachedHybridFactory, ChannelPerGate};
 use mis_digital::{GateKind, InertialChannel, Network, TraceTransform};
-use mis_sim::{BenchNetlist, CellLibrary, ParallelSimulator, Simulator, WavefrontSimulator};
+use mis_sim::{BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::bench::Harness;
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -105,7 +97,7 @@ fn bench_run_in(
     });
 }
 
-/// Benchmarks one steady-state event-queue evaluation on a warm arena.
+/// Benchmarks one steady-state engine evaluation on a warm arena.
 fn bench_sim(
     h: &mut Harness,
     arena: &mut TraceArena,
@@ -121,12 +113,12 @@ fn bench_sim(
     });
 }
 
-/// Benchmarks the event-queue engine with a *live* probe registry
-/// attached — the cost of instrumentation when it is actually on. The
-/// gap to the plain `sim` twin is what enabled counters, the heap
-/// gauge, the run span, and the post-run census walk cost per
-/// evaluation; the disabled-probe cost is the `sim` id itself, since
-/// every engine carries a (disabled) bundle through the same code.
+/// Benchmarks the engine with a *live* probe registry attached — the
+/// cost of instrumentation when it is actually on. The gap to the plain
+/// `sim` twin is what enabled counters, the run span, and the post-run
+/// census walk cost per evaluation; the disabled-probe cost is the
+/// `sim` id itself, since every engine carries a (disabled) bundle
+/// through the same code.
 fn bench_sim_probed(
     h: &mut Harness,
     arena: &mut TraceArena,
@@ -139,48 +131,6 @@ fn bench_sim_probed(
     sim.run_in(inputs, arena).expect("warm-up run");
     h.bench(id, move || {
         sim.run_in(inputs, arena).expect("sim run");
-        arena.total_edges()
-    });
-}
-
-/// Benchmarks one parallel per-cone evaluation: scoped worker threads
-/// over warm worker arenas, merged into the shared result arena. The
-/// thread spawns are inside the timed region — they are part of what a
-/// caller pays per evaluation.
-fn bench_par(
-    h: &mut Harness,
-    arena: &mut TraceArena,
-    id: &str,
-    net: &Network,
-    inputs: &[DigitalTrace],
-    workers: usize,
-) {
-    let mut par = ParallelSimulator::new(net, workers).expect("partitioning");
-    par.run_in(inputs, arena).expect("warm-up run");
-    h.bench(id, move || {
-        par.run_in(inputs, arena).expect("parallel run");
-        arena.total_edges()
-    });
-}
-
-/// Benchmarks one level-sliced wavefront evaluation at the default
-/// cutover: wide fronts fan out over scoped threads (spawns inside the
-/// timed region, as in `bench_par`), narrow tails run serially on the
-/// calling thread. Unlike the per-cone engine this computes every gate
-/// exactly once, so the gap to the `parN` twin is cone-overlap
-/// recomputation plus the different barrier structure.
-fn bench_wave(
-    h: &mut Harness,
-    arena: &mut TraceArena,
-    id: &str,
-    net: &Network,
-    inputs: &[DigitalTrace],
-    workers: usize,
-) {
-    let mut wave = WavefrontSimulator::new(net, workers).expect("levelization");
-    wave.run_in(inputs, arena).expect("warm-up run");
-    h.bench(id, move || {
-        wave.run_in(inputs, arena).expect("wavefront run");
         arena.total_edges()
     });
 }
@@ -276,9 +226,9 @@ fn main() {
         &tree_in,
     );
 
-    // The event-queue engine over the same circuits and channels: the
-    // sweep-vs-queue comparison at identical outputs (bit-identity is
-    // property-tested in crates/sim).
+    // The engine over the same circuits and channels: the sweep-vs-engine
+    // comparison at identical outputs (bit-identity is property-tested
+    // in crates/sim).
     bench_sim(
         &mut h,
         &mut arena,
@@ -317,19 +267,6 @@ fn main() {
         &c432_in,
     );
 
-    // The wavefront tier on C432: level-sliced fronts with the hybrid
-    // serial tail, exact-once evaluation at every worker count.
-    for workers in [2usize, 4] {
-        bench_wave(
-            &mut h,
-            &mut arena,
-            &format!("c432_cached/wavefront{workers}"),
-            &c432_cached.net,
-            &c432_in,
-            workers,
-        );
-    }
-
     bench_run_in(
         &mut h,
         &mut arena,
@@ -345,10 +282,7 @@ fn main() {
         &c432_in,
     );
 
-    // C880-scale: the parallel tier. `sim` is the serial event queue;
-    // `par2`/`par4` run the per-cone engine at 2 and 4 workers (scoped
-    // thread spawns inside the timed region — see EXPERIMENTS.md for the
-    // measured speedups and the hardware caveat on 1-CPU containers).
+    // C880-scale: the engine under both cell libraries.
     for (tag, lowered) in [("cached", &c880_cached), ("inertial", &c880_inertial)] {
         bench_sim(
             &mut h,
@@ -357,26 +291,6 @@ fn main() {
             &lowered.net,
             &c880_in,
         );
-        for workers in [2usize, 4] {
-            bench_par(
-                &mut h,
-                &mut arena,
-                &format!("c880_{tag}/par{workers}"),
-                &lowered.net,
-                &c880_in,
-                workers,
-            );
-        }
-        for workers in [2usize, 4] {
-            bench_wave(
-                &mut h,
-                &mut arena,
-                &format!("c880_{tag}/wavefront{workers}"),
-                &lowered.net,
-                &c880_in,
-                workers,
-            );
-        }
     }
 
     h.bench("nor_chain8_cached/run_alloc", || {

@@ -24,7 +24,7 @@
 //! fault_sim [--json] [--workers N] [--glitches N] [--max-events N]
 //!           [--max-edges N] [--trace <out.json>] [--expect k=v,...]
 //!           <netlist.bench>
-//! fault_sim --fuzz ITERS [--seed N] [--workers N] [--json]
+//! fault_sim --fuzz ITERS [--seed N] [--json]
 //! ```
 //!
 //! `--trace` records the campaign on a live `mis_probe::TraceSink` —
@@ -37,7 +37,7 @@
 //!
 //! `--fuzz` ignores the campaign flags and instead runs the
 //! differential fuzz harness (random circuits, stimuli and faults;
-//! serial-vs-parallel and serial-vs-cone-replay bit-identity,
+//! engine-vs-`Network::run` and serial-vs-cone-replay bit-identity,
 //! faulted-STA soundness, graceful budgets) for the given iteration
 //! count — CI's smoke leg.
 //!
@@ -201,7 +201,6 @@ fn run_fuzz(args: &Args, iterations: u32) -> Result<(), String> {
     let report = fuzz_differential(&FuzzConfig {
         iterations,
         seed: args.seed,
-        max_workers: args.workers,
     })?;
     if args.json {
         let line = format!(
@@ -359,7 +358,7 @@ fn main() -> ExitCode {
                 "usage: fault_sim [--json] [--workers N] [--glitches N] [--max-events N] \
                  [--max-edges N] [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
             );
-            eprintln!("       fault_sim --fuzz ITERS [--seed N] [--workers N] [--json]");
+            eprintln!("       fault_sim --fuzz ITERS [--seed N] [--json]");
             return ExitCode::from(2);
         }
     };

@@ -1,4 +1,4 @@
-//! Profiles one `.bench` netlist through the probed event-queue engine
+//! Profiles one `.bench` netlist through the probed engine
 //! and prints the instrumentation report — the CLI front of `mis-probe`
 //! and the count-pinning gate CI runs over the committed fixtures.
 //!
@@ -14,20 +14,9 @@
 //! Usage:
 //!
 //! ```text
-//! sim_profile [--json] [--engine serial|wavefront[:N]]
-//!             [--vcd <out.vcd>] [--trace <out.json>]
+//! sim_profile [--json] [--vcd <out.vcd>] [--trace <out.json>]
 //!             [--expect k=v,...] <netlist.bench>
 //! ```
-//!
-//! `--engine` picks the engine: `serial` (default) is the event-queue
-//! `Simulator`; `wavefront[:N]` is the level-sliced
-//! `WavefrontSimulator` with `N` workers (default 2). Both engines are
-//! bit-identical and evaluate every gate exactly once, so the pinned
-//! `sim.events_popped` / `sim.gates_evaluated` / `sim.edges.*` /
-//! `chan.*` counts hold across engines — only `sim.heap_high_water`
-//! (meaningless without a ready queue, reported as 0) and the
-//! engine-specific gauge families (`wave.*` vs the queue metrics)
-//! differ.
 //!
 //! `--vcd` additionally dumps every named (non-synthetic) signal's
 //! simulated trace as an IEEE-1364 VCD file for waveform viewers.
@@ -52,8 +41,8 @@ use mis_bench::netlist::{committed_cells, traffic};
 use mis_probe::json::{is_wellformed, json_string};
 use mis_probe::vcd::{write_vcd, VcdSignal};
 use mis_probe::{Probe, TraceSink};
-use mis_sim::{BenchNetlist, Simulator, WavefrontSimulator};
-use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
+use mis_sim::{BenchNetlist, Simulator};
+use mis_waveform::TraceArena;
 
 /// Parsed `--expect` pairs: metric name and pinned scalar.
 fn parse_expect(spec: &str) -> Result<Vec<(String, u64)>, String> {
@@ -70,34 +59,8 @@ fn parse_expect(spec: &str) -> Result<Vec<(String, u64)>, String> {
         .collect()
 }
 
-/// Which engine profiles the netlist.
-#[derive(Clone, Copy)]
-enum Engine {
-    Serial,
-    Wavefront { workers: usize },
-}
-
-/// Parses an `--engine` value: `serial`, `wavefront`, or `wavefront:N`.
-fn parse_engine(spec: &str) -> Result<Engine, String> {
-    match spec {
-        "serial" => Ok(Engine::Serial),
-        "wavefront" => Ok(Engine::Wavefront { workers: 2 }),
-        _ => {
-            let n = spec
-                .strip_prefix("wavefront:")
-                .ok_or_else(|| format!("--engine '{spec}' is not serial|wavefront[:N]"))?;
-            let workers: usize = n.parse().map_err(|e| format!("--engine workers: {e}"))?;
-            if workers == 0 {
-                return Err("--engine wavefront needs at least one worker".to_string());
-            }
-            Ok(Engine::Wavefront { workers })
-        }
-    }
-}
-
 struct Args {
     json: bool,
-    engine: Engine,
     vcd: Option<String>,
     trace: Option<String>,
     expect: Vec<(String, u64)>,
@@ -106,7 +69,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut json = false;
-    let mut engine = Engine::Serial;
     let mut vcd = None;
     let mut trace = None;
     let mut expect = Vec::new();
@@ -115,9 +77,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--engine" => {
-                engine = parse_engine(&argv.next().ok_or("--engine needs a value")?)?;
-            }
             "--vcd" => {
                 vcd = Some(argv.next().ok_or("--vcd needs an output path")?);
             }
@@ -135,39 +94,12 @@ fn parse_args() -> Result<Args, String> {
     match <[String; 1]>::try_from(files) {
         Ok([file]) => Ok(Args {
             json,
-            engine,
             vcd,
             trace,
             expect,
             file,
         }),
         Err(_) => Err("expected exactly one <netlist.bench>".to_string()),
-    }
-}
-
-/// The profiled engine behind one `run_in` / `trace` surface.
-enum ProfiledSim<'n> {
-    Serial(Box<Simulator<'n>>),
-    Wavefront(Box<WavefrontSimulator<'n>>),
-}
-
-impl<'n> ProfiledSim<'n> {
-    fn run_in(
-        &mut self,
-        inputs: &[DigitalTrace],
-        arena: &mut TraceArena,
-    ) -> Result<(), mis_digital::SimError> {
-        match self {
-            ProfiledSim::Serial(sim) => sim.run_in(inputs, arena),
-            ProfiledSim::Wavefront(sim) => sim.run_in(inputs, arena),
-        }
-    }
-
-    fn trace<'a>(&self, arena: &'a TraceArena, id: mis_digital::SignalId) -> TraceRef<'a> {
-        match self {
-            ProfiledSim::Serial(sim) => sim.trace(arena, id),
-            ProfiledSim::Wavefront(sim) => sim.trace(arena, id),
-        }
     }
 }
 
@@ -185,16 +117,8 @@ fn run(args: &Args) -> Result<(), String> {
     } else {
         TraceSink::disabled()
     };
-    let mut sim = match args.engine {
-        Engine::Serial => ProfiledSim::Serial(Box::new(
-            Simulator::new_traced(&lowered.net, &probe, &sink)
-                .map_err(|e| format!("engine: {e}"))?,
-        )),
-        Engine::Wavefront { workers } => ProfiledSim::Wavefront(Box::new(
-            WavefrontSimulator::new_traced(&lowered.net, workers, &probe, &sink)
-                .map_err(|e| format!("engine: {e}"))?,
-        )),
-    };
+    let mut sim =
+        Simulator::new_traced(&lowered.net, &probe, &sink).map_err(|e| format!("engine: {e}"))?;
     let mut arena = TraceArena::new();
     sim.run_in(&inputs, &mut arena)
         .map_err(|e| format!("simulation: {e}"))?;
@@ -290,8 +214,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("sim_profile: {e}");
             eprintln!(
-                "usage: sim_profile [--json] [--engine serial|wavefront[:N]] [--vcd <out.vcd>] \
-                 [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
+                "usage: sim_profile [--json] [--vcd <out.vcd>] [--trace <out.json>] \
+                 [--expect k=v,...] <netlist.bench>"
             );
             return ExitCode::from(2);
         }

@@ -11,9 +11,8 @@
 //! one flat times-plus-metadata buffer, and the scheduler then drains
 //! that buffer in a dispatch loop whose only remaining branches are the
 //! state machine's own. Callers that evaluate many gates (the `mis-sim`
-//! engines — one batch per gate evaluation, whole levels of them per
-//! wavefront barrier) reuse one warm batch, so the steady state stays
-//! allocation-free.
+//! engine and cone replay — one batch per gate evaluation) reuse one
+//! warm batch, so the steady state stays allocation-free.
 //!
 //! The merge order is **exactly** the schedulers' historical two-pointer
 //! order (input A wins time ties, polarities decoded from edge parity),

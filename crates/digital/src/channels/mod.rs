@@ -60,7 +60,7 @@ impl DelayBounds {
 /// data during `apply*` (per-application scheduler state lives on the
 /// stack), so one instance may be read from many threads at once. This is
 /// what lets a [`crate::Network`] — which stores its channels behind
-/// `Box<dyn TraceTransform>` — be shared across the `mis-sim` parallel
+/// `Box<dyn TraceTransform>` — be shared across the `mis-fault` campaign
 /// workers by reference.
 pub trait TraceTransform: Send + Sync {
     /// Applies the channel to a full input trace.
@@ -176,9 +176,8 @@ pub trait TwoInputTransform: Send + Sync {
     /// the unbatched entry point by contract; the default ignores the
     /// scratch and delegates, so every channel is batch-callable.
     ///
-    /// The `mis-sim` engines call this with one warm batch per
-    /// evaluation context (serial engine, parallel worker), which keeps
-    /// their steady-state runs allocation-free.
+    /// The `mis-sim` engine and cone replay call this with one warm
+    /// batch each, which keeps their steady-state runs allocation-free.
     ///
     /// # Errors
     ///

@@ -77,9 +77,9 @@ enum Source {
 
 /// A borrowed view of how one signal in a [`Network`] is produced,
 /// returned by [`Network::source`]. This is what lets external engines
-/// (the `mis-sim` event-queue evaluator) walk a network's topology and
-/// re-run its gates through the very same channel objects, guaranteeing
-/// bit-identical per-gate results.
+/// (the `mis-sim` evaluator and its cone replay) walk a network's
+/// topology and re-run its gates through the very same channel objects,
+/// guaranteeing bit-identical per-gate results.
 pub enum SignalSource<'a> {
     /// A primary input.
     Input,
@@ -147,9 +147,14 @@ impl Network {
     }
 
     /// Declares a primary input. All inputs must be declared before any
-    /// gate.
+    /// gate: the evaluators rely on inputs occupying signal indices
+    /// `0..input_count()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gate has already been added.
     pub fn add_input(&mut self, name: &str) -> SignalId {
-        debug_assert_eq!(
+        assert_eq!(
             self.input_count,
             self.sources.len(),
             "inputs must precede gates"
@@ -424,6 +429,15 @@ mod tests {
     use mis_waveform::units::ps;
 
     #[test]
+    #[should_panic(expected = "inputs must precede gates")]
+    fn input_declared_after_a_gate_panics() {
+        let mut net = Network::new();
+        let a = net.add_input("a");
+        net.add_gate("y", GateKind::Not, &[a], None).unwrap();
+        net.add_input("late");
+    }
+
+    #[test]
     fn zero_time_network_logic() {
         let mut net = Network::new();
         let a = net.add_input("a");
@@ -509,9 +523,9 @@ mod tests {
     fn network_is_shareable_across_threads() {
         // The channel traits carry `Send + Sync` supertraits, so a built
         // network (channels boxed behind `dyn` pointers included) can be
-        // borrowed by parallel evaluation workers. A compile-time fact,
+        // borrowed by fault-campaign workers. A compile-time fact,
         // asserted here so a regression is a readable test failure rather
-        // than a distant trait-bound error in `mis-sim`.
+        // than a distant trait-bound error in `mis-fault`.
         fn assert_shareable<T: Send + Sync>() {}
         assert_shareable::<Network>();
     }

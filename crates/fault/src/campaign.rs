@@ -124,8 +124,7 @@ impl CampaignReport {
 /// `fault.detected`, `fault.budget_trips`, and `fault.cone_gates` (gates
 /// re-evaluated across all faulty replays, the campaign's exact work
 /// count) — and one `fault.w<i>.busy` span timer per worker (the
-/// campaign-utilization picture, matching the parallel engine's
-/// `par.w<i>.busy`) recording into `probe`. The counters are atomic and
+/// campaign-utilization picture) recording into `probe`. The counters are atomic and
 /// shared, so the workers increment them directly; totals are exact and
 /// independent of the worker count, arrival order is not part of the
 /// report.

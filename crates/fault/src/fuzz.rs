@@ -1,6 +1,7 @@
 //! The differential fuzz harness: random circuits, random stimuli,
-//! random faults — cross-checked between both engines and against the
-//! faulted static timing windows.
+//! random faults — cross-checked between the serial engine, the
+//! `Network::run` oracle, the cone replay and the faulted static timing
+//! windows.
 //!
 //! Every iteration draws, from a [`TestRng`] seeded off the configured
 //! base (so any failure is reproducible from its printed seed):
@@ -14,18 +15,17 @@
 //! It then asserts three properties the rest of the workspace argues
 //! structurally, end to end on the faulty run:
 //!
-//! * **Engine bit-identity under faults.** The serial and parallel
-//!   engines produce exactly the same trace for every signal, at every
-//!   worker count up to the configured maximum, and so does the
-//!   campaigns' cone-only [`ConeReplay`] against the fault-free golden
-//!   run.
+//! * **Engine bit-identity.** Fault-free, the [`Simulator`] produces
+//!   exactly the trace `Network::run` (the scheduling oracle) does for
+//!   every signal; under the fault, the campaigns' cone-only
+//!   [`ConeReplay`] against the fault-free golden run produces exactly
+//!   the serial engine's faulty traces.
 //! * **Faulted STA soundness.** Every edge of every faulty trace lands
 //!   inside the signal's arrival window computed by
 //!   [`TimingAnalysis::arrival_windows_edited`] under the fault's
 //!   [`crate::FaultSite::window_edit`].
 //! * **Graceful budgets.** With exactly enough event budget the run
-//!   succeeds on both engines; with one event less the serial engine
-//!   (and with a zero budget, the parallel engine too) returns
+//!   succeeds; with one event less it returns
 //!   [`mis_digital::SimError::BudgetExceeded`] — never a panic or a
 //!   hang.
 //!
@@ -35,7 +35,7 @@
 
 use mis_analyze::TimingAnalysis;
 use mis_digital::{GateKind, InertialChannel, Network, PureDelayChannel, SimError};
-use mis_sim::{ConeReplay, GoldenRun, ParallelSimulator, RunBudget, Simulator};
+use mis_sim::{ConeReplay, GoldenRun, RunBudget, Simulator};
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
@@ -49,8 +49,6 @@ pub struct FuzzConfig {
     pub iterations: u32,
     /// Base seed; iteration `i` uses `seed + i`.
     pub seed: u64,
-    /// Parallel-engine worker counts checked: `1..=max_workers`.
-    pub max_workers: usize,
 }
 
 impl Default for FuzzConfig {
@@ -58,7 +56,6 @@ impl Default for FuzzConfig {
         FuzzConfig {
             iterations: 32,
             seed: 0x5eed,
-            max_workers: 8,
         }
     }
 }
@@ -70,8 +67,8 @@ pub struct FuzzReport {
     pub iterations: u32,
     /// Faulty-trace edges checked against their STA windows.
     pub edges_checked: u64,
-    /// Engine runs compared for bit-identity (serial, each worker
-    /// count and the cone replay, per iteration).
+    /// Engine runs compared for bit-identity (the faulty serial run, the
+    /// fault-free serial run and the cone replay, per iteration).
     pub runs_compared: u64,
 }
 
@@ -199,28 +196,25 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             .map_err(|e| tag(&e.to_string()))?;
         runs_compared += 1;
 
-        // Parallel faulty runs: bit-identical at every worker count.
-        for workers in 1..=config.max_workers {
-            let mut par = ParallelSimulator::new(&net, workers).map_err(|e| tag(&e.to_string()))?;
-            let mut arena = TraceArena::new();
-            par.run_controlled_in(&inputs, &mut arena, &RunBudget::UNLIMITED, Some(&overlay))
-                .map_err(|e| tag(&e.to_string()))?;
-            runs_compared += 1;
-            for s in 0..net.signal_count() {
-                let id = net.signal_id(s).expect("s < signal_count");
-                if serial.trace(&serial_arena, id) != par.trace(&arena, id) {
-                    return Err(tag(&format!(
-                        "engines diverge on signal {} under fault {site} at {workers} workers",
-                        net.signal_name(id)
-                    )));
-                }
-            }
-        }
-
-        // Cone replay against the golden run: bit-identical too.
+        // Fault-free serial run (the cone replay's golden run):
+        // bit-identical to the `Network::run` oracle.
         let golden = Simulator::new(&net)
             .and_then(|mut sim| GoldenRun::record(&mut sim, &inputs))
             .map_err(|e| tag(&e.to_string()))?;
+        let oracle = net.run(&inputs).map_err(|e| tag(&e.to_string()))?;
+        runs_compared += 1;
+        for (s, want) in oracle.iter().enumerate() {
+            let id = net.signal_id(s).expect("s < signal_count");
+            if golden.trace(id).to_trace() != *want {
+                return Err(tag(&format!(
+                    "engine diverges from Network::run on signal {}",
+                    net.signal_name(id)
+                )));
+            }
+        }
+
+        // Cone replay against the golden run: bit-identical to the
+        // serial faulty run.
         let mut cone = ConeReplay::new(&net).map_err(|e| tag(&e.to_string()))?;
         let mut cone_arena = TraceArena::new();
         cone.run(
@@ -269,9 +263,8 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             }
         }
 
-        // Graceful budgets: exactly enough succeeds everywhere; one
-        // event short trips the serial engine; a zero budget trips the
-        // parallel engine too. Always an error, never a panic or hang.
+        // Graceful budgets: exactly enough succeeds; one event short
+        // trips. Always an error, never a panic or hang.
         let gates = (net.signal_count() - net.input_count()) as u64;
         let exact = RunBudget::UNLIMITED.with_max_events(gates);
         serial
@@ -283,28 +276,6 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             other => {
                 return Err(tag(&format!(
                     "serial engine under a short budget returned {other:?}"
-                )))
-            }
-        }
-        let mut par = ParallelSimulator::new(&net, config.max_workers.max(1))
-            .map_err(|e| tag(&e.to_string()))?;
-        let mut arena = TraceArena::new();
-        par.run_controlled_in(&inputs, &mut arena, &exact, Some(&overlay))
-            .map_err(|e| {
-                tag(&format!(
-                    "exact budget should suffice in parallel, got: {e}"
-                ))
-            })?;
-        match par.run_controlled_in(
-            &inputs,
-            &mut arena,
-            &RunBudget::UNLIMITED.with_max_events(0),
-            Some(&overlay),
-        ) {
-            Err(SimError::BudgetExceeded { .. }) => {}
-            other => {
-                return Err(tag(&format!(
-                    "parallel engine under a zero budget returned {other:?}"
                 )))
             }
         }
@@ -325,12 +296,11 @@ mod tests {
         let report = fuzz_differential(&FuzzConfig {
             iterations: 12,
             seed: 0xfa111,
-            max_workers: 4,
         })
         .unwrap();
         assert_eq!(report.iterations, 12);
         assert!(report.edges_checked > 0, "fuzz must exercise real edges");
-        assert_eq!(report.runs_compared, 12 * 6);
+        assert_eq!(report.runs_compared, 12 * 3);
     }
 
     #[test]
@@ -338,7 +308,6 @@ mod tests {
         let config = FuzzConfig {
             iterations: 6,
             seed: 42,
-            max_workers: 2,
         };
         let a = fuzz_differential(&config).unwrap();
         let b = fuzz_differential(&config).unwrap();

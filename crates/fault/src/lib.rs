@@ -1,5 +1,5 @@
 //! **mis-fault** — deterministic fault injection over the `mis-sim`
-//! engines: the adversarial robustness harness of the workspace.
+//! engine: the adversarial robustness harness of the workspace.
 //!
 //! The paper's headline claim is faithful modeling of small delay
 //! variations and glitch behavior under multi-input switching; this
@@ -13,7 +13,7 @@
 //!   glitch pulses that exercise exactly the inertial/hybrid
 //!   pulse-filtering paths the paper is about. [`FaultOverlay`]
 //!   realizes a site as a [`mis_sim::TraceOverlay`], the rewrite hook
-//!   both engines apply at the sealed-span boundary.
+//!   the engine and the cone replay apply at the sealed-span boundary.
 //! * [`campaign`] — the deterministic campaign runner: a fault list
 //!   evaluated against a golden run over scoped worker threads (one
 //!   warm arena per worker), each fault replaying only the gates it
@@ -21,12 +21,12 @@
 //!   and aggregate coverage. The report is identical at every worker
 //!   count and to full-netlist replay.
 //! * [`fuzz`] — the differential fuzz harness: random bounded-channel
-//!   circuits, stimuli and faults, cross-checking serial vs parallel
-//!   engines bit-for-bit, asserting every faulty edge lands inside its
-//!   faulted STA window ([`FaultSite::window_edit`] +
+//!   circuits, stimuli and faults, cross-checking the serial engine
+//!   against the `Network::run` oracle and the cone replay bit-for-bit,
+//!   asserting every faulty edge lands inside its faulted STA window
+//!   ([`FaultSite::window_edit`] +
 //!   [`mis_analyze::TimingAnalysis::arrival_windows_edited`]), and
-//!   probing the [`mis_sim::RunBudget`] degradation contract on both
-//!   engines.
+//!   probing the [`mis_sim::RunBudget`] degradation contract.
 //!
 //! # Examples
 //!

@@ -15,7 +15,7 @@
 //!   delay model under test.
 //!
 //! [`FaultOverlay`] realizes a site as a [`TraceOverlay`], the rewrite
-//! hook both `mis-sim` engines apply at the sealed-span boundary; the
+//! hook the `mis-sim` engine applies at the sealed-span boundary; the
 //! XOR-merge keeps edge times strictly increasing by cancelling
 //! coincident edges pairwise, so the rewritten trace is always
 //! well-formed. [`FaultSite::window_edit`] gives the static companion:
@@ -143,10 +143,10 @@ pub fn stuck_at_sites(net: &Network) -> Vec<FaultSite> {
         .collect()
 }
 
-/// A [`FaultSite`] realized as the [`TraceOverlay`] the engines inject
-/// it through. Stateless beyond the site itself, so it is trivially
-/// `Sync` and a pure function of `(signal, view)` — the determinism
-/// contract the overlay trait requires.
+/// A [`FaultSite`] realized as the [`TraceOverlay`] the engine injects
+/// it through. Stateless beyond the site itself, so it is trivially a
+/// pure function of `(signal, view)` — the determinism contract the
+/// overlay trait requires.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultOverlay {
     site: FaultSite,

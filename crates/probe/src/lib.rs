@@ -20,12 +20,7 @@
 //! [`Histogram::record`], the [`SpanTimer`] span operations) reduce to
 //! one predictable branch on a pre-loaded flag — no atomics, no clock
 //! reads — so engines can take instrumentation unconditionally and pay
-//! nothing hot-path-measurable when nobody is watching. [`Gauge::set`]
-//! is the deliberate exception: it stores unconditionally, because it
-//! records cold-path *configuration facts* (worker loads, partition
-//! sizes) that accessors like
-//! `ParallelSimulator::worker_loads` read back through the registry
-//! even when profiling is off.
+//! nothing hot-path-measurable when nobody is watching.
 //!
 //! # Reports
 //!

@@ -91,9 +91,7 @@ impl Probe {
 
     /// The no-op mode: registration still hands out working handles
     /// (so instrumented code is written once, unconditionally), but
-    /// every hot-path record call reduces to one branch on a
-    /// pre-loaded flag. [`Gauge::set`] still stores — see the crate
-    /// docs.
+    /// every record call reduces to one branch on a pre-loaded flag.
     #[must_use]
     pub fn disabled() -> Self {
         Probe {
@@ -275,7 +273,7 @@ impl Counter {
     }
 }
 
-/// A last-set / high-water value.
+/// A high-water value.
 #[derive(Debug, Clone)]
 pub struct Gauge {
     enabled: bool,
@@ -283,15 +281,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Stores `v` **unconditionally** — the cold-path write for
-    /// configuration facts (partition sizes, worker loads) that
-    /// accessors read back through the registry even with profiling
-    /// off. Never call this from a hot loop.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
     /// Raises the gauge to `v` if larger — the hot-path high-water
     /// write (no-op when the probe is disabled).
     #[inline]
@@ -504,14 +493,12 @@ mod tests {
         g.record_max(7);
         g.record_max(3);
         assert_eq!(g.value(), 7);
-        g.set(2);
-        assert_eq!(g.value(), 2);
         // Re-opening by name shares storage.
         assert_eq!(p.counter("a.count").value(), 5);
     }
 
     #[test]
-    fn disabled_probe_drops_records_but_keeps_sets() {
+    fn disabled_probe_drops_every_record() {
         let p = Probe::disabled();
         assert!(!p.is_enabled());
         let c = p.counter("x");
@@ -521,8 +508,6 @@ mod tests {
         let g = p.gauge("y");
         g.record_max(5);
         assert_eq!(g.value(), 0);
-        g.set(5);
-        assert_eq!(g.value(), 5, "set is the cold-path exception");
         let h = p.histogram("z");
         h.record(3);
         assert_eq!(h.snapshot().count(), 0);

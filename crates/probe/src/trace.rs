@@ -70,13 +70,6 @@ pub enum EventKind {
     /// An input span sealed into the arena (instant; `a` = signal
     /// index, `b` = edge count).
     Seal,
-    /// A worker's busy interval (span; `a` = worker index).
-    Busy,
-    /// The parallel engine's signal-order merge (span).
-    Merge,
-    /// One wavefront level evaluated (span; `a` = level, `b` = level
-    /// width in signals).
-    Level,
     /// A fault-campaign chunk (span; `a` = chunk index, `b` = faults in
     /// the chunk).
     Chunk,
@@ -99,9 +92,6 @@ impl EventKind {
             EventKind::Run => "run",
             EventKind::Gate => "gate",
             EventKind::Seal => "seal",
-            EventKind::Busy => "busy",
-            EventKind::Merge => "merge",
-            EventKind::Level => "level",
             EventKind::Chunk => "chunk",
             EventKind::FaultRun => "fault_run",
             EventKind::Budget => "budget",
@@ -114,13 +104,7 @@ impl EventKind {
     #[must_use]
     pub fn phase(self) -> char {
         match self {
-            EventKind::Run
-            | EventKind::Gate
-            | EventKind::Busy
-            | EventKind::Merge
-            | EventKind::Level
-            | EventKind::Chunk
-            | EventKind::FaultRun => 'X',
+            EventKind::Run | EventKind::Gate | EventKind::Chunk | EventKind::FaultRun => 'X',
             EventKind::Seal | EventKind::Budget => 'i',
             EventKind::Coverage => 'C',
         }
@@ -132,9 +116,6 @@ impl EventKind {
         match self {
             EventKind::Run => ("run", "b"),
             EventKind::Gate | EventKind::Seal => ("signal", "edges"),
-            EventKind::Busy => ("worker", "b"),
-            EventKind::Merge => ("a", "b"),
-            EventKind::Level => ("level", "width"),
             EventKind::Chunk => ("chunk", "faults"),
             EventKind::FaultRun => ("fault", "outcome"),
             EventKind::Budget => ("resource", "b"),

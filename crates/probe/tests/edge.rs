@@ -1,7 +1,7 @@
 //! Edge-case coverage the unit suites skirt: JSON escaping of hostile
 //! metric names end-to-end through the report renderer, and concurrent
 //! accumulation into *same-named* metrics from many threads — the
-//! registry-sharing contract the parallel engine's per-worker probes
+//! registry-sharing contract the fault campaign's per-worker counters
 //! lean on.
 
 use std::thread;

@@ -183,7 +183,7 @@ impl<'n> ConeReplay<'n> {
     /// # Errors
     ///
     /// [`SimError::NetworkTooLarge`] when the network's signal or
-    /// fan-out-edge count exceeds the engines' `u32` index width.
+    /// fan-out-edge count exceeds the `u32` index width.
     pub fn new(net: &'n Network) -> Result<Self, SimError> {
         let n = net.signal_count();
         let words = n.div_ceil(64);

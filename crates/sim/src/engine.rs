@@ -1,34 +1,24 @@
-//! The event-queue netlist evaluator.
+//! The serial netlist evaluator.
 //!
-//! [`mis_digital::Network::run_in`] evaluates a netlist as a *levelized
-//! topological sweep*: gates run in declaration order, full stop. That is
-//! exact for a feed-forward network, but it is not how timing simulators
-//! schedule work — they pull the next pending activity from a
-//! time-ordered event queue, which is also where their cost lives once
-//! per-channel kernels are allocation-free (see `EXPERIMENTS.md`, PR 3).
-//! [`Simulator`] is that engine at whole-trace granularity:
+//! [`Simulator`] evaluates every gate once, in signal-index order
+//! (`input_count()..signal_count()`). [`Network`]'s builder enforces
+//! reference-before-use — every fan-in has a smaller signal index than
+//! the gate it feeds — so signal order is a topological order: a gate is
+//! evaluated only after all its fan-in traces are sealed. The lowering of
+//! `.bench` circuits topologically sorts their forward references, so
+//! the same order serves real benchmarks. [`Network::run_in`] and
+//! [`crate::ConeReplay`] rely on the same fact.
 //!
-//! * **Dependency counting.** Each gate waits until every fan-in signal
-//!   is sealed; fan-out edges are stored in a flat CSR layout built once
-//!   at construction (`crate::kernel::FanoutCsr`). Declaration order
-//!   is irrelevant — any acyclic wiring evaluates, which is what
-//!   `.bench` circuits (with their forward references) need.
-//! * **Time-ordered ready queue.** A ready gate enters a binary min-heap
-//!   keyed by its *activation time* — the earliest input edge it will
-//!   see (`+∞` for all-constant inputs) — with ties broken by signal
-//!   index. The pop order is the event-driven schedule; the tie-break
-//!   makes it deterministic.
-//! * **Identical kernels.** A popped gate is evaluated by the very same
-//!   fused ideal-gate + channel passes `Network::run_in` uses
-//!   (`crate::kernel::eval_signal_into`, shared with the parallel
-//!   per-cone engine). Because each gate's output depends only on its
-//!   already-sealed fan-in traces — never on queue order — the engine is
-//!   **bit-identical** to the levelized sweep by confluence, a property
-//!   the `mis-sim` suite asserts on every `mis_digital::netlists`
-//!   topology and on random DAGs.
+//! A gate is evaluated by the very same fused ideal-gate + channel
+//! passes `Network::run_in` uses (`crate::kernel::eval_signal_into`,
+//! shared with the cone replay), so the engine is **bit-identical** to
+//! `Network::run`, a property the `mis-sim` suite asserts on every
+//! `mis_digital::netlists` topology and on random DAGs. What the
+//! engine adds over the plain sweep is the per-gate control surface:
+//! run budgets, trace overlays (fault injection), probe counters and
+//! timeline tracing.
 //!
-//! Like the sweep, a warm run is allocation-free: the heap, the
-//! dependency counters and the span map are preallocated at
+//! A warm run is allocation-free: the span map is preallocated at
 //! construction, and the arena reuses its flat storage (asserted by
 //! `crates/sim/tests/alloc.rs` under the counting allocator).
 //!
@@ -54,70 +44,26 @@
 //! # }
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use mis_digital::{EventBatch, Network, SignalId, SignalSource, SimError};
 use mis_probe::{Probe, TraceSink};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
 use crate::budget::{BudgetMeter, RunBudget};
-use crate::kernel::{self, FanoutCsr};
+use crate::kernel;
 use crate::overlay::{rewrite_span, TraceOverlay};
 use crate::probe::{census_index, SimCounters, SimTracer};
 
-/// A gate whose fan-ins are all sealed, keyed for the ready queue.
-#[derive(Debug, Clone, Copy)]
-struct Ready {
-    /// Earliest input edge time (`+∞` when every input is constant).
-    time: f64,
-    /// Signal index of the gate.
-    signal: u32,
-}
-
-impl PartialEq for Ready {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Ready {}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `BinaryHeap` is a max-heap: reverse both keys so pops yield the
-        // earliest activation, lowest signal index first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.signal.cmp(&self.signal))
-    }
-}
-
-/// An event-queue evaluator over a borrowed [`Network`] — see the
-/// module docs for the queue discipline and the bit-identity argument.
+/// A signal-order evaluator over a borrowed [`Network`] — see the
+/// module docs for the schedule and the bit-identity argument.
 ///
-/// Construction walks the network once (fan-out CSR, dependency
-/// degrees, queue capacity); each [`Simulator::run_in`] then reuses that
-/// storage, so the per-run cost is the event loop itself.
+/// Construction checks the network fits the engine's index width and
+/// sizes the span map; each [`Simulator::run_in`] then reuses that
+/// storage, so the per-run cost is the gate loop itself.
 #[derive(Debug)]
 pub struct Simulator<'n> {
     net: &'n Network,
-    /// Fan-out CSR + fan-in degrees, built once at construction.
-    csr: FanoutCsr,
-    /// Remaining unsealed fan-ins per signal, reset from the CSR's
-    /// degrees each run.
-    deps_left: Vec<u32>,
     /// Arena span holding each signal's trace, filled during a run.
     span_of: Vec<u32>,
-    /// The ready queue (capacity: every signal, preallocated).
-    heap: BinaryHeap<Ready>,
     /// Warm merged-event scratch for the two-input channels' batched
     /// schedule evaluation (`crate::kernel::eval_signal_into`).
     batch: EventBatch,
@@ -132,22 +78,21 @@ pub struct Simulator<'n> {
 }
 
 impl<'n> Simulator<'n> {
-    /// Prepares an engine for `net`: builds the fan-out CSR and sizes
-    /// every per-run buffer.
+    /// Prepares an engine for `net`: sizes every per-run buffer.
     ///
     /// # Errors
     ///
-    /// [`SimError::NetworkTooLarge`] when the network's signal or
-    /// fan-out-edge count exceeds the engine's `u32` index width.
+    /// [`SimError::NetworkTooLarge`] when the network's signal count
+    /// exceeds the engine's `u32` index width.
     pub fn new(net: &'n Network) -> Result<Self, SimError> {
         Self::with_instrumentation(net, SimCounters::disabled(), SimTracer::disabled())
     }
 
     /// [`Simulator::new`] with metrics recording into `probe`: every
-    /// run updates the `sim.*` event counters, the ready-queue
-    /// high-water gauge, the run span timer, the per-kind edge census,
-    /// and the `chan.*` channel counters. Identical evaluation
-    /// semantics; the probed engine's warm runs stay allocation-free.
+    /// run updates the `sim.*` event counters, the run span timer, the
+    /// per-kind edge census, and the `chan.*` channel counters.
+    /// Identical evaluation semantics; the probed engine's warm runs
+    /// stay allocation-free.
     ///
     /// # Errors
     ///
@@ -157,12 +102,12 @@ impl<'n> Simulator<'n> {
     }
 
     /// [`Simulator::new_probed`] plus timeline recording into `sink`:
-    /// every run seals a `run` span, a `gate` span per ready-queue pop
-    /// (signal index + output edges), a `seal` instant per input trace,
-    /// and a `budget` instant when a [`RunBudget`] limit trips — all on
-    /// the `sim` trace track, into the sink's preallocated ring buffer,
-    /// so traced warm runs stay allocation-free. Identical evaluation
-    /// semantics.
+    /// every run seals a `run` span, a `gate` span per evaluated gate
+    /// (signal index + output edges, in signal order), a `seal` instant
+    /// per input trace, and a `budget` instant when a [`RunBudget`]
+    /// limit trips — all on the `sim` trace track, into the sink's
+    /// preallocated ring buffer, so traced warm runs stay
+    /// allocation-free. Identical evaluation semantics.
     ///
     /// # Errors
     ///
@@ -181,13 +126,10 @@ impl<'n> Simulator<'n> {
         tracer: SimTracer,
     ) -> Result<Self, SimError> {
         let n = net.signal_count();
-        let csr = FanoutCsr::build(net)?;
+        kernel::check_index_width(n)?;
         Ok(Simulator {
             net,
-            csr,
-            deps_left: vec![0; n],
             span_of: vec![0; n],
-            heap: BinaryHeap::with_capacity(n),
             batch: EventBatch::new(),
             counters,
             tracer,
@@ -207,10 +149,9 @@ impl<'n> Simulator<'n> {
         &self.counters
     }
 
-    /// Evaluates the network into `arena` through the event queue. After
-    /// the run, every signal's trace sits in the arena at
-    /// [`Simulator::span`] — spans are sealed in *schedule* order, which
-    /// generally differs from signal order.
+    /// Evaluates the network into `arena` in signal order. After the
+    /// run, every signal's trace sits in the arena at
+    /// [`Simulator::span`].
     ///
     /// On a warm arena (one prior run of similar edge counts) the whole
     /// evaluation performs zero heap allocations.
@@ -276,8 +217,6 @@ impl<'n> Simulator<'n> {
         let run_started = self.tracer.start();
         let mut meter = BudgetMeter::start(budget);
         arena.reset();
-        self.heap.clear();
-        self.deps_left.copy_from_slice(&self.csr.indeg);
         for (i, t) in inputs.iter().enumerate() {
             // One span is sealed per signal and construction verified the
             // signal count fits the index width, so the narrowing is
@@ -294,37 +233,19 @@ impl<'n> Simulator<'n> {
                 self.tracer.seal(i as u32, arena.trace(span).len() as u32);
             }
         }
-        let mut sealed = inputs.len();
-        for i in 0..inputs.len() {
-            self.notify_fanout(i, arena);
-        }
-        // Event tallies stay in registers through the loop; the shared
-        // counters see one flush per run (see `SimCounters`).
-        let (mut pops, mut dups) = (0u64, 0u64);
-        let mut heap_hw = self.heap.len();
-        while let Some(Ready { signal, .. }) = self.heap.pop() {
-            // `len + 1` is the queue depth just before this pop — pushes
-            // only happen in `notify_fanout`, so the maximum depth is
-            // always observed at a pop.
-            heap_hw = heap_hw.max(self.heap.len() + 1);
-            pops += 1;
+        // The duplicate tally stays in a register through the loop; the
+        // shared counters see one flush per run (see `SimCounters`).
+        let mut dups = 0u64;
+        for s in inputs.len()..self.net.signal_count() {
             self.tracer.guard(meter.on_event())?;
             let gate_started = self.tracer.start();
-            let s = signal as usize;
             dups += u64::from(self.eval(s, arena, overlay)?);
             let edges = arena.trace(self.span_of[s] as usize).len() as u64;
-            self.tracer.gate_span(gate_started, signal, edges as u32);
+            self.tracer.gate_span(gate_started, s as u32, edges as u32);
             self.tracer.guard(meter.on_edges(edges))?;
-            sealed += 1;
-            self.notify_fanout(s, arena);
         }
-        debug_assert_eq!(
-            sealed,
-            self.net.signal_count(),
-            "event loop drained before every gate was evaluated"
-        );
-        self.counters
-            .finish_run(started, pops, dups, heap_hw as u64);
+        let gates = (self.net.signal_count() - inputs.len()) as u64;
+        self.counters.finish_run(started, gates, dups);
         self.tracer.run_span(run_started);
         if self.counters.is_enabled() {
             self.census(arena);
@@ -333,7 +254,7 @@ impl<'n> Simulator<'n> {
     }
 
     /// The post-run per-kind edge census: one O(n) walk over the sealed
-    /// spans, run only when the probe is enabled — the event loop never
+    /// spans, run only when the probe is enabled — the gate loop never
     /// pays for it.
     fn census(&self, arena: &TraceArena) {
         for s in 0..self.net.signal_count() {
@@ -379,48 +300,6 @@ impl<'n> Simulator<'n> {
     #[must_use]
     pub fn trace<'a>(&self, arena: &'a TraceArena, id: SignalId) -> TraceRef<'a> {
         arena.trace(self.span(id))
-    }
-
-    /// Decrements the dependency count of every gate fed by `s`, queueing
-    /// those that became ready, keyed by activation time.
-    fn notify_fanout(&mut self, s: usize, arena: &TraceArena) {
-        for k in self.csr.start[s]..self.csr.start[s + 1] {
-            let signal = self.csr.targets[k as usize];
-            let g = signal as usize;
-            self.deps_left[g] -= 1;
-            if self.deps_left[g] == 0 {
-                let time = self.activation_time(g, arena);
-                self.heap.push(Ready { time, signal });
-            }
-        }
-    }
-
-    /// Earliest edge time across the gate's (already sealed) fan-in
-    /// traces; `+∞` when every input is constant.
-    fn activation_time(&self, g: usize, arena: &TraceArena) -> f64 {
-        let net = self.net;
-        let id = net.signal_id(g).expect("g < signal_count");
-        match net.source(id) {
-            SignalSource::Input => f64::INFINITY,
-            SignalSource::Gate { inputs, .. } => self.fanin_activation(inputs, arena),
-            SignalSource::TwoInputChannelGate { inputs, .. } => {
-                self.fanin_activation(&inputs, arena)
-            }
-        }
-    }
-
-    /// Earliest first-edge time across `ids`' sealed spans.
-    fn fanin_activation(&self, ids: &[SignalId], arena: &TraceArena) -> f64 {
-        ids.iter()
-            .map(|sid| {
-                arena
-                    .trace(self.span_of[sid.index()] as usize)
-                    .times()
-                    .first()
-                    .copied()
-                    .unwrap_or(f64::INFINITY)
-            })
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Evaluates one gate through the shared per-gate kernel
@@ -564,12 +443,11 @@ mod tests {
         sim.run_in(&inputs, &mut arena).unwrap();
 
         let c = sim.counters();
-        // Every non-input signal pops exactly once per run.
+        // Every non-input signal is evaluated exactly once per run.
         assert_eq!(c.runs(), 2);
         assert_eq!(c.events_popped(), 2 * 2);
         assert_eq!(c.duplicate_spans(), 2, "one channel-less NOT per run");
         assert_eq!(c.gates_evaluated(), 2);
-        assert!(c.heap_high_water() >= 1);
 
         // The census sees each class's output edges: `a` has 2 edges,
         // `b` none; NOR output = delayed pulse (2 edges), NOT mirrors it.
@@ -673,30 +551,5 @@ mod tests {
         let got = sim.run(&[DigitalTrace::constant(true)]).unwrap();
         assert!(!got[y.index()].initial_value());
         assert_eq!(got[y.index()].transition_count(), 0);
-    }
-
-    #[test]
-    fn ready_ordering_is_time_then_index() {
-        let mut heap = BinaryHeap::new();
-        heap.push(Ready {
-            time: 5.0,
-            signal: 1,
-        });
-        heap.push(Ready {
-            time: 2.0,
-            signal: 9,
-        });
-        heap.push(Ready {
-            time: 2.0,
-            signal: 3,
-        });
-        heap.push(Ready {
-            time: f64::INFINITY,
-            signal: 0,
-        });
-        let order: Vec<u32> = std::iter::from_fn(|| heap.pop())
-            .map(|r| r.signal)
-            .collect();
-        assert_eq!(order, vec![3, 9, 1, 0]);
     }
 }

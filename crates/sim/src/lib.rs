@@ -1,9 +1,9 @@
-//! **mis-sim** — event-driven netlist simulation over real circuits: the
+//! **mis-sim** — netlist timing simulation over real circuits: the
 //! layer that takes the workspace from "one gate, one channel" to "a
 //! whole ISCAS benchmark through one engine".
 //!
 //! The paper validates its hybrid channel *inside* a timing simulator,
-//! where shared event-queue overhead — not per-channel kernel cost —
+//! where shared scheduling overhead — not per-channel kernel cost —
 //! dominates; the follow-up paper (Ferdowsi et al., 2024) evaluates on
 //! interconnected circuits outright. This crate supplies that missing
 //! granularity in four pieces:
@@ -17,32 +17,23 @@
 //!   models: one `Arc`-shared cached-hybrid table set per cell type
 //!   (NAND through the free view-inversion duality) plus an inertial
 //!   fallback for the non-hybrid gate kinds.
-//! * [`engine`] — [`Simulator`], the event-queue evaluator: dependency
-//!   counting plus a time-ordered ready queue over the same fused
-//!   arena kernels as `Network::run_in`, bit-identical to the levelized
-//!   sweep and allocation-free on a warm arena.
-//! * [`parallel`] — [`ParallelSimulator`], per-cone evaluation on a
-//!   scoped `std::thread` worker pool: sink fan-in cones packed onto
-//!   workers that each own their [`mis_waveform::TraceArena`], merged
-//!   deterministically by signal index — bit-identical to the serial
-//!   engines at every worker count.
-//! * [`wavefront`] — [`WavefrontSimulator`], level-sliced wavefront
-//!   evaluation: topological fronts split into disjoint per-worker
-//!   chunks (exactly-once, replication 1.0 by construction) with a
-//!   per-level merge barrier and a hybrid serial tail for narrow
-//!   fronts — bit-identical to the serial engine at every worker
-//!   count and cutover.
+//! * [`engine`] — [`Simulator`], the serial evaluator: every gate once,
+//!   in signal order (a topological order, since the network builder
+//!   enforces reference-before-use), through the same fused arena
+//!   kernels as `Network::run_in` — bit-identical to it and
+//!   allocation-free on a warm arena.
 //! * [`cone`] — [`ConeReplay`], fault replay that re-evaluates only the
 //!   gates a fault perturbs, seeded from a recorded [`GoldenRun`] and
 //!   stopping wherever a re-evaluated trace equals golden —
 //!   bit-identical to a full [`Simulator`] replay under the same
 //!   overlay.
 //!
-//! Two cross-cutting controls thread through both engines:
+//! Two cross-cutting controls thread through both evaluators:
 //! [`mod@budget`] bounds a run (events, edges, deadline) with a graceful
 //! [`mis_digital::SimError::BudgetExceeded`] instead of unbounded work,
 //! and [`mod@overlay`] rewrites sealed traces mid-run — the injection
-//! point the `mis-fault` campaigns build on.
+//! point the `mis-fault` campaigns build on. Parallelism lives one layer
+//! up, across runs: the campaigns spread faults over worker threads.
 //!
 //! # Examples
 //!
@@ -78,9 +69,7 @@ pub mod engine;
 mod error;
 mod kernel;
 pub mod overlay;
-pub mod parallel;
 pub mod probe;
-pub mod wavefront;
 
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
@@ -90,6 +79,4 @@ pub use engine::Simulator;
 pub use error::BenchError;
 pub use kernel::ENGINE_INDEX_MAX;
 pub use overlay::TraceOverlay;
-pub use parallel::ParallelSimulator;
 pub use probe::{SimCounters, SimTracer};
-pub use wavefront::WavefrontSimulator;

@@ -5,32 +5,30 @@
 //! An overlay sees every signal's trace right after the engine seals it
 //! (input copies and gate outputs alike) and may replace it before any
 //! downstream gate reads it. Because the rewrite happens *at the
-//! sealed-span boundary* — the same place both engines publish traces —
-//! the two engines stay bit-identical under any overlay: a gate's
-//! output is still a pure function of its (now rewritten) fan-in
-//! traces, evaluated by the shared kernel, so the confluence argument
-//! of `crate::kernel` goes through unchanged with "trace of signal `s`"
-//! reinterpreted as "rewritten trace of signal `s`".
+//! sealed-span boundary* — the same place the engine and the cone
+//! replay publish traces — the two stay bit-identical under any
+//! overlay: a gate's output is still a pure function of its (now
+//! rewritten) fan-in traces, evaluated by the shared kernel, so the
+//! argument of `crate::kernel` goes through unchanged with "trace of
+//! signal `s`" reinterpreted as "rewritten trace of signal `s`".
 //!
-//! Overlays must be [`Sync`]: the parallel engine shares one overlay
-//! reference across its scoped workers, each of which applies it to the
-//! signals it evaluates. Determinism therefore requires `rewrite` to be
-//! a pure function of `(signal, view)` — interior mutability that makes
-//! the result depend on call order would break both bit-identity and
-//! the cone-overlap redundancy argument.
+//! Determinism requires `rewrite` to be a pure function of
+//! `(signal, view)` — interior mutability that makes the result depend
+//! on call order would break bit-identity between a full replay and a
+//! cone replay.
 
 use mis_digital::{SignalId, SimError};
 use mis_waveform::{EdgeBuf, TraceRef};
 
-/// A deterministic per-signal trace rewrite, applied by the engines at
-/// the sealed-span boundary (see the module docs).
+/// A deterministic per-signal trace rewrite, applied at the sealed-span
+/// boundary (see the module docs).
 ///
-/// [`TraceOverlay::rewrites`] is the cheap pre-filter the engines call
+/// [`TraceOverlay::rewrites`] is the cheap pre-filter the engine calls
 /// for every signal; only signals it accepts pay the staging round trip
 /// through [`TraceOverlay::rewrite`].
-pub trait TraceOverlay: Sync {
+pub trait TraceOverlay {
     /// Whether this overlay rewrites signal `id` — called once per
-    /// sealed signal per run (per worker, in the parallel engine).
+    /// sealed signal per run.
     fn rewrites(&self, id: SignalId) -> bool;
 
     /// Rewrites signal `id`'s sealed trace: reads the fault-free `view`
@@ -41,14 +39,15 @@ pub trait TraceOverlay: Sync {
     /// # Errors
     ///
     /// Implementations surface invalid rewrites (e.g. a non-monotone
-    /// edge push) as [`SimError`]; the engines abort the run with it.
+    /// edge push) as [`SimError`]; the run aborts with it.
     fn rewrite(&self, id: SignalId, view: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError>;
 }
 
 /// Applies one overlay rewrite at the sealed-span boundary: stages the
 /// fault-free span `span` through the arena's `out` buffer and seals
-/// the replacement, returning its span index. The one rewrite path both
-/// engines share, so overlay semantics cannot diverge between them.
+/// the replacement, returning its span index. The one rewrite path the
+/// engine and the cone replay share, so overlay semantics cannot
+/// diverge between them.
 pub(crate) fn rewrite_span(
     arena: &mut mis_waveform::TraceArena,
     span: usize,

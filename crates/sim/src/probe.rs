@@ -18,7 +18,7 @@
 use std::cell::Cell;
 
 use mis_digital::{BudgetResource, ChannelCounters, SignalSource, SimError};
-use mis_probe::{Counter, EventKind, Gauge, Histogram, Probe, SpanTimer, TraceSink, TraceTrack};
+use mis_probe::{Counter, EventKind, Histogram, Probe, SpanTimer, TraceSink, TraceTrack};
 
 /// Edge-census classes, indexed by [`census_index`]: one per gate kind
 /// plus primary inputs and the two-input MIS channel gates.
@@ -60,17 +60,15 @@ pub(crate) fn census_index(source: &SignalSource<'_>) -> usize {
 /// metrics share cells).
 #[derive(Debug, Clone)]
 pub struct SimCounters {
-    /// Ready-queue pops (one per evaluated signal per run).
+    /// Evaluation events (one per non-input signal per run).
     events_popped: Counter,
-    /// Gates evaluated through the staged kernel (pops minus
+    /// Gates evaluated through the staged kernel (events minus
     /// duplicate-span shortcuts).
     gates_evaluated: Counter,
     /// Channel-less unary gates resolved as arena span duplicates.
     duplicate_spans: Counter,
     /// Completed `run_in` calls.
     runs: Counter,
-    /// High-water mark of the ready queue, across all runs.
-    heap_high_water: Gauge,
     /// Output edges per evaluated gate (census walk, enabled only).
     edges_per_gate: Histogram,
     /// Wall-clock span of each `run_in`.
@@ -91,7 +89,6 @@ impl SimCounters {
             gates_evaluated: probe.counter("sim.gates_evaluated"),
             duplicate_spans: probe.counter("sim.duplicate_spans"),
             runs: probe.counter("sim.runs"),
-            heap_high_water: probe.gauge("sim.heap_high_water"),
             edges_per_gate: probe.histogram("sim.edges_per_gate"),
             run_time: probe.timer("sim.run_time"),
             edge_census: std::array::from_fn(|i| probe.counter(CENSUS_NAMES[i])),
@@ -123,20 +120,19 @@ impl SimCounters {
         self.run_time.start()
     }
 
-    /// Flushes one run's locally-accumulated event-loop tallies.
+    /// Flushes one run's tallies: `events` evaluated signals, of which
+    /// `duplicates` were duplicate-span shortcuts.
     pub(crate) fn finish_run(
         &self,
         started: Option<std::time::Instant>,
-        pops: u64,
+        events: u64,
         duplicates: u64,
-        heap_high_water: u64,
     ) {
         self.run_time.stop(started);
         self.runs.inc();
-        self.events_popped.add(pops);
+        self.events_popped.add(events);
         self.duplicate_spans.add(duplicates);
-        self.gates_evaluated.add(pops - duplicates);
-        self.heap_high_water.record_max(heap_high_water);
+        self.gates_evaluated.add(events - duplicates);
     }
 
     /// One census observation: `edges` output edges on a signal of
@@ -149,7 +145,7 @@ impl SimCounters {
         }
     }
 
-    /// Cumulative ready-queue pops.
+    /// Cumulative evaluation events (one per non-input signal per run).
     #[must_use]
     pub fn events_popped(&self) -> u64 {
         self.events_popped.value()
@@ -173,10 +169,11 @@ impl SimCounters {
         self.runs.value()
     }
 
-    /// Ready-queue high-water mark across runs.
+    /// Always 0: the engine has no ready queue; kept for the benchmark
+    /// harness, which reports it.
     #[must_use]
     pub fn heap_high_water(&self) -> u64 {
-        self.heap_high_water.value()
+        0
     }
 }
 
@@ -194,9 +191,6 @@ impl SimCounters {
 #[derive(Debug, Clone)]
 pub struct SimTracer {
     track: TraceTrack,
-    /// The `a` payload of [`EventKind::Busy`] spans: the worker index
-    /// for per-worker tracks, 0 for engine-level tracks.
-    id: u32,
     /// Completed-run ordinal, the `a` payload of [`EventKind::Run`]
     /// spans. A `Cell` because each tracer is owned by one engine (and
     /// recorded from one thread at a time).
@@ -209,18 +203,6 @@ impl SimTracer {
     pub fn register(sink: &TraceSink, name: &str) -> Self {
         SimTracer {
             track: sink.track(name),
-            id: 0,
-            runs: Cell::new(0),
-        }
-    }
-
-    /// A per-worker tracer: the track `{prefix}.w{worker}`, with `worker`
-    /// carried as the busy-span payload.
-    #[must_use]
-    pub fn register_worker(sink: &TraceSink, prefix: &str, worker: u32) -> Self {
-        SimTracer {
-            track: sink.track(&format!("{prefix}.w{worker}")),
-            id: worker,
             runs: Cell::new(0),
         }
     }
@@ -261,23 +243,6 @@ impl SimTracer {
         self.track.span(EventKind::Gate, signal, edges, started);
     }
 
-    /// Seals one worker busy interval ([`EventKind::Busy`], payload =
-    /// the registered worker index).
-    pub(crate) fn busy_span(&self, started: Option<u64>) {
-        self.track.span(EventKind::Busy, self.id, 0, started);
-    }
-
-    /// Seals the parallel merge ([`EventKind::Merge`]).
-    pub(crate) fn merge_span(&self, started: Option<u64>) {
-        self.track.span(EventKind::Merge, 0, 0, started);
-    }
-
-    /// Seals one wavefront level ([`EventKind::Level`] span, payload =
-    /// level ordinal and width in signals).
-    pub(crate) fn level_span(&self, started: Option<u64>, level: u32, width: u32) {
-        self.track.span(EventKind::Level, level, width, started);
-    }
-
     /// Records an input span sealed into the arena
     /// ([`EventKind::Seal`] instant).
     #[inline]
@@ -312,23 +277,21 @@ mod tests {
         let probe = Probe::new();
         let c = SimCounters::register(&probe);
         assert!(c.is_enabled());
-        c.finish_run(None, 10, 3, 7);
-        c.finish_run(None, 10, 3, 5);
+        c.finish_run(None, 10, 3);
+        c.finish_run(None, 10, 3);
         assert_eq!(c.runs(), 2);
         assert_eq!(c.events_popped(), 20);
         assert_eq!(c.duplicate_spans(), 6);
         assert_eq!(c.gates_evaluated(), 14);
-        assert_eq!(c.heap_high_water(), 7, "gauge keeps the maximum");
     }
 
     #[test]
     fn disabled_bundle_records_nothing() {
         let c = SimCounters::disabled();
         assert!(!c.is_enabled());
-        c.finish_run(c.start_run(), 10, 3, 7);
+        c.finish_run(c.start_run(), 10, 3);
         c.census(2, 100);
         assert_eq!(c.events_popped(), 0);
-        assert_eq!(c.heap_high_water(), 0);
     }
 
     #[test]
@@ -379,17 +342,6 @@ mod tests {
             limit: 0,
         });
         assert!(t.guard(err).is_err(), "guard still propagates");
-    }
-
-    #[test]
-    fn worker_tracer_names_its_track_and_carries_its_index() {
-        let sink = TraceSink::new();
-        let t = SimTracer::register_worker(&sink, "par", 3);
-        t.busy_span(t.start());
-        let snap = sink.snapshot();
-        let track = snap.track("par.w3").unwrap();
-        assert_eq!(track.events[0].kind, EventKind::Busy);
-        assert_eq!(track.events[0].a, 3);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Steady-state allocation-freedom of the event-queue engine, asserted
+//! Steady-state allocation-freedom of the signal-order engine, asserted
 //! with the `mis-testkit` counting allocator: after one warm-up run has
-//! sized the arena, the ready queue and the span map, re-running
+//! sized the arena and the span map, re-running
 //! [`Simulator::run_in`] over same-shaped inputs performs **zero** heap
 //! allocations — on the committed C432- and C880-scale fixtures with
 //! `Arc`-shared cached-hybrid cells, the exact workloads of the
 //! `netlist_throughput` bench tier. Warm `ConeReplay` fault replays are
-//! held to the same bar. The parallel engine is deliberately
-//! *not* under this gate: its steady-state allocations are the scoped
-//! thread spawns themselves (worker arenas are warm and reused), and
-//! the counter is thread-local — see
+//! held to the same bar. The counter is thread-local — see
 //! `worker_thread_allocations_stay_off_this_threads_count` below, which
 //! pins down that serial-scoped contract.
 //!
@@ -22,7 +19,6 @@ use mis_digital::{InertialChannel, SignalId, SimError};
 use mis_probe::{Probe, TraceSink};
 use mis_sim::{
     BenchNetlist, CellLibrary, ConeReplay, GoldenRun, RunBudget, Simulator, TraceOverlay,
-    WavefrontSimulator,
 };
 use mis_testkit::alloc::{self, CountingAllocator};
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -80,8 +76,8 @@ fn warm_simulator_run_in_is_allocation_free() {
         let inputs = traffic(lowered.inputs.len(), seed);
         let mut sim = Simulator::new(&lowered.net).expect("engine construction");
         let mut arena = TraceArena::new();
-        // Warm-up: sizes the arena storage, the ready queue and the span
-        // map; also pins down the edge counts a repeat run must hit.
+        // Warm-up: sizes the arena storage; also pins down the edge
+        // counts a repeat run must hit.
         sim.run_in(&inputs, &mut arena).expect("warm-up run");
         let warm_edges = arena.total_edges();
         let (allocations, ()) = alloc::count_in(|| {
@@ -173,57 +169,6 @@ fn warm_traced_simulator_run_in_is_allocation_free() {
             !track.events.is_empty(),
             "{file}: traced runs recorded events"
         );
-    }
-}
-
-#[test]
-fn warm_wavefront_serial_paths_are_allocation_free_probed_and_traced() {
-    // The wavefront engine's zero-allocation claim is scoped to its
-    // serial paths — one worker, or a cutover that routes every front
-    // through the serial tail. (Parallel fronts spend their steady-state
-    // allocations on the scoped thread spawns themselves, exactly like
-    // the per-cone engine; worker arenas are warm and reused.) Both a
-    // live probe and a live trace sink are attached: gauges, span
-    // timers, level spans and seal instants all land in storage sized at
-    // registration.
-    let cells = committed_cells();
-    for (file, seed) in [("c432.bench", 0x432), ("c880.bench", 0x880)] {
-        let lowered = fixture(file).lower(&cells).expect("lowering");
-        let inputs = traffic(lowered.inputs.len(), seed);
-        for (workers, cutover) in [(1usize, 0usize), (3, usize::MAX)] {
-            let probe = Probe::new();
-            let sink = TraceSink::new();
-            let mut wave = WavefrontSimulator::new_traced(&lowered.net, workers, &probe, &sink)
-                .expect("engine construction")
-                .with_cutover(cutover);
-            let mut arena = TraceArena::new();
-            wave.run_in(&inputs, &mut arena).expect("warm-up run");
-            let warm_edges = arena.total_edges();
-            let warm_pops = wave.counters().events_popped();
-            assert!(warm_pops > 0, "{file}: probe saw the warm-up run");
-            let (allocations, ()) = alloc::count_in(|| {
-                for _ in 0..5 {
-                    wave.run_in(&inputs, &mut arena).expect("steady-state run");
-                }
-            });
-            assert_eq!(
-                allocations, 0,
-                "{file}: steady-state wavefront run_in ({workers} workers, \
-                 cutover {cutover}) allocated {allocations} times"
-            );
-            assert_eq!(arena.total_edges(), warm_edges, "{file}: reproducible");
-            assert_eq!(
-                wave.counters().events_popped(),
-                warm_pops * 6,
-                "{file}: per-run pop count is reproducible"
-            );
-            let snap = sink.snapshot();
-            let track = snap.track("wave").expect("wave track registered");
-            assert!(
-                !track.events.is_empty(),
-                "{file}: traced wavefront runs recorded events"
-            );
-        }
     }
 }
 
@@ -376,8 +321,8 @@ fn worker_thread_allocations_stay_off_this_threads_count() {
     // assertion is a claim about the asserting thread's own hot path, not
     // about the process. Pin that down — a spawned worker allocating
     // freely must not disturb a serial-scoped `count_in`, which is
-    // exactly why the parallel engine's worker threads (and any parallel
-    // test runner) cannot pollute the serial engine's gate above.
+    // exactly why campaign worker threads (and the parallel test runner)
+    // cannot pollute the engine's gate above.
     let (allocations, ()) = alloc::count_in(|| {
         std::thread::scope(|scope| {
             scope.spawn(|| {

@@ -1,21 +1,16 @@
-//! Boundary behavior of [`RunBudget`] on all three engines, against the
+//! Boundary behavior of [`RunBudget`] on the engine, against the
 //! committed fixtures: the budget trips strictly *past* its limit
 //! (exactly-enough succeeds, one-less errors), zero budgets trip on the
 //! first unit of work, a tripped run leaves the engine and arena fully
 //! reusable, and below-budget runs stay bit-identical to unbudgeted
-//! ones at every worker count. The wavefront engine's shared atomic
-//! meter makes its accounting *exact* (schedule-independent totals), so
-//! its boundary tests run at every worker count, not just serially.
+//! ones.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use mis_charlib::CharLib;
 use mis_digital::{BudgetResource, InertialChannel, SimError};
-use mis_sim::{
-    BenchNetlist, CellLibrary, LoweredNetlist, ParallelSimulator, RunBudget, Simulator,
-    WavefrontSimulator,
-};
+use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
@@ -153,75 +148,6 @@ fn zero_budgets_trip_on_the_first_unit_of_work() {
             Err(SimError::BudgetExceeded { resource: r, .. }) => assert_eq!(r, resource),
             other => panic!("zero {resource} budget returned {other:?}"),
         }
-        let mut par = ParallelSimulator::new(&lowered.net, 3).expect("parallel engine");
-        match par.run_budgeted_in(&inputs, &mut arena, &budget) {
-            Err(SimError::BudgetExceeded { resource: r, .. }) => assert_eq!(r, resource),
-            other => panic!("parallel zero {resource} budget returned {other:?}"),
-        }
-        let mut wave = WavefrontSimulator::new(&lowered.net, 3).expect("wavefront engine");
-        match wave.run_budgeted_in(&inputs, &mut arena, &budget) {
-            Err(SimError::BudgetExceeded { resource: r, .. }) => assert_eq!(r, resource),
-            other => panic!("wavefront zero {resource} budget returned {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn wavefront_budget_boundaries_are_exact_at_every_worker_count() {
-    // The wavefront engine charges one shared atomic meter, so its
-    // charged totals are schedule-independent: exactly-enough passes and
-    // one-less trips at *every* worker count and cutover — a stronger
-    // contract than the per-cone engine's per-worker monotonicity.
-    for (file, seed) in [("c17.bench", 0xC17), ("c432.bench", 0x432)] {
-        let (events, edges) = run_cost(file, seed);
-        let lowered = lowered(file);
-        let inputs = traffic(lowered.inputs.len(), seed);
-        for workers in [1usize, 3, 8] {
-            for cutover in [0, usize::MAX] {
-                let mut wave = WavefrontSimulator::new(&lowered.net, workers)
-                    .expect("wavefront engine")
-                    .with_cutover(cutover);
-                let mut arena = TraceArena::new();
-                wave.run_budgeted_in(
-                    &inputs,
-                    &mut arena,
-                    &RunBudget::UNLIMITED.with_max_events(events),
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{file}: exact event budget at {workers}w/{cutover}: {e}")
-                });
-                assert!(
-                    matches!(
-                        wave.run_budgeted_in(
-                            &inputs,
-                            &mut arena,
-                            &RunBudget::UNLIMITED.with_max_events(events - 1),
-                        ),
-                        Err(SimError::BudgetExceeded { .. })
-                    ),
-                    "{file}: one-less event budget must trip at {workers}w/{cutover}"
-                );
-                wave.run_budgeted_in(
-                    &inputs,
-                    &mut arena,
-                    &RunBudget::UNLIMITED.with_max_edges(edges),
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{file}: exact edge budget at {workers}w/{cutover}: {e}")
-                });
-                assert!(
-                    matches!(
-                        wave.run_budgeted_in(
-                            &inputs,
-                            &mut arena,
-                            &RunBudget::UNLIMITED.with_max_edges(edges - 1),
-                        ),
-                        Err(SimError::BudgetExceeded { .. })
-                    ),
-                    "{file}: one-less edge budget must trip at {workers}w/{cutover}"
-                );
-            }
-        }
     }
 }
 
@@ -274,7 +200,7 @@ fn a_tripped_run_leaves_engine_and_arena_reusable() {
 }
 
 #[test]
-fn below_budget_runs_are_bit_identical_at_every_worker_count() {
+fn below_budget_runs_are_bit_identical_to_unbudgeted_ones() {
     for (file, seed) in [("c432.bench", 0x432), ("c880.bench", 0x880)] {
         let (events, edges) = run_cost(file, seed);
         let lowered = lowered(file);
@@ -282,27 +208,19 @@ fn below_budget_runs_are_bit_identical_at_every_worker_count() {
         let budget = RunBudget::UNLIMITED
             .with_max_events(events)
             .with_max_edges(edges);
-        let mut serial = Simulator::new(&lowered.net).expect("engine");
-        let mut serial_arena = TraceArena::new();
-        serial
-            .run_budgeted_in(&inputs, &mut serial_arena, &budget)
-            .expect("serial under exact budget");
-        for workers in 1..=8 {
-            let mut par = ParallelSimulator::new(&lowered.net, workers).expect("parallel engine");
-            let mut arena = TraceArena::new();
-            // The serial engine evaluates every gate of the network;
-            // each worker's gate set is a subset, so a budget the
-            // serial run fits in can never trip a worker (monotonicity
-            // across engines).
-            par.run_budgeted_in(&inputs, &mut arena, &budget)
-                .unwrap_or_else(|e| panic!("{file}: {workers} workers under exact budget: {e}"));
-            for s in 0..lowered.net.signal_count() {
-                let id = lowered.net.signal_id(s).expect("s < signal_count");
-                let a = serial.trace(&serial_arena, id);
-                let b = par.trace(&arena, id);
-                assert_eq!(a.initial_value(), b.initial_value(), "{file} s{s}");
-                assert_eq!(a.times(), b.times(), "{file} s{s} at {workers} workers");
-            }
+        let mut budgeted = Simulator::new(&lowered.net).expect("engine");
+        let mut budgeted_arena = TraceArena::new();
+        budgeted
+            .run_budgeted_in(&inputs, &mut budgeted_arena, &budget)
+            .expect("run under exact budget");
+        let want = lowered.net.run(&inputs).expect("reference run");
+        for (s, w) in want.iter().enumerate() {
+            let id = lowered.net.signal_id(s).expect("s < signal_count");
+            assert_eq!(
+                &budgeted.trace(&budgeted_arena, id).to_trace(),
+                w,
+                "{file} s{s}"
+            );
         }
     }
 }

@@ -1,9 +1,7 @@
 //! Property-based tests for the `mis-sim` subsystem: bit-identity of the
-//! event-queue engine **and of the parallel per-cone and level-sliced
-//! wavefront engines at worker counts 1–8** against `Network::run` (on
-//! every `mis_digital::netlists` topology and on randomized DAGs over
-//! all channel kinds, empty traces
-//! included), `.bench` parse→write→parse round trips with comment/
+//! signal-order engine against `Network::run` (on every
+//! `mis_digital::netlists` topology and on randomized DAGs over all
+//! channel kinds, empty traces included), `.bench` parse→write→parse round trips with comment/
 //! whitespace/CRLF/BOM torture, one malformed-input test per parser
 //! error variant, and round trips of the committed `data/charlib` text
 //! libraries and `data/bench` fixtures (C432 and C880 against
@@ -19,10 +17,7 @@ use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
     PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
-use mis_sim::{
-    BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, ParallelSimulator, Simulator,
-    WavefrontSimulator,
-};
+use mis_sim::{BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
@@ -62,14 +57,12 @@ fn grid_trace(rng: &mut TestRng, max_edges: u64) -> DigitalTrace {
     trace
 }
 
-/// Asserts the event engine — and the parallel per-cone and wavefront
-/// engines at two worker counts (the wavefront at both serial-tail
-/// extremes too) — reproduces `Network::run` bit for bit on `net`,
+/// Asserts the engine reproduces `Network::run` bit for bit on `net`,
 /// including a second run on the warm arena (reuse contract).
 fn assert_engine_matches(net: &Network, inputs: &[DigitalTrace]) {
     let want = net.run(inputs).expect("reference run");
     let mut sim = Simulator::new(net).expect("engine construction");
-    let got = sim.run(inputs).expect("event-queue run");
+    let got = sim.run(inputs).expect("engine run");
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "signal {i} ('{}')", {
@@ -83,24 +76,6 @@ fn assert_engine_matches(net: &Network, inputs: &[DigitalTrace]) {
     for (i, w) in want.iter().enumerate() {
         let id = net.signal_id(i).unwrap();
         assert_eq!(&sim.trace(&arena, id).to_trace(), w, "warm signal {i}");
-    }
-    for workers in [2, 5] {
-        let mut par = ParallelSimulator::new(net, workers).expect("partitioning");
-        let got = par.run(inputs).expect("parallel run");
-        assert_eq!(got, want, "parallel engine, {workers} workers");
-        // The wavefront engine must agree wherever the cutover lands:
-        // 0 sends every gate front to the workers, `usize::MAX` keeps
-        // everything on the coordinator's serial tail.
-        for cutover in [0, usize::MAX] {
-            let mut wave = WavefrontSimulator::new(net, workers)
-                .expect("levelization")
-                .with_cutover(cutover);
-            let got = wave.run(inputs).expect("wavefront run");
-            assert_eq!(
-                got, want,
-                "wavefront engine, {workers} workers, cutover {cutover}"
-            );
-        }
     }
 }
 
@@ -215,9 +190,9 @@ fn random_network(rng: &mut TestRng) -> Network {
 
 #[test]
 fn engine_bit_identical_on_random_dags() {
-    // The event-queue schedule must be invisible: for any acyclic wiring
-    // and any channel kind, outputs equal the levelized sweep bit for
-    // bit — on empty traces and exactly-simultaneous edges too.
+    // For any acyclic wiring and any channel kind, the engine's outputs
+    // equal the plain sweep bit for bit — on empty traces and
+    // exactly-simultaneous edges too.
     Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
         let mut rng = TestRng::seed_from_u64(seed);
         let net = random_network(&mut rng);
@@ -232,124 +207,6 @@ fn engine_bit_identical_on_random_dags() {
         }
         Ok(())
     });
-}
-
-#[test]
-fn parallel_engine_bit_identical_at_worker_counts_1_through_8() {
-    // The partition (and the thread interleaving it implies) must be
-    // invisible: for any acyclic wiring, any channel kind, and any
-    // worker count, the merged result equals the serial engines bit for
-    // bit — empty traces and exactly-simultaneous edges included.
-    Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
-        let mut rng = TestRng::seed_from_u64(seed);
-        let net = random_network(&mut rng);
-        let inputs: Vec<DigitalTrace> = (0..net.input_count())
-            .map(|_| grid_trace(&mut rng, 8))
-            .collect();
-        let want = net.run(&inputs).unwrap();
-        let workers = 1 + (seed % 8) as usize;
-        let mut par = ParallelSimulator::new(&net, workers).unwrap();
-        let got = par.run(&inputs).unwrap();
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "signal {i} diverged ({workers} workers, seed {seed})");
-        }
-        // Warm rerun into a reused arena (the reuse contract), spans in
-        // signal order by the merge.
-        let mut arena = TraceArena::new();
-        par.run_in(&inputs, &mut arena).unwrap();
-        par.run_in(&inputs, &mut arena).unwrap();
-        for (i, w) in want.iter().enumerate() {
-            let id = net.signal_id(i).unwrap();
-            prop_assert_eq!(&par.trace(&arena, id).to_trace(), w, "warm signal {i}");
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn parallel_engine_every_worker_count_on_one_seed() {
-    // The property test samples one worker count per seed; this pins the
-    // full 1..=8 sweep on a fixed circuit so a worker-count-specific
-    // regression cannot hide behind seed sampling.
-    let mut rng = TestRng::seed_from_u64(0x1D1E);
-    let net = random_network(&mut rng);
-    let inputs: Vec<DigitalTrace> = (0..net.input_count())
-        .map(|_| grid_trace(&mut rng, 10))
-        .collect();
-    let want = net.run(&inputs).unwrap();
-    for workers in 1..=8 {
-        let mut par = ParallelSimulator::new(&net, workers).unwrap();
-        assert_eq!(par.run(&inputs).unwrap(), want, "{workers} workers");
-    }
-}
-
-#[test]
-fn wavefront_engine_bit_identical_at_worker_counts_1_through_8() {
-    // The level slicing, the chunk boundaries and the serial-tail
-    // cutover must all be invisible: for any acyclic wiring, any channel
-    // kind, any worker count and any cutover, the merged fronts equal
-    // the serial engines bit for bit — empty traces and
-    // exactly-simultaneous edges included.
-    Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
-        let mut rng = TestRng::seed_from_u64(seed);
-        let net = random_network(&mut rng);
-        let inputs: Vec<DigitalTrace> = (0..net.input_count())
-            .map(|_| grid_trace(&mut rng, 8))
-            .collect();
-        let want = net.run(&inputs).unwrap();
-        let workers = 1 + (seed % 8) as usize;
-        let cutover = [0, 2, usize::MAX][(seed / 8 % 3) as usize];
-        let mut wave = WavefrontSimulator::new(&net, workers)
-            .unwrap()
-            .with_cutover(cutover);
-        let got = wave.run(&inputs).unwrap();
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(
-                g,
-                w,
-                "signal {i} diverged ({workers} workers, cutover {cutover}, seed {seed})"
-            );
-        }
-        // The schedule is exactly-once at every shape.
-        prop_assert_eq!(
-            wave.worker_loads().iter().sum::<usize>(),
-            net.signal_count()
-        );
-        // Warm rerun into a reused arena (the reuse contract).
-        let mut arena = TraceArena::new();
-        wave.run_in(&inputs, &mut arena).unwrap();
-        wave.run_in(&inputs, &mut arena).unwrap();
-        for (i, w) in want.iter().enumerate() {
-            let id = net.signal_id(i).unwrap();
-            prop_assert_eq!(&wave.trace(&arena, id).to_trace(), w, "warm signal {i}");
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn wavefront_engine_every_worker_count_on_one_seed() {
-    // Full 1..=8 sweep at both cutover extremes on a fixed circuit, so a
-    // worker-count- or cutover-specific regression cannot hide behind
-    // seed sampling.
-    let mut rng = TestRng::seed_from_u64(0x1D1E);
-    let net = random_network(&mut rng);
-    let inputs: Vec<DigitalTrace> = (0..net.input_count())
-        .map(|_| grid_trace(&mut rng, 10))
-        .collect();
-    let want = net.run(&inputs).unwrap();
-    for workers in 1..=8 {
-        for cutover in [0, usize::MAX] {
-            let mut wave = WavefrontSimulator::new(&net, workers)
-                .unwrap()
-                .with_cutover(cutover);
-            assert_eq!(
-                wave.run(&inputs).unwrap(),
-                want,
-                "{workers} workers, cutover {cutover}"
-            );
-        }
-    }
 }
 
 /// Random `.bench` netlist with safe names, wide gates, and forward
@@ -837,91 +694,9 @@ fn c880_fixture_loads_runs_and_matches_the_alu_reference() {
 }
 
 #[test]
-fn c880_partition_is_covering_balanced_and_moderately_redundant() {
-    // The per-cone partition on the C880-scale fixture: every signal
-    // assigned, loads within 2x of each other at 4 workers, and the
-    // cone-overlap redundancy bounded well below "every worker evaluates
-    // everything" — the numbers EXPERIMENTS.md reports come from here.
-    let text = std::fs::read_to_string(workspace_root().join("data/bench/c880.bench")).unwrap();
-    let nl = BenchNetlist::parse(&text).unwrap();
-    let lowered = nl.lower(&CellLibrary::ideal()).unwrap();
-    let n = lowered.net.signal_count();
-    for workers in [2usize, 4] {
-        let par = ParallelSimulator::new(&lowered.net, workers).unwrap();
-        let loads = par.worker_loads();
-        eprintln!(
-            "c880 partition, {workers} workers: loads {loads:?} of {n} signals, \
-             replication {:.3}",
-            par.replication_factor()
-        );
-        assert!(loads.iter().all(|&l| l > 0), "no idle worker at {workers}");
-        assert!(
-            loads.iter().sum::<usize>() >= n,
-            "cones must cover every signal"
-        );
-        let (max, min) = (
-            *loads.iter().max().unwrap() as f64,
-            *loads.iter().min().unwrap() as f64,
-        );
-        assert!(
-            max / min < 2.0,
-            "{workers} workers: unbalanced loads {loads:?}"
-        );
-        assert!(
-            par.replication_factor() < 0.95 * workers as f64,
-            "{workers} workers: replication {:.3} ~ full duplication, packing regressed",
-            par.replication_factor()
-        );
-        // The biggest cone union bounds the parallel span: it must stay
-        // below the whole circuit. (On this fixture the R-bus cones all
-        // share the adder + logic-unit core, so the structural floor is
-        // high — ~0.87 at 2 workers; see EXPERIMENTS.md.)
-        assert!(
-            max / n as f64 <= 0.92,
-            "{workers} workers: critical worker evaluates {max}/{n} of the circuit"
-        );
-    }
-}
-
-#[test]
-fn wavefront_schedule_is_exactly_once_on_the_committed_fixtures() {
-    // The level-sliced schedule never replicates work: on every
-    // committed fixture, at every worker count and cutover, the
-    // per-worker loads partition the signal set (contrast with the
-    // per-cone engine's cone-overlap redundancy above).
-    for file in [
-        "data/bench/c17.bench",
-        "data/bench/c432.bench",
-        "data/bench/c880.bench",
-    ] {
-        let text = std::fs::read_to_string(workspace_root().join(file)).unwrap();
-        let nl = BenchNetlist::parse(&text).unwrap();
-        let lowered = nl.lower(&CellLibrary::ideal()).unwrap();
-        let n = lowered.net.signal_count();
-        for workers in [1usize, 2, 4, 8] {
-            for cutover in [0usize, mis_sim::wavefront::DEFAULT_CUTOVER, usize::MAX] {
-                let wave = WavefrontSimulator::new(&lowered.net, workers)
-                    .unwrap()
-                    .with_cutover(cutover);
-                assert_eq!(
-                    wave.worker_loads().iter().sum::<usize>(),
-                    n,
-                    "{file}: {workers} workers, cutover {cutover}"
-                );
-                assert!(
-                    (wave.replication_factor() - 1.0).abs() < f64::EPSILON,
-                    "{file}: replication must be exactly 1.0"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn c880_engines_match_sweep_under_timed_cells() {
-    // Serial event queue AND parallel per-cone engine (2 and 5 workers,
-    // via assert_engine_matches) on the C880-scale fixture under both
-    // timed cell libraries.
+    // The engine (via assert_engine_matches) on the C880-scale fixture
+    // under both timed cell libraries.
     let text = std::fs::read_to_string(workspace_root().join("data/bench/c880.bench")).unwrap();
     let nl = BenchNetlist::parse(&text).unwrap();
     let fallback = InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap();

@@ -27,7 +27,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 # fails — see scripts/bench_diff.sh; refresh baselines with a full
 # `cargo bench -p mis-bench`). The same leg re-runs the counting-
 # allocator suites explicitly: the zero-allocation guarantees of the
-# arena engine (mis-digital) and of the event-queue simulator (mis-sim,
+# arena engine (mis-digital) and of the signal-order simulator (mis-sim,
 # on the committed C432/C880 fixtures) are performance invariants and
 # belong with the perf gate (they also run as part of the workspace
 # tests above). The leg also regenerates every committed data/ artifact
@@ -60,33 +60,13 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     # an intentional engine change, via `sim_profile --json <fixture>`.
     echo "== engine-count pinning gate (sim_profile --expect, c17/c432/c880)"
     cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-        --expect sim.events_popped=6,sim.gates_evaluated=6,sim.heap_high_water=2,sim.edges.input=100,sim.edges.mis=144,chan.pending_cancelled=6,chan.table_lookups=83,chan.pulse_filtered=0 \
+        --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=144,chan.pending_cancelled=6,chan.table_lookups=83,chan.pulse_filtered=0 \
         data/bench/c17.bench > /dev/null
     cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-        --expect sim.events_popped=184,sim.gates_evaluated=184,sim.heap_high_water=36,sim.edges.input=720,sim.edges.mis=830,sim.edges.not=740,chan.pending_cancelled=44,chan.table_lookups=476,chan.pulse_filtered=118 \
+        --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=830,sim.edges.not=740,chan.pending_cancelled=44,chan.table_lookups=476,chan.pulse_filtered=118 \
         data/bench/c432.bench > /dev/null
     cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-        --expect sim.events_popped=510,sim.gates_evaluated=510,sim.heap_high_water=95,sim.edges.input=1200,sim.edges.mis=1238,sim.edges.not=1750,chan.pending_cancelled=65,chan.table_lookups=741,chan.pulse_filtered=1424 \
-        data/bench/c880.bench > /dev/null
-    # Wavefront-engine pinning gate: the same fixtures through the
-    # level-sliced engine at 4 workers. Exact-once evaluation means
-    # every pinned count above must hold unchanged — the pin sets below
-    # are the serial ones minus sim.heap_high_water (a ready-queue
-    # metric; the wavefront engine has no heap and reports 0), plus the
-    # exact-once schedule gauge (wave.assigned_signals = the fixture's
-    # signal count, i.e. replication factor 1.0).
-    echo "== wavefront-engine pinning gate (sim_profile --engine wavefront:4)"
-    cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-        --engine wavefront:4 \
-        --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=144,chan.pending_cancelled=6,chan.table_lookups=83,chan.pulse_filtered=0,wave.assigned_signals=11 \
-        data/bench/c17.bench > /dev/null
-    cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-        --engine wavefront:4 \
-        --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=830,sim.edges.not=740,chan.pending_cancelled=44,chan.table_lookups=476,chan.pulse_filtered=118,wave.assigned_signals=220 \
-        data/bench/c432.bench > /dev/null
-    cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-        --engine wavefront:4 \
-        --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=1238,sim.edges.not=1750,chan.pending_cancelled=65,chan.table_lookups=741,chan.pulse_filtered=1424,wave.assigned_signals=570 \
+        --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=1238,sim.edges.not=1750,chan.pending_cancelled=65,chan.table_lookups=741,chan.pulse_filtered=1424 \
         data/bench/c880.bench > /dev/null
     # Fault-coverage pinning gate: fault_sim runs the exhaustive
     # single-stuck-at campaign (plus 24 deterministic glitches on the
@@ -123,15 +103,6 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
         --trace "$trace_scratch/c17.trace.json" data/bench/c17.bench > /dev/null
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
         --trace "$trace_scratch/c17.fault.trace.json" data/bench/c17.bench > /dev/null
-    # Wavefront timeline smoke: C432's wide early fronts (peak 36 > the
-    # default cutover) must fan out in the export — per-worker par.w<i>
-    # gate-span tracks and the coordinator's per-level "level" spans.
-    cargo run --release -q -p mis-bench --bin sim_profile --offline -- \
-        --engine wavefront:4 --trace "$trace_scratch/c432.wave.trace.json" \
-        data/bench/c432.bench > /dev/null
-    grep -q '"par\.w0"' "$trace_scratch/c432.wave.trace.json"
-    grep -q '"par\.w3"' "$trace_scratch/c432.wave.trace.json"
-    grep -q '"level"' "$trace_scratch/c432.wave.trace.json"
     # Bench-history smoke: the --history mode appends one self-validated
     # JSON line per committed baseline to a scratch log (the committed
     # trajectory lives in BENCH_HISTORY.jsonl; append a real record with
@@ -141,14 +112,14 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     cargo run --release -q -p mis-bench --bin bench_diff --offline -- \
         --history "$trace_scratch/history.jsonl" --env ci-smoke BENCH_*.json > /dev/null
     # Differential-fuzz smoke: a bounded run of the mis-fault harness
-    # (random bounded-channel circuits; serial-vs-parallel and
+    # (random bounded-channel circuits; engine-vs-Network::run and
     # serial-vs-cone-replay bit-identity, faulted-STA soundness,
-    # graceful budget trips on both engines).
+    # graceful budget trips).
     # Deterministic per seed, so a failure here reproduces locally with
     # the same command.
     echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
-        --fuzz 16 --workers 4 > /dev/null
+        --fuzz 16 > /dev/null
     # The C880 benchmark harness is a workspace of its own that drives
     # the library's public API from outside; build and self-test it so
     # an API change cannot silently break the benchmark.

@@ -18,21 +18,21 @@
 //!   interpolated `δ↓(Δ)`/`δ↑(Δ, V_N)` delay surfaces built once from the
 //!   exact model under an error budget, serialized to committable text,
 //!   and consumed by `digital`'s cached fast-path channel.
-//! * [`sim`] (`mis-sim`) — event-driven netlist simulation at circuit
-//!   scale: ISCAS-85 `.bench` ingestion (committed C17 and C432-scale
-//!   fixtures under `data/bench/`), `Arc`-shared standard-cell libraries,
-//!   and the event-queue evaluator bit-identical to `digital`'s
-//!   levelized sweep.
+//! * [`sim`] (`mis-sim`) — netlist simulation at circuit scale: ISCAS-85
+//!   `.bench` ingestion (committed C17 and C432-scale fixtures under
+//!   `data/bench/`), `Arc`-shared standard-cell libraries, the
+//!   signal-order evaluator bit-identical to `digital`'s levelized
+//!   sweep, and cone-only fault replay.
 //! * [`analyze`] (`mis-analyze`) — static netlist analysis: structural
 //!   lints over `.bench` netlists (stable `A001`–`A007` diagnostics with
 //!   source-line anchors) and static timing bounds — per-signal arrival
 //!   windows propagated from each channel's `DelayBounds`, property-
-//!   verified sound against the dynamic engines.
+//!   verified sound against the dynamic engine.
 //! * [`fault`] (`mis-fault`) — deterministic fault injection over the
-//!   `sim` engines: stuck-at and transient-glitch fault sites realized
+//!   `sim` engine: stuck-at and transient-glitch fault sites realized
 //!   as trace overlays, golden-run campaigns with per-output detection
-//!   and coverage, and a differential fuzz harness cross-checking both
-//!   engines against faulted static timing windows.
+//!   and coverage, and a differential fuzz harness cross-checking the
+//!   engine, its cone replay and faulted static timing windows.
 //! * [`waveform`] (`mis-waveform`) — analog waveforms, digital traces,
 //!   digitization, deviation area, random trace generation.
 //! * [`num`] (`mis-num`) / [`linalg`] (`mis-linalg`) — the numerical
