@@ -127,7 +127,8 @@ fn bench_sim_probed(
     inputs: &[DigitalTrace],
 ) {
     let probe = mis_probe::Probe::new();
-    let mut sim = Simulator::new_probed(net, &probe).expect("engine construction");
+    let mut sim = Simulator::new_traced(net, &probe, &mis_probe::TraceSink::disabled())
+        .expect("engine construction");
     sim.run_in(inputs, arena).expect("warm-up run");
     h.bench(id, move || {
         sim.run_in(inputs, arena).expect("sim run");

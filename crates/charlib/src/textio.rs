@@ -172,8 +172,11 @@ fn read_family(lines: &mut Lines<'_>, name: &str) -> Result<SurfaceFamily, CharE
     if n_slices == 0 {
         return Err(parse_err(head_no, "a family needs at least one slice"));
     }
-    let mut voltages = Vec::with_capacity(n_slices);
-    let mut slices = Vec::with_capacity(n_slices);
+    // Counts come from untrusted text: grow the tables as rows arrive
+    // instead of reserving up front, so a huge count ends in "unexpected
+    // end of input" rather than a capacity panic or allocation abort.
+    let mut voltages = Vec::new();
+    let mut slices = Vec::new();
     for _ in 0..n_slices {
         let (sl_no, sl) = next_line(lines)?;
         let mut it = sl.split_whitespace();
@@ -191,8 +194,8 @@ fn read_family(lines: &mut Lines<'_>, name: &str) -> Result<SurfaceFamily, CharE
         if it.next().is_some() {
             return Err(parse_err(sl_no, "trailing tokens on slice line"));
         }
-        let mut deltas = Vec::with_capacity(n_points);
-        let mut delays = Vec::with_capacity(n_points);
+        let mut deltas = Vec::new();
+        let mut delays = Vec::new();
         for _ in 0..n_points {
             let (row_no, row) = next_line(lines)?;
             let mut rit = row.split_whitespace();
@@ -335,6 +338,34 @@ mod tests {
         // Truncated body.
         let half: String = text.lines().take(8).collect::<Vec<_>>().join("\n");
         assert!(CharLib::from_text(&half).is_err());
+    }
+
+    #[test]
+    fn huge_counts_are_a_parse_error_not_a_capacity_panic() {
+        // A count line rewritten to `usize::MAX`, once as the last line
+        // (truncated input) and once inside an otherwise whole file.
+        let text = tiny_lib().to_text();
+        let first_slice = text.lines().find(|l| l.starts_with("slice")).unwrap();
+        let huge = usize::MAX;
+        for (line, bad) in [
+            ("falling 1", format!("falling {huge}")),
+            (first_slice, format!("slice 0e0 {huge}")),
+        ] {
+            let whole = text.replacen(line, &bad, 1);
+            let cut = &whole[..whole.find(&bad).unwrap() + bad.len()];
+            for (input, eof) in [(cut, true), (whole.as_str(), false)] {
+                let got = std::panic::catch_unwind(|| CharLib::from_text(input))
+                    .expect("a huge count must not panic the loader");
+                match got {
+                    Err(CharError::Parse { reason, .. }) => {
+                        if eof {
+                            assert_eq!(reason, "unexpected end of input");
+                        }
+                    }
+                    other => panic!("{bad}: expected a parse error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

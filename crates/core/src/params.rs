@@ -145,7 +145,8 @@ impl NorParams {
     ///
     /// Returns [`ModelError::InvalidParams`] when any R/C is non-positive
     /// or non-finite, the supply is non-positive, the threshold is outside
-    /// `(0, vdd)`, or `delta_min` is negative.
+    /// `(0, vdd)`, `delta_min` is negative, or an explicit initial `V_N`
+    /// is non-finite.
     pub fn validate(&self) -> Result<(), ModelError> {
         let positives = [
             ("r1", self.r1),
@@ -175,6 +176,13 @@ impl NorParams {
             return Err(ModelError::InvalidParams {
                 reason: format!("delta_min must be non-negative (got {:e})", self.delta_min),
             });
+        }
+        if let RisingInitialVn::Explicit(v) = self.vn_policy {
+            if !v.is_finite() {
+                return Err(ModelError::InvalidParams {
+                    reason: format!("explicit initial V_N must be finite (got {v:e})"),
+                });
+            }
         }
         Ok(())
     }
@@ -311,6 +319,10 @@ mod tests {
         assert!(NorParams::builder().vth(0.0).build().is_err());
         assert!(NorParams::builder().delta_min(-1e-12).build().is_err());
         assert!(NorParams::builder().co(f64::NAN).build().is_err());
+        let explicit = |v| NorParams::builder().vn_policy(RisingInitialVn::Explicit(v));
+        assert!(explicit(0.3).build().is_ok());
+        assert!(explicit(f64::NAN).build().is_err());
+        assert!(explicit(f64::INFINITY).build().is_err());
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub use channels::inertial::InertialChannel;
 pub use channels::nand::HybridNandChannel;
 pub use channels::pure::PureDelayChannel;
 pub use channels::sumexp::SumExpChannel;
-pub use channels::{DelayBounds, EventBatch, TraceTransform, TwoInputTransform};
+pub use channels::{DelayBounds, TraceTransform, TwoInputTransform};
 pub use error::{BudgetResource, SimError};
 pub use network::{GateKind, Network, SignalId, SignalSource};
 pub use probe::ChannelCounters;

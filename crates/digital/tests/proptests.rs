@@ -5,15 +5,16 @@
 //! legacy allocating composition. On the in-repo `mis-testkit` harness
 //! (offline replacement for `proptest`).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind,
-    HybridNorChannel, InertialChannel, Network, PureDelayChannel, SumExpChannel, TraceTransform,
-    TwoInputTransform,
+    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ChannelCounters, ExpChannel,
+    GateKind, HybridNorChannel, InertialChannel, Network, PureDelayChannel, SumExpChannel,
+    TraceTransform, TwoInputTransform,
 };
+use mis_probe::Probe;
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
@@ -410,14 +411,43 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
         vb.copy_trace(&b);
         let mut out = EdgeBuf::new();
 
-        let nor = CachedHybridChannel::new(shared_lib()).unwrap();
+        let nor = Arc::new(CachedHybridChannel::new(shared_lib()).unwrap());
+        let want_nor = nor.apply2(&a, &b).unwrap();
         nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
-        prop_assert_eq!(out.to_trace(), nor.apply2(&a, &b).unwrap(), "cached NOR");
+        prop_assert_eq!(&out.to_trace(), &want_nor, "cached NOR");
 
-        let nand = CachedHybridNandChannel::from_dual(shared_lib()).unwrap();
+        let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
+        let want_nand = nand.apply2(&a, &b).unwrap();
         nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
             .unwrap();
-        prop_assert_eq!(out.to_trace(), nand.apply2(&a, &b).unwrap(), "cached NAND");
+        prop_assert_eq!(&out.to_trace(), &want_nand, "cached NAND");
+
+        // The engine's exact call: `apply2_into_probed` on a boxed
+        // channel behind the `Arc` cell libraries hand to networks, with
+        // live counters. The forwarding must keep both the output and
+        // the scheduler's tallies.
+        let live = ChannelCounters::register(&Probe::new());
+        let direct = ChannelCounters::register(&Probe::new());
+        for (ch, want) in [
+            (
+                Box::new(Arc::clone(&nor)) as Box<dyn TwoInputTransform>,
+                &want_nor,
+            ),
+            (
+                Box::new(nand.clone()) as Box<dyn TwoInputTransform>,
+                &want_nand,
+            ),
+        ] {
+            ch.apply2_into_probed(va.as_ref(), vb.as_ref(), &mut out, &live)
+                .unwrap();
+            prop_assert_eq!(&out.to_trace(), want, "{} through Arc, probed", ch.name());
+        }
+        nor.apply2_into_probed(va.as_ref(), vb.as_ref(), &mut out, &direct)
+            .unwrap();
+        nand.apply2_into_probed(va.as_ref(), vb.as_ref(), &mut out, &direct)
+            .unwrap();
+        prop_assert_eq!(live.table_lookups(), direct.table_lookups());
+        prop_assert_eq!(live.pending_cancelled(), direct.pending_cancelled());
         Ok(())
     });
 }

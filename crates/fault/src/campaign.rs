@@ -129,42 +129,20 @@ impl CampaignReport {
 /// independent of the worker count, arrival order is not part of the
 /// report.
 ///
+/// Timelines record into `sink` (pass [`TraceSink::disabled`] for
+/// counters only): the golden run traces onto the `sim` track, and each
+/// campaign worker records onto its own `fault.w<i>` track — one
+/// `chunk` span for its whole fault chunk, a `fault_run` span per
+/// faulty replay (payload: global fault index + outcome code), and a
+/// `coverage` counter sample after each detection (this worker's
+/// cumulative detected count — the coverage-over-time curve, per worker
+/// so the values are deterministic under the fixed chunk partition).
+///
 /// # Errors
 ///
 /// * [`FaultError::Invalid`] — zero workers.
 /// * [`FaultError::Sim`] — the golden run failed, or a faulty run
 ///   failed with a non-budget error.
-pub fn run_campaign_probed(
-    net: &Network,
-    outputs: &[SignalId],
-    inputs: &[DigitalTrace],
-    faults: &[FaultSite],
-    config: &CampaignConfig,
-    probe: &Probe,
-) -> Result<CampaignReport, FaultError> {
-    run_campaign_traced(
-        net,
-        outputs,
-        inputs,
-        faults,
-        config,
-        probe,
-        &TraceSink::disabled(),
-    )
-}
-
-/// [`run_campaign_probed`] plus timeline recording into `sink`: the
-/// golden run traces onto the `sim` track, and each campaign worker
-/// records onto its own `fault.w<i>` track — one `chunk` span for its
-/// whole fault chunk, a `fault_run` span per faulty replay (payload:
-/// global fault index + outcome code), and a `coverage` counter sample
-/// after each detection (this worker's cumulative detected count — the
-/// coverage-over-time curve, per worker so the values are deterministic
-/// under the fixed chunk partition).
-///
-/// # Errors
-///
-/// As [`run_campaign_probed`].
 pub fn run_campaign_traced(
     net: &Network,
     outputs: &[SignalId],
@@ -337,7 +315,7 @@ pub fn run_campaign_traced(
 ///
 /// # Errors
 ///
-/// As [`run_campaign_probed`].
+/// As [`run_campaign_traced`].
 pub fn run_campaign(
     net: &Network,
     outputs: &[SignalId],
@@ -345,7 +323,15 @@ pub fn run_campaign(
     faults: &[FaultSite],
     config: &CampaignConfig,
 ) -> Result<CampaignReport, FaultError> {
-    run_campaign_probed(net, outputs, inputs, faults, config, &Probe::disabled())
+    run_campaign_traced(
+        net,
+        outputs,
+        inputs,
+        faults,
+        config,
+        &Probe::disabled(),
+        &TraceSink::disabled(),
+    )
 }
 
 #[cfg(test)]
@@ -550,13 +536,14 @@ mod tests {
         let (net, outputs, inputs) = nor_fixture();
         let faults = stuck_at_sites(&net);
         let probe = Probe::new();
-        let report = run_campaign_probed(
+        let report = run_campaign_traced(
             &net,
             &outputs,
             &inputs,
             &faults,
             &CampaignConfig::default(),
             &probe,
+            &TraceSink::disabled(),
         )
         .unwrap();
         let snap = probe.report();
@@ -573,7 +560,7 @@ mod tests {
         // count is exact at every worker count.
         for workers in [1, 3] {
             let probe = Probe::new();
-            run_campaign_probed(
+            run_campaign_traced(
                 &net,
                 &outputs,
                 &inputs,
@@ -583,6 +570,7 @@ mod tests {
                     ..CampaignConfig::default()
                 },
                 &probe,
+                &TraceSink::disabled(),
             )
             .unwrap();
             assert_eq!(

@@ -63,8 +63,7 @@ pub mod fuzz;
 pub mod site;
 
 pub use campaign::{
-    run_campaign, run_campaign_probed, run_campaign_traced, CampaignConfig, CampaignReport,
-    FaultOutcome, FaultResult,
+    run_campaign, run_campaign_traced, CampaignConfig, CampaignReport, FaultOutcome, FaultResult,
 };
 pub use error::FaultError;
 pub use fuzz::{fuzz_differential, FuzzConfig, FuzzReport};

@@ -94,8 +94,8 @@ pub fn validate_table(xs: &[f64], ys: &[f64]) -> Result<(), NumError> {
 /// # Errors
 ///
 /// Returns [`NumError::InvalidInput`] under the same conditions as
-/// [`validate_table`], or when fewer than two samples are given, or when a
-/// `ys` value is not finite.
+/// [`validate_table`], or when fewer than two samples are given, or when an
+/// `xs` or `ys` value is not finite.
 ///
 /// # Examples
 ///
@@ -124,6 +124,13 @@ pub fn pchip_slopes(xs: &[f64], ys: &[f64]) -> Result<Vec<f64>, NumError> {
     if ys.iter().any(|y| !y.is_finite()) {
         return Err(NumError::InvalidInput {
             reason: "non-finite ordinate in pchip table".into(),
+        });
+    }
+    // An infinite end abscissa passes the ordering check but makes its
+    // interval's secant slope zero and the Hermite basis NaN.
+    if xs.iter().any(|x| !x.is_finite()) {
+        return Err(NumError::InvalidInput {
+            reason: "non-finite abscissa in pchip table".into(),
         });
     }
     // Interval widths and secant slopes.
@@ -408,6 +415,8 @@ mod tests {
         assert!(pchip_slopes(&[0.0], &[1.0]).is_err());
         assert!(pchip_slopes(&[0.0, 0.0], &[1.0, 2.0]).is_err());
         assert!(pchip_slopes(&[0.0, 1.0], &[1.0, f64::NAN]).is_err());
+        assert!(pchip_slopes(&[f64::NEG_INFINITY, 0.0, 1.0], &[1.0, 2.0, 3.0]).is_err());
+        assert!(pchip_slopes(&[0.0, 1.0, f64::INFINITY], &[1.0, 2.0, 3.0]).is_err());
         assert!(MonotoneCubic::new(vec![1.0, 0.0], vec![0.0, 1.0]).is_err());
     }
 }

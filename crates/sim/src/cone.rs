@@ -84,7 +84,7 @@
 //! # }
 //! ```
 
-use mis_digital::{ChannelCounters, EventBatch, Network, SignalId, SimError};
+use mis_digital::{ChannelCounters, Network, SignalId, SimError};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
 use crate::budget::{BudgetMeter, RunBudget};
@@ -164,8 +164,6 @@ pub struct ConeReplay<'n> {
     dirty: Vec<u64>,
     /// Faulty-arena span of each dirty signal (stale for clean ones).
     span_of: Vec<u32>,
-    /// Warm merged-event scratch for the two-input channels.
-    batch: EventBatch,
     /// The disabled channel-counter sink the kernel records into.
     stats: &'static ChannelCounters,
     /// Gates the last run re-evaluated.
@@ -193,7 +191,6 @@ impl<'n> ConeReplay<'n> {
             pending: vec![0; words],
             dirty: vec![0; words],
             span_of: vec![0; n],
-            batch: EventBatch::new(),
             stats: ChannelCounters::disabled(),
             evaluated: 0,
         })
@@ -361,7 +358,6 @@ impl<'n> ConeReplay<'n> {
             },
             out,
             scratch,
-            &mut self.batch,
             self.stats,
         )?;
         if out.as_ref() == want {

@@ -44,7 +44,7 @@
 //! # }
 //! ```
 
-use mis_digital::{EventBatch, Network, SignalId, SignalSource, SimError};
+use mis_digital::{Network, SignalId, SignalSource, SimError};
 use mis_probe::{Probe, TraceSink};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
@@ -64,9 +64,6 @@ pub struct Simulator<'n> {
     net: &'n Network,
     /// Arena span holding each signal's trace, filled during a run.
     span_of: Vec<u32>,
-    /// Warm merged-event scratch for the two-input channels' batched
-    /// schedule evaluation (`crate::kernel::eval_signal_into`).
-    batch: EventBatch,
     /// Engine metrics — a disabled bundle for [`Simulator::new`]
     /// engines, so recording is compiled in unconditionally and the
     /// unprobed hot loop pays only local register updates.
@@ -91,23 +88,14 @@ impl<'n> Simulator<'n> {
     /// [`Simulator::new`] with metrics recording into `probe`: every
     /// run updates the `sim.*` event counters, the run span timer, the
     /// per-kind edge census, and the `chan.*` channel counters.
-    /// Identical evaluation semantics; the probed engine's warm runs
-    /// stay allocation-free.
     ///
-    /// # Errors
-    ///
-    /// As [`Simulator::new`].
-    pub fn new_probed(net: &'n Network, probe: &Probe) -> Result<Self, SimError> {
-        Self::with_instrumentation(net, SimCounters::register(probe), SimTracer::disabled())
-    }
-
-    /// [`Simulator::new_probed`] plus timeline recording into `sink`:
-    /// every run seals a `run` span, a `gate` span per evaluated gate
-    /// (signal index + output edges, in signal order), a `seal` instant
-    /// per input trace, and a `budget` instant when a [`RunBudget`]
-    /// limit trips — all on the `sim` trace track, into the sink's
-    /// preallocated ring buffer, so traced warm runs stay
-    /// allocation-free. Identical evaluation semantics.
+    /// Timelines record into `sink` (pass [`TraceSink::disabled`] for
+    /// counters only): every run seals a `run` span, a `gate` span per
+    /// evaluated gate (signal index + output edges, in signal order), a
+    /// `seal` instant per input trace, and a `budget` instant when a
+    /// [`RunBudget`] limit trips — all on the `sim` trace track, into
+    /// the sink's preallocated ring buffer. Identical evaluation
+    /// semantics; instrumented warm runs stay allocation-free.
     ///
     /// # Errors
     ///
@@ -130,7 +118,6 @@ impl<'n> Simulator<'n> {
         Ok(Simulator {
             net,
             span_of: vec![0; n],
-            batch: EventBatch::new(),
             counters,
             tracer,
         })
@@ -168,29 +155,16 @@ impl<'n> Simulator<'n> {
         self.run_controlled_in(inputs, arena, &RunBudget::UNLIMITED, None)
     }
 
-    /// [`Simulator::run_in`] under a [`RunBudget`]: the run stops with
-    /// [`SimError::BudgetExceeded`] instead of doing unbounded work —
-    /// see the budget module docs for the accounting semantics. A
-    /// tripped run leaves the arena reusable (the next run resets it).
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::BudgetExceeded`] — a budget limit tripped.
-    /// * As [`Simulator::run_in`].
-    pub fn run_budgeted_in(
-        &mut self,
-        inputs: &[DigitalTrace],
-        arena: &mut TraceArena,
-        budget: &RunBudget,
-    ) -> Result<(), SimError> {
-        self.run_controlled_in(inputs, arena, budget, None)
-    }
-
     /// The fully general run: a [`RunBudget`] plus an optional
     /// [`TraceOverlay`] rewriting sealed traces before downstream gates
     /// read them — the entry point `mis-fault` injects faults through.
     /// With [`RunBudget::UNLIMITED`] and no overlay this *is*
     /// [`Simulator::run_in`].
+    ///
+    /// Under a budget the run stops with [`SimError::BudgetExceeded`]
+    /// instead of doing unbounded work — see the budget module docs for
+    /// the accounting semantics. A tripped run leaves the arena reusable
+    /// (the next run resets it).
     ///
     /// # Errors
     ///
@@ -341,14 +315,12 @@ impl<'n> Simulator<'n> {
         arena: &mut TraceArena,
     ) -> Result<usize, SimError> {
         let span_of = &self.span_of;
-        let batch = &mut self.batch;
         let (sealed, out, scratch) = arena.stage();
         kernel::eval_signal_into(
             source,
             |sid| sealed.trace(span_of[sid.index()] as usize),
             out,
             scratch,
-            batch,
             self.counters.channels(),
         )?;
         Ok(arena.seal_out())
@@ -415,7 +387,7 @@ mod tests {
 
     #[test]
     fn probed_engine_counts_pops_gates_and_census() {
-        use mis_probe::Probe;
+        use mis_probe::{Probe, TraceSink};
         let mut net = Network::new();
         let a = net.add_input("a");
         let b = net.add_input("b");
@@ -437,7 +409,7 @@ mod tests {
         let inputs = [ta, tb];
 
         let probe = Probe::new();
-        let mut sim = Simulator::new_probed(&net, &probe).unwrap();
+        let mut sim = Simulator::new_traced(&net, &probe, &TraceSink::disabled()).unwrap();
         let mut arena = TraceArena::new();
         sim.run_in(&inputs, &mut arena).unwrap();
         sim.run_in(&inputs, &mut arena).unwrap();
@@ -516,7 +488,7 @@ mod tests {
         let mut arena = TraceArena::new();
         let budget = crate::RunBudget::UNLIMITED.with_max_events(0);
         assert!(sim
-            .run_budgeted_in(&[DigitalTrace::constant(false)], &mut arena, &budget)
+            .run_controlled_in(&[DigitalTrace::constant(false)], &mut arena, &budget, None)
             .is_err());
         let snap = sink.snapshot();
         let track = snap.track("sim").unwrap();

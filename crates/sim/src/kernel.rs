@@ -13,9 +13,7 @@
 //! replay's ascending walk over perturbed gates) produces the same
 //! traces.
 
-use mis_digital::{
-    gates, ChannelCounters, EventBatch, GateKind, Network, SignalId, SignalSource, SimError,
-};
+use mis_digital::{gates, ChannelCounters, GateKind, Network, SignalId, SignalSource, SimError};
 use mis_waveform::{EdgeBuf, TraceRef};
 
 /// The largest signal count (and total fan-out edge count) the engine
@@ -124,8 +122,7 @@ pub(crate) fn duplicate_shortcut(source: &SignalSource<'_>) -> Option<(SignalId,
 
 /// Evaluates one non-input signal through the fused ideal-gate + channel
 /// kernels, writing the result into `out` (using `scratch` for the
-/// fused binary-gate pass and `batch` for the two-input channels'
-/// pre-merged event list). Fan-in traces are obtained through
+/// fused binary-gate pass). Fan-in traces are obtained through
 /// `resolve`, so the caller decides where sealed traces live — the
 /// serial engine resolves into its single arena, the cone replay into
 /// its faulty or the golden arena. (Callers normally peel off [`duplicate_shortcut`]
@@ -151,7 +148,6 @@ pub(crate) fn eval_signal_into<'a, F>(
     resolve: F,
     out: &mut EdgeBuf,
     scratch: &mut EdgeBuf,
-    batch: &mut EventBatch,
     stats: &ChannelCounters,
 ) -> Result<(), SimError>
 where
@@ -192,7 +188,7 @@ where
         SignalSource::TwoInputChannelGate { inputs, channel } => {
             let va = resolve(inputs[0]);
             let vb = resolve(inputs[1]);
-            channel.apply2_batched_into_probed(va, vb, batch, out, stats)
+            channel.apply2_into_probed(va, vb, out, stats)
         }
     }
 }

@@ -109,7 +109,8 @@ fn warm_probed_simulator_run_in_is_allocation_free_and_counts_events() {
         let lowered = fixture(file).lower(&cells).expect("lowering");
         let inputs = traffic(lowered.inputs.len(), seed);
         let probe = Probe::new();
-        let mut sim = Simulator::new_probed(&lowered.net, &probe).expect("engine construction");
+        let mut sim = Simulator::new_traced(&lowered.net, &probe, &TraceSink::disabled())
+            .expect("engine construction");
         let mut arena = TraceArena::new();
         sim.run_in(&inputs, &mut arena).expect("warm-up run");
         let warm_pops = sim.counters().events_popped();
@@ -192,7 +193,7 @@ fn tripped_budget_runs_stay_allocation_free() {
         let budget = mis_sim::RunBudget::UNLIMITED.with_max_events(25);
         let (allocations, ()) = alloc::count_in(|| {
             for _ in 0..5 {
-                match sim.run_budgeted_in(&inputs, &mut arena, &budget) {
+                match sim.run_controlled_in(&inputs, &mut arena, &budget, None) {
                     Err(mis_digital::SimError::BudgetExceeded { .. }) => {}
                     _ => panic!("a 25-event budget must trip on {file}"),
                 }

@@ -76,16 +76,18 @@ fn exact_event_budget_passes_and_one_less_trips() {
         let inputs = traffic(lowered.inputs.len(), seed);
         let mut sim = Simulator::new(&lowered.net).expect("engine");
         let mut arena = TraceArena::new();
-        sim.run_budgeted_in(
+        sim.run_controlled_in(
             &inputs,
             &mut arena,
             &RunBudget::UNLIMITED.with_max_events(events),
+            None,
         )
         .expect("exactly-enough event budget must succeed");
-        match sim.run_budgeted_in(
+        match sim.run_controlled_in(
             &inputs,
             &mut arena,
             &RunBudget::UNLIMITED.with_max_events(events - 1),
+            None,
         ) {
             Err(SimError::BudgetExceeded { resource, limit }) => {
                 assert_eq!(resource, BudgetResource::Events, "{file}");
@@ -104,16 +106,18 @@ fn exact_edge_budget_passes_and_one_less_trips() {
         let inputs = traffic(lowered.inputs.len(), seed);
         let mut sim = Simulator::new(&lowered.net).expect("engine");
         let mut arena = TraceArena::new();
-        sim.run_budgeted_in(
+        sim.run_controlled_in(
             &inputs,
             &mut arena,
             &RunBudget::UNLIMITED.with_max_edges(edges),
+            None,
         )
         .expect("exactly-enough edge budget must succeed");
-        match sim.run_budgeted_in(
+        match sim.run_controlled_in(
             &inputs,
             &mut arena,
             &RunBudget::UNLIMITED.with_max_edges(edges - 1),
+            None,
         ) {
             Err(SimError::BudgetExceeded { resource, limit }) => {
                 assert_eq!(resource, BudgetResource::Edges, "{file}");
@@ -144,7 +148,7 @@ fn zero_budgets_trip_on_the_first_unit_of_work() {
             BudgetResource::Deadline,
         ),
     ] {
-        match sim.run_budgeted_in(&inputs, &mut arena, &budget) {
+        match sim.run_controlled_in(&inputs, &mut arena, &budget, None) {
             Err(SimError::BudgetExceeded { resource: r, .. }) => assert_eq!(r, resource),
             other => panic!("zero {resource} budget returned {other:?}"),
         }
@@ -157,10 +161,11 @@ fn generous_deadline_does_not_trip() {
     let inputs = traffic(lowered.inputs.len(), 0x432);
     let mut sim = Simulator::new(&lowered.net).expect("engine");
     let mut arena = TraceArena::new();
-    sim.run_budgeted_in(
+    sim.run_controlled_in(
         &inputs,
         &mut arena,
         &RunBudget::UNLIMITED.with_deadline(Duration::from_secs(3600)),
+        None,
     )
     .expect("an hour is enough for one C432 run");
 }
@@ -179,10 +184,11 @@ fn a_tripped_run_leaves_engine_and_arena_reusable() {
     // unbudgeted with the same engine and arena: the result must match
     // the clean pair's bit for bit.
     for tripped_events in [1, 7, 50] {
-        match sim.run_budgeted_in(
+        match sim.run_controlled_in(
             &inputs,
             &mut arena,
             &RunBudget::UNLIMITED.with_max_events(tripped_events),
+            None,
         ) {
             Err(SimError::BudgetExceeded { .. }) => {}
             other => panic!("budget of {tripped_events} events returned {other:?}"),
@@ -211,7 +217,7 @@ fn below_budget_runs_are_bit_identical_to_unbudgeted_ones() {
         let mut budgeted = Simulator::new(&lowered.net).expect("engine");
         let mut budgeted_arena = TraceArena::new();
         budgeted
-            .run_budgeted_in(&inputs, &mut budgeted_arena, &budget)
+            .run_controlled_in(&inputs, &mut budgeted_arena, &budget, None)
             .expect("run under exact budget");
         let want = lowered.net.run(&inputs).expect("reference run");
         for (s, w) in want.iter().enumerate() {

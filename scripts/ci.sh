@@ -15,6 +15,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
+# The C880 benchmark harness (its own workspace) drives the library's
+# public API from outside: building it here makes an API removal that
+# breaks the benchmark fail the default gate, not only CI_BENCH=1.
+echo "== cargo build --offline --manifest-path c880bench/Cargo.toml"
+cargo build --offline --manifest-path c880bench/Cargo.toml
+
 echo "== cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
