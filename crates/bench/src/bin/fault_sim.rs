@@ -27,13 +27,21 @@
 //! fault_sim --fuzz ITERS [--seed N] [--json]
 //! ```
 //!
+//! Workers claim faults in small blocks from a shared cursor (the
+//! calling thread is worker 0), so the input-side faults — the largest
+//! cones — spread over every worker. The per-worker `fault.w<i>.busy`
+//! utilization timers appear in the `--json` line, and from them and
+//! the campaign's wall time (golden run included) both the human
+//! report and the `--json` line derive `busy_share` (Σ busy /
+//! (workers × wall)) and `imbalance` (max busy / mean busy). These are
+//! timings, not pinnable with `--expect`.
+//!
 //! `--trace` records the campaign on a live `mis_probe::TraceSink` —
-//! the golden run's gate spans plus, per worker, a chunk span, a
-//! `fault_run` span per replay and coverage-over-time samples — and
-//! writes the timeline as checker-validated Chrome Trace Format JSON.
-//! The per-worker `fault.w<i>.busy` utilization timers appear in the
-//! report (and `--json` line) whenever the campaign runs probed,
-//! traced or not.
+//! the golden run's gate spans plus, per worker, a span over its whole
+//! claim loop, a `fault_run` span per replay and coverage-over-time
+//! samples — and writes the timeline as checker-validated Chrome Trace
+//! Format JSON. Which worker runs which fault varies from run to run;
+//! the report does not.
 //!
 //! `--fuzz` ignores the campaign flags and instead runs the
 //! differential fuzz harness (random circuits, stimuli and faults;
@@ -45,6 +53,7 @@
 //! errors.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use mis_bench::emit;
 use mis_bench::netlist::{committed_cells, traffic};
@@ -197,6 +206,17 @@ fn glitch_sites(net: &mis_digital::Network, n: usize) -> Result<Vec<FaultSite>, 
         .collect()
 }
 
+/// Worker balance from the per-worker busy totals and the campaign's
+/// wall time: `(busy_share, imbalance)` = (Σ busy / (workers × wall),
+/// max busy / mean busy). A perfectly balanced campaign with no serial
+/// part reads `(1, 1)`.
+fn worker_balance(busy_ns: &[u64], wall_ns: u64) -> (f64, f64) {
+    let workers = busy_ns.len() as f64;
+    let total: f64 = busy_ns.iter().map(|&b| b as f64).sum();
+    let max = busy_ns.iter().copied().max().unwrap_or(0) as f64;
+    (total / (workers * wall_ns as f64), max / (total / workers))
+}
+
 fn run_fuzz(args: &Args, iterations: u32) -> Result<(), String> {
     let report = fuzz_differential(&FuzzConfig {
         iterations,
@@ -242,6 +262,7 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
         workers: args.workers,
         budget: budget(args),
     };
+    let started = Instant::now();
     let report = run_campaign_traced(
         &lowered.net,
         &lowered.outputs,
@@ -252,6 +273,11 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
         &sink,
     )
     .map_err(|e| format!("campaign: {e}"))?;
+    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let busy_ns: Vec<u64> = (0..args.workers)
+        .map(|w| probe.timer(&format!("fault.w{w}.busy")).total_ns())
+        .collect();
+    let (busy_share, imbalance) = worker_balance(&busy_ns, wall_ns);
 
     if let Some(path) = &args.trace {
         let chrome = sink.snapshot().to_chrome_json();
@@ -271,7 +297,8 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
         let probe_line = snap.to_json_line();
         let line = format!(
             "{{\"file\":{},\"outputs\":{},\"faults\":{},\"stuck_at\":{},\"glitch\":{},\
-             \"detected\":{},\"undetected\":{},\"budget_trips\":{},\"coverage\":{},{}",
+             \"detected\":{},\"undetected\":{},\"budget_trips\":{},\"coverage\":{},\
+             \"busy_share\":{},\"imbalance\":{},{}",
             json_string(file),
             lowered.outputs.len(),
             report.total(),
@@ -281,6 +308,8 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
             report.total() - report.detected - report.budget_trips,
             report.budget_trips,
             json_f64(report.coverage()),
+            json_f64(busy_share),
+            json_f64(imbalance),
             &probe_line[1..],
         );
         if !is_wellformed(&line) {
@@ -306,6 +335,9 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
             report.detected,
             report.total() - report.detected - report.budget_trips,
             report.budget_trips
+        ));
+        emit(format_args!(
+            "workers: busy share {busy_share:.2}, imbalance {imbalance:.2}\n"
         ));
         emit(format_args!("per-output detections:\n"));
         for (k, &id) in lowered.outputs.iter().enumerate() {
@@ -373,5 +405,24 @@ fn main() -> ExitCode {
             eprintln!("fault_sim: {e}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::worker_balance;
+
+    #[test]
+    fn worker_balance_ratios_on_fixed_timers() {
+        // Two workers busy the whole 10 ns wall: balanced and saturated.
+        assert_eq!(worker_balance(&[10, 10], 10), (1.0, 1.0));
+        // 6 + 2 ns busy of 2 × 10 ns: share 0.4, max/mean = 6/4.
+        assert_eq!(worker_balance(&[6, 2], 10), (0.4, 1.5));
+        // One worker is balanced by definition; share is busy / wall.
+        assert_eq!(worker_balance(&[3], 4), (0.75, 1.0));
+        // 4 workers, one idle: share 9/(4·5), imbalance 4/(9/4).
+        let (share, imbalance) = worker_balance(&[4, 3, 2, 0], 5);
+        assert!((share - 0.45).abs() < 1e-12);
+        assert!((imbalance - 16.0 / 9.0).abs() < 1e-12);
     }
 }

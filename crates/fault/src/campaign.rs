@@ -1,5 +1,6 @@
 //! The deterministic campaign runner: a fault list evaluated against a
-//! golden run, batched over scoped worker threads.
+//! golden run by scoped worker threads claiming faults from a shared
+//! cursor (the calling thread is worker 0).
 //!
 //! # Determinism
 //!
@@ -18,14 +19,19 @@
 //!    of the fault, independent of the worker that runs it. An output
 //!    is detected exactly when the replay marks it dirty, by the same
 //!    exact trace equality that stops propagation.
-//! 2. **Fixed partition.** Faults are split into contiguous chunks
-//!    (`chunks` / `chunks_mut`), and each worker writes outcomes only
-//!    into its own chunk of the result vector — no shared accumulator
-//!    whose order could vary.
-//! 3. **Deterministic error selection.** If a worker fails with a
-//!    non-budget error, the error of the lowest-indexed chunk wins,
-//!    regardless of completion order. (Budget trips are not errors at
-//!    the campaign level: they are recorded per fault as
+//! 2. **Per-index result slots.** Workers claim small blocks of fault
+//!    indices from one shared cursor, so which worker runs which fault
+//!    depends on scheduling — but by leg 1 a fault's outcome does not.
+//!    Each worker buffers `(fault index, result)` pairs, and after the
+//!    join the coordinator scatters them into fault-list order; there
+//!    is no shared accumulator whose order could vary.
+//! 3. **Lowest-fault-index error selection.** A worker that hits a
+//!    non-budget error records the failing fault's index and stops
+//!    claiming; the error with the lowest index wins. Claims only move
+//!    forward, so the block holding the list's first failing fault was
+//!    claimed, and every lower index run, whichever worker got there —
+//!    the same error at every worker count. (Budget trips are not
+//!    errors at the campaign level: they are recorded per fault as
 //!    [`FaultOutcome::BudgetTripped`].)
 //!
 //! Each worker owns one warm [`TraceArena`] reused across all its
@@ -36,8 +42,10 @@
 //! its perturbed gates — on the committed C880 fixture about 4 % of the
 //! netlist on average (EXPERIMENTS.md).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use mis_digital::{Network, SignalId, SimError};
-use mis_probe::{EventKind, Probe, TraceSink};
+use mis_probe::{EventKind, Probe, SpanTimer, TraceSink, TraceTrack};
 use mis_sim::{ConeReplay, GoldenRun, RunBudget, Simulator};
 use mis_waveform::{DigitalTrace, TraceArena};
 
@@ -120,29 +128,50 @@ impl CampaignReport {
     }
 }
 
+/// Faults a worker claims from the shared cursor at a time. Small
+/// enough that the input-side faults (the largest cones, at the front
+/// of the list) spread over every worker; large enough that a claim —
+/// one atomic add — stays rare next to the microsecond replays.
+const CLAIM_BLOCK: usize = 8;
+
+/// One campaign worker's private state.
+struct Worker<'n> {
+    /// Worker index: the `w` of its `fault.w<w>` timer and track.
+    index: usize,
+    busy: SpanTimer,
+    track: TraceTrack,
+    cone: ConeReplay<'n>,
+}
+
+/// What one worker hands back at the join: its `(fault index, result)`
+/// pairs, and its first non-budget failure (after which it stopped).
+type WorkerOutcome = (Vec<(usize, FaultResult)>, Option<(usize, FaultError)>);
+
 /// [`run_campaign`] with the campaign counters — `fault.injected`,
 /// `fault.detected`, `fault.budget_trips`, and `fault.cone_gates` (gates
 /// re-evaluated across all faulty replays, the campaign's exact work
 /// count) — and one `fault.w<i>.busy` span timer per worker (the
-/// campaign-utilization picture) recording into `probe`. The counters are atomic and
-/// shared, so the workers increment them directly; totals are exact and
-/// independent of the worker count, arrival order is not part of the
-/// report.
+/// campaign-utilization picture) recording into `probe`. The counters
+/// are atomic and shared, so the workers increment them directly;
+/// totals are exact and independent of the worker count, arrival order
+/// is not part of the report.
 ///
 /// Timelines record into `sink` (pass [`TraceSink::disabled`] for
 /// counters only): the golden run traces onto the `sim` track, and each
 /// campaign worker records onto its own `fault.w<i>` track — one
-/// `chunk` span for its whole fault chunk, a `fault_run` span per
-/// faulty replay (payload: global fault index + outcome code), and a
-/// `coverage` counter sample after each detection (this worker's
-/// cumulative detected count — the coverage-over-time curve, per worker
-/// so the values are deterministic under the fixed chunk partition).
+/// `chunk` span covering its whole claim loop (payload: worker index +
+/// number of faults it ran), a `fault_run` span per faulty replay
+/// (payload: global fault index + outcome code), and a `coverage`
+/// counter sample after each detection (this worker's cumulative
+/// detected count). Which worker runs which fault depends on
+/// scheduling, so the per-worker spans and samples vary from run to
+/// run; only the report is deterministic.
 ///
 /// # Errors
 ///
 /// * [`FaultError::Invalid`] — zero workers.
 /// * [`FaultError::Sim`] — the golden run failed, or a faulty run
-///   failed with a non-budget error.
+///   failed with a non-budget error (the lowest-indexed such fault's).
 pub fn run_campaign_traced(
     net: &Network,
     outputs: &[SignalId],
@@ -171,119 +200,147 @@ pub fn run_campaign_traced(
     let detected_ctr = probe.counter("fault.detected");
     let trips_ctr = probe.counter("fault.budget_trips");
     let cone_ctr = probe.counter("fault.cone_gates");
-
-    let mut results: Vec<Option<FaultResult>> = vec![None; faults.len()];
-    let chunk = faults.len().div_ceil(config.workers).max(1);
-    let golden = &golden;
-    let (injected_ref, detected_ref, trips_ref, cone_ref) =
-        (&injected, &detected_ctr, &trips_ctr, &cone_ctr);
-    std::thread::scope(|scope| -> Result<(), FaultError> {
-        let handles: Vec<_> = faults
-            .chunks(chunk)
-            .zip(results.chunks_mut(chunk))
-            .enumerate()
-            .map(|(w, (sites, slots))| {
-                // Cold-path registration happens on the coordinator:
-                // the worker only records.
-                let busy = probe.timer(&format!("fault.w{w}.busy"));
-                let track = sink.track(&format!("fault.w{w}"));
-                let chunk_base = w * chunk;
-                scope.spawn(move || -> Result<(), FaultError> {
-                    let busy_started = busy.start();
-                    let chunk_started = track.start();
-                    let mut detected_here = 0u32;
-                    // One replay and one warm arena per worker, reused
-                    // across every fault in the chunk.
-                    let mut cone = ConeReplay::new(net)?;
-                    let mut arena = TraceArena::new();
-                    let mut cone_gates = 0u64;
-                    for (j, (site, slot)) in sites.iter().zip(slots.iter_mut()).enumerate() {
-                        injected_ref.inc();
-                        let fault_started = track.start();
-                        let run = cone.run(
-                            golden,
-                            site.signal,
-                            &FaultOverlay::new(*site),
-                            &mut arena,
-                            &config.budget,
-                        );
-                        cone_gates += cone.gates_evaluated();
-                        let result = match run {
-                            Ok(()) => {
-                                let detecting: Vec<usize> = outputs
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(_, &id)| cone.is_dirty(id))
-                                    .map(|(k, _)| k)
-                                    .collect();
-                                let outcome = if detecting.is_empty() {
-                                    FaultOutcome::Undetected
-                                } else {
-                                    detected_ref.inc();
-                                    detected_here += 1;
-                                    FaultOutcome::Detected
-                                };
-                                FaultResult {
-                                    site: *site,
-                                    outcome,
-                                    detecting_outputs: detecting,
-                                }
-                            }
-                            Err(SimError::BudgetExceeded { .. }) => {
-                                trips_ref.inc();
-                                FaultResult {
-                                    site: *site,
-                                    outcome: FaultOutcome::BudgetTripped,
-                                    detecting_outputs: Vec::new(),
-                                }
-                            }
-                            Err(e) => return Err(FaultError::Sim(e)),
-                        };
-                        let code = match result.outcome {
-                            FaultOutcome::Undetected => 0,
-                            FaultOutcome::Detected => 1,
-                            FaultOutcome::BudgetTripped => 2,
-                        };
-                        track.span(
-                            EventKind::FaultRun,
-                            (chunk_base + j) as u32,
-                            code,
-                            fault_started,
-                        );
-                        if code == 1 {
-                            track.sample(EventKind::Coverage, w as u32, detected_here);
-                        }
-                        *slot = Some(result);
-                    }
-                    track.span(
-                        EventKind::Chunk,
-                        w as u32,
-                        sites.len() as u32,
-                        chunk_started,
-                    );
-                    cone_ref.add(cone_gates);
-                    busy.stop(busy_started);
-                    Ok(())
-                })
+    let cursor = AtomicUsize::new(0);
+    // Per-worker state, registered cold on the coordinator in worker
+    // order (so the timeline's track order is fixed): a busy timer, a
+    // track, and one replay reused across every fault the worker claims.
+    let workers = (0..config.workers)
+        .map(|w| {
+            Ok(Worker {
+                index: w,
+                busy: probe.timer(&format!("fault.w{w}.busy")),
+                track: sink.track(&format!("fault.w{w}")),
+                cone: ConeReplay::new(net)?,
             })
-            .collect();
-        // Join in chunk order: the lowest-indexed chunk's error wins,
-        // independent of which worker finished first.
-        let mut result = Ok(());
-        for h in handles {
-            let r = h
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            if result.is_ok() {
-                result = r;
+        })
+        .collect::<Result<Vec<_>, SimError>>()?;
+
+    // One worker's claim loop: take the next `CLAIM_BLOCK` fault
+    // indices from the shared cursor until the list is exhausted or a
+    // fault fails with a non-budget error.
+    let work = |worker: Worker<'_>| -> WorkerOutcome {
+        let Worker {
+            index: w,
+            busy,
+            track,
+            mut cone,
+        } = worker;
+        let busy_started = busy.start();
+        let loop_started = track.start();
+        let mut ran = Vec::new();
+        let mut failed = None;
+        let mut detected_here = 0u32;
+        let mut arena = TraceArena::new();
+        let mut cone_gates = 0u64;
+        'claims: loop {
+            // Relaxed: the cursor publishes no data (the fault list is
+            // read-only; results come back through the join), and
+            // read-modify-writes on one atomic never hand out an index
+            // twice.
+            let first = cursor.fetch_add(CLAIM_BLOCK, Ordering::Relaxed);
+            if first >= faults.len() {
+                break;
+            }
+            for (i, site) in faults.iter().enumerate().skip(first).take(CLAIM_BLOCK) {
+                injected.inc();
+                let fault_started = track.start();
+                let run = cone.run(
+                    &golden,
+                    site.signal,
+                    &FaultOverlay::new(*site),
+                    &mut arena,
+                    &config.budget,
+                );
+                cone_gates += cone.gates_evaluated();
+                let (outcome, detecting_outputs) = match run {
+                    Ok(()) => {
+                        let detecting: Vec<usize> = outputs
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &id)| cone.is_dirty(id))
+                            .map(|(k, _)| k)
+                            .collect();
+                        if detecting.is_empty() {
+                            (FaultOutcome::Undetected, detecting)
+                        } else {
+                            detected_ctr.inc();
+                            detected_here += 1;
+                            (FaultOutcome::Detected, detecting)
+                        }
+                    }
+                    Err(SimError::BudgetExceeded { .. }) => {
+                        trips_ctr.inc();
+                        (FaultOutcome::BudgetTripped, Vec::new())
+                    }
+                    Err(e) => {
+                        failed = Some((i, FaultError::Sim(e)));
+                        break 'claims;
+                    }
+                };
+                let code = match outcome {
+                    FaultOutcome::Undetected => 0,
+                    FaultOutcome::Detected => 1,
+                    FaultOutcome::BudgetTripped => 2,
+                };
+                track.span(EventKind::FaultRun, i as u32, code, fault_started);
+                if code == 1 {
+                    track.sample(EventKind::Coverage, w as u32, detected_here);
+                }
+                ran.push((
+                    i,
+                    FaultResult {
+                        site: *site,
+                        outcome,
+                        detecting_outputs,
+                    },
+                ));
             }
         }
-        result
-    })?;
+        track.span(EventKind::Chunk, w as u32, ran.len() as u32, loop_started);
+        cone_ctr.add(cone_gates);
+        busy.stop(busy_started);
+        (ran, failed)
+    };
 
-    let results: Vec<FaultResult> = results
+    // Workers 1.. run on scoped threads; the calling thread is worker 0.
+    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
+        let work = &work;
+        let mut workers = workers.into_iter();
+        let caller = workers.next().expect("at least one worker");
+        let handles: Vec<_> = workers
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        let mut outcomes = vec![work(caller)];
+        outcomes.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        outcomes
+    });
+
+    // Scatter into fault-list order. Every worker stops at its first
+    // failure, and claims only move forward: the block holding the
+    // lowest failing index was claimed before any later block, and its
+    // worker ran every lower index in it. So the lowest recorded
+    // failure is the list's first failing fault at every worker count.
+    let mut slots: Vec<Option<FaultResult>> = vec![None; faults.len()];
+    let mut first_failure: Option<(usize, FaultError)> = None;
+    for (ran, failed) in outcomes {
+        for (i, result) in ran {
+            slots[i] = Some(result);
+        }
+        if let Some((i, e)) = failed {
+            if first_failure.as_ref().is_none_or(|(j, _)| i < *j) {
+                first_failure = Some((i, e));
+            }
+        }
+    }
+    if let Some((_, e)) = first_failure {
+        return Err(e);
+    }
+    let results: Vec<FaultResult> = slots
         .into_iter()
-        .map(|r| r.expect("every chunk completed without error"))
+        .map(|r| r.expect("every claimed fault ran"))
         .collect();
     let detected = results
         .iter()
@@ -438,6 +495,64 @@ mod tests {
             .results
             .iter()
             .all(|r| r.outcome == FaultOutcome::BudgetTripped));
+    }
+
+    /// A stuck-at on signal `s<idx>` of a wider network: out of range for
+    /// the NOR fixture, so its replay fails with `SimError::Network`
+    /// naming `s<idx>`.
+    fn foreign_site(idx: usize) -> FaultSite {
+        let mut wide = Network::new();
+        for k in 0..=idx {
+            wide.add_input(&format!("x{k}"));
+        }
+        FaultSite::stuck_at_0(wide.signal_id(idx).unwrap())
+    }
+
+    #[test]
+    fn lowest_failing_fault_index_wins_at_every_worker_count() {
+        let (net, outputs, inputs) = nor_fixture();
+        let good = stuck_at_sites(&net);
+        let len = 6 * CLAIM_BLOCK;
+        // Failures inside one claim block, in adjacent blocks, and far
+        // apart; each pair in both signal orders, so the winner is picked
+        // by fault index, not by signal.
+        let pairs = [
+            (1, 5),
+            (CLAIM_BLOCK - 1, CLAIM_BLOCK),
+            (CLAIM_BLOCK + 2, 4 * CLAIM_BLOCK + 3),
+        ];
+        for (i, j) in pairs {
+            for (first, second) in [(7, 9), (9, 7)] {
+                let mut faults: Vec<FaultSite> = good.iter().copied().cycle().take(len).collect();
+                faults[i] = foreign_site(first);
+                faults[j] = foreign_site(second);
+                for workers in 1..=4 {
+                    // Repeat: which worker reaches a failure first
+                    // varies with scheduling; the winner must not.
+                    for _ in 0..8 {
+                        let err = run_campaign(
+                            &net,
+                            &outputs,
+                            &inputs,
+                            &faults,
+                            &CampaignConfig {
+                                workers,
+                                budget: RunBudget::UNLIMITED,
+                            },
+                        )
+                        .unwrap_err();
+                        let FaultError::Sim(SimError::Network { reason }) = &err else {
+                            panic!("unexpected error {err:?}");
+                        };
+                        assert!(
+                            reason.contains(&format!("site s{first}")),
+                            "faults {i} (s{first}) and {j} (s{second}) at \
+                             {workers} workers: {reason}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

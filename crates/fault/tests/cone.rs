@@ -3,7 +3,10 @@
 //!
 //! * the campaign report equals one built from per-fault full
 //!   [`Simulator`] replays, for the exhaustive stuck-at list plus 24
-//!   deterministic glitches (the `fault_sim --glitches 24` fault list);
+//!   deterministic glitches (the `fault_sim --glitches 24` fault list),
+//!   at 1, 2, 3 and 8 workers;
+//! * a traced C432 campaign at 3 workers runs every fault exactly once
+//!   across the worker tracks, with the 1-worker `fault.cone_gates`;
 //! * under budgets set exactly at, and one below, each fault's full-run
 //!   event and edge totals, every fault's outcome equals that of a
 //!   direct budgeted [`Simulator::run_controlled_in`].
@@ -13,9 +16,10 @@ use std::path::PathBuf;
 use mis_charlib::CharLib;
 use mis_digital::{InertialChannel, SimError};
 use mis_fault::{
-    run_campaign, stuck_at_sites, CampaignConfig, CampaignReport, FaultOutcome, FaultOverlay,
-    FaultResult, FaultSite,
+    run_campaign, run_campaign_traced, stuck_at_sites, CampaignConfig, CampaignReport,
+    FaultOutcome, FaultOverlay, FaultResult, FaultSite,
 };
+use mis_probe::{EventKind, Probe, TraceSink};
 use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -166,7 +170,7 @@ fn campaign_report_equals_full_replay_on_every_fixture() {
             per_output,
             results,
         };
-        for workers in [1, 2] {
+        for workers in [1, 2, 3, 8] {
             let got = run_campaign(
                 &lo.net,
                 &lo.outputs,
@@ -184,6 +188,50 @@ fn campaign_report_equals_full_replay_on_every_fixture() {
             );
         }
     }
+}
+
+#[test]
+fn traced_c432_campaign_runs_every_fault_once_at_three_workers() {
+    let lo = lowered("c432.bench");
+    let inputs = traffic(lo.inputs.len());
+    let faults = fault_list(&lo, 24);
+    let campaign = |workers: usize| {
+        let (probe, sink) = (Probe::new(), TraceSink::new());
+        let report = run_campaign_traced(
+            &lo.net,
+            &lo.outputs,
+            &inputs,
+            &faults,
+            &CampaignConfig {
+                workers,
+                ..CampaignConfig::default()
+            },
+            &probe,
+            &sink,
+        )
+        .expect("campaign");
+        let cone_gates = probe.report().get("fault.cone_gates").unwrap().scalar();
+        (report, cone_gates, sink.snapshot())
+    };
+    let (want, want_cone_gates, _) = campaign(1);
+    let (report, cone_gates, snap) = campaign(3);
+    assert!(report == want, "report differs at 3 workers");
+    assert_eq!(cone_gates, want_cone_gates);
+    // Which worker ran which fault depends on scheduling, but the
+    // `fault_run` payloads across all worker tracks name every fault
+    // index exactly once.
+    let mut ran: Vec<u32> = (0..3)
+        .flat_map(|w| {
+            snap.track(&format!("fault.w{w}"))
+                .expect("worker track")
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::FaultRun)
+                .map(|e| e.a)
+        })
+        .collect();
+    ran.sort_unstable();
+    assert_eq!(ran, (0..faults.len() as u32).collect::<Vec<_>>());
 }
 
 #[test]

@@ -70,10 +70,10 @@ pub enum EventKind {
     /// An input span sealed into the arena (instant; `a` = signal
     /// index, `b` = edge count).
     Seal,
-    /// A fault-campaign chunk (span; `a` = chunk index, `b` = faults in
-    /// the chunk).
+    /// A campaign worker's whole claim loop (span; `a` = worker index,
+    /// `b` = faults the worker ran).
     Chunk,
-    /// One faulty replay inside a campaign chunk (span; `a` = global
+    /// One faulty replay inside a campaign worker's loop (span; `a` = global
     /// fault index, `b` = outcome: 0 undetected, 1 detected, 2
     /// budget-tripped).
     FaultRun,

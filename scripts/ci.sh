@@ -95,6 +95,12 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
         --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
         data/bench/c880.bench > /dev/null
+    # The same C880 pins at 1 worker: workers claim faults dynamically,
+    # so this proves coverage and work are identical at another count.
+    cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
+        --workers 1 \
+        --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
+        data/bench/c880.bench > /dev/null
     # Timeline-tracing smoke: both binaries export a Chrome Trace JSON
     # timeline (self-validated by mis_probe::json::is_wellformed before
     # writing — a malformed export exits non-zero and fails this gate),
