@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the computational kernels behind the figures:
 //! single delay queries of the hybrid model, trajectory evaluation,
-//! characteristic-delay extraction, the Section V parametrization, and
-//! one analog transient of the reference gate.
+//! characteristic-delay extraction, the Section V parametrization, the
+//! ideal-gate merge, and one analog transient of the reference gate.
 //!
 //! Runs on the in-repo `mis-testkit` bench harness (offline replacement
 //! for `criterion`); JSON results land in `BENCH_model_kernels.json`.
@@ -12,6 +12,7 @@ use mis_core::charlie::CharacteristicDelays;
 use mis_core::{delay, fit, HybridTrajectory, Mode, ModeSwitch, NorParams, RisingInitialVn};
 use mis_digital::{gates, InertialChannel, TraceTransform};
 use mis_testkit::bench::{black_box, Harness};
+use mis_testkit::rng::TestRng;
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, EdgeBuf};
@@ -120,6 +121,28 @@ fn main() {
     }
 
     {
+        // The ideal-gate merge alone, on warm buffers: 500-transition
+        // input pairs on a 5 ps grid, so about a fifth of the edges tie
+        // across the two inputs. NOR masks part of the fan-in traffic;
+        // XOR passes every distinct instant through.
+        let (mut abuf, mut bbuf) = (EdgeBuf::new(), EdgeBuf::new());
+        abuf.copy_trace(&grid_trace(0xc0b1, 500));
+        bbuf.copy_trace(&grid_trace(0xc0b2, 500));
+        let mut out = EdgeBuf::new();
+        let nor: fn(bool, bool) -> bool = |x, y| !(x || y);
+        let xor: fn(bool, bool) -> bool = |x, y| x ^ y;
+        for (id, f) in [
+            ("gates/combine2_into/nor_500", nor),
+            ("gates/combine2_into/xor_500", xor),
+        ] {
+            h.bench(id, || {
+                gates::combine2_into(f, abuf.as_ref(), bbuf.as_ref(), &mut out).expect("ideal");
+                out.len()
+            });
+        }
+    }
+
+    {
         let tech = NorTech::freepdk15_like();
         let opts = TransientOptions::default();
         let a = DigitalTrace::with_edges(false, vec![(ps(300.0), true)]).expect("trace");
@@ -131,4 +154,19 @@ fn main() {
     }
 
     h.finish();
+}
+
+/// A seeded `edges`-transition trace on a 5 ps grid, 1–8 ticks apart.
+fn grid_trace(seed: u64, edges: usize) -> DigitalTrace {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let mut trace = DigitalTrace::constant(rng.gen_bool(0.5));
+    let mut ticks = 0u64;
+    for _ in 0..edges {
+        ticks += 1 + rng.gen_u64_below(8);
+        let rising = !trace.final_value();
+        trace
+            .push_edge(ticks as f64 * ps(5.0), rising)
+            .expect("monotone");
+    }
+    trace
 }

@@ -59,15 +59,34 @@ pub fn combine2<F: Fn(bool, bool) -> bool>(
     Ok(out)
 }
 
-/// The in-place twin of [`combine2`] on SoA views: a linear two-pointer
-/// merge of the (already sorted) input edge times, evaluating `f` at each
-/// distinct event instant and emitting an edge into `out` whenever the
-/// value changes. Replaces [`combine2`]'s sort + dedup + per-event binary
-/// searches with O(n) streaming and allocates nothing — the ideal-gate
-/// half of the fused gate + channel pass in `Network::run_in`.
+/// The in-place twin of [`combine2`] on SoA views: a linear merge of
+/// the (already sorted) input edge times into `out`, allocation-free
+/// once `out` is warm. This is the ideal-gate half of the fused gate +
+/// channel pass in `Network::run_in`, the `mis-sim` engine and its cone
+/// replay.
 ///
-/// Bit-identical to [`combine2`]: the emitted times are input times, and
-/// simultaneous edges on both inputs coalesce into one event.
+/// The merge is driven by a truth table and has no data-dependent
+/// branches:
+///
+/// * `f` is evaluated once per call, at its 4 input combinations, into
+///   a 4-bit table. The loop only looks values up, so a `fn` pointer
+///   costs no more than an inlined closure.
+/// * Each step takes `t`, the earlier of the two cursor heads (an
+///   exhausted cursor reads `+inf`). It advances every cursor whose head
+///   is not after the other head, so simultaneous edges on both inputs
+///   coalesce into one event, and toggles that input's value. It writes
+///   `t` into the next output slot unconditionally and advances the
+///   output length only when the looked-up value differs from the
+///   current one. The tails run through the same step.
+/// * The slots come from [`EdgeBuf::fill_with`], which then checks the
+///   kept edges in one pass, with [`EdgeBuf::push_time`]'s checks.
+///   Alternation holds by construction: an edge is kept only when the
+///   value flips.
+///
+/// Bit-identical to [`combine2`]: the emitted times are input times, at
+/// most one per distinct input instant. Every step consumes at least
+/// one input edge, so the merge ends after at most `a.len() + b.len()`
+/// steps even on inputs that break the [`TraceRef`] contract.
 ///
 /// # Errors
 ///
@@ -80,35 +99,41 @@ pub fn combine2_into<F: Fn(bool, bool) -> bool>(
     b: TraceRef<'_>,
     out: &mut EdgeBuf,
 ) -> Result<(), SimError> {
-    let initial = f(a.initial_value(), b.initial_value());
-    out.clear(initial);
+    // Bit `va | vb << 1` of `table` is `f(va, vb)`.
+    let table = usize::from(f(false, false))
+        | usize::from(f(true, false)) << 1
+        | usize::from(f(false, true)) << 2
+        | usize::from(f(true, true)) << 3;
     let (ta, tb) = (a.times(), b.times());
-    let (mut va, mut vb) = (a.initial_value(), b.initial_value());
-    let (mut i, mut j) = (0, 0);
-    let mut value = initial;
-    while i < ta.len() || j < tb.len() {
-        let t = match (ta.get(i), tb.get(j)) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => unreachable!("loop condition"),
-        };
-        // Consume every edge at exactly t (edges take effect *at* their
-        // timestamp, and a tie on both inputs is one event).
-        while i < ta.len() && ta[i] <= t {
-            va = a.rising(i);
-            i += 1;
-        }
-        while j < tb.len() && tb[j] <= t {
-            vb = b.rising(j);
-            j += 1;
-        }
-        let v = f(va, vb);
-        if v != value {
-            out.push(t, v)?;
+    let (mut va, mut vb) = (
+        usize::from(a.initial_value()),
+        usize::from(b.initial_value()),
+    );
+    let initial = (table >> (va | vb << 1)) & 1;
+    out.fill_with(initial == 1, ta.len() + tb.len(), |slots| {
+        let n = slots.len();
+        let (mut i, mut j, mut len) = (0, 0, 0);
+        let mut value = initial;
+        // `!(x > y) | !(y > x)` holds for any pair, NaN included, so
+        // every step consumes a head. The advances compare the heads
+        // directly, which keeps `t` off the cursors' dependency chain.
+        while i + j < n {
+            let x = ta.get(i).copied().unwrap_or(f64::INFINITY);
+            let y = tb.get(j).copied().unwrap_or(f64::INFINITY);
+            let t = if y < x { y } else { x };
+            let step_a = usize::from((i < ta.len()) & !(x > y));
+            let step_b = usize::from((j < tb.len()) & !(y > x));
+            i += step_a;
+            j += step_b;
+            va ^= step_a;
+            vb ^= step_b;
+            let v = (table >> (va | vb << 1)) & 1;
+            slots[len] = t;
+            len += usize::from(v != value);
             value = v;
         }
-    }
+        len
+    })?;
     Ok(())
 }
 
@@ -224,6 +249,59 @@ mod tests {
         let y = xor(&a, &a.clone()).unwrap();
         assert_eq!(y.transition_count(), 0);
         assert!(!y.initial_value());
+    }
+
+    /// `combine2_into` into a fresh buffer, materialized.
+    fn merged(f: impl Fn(bool, bool) -> bool, a: &DigitalTrace, b: &DigitalTrace) -> DigitalTrace {
+        let (mut va, mut vb, mut out) = (EdgeBuf::new(), EdgeBuf::new(), EdgeBuf::new());
+        va.copy_trace(a);
+        vb.copy_trace(b);
+        combine2_into(f, va.as_ref(), vb.as_ref(), &mut out).unwrap();
+        out.to_trace()
+    }
+
+    #[test]
+    fn constant_tables_emit_no_edges() {
+        let a = pulse(1.0, 3.0);
+        let b = DigitalTrace::with_edges(true, vec![(2.0, false), (4.0, true)]).unwrap();
+        assert_eq!(merged(|_, _| false, &a, &b), DigitalTrace::constant(false));
+        assert_eq!(merged(|_, _| true, &a, &b), DigitalTrace::constant(true));
+        // The initial value is looked up from the inputs' initial values
+        // and the output still never moves.
+        let y = merged(
+            |x, y| x || !y,
+            &pulse(1.0, 2.0),
+            &DigitalTrace::constant(false),
+        );
+        assert_eq!(y, DigitalTrace::constant(true));
+    }
+
+    #[test]
+    fn xor_of_a_trace_with_itself_emits_no_edges() {
+        for a in [
+            pulse(1.0, 2.0),
+            DigitalTrace::with_edges(true, vec![(0.5, false)]).unwrap(),
+        ] {
+            assert_eq!(merged(|x, y| x ^ y, &a, &a), DigitalTrace::constant(false));
+        }
+    }
+
+    #[test]
+    fn one_empty_input_copies_or_inverts_the_other() {
+        let a =
+            DigitalTrace::with_edges(true, vec![(1.0, false), (2.0, true), (4.0, false)]).unwrap();
+        let (lo, hi) = (DigitalTrace::constant(false), DigitalTrace::constant(true));
+        let inv = not(&a).unwrap();
+        assert_eq!(merged(|x, y| x && y, &a, &hi), a);
+        assert_eq!(merged(|x, y| x || y, &lo, &a), a);
+        assert_eq!(merged(|x, y| x ^ y, &a, &lo), a);
+        assert_eq!(merged(|x, y| !(x && y), &hi, &a), inv);
+        assert_eq!(merged(|x, y| !(x || y), &a, &lo), inv);
+        assert_eq!(merged(|x, y| x ^ y, &hi, &a), inv);
+        // A controlling constant masks the other input entirely.
+        assert_eq!(merged(|x, y| x && y, &a, &lo), lo);
+        // Both empty: only the initial value.
+        assert_eq!(merged(|x, y| !(x || y), &lo, &lo), hi);
     }
 
     #[test]

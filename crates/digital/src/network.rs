@@ -46,8 +46,10 @@ impl GateKind {
     }
 
     /// The Boolean function of a binary gate; `None` for the unary kinds.
-    /// Exposed so external evaluators (the `mis-sim` event engine) run the
-    /// exact same fused gate kernels as [`Network::run_in`].
+    /// Exposed so external evaluators (the `mis-sim` signal-order engine
+    /// and its cone replay) run the exact same fused gate kernels as
+    /// [`Network::run_in`]. [`crate::gates::combine2_into`] tabulates it
+    /// once per call, so the `fn` pointer is never called per edge.
     #[inline]
     #[must_use]
     pub fn func2(self) -> Option<fn(bool, bool) -> bool> {

@@ -5,6 +5,7 @@
 //! legacy allocating composition. On the in-repo `mis-testkit` harness
 //! (offline replacement for `proptest`).
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use mis_charlib::{CharConfig, CharLib};
@@ -448,6 +449,44 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
             .unwrap();
         prop_assert_eq!(live.table_lookups(), direct.table_lookups());
         prop_assert_eq!(live.pending_cancelled(), direct.pending_cancelled());
+        Ok(())
+    });
+}
+
+/// The in-place ideal-gate merge against the owned `combine2` oracle
+/// (sort + dedup + `value_at`), over all 16 two-input truth tables. The
+/// 5 ps grid makes simultaneous edges common, `(a, a)` makes every edge
+/// a tie, and one warm buffer is reused across every case, so a merge
+/// that leaves stale slots from a longer earlier output fails.
+#[test]
+fn combine2_into_matches_owned_combine2_for_every_truth_table() {
+    let out = RefCell::new(EdgeBuf::new());
+    Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let (a, b) = (grid_trace(&mut rng, 200), grid_trace(&mut rng, 200));
+        let (lo, hi) = (DigitalTrace::constant(false), DigitalTrace::constant(true));
+        let pairs = [
+            (&a, &b),
+            (&b, &a),
+            (&a, &a),
+            (&a, &lo),
+            (&hi, &b),
+            (&lo, &hi),
+        ];
+        let mut out = out.borrow_mut();
+        let (mut va, mut vb) = (EdgeBuf::new(), EdgeBuf::new());
+        for table in 0..16usize {
+            let f =
+                move |x: bool, y: bool| (table >> (usize::from(x) | usize::from(y) << 1)) & 1 == 1;
+            for (k, &(x, y)) in pairs.iter().enumerate() {
+                let want = gates::combine2(f, x, y).unwrap();
+                va.copy_trace(x);
+                vb.copy_trace(y);
+                let got = gates::combine2_into(f, va.as_ref(), vb.as_ref(), &mut out);
+                prop_assert!(got.is_ok(), "table {table:04b} pair {k}: {got:?}");
+                prop_assert_eq!(out.to_trace(), want, "table {:04b} pair {}", table, k);
+            }
+        }
         Ok(())
     });
 }

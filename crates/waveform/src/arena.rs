@@ -24,8 +24,12 @@
 //!
 //! An arena is reset (not shrunk) at the start of every run; capacity is
 //! retained, so repeated runs over inputs of similar edge counts never
-//! reallocate. Sealed spans are immutable for the rest of the run and are
-//! read through [`ArenaTraces`], which borrows only the sealed storage —
+//! reallocate. A staging buffer written through [`EdgeBuf::fill_with`]
+//! (the ideal-gate merge) grows to the slots it is handed, the sum of
+//! the gate's fan-in edge counts, not to the length of the trace it
+//! ends up holding; the warm-up run sizes it to that larger bound.
+//! Sealed spans are immutable for the rest of the run and are read
+//! through [`ArenaTraces`], which borrows only the sealed storage —
 //! leaving the staging buffers free to be written simultaneously.
 //!
 //! # Examples
@@ -146,7 +150,9 @@ impl<'a> TraceRef<'a> {
 /// Cleared (with a new initial value) rather than dropped between uses,
 /// so its backing storage amortizes to zero allocations. Push enforces
 /// the trace invariants (finite, strictly increasing times, alternating
-/// polarity) exactly like [`DigitalTrace::push_edge`].
+/// polarity) exactly like [`DigitalTrace::push_edge`]; the slot writer
+/// [`EdgeBuf::fill_with`] checks the same invariants in one pass after
+/// writing, and grows the storage to the slot count it was handed.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeBuf {
     initial: bool,
@@ -220,21 +226,68 @@ impl EdgeBuf {
     /// * [`WaveformError::NotMonotonic`] — `time` not after the last edge.
     #[inline]
     pub fn push_time(&mut self, time: f64) -> Result<(), WaveformError> {
-        if !time.is_finite() {
-            return Err(WaveformError::NonFinite {
-                index: self.times.len(),
-            });
-        }
-        if let Some(&last) = self.times.last() {
-            if !(time > last) {
-                return Err(WaveformError::NotMonotonic {
-                    index: self.times.len(),
-                    reason: format!("edge at {time} not after previous edge at {last}"),
-                });
-            }
-        }
+        check_edge(self.times.len(), time, self.times.last().copied())?;
         self.times.push(time);
         Ok(())
+    }
+
+    /// Replaces the contents by raw slot writes, for merge kernels that
+    /// decide *after* writing whether a slot is kept: restarts from
+    /// `initial`, hands `fill` exactly `slots` writable edge slots (their
+    /// contents are unspecified), keeps the first `n` slots where `n` is
+    /// what `fill` returns, and validates the kept edges in one pass.
+    ///
+    /// The pass makes the checks [`EdgeBuf::push_time`] makes, so writing
+    /// `n` edges here fails exactly where pushing them one by one would,
+    /// and leaves the same valid prefix behind. Polarity is implied by
+    /// parity, so `fill` must write an edge only where the value flips.
+    ///
+    /// The backing storage grows to `slots` edges, not to `n`.
+    ///
+    /// # Errors
+    ///
+    /// As [`EdgeBuf::push_time`], for the first offending kept edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fill` reports more than `slots` edges.
+    #[inline]
+    pub fn fill_with<F: FnOnce(&mut [f64]) -> usize>(
+        &mut self,
+        initial: bool,
+        slots: usize,
+        fill: F,
+    ) -> Result<(), WaveformError> {
+        self.initial = initial;
+        // Only growth beyond the current length is zero-filled; stale
+        // slots below it are overwritten or truncated away.
+        self.times.resize(slots, 0.0);
+        let n = fill(&mut self.times);
+        assert!(n <= slots, "fill reported {n} edges for {slots} slots");
+        self.times.truncate(n);
+        // A branch-free pass first (half the cost of `check_edge` per
+        // edge on the merge's short outputs); the located error only
+        // when it fails.
+        let ts = &self.times;
+        let mut ok = true;
+        let mut last = f64::NEG_INFINITY;
+        for &t in ts {
+            ok &= t.is_finite() & (t > last);
+            last = t;
+        }
+        if ok {
+            return Ok(());
+        }
+        let (k, err) = ts
+            .iter()
+            .enumerate()
+            .find_map(|(k, &t)| {
+                let last = k.checked_sub(1).map(|p| ts[p]);
+                check_edge(k, t, last).err().map(|e| (k, e))
+            })
+            .expect("a failed fast check has an offending edge");
+        self.times.truncate(k);
+        Err(err)
     }
 
     /// Appends an edge with an explicit polarity, additionally checking
@@ -339,6 +392,24 @@ impl EdgeBuf {
     }
 }
 
+/// The checks one appended edge must pass: a finite `time`, strictly
+/// after the `last` edge (if any). `index` is the edge's position.
+#[inline]
+fn check_edge(index: usize, time: f64, last: Option<f64>) -> Result<(), WaveformError> {
+    if !time.is_finite() {
+        return Err(WaveformError::NonFinite { index });
+    }
+    if let Some(last) = last {
+        if !(time > last) {
+            return Err(WaveformError::NotMonotonic {
+                index,
+                reason: format!("edge at {time} not after previous edge at {last}"),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Span of one sealed trace inside a [`TraceArena`].
 #[derive(Debug, Clone, Copy)]
 struct Span {
@@ -350,7 +421,9 @@ struct Span {
 /// Structure-of-arrays storage for a whole network evaluation: one flat
 /// time array holding every signal's edges as contiguous spans, plus two
 /// staging buffers (`out` for the trace being built, `scratch` for the
-/// fused ideal-gate pass). See the module docs for the reuse contract.
+/// fused ideal-gate pass). Either staging buffer can receive the
+/// ideal-gate merge, so each grows to the largest fan-in edge sum it
+/// has merged. See the module docs for the reuse contract.
 #[derive(Debug, Clone, Default)]
 pub struct TraceArena {
     times: Vec<f64>,
@@ -570,6 +643,54 @@ mod tests {
         assert_eq!(buf.last_time(), Some(2.0));
         assert_eq!(buf.pop_time(), Some(2.0));
         assert_eq!(buf.len(), 1);
+    }
+
+    #[test]
+    fn fill_with_keeps_the_reported_prefix_and_checks_it_like_push_time() {
+        let mut buf = EdgeBuf::new();
+        buf.copy_ref(TraceRef::new(false, &[1.0, 2.0, 3.0, 4.0, 5.0]));
+        // Stale longer contents are cut to what `fill` reports.
+        buf.fill_with(true, 3, |slots| {
+            assert_eq!(slots.len(), 3);
+            slots[0] = 7.0;
+            slots[1] = 8.0;
+            1
+        })
+        .unwrap();
+        assert_eq!(buf.as_ref(), TraceRef::new(true, &[7.0]));
+        // Growth beyond the old length.
+        buf.fill_with(false, 6, |slots| {
+            slots.copy_from_slice(&[0.5, 1.5, 2.5, 3.5, 4.5, 5.5]);
+            6
+        })
+        .unwrap();
+        assert_eq!(buf.len(), 6);
+        assert!(buf.fill_with(false, 0, |_| 0).is_ok());
+        assert!(buf.is_empty());
+
+        // Each failure matches pushing the same edges one by one, and
+        // leaves the same valid prefix behind.
+        for bad in [
+            vec![1.0, f64::NAN, 3.0],
+            vec![f64::NEG_INFINITY, 1.0],
+            vec![1.0, 2.0, f64::INFINITY],
+            vec![1.0, 2.0, 2.0],
+            vec![1.0, 3.0, 2.0],
+        ] {
+            let mut pushed = EdgeBuf::new();
+            let want = bad
+                .iter()
+                .try_for_each(|&t| pushed.push_time(t))
+                .unwrap_err();
+            let got = buf
+                .fill_with(false, bad.len() + 1, |slots| {
+                    slots[..bad.len()].copy_from_slice(&bad);
+                    bad.len()
+                })
+                .unwrap_err();
+            assert_eq!(got, want, "edges {bad:?}");
+            assert_eq!(buf.as_ref().times(), pushed.as_ref().times());
+        }
     }
 
     #[test]

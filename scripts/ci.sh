@@ -21,6 +21,12 @@ cargo build --release --offline --workspace
 echo "== cargo build --offline --manifest-path c880bench/Cargo.toml"
 cargo build --offline --manifest-path c880bench/Cargo.toml
 
+# Its self-tests include the reconciliation test: the replayed kernel
+# sums must fit inside the engine's run time (engine.sched_us >= 0), so
+# an engine kernel that drifts from the replayed one fails here.
+echo "== benchmark harness self-tests (c880bench)"
+cargo test -q --offline --manifest-path c880bench/Cargo.toml
+
 echo "== cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
@@ -132,11 +138,6 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
         --fuzz 16 > /dev/null
-    # The C880 benchmark harness is a workspace of its own that drives
-    # the library's public API from outside; build and self-test it so
-    # an API change cannot silently break the benchmark.
-    echo "== benchmark harness self-tests (c880bench)"
-    cargo test -q --offline --manifest-path c880bench/Cargo.toml
     echo "== bench regression gate (scripts/bench_diff.sh)"
     scripts/bench_diff.sh
 fi
