@@ -4,8 +4,8 @@
 //!
 //! We measure the time for one *NOR gate model* to consume a
 //! 500-transition random trace pair, on the engine's steady-state arena
-//! path (warm `EdgeBuf`s, amortized-zero allocation — what `Network::run_in`
-//! executes per gate):
+//! path (warm `EdgeBuf`s, amortized-zero allocation — what
+//! `mis_sim::Simulator` executes per gate):
 //!
 //! * single-input channels run as the fused pass they get inside a
 //!   network: zero-time ideal NOR (`gates::combine2_into`) streaming into

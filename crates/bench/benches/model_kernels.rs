@@ -91,7 +91,7 @@ fn main() {
     }
 
     {
-        // The fused ideal-gate + channel pass of `Network::run_in`, on
+        // The fused ideal-gate + channel pass of `mis_sim::Simulator`, on
         // warm staging buffers — tracked separately from the netlist
         // benches so the fusion win is visible independently of topology
         // effects. 500 input transitions, as in `channel_throughput`.

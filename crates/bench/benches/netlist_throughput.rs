@@ -2,21 +2,17 @@
 //! benchmark circuits, the workload of the interconnected-gates
 //! follow-up paper (Ferdowsi et al., arXiv:2403.10540).
 //!
-//! Two evaluators over the same circuits and channel objects:
+//! Every id times `mis_sim::Simulator::run_in`, the signal-order engine,
+//! into a warm `TraceArena` (zero heap allocations, asserted by
+//! `crates/sim/tests/alloc.rs`):
 //!
-//! * `run_in` ids — `Network::run_in`, the levelized topological sweep
-//!   into a warm `TraceArena` (zero heap allocations, asserted by
-//!   `crates/digital/tests/alloc.rs`);
-//! * `sim` ids — `mis_sim::Simulator::run_in`, the signal-order engine
-//!   (the same sweep over the same fused kernels, plus the per-gate
-//!   budget, overlay, probe and trace hooks; zero allocations asserted
-//!   by `crates/sim/tests/alloc.rs`). The gap between a `sim` id and its
-//!   `run_in` twin is the price of those hooks. The `sim_probed` ids
-//!   re-run the C432
-//!   workloads with a live `mis_probe::Probe` registry attached; the
-//!   gap to the plain `sim` twin is the price of *enabled*
-//!   instrumentation (the disabled-probe price is already inside `sim`,
-//!   which carries a disabled bundle through the same code).
+//! * `sim` ids — the engine with its disabled probe, the cost of a
+//!   plain evaluation;
+//! * `sim_probed` ids — the C432 workloads again with a live
+//!   `mis_probe::Probe` registry attached; the gap to the plain `sim`
+//!   twin is the price of *enabled* instrumentation (the disabled-probe
+//!   price is already inside `sim`, which carries a disabled bundle
+//!   through the same code).
 //!
 //! Circuits: the eight-stage reconvergent NOR chain and the ISCAS-85
 //! C17 cut (from `mis_digital::netlists`), the depth-4 inverter tree,
@@ -26,10 +22,6 @@
 //! characterized NOR tables come from the committed
 //! `data/charlib/nor_paper.mislib` — no re-characterization at bench
 //! startup.
-//!
-//! The `run_alloc` ids measure the legacy allocating `Network::run`
-//! wrapper; the gap to the `run_in` twin is the allocation cost a warm
-//! arena amortizes away.
 //!
 //! Runs on the in-repo `mis-testkit` bench harness; JSON results land in
 //! `BENCH_netlist_throughput.json`.
@@ -80,21 +72,6 @@ fn wide_inputs(n: usize, seed: u64) -> Vec<DigitalTrace> {
             }
         })
         .collect()
-}
-
-/// Benchmarks one steady-state `Network::run_in` sweep on a warm arena.
-fn bench_run_in(
-    h: &mut Harness,
-    arena: &mut TraceArena,
-    id: &str,
-    net: &Network,
-    inputs: &[DigitalTrace],
-) {
-    net.run_in(inputs, arena).expect("warm-up run");
-    h.bench(id, || {
-        net.run_in(inputs, arena).expect("run_in");
-        arena.total_edges()
-    });
 }
 
 /// Benchmarks one steady-state engine evaluation on a warm arena.
@@ -191,66 +168,17 @@ fn main() {
 
     let mut arena = TraceArena::new();
 
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "nor_chain8_cached/run_in",
-        &chain_cached.net,
-        &chain_in,
-    );
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "nor_chain8_inertial/run_in",
-        &chain_inertial.net,
-        &chain_in,
-    );
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "c17_cached/run_in",
-        &c17_cached.net,
-        &c17_in,
-    );
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "c17_inertial/run_in",
-        &c17_inertial.net,
-        &c17_in,
-    );
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "fanout_tree_d4_inertial/run_in",
-        &tree.net,
-        &tree_in,
-    );
-
-    // The engine over the same circuits and channels: the sweep-vs-engine
-    // comparison at identical outputs (bit-identity is property-tested
-    // in crates/sim).
-    bench_sim(
-        &mut h,
-        &mut arena,
-        "c17_cached/sim",
-        &c17_cached.net,
-        &c17_in,
-    );
-    bench_sim(
-        &mut h,
-        &mut arena,
-        "c432_cached/sim",
-        &c432_cached.net,
-        &c432_in,
-    );
-    bench_sim(
-        &mut h,
-        &mut arena,
-        "c432_inertial/sim",
-        &c432_inertial.net,
-        &c432_in,
-    );
+    for (id, net, inputs) in [
+        ("nor_chain8_cached/sim", &chain_cached.net, &chain_in),
+        ("nor_chain8_inertial/sim", &chain_inertial.net, &chain_in),
+        ("c17_cached/sim", &c17_cached.net, &c17_in),
+        ("c17_inertial/sim", &c17_inertial.net, &c17_in),
+        ("fanout_tree_d4_inertial/sim", &tree.net, &tree_in),
+        ("c432_cached/sim", &c432_cached.net, &c432_in),
+        ("c432_inertial/sim", &c432_inertial.net, &c432_in),
+    ] {
+        bench_sim(&mut h, &mut arena, id, net, inputs);
+    }
 
     // The probed twins: same circuits, same traffic, live registry.
     bench_sim_probed(
@@ -268,21 +196,6 @@ fn main() {
         &c432_in,
     );
 
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "c432_cached/run_in",
-        &c432_cached.net,
-        &c432_in,
-    );
-    bench_run_in(
-        &mut h,
-        &mut arena,
-        "c432_inertial/run_in",
-        &c432_inertial.net,
-        &c432_in,
-    );
-
     // C880-scale: the engine under both cell libraries.
     for (tag, lowered) in [("cached", &c880_cached), ("inertial", &c880_inertial)] {
         bench_sim(
@@ -293,13 +206,6 @@ fn main() {
             &c880_in,
         );
     }
-
-    h.bench("nor_chain8_cached/run_alloc", || {
-        chain_cached.net.run(&chain_in).expect("run").len()
-    });
-    h.bench("nor_chain8_inertial/run_alloc", || {
-        chain_inertial.net.run(&chain_in).expect("run").len()
-    });
 
     h.finish();
 }

@@ -23,9 +23,11 @@
 //!
 //! `--history` turns the three overwritten `BENCH_*.json` snapshots
 //! into a queryable perf trajectory: for each snapshot it appends one
-//! self-validated JSON line — environment tag, unix timestamp, suite
-//! name (from the `BENCH_<suite>.json` filename), and every id's
-//! median — to the given `.jsonl` log (created if absent). The
+//! self-validated JSON line — suite name (from the `BENCH_<suite>.json`
+//! filename), environment tag, the host's `nproc`, the `rustc --version`
+//! line, the checkout's `git rev-parse HEAD`, unix timestamp, and every
+//! id's median — to the given `.jsonl` log (created if absent). A host
+//! field that cannot be read is recorded as an empty string. The
 //! committed `BENCH_HISTORY.jsonl` is that log for the committed
 //! baselines; CI smoke-appends to a scratch copy.
 
@@ -169,10 +171,68 @@ fn field_after(text: &str, key: &str, path: &str, id: &str) -> Result<f64, Strin
         .map_err(|_| format!("{path}: bad {key} for '{id}'"))
 }
 
-/// The `--history` mode: appends one JSON line per snapshot file to the
-/// history log — `{"suite":...,"env":...,"unix_s":...,"medians":{id:ns}}`
-/// — validating each line before writing, same contract as every other
-/// JSON emitter in the workspace.
+/// Where a history record was measured: core count, compiler and
+/// commit. Each field is empty when it cannot be read.
+struct Host {
+    nproc: String,
+    rustc: String,
+    git_sha: String,
+}
+
+impl Host {
+    fn detect() -> Self {
+        let command = |program: &str, args: &[&str]| {
+            std::process::Command::new(program)
+                .args(args)
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .and_then(|out| String::from_utf8(out.stdout).ok())
+                .map(|text| text.trim().to_string())
+                .unwrap_or_default()
+        };
+        Host {
+            nproc: std::thread::available_parallelism()
+                .map(|n| n.to_string())
+                .unwrap_or_default(),
+            rustc: command("rustc", &["--version"]),
+            git_sha: command("git", &["rev-parse", "HEAD"]),
+        }
+    }
+}
+
+/// One history record — `{"suite":...,"env":...,"nproc":...,"rustc":...,
+/// "git_sha":...,"unix_s":...,"medians":{id:ns}}` — validated before it
+/// is returned, same contract as every other JSON emitter in the
+/// workspace.
+fn history_line(
+    suite: &str,
+    env_tag: &str,
+    host: &Host,
+    unix_s: u64,
+    rows: &[Row],
+) -> Result<String, String> {
+    let medians: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{}:{}", json_string(&r.id), json_f64(r.median_ns)))
+        .collect();
+    let line = format!(
+        "{{\"suite\":{},\"env\":{},\"nproc\":{},\"rustc\":{},\"git_sha\":{},\"unix_s\":{unix_s},\"medians\":{{{}}}}}",
+        json_string(suite),
+        json_string(env_tag),
+        json_string(&host.nproc),
+        json_string(&host.rustc),
+        json_string(&host.git_sha),
+        medians.join(",")
+    );
+    if !is_wellformed(&line) {
+        return Err(format!("internal error: malformed history line: {line}"));
+    }
+    Ok(line)
+}
+
+/// The `--history` mode: appends one [`history_line`] per snapshot file
+/// to the history log.
 fn run_history(args: &[String]) -> Result<String, String> {
     let mut it = args.iter();
     let history_path = it.next().ok_or("missing <history.jsonl>")?.clone();
@@ -194,23 +254,17 @@ fn run_history(args: &[String]) -> Result<String, String> {
         .duration_since(std::time::UNIX_EPOCH)
         .map_err(|e| format!("system clock before the epoch: {e}"))?
         .as_secs();
+    let host = Host::detect();
     let mut lines = String::new();
     for path in &snapshots {
         let rows = read_results(path)?;
-        let medians: Vec<String> = rows
-            .iter()
-            .map(|r| format!("{}:{}", json_string(&r.id), json_f64(r.median_ns)))
-            .collect();
-        let line = format!(
-            "{{\"suite\":{},\"env\":{},\"unix_s\":{unix_s},\"medians\":{{{}}}}}",
-            json_string(&suite_name(path)),
-            json_string(&env_tag),
-            medians.join(",")
-        );
-        if !is_wellformed(&line) {
-            return Err(format!("internal error: malformed history line: {line}"));
-        }
-        lines.push_str(&line);
+        lines.push_str(&history_line(
+            &suite_name(path),
+            &env_tag,
+            &host,
+            unix_s,
+            &rows,
+        )?);
         lines.push('\n');
     }
     use std::io::Write as _;
@@ -235,4 +289,29 @@ fn suite_name(path: &str) -> String {
         .and_then(|s| s.to_str())
         .unwrap_or(path);
     stem.strip_prefix("BENCH_").unwrap_or(stem).to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn history_line_records_the_host_and_stays_wellformed() {
+        let host = Host {
+            nproc: "2".to_string(),
+            rustc: "rustc 1.90.0 (\"stable\")".to_string(),
+            git_sha: String::new(),
+        };
+        let rows = [Row {
+            id: "c432_cached/sim".to_string(),
+            median_ns: 1500.0,
+            min_ns: 1400.0,
+        }];
+        let line = history_line("netlist_throughput", "ci", &host, 7, &rows).unwrap();
+        assert_eq!(
+            line,
+            r#"{"suite":"netlist_throughput","env":"ci","nproc":"2","rustc":"rustc 1.90.0 (\"stable\")","git_sha":"","unix_s":7,"medians":{"c432_cached/sim":1.5e3}}"#
+        );
+        assert!(is_wellformed(&line));
+    }
 }

@@ -1,6 +1,6 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{run_involution_channel, run_involution_into, TraceTransform};
+use crate::channels::{apply_involution, apply_involution_into, TraceTransform};
 use crate::SimError;
 
 /// The IDM exponential involution channel.
@@ -173,7 +173,7 @@ impl ExpChannel {
 
 impl TraceTransform for ExpChannel {
     fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        run_involution_channel(input, input.initial_value(), |t, rising| {
+        apply_involution(input, input.initial_value(), |t, rising| {
             if rising {
                 self.delta_up(t)
             } else {
@@ -184,7 +184,7 @@ impl TraceTransform for ExpChannel {
 
     #[inline]
     fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
-        run_involution_into(
+        apply_involution_into(
             input,
             input.initial_value(),
             |t, rising| {

@@ -256,7 +256,7 @@ impl<T: TwoInputTransform + ?Sized> TwoInputTransform for std::sync::Arc<T> {
 /// Returns [`SimError::Trace`] if the resulting edge sequence violates
 /// trace invariants (cannot happen for a correct delay function, kept as a
 /// defensive check).
-pub(crate) fn run_involution_channel<F>(
+pub(crate) fn apply_involution<F>(
     input: &DigitalTrace,
     initial_output: bool,
     mut delta: F,
@@ -293,7 +293,7 @@ where
     Ok(out)
 }
 
-/// The in-place twin of [`run_involution_channel`]: identical event
+/// The in-place twin of [`apply_involution`]: identical event
 /// semantics, but the schedule stack *is* the output buffer, so the run
 /// allocates nothing. Callers must pass `initial_output` equal to the
 /// input's initial value (true for every involution channel here): the
@@ -307,7 +307,7 @@ where
 /// Returns [`SimError::Trace`] if the resulting edge sequence violates
 /// trace invariants (cannot happen for a correct delay function, kept as
 /// a defensive check).
-pub(crate) fn run_involution_into<F>(
+pub(crate) fn apply_involution_into<F>(
     input: TraceRef<'_>,
     initial_output: bool,
     mut delta: F,
@@ -347,7 +347,7 @@ mod tests {
     fn involution_runner_constant_delay_passthrough() {
         let input =
             DigitalTrace::with_edges(false, vec![(ps(10.0), true), (ps(50.0), false)]).unwrap();
-        let out = run_involution_channel(&input, false, |_t, _r| ps(5.0)).unwrap();
+        let out = apply_involution(&input, false, |_t, _r| ps(5.0)).unwrap();
         assert_eq!(out.transition_count(), 2);
         assert!((out.edges()[0].time - ps(15.0)).abs() < 1e-18);
         assert!((out.edges()[1].time - ps(55.0)).abs() < 1e-18);
@@ -358,7 +358,7 @@ mod tests {
         // Second edge overtakes the first scheduled output: both vanish.
         let input =
             DigitalTrace::with_edges(false, vec![(ps(10.0), true), (ps(11.0), false)]).unwrap();
-        let out = run_involution_channel(&input, false, |t, r| {
+        let out = apply_involution(&input, false, |t, r| {
             // Rising slow, falling fast: the falling output would be
             // scheduled before the pending rising one.
             let _ = t;
@@ -376,7 +376,7 @@ mod tests {
     fn involution_runner_first_transition_uses_infinite_t() {
         let input = DigitalTrace::with_edges(false, vec![(ps(10.0), true)]).unwrap();
         let mut seen_t = f64::NAN;
-        let _ = run_involution_channel(&input, false, |t, _| {
+        let _ = apply_involution(&input, false, |t, _| {
             seen_t = t;
             ps(1.0)
         })

@@ -1,6 +1,6 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{run_involution_channel, run_involution_into, TraceTransform};
+use crate::channels::{apply_involution, apply_involution_into, TraceTransform};
 use crate::SimError;
 
 /// An involution channel whose switching waveform is a **sum of two
@@ -166,12 +166,12 @@ impl SumExpChannel {
 
 impl TraceTransform for SumExpChannel {
     fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        run_involution_channel(input, input.initial_value(), |t, _rising| self.delta(t))
+        apply_involution(input, input.initial_value(), |t, _rising| self.delta(t))
     }
 
     #[inline]
     fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
-        run_involution_into(
+        apply_involution_into(
             input,
             input.initial_value(),
             |t, _rising| self.delta(t),

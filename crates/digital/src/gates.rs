@@ -62,8 +62,8 @@ pub fn combine2<F: Fn(bool, bool) -> bool>(
 /// The in-place twin of [`combine2`] on SoA views: a linear merge of
 /// the (already sorted) input edge times into `out`, allocation-free
 /// once `out` is warm. This is the ideal-gate half of the fused gate +
-/// channel pass in `Network::run_in`, the `mis-sim` engine and its cone
-/// replay.
+/// channel pass in the `mis-sim` engine and its cone replay; the owned
+/// [`combine2`] is what the `Network::run` reference uses instead.
 ///
 /// The merge is driven by a truth table and has no data-dependent
 /// branches:

@@ -28,18 +28,20 @@
 //! feed-forward circuits; [`accuracy`] implements the paper's Fig. 7
 //! deviation-area experiment end to end.
 //!
-//! # The arena hot path
+//! # Two paths per channel: owned and in place
 //!
 //! Every channel trait carries an in-place variant
 //! ([`TraceTransform::apply_into`] / [`TwoInputTransform::apply2_into`])
-//! over borrowed structure-of-arrays views, and
-//! [`Network::run_in`] evaluates a whole netlist into a reusable
-//! [`mis_waveform::TraceArena`]: input traces are copied into flat
-//! storage, each gate runs as a fused ideal-gate + channel pass through
-//! the arena's staging buffers, and a warm arena makes repeated
-//! evaluations allocation-free. [`Network::run`] remains as the
-//! allocating compatibility wrapper; [`netlists`] builds the benchmark
-//! circuits (ripple chains, the ISCAS-85 C17 cut, fan-out trees).
+//! over borrowed structure-of-arrays views, next to the owned
+//! [`TraceTransform::apply`] / [`TwoInputTransform::apply2`]. The
+//! in-place kernels, with [`gates::combine2_into`], are what the
+//! `mis-sim` engine runs over a reusable [`mis_waveform::TraceArena`],
+//! allocation-free once warm. [`Network::run`] is the naive reference:
+//! it composes the owned functions signal by signal, sharing no code
+//! with the engine's hot path, so the two checking each other tests
+//! the kernels as well as the schedule. [`netlists`] builds the
+//! benchmark circuits (ripple chains, the ISCAS-85 C17 cut, fan-out
+//! trees).
 //!
 //! # Examples
 //!

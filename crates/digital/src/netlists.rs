@@ -252,7 +252,7 @@ mod tests {
     use mis_charlib::CharConfig;
     use mis_core::NorParams;
     use mis_waveform::units::ps;
-    use mis_waveform::{DigitalTrace, TraceArena};
+    use mis_waveform::DigitalTrace;
 
     fn zero_time() -> ChannelPerGate<impl FnMut() -> Option<Box<dyn TraceTransform>>> {
         ChannelPerGate(|| None)
@@ -308,16 +308,15 @@ mod tests {
         assert_eq!(built.outputs.len(), 8);
         // 1 input + 2 + 4 + 8 gates.
         let input = DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap();
-        let mut arena = TraceArena::new();
-        built.net.run_in(&[input], &mut arena).unwrap();
-        assert_eq!(arena.trace_count(), 15);
+        let traces = built.net.run(&[input]).unwrap();
+        assert_eq!(traces.len(), 15);
         for &o in &built.outputs {
             // Depth-3 inversion: odd number of NOTs flips polarity; three
             // 10 ps inertial channels accumulate 30 ps.
-            let v = arena.trace(o.index());
+            let v = &traces[o.index()];
             assert!(v.initial_value());
-            assert_eq!(v.len(), 1);
-            assert!((v.times()[0] - ps(130.0)).abs() < 1e-18);
+            assert_eq!(v.transition_count(), 1);
+            assert!((v.edges()[0].time - ps(130.0)).abs() < 1e-18);
         }
         assert!(fanout_tree(0, &mut || None).is_err());
     }

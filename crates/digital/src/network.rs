@@ -1,4 +1,4 @@
-use mis_waveform::{DigitalTrace, TraceArena};
+use mis_waveform::DigitalTrace;
 
 use crate::channels::{TraceTransform, TwoInputTransform};
 use crate::{gates, SimError};
@@ -46,10 +46,10 @@ impl GateKind {
     }
 
     /// The Boolean function of a binary gate; `None` for the unary kinds.
-    /// Exposed so external evaluators (the `mis-sim` signal-order engine
-    /// and its cone replay) run the exact same fused gate kernels as
-    /// [`Network::run_in`]. [`crate::gates::combine2_into`] tabulates it
-    /// once per call, so the `fn` pointer is never called per edge.
+    /// [`Network::run`] passes it to the owned [`crate::gates::combine2`];
+    /// the `mis-sim` engine and its cone replay pass it to the in-place
+    /// [`crate::gates::combine2_into`], which tabulates it once per call,
+    /// so the `fn` pointer is never called per edge.
     #[inline]
     #[must_use]
     pub fn func2(self) -> Option<fn(bool, bool) -> bool> {
@@ -278,62 +278,23 @@ impl Network {
     /// returns one trace per signal (inputs included), indexable by
     /// [`SignalId`].
     ///
-    /// This is the allocating compatibility wrapper around
-    /// [`Network::run_in`]: it evaluates through a run-local
-    /// [`TraceArena`] and materializes every signal as an owned
-    /// [`DigitalTrace`]. Hot loops that evaluate the same network
-    /// repeatedly should hold a [`TraceArena`] and call
-    /// [`Network::run_in`] directly — a warm arena makes the whole
-    /// evaluation allocation-free.
+    /// This is the workspace's **reference** evaluator, deliberately
+    /// naive and independent of the fast one (`mis_sim::Simulator`).
+    /// Signals are computed in declaration order as owned traces: a
+    /// zero-time gate's ideal output comes from [`gates::combine2`],
+    /// [`gates::not`] or a clone, then the channel's owned
+    /// [`TraceTransform::apply`]; a two-input channel gate calls the
+    /// owned [`TwoInputTransform::apply2`]. No arena, staging buffer or
+    /// `_into` kernel is involved, so bit-identity against the fast
+    /// evaluator checks its arena, its fused gate + channel passes, its
+    /// duplicate-span shortcut and every channel's in-place kernel, not
+    /// just its schedule.
     ///
     /// # Errors
     ///
     /// * [`SimError::Network`] — wrong number of input traces.
     /// * Propagates channel failures.
     pub fn run(&self, inputs: &[DigitalTrace]) -> Result<Vec<DigitalTrace>, SimError> {
-        let mut arena = TraceArena::new();
-        self.run_in(inputs, &mut arena)?;
-        Ok((0..arena.trace_count())
-            .map(|i| arena.to_trace(i))
-            .collect())
-    }
-
-    /// Evaluates the network into `arena`: one sealed span per signal
-    /// (inputs included), indexed by [`SignalId::index`]. The arena is
-    /// reset first (capacity retained), so repeated calls with inputs of
-    /// similar edge counts perform **zero** heap allocations on the
-    /// steady-state path: input traces are copied into the flat
-    /// time array (not cloned), each `Source::Gate` runs as a fused
-    /// ideal-gate + channel pass through the arena's staging buffers
-    /// (unary gates skip the gate pass entirely — in the SoA
-    /// representation NOT is an initial-value flip), and every ported
-    /// channel writes its result in place.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::Network`] — wrong number of input traces.
-    /// * Propagates channel failures.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mis_digital::{GateKind, InertialChannel, Network};
-    /// use mis_waveform::{DigitalTrace, TraceArena, units::ps};
-    ///
-    /// # fn main() -> Result<(), mis_digital::SimError> {
-    /// let mut net = Network::new();
-    /// let x = net.add_input("x");
-    /// let ch = Box::new(InertialChannel::symmetric(ps(30.0), ps(30.0))?);
-    /// let y = net.add_gate("y", GateKind::Not, &[x], Some(ch))?;
-    /// let input = DigitalTrace::with_edges(false, vec![(ps(100.0), true)])?;
-    /// let mut arena = TraceArena::new();
-    /// net.run_in(&[input], &mut arena)?; // warm-up sizes the arena
-    /// assert_eq!(arena.trace(y.index()).len(), 1);
-    /// assert!(!arena.trace(y.index()).rising(0));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn run_in(&self, inputs: &[DigitalTrace], arena: &mut TraceArena) -> Result<(), SimError> {
         if inputs.len() != self.input_count {
             return Err(SimError::Network {
                 reason: format!(
@@ -343,63 +304,34 @@ impl Network {
                 ),
             });
         }
-        arena.reset();
+        let mut traces: Vec<DigitalTrace> = Vec::with_capacity(self.sources.len());
         for (i, source) in self.sources.iter().enumerate() {
-            match source {
-                Source::Input => {
-                    arena.push_trace(&inputs[i]);
-                }
+            let trace = match source {
+                Source::Input => inputs[i].clone(),
                 Source::Gate {
                     kind,
                     inputs: gin,
                     channel,
-                } => match kind.func2() {
-                    None => {
-                        // Unary gate: the view itself is the ideal output.
-                        let invert = matches!(kind, GateKind::Not);
-                        match channel {
-                            None => {
-                                arena.push_duplicate(gin[0].0, invert);
-                            }
-                            Some(ch) => {
-                                let (sealed, out, _) = arena.stage();
-                                let mut view = sealed.trace(gin[0].0);
-                                if invert {
-                                    view = view.inverted();
-                                }
-                                ch.apply_into(view, out)?;
-                                arena.seal_out();
-                            }
-                        }
+                } => {
+                    let a = &traces[gin[0].0];
+                    let ideal = match kind.func2() {
+                        Some(f) => gates::combine2(f, a, &traces[gin[1].0])?,
+                        None if *kind == GateKind::Not => gates::not(a)?,
+                        None => a.clone(),
+                    };
+                    match channel {
+                        Some(ch) => ch.apply(&ideal)?,
+                        None => ideal,
                     }
-                    Some(f) => {
-                        let (sealed, out, scratch) = arena.stage();
-                        let va = sealed.trace(gin[0].0);
-                        let vb = sealed.trace(gin[1].0);
-                        match channel {
-                            None => gates::combine2_into(f, va, vb, out)?,
-                            Some(ch) => {
-                                // Fused pass: the ideal trace streams
-                                // through the reusable scratch buffer and
-                                // never materializes as an owned trace.
-                                gates::combine2_into(f, va, vb, scratch)?;
-                                ch.apply_into(scratch.as_ref(), out)?;
-                            }
-                        }
-                        arena.seal_out();
-                    }
-                },
+                }
                 Source::TwoInputChannelGate {
                     inputs: gin,
                     channel,
-                } => {
-                    let (sealed, out, _) = arena.stage();
-                    channel.apply2_into(sealed.trace(gin[0].0), sealed.trace(gin[1].0), out)?;
-                    arena.seal_out();
-                }
-            }
+                } => channel.apply2(&traces[gin[0].0], &traces[gin[1].0])?,
+            };
+            traces.push(trace);
         }
-        Ok(())
+        Ok(traces)
     }
 
     fn check_refs(&self, name: &str, refs: &[SignalId]) -> Result<(), SimError> {

@@ -1,8 +1,10 @@
 //! Property-based tests for the delay channels: involution axioms,
 //! cancellation sanity, well-formedness of channel outputs under random
-//! traffic, hybrid-channel causality, and bit-identity of the arena
-//! engine (`Network::run_in`, the `*_into` channel kernels) against the
-//! legacy allocating composition. On the in-repo `mis-testkit` harness
+//! traffic, hybrid-channel causality, and bit-identity of the in-place
+//! kernels (`*_into` channels, `gates::combine2_into`) against their
+//! owned twins. Whole-netlist bit-identity of the `mis-sim` engine
+//! against the owned-trace `Network::run` reference lives in
+//! `crates/sim/tests/proptests.rs`. On the in-repo `mis-testkit` harness
 //! (offline replacement for `proptest`).
 
 use std::cell::RefCell;
@@ -12,14 +14,14 @@ use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
     gates, involution, CachedHybridChannel, CachedHybridNandChannel, ChannelCounters, ExpChannel,
-    GateKind, HybridNorChannel, InertialChannel, Network, PureDelayChannel, SumExpChannel,
-    TraceTransform, TwoInputTransform,
+    HybridNorChannel, InertialChannel, PureDelayChannel, SumExpChannel, TraceTransform,
+    TwoInputTransform,
 };
 use mis_probe::Probe;
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
-use mis_waveform::{DigitalTrace, EdgeBuf, TraceArena};
+use mis_waveform::{DigitalTrace, EdgeBuf};
 
 /// The original proptest suite ran these properties at 48 cases each.
 const CASES: u32 = 48;
@@ -189,22 +191,6 @@ fn grid_trace(rng: &mut TestRng, max_edges: u64) -> DigitalTrace {
     trace
 }
 
-/// One randomly generated gate of a netlist spec.
-#[derive(Debug, Clone)]
-enum SpecGate {
-    /// BUF/NOT with an optional single-input channel.
-    Unary { not: bool, src: usize, ch: usize },
-    /// Binary zero-time gate with an optional single-input channel.
-    Binary {
-        kind: GateKind,
-        a: usize,
-        b: usize,
-        ch: usize,
-    },
-    /// Cached hybrid two-input channel gate (NOR or NAND via duality).
-    Cached { nand: bool, a: usize, b: usize },
-}
-
 /// Channel palette index → fresh allocating channel (`None` = no channel).
 fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
     match ch {
@@ -220,168 +206,6 @@ fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
             SumExpChannel::from_sis_delay(ps(50.0), ps(15.0), 0.7, 3.0).unwrap(),
         )),
     }
-}
-
-fn random_spec(rng: &mut TestRng) -> (usize, Vec<SpecGate>) {
-    const BINARY: [GateKind; 5] = [
-        GateKind::And,
-        GateKind::Or,
-        GateKind::Nand,
-        GateKind::Nor,
-        GateKind::Xor,
-    ];
-    let n_inputs = 1 + rng.gen_u64_below(3) as usize;
-    let n_gates = 1 + rng.gen_u64_below(6) as usize;
-    let mut gates = Vec::with_capacity(n_gates);
-    for g in 0..n_gates {
-        let pick = |rng: &mut TestRng| rng.gen_u64_below((n_inputs + g) as u64) as usize;
-        gates.push(match rng.gen_u64_below(4) {
-            0 => SpecGate::Unary {
-                not: rng.gen_bool(0.5),
-                src: pick(rng),
-                ch: rng.gen_u64_below(5) as usize,
-            },
-            1 | 2 => SpecGate::Binary {
-                kind: BINARY[rng.gen_u64_below(5) as usize],
-                a: pick(rng),
-                b: pick(rng),
-                ch: rng.gen_u64_below(5) as usize,
-            },
-            _ => SpecGate::Cached {
-                nand: rng.gen_bool(0.5),
-                a: pick(rng),
-                b: pick(rng),
-            },
-        });
-    }
-    (n_inputs, gates)
-}
-
-/// Builds the spec as a [`Network`].
-fn build_network(n_inputs: usize, spec: &[SpecGate]) -> Network {
-    let mut net = Network::new();
-    let mut ids = Vec::new();
-    for i in 0..n_inputs {
-        ids.push(net.add_input(&format!("in{i}")));
-    }
-    for (g, gate) in spec.iter().enumerate() {
-        let name = format!("g{g}");
-        let id = match *gate {
-            SpecGate::Unary { not, src, ch } => net
-                .add_gate(
-                    &name,
-                    if not { GateKind::Not } else { GateKind::Buf },
-                    &[ids[src]],
-                    spec_channel(ch),
-                )
-                .unwrap(),
-            SpecGate::Binary { kind, a, b, ch } => net
-                .add_gate(&name, kind, &[ids[a], ids[b]], spec_channel(ch))
-                .unwrap(),
-            SpecGate::Cached { nand, a, b } => {
-                let channel: Box<dyn TwoInputTransform> = if nand {
-                    Box::new(CachedHybridNandChannel::from_dual(shared_lib()).unwrap())
-                } else {
-                    Box::new(CachedHybridChannel::new(shared_lib()).unwrap())
-                };
-                net.add_two_input_channel_gate(&name, [ids[a], ids[b]], channel)
-                    .unwrap()
-            }
-        };
-        ids.push(id);
-    }
-    net
-}
-
-/// Evaluates the spec through the legacy allocating building blocks only
-/// (`gates::*`, `TraceTransform::apply`, `TwoInputTransform::apply2`) —
-/// the reference the arena engine must reproduce bit for bit.
-fn eval_reference(
-    n_inputs: usize,
-    spec: &[SpecGate],
-    inputs: &[DigitalTrace],
-) -> Vec<DigitalTrace> {
-    let mut traces: Vec<DigitalTrace> = inputs[..n_inputs].to_vec();
-    for gate in spec {
-        let next = match *gate {
-            SpecGate::Unary { not, src, ch } => {
-                let ideal = if not {
-                    gates::not(&traces[src]).unwrap()
-                } else {
-                    gates::map1(|x| x, &traces[src]).unwrap()
-                };
-                match spec_channel(ch) {
-                    Some(c) => c.apply(&ideal).unwrap(),
-                    None => ideal,
-                }
-            }
-            SpecGate::Binary { kind, a, b, ch } => {
-                let (x, y) = (&traces[a], &traces[b]);
-                let ideal = match kind {
-                    GateKind::And => gates::and(x, y),
-                    GateKind::Or => gates::or(x, y),
-                    GateKind::Nand => gates::nand(x, y),
-                    GateKind::Nor => gates::nor(x, y),
-                    GateKind::Xor => gates::xor(x, y),
-                    _ => unreachable!("binary spec"),
-                }
-                .unwrap();
-                match spec_channel(ch) {
-                    Some(c) => c.apply(&ideal).unwrap(),
-                    None => ideal,
-                }
-            }
-            SpecGate::Cached { nand, a, b } => {
-                if nand {
-                    CachedHybridNandChannel::from_dual(shared_lib())
-                        .unwrap()
-                        .apply2(&traces[a], &traces[b])
-                        .unwrap()
-                } else {
-                    CachedHybridChannel::new(shared_lib())
-                        .unwrap()
-                        .apply2(&traces[a], &traces[b])
-                        .unwrap()
-                }
-            }
-        };
-        traces.push(next);
-    }
-    traces
-}
-
-#[test]
-fn run_in_bit_identical_to_legacy_composition_on_random_netlists() {
-    // The arena engine (SoA views, fused gate + channel passes, in-place
-    // kernels, implicit polarities) must be *bit-identical* to composing
-    // the allocating building blocks — for every channel kind, including
-    // empty traces and exactly-simultaneous edges across inputs.
-    Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
-        let mut rng = TestRng::seed_from_u64(seed);
-        let (n_inputs, spec) = random_spec(&mut rng);
-        let inputs: Vec<DigitalTrace> = (0..n_inputs).map(|_| grid_trace(&mut rng, 8)).collect();
-        let net = build_network(n_inputs, &spec);
-
-        let reference = eval_reference(n_inputs, &spec, &inputs);
-        let via_run = net.run(&inputs).unwrap();
-        let mut arena = TraceArena::new();
-        net.run_in(&inputs, &mut arena).unwrap();
-        // A second run on the warm arena must reproduce the first (the
-        // reuse contract: reset + reuse, no stale state).
-        net.run_in(&inputs, &mut arena).unwrap();
-
-        prop_assert_eq!(via_run.len(), reference.len(), "spec {spec:?}");
-        prop_assert_eq!(arena.trace_count(), reference.len());
-        for (i, want) in reference.iter().enumerate() {
-            prop_assert_eq!(&via_run[i], want, "run: signal {i} diverged, spec {spec:?}");
-            prop_assert_eq!(
-                &arena.to_trace(i),
-                want,
-                "run_in: signal {i} diverged, spec {spec:?}"
-            );
-        }
-        Ok(())
-    });
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The differential fuzz harness: random circuits, random stimuli,
 //! random faults — cross-checked between the serial engine, the
-//! `Network::run` oracle, the cone replay and the faulted static timing
-//! windows.
+//! independent `Network::run` reference, the cone replay and the faulted
+//! static timing windows.
 //!
 //! Every iteration draws, from a [`TestRng`] seeded off the configured
 //! base (so any failure is reproducible from its printed seed):
@@ -16,10 +16,12 @@
 //! structurally, end to end on the faulty run:
 //!
 //! * **Engine bit-identity.** Fault-free, the [`Simulator`] produces
-//!   exactly the trace `Network::run` (the scheduling oracle) does for
-//!   every signal; under the fault, the campaigns' cone-only
-//!   [`ConeReplay`] against the fault-free golden run produces exactly
-//!   the serial engine's faulty traces.
+//!   exactly the trace `Network::run` does for every signal. That
+//!   reference composes owned gate functions and channel `apply` calls,
+//!   so the check covers the engine's arena, fused passes and in-place
+//!   channel kernels as well as its schedule. Under the fault, the
+//!   campaigns' cone-only [`ConeReplay`] against the fault-free golden
+//!   run produces exactly the serial engine's faulty traces.
 //! * **Faulted STA soundness.** Every edge of every faulty trace lands
 //!   inside the signal's arrival window computed by
 //!   [`TimingAnalysis::arrival_windows_edited`] under the fault's
@@ -197,7 +199,7 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
         runs_compared += 1;
 
         // Fault-free serial run (the cone replay's golden run):
-        // bit-identical to the `Network::run` oracle.
+        // bit-identical to the independent `Network::run` reference.
         let golden = Simulator::new(&net)
             .and_then(|mut sim| GoldenRun::record(&mut sim, &inputs))
             .map_err(|e| tag(&e.to_string()))?;

@@ -6,15 +6,17 @@
 //! the gate it feeds — so signal order is a topological order: a gate is
 //! evaluated only after all its fan-in traces are sealed. The lowering of
 //! `.bench` circuits topologically sorts their forward references, so
-//! the same order serves real benchmarks. [`Network::run_in`] and
+//! the same order serves real benchmarks. [`Network::run`] and
 //! [`crate::ConeReplay`] rely on the same fact.
 //!
-//! A gate is evaluated by the very same fused ideal-gate + channel
-//! passes `Network::run_in` uses (`crate::kernel::eval_signal_into`,
-//! shared with the cone replay), so the engine is **bit-identical** to
-//! `Network::run`, a property the `mis-sim` suite asserts on every
-//! `mis_digital::netlists` topology and on random DAGs. What the
-//! engine adds over the plain sweep is the per-gate control surface:
+//! A gate is evaluated by fused ideal-gate + channel passes over the
+//! arena (`crate::kernel::eval_signal_into`, shared with the cone
+//! replay). [`Network::run`] is the independent reference: it composes
+//! the owned gate functions and channel `apply`/`apply2` calls, with no
+//! arena and no in-place kernel. The engine is **bit-identical** to it,
+//! a property the `mis-sim` suite asserts on every
+//! `mis_digital::netlists` topology, on the C432/C880 fixtures and on
+//! random DAGs. The engine also carries the per-gate control surface:
 //! run budgets, trace overlays (fault injection), probe counters and
 //! timeline tracing.
 //!

@@ -4,14 +4,15 @@
 //!
 //! The serial [`crate::Simulator`] and the cone-only fault replay
 //! [`crate::ConeReplay`] evaluate gates through [`eval_signal_into`],
-//! the very same fused ideal-gate + channel passes
-//! `mis_digital::Network::run_in` uses. Keeping the kernel in one place
-//! is what makes their bit-identity argument structural rather than
-//! coincidental: a gate's output is a pure function of its fan-in
-//! traces, computed by literally the same code, so any schedule that
-//! respects dependencies (the full signal-order sweep, or the cone
+//! one set of fused ideal-gate + channel passes. Keeping the kernel in
+//! one place is what makes their bit-identity argument structural
+//! rather than coincidental: a gate's output is a pure function of its
+//! fan-in traces, computed by literally the same code, so any schedule
+//! that respects dependencies (the full signal-order sweep, or the cone
 //! replay's ascending walk over perturbed gates) produces the same
-//! traces.
+//! traces. The independent check on the kernel itself is
+//! `mis_digital::Network::run`, which composes the owned gate functions
+//! and channel `apply`/`apply2` calls instead.
 
 use mis_digital::{gates, ChannelCounters, GateKind, Network, SignalId, SignalSource, SimError};
 use mis_waveform::{EdgeBuf, TraceRef};

@@ -19,9 +19,9 @@
 //!   fallback for the non-hybrid gate kinds.
 //! * [`engine`] — [`Simulator`], the serial evaluator: every gate once,
 //!   in signal order (a topological order, since the network builder
-//!   enforces reference-before-use), through the same fused arena
-//!   kernels as `Network::run_in` — bit-identical to it and
-//!   allocation-free on a warm arena.
+//!   enforces reference-before-use), through fused in-place arena
+//!   kernels — allocation-free on a warm arena, and bit-identical to the
+//!   owned-trace `Network::run` reference, which shares none of them.
 //! * [`cone`] — [`ConeReplay`], fault replay that re-evaluates only the
 //!   gates a fault perturbs, seeded from a recorded [`GoldenRun`] and
 //!   stopping wherever a re-evaluated trace equals golden —

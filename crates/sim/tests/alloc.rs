@@ -4,7 +4,9 @@
 //! [`Simulator::run_in`] over same-shaped inputs performs **zero** heap
 //! allocations — on the committed C432- and C880-scale fixtures with
 //! `Arc`-shared cached-hybrid cells, the exact workloads of the
-//! `netlist_throughput` bench tier. Warm `ConeReplay` fault replays are
+//! `netlist_throughput` bench tier, on the `mis_digital::netlists`
+//! topologies, and on a small network that reaches every channel
+//! kernel. Warm `ConeReplay` fault replays are
 //! held to the same bar. The counter is thread-local — see
 //! `worker_thread_allocations_stay_off_this_threads_count` below, which
 //! pins down that serial-scoped contract.
@@ -15,7 +17,11 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::{InertialChannel, SignalId, SimError};
+use mis_digital::netlists::{self, CachedHybridFactory};
+use mis_digital::{
+    CachedHybridChannel, ExpChannel, GateKind, InertialChannel, Network, PureDelayChannel,
+    SignalId, SimError,
+};
 use mis_probe::{Probe, TraceSink};
 use mis_sim::{
     BenchNetlist, CellLibrary, ConeReplay, GoldenRun, RunBudget, Simulator, TraceOverlay,
@@ -32,12 +38,15 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn committed_cells() -> CellLibrary {
+fn committed_lib() -> CharLib {
     let text = std::fs::read_to_string(workspace_root().join("data/charlib/nor_paper.mislib"))
         .expect("committed NOR library");
-    let lib = CharLib::from_text(&text).expect("library parses");
+    CharLib::from_text(&text).expect("library parses")
+}
+
+fn committed_cells() -> CellLibrary {
     CellLibrary::hybrid(
-        &lib,
+        &committed_lib(),
         Some(InertialChannel::symmetric(ps(50.0), ps(38.0)).expect("channel")),
     )
     .expect("cell library")
@@ -90,6 +99,117 @@ fn warm_simulator_run_in_is_allocation_free() {
             "{file}: steady-state Simulator::run_in allocated {allocations} times"
         );
         assert_eq!(arena.total_edges(), warm_edges, "{file}: reproducible");
+    }
+}
+
+/// A network exercising every kernel the engine dispatches to: input
+/// copy-in, zero-time unary and binary gates, fused gate + channel
+/// passes (pure, inertial, exp involution), and the cached hybrid
+/// two-input scheduler.
+fn mixed_network(lib: &CharLib) -> Network {
+    let mut net = Network::new();
+    let a = net.add_input("a");
+    let b = net.add_input("b");
+    let buf = net
+        .add_gate(
+            "buf",
+            GateKind::Buf,
+            &[a],
+            Some(Box::new(PureDelayChannel::new(ps(5.0)).unwrap())),
+        )
+        .unwrap();
+    let inv = net.add_gate("inv", GateKind::Not, &[b], None).unwrap();
+    let nor = net
+        .add_gate(
+            "nor",
+            GateKind::Nor,
+            &[buf, inv],
+            Some(Box::new(
+                InertialChannel::symmetric(ps(45.0), ps(35.0)).unwrap(),
+            )),
+        )
+        .unwrap();
+    let nand = net
+        .add_gate(
+            "nand",
+            GateKind::Nand,
+            &[nor, a],
+            Some(Box::new(
+                ExpChannel::from_sis_delays(ps(50.0), ps(38.0), ps(20.0)).unwrap(),
+            )),
+        )
+        .unwrap();
+    let hybrid = net
+        .add_two_input_channel_gate(
+            "hybrid",
+            [a, b],
+            Box::new(CachedHybridChannel::new(lib).unwrap()),
+        )
+        .unwrap();
+    net.add_gate("xor", GateKind::Xor, &[nand, hybrid], None)
+        .unwrap();
+    net
+}
+
+/// One dense generated input pair.
+fn pair_traffic(seed: u64) -> Vec<DigitalTrace> {
+    let pair = TraceConfig::new(ps(160.0), ps(60.0), Assignment::Local, 120)
+        .generate(seed)
+        .expect("trace generation");
+    vec![pair.a, pair.b]
+}
+
+#[test]
+fn warm_simulator_is_allocation_free_on_every_channel_kind() {
+    let lib = committed_lib();
+    let net = mixed_network(&lib);
+    let inputs = pair_traffic(0xA11);
+    let mut sim = Simulator::new(&net).expect("engine construction");
+    let mut arena = TraceArena::new();
+    // Warm-up: sizes the flat time array, span list, staging buffers.
+    sim.run_in(&inputs, &mut arena).expect("warm-up run");
+    let warm_edges = arena.total_edges();
+    let (allocations, ()) = alloc::count_in(|| {
+        for _ in 0..10 {
+            sim.run_in(&inputs, &mut arena).expect("steady-state run");
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "steady-state Simulator::run_in allocated {allocations} times"
+    );
+    assert_eq!(arena.total_edges(), warm_edges, "runs are reproducible");
+}
+
+#[test]
+fn warm_simulator_is_allocation_free_on_netlists_topologies() {
+    let lib = committed_lib();
+    let mut factory = CachedHybridFactory::new(&lib).unwrap();
+    let chain = netlists::ripple_chain(GateKind::Nor, 8, &mut factory).unwrap();
+    let c17 = netlists::c17(&mut factory).unwrap();
+    let tree = netlists::fanout_tree(4, &mut || {
+        Some(Box::new(InertialChannel::symmetric(ps(30.0), ps(30.0)).unwrap()) as Box<_>)
+    })
+    .unwrap();
+
+    let chain_in = pair_traffic(0xC41);
+    let c17_in: Vec<DigitalTrace> = (0..5)
+        .flat_map(|i| pair_traffic(0xC17 + i))
+        .take(5)
+        .collect();
+    let tree_in = vec![pair_traffic(0x7EE).remove(0)];
+
+    let mut arena = TraceArena::new();
+    for (built, inputs) in [(&chain, &chain_in), (&c17, &c17_in), (&tree, &tree_in)] {
+        let mut sim = Simulator::new(&built.net).expect("engine construction");
+        sim.run_in(inputs, &mut arena).expect("warm-up");
+        let (allocations, ()) = alloc::count_in(|| {
+            sim.run_in(inputs, &mut arena).expect("steady state");
+        });
+        assert_eq!(
+            allocations, 0,
+            "netlist Simulator::run_in allocated {allocations} times"
+        );
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property-based tests for the `mis-sim` subsystem: bit-identity of the
-//! signal-order engine against `Network::run` (on every
-//! `mis_digital::netlists` topology and on randomized DAGs over all
-//! channel kinds, empty traces included), `.bench` parse→write→parse round trips with comment/
+//! signal-order engine against the owned-trace `Network::run` reference
+//! (on every `mis_digital::netlists` topology and on randomized DAGs
+//! over all channel kinds, empty traces included, cold and on a warm
+//! arena), a check that the reference does not share the engine's
+//! in-place kernels, `.bench` parse→write→parse round trips with comment/
 //! whitespace/CRLF/BOM torture, one malformed-input test per parser
 //! error variant, and round trips of the committed `data/charlib` text
 //! libraries and `data/bench` fixtures (C432 and C880 against
@@ -15,13 +17,13 @@ use mis_core::NorParams;
 use mis_digital::netlists::{self, CachedHybridFactory, ChannelPerGate};
 use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
-    PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
+    PureDelayChannel, SimError, SumExpChannel, TraceTransform, TwoInputTransform,
 };
 use mis_sim::{BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
-use mis_waveform::{DigitalTrace, TraceArena};
+use mis_waveform::{DigitalTrace, EdgeBuf, TraceArena, TraceRef};
 
 const CASES: u32 = 48;
 
@@ -191,22 +193,63 @@ fn random_network(rng: &mut TestRng) -> Network {
 #[test]
 fn engine_bit_identical_on_random_dags() {
     // For any acyclic wiring and any channel kind, the engine's outputs
-    // equal the plain sweep bit for bit — on empty traces and
-    // exactly-simultaneous edges too.
+    // equal the reference's bit for bit, cold and on a warm arena — on
+    // empty traces and exactly-simultaneous edges too. (A panic in the
+    // helper fails the case like a `prop_assert!`, seed included.)
     Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
         let mut rng = TestRng::seed_from_u64(seed);
         let net = random_network(&mut rng);
         let inputs: Vec<DigitalTrace> = (0..net.input_count())
             .map(|_| grid_trace(&mut rng, 8))
             .collect();
-        let want = net.run(&inputs).unwrap();
-        let mut sim = Simulator::new(&net).expect("engine construction");
-        let got = sim.run(&inputs).unwrap();
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "signal {i} diverged (seed {seed})");
-        }
+        assert_engine_matches(&net, &inputs);
         Ok(())
     });
+}
+
+/// A channel whose owned and in-place paths disagree on purpose: `apply`
+/// is the identity, `apply_into` delays every edge by 1 ps.
+struct SplitChannel;
+
+impl TraceTransform for SplitChannel {
+    fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError> {
+        Ok(input.clone())
+    }
+
+    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+        out.clear(input.initial_value());
+        for &t in input.times() {
+            out.push_time(t + ps(1.0))?;
+        }
+        Ok(())
+    }
+
+    fn name(&self) -> &str {
+        "split"
+    }
+}
+
+#[test]
+fn reference_does_not_share_the_engines_channel_kernels() {
+    // `Network::run` composes owned `apply` calls and the engine runs
+    // the in-place `apply_into` kernels. A channel whose two paths
+    // disagree must therefore show up as a divergence: an oracle that
+    // shared the engine's kernels would agree with it by construction.
+    let mut net = Network::new();
+    let a = net.add_input("a");
+    let b = net.add_input("b");
+    let y = net
+        .add_gate("y", GateKind::Nor, &[a, b], Some(Box::new(SplitChannel)))
+        .unwrap();
+    let inputs = [
+        DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap(),
+        DigitalTrace::constant(false),
+    ];
+    let want = net.run(&inputs).unwrap();
+    let got = Simulator::new(&net).unwrap().run(&inputs).unwrap();
+    assert_eq!(want[y.index()].edges()[0].time, ps(100.0));
+    assert_eq!(got[y.index()].edges()[0].time, ps(101.0));
+    assert_ne!(got[y.index()], want[y.index()]);
 }
 
 /// Random `.bench` netlist with safe names, wide gates, and forward

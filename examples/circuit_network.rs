@@ -4,16 +4,16 @@
 //! under `data/charlib/`, no re-characterization — and the other uses
 //! inertial channels behind zero-time gates, demonstrating how MIS-aware
 //! channels change glitch behaviour deeper in a circuit. Both networks
-//! are evaluated on the allocation-free `run_in` path over one warm
-//! `TraceArena`.
+//! are evaluated by the `Simulator` engine, allocation-free over one
+//! warm `TraceArena`.
 //!
 //! Run: `cargo run --release --example circuit_network`
 
 use std::sync::Arc;
 
 use mis_delay::charlib::CharLib;
-use mis_delay::digital::{GateKind, InertialChannel, Network, SignalId};
-use mis_delay::sim::CellLibrary;
+use mis_delay::digital::{GateKind, InertialChannel, Network, SignalId, SimError};
+use mis_delay::sim::{CellLibrary, Simulator};
 use mis_delay::waveform::units::{ps, to_ps};
 use mis_delay::waveform::{DigitalTrace, TraceArena, TraceRef};
 
@@ -78,19 +78,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!();
     };
-    let show = |arena: &TraceArena, label: &str, ids: [SignalId; 3]| {
+    let mut show = |net: &Network, label: &str, ids: [SignalId; 3]| {
+        let mut sim = Simulator::new(net)?;
+        sim.run_in(&inputs, &mut arena)?; // warm-up sizes the arena
+        sim.run_in(&inputs, &mut arena)?; // steady state: zero allocations
         println!("{label}:");
         for (name, id) in ["n1", "n2", "y "].into_iter().zip(ids) {
-            describe(name, arena.trace(id.index()));
+            describe(name, sim.trace(&arena, id));
         }
         println!();
+        Ok::<_, SimError>(())
     };
-
-    hybrid_net.run_in(&inputs, &mut arena)?; // warm-up sizes the arena
-    hybrid_net.run_in(&inputs, &mut arena)?; // steady state: zero allocations
-    show(&arena, "hybrid-channel network", [n1, n2, y_hybrid]);
-    inertial_net.run_in(&inputs, &mut arena)?;
-    show(&arena, "inertial-channel network", [m1, m2, y_inertial]);
+    show(&hybrid_net, "hybrid-channel network", [n1, n2, y_hybrid])?;
+    show(
+        &inertial_net,
+        "inertial-channel network",
+        [m1, m2, y_inertial],
+    )?;
 
     println!("Note how the hybrid n1 sees the 12 ps input separation (MIS speed-up),");
     println!("while the inertial n1 applies one fixed delay regardless; downstream, the");
