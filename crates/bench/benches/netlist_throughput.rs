@@ -29,7 +29,7 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::netlists::{self, CachedHybridFactory, ChannelPerGate};
+use mis_digital::netlists::{self, ChannelPerGate};
 use mis_digital::{GateKind, InertialChannel, Network, TraceTransform};
 use mis_sim::{BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::bench::Harness;
@@ -119,7 +119,7 @@ fn main() {
     let lib_text = std::fs::read_to_string(workspace_root().join("data/charlib/nor_paper.mislib"))
         .expect("committed NOR library (regenerate: cargo run -p mis-bench --bin make_data)");
     let lib = CharLib::from_text(&lib_text).expect("committed library parses");
-    let mut cached = CachedHybridFactory::new(&lib).expect("factory");
+    let mut cached = CellLibrary::hybrid(&lib, None).expect("cell library");
 
     let chain_cached = netlists::ripple_chain(GateKind::Nor, 8, &mut cached).expect("netlist");
     let chain_inertial =
@@ -136,7 +136,7 @@ fn main() {
     let c432 = load_fixture("c432.bench");
     let c432_cached = c432
         .lower(&CellLibrary::hybrid_shared(
-            std::sync::Arc::clone(cached.shared()),
+            std::sync::Arc::clone(cached.shared_tables().expect("hybrid tables")),
             Some(inertial_proto()),
         ))
         .expect("lowering");
@@ -146,7 +146,7 @@ fn main() {
     let c880 = load_fixture("c880.bench");
     let c880_cached = c880
         .lower(&CellLibrary::hybrid_shared(
-            std::sync::Arc::clone(cached.shared()),
+            std::sync::Arc::clone(cached.shared_tables().expect("hybrid tables")),
             Some(inertial_proto()),
         ))
         .expect("lowering");

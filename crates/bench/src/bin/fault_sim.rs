@@ -56,7 +56,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mis_bench::emit;
-use mis_bench::netlist::{committed_cells, traffic};
+use mis_bench::netlist::{check_expect, committed_cells, parse_expect, traffic};
 use mis_fault::{
     fuzz_differential, run_campaign_traced, stuck_at_sites, CampaignConfig, FaultOutcome,
     FaultSite, FuzzConfig,
@@ -65,21 +65,6 @@ use mis_probe::json::{is_wellformed, json_f64, json_string};
 use mis_probe::{Probe, TraceSink};
 use mis_sim::{BenchNetlist, RunBudget};
 use mis_waveform::units::ps;
-
-/// Parsed `--expect` pairs: probe metric name and pinned scalar.
-fn parse_expect(spec: &str) -> Result<Vec<(String, u64)>, String> {
-    spec.split(',')
-        .map(|pair| {
-            let (name, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("--expect pair '{pair}' is not metric=value"))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|e| format!("--expect value in '{pair}': {e}"))?;
-            Ok((name.to_string(), value))
-        })
-        .collect()
-}
 
 struct Args {
     json: bool,
@@ -364,21 +349,7 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
         }
     }
 
-    let mut drifted = false;
-    for (name, want) in &args.expect {
-        let got = snap.get(name).and_then(mis_probe::MetricValue::scalar);
-        if got != Some(*want) {
-            eprintln!(
-                "fault_sim: {file}: expected {name}={want}, got {}",
-                got.map_or("<missing>".to_string(), |v| v.to_string())
-            );
-            drifted = true;
-        }
-    }
-    if drifted {
-        return Err("pinned metric expectations failed".to_string());
-    }
-    Ok(())
+    check_expect(&snap, &args.expect, &format!("fault_sim: {file}"))
 }
 
 fn main() -> ExitCode {

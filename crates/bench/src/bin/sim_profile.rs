@@ -37,27 +37,12 @@ use std::process::ExitCode;
 
 use mis_analyze::{attribute_levels, TimingAnalysis};
 use mis_bench::emit;
-use mis_bench::netlist::{committed_cells, traffic};
+use mis_bench::netlist::{check_expect, committed_cells, parse_expect, traffic};
 use mis_probe::json::{is_wellformed, json_string};
 use mis_probe::vcd::{write_vcd, VcdSignal};
 use mis_probe::{Probe, TraceSink};
 use mis_sim::{BenchNetlist, Simulator};
 use mis_waveform::TraceArena;
-
-/// Parsed `--expect` pairs: metric name and pinned scalar.
-fn parse_expect(spec: &str) -> Result<Vec<(String, u64)>, String> {
-    spec.split(',')
-        .map(|pair| {
-            let (name, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("--expect pair '{pair}' is not metric=value"))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|e| format!("--expect value in '{pair}': {e}"))?;
-            Ok((name.to_string(), value))
-        })
-        .collect()
-}
 
 struct Args {
     json: bool,
@@ -190,22 +175,11 @@ fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    let mut drifted = false;
-    for (name, want) in &args.expect {
-        let got = report.get(name).and_then(mis_probe::MetricValue::scalar);
-        if got != Some(*want) {
-            eprintln!(
-                "sim_profile: {}: expected {name}={want}, got {}",
-                args.file,
-                got.map_or("<missing>".to_string(), |v| v.to_string())
-            );
-            drifted = true;
-        }
-    }
-    if drifted {
-        return Err("pinned metric expectations failed".to_string());
-    }
-    Ok(())
+    check_expect(
+        &report,
+        &args.expect,
+        &format!("sim_profile: {}", args.file),
+    )
 }
 
 fn main() -> ExitCode {

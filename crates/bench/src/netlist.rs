@@ -1,6 +1,7 @@
 //! Shared plumbing for the netlist CLIs (`sim_profile`, `lint_bench`,
-//! `fault_sim`): the committed characterized cell realization and the
-//! deterministic input traffic every binary drives fixtures with. One
+//! `fault_sim`): the committed characterized cell realization, the
+//! deterministic input traffic every binary drives fixtures with, and
+//! the `--expect` metric pins CI checks their probe reports against. One
 //! definition keeps the binaries' numbers comparable — a profiled event
 //! count, a timing window and a fault-coverage figure for the same
 //! `.bench` file all describe the same lowered circuit under the same
@@ -10,6 +11,7 @@ use std::path::PathBuf;
 
 use mis_charlib::CharLib;
 use mis_digital::InertialChannel;
+use mis_probe::{MetricValue, ProbeReport};
 use mis_sim::CellLibrary;
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -62,9 +64,88 @@ pub fn traffic(n: usize) -> Result<Vec<DigitalTrace>, String> {
         .collect()
 }
 
+/// Parses an `--expect` spec — `metric=value` pairs separated by
+/// commas — into metric names and pinned scalars.
+///
+/// # Errors
+///
+/// A message naming the malformed pair: one without `=`, or a value
+/// that is not a `u64`.
+pub fn parse_expect(spec: &str) -> Result<Vec<(String, u64)>, String> {
+    spec.split(',')
+        .map(|pair| {
+            let (name, value) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("--expect pair '{pair}' is not metric=value"))?;
+            let value: u64 = value
+                .parse()
+                .map_err(|e| format!("--expect value in '{pair}': {e}"))?;
+            Ok((name.to_string(), value))
+        })
+        .collect()
+}
+
+/// Checks every pinned metric against `report`. Each drifted or missing
+/// metric is printed to stderr as `label: expected name=want, got v`.
+///
+/// # Errors
+///
+/// A summary message when any pin failed.
+pub fn check_expect(
+    report: &ProbeReport,
+    expect: &[(String, u64)],
+    label: &str,
+) -> Result<(), String> {
+    let mut drifted = false;
+    for (name, want) in expect {
+        let got = report.get(name).and_then(MetricValue::scalar);
+        if got != Some(*want) {
+            eprintln!(
+                "{label}: expected {name}={want}, got {}",
+                got.map_or("<missing>".to_string(), |v| v.to_string())
+            );
+            drifted = true;
+        }
+    }
+    if drifted {
+        return Err("pinned metric expectations failed".to_string());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mis_probe::Probe;
+
+    #[test]
+    fn parse_expect_reads_pairs_and_rejects_malformed_ones() {
+        assert_eq!(
+            parse_expect("sim.runs=1,chan.table_lookups=741").unwrap(),
+            vec![
+                ("sim.runs".to_string(), 1),
+                ("chan.table_lookups".to_string(), 741)
+            ]
+        );
+        for bad in ["", "a"] {
+            let err = parse_expect(bad).unwrap_err();
+            assert!(err.contains("is not metric=value"), "{bad:?}: {err}");
+        }
+        let err = parse_expect("a=x").unwrap_err();
+        assert!(err.contains("--expect value in 'a=x'"), "{err}");
+    }
+
+    #[test]
+    fn check_expect_passes_pins_and_fails_drift_or_missing_metrics() {
+        let probe = Probe::new();
+        probe.counter("sim.runs").add(2);
+        let report = probe.report();
+        let pin = |name: &str, v: u64| vec![(name.to_string(), v)];
+        assert!(check_expect(&report, &pin("sim.runs", 2), "t").is_ok());
+        assert!(check_expect(&report, &[], "t").is_ok());
+        assert!(check_expect(&report, &pin("sim.runs", 3), "t").is_err());
+        assert!(check_expect(&report, &pin("sim.missing", 0), "t").is_err());
+    }
 
     #[test]
     fn traffic_is_deterministic_and_sized() {

@@ -8,8 +8,7 @@ use mis_charlib::{CharGate, CharLib, SurfaceFamily};
 use mis_core::{Mode, ModeConstants, ModeSystem, ModeTrajectory, NorParams};
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{DelayBounds, TwoInputTransform};
-use crate::probe::ChannelCounters;
+use crate::channels::{ChannelEvents, DelayBounds, TwoInputTransform};
 use crate::{gates, SimError};
 
 /// A cached two-input NOR delay channel driven by characterized delay
@@ -515,11 +514,8 @@ struct Scheduler<'a, 'o> {
     /// chasing the buffer.
     last_out_t: f64,
     out: &'o mut EdgeBuf,
-    /// Channel-event sink the local tallies flush into at `finish`.
-    stats: &'a ChannelCounters,
-    /// Pending transitions annihilated this run (local tally: an
-    /// unconditional register increment beats even a disabled-probe
-    /// branch in the event hot loop).
+    /// Pending transitions annihilated this run (a local tally: the
+    /// event hot loop only bumps a register, and `finish` returns it).
     n_cancelled: u64,
     /// MIS delay-surface evaluations this run (local tally).
     n_lookups: u64,
@@ -528,13 +524,7 @@ struct Scheduler<'a, 'o> {
 impl<'a, 'o> Scheduler<'a, 'o> {
     /// Prepares a run: clears `out` to the NOR of the initial input
     /// values and seeds the event-history state.
-    fn new(
-        ch: &'a CachedHybridChannel,
-        stats: &'a ChannelCounters,
-        a0: bool,
-        b0: bool,
-        out: &'o mut EdgeBuf,
-    ) -> Self {
+    fn new(ch: &'a CachedHybridChannel, a0: bool, b0: bool, out: &'o mut EdgeBuf) -> Self {
         let initial = !(a0 || b0);
         out.clear(initial);
         Scheduler {
@@ -550,23 +540,24 @@ impl<'a, 'o> Scheduler<'a, 'o> {
             last_fall_idx: FALL_S11,
             last_out_t: f64::NEG_INFINITY,
             out,
-            stats,
             n_cancelled: 0,
             n_lookups: 0,
         }
     }
 
-    /// Flushes the pending edge at the end of the event stream, then
-    /// the run's event tallies into the stats sink (one flush per
-    /// application — the hot loop itself never touches shared state).
-    fn finish(mut self) -> Result<(), SimError> {
+    /// Flushes the pending edge at the end of the event stream and
+    /// returns the run's event tallies.
+    fn finish(mut self) -> Result<ChannelEvents, SimError> {
         if self.pending_t < f64::INFINITY {
             let (tp, pol) = (self.pending_t, self.pending_pol);
             self.pending_t = f64::INFINITY;
             self.push(tp, pol)?;
         }
-        self.stats.flush_scheduler(self.n_cancelled, self.n_lookups);
-        Ok(())
+        Ok(ChannelEvents {
+            pending_cancelled: self.n_cancelled,
+            table_lookups: self.n_lookups,
+            pulse_filtered: 0,
+        })
     }
 
     #[inline]
@@ -772,57 +763,10 @@ impl<'a, 'o> Scheduler<'a, 'o> {
     }
 }
 
-impl CachedHybridChannel {
-    /// The SoA event loop shared by the probed and unprobed entry
-    /// points: a two-pointer merge feeding the scheduler, which flushes
-    /// its event tallies into `stats` at the end.
-    fn run_soa(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        let mut s = Scheduler::new(self, stats, a.initial_value(), b.initial_value(), out);
-        // Same two-pointer merge over the SoA views, polarities by
-        // parity. Which input fires next is a coin flip to the branch
-        // predictor, so the selection is arranged as data flow
-        // (conditional moves on one compare) rather than control flow —
-        // only `handle`'s own state machine branches remain.
-        let (ta, tb) = (a.times(), b.times());
-        let (ia, ib) = (a.initial_value(), b.initial_value());
-        let (na, nb) = (ta.len(), tb.len());
-        let (mut i, mut j) = (0, 0);
-        while i < na || j < nb {
-            let tai = if i < na { ta[i] } else { f64::INFINITY };
-            let tbj = if j < nb { tb[j] } else { f64::INFINITY };
-            let take_a = tai <= tbj;
-            let t = if take_a { tai } else { tbj };
-            let (idx, init) = if take_a { (i, ia) } else { (j, ib) };
-            let v = (idx % 2 == 0) ^ init;
-            let which = usize::from(!take_a);
-            i += usize::from(take_a);
-            j += usize::from(!take_a);
-            if v {
-                s.handle::<true>(t, which)?;
-            } else {
-                s.handle::<false>(t, which)?;
-            }
-        }
-        s.finish()
-    }
-}
-
 impl TwoInputTransform for CachedHybridChannel {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
         let mut out = EdgeBuf::with_capacity(a.transition_count() + b.transition_count());
-        let mut s = Scheduler::new(
-            self,
-            ChannelCounters::disabled(),
-            a.initial_value(),
-            b.initial_value(),
-            &mut out,
-        );
+        let mut s = Scheduler::new(self, a.initial_value(), b.initial_value(), &mut out);
         // Two-pointer merge over the (already sorted) input edge lists.
         let (ea, eb) = (a.edges(), b.edges());
         let (mut i, mut j) = (0, 0);
@@ -851,23 +795,41 @@ impl TwoInputTransform for CachedHybridChannel {
         Ok(out.to_trace())
     }
 
+    /// The SoA event loop: a two-pointer merge feeding the scheduler,
+    /// which returns its event tallies at the end.
     fn apply2_into(
         &self,
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
-        self.run_soa(a, b, out, ChannelCounters::disabled())
-    }
-
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        self.run_soa(a, b, out, stats)
+    ) -> Result<ChannelEvents, SimError> {
+        let mut s = Scheduler::new(self, a.initial_value(), b.initial_value(), out);
+        // Same two-pointer merge over the SoA views, polarities by
+        // parity. Which input fires next is a coin flip to the branch
+        // predictor, so the selection is arranged as data flow
+        // (conditional moves on one compare) rather than control flow —
+        // only `handle`'s own state machine branches remain.
+        let (ta, tb) = (a.times(), b.times());
+        let (ia, ib) = (a.initial_value(), b.initial_value());
+        let (na, nb) = (ta.len(), tb.len());
+        let (mut i, mut j) = (0, 0);
+        while i < na || j < nb {
+            let tai = if i < na { ta[i] } else { f64::INFINITY };
+            let tbj = if j < nb { tb[j] } else { f64::INFINITY };
+            let take_a = tai <= tbj;
+            let t = if take_a { tai } else { tbj };
+            let (idx, init) = if take_a { (i, ia) } else { (j, ib) };
+            let v = (idx % 2 == 0) ^ init;
+            let which = usize::from(!take_a);
+            i += usize::from(take_a);
+            j += usize::from(!take_a);
+            if v {
+                s.handle::<true>(t, which)?;
+            } else {
+                s.handle::<false>(t, which)?;
+            }
+        }
+        s.finish()
     }
 
     fn name(&self) -> &str {
@@ -944,28 +906,14 @@ impl TwoInputTransform for CachedHybridNandChannel {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
+    ) -> Result<ChannelEvents, SimError> {
         // In the SoA representation NOT is free (flip the initial value,
         // keep the times), so the duality costs nothing: run the dual NOR
         // scheduler on inverted views and invert the result in place.
-        self.inner.apply2_into(a.inverted(), b.inverted(), out)?;
+        // The dual NOR scheduler's events are the NAND channel's events.
+        let events = self.inner.apply2_into(a.inverted(), b.inverted(), out)?;
         out.invert();
-        Ok(())
-    }
-
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        // The duality adapter is stats-transparent: the dual NOR
-        // scheduler's events are the NAND channel's events.
-        self.inner
-            .apply2_into_probed(a.inverted(), b.inverted(), out, stats)?;
-        out.invert();
-        Ok(())
+        Ok(events)
     }
 
     fn name(&self) -> &str {

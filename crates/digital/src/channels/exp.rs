@@ -1,6 +1,6 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{apply_involution, apply_involution_into, TraceTransform};
+use crate::channels::{apply_involution, apply_involution_into, ChannelEvents, TraceTransform};
 use crate::SimError;
 
 /// The IDM exponential involution channel.
@@ -183,7 +183,11 @@ impl TraceTransform for ExpChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
         apply_involution_into(
             input,
             input.initial_value(),
@@ -195,7 +199,8 @@ impl TraceTransform for ExpChannel {
                 }
             },
             out,
-        )
+        )?;
+        Ok(ChannelEvents::default())
     }
 
     fn name(&self) -> &str {

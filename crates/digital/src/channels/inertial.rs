@@ -1,7 +1,6 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{DelayBounds, TraceTransform};
-use crate::probe::ChannelCounters;
+use crate::channels::{ChannelEvents, DelayBounds, TraceTransform};
 use crate::SimError;
 
 /// The inertial delay channel: rising and falling edges are delayed by
@@ -129,7 +128,11 @@ impl TraceTransform for InertialChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
         out.clear(input.initial_value());
         // Pass 1 — shift + pairwise cancellation, stack-style: a shifted
         // edge landing at or before the last surviving one annihilates
@@ -154,21 +157,13 @@ impl TraceTransform for InertialChannel {
         }
         // Pass 2 — inertial rejection of surviving short pulses, in place.
         out.filter_short_pulses_in_place(self.rejection)?;
-        Ok(())
-    }
-
-    fn apply_into_probed(
-        &self,
-        input: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        self.apply_into(input, out)?;
         // Both removal mechanisms — reorder cancellation and pulse
         // rejection — are inertial filtering; the census is simply the
         // edges that went in minus the edges that came out.
-        stats.add_pulse_filtered((input.len() - out.len()) as u64);
-        Ok(())
+        Ok(ChannelEvents {
+            pulse_filtered: (input.len() - out.len()) as u64,
+            ..ChannelEvents::default()
+        })
     }
 
     fn name(&self) -> &str {

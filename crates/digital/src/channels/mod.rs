@@ -10,8 +10,35 @@ pub mod sumexp;
 
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::probe::ChannelCounters;
 use crate::SimError;
+
+/// What one in-place channel application did, returned by
+/// [`TraceTransform::apply_into`] and [`TwoInputTransform::apply2_into`].
+/// Channels count in plain locals and hand the tallies back; only the
+/// engine decides whether to record them (the `chan.*` metrics of a
+/// probed `mis-sim` run). Channels that track none of these report
+/// zeros.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelEvents {
+    /// Pending output transitions cancelled before commit — the cached
+    /// scheduler's glitch suppressions plus reverted rises.
+    pub pending_cancelled: u64,
+    /// MIS delay-surface evaluations (the `δ↑`/`δ↓` table walks; the
+    /// single-input fall modes use precomputed constants and do not
+    /// count).
+    pub table_lookups: u64,
+    /// Input edges removed by inertial filtering (reorder cancellation
+    /// plus pulse rejection).
+    pub pulse_filtered: u64,
+}
+
+impl std::ops::AddAssign for ChannelEvents {
+    fn add_assign(&mut self, rhs: Self) {
+        self.pending_cancelled += rhs.pending_cancelled;
+        self.table_lookups += rhs.table_lookups;
+        self.pulse_filtered += rhs.pulse_filtered;
+    }
+}
 
 /// A closed interval `[lo, hi]` (seconds) bounding the offset between any
 /// output transition a channel commits and *some* input transition of the
@@ -69,37 +96,22 @@ pub trait TraceTransform: Send + Sync {
     fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError>;
 
     /// Applies the channel to a borrowed SoA view, writing the result
-    /// into `out` (cleared first) — the arena hot path. The default
-    /// delegates to the allocating [`TraceTransform::apply`]; the
+    /// into `out` (cleared first) — the arena hot path — and returns
+    /// the application's [`ChannelEvents`]. The default delegates to
+    /// the allocating [`TraceTransform::apply`] and reports zeros; the
     /// workspace channels override it with allocation-free kernels.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TraceTransform::apply`].
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
-        let result = self.apply(&input.to_trace())?;
-        out.copy_trace(&result);
-        Ok(())
-    }
-
-    /// [`TraceTransform::apply_into`] with channel-event accounting:
-    /// implementations that track cancellations or pulse rejections
-    /// record them into `stats`. The default ignores `stats` and
-    /// delegates, so every channel is probed-callable; behavior (the
-    /// output trace, the error cases, the zero-allocation guarantee)
-    /// is identical to the unprobed path by contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceTransform::apply_into`].
-    fn apply_into_probed(
+    fn apply_into(
         &self,
         input: TraceRef<'_>,
         out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        let _ = stats;
-        self.apply_into(input, out)
+    ) -> Result<ChannelEvents, SimError> {
+        let result = self.apply(&input.to_trace())?;
+        out.copy_trace(&result);
+        Ok(ChannelEvents::default())
     }
 
     /// A short human-readable name for reports.
@@ -129,9 +141,10 @@ pub trait TwoInputTransform: Send + Sync {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError>;
 
     /// Applies the channel to a pair of borrowed SoA views, writing the
-    /// result into `out` (cleared first) — the arena hot path. The
-    /// default delegates to the allocating
-    /// [`TwoInputTransform::apply2`].
+    /// result into `out` (cleared first) — the arena hot path — and
+    /// returns the application's [`ChannelEvents`]. The default
+    /// delegates to the allocating [`TwoInputTransform::apply2`] and
+    /// reports zeros.
     ///
     /// # Errors
     ///
@@ -141,28 +154,10 @@ pub trait TwoInputTransform: Send + Sync {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
+    ) -> Result<ChannelEvents, SimError> {
         let result = self.apply2(&a.to_trace(), &b.to_trace())?;
         out.copy_trace(&result);
-        Ok(())
-    }
-
-    /// [`TwoInputTransform::apply2_into`] with channel-event
-    /// accounting — see [`TraceTransform::apply_into_probed`] for the
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TwoInputTransform::apply2_into`].
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        let _ = stats;
-        self.apply2_into(a, b, out)
+        Ok(ChannelEvents::default())
     }
 
     /// A short human-readable name for reports.
@@ -186,17 +181,12 @@ impl<T: TraceTransform + ?Sized> TraceTransform for std::sync::Arc<T> {
         (**self).apply(input)
     }
 
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
-        (**self).apply_into(input, out)
-    }
-
-    fn apply_into_probed(
+    fn apply_into(
         &self,
         input: TraceRef<'_>,
         out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        (**self).apply_into_probed(input, out, stats)
+    ) -> Result<ChannelEvents, SimError> {
+        (**self).apply_into(input, out)
     }
 
     fn name(&self) -> &str {
@@ -218,18 +208,8 @@ impl<T: TwoInputTransform + ?Sized> TwoInputTransform for std::sync::Arc<T> {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
+    ) -> Result<ChannelEvents, SimError> {
         (**self).apply2_into(a, b, out)
-    }
-
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        (**self).apply2_into_probed(a, b, out, stats)
     }
 
     fn name(&self) -> &str {

@@ -1,6 +1,6 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{DelayBounds, TraceTransform};
+use crate::channels::{ChannelEvents, DelayBounds, TraceTransform};
 use crate::SimError;
 
 /// The pure (constant) delay channel: every edge is shifted by a fixed
@@ -54,12 +54,16 @@ impl TraceTransform for PureDelayChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
         out.clear(input.initial_value());
         for &t in input.times() {
             out.push_time(t + self.delay)?;
         }
-        Ok(())
+        Ok(ChannelEvents::default())
     }
 
     fn name(&self) -> &str {

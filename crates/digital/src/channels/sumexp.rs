@@ -1,6 +1,6 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{apply_involution, apply_involution_into, TraceTransform};
+use crate::channels::{apply_involution, apply_involution_into, ChannelEvents, TraceTransform};
 use crate::SimError;
 
 /// An involution channel whose switching waveform is a **sum of two
@@ -170,13 +170,18 @@ impl TraceTransform for SumExpChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
         apply_involution_into(
             input,
             input.initial_value(),
             |t, _rising| self.delta(t),
             out,
-        )
+        )?;
+        Ok(ChannelEvents::default())
     }
 
     fn name(&self) -> &str {

@@ -30,13 +30,16 @@
 //!
 //! # Two paths per channel: owned and in place
 //!
-//! Every channel trait carries an in-place variant
+//! Every channel trait carries exactly one in-place entry
 //! ([`TraceTransform::apply_into`] / [`TwoInputTransform::apply2_into`])
 //! over borrowed structure-of-arrays views, next to the owned
 //! [`TraceTransform::apply`] / [`TwoInputTransform::apply2`]. The
 //! in-place kernels, with [`gates::combine2_into`], are what the
 //! `mis-sim` engine runs over a reusable [`mis_waveform::TraceArena`],
-//! allocation-free once warm. [`Network::run`] is the naive reference:
+//! allocation-free once warm. An in-place application returns what it
+//! did as [`ChannelEvents`] (cancellations, table lookups, filtered
+//! pulses); the channel layer holds no instrumentation handle, and
+//! only the engine decides whether the tallies are recorded. [`Network::run`] is the naive reference:
 //! it composes the owned functions signal by signal, sharing no code
 //! with the engine's hot path, so the two checking each other tests
 //! the kernels as well as the schedule. [`netlists`] builds the
@@ -78,7 +81,6 @@ pub mod gates;
 pub mod involution;
 pub mod netlists;
 mod network;
-pub mod probe;
 
 pub use channels::cached::{CachedHybridChannel, CachedHybridNandChannel};
 pub use channels::exp::ExpChannel;
@@ -87,7 +89,6 @@ pub use channels::inertial::InertialChannel;
 pub use channels::nand::HybridNandChannel;
 pub use channels::pure::PureDelayChannel;
 pub use channels::sumexp::SumExpChannel;
-pub use channels::{DelayBounds, TraceTransform, TwoInputTransform};
+pub use channels::{ChannelEvents, DelayBounds, TraceTransform, TwoInputTransform};
 pub use error::{BudgetResource, SimError};
 pub use network::{GateKind, Network, SignalId, SignalSource};
-pub use probe::ChannelCounters;

@@ -14,17 +14,14 @@
 //!
 //! Each builder is parameterized over a [`GateFactory`], which decides
 //! how every two-input gate realizes its function and timing: a zero-time
-//! gate followed by a single-input channel ([`ChannelPerGate`]), or a
-//! two-input channel gate carrying the MIS-aware hybrid fast path
-//! ([`CachedHybridFactory`]). The same topology can therefore be timed
-//! under every delay model the workspace implements.
+//! gate followed by a single-input channel ([`ChannelPerGate`]), or —
+//! through `mis_sim::CellLibrary::hybrid`, which implements the same
+//! trait — a two-input channel gate carrying the MIS-aware cached
+//! hybrid fast path for NOR and NAND. The same topology can therefore be
+//! timed under every delay model the workspace implements.
 
-use std::sync::Arc;
-
-use mis_charlib::CharLib;
-
-use crate::channels::{TraceTransform, TwoInputTransform};
-use crate::{CachedHybridChannel, CachedHybridNandChannel, GateKind, Network, SignalId, SimError};
+use crate::channels::TraceTransform;
+use crate::{GateKind, Network, SignalId, SimError};
 
 /// A built benchmark circuit: the network plus its primary input and
 /// output signal handles.
@@ -72,67 +69,6 @@ impl<F: FnMut() -> Option<Box<dyn TraceTransform>>> GateFactory for ChannelPerGa
         b: SignalId,
     ) -> Result<SignalId, SimError> {
         net.add_gate(name, kind, &[a, b], (self.0)())
-    }
-}
-
-/// Realizes NOR and NAND gates as cached hybrid two-input channel gates
-/// built from one characterized NOR library (NAND through the analog
-/// duality). The library is resampled **once** at factory construction
-/// and held behind an [`Arc`]: every gate instance added by the factory
-/// references the same ~20 KiB table set (a refcount bump per gate, not
-/// a flat copy — at C432 scale the sharing is what keeps the resampled
-/// surfaces cache-resident). Other gate kinds are rejected — the hybrid
-/// model exists for the coupled pull-up/pull-down gates only.
-#[derive(Debug, Clone)]
-pub struct CachedHybridFactory {
-    nor: Arc<CachedHybridChannel>,
-    nand: CachedHybridNandChannel,
-}
-
-impl CachedHybridFactory {
-    /// Creates the factory from a characterized **NOR** library.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Network`] for a non-NOR library.
-    pub fn new(lib: &CharLib) -> Result<Self, SimError> {
-        Ok(Self::from_shared(Arc::new(CachedHybridChannel::new(lib)?)))
-    }
-
-    /// Creates the factory around an already-shared table set (the same
-    /// `Arc` a `mis-sim` cell library hands out), adding no copies.
-    #[must_use]
-    pub fn from_shared(nor: Arc<CachedHybridChannel>) -> Self {
-        let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
-        CachedHybridFactory { nor, nand }
-    }
-
-    /// The shared NOR table set driving every gate this factory adds.
-    #[must_use]
-    pub fn shared(&self) -> &Arc<CachedHybridChannel> {
-        &self.nor
-    }
-}
-
-impl GateFactory for CachedHybridFactory {
-    fn add(
-        &mut self,
-        net: &mut Network,
-        name: &str,
-        kind: GateKind,
-        a: SignalId,
-        b: SignalId,
-    ) -> Result<SignalId, SimError> {
-        let channel: Box<dyn TwoInputTransform> = match kind {
-            GateKind::Nor => Box::new(Arc::clone(&self.nor)),
-            GateKind::Nand => Box::new(self.nand.clone()),
-            other => {
-                return Err(SimError::Network {
-                    reason: format!("no cached hybrid model for {other:?} gates"),
-                })
-            }
-        };
-        net.add_two_input_channel_gate(name, [a, b], channel)
     }
 }
 
@@ -249,17 +185,11 @@ pub fn fanout_tree(
 mod tests {
     use super::*;
     use crate::InertialChannel;
-    use mis_charlib::CharConfig;
-    use mis_core::NorParams;
     use mis_waveform::units::ps;
     use mis_waveform::DigitalTrace;
 
     fn zero_time() -> ChannelPerGate<impl FnMut() -> Option<Box<dyn TraceTransform>>> {
         ChannelPerGate(|| None)
-    }
-
-    fn quick_lib() -> CharLib {
-        CharLib::nor(&NorParams::paper_table1(), &CharConfig::quick()).expect("characterization")
     }
 
     #[test]
@@ -319,20 +249,5 @@ mod tests {
             assert!((v.edges()[0].time - ps(130.0)).abs() < 1e-18);
         }
         assert!(fanout_tree(0, &mut || None).is_err());
-    }
-
-    #[test]
-    fn cached_factory_builds_hybrid_gates_and_rejects_others() {
-        let lib = quick_lib();
-        let mut f = CachedHybridFactory::new(&lib).unwrap();
-        let chain = ripple_chain(GateKind::Nand, 3, &mut f).unwrap();
-        let a = DigitalTrace::with_edges(true, vec![(ps(300.0), false)]).unwrap();
-        let b = DigitalTrace::constant(true);
-        let traces = chain.net.run(&[a, b]).unwrap();
-        // NAND chain with b high: each stage inverts the previous signal.
-        let out = &traces[chain.outputs[0].index()];
-        assert!(!out.initial_value(), "NAND(1,1) = 0 settled");
-        assert_eq!(out.transition_count(), 1);
-        assert!(ripple_chain(GateKind::Xor, 2, &mut f).is_err());
     }
 }

@@ -1,15 +1,18 @@
 //! Steady-state allocation-freedom of the in-place channel kernels,
 //! asserted with the `mis-testkit` counting allocator: once the output
-//! buffer is warm, re-applying a channel (probed or not) performs
-//! **zero** heap allocations. The whole-netlist gates on a warm
-//! `mis_sim::Simulator` live in `crates/sim/tests/alloc.rs`.
+//! buffer is warm, re-applying a channel performs **zero** heap
+//! allocations and returns the same event tallies every time. The
+//! whole-netlist gates on a warm `mis_sim::Simulator` live in
+//! `crates/sim/tests/alloc.rs`.
 //!
 //! This is an integration test (its own binary) precisely so the counting
 //! allocator can be installed globally without touching any other target.
 
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
-use mis_digital::{CachedHybridChannel, InertialChannel, TraceTransform};
+use mis_digital::{
+    CachedHybridChannel, ChannelEvents, InertialChannel, TraceTransform, TwoInputTransform,
+};
 use mis_testkit::alloc::{self, CountingAllocator};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -31,100 +34,51 @@ fn traffic(seed: u64) -> Vec<DigitalTrace> {
 
 #[test]
 fn warm_channel_apply_into_is_allocation_free() {
+    // One in-place entry per channel: once the output buffer is warm,
+    // re-applying allocates nothing, and the returned tallies are a
+    // pure function of the input — five identical applications return
+    // five times the warm-up's events.
     let lib = quick_lib();
     let cached = CachedHybridChannel::new(&lib).unwrap();
     let inertial = InertialChannel::symmetric(ps(45.0), ps(35.0)).unwrap();
-    let inputs = traffic(0xF00);
-    let (mut abuf, mut bbuf) = (EdgeBuf::new(), EdgeBuf::new());
-    abuf.copy_trace(&inputs[0]);
-    bbuf.copy_trace(&inputs[1]);
-    let mut out = EdgeBuf::new();
-    // Warm-up.
-    use mis_digital::TwoInputTransform;
-    cached
-        .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
-        .unwrap();
-    inertial.apply_into(abuf.as_ref(), &mut out).unwrap();
-    let (allocations, ()) = alloc::count_in(|| {
-        cached
-            .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
-            .unwrap();
-        inertial.apply_into(abuf.as_ref(), &mut out).unwrap();
-    });
-    assert_eq!(
-        allocations, 0,
-        "warm apply_into allocated {allocations} times"
-    );
-}
-
-#[test]
-fn warm_probed_channel_applies_are_allocation_free_and_count_events() {
-    // The probed entry points carry the same zero-allocation guarantee
-    // as the unprobed ones: metric *registration* is the cold path that
-    // may allocate; *recording* is atomic updates only.
-    use mis_digital::{ChannelCounters, TwoInputTransform};
-    let lib = quick_lib();
-    let cached = CachedHybridChannel::new(&lib).unwrap();
-    let inertial = InertialChannel::symmetric(ps(45.0), ps(35.0)).unwrap();
-    let probe = mis_probe::Probe::new();
-    let stats = ChannelCounters::register(&probe);
     let inputs = traffic(0xB0B);
     let (mut abuf, mut bbuf) = (EdgeBuf::new(), EdgeBuf::new());
     abuf.copy_trace(&inputs[0]);
     bbuf.copy_trace(&inputs[1]);
     let mut out = EdgeBuf::new();
-    // Warm-up (also sizes the buffers).
-    cached
-        .apply2_into_probed(abuf.as_ref(), bbuf.as_ref(), &mut out, &stats)
+    // Warm-up (also sizes the buffer).
+    let warm_cached = cached
+        .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
         .unwrap();
-    inertial
-        .apply_into_probed(abuf.as_ref(), &mut out, &stats)
-        .unwrap();
-    let before_lookups = stats.table_lookups();
+    let warm_inertial = inertial.apply_into(abuf.as_ref(), &mut out).unwrap();
     assert!(
-        before_lookups > 0,
+        warm_cached.table_lookups > 0,
         "dense traffic must walk the MIS surfaces"
     );
-    let (allocations, ()) = alloc::count_in(|| {
+    let (allocations, (sum_cached, sum_inertial)) = alloc::count_in(|| {
+        let (mut c, mut i) = (ChannelEvents::default(), ChannelEvents::default());
         for _ in 0..5 {
-            cached
-                .apply2_into_probed(abuf.as_ref(), bbuf.as_ref(), &mut out, &stats)
+            c += cached
+                .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
                 .unwrap();
-            inertial
-                .apply_into_probed(abuf.as_ref(), &mut out, &stats)
-                .unwrap();
+            i += inertial.apply_into(abuf.as_ref(), &mut out).unwrap();
         }
+        (c, i)
     });
     assert_eq!(
         allocations, 0,
-        "warm probed applies allocated {allocations} times"
+        "warm apply_into allocated {allocations} times"
     );
-    // Counters are cumulative and deterministic: five identical
-    // applications add five times the warm-up's totals.
-    assert_eq!(stats.table_lookups(), 6 * before_lookups);
-}
-
-#[test]
-fn probed_and_unprobed_paths_produce_identical_traces() {
-    use mis_digital::{ChannelCounters, TwoInputTransform};
-    let lib = quick_lib();
-    let cached = CachedHybridChannel::new(&lib).unwrap();
-    let probe = mis_probe::Probe::new();
-    let stats = ChannelCounters::register(&probe);
-    for seed in [0x1u64, 0x2, 0x3, 0x44] {
-        let inputs = traffic(seed);
-        let (mut abuf, mut bbuf) = (EdgeBuf::new(), EdgeBuf::new());
-        abuf.copy_trace(&inputs[0]);
-        bbuf.copy_trace(&inputs[1]);
-        let (mut plain, mut probed) = (EdgeBuf::new(), EdgeBuf::new());
-        cached
-            .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut plain)
-            .unwrap();
-        cached
-            .apply2_into_probed(abuf.as_ref(), bbuf.as_ref(), &mut probed, &stats)
-            .unwrap();
-        assert_eq!(plain.to_trace(), probed.to_trace(), "seed {seed:#x}");
-    }
+    let times5 = |e: ChannelEvents| ChannelEvents {
+        pending_cancelled: 5 * e.pending_cancelled,
+        table_lookups: 5 * e.table_lookups,
+        pulse_filtered: 5 * e.pulse_filtered,
+    };
+    assert_eq!(sum_cached, times5(warm_cached));
+    assert_eq!(sum_inertial, times5(warm_inertial));
+    // Each channel reports only the events it tracks.
+    assert_eq!(warm_cached.pulse_filtered, 0);
+    assert_eq!(warm_inertial.table_lookups, 0);
 }
 
 #[test]

@@ -13,11 +13,9 @@ use std::sync::{Arc, OnceLock};
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ChannelCounters, ExpChannel,
-    HybridNorChannel, InertialChannel, PureDelayChannel, SumExpChannel, TraceTransform,
-    TwoInputTransform,
+    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ExpChannel, HybridNorChannel,
+    InertialChannel, PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
-use mis_probe::Probe;
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
@@ -247,13 +245,16 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
             .unwrap();
         prop_assert_eq!(&out.to_trace(), &want_nand, "cached NAND");
 
-        // The engine's exact call: `apply2_into_probed` on a boxed
-        // channel behind the `Arc` cell libraries hand to networks, with
-        // live counters. The forwarding must keep both the output and
-        // the scheduler's tallies.
-        let live = ChannelCounters::register(&Probe::new());
-        let direct = ChannelCounters::register(&Probe::new());
-        for (ch, want) in [
+        // The engine's exact call: `apply2_into` on a boxed channel
+        // behind the `Arc` cell libraries hand to networks. The
+        // forwarding must keep both the output and the scheduler's
+        // returned tallies.
+        let direct = [
+            nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap(),
+            nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
+                .unwrap(),
+        ];
+        for ((ch, want), direct) in [
             (
                 Box::new(Arc::clone(&nor)) as Box<dyn TwoInputTransform>,
                 &want_nor,
@@ -262,17 +263,14 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
                 Box::new(nand.clone()) as Box<dyn TwoInputTransform>,
                 &want_nand,
             ),
-        ] {
-            ch.apply2_into_probed(va.as_ref(), vb.as_ref(), &mut out, &live)
-                .unwrap();
-            prop_assert_eq!(&out.to_trace(), want, "{} through Arc, probed", ch.name());
+        ]
+        .into_iter()
+        .zip(direct)
+        {
+            let events = ch.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
+            prop_assert_eq!(&out.to_trace(), want, "{} through Arc", ch.name());
+            prop_assert_eq!(events, direct, "{} events through Arc", ch.name());
         }
-        nor.apply2_into_probed(va.as_ref(), vb.as_ref(), &mut out, &direct)
-            .unwrap();
-        nand.apply2_into_probed(va.as_ref(), vb.as_ref(), &mut out, &direct)
-            .unwrap();
-        prop_assert_eq!(live.table_lookups(), direct.table_lookups());
-        prop_assert_eq!(live.pending_cancelled(), direct.pending_cancelled());
         Ok(())
     });
 }

@@ -2,10 +2,11 @@
 //! every instance in a netlist.
 //!
 //! [`CellLibrary`] is the `mis-sim` counterpart of a standard-cell
-//! library: where `mis_digital::netlists::CachedHybridFactory` realizes
-//! individual benchmark gates, a cell library also covers the unary and
-//! non-hybrid gate kinds that real `.bench` circuits contain, and it
-//! guarantees **sharing** — the characterized cached-hybrid table set
+//! library. It realizes the two-input gates of the
+//! `mis_digital::netlists` builders (it implements their
+//! [`GateFactory`]) as well as the unary and non-hybrid gate kinds that
+//! real `.bench` circuits contain, and it guarantees **sharing** — the
+//! characterized cached-hybrid table set
 //! (~20 KiB of resampled delay surfaces per cell type) is held behind one
 //! [`Arc`] and every NOR/NAND instance references it. At C432 scale this
 //! is the difference between the tables living in cache and each gate
@@ -181,6 +182,7 @@ mod tests {
     use super::*;
     use mis_charlib::CharConfig;
     use mis_core::NorParams;
+    use mis_digital::{netlists, SignalSource};
     use mis_waveform::units::ps;
     use mis_waveform::DigitalTrace;
 
@@ -206,6 +208,26 @@ mod tests {
         }
         // Every added gate bumped the refcount instead of copying tables.
         assert_eq!(Arc::strong_count(&tables), before + 32);
+    }
+
+    #[test]
+    fn hybrid_library_builds_a_nand_chain_of_hybrid_gates() {
+        let mut cells = CellLibrary::hybrid(&quick_lib(), None).unwrap();
+        let chain = netlists::ripple_chain(GateKind::Nand, 3, &mut cells).unwrap();
+        for s in chain.net.input_count()..chain.net.signal_count() {
+            let id = chain.net.signal_id(s).unwrap();
+            assert!(matches!(
+                chain.net.source(id),
+                SignalSource::TwoInputChannelGate { .. }
+            ));
+        }
+        let a = DigitalTrace::with_edges(true, vec![(ps(300.0), false)]).unwrap();
+        let b = DigitalTrace::constant(true);
+        let traces = chain.net.run(&[a, b]).unwrap();
+        // NAND chain with b high: each stage inverts the previous signal.
+        let out = &traces[chain.outputs[0].index()];
+        assert!(!out.initial_value(), "NAND(1,1) = 0 settled");
+        assert_eq!(out.transition_count(), 1);
     }
 
     #[test]

@@ -84,7 +84,7 @@
 //! # }
 //! ```
 
-use mis_digital::{ChannelCounters, Network, SignalId, SimError};
+use mis_digital::{Network, SignalId, SimError};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
 use crate::budget::{BudgetMeter, RunBudget};
@@ -164,8 +164,6 @@ pub struct ConeReplay<'n> {
     dirty: Vec<u64>,
     /// Faulty-arena span of each dirty signal (stale for clean ones).
     span_of: Vec<u32>,
-    /// The disabled channel-counter sink the kernel records into.
-    stats: &'static ChannelCounters,
     /// Gates the last run re-evaluated.
     evaluated: u64,
 }
@@ -191,7 +189,6 @@ impl<'n> ConeReplay<'n> {
             pending: vec![0; words],
             dirty: vec![0; words],
             span_of: vec![0; n],
-            stats: ChannelCounters::disabled(),
             evaluated: 0,
         })
     }
@@ -346,6 +343,8 @@ impl<'n> ConeReplay<'n> {
         }
         let (dirty, span_of) = (&self.dirty, &self.span_of);
         let (sealed, out, scratch) = faulty.stage();
+        // The replay records no metrics, so the channel events are
+        // dropped.
         kernel::eval_signal_into(
             source,
             |sid| {
@@ -358,7 +357,6 @@ impl<'n> ConeReplay<'n> {
             },
             out,
             scratch,
-            self.stats,
         )?;
         if out.as_ref() == want {
             out.clear(false);

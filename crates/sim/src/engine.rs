@@ -46,7 +46,7 @@
 //! # }
 //! ```
 
-use mis_digital::{Network, SignalId, SignalSource, SimError};
+use mis_digital::{ChannelEvents, Network, SignalId, SignalSource, SimError};
 use mis_probe::{Probe, TraceSink};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
@@ -209,19 +209,24 @@ impl<'n> Simulator<'n> {
                 self.tracer.seal(i as u32, arena.trace(span).len() as u32);
             }
         }
-        // The duplicate tally stays in a register through the loop; the
-        // shared counters see one flush per run (see `SimCounters`).
+        // The duplicate and channel tallies stay in registers through
+        // the loop; the shared counters see one flush per completed run
+        // (see `SimCounters`).
         let mut dups = 0u64;
+        let mut chan = ChannelEvents::default();
         for s in inputs.len()..self.net.signal_count() {
             self.tracer.guard(meter.on_event())?;
             let gate_started = self.tracer.start();
-            dups += u64::from(self.eval(s, arena, overlay)?);
+            match self.eval(s, arena, overlay)? {
+                Some(events) => chan += events,
+                None => dups += 1,
+            }
             let edges = arena.trace(self.span_of[s] as usize).len() as u64;
             self.tracer.gate_span(gate_started, s as u32, edges as u32);
             self.tracer.guard(meter.on_edges(edges))?;
         }
         let gates = (self.net.signal_count() - inputs.len()) as u64;
-        self.counters.finish_run(started, gates, dups);
+        self.counters.finish_run(started, gates, dups, chan);
         self.tracer.run_span(run_started);
         if self.counters.is_enabled() {
             self.census(arena);
@@ -281,23 +286,27 @@ impl<'n> Simulator<'n> {
     /// Evaluates one gate through the shared per-gate kernel
     /// ([`crate::kernel::eval_signal_into`]) and seals its output span,
     /// applying any overlay rewrite before the span is published.
-    /// Returns whether the gate resolved as a duplicate-span shortcut
-    /// (the run loop's duplicate tally).
+    /// Returns the kernel's channel events, or `None` when the gate
+    /// resolved as a duplicate-span shortcut (the run loop's duplicate
+    /// tally).
     fn eval(
         &mut self,
         s: usize,
         arena: &mut TraceArena,
         overlay: Option<&dyn TraceOverlay>,
-    ) -> Result<bool, SimError> {
+    ) -> Result<Option<ChannelEvents>, SimError> {
         let net = self.net;
         let id = net.signal_id(s).expect("s < signal_count");
         let source = net.source(id);
-        let (mut span, dup) = match kernel::duplicate_shortcut(&source) {
+        let (mut span, events) = match kernel::duplicate_shortcut(&source) {
             Some((src, invert)) => (
                 arena.push_duplicate(self.span_of[src.index()] as usize, invert),
-                true,
+                None,
             ),
-            None => (self.eval_staged(source, arena)?, false),
+            None => {
+                let (span, events) = self.eval_staged(source, arena)?;
+                (span, Some(events))
+            }
         };
         if let Some(ov) = overlay {
             if ov.rewrites(id) {
@@ -306,26 +315,26 @@ impl<'n> Simulator<'n> {
         }
         // Lossless: spans per run = signal count, checked at construction.
         self.span_of[s] = span as u32;
-        Ok(dup)
+        Ok(events)
     }
 
     /// The staging-buffer path of [`Simulator::eval`]: runs the shared
     /// kernel against the sealed arena storage and seals the result.
+    /// Returns the sealed span and the kernel's channel events.
     fn eval_staged(
         &mut self,
         source: SignalSource<'_>,
         arena: &mut TraceArena,
-    ) -> Result<usize, SimError> {
+    ) -> Result<(usize, ChannelEvents), SimError> {
         let span_of = &self.span_of;
         let (sealed, out, scratch) = arena.stage();
-        kernel::eval_signal_into(
+        let events = kernel::eval_signal_into(
             source,
             |sid| sealed.trace(span_of[sid.index()] as usize),
             out,
             scratch,
-            self.counters.channels(),
         )?;
-        Ok(arena.seal_out())
+        Ok((arena.seal_out(), events))
     }
 }
 

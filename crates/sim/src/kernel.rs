@@ -14,7 +14,7 @@
 //! `mis_digital::Network::run`, which composes the owned gate functions
 //! and channel `apply`/`apply2` calls instead.
 
-use mis_digital::{gates, ChannelCounters, GateKind, Network, SignalId, SignalSource, SimError};
+use mis_digital::{gates, ChannelEvents, GateKind, Network, SignalId, SignalSource, SimError};
 use mis_waveform::{EdgeBuf, TraceRef};
 
 /// The largest signal count (and total fan-out edge count) the engine
@@ -130,11 +130,10 @@ pub(crate) fn duplicate_shortcut(source: &SignalSource<'_>) -> Option<(SignalId,
 /// gates first; the channel-less unary arm below remains as the general
 /// fallback so the kernel is total over non-input sources.)
 ///
-/// Channel applications record into `stats` through the probed trait
-/// entry points; unprobed engines pass the
-/// [`ChannelCounters::disabled`] sink, which the probed paths treat as
-/// a branch-only no-op, so there is still exactly **one** kernel for
-/// both evaluators and both probe modes.
+/// Returns the channel's [`ChannelEvents`] (zeros for a channel-less
+/// gate). Recording them is the caller's business: the engine sums
+/// them into its run tallies, the cone replay ignores them, so there
+/// is exactly **one** kernel for both evaluators and both probe modes.
 ///
 /// # Errors
 ///
@@ -149,8 +148,7 @@ pub(crate) fn eval_signal_into<'a, F>(
     resolve: F,
     out: &mut EdgeBuf,
     scratch: &mut EdgeBuf,
-    stats: &ChannelCounters,
-) -> Result<(), SimError>
+) -> Result<ChannelEvents, SimError>
 where
     F: Fn(SignalId) -> TraceRef<'a>,
 {
@@ -169,19 +167,22 @@ where
                 match channel {
                     None => {
                         out.copy_ref(view);
-                        Ok(())
+                        Ok(ChannelEvents::default())
                     }
-                    Some(ch) => ch.apply_into_probed(view, out, stats),
+                    Some(ch) => ch.apply_into(view, out),
                 }
             }
             Some(f) => {
                 let va = resolve(inputs[0]);
                 let vb = resolve(inputs[1]);
                 match channel {
-                    None => gates::combine2_into(f, va, vb, out),
+                    None => {
+                        gates::combine2_into(f, va, vb, out)?;
+                        Ok(ChannelEvents::default())
+                    }
                     Some(ch) => {
                         gates::combine2_into(f, va, vb, scratch)?;
-                        ch.apply_into_probed(scratch.as_ref(), out, stats)
+                        ch.apply_into(scratch.as_ref(), out)
                     }
                 }
             }
@@ -189,7 +190,7 @@ where
         SignalSource::TwoInputChannelGate { inputs, channel } => {
             let va = resolve(inputs[0]);
             let vb = resolve(inputs[1]);
-            channel.apply2_into_probed(va, vb, out, stats)
+            channel.apply2_into(va, vb, out)
         }
     }
 }

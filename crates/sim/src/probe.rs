@@ -1,7 +1,7 @@
 //! Engine-level instrumentation: the metric bundle the probed
 //! simulator entry points record into.
 //!
-//! [`SimCounters`] registers the `sim.*` metrics on a
+//! [`SimCounters`] registers the `sim.*` and `chan.*` metrics on a
 //! [`mis_probe::Probe`] and is owned by every [`crate::Simulator`] —
 //! engines built through the plain constructors carry a
 //! [`SimCounters::disabled`] bundle, whose record calls reduce to one
@@ -10,6 +10,11 @@
 //! measurable (the `crates/sim/tests/alloc.rs` suite additionally
 //! asserts the probed paths allocate nothing when warm).
 //!
+//! Channels hold no instrumentation handle: each in-place application
+//! returns its [`ChannelEvents`], the engine sums them in a register
+//! through the gate loop, and [`SimCounters`] records the sum under the
+//! `chan.*` names with the rest of the run's tallies.
+//!
 //! The per-gate-kind **edge census** (`sim.edges.*`) is collected by a
 //! single post-run O(n) walk over the sealed arena — never from inside
 //! the event loop — so it costs the hot loop literally zero and the
@@ -17,7 +22,7 @@
 
 use std::cell::Cell;
 
-use mis_digital::{BudgetResource, ChannelCounters, SignalSource, SimError};
+use mis_digital::{BudgetResource, ChannelEvents, SignalSource, SimError};
 use mis_probe::{Counter, EventKind, Histogram, Probe, SpanTimer, TraceSink, TraceTrack};
 
 /// Edge-census classes, indexed by [`census_index`]: one per gate kind
@@ -54,10 +59,15 @@ pub(crate) fn census_index(source: &SignalSource<'_>) -> usize {
     }
 }
 
-/// The engine metric bundle, registered under stable `sim.*` names.
-/// Counters are cumulative across runs of the engine that owns the
-/// bundle (and across engines sharing a [`Probe`], since same-name
-/// metrics share cells).
+/// The engine metric bundle, registered under stable `sim.*` and
+/// `chan.*` names. Counters are cumulative across runs of the engine
+/// that owns the bundle (and across engines sharing a [`Probe`], since
+/// same-name metrics share cells).
+///
+/// **Counters describe completed runs.** A run's tallies are published
+/// in one flush after its last gate, so a run that stops early (a
+/// tripped [`crate::RunBudget`], a channel error, an overlay failure)
+/// publishes no counter, census entry or run span at all.
 #[derive(Debug, Clone)]
 pub struct SimCounters {
     /// Evaluation events (one per non-input signal per run).
@@ -75,8 +85,12 @@ pub struct SimCounters {
     run_time: SpanTimer,
     /// Per-class output-edge totals, indexed by [`census_index`].
     edge_census: [Counter; 9],
-    /// The channel-event sink threaded into the shared gate kernel.
-    channels: ChannelCounters,
+    /// `chan.pending_cancelled`: summed [`ChannelEvents::pending_cancelled`].
+    pending_cancelled: Counter,
+    /// `chan.table_lookups`: summed [`ChannelEvents::table_lookups`].
+    table_lookups: Counter,
+    /// `chan.pulse_filtered`: summed [`ChannelEvents::pulse_filtered`].
+    pulse_filtered: Counter,
 }
 
 impl SimCounters {
@@ -92,7 +106,9 @@ impl SimCounters {
             edges_per_gate: probe.histogram("sim.edges_per_gate"),
             run_time: probe.timer("sim.run_time"),
             edge_census: std::array::from_fn(|i| probe.counter(CENSUS_NAMES[i])),
-            channels: ChannelCounters::register(probe),
+            pending_cancelled: probe.counter("chan.pending_cancelled"),
+            table_lookups: probe.counter("chan.table_lookups"),
+            pulse_filtered: probe.counter("chan.pulse_filtered"),
         }
     }
 
@@ -109,30 +125,29 @@ impl SimCounters {
         self.events_popped.is_enabled()
     }
 
-    /// The channel-event sink for the shared gate kernel.
-    #[must_use]
-    pub(crate) fn channels(&self) -> &ChannelCounters {
-        &self.channels
-    }
-
     /// Starts the run span (None when disabled).
     pub(crate) fn start_run(&self) -> Option<std::time::Instant> {
         self.run_time.start()
     }
 
-    /// Flushes one run's tallies: `events` evaluated signals, of which
-    /// `duplicates` were duplicate-span shortcuts.
+    /// Flushes one completed run's tallies: `events` evaluated signals,
+    /// of which `duplicates` were duplicate-span shortcuts, and the
+    /// summed channel events of its gates.
     pub(crate) fn finish_run(
         &self,
         started: Option<std::time::Instant>,
         events: u64,
         duplicates: u64,
+        channels: ChannelEvents,
     ) {
         self.run_time.stop(started);
         self.runs.inc();
         self.events_popped.add(events);
         self.duplicate_spans.add(duplicates);
         self.gates_evaluated.add(events - duplicates);
+        self.pending_cancelled.add(channels.pending_cancelled);
+        self.table_lookups.add(channels.table_lookups);
+        self.pulse_filtered.add(channels.pulse_filtered);
     }
 
     /// One census observation: `edges` output edges on a signal of
@@ -277,19 +292,29 @@ mod tests {
         let probe = Probe::new();
         let c = SimCounters::register(&probe);
         assert!(c.is_enabled());
-        c.finish_run(None, 10, 3);
-        c.finish_run(None, 10, 3);
+        let chan = ChannelEvents {
+            pending_cancelled: 1,
+            table_lookups: 4,
+            pulse_filtered: 2,
+        };
+        c.finish_run(None, 10, 3, chan);
+        c.finish_run(None, 10, 3, chan);
         assert_eq!(c.runs(), 2);
         assert_eq!(c.events_popped(), 20);
         assert_eq!(c.duplicate_spans(), 6);
         assert_eq!(c.gates_evaluated(), 14);
+        let report = probe.report();
+        let get = |name: &str| report.get(name).unwrap().scalar();
+        assert_eq!(get("chan.pending_cancelled"), Some(2));
+        assert_eq!(get("chan.table_lookups"), Some(8));
+        assert_eq!(get("chan.pulse_filtered"), Some(4));
     }
 
     #[test]
     fn disabled_bundle_records_nothing() {
         let c = SimCounters::disabled();
         assert!(!c.is_enabled());
-        c.finish_run(c.start_run(), 10, 3);
+        c.finish_run(c.start_run(), 10, 3, ChannelEvents::default());
         c.census(2, 100);
         assert_eq!(c.events_popped(), 0);
     }

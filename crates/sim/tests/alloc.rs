@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::netlists::{self, CachedHybridFactory};
+use mis_digital::netlists;
 use mis_digital::{
     CachedHybridChannel, ExpChannel, GateKind, InertialChannel, Network, PureDelayChannel,
     SignalId, SimError,
@@ -184,7 +184,7 @@ fn warm_simulator_is_allocation_free_on_every_channel_kind() {
 #[test]
 fn warm_simulator_is_allocation_free_on_netlists_topologies() {
     let lib = committed_lib();
-    let mut factory = CachedHybridFactory::new(&lib).unwrap();
+    let mut factory = CellLibrary::hybrid(&lib, None).unwrap();
     let chain = netlists::ripple_chain(GateKind::Nor, 8, &mut factory).unwrap();
     let c17 = netlists::c17(&mut factory).unwrap();
     let tree = netlists::fanout_tree(4, &mut || {

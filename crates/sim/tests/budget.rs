@@ -2,14 +2,15 @@
 //! committed fixtures: the budget trips strictly *past* its limit
 //! (exactly-enough succeeds, one-less errors), zero budgets trip on the
 //! first unit of work, a tripped run leaves the engine and arena fully
-//! reusable, and below-budget runs stay bit-identical to unbudgeted
-//! ones.
+//! reusable, below-budget runs stay bit-identical to unbudgeted ones,
+//! and a tripped run publishes no metric.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use mis_charlib::CharLib;
-use mis_digital::{BudgetResource, InertialChannel, SimError};
+use mis_digital::{netlists, BudgetResource, GateKind, InertialChannel, SimError};
+use mis_probe::{MetricValue, Probe, ProbeReport, TraceSink};
 use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -19,15 +20,18 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+fn committed_lib() -> CharLib {
+    let lib_text = std::fs::read_to_string(workspace_root().join("data/charlib/nor_paper.mislib"))
+        .expect("committed NOR library");
+    CharLib::from_text(&lib_text).expect("library parses")
+}
+
 fn lowered(name: &str) -> LoweredNetlist {
     let text =
         std::fs::read_to_string(workspace_root().join("data/bench").join(name)).expect("fixture");
     let nl = BenchNetlist::parse(&text).expect("fixture parses");
-    let lib_text = std::fs::read_to_string(workspace_root().join("data/charlib/nor_paper.mislib"))
-        .expect("committed NOR library");
-    let lib = CharLib::from_text(&lib_text).expect("library parses");
     let cells = CellLibrary::hybrid(
-        &lib,
+        &committed_lib(),
         Some(InertialChannel::symmetric(ps(50.0), ps(38.0)).expect("channel")),
     )
     .expect("cell library");
@@ -229,4 +233,71 @@ fn below_budget_runs_are_bit_identical_to_unbudgeted_ones() {
             );
         }
     }
+}
+
+/// The `sim.*` and `chan.*` rows of `report` as comparable numbers:
+/// counter values, and the sample counts of timers and histograms.
+fn engine_tallies(report: &ProbeReport) -> Vec<(String, u64)> {
+    report
+        .rows()
+        .iter()
+        .filter(|r| r.name.starts_with("sim.") || r.name.starts_with("chan."))
+        .map(|r| {
+            let v = match r.value {
+                MetricValue::Counter(v) | MetricValue::Gauge(v) => v,
+                MetricValue::Timer { count, .. } | MetricValue::Histogram { count, .. } => count,
+            };
+            (r.name.clone(), v)
+        })
+        .collect()
+}
+
+#[test]
+fn a_tripped_run_publishes_no_metrics() {
+    // Counters describe completed runs: a run stopped by its budget
+    // after real channel work must leave every `sim.*` and `chan.*`
+    // metric untouched, and the next unlimited run must publish exactly
+    // one run's tallies.
+    let mut cells = CellLibrary::hybrid(&committed_lib(), None).expect("cell library");
+    let chain = netlists::ripple_chain(GateKind::Nor, 4, &mut cells).expect("netlist");
+    let inputs = traffic(chain.net.input_count(), 0xB0D);
+    let mut arena = TraceArena::new();
+
+    let fresh_probe = Probe::new();
+    let mut fresh =
+        Simulator::new_traced(&chain.net, &fresh_probe, &TraceSink::disabled()).expect("engine");
+    fresh.run_in(&inputs, &mut arena).expect("reference run");
+    let one_run = engine_tallies(&fresh_probe.report());
+    let lookups = one_run.iter().find(|(n, _)| n == "chan.table_lookups");
+    assert!(
+        matches!(lookups, Some((_, v)) if *v > 0),
+        "the chain must walk the MIS surfaces: {one_run:?}"
+    );
+
+    let probe = Probe::new();
+    let mut sim =
+        Simulator::new_traced(&chain.net, &probe, &TraceSink::disabled()).expect("engine");
+    match sim.run_controlled_in(
+        &inputs,
+        &mut arena,
+        &RunBudget::UNLIMITED.with_max_events(2),
+        None,
+    ) {
+        Err(SimError::BudgetExceeded {
+            resource: BudgetResource::Events,
+            limit: 2,
+        }) => {}
+        other => panic!("expected an event-budget trip, got {other:?}"),
+    }
+    let tripped = engine_tallies(&probe.report());
+    assert!(
+        !tripped.is_empty(),
+        "the probe registers the engine metrics"
+    );
+    for (name, v) in &tripped {
+        assert_eq!(*v, 0, "{name} after a tripped run");
+    }
+
+    sim.run_in(&inputs, &mut arena).expect("run after a trip");
+    assert_eq!(engine_tallies(&probe.report()), one_run);
 }

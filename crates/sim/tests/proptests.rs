@@ -14,10 +14,11 @@ use std::sync::OnceLock;
 
 use mis_charlib::{CharConfig, CharGate, CharLib};
 use mis_core::NorParams;
-use mis_digital::netlists::{self, CachedHybridFactory, ChannelPerGate};
+use mis_digital::netlists::{self, ChannelPerGate};
 use mis_digital::{
-    CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
-    PureDelayChannel, SimError, SumExpChannel, TraceTransform, TwoInputTransform,
+    CachedHybridChannel, CachedHybridNandChannel, ChannelEvents, ExpChannel, GateKind,
+    InertialChannel, Network, PureDelayChannel, SimError, SumExpChannel, TraceTransform,
+    TwoInputTransform,
 };
 use mis_sim::{BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
@@ -91,7 +92,7 @@ fn engine_bit_identical_on_all_netlists_topologies() {
                 as Box<dyn TraceTransform>,
         )
     };
-    let mut cached = CachedHybridFactory::new(lib).unwrap();
+    let mut cached = CellLibrary::hybrid(lib, None).unwrap();
     let builds = vec![
         netlists::ripple_chain(GateKind::Nor, 8, &mut ChannelPerGate(inertial)).unwrap(),
         netlists::ripple_chain(GateKind::Nor, 8, &mut cached).unwrap(),
@@ -216,12 +217,16 @@ impl TraceTransform for SplitChannel {
         Ok(input.clone())
     }
 
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
         out.clear(input.initial_value());
         for &t in input.times() {
             out.push_time(t + ps(1.0))?;
         }
-        Ok(())
+        Ok(ChannelEvents::default())
     }
 
     fn name(&self) -> &str {

@@ -6,6 +6,15 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# Lockfiles must not drift: a manifest edit that would rewrite either
+# lockfile fails here, before any later step rewrites it silently. The
+# C880 benchmark harness (c880bench/) is its own workspace with its own
+# lockfile, and it is frozen between benchmark changes.
+echo "== cargo metadata --locked (workspace and c880bench lockfiles)"
+cargo metadata --offline --locked --format-version 1 > /dev/null
+cargo metadata --offline --locked --format-version 1 \
+    --manifest-path c880bench/Cargo.toml > /dev/null
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
