@@ -29,12 +29,14 @@
 //!
 //! Workers claim faults in small blocks from a shared cursor (the
 //! calling thread is worker 0), so the input-side faults — the largest
-//! cones — spread over every worker. The per-worker `fault.w<i>.busy`
-//! utilization timers appear in the `--json` line, and from them and
-//! the campaign's wall time (golden run included) both the human
-//! report and the `--json` line derive `busy_share` (Σ busy /
-//! (workers × wall)) and `imbalance` (max busy / mean busy). These are
-//! timings, not pinnable with `--expect`.
+//! cones — spread over every worker. At most one worker per fault
+//! runs, so `--workers` above the fault count runs fewer workers; the
+//! human report prints the number that ran. The per-worker
+//! `fault.w<i>.busy` utilization timers appear in the `--json` line,
+//! and from them and the campaign's wall time (golden run included)
+//! both the human report and the `--json` line derive `busy_share`
+//! (Σ busy / (workers × wall)) and `imbalance` (max busy / mean busy).
+//! These are timings, not pinnable with `--expect`.
 //!
 //! `--trace` records the campaign on a live `mis_probe::TraceSink` —
 //! the golden run's gate spans plus, per worker, a span over its whole
@@ -62,7 +64,7 @@ use mis_fault::{
     FaultSite, FuzzConfig,
 };
 use mis_probe::json::{is_wellformed, json_f64, json_string};
-use mis_probe::{Probe, TraceSink};
+use mis_probe::{MetricValue, Probe, ProbeReport, TraceSink};
 use mis_sim::{BenchNetlist, RunBudget};
 use mis_waveform::units::ps;
 
@@ -191,6 +193,21 @@ fn glitch_sites(net: &mis_digital::Network, n: usize) -> Result<Vec<FaultSite>, 
         .collect()
 }
 
+/// The `fault.w<i>.busy` totals of every worker that ran (a campaign
+/// runs at most one worker per fault, so this can be fewer than
+/// `--workers`), in report (name) order.
+fn busy_totals(report: &ProbeReport) -> Vec<u64> {
+    report
+        .rows()
+        .iter()
+        .filter(|r| r.name.starts_with("fault.w") && r.name.ends_with(".busy"))
+        .filter_map(|r| match r.value {
+            MetricValue::Timer { total_ns, .. } => Some(total_ns),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Worker balance from the per-worker busy totals and the campaign's
 /// wall time: `(busy_share, imbalance)` = (Σ busy / (workers × wall),
 /// max busy / mean busy). A perfectly balanced campaign with no serial
@@ -259,9 +276,8 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
     )
     .map_err(|e| format!("campaign: {e}"))?;
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let busy_ns: Vec<u64> = (0..args.workers)
-        .map(|w| probe.timer(&format!("fault.w{w}.busy")).total_ns())
-        .collect();
+    let snap = probe.report();
+    let busy_ns = busy_totals(&snap);
     let (busy_share, imbalance) = worker_balance(&busy_ns, wall_ns);
 
     if let Some(path) = &args.trace {
@@ -275,7 +291,6 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
         }
     }
 
-    let snap = probe.report();
     if args.json {
         // Compose the file header with the probe object's body; the
         // probe line is `{"probe":{...}}`, so splice past its braces.
@@ -312,7 +327,7 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
             "faults: {} ({stuck} stuck-at + {} glitch), workers: {}\n",
             report.total(),
             args.glitches,
-            args.workers
+            busy_ns.len()
         ));
         emit(format_args!(
             "coverage: {:.2}% ({} detected, {} undetected, {} budget-tripped)\n",

@@ -26,7 +26,7 @@
 //! spans against `mis_analyze` topological levels — the per-level
 //! attribution table in text mode, `level.L<n>.eval_ns` histograms in
 //! the probe report either way.
-//! `--expect` compares named counter/gauge scalars against pinned
+//! `--expect` compares named counter scalars against pinned
 //! values (comma-separated `metric=value` pairs) and fails on any
 //! drift — the mechanism behind CI's frozen per-fixture event counts.
 //!

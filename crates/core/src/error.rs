@@ -25,8 +25,6 @@ pub enum ModelError {
     },
     /// An underlying numeric routine failed.
     Numeric(mis_num::NumError),
-    /// An underlying linear-algebra routine failed.
-    Linalg(mis_linalg::LinalgError),
 }
 
 impl fmt::Display for ModelError {
@@ -38,7 +36,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::FitFailed { reason } => write!(f, "fit failed: {reason}"),
             ModelError::Numeric(e) => write!(f, "numeric failure: {e}"),
-            ModelError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }
 }
@@ -47,7 +44,6 @@ impl Error for ModelError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ModelError::Numeric(e) => Some(e),
-            ModelError::Linalg(e) => Some(e),
             _ => None,
         }
     }
@@ -56,12 +52,6 @@ impl Error for ModelError {
 impl From<mis_num::NumError> for ModelError {
     fn from(e: mis_num::NumError) -> Self {
         ModelError::Numeric(e)
-    }
-}
-
-impl From<mis_linalg::LinalgError> for ModelError {
-    fn from(e: mis_linalg::LinalgError) -> Self {
-        ModelError::Linalg(e)
     }
 }
 

@@ -75,7 +75,6 @@
 
 pub mod accuracy;
 mod channels;
-pub mod continuity;
 mod error;
 pub mod gates;
 pub mod involution;

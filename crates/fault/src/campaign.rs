@@ -56,7 +56,7 @@ use crate::site::{FaultOverlay, FaultSite};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Worker threads evaluating faults (≥ 1; the report is identical
-    /// at every count).
+    /// at every count). A campaign runs at most one worker per fault.
     pub workers: usize,
     /// Budget each faulty run is held to; a tripped run records
     /// [`FaultOutcome::BudgetTripped`] instead of failing the campaign.
@@ -150,8 +150,10 @@ type WorkerOutcome = (Vec<(usize, FaultResult)>, Option<(usize, FaultError)>);
 /// [`run_campaign`] with the campaign counters — `fault.injected`,
 /// `fault.detected`, `fault.budget_trips`, and `fault.cone_gates` (gates
 /// re-evaluated across all faulty replays, the campaign's exact work
-/// count) — and one `fault.w<i>.busy` span timer per worker (the
-/// campaign-utilization picture) recording into `probe`. The counters
+/// count) — and one `fault.w<i>.busy` span timer per worker that ran
+/// (the campaign-utilization picture) recording into `probe`. At most
+/// `faults.len()` workers run (at least one), whatever `config.workers`
+/// asks for: a worker beyond that could claim no fault. The counters
 /// are atomic and shared, so the workers increment them directly;
 /// totals are exact and independent of the worker count, arrival order
 /// is not part of the report.
@@ -204,7 +206,7 @@ pub fn run_campaign_traced(
     // Per-worker state, registered cold on the coordinator in worker
     // order (so the timeline's track order is fixed): a busy timer, a
     // track, and one replay reused across every fault the worker claims.
-    let workers = (0..config.workers)
+    let workers = (0..config.workers.min(faults.len()).max(1))
         .map(|w| {
             Ok(Worker {
                 index: w,
@@ -472,6 +474,37 @@ mod tests {
             .unwrap();
             assert_eq!(report, baseline, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn workers_beyond_the_fault_count_are_not_spawned() {
+        let (net, outputs, inputs) = nor_fixture();
+        let faults = stuck_at_sites(&net);
+        let config = |workers| CampaignConfig {
+            workers,
+            budget: RunBudget::UNLIMITED,
+        };
+        let baseline = run_campaign(&net, &outputs, &inputs, &faults, &config(1)).unwrap();
+        let probe = Probe::new();
+        let report = run_campaign_traced(
+            &net,
+            &outputs,
+            &inputs,
+            &faults,
+            &config(64),
+            &probe,
+            &TraceSink::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report, baseline);
+        let busy_rows = probe
+            .report()
+            .rows()
+            .iter()
+            .filter(|r| r.name.starts_with("fault.w") && r.name.ends_with(".busy"))
+            .count();
+        assert_eq!(faults.len(), 6);
+        assert!(busy_rows <= faults.len(), "{busy_rows} busy timers");
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! This crate provides exactly the linear-algebra machinery the rest of the
 //! workspace needs and nothing more:
 //!
-//! * [`Matrix`] — a dense, row-major, heap-allocated `f64` matrix with the
-//!   usual arithmetic, built for the *tiny* systems that arise in circuit
-//!   simulation (a handful of nodes in modified nodal analysis, 2×2 state
-//!   matrices in the hybrid gate model).
+//! * [`Matrix`] — a dense, row-major, heap-allocated `f64` matrix with
+//!   indexing and a matrix–vector product, built for the *tiny* systems
+//!   that arise in circuit simulation (a handful of nodes in modified nodal
+//!   analysis).
 //! * [`LuFactors`] — LU decomposition with partial pivoting, used to solve
-//!   the Newton update equations of the analog simulator and the normal
-//!   equations of Levenberg–Marquardt fitting.
+//!   the Newton update equations of the analog simulator.
 //! * [`Eigen2`] — closed-form eigendecomposition of 2×2 matrices, the
-//!   backbone of the analytic per-mode solutions of the hybrid NOR model
-//!   (paper eqs. (1)–(7)).
+//!   independent solver that `mis-core`'s tests check the analytic
+//!   per-mode solutions of the hybrid NOR model against (paper eqs.
+//!   (1)–(7)).
 //!
 //! # Examples
 //!

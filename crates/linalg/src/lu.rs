@@ -3,10 +3,9 @@ use crate::{LinalgError, Matrix};
 /// LU decomposition with partial (row) pivoting: `P·A = L·U`.
 ///
 /// The factorization is computed once and can then solve any number of
-/// right-hand sides — exactly the access pattern of a Newton iteration in
-/// the analog simulator, where the Jacobian is refactored per iteration but
-/// solved for a single residual, and of Levenberg–Marquardt, where the
-/// damped normal matrix is factored per trial step.
+/// right-hand sides — the access pattern of a Newton iteration in the
+/// analog simulator, where the Jacobian is refactored per iteration but
+/// solved for a single residual.
 ///
 /// # Examples
 ///
@@ -33,8 +32,6 @@ pub struct LuFactors {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, ±1, for determinant computation.
-    perm_sign: f64,
 }
 
 /// Pivot magnitudes below this threshold (relative to the largest entry of
@@ -61,7 +58,6 @@ impl LuFactors {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Pivot search: largest magnitude in column k at or below row k.
@@ -84,7 +80,6 @@ impl LuFactors {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -96,11 +91,7 @@ impl LuFactors {
                 }
             }
         }
-        Ok(LuFactors {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuFactors { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -140,44 +131,6 @@ impl LuFactors {
             x[i] = acc / self.lu[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Determinant of the original matrix (product of U's diagonal times the
-    /// permutation sign).
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let n = self.dim();
-        let mut d = self.perm_sign;
-        for i in 0..n {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Inverse of the original matrix, column by column.
-    ///
-    /// Exposed mainly for tests and small covariance computations in the
-    /// fitting code; solving against specific right-hand sides is always
-    /// preferable when applicable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LinalgError`] from the underlying solves (cannot
-    /// happen for a successfully constructed factorization, but the
-    /// signature stays honest).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            e[j] = 0.0;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
     }
 }
 
@@ -224,29 +177,6 @@ mod tests {
             LuFactors::new(&a),
             Err(LinalgError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn determinant_of_identity_and_swap() {
-        let i = Matrix::identity(3);
-        assert!(approx_eq(LuFactors::new(&i).unwrap().det(), 1.0, 1e-15));
-        // Swapping two rows of the identity flips the determinant's sign.
-        let s = Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
-        assert!(approx_eq(LuFactors::new(&s).unwrap().det(), -1.0, 1e-15));
-    }
-
-    #[test]
-    fn determinant_known_value() {
-        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]).unwrap();
-        assert!(approx_eq(LuFactors::new(&a).unwrap().det(), -14.0, 1e-12));
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = LuFactors::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(2), 1e-12));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Index, IndexMut};
 
 use crate::LinalgError;
 
@@ -17,9 +16,8 @@ use crate::LinalgError;
 ///
 /// # fn main() -> Result<(), mis_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let b = Matrix::identity(2);
-/// let c = a.matmul(&b)?;
-/// assert_eq!(c, a);
+/// assert_eq!(a.matvec(&[1.0, 1.0])?, vec![3.0, 7.0]);
+/// assert_eq!(Matrix::identity(2).matvec(&[5.0, 6.0])?, vec![5.0, 6.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -120,46 +118,6 @@ impl Matrix {
         self.rows == self.cols
     }
 
-    /// Borrows the underlying row-major storage.
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Returns the transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Matrix–matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when
-    /// `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{}xK * Kx{}", self.rows, rhs.cols),
-                found: format!("{}x{} * {}x{}", self.rows, self.cols, rhs.rows, rhs.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += aik * rhs[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix–vector product `self * x`.
     ///
     /// # Errors
@@ -183,50 +141,6 @@ impl Matrix {
         }
         Ok(out)
     }
-
-    /// Scales every entry by `s`, returning a new matrix.
-    #[must_use]
-    pub fn scaled(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
-    /// Maximum absolute entry (the max-norm).
-    ///
-    /// Returns 0 for an all-zero matrix. NaN entries are ignored by `max`,
-    /// so callers that may encounter NaN should check [`Matrix::has_nan`].
-    #[must_use]
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// `true` if any entry is NaN.
-    #[must_use]
-    pub fn has_nan(&self) -> bool {
-        self.data.iter().any(|v| v.is_nan())
-    }
-
-    /// Entrywise approximate equality within `tol` (absolute-and-relative,
-    /// see [`crate::approx_eq`]).
-    #[must_use]
-    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(a, b)| crate::approx_eq(*a, *b, tol))
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -245,82 +159,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "matrix addition requires equal shapes"
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "matrix subtraction requires equal shapes"
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-}
-
-impl Neg for &Matrix {
-    type Output = Matrix;
-
-    fn neg(self) -> Matrix {
-        self.scaled(-1.0)
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, s: f64) -> Matrix {
-        self.scaled(s)
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            write!(f, "[")?;
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{:>12.6e}", self[(i, j)])?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,7 +172,7 @@ mod tests {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!((0..2).all(|i| (0..3).all(|j| z[(i, j)] == 0.0)));
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
@@ -361,32 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity_is_noop() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let b = m22(5.0, 6.0, 7.0, 8.0);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c, m22(19.0, 22.0, 43.0, 50.0));
-    }
-
-    #[test]
-    fn matmul_dimension_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn matvec_known() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let y = a.matvec(&[1.0, 1.0]).unwrap();
@@ -397,53 +209,5 @@ mod tests {
     fn matvec_wrong_length() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn arithmetic_ops() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let b = m22(4.0, 3.0, 2.0, 1.0);
-        assert_eq!(&a + &b, m22(5.0, 5.0, 5.0, 5.0));
-        assert_eq!(&a - &a, Matrix::zeros(2, 2));
-        assert_eq!(&a * 2.0, m22(2.0, 4.0, 6.0, 8.0));
-        assert_eq!(-&a, m22(-1.0, -2.0, -3.0, -4.0));
-    }
-
-    #[test]
-    fn norms() {
-        let a = m22(3.0, 0.0, 0.0, -4.0);
-        assert_eq!(a.max_abs(), 4.0);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn nan_detection() {
-        let mut a = Matrix::zeros(2, 2);
-        assert!(!a.has_nan());
-        a[(1, 0)] = f64::NAN;
-        assert!(a.has_nan());
-    }
-
-    #[test]
-    fn approx_eq_tolerance() {
-        let a = m22(1.0, 2.0, 3.0, 4.0);
-        let mut b = a.clone();
-        b[(0, 0)] += 1e-13;
-        assert!(a.approx_eq(&b, 1e-12));
-        b[(0, 0)] += 1.0;
-        assert!(!a.approx_eq(&b, 1e-12));
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        let a = Matrix::identity(2);
-        assert!(!format!("{a}").is_empty());
     }
 }

@@ -43,42 +43,6 @@ fn lu_solve_produces_valid_solution() {
 }
 
 #[test]
-fn lu_det_matches_2x2_formula() {
-    Config::default().run(
-        &(entry(), entry(), entry(), entry()),
-        |&(a11, a12, a21, a22)| {
-            let det_formula = a11 * a22 - a12 * a21;
-            prop_assume!(det_formula.abs() > 1e-6);
-            let a = Matrix::from_rows(&[&[a11, a12], &[a21, a22]]).unwrap();
-            let lu = LuFactors::new(&a).unwrap();
-            prop_assert!(approx_eq(lu.det(), det_formula, 1e-9));
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn inverse_round_trip() {
-    Config::default().run(&well_conditioned(3), |a| {
-        let lu = LuFactors::new(a).unwrap();
-        let inv = lu.inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        prop_assert!(prod.approx_eq(&Matrix::identity(3), 1e-8));
-        Ok(())
-    });
-}
-
-#[test]
-fn transpose_of_product_is_reversed_product() {
-    Config::default().run(&(well_conditioned(3), well_conditioned(3)), |(a, b)| {
-        let lhs = a.matmul(b).unwrap().transpose();
-        let rhs = b.transpose().matmul(&a.transpose()).unwrap();
-        prop_assert!(lhs.approx_eq(&rhs, 1e-10));
-        Ok(())
-    });
-}
-
-#[test]
 fn eigen2_trace_and_det_invariants() {
     Config::default().run(
         &(entry(), entry(), entry(), entry()),

@@ -32,8 +32,6 @@ pub enum NumError {
         /// Description of the problem.
         reason: String,
     },
-    /// An embedded linear solve failed (e.g. singular LM normal matrix).
-    LinearSolve(mis_linalg::LinalgError),
 }
 
 impl fmt::Display for NumError {
@@ -53,25 +51,11 @@ impl fmt::Display for NumError {
                 write!(f, "non-finite function value near {at}")
             }
             NumError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
-            NumError::LinearSolve(e) => write!(f, "linear solve failed: {e}"),
         }
     }
 }
 
-impl Error for NumError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            NumError::LinearSolve(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<mis_linalg::LinalgError> for NumError {
-    fn from(e: mis_linalg::LinalgError) -> Self {
-        NumError::LinearSolve(e)
-    }
-}
+impl Error for NumError {}
 
 #[cfg(test)]
 mod tests {
@@ -90,13 +74,5 @@ mod tests {
             reason: "no sign change".into(),
         };
         assert!(e.to_string().contains("no sign change"));
-    }
-
-    #[test]
-    fn wraps_linalg_error_with_source() {
-        use std::error::Error as _;
-        let inner = mis_linalg::LinalgError::Singular { pivot: 0 };
-        let e = NumError::from(inner);
-        assert!(e.source().is_some());
     }
 }

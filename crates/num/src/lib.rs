@@ -1,21 +1,22 @@
 //! Numerics substrate for the mis-delay workspace.
 //!
-//! The paper's workflow leans on three numerical capabilities that its
-//! authors obtained from MATLAB and hand analysis; this crate provides them
-//! from scratch:
+//! The paper's workflow leans on numerical capabilities that its authors
+//! obtained from MATLAB and hand analysis; this crate provides them from
+//! scratch:
 //!
-//! * **Root finding** ([`roots`]) — inverting switching waveforms to find
-//!   threshold-crossing times (Brent's method, bisection, bracket search).
-//! * **Minimization and least squares** ([`minimize`], [`lm`]) —
-//!   golden-section 1-D search (the paper validates its formulas with
-//!   MATLAB's `fminbnd`), Nelder–Mead simplex and Levenberg–Marquardt for
-//!   the model parametrization of Section V.
+//! * **Root finding** ([`roots`], [`exproots`]) — inverting switching
+//!   waveforms to find threshold-crossing times (Brent's method, with
+//!   bisection as its test oracle; exact crossings of two-exponential
+//!   sums).
+//! * **Minimization** ([`minimize`]) — golden-section 1-D search (the
+//!   paper validates its formulas with MATLAB's `fminbnd`) and the
+//!   Nelder–Mead simplex that fits the model parameters of Section V.
 //! * **ODE integration** ([`ode`]) — an adaptive Dormand–Prince RK45
-//!   integrator used to *validate* the analytic per-mode solutions of the
-//!   hybrid model, and fixed-step RK4 for simple reference curves.
+//!   integrator used only to *validate* the analytic per-mode solutions of
+//!   the hybrid model.
 //!
-//! Plus the small interpolation/quadrature helpers ([`interp`], [`quad`])
-//! shared by the waveform tooling.
+//! Plus the interpolation helpers ([`interp`]) shared by the waveform
+//! tooling.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,10 +24,8 @@
 mod error;
 pub mod exproots;
 pub mod interp;
-pub mod lm;
 pub mod minimize;
 pub mod ode;
-pub mod quad;
 pub mod roots;
 
 pub use error::NumError;

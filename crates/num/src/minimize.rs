@@ -9,6 +9,11 @@
 
 use crate::NumError;
 
+/// Relative size of the initial Nelder–Mead simplex: each vertex perturbs
+/// one coordinate by 10 % — or by an absolute 0.1 for near-zero
+/// coordinates.
+const INITIAL_STEP: f64 = 0.1;
+
 /// Result of a scalar minimization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalarMin {
@@ -137,7 +142,6 @@ pub struct NelderMead {
     max_evals: usize,
     xtol: f64,
     ftol: f64,
-    initial_step: f64,
 }
 
 impl Default for NelderMead {
@@ -146,7 +150,6 @@ impl Default for NelderMead {
             max_evals: 2000,
             xtol: 1e-10,
             ftol: 1e-12,
-            initial_step: 0.1,
         }
     }
 }
@@ -177,15 +180,6 @@ impl NelderMead {
     #[must_use]
     pub fn with_ftol(mut self, ftol: f64) -> Self {
         self.ftol = ftol;
-        self
-    }
-
-    /// Sets the relative size of the initial simplex (default 0.1, i.e.
-    /// each vertex perturbs one coordinate by 10 % — or by an absolute step
-    /// for near-zero coordinates).
-    #[must_use]
-    pub fn with_initial_step(mut self, step: f64) -> Self {
-        self.initial_step = step;
         self
     }
 
@@ -230,9 +224,9 @@ impl NelderMead {
         for i in 0..n {
             let mut v = x0.to_vec();
             let step = if v[i].abs() > 1e-12 {
-                self.initial_step * v[i].abs()
+                INITIAL_STEP * v[i].abs()
             } else {
-                self.initial_step
+                INITIAL_STEP
             };
             v[i] += step;
             simplex.push(v);

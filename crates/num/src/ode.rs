@@ -1,5 +1,4 @@
-//! Explicit Runge–Kutta integration: fixed-step RK4 and adaptive
-//! Dormand–Prince RK45 with event (threshold-crossing) detection.
+//! Explicit Runge–Kutta integration: adaptive Dormand–Prince RK45.
 //!
 //! In this workspace numerical integration is a *validation* tool: the
 //! hybrid model's per-mode trajectories are analytic, and property tests
@@ -8,76 +7,6 @@
 //! companion-model integration (stiff circuits), not this module.
 
 use crate::NumError;
-
-/// A single classical RK4 step of size `h` for `y' = f(t, y)`.
-///
-/// `f` writes the derivative of `y` into its third argument.
-pub fn rk4_step<F>(f: &mut F, t: f64, y: &[f64], h: f64) -> Vec<f64>
-where
-    F: FnMut(f64, &[f64], &mut [f64]),
-{
-    let n = y.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-
-    f(t, y, &mut k1);
-    for i in 0..n {
-        tmp[i] = y[i] + 0.5 * h * k1[i];
-    }
-    f(t + 0.5 * h, &tmp, &mut k2);
-    for i in 0..n {
-        tmp[i] = y[i] + 0.5 * h * k2[i];
-    }
-    f(t + 0.5 * h, &tmp, &mut k3);
-    for i in 0..n {
-        tmp[i] = y[i] + h * k3[i];
-    }
-    f(t + h, &tmp, &mut k4);
-
-    (0..n)
-        .map(|i| y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
-        .collect()
-}
-
-/// Integrates `y' = f(t, y)` from `t0` to `t1` with `steps` fixed RK4 steps,
-/// returning the final state.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidInput`] for zero steps or a reversed time
-/// interval.
-pub fn integrate_rk4<F>(
-    mut f: F,
-    t0: f64,
-    t1: f64,
-    y0: &[f64],
-    steps: usize,
-) -> Result<Vec<f64>, NumError>
-where
-    F: FnMut(f64, &[f64], &mut [f64]),
-{
-    if steps == 0 {
-        return Err(NumError::InvalidInput {
-            reason: "steps must be positive".into(),
-        });
-    }
-    if !(t1 >= t0) {
-        return Err(NumError::InvalidInput {
-            reason: "t1 must be >= t0".into(),
-        });
-    }
-    let h = (t1 - t0) / steps as f64;
-    let mut y = y0.to_vec();
-    let mut t = t0;
-    for _ in 0..steps {
-        y = rk4_step(&mut f, t, &y, h);
-        t += h;
-    }
-    Ok(y)
-}
 
 /// Options for [`integrate_adaptive`].
 #[derive(Debug, Clone)]
@@ -290,18 +219,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rk4_exponential_decay() {
-        let y = integrate_rk4(|_t, y, dy| dy[0] = -y[0], 0.0, 1.0, &[1.0], 100).unwrap();
-        assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rk4_rejects_bad_args() {
-        assert!(integrate_rk4(|_, _, _| {}, 0.0, 1.0, &[1.0], 0).is_err());
-        assert!(integrate_rk4(|_, _, _| {}, 1.0, 0.0, &[1.0], 10).is_err());
-    }
 
     #[test]
     fn adaptive_matches_exact_linear_system() {

@@ -1,4 +1,4 @@
-//! Scalar root finding: bisection, Brent's method, and bracket expansion.
+//! Scalar root finding: Brent's method, with bisection as its oracle.
 //!
 //! Threshold-crossing extraction — "when does `V_O(t)` cross `V_DD/2`?" — is
 //! the single most common numerical operation in this workspace. Brent's
@@ -180,54 +180,6 @@ pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, xtol: f64) -> Resul
     })
 }
 
-/// Expands an initial guess interval geometrically until it brackets a sign
-/// change of `f`, then returns the bracket.
-///
-/// Used to locate threshold crossings whose rough time scale is known (an RC
-/// time constant) but whose exact position is not.
-///
-/// # Errors
-///
-/// * [`NumError::InvalidInput`] — non-positive initial width.
-/// * [`NumError::NoConvergence`] — no sign change found within `max_expand`
-///   doublings.
-/// * [`NumError::NonFiniteValue`] — `f` returned NaN/inf.
-pub fn expand_bracket<F: FnMut(f64) -> f64>(
-    mut f: F,
-    start: f64,
-    initial_width: f64,
-    max_expand: usize,
-) -> Result<(f64, f64), NumError> {
-    if !(initial_width > 0.0) {
-        return Err(NumError::InvalidInput {
-            reason: "initial bracket width must be positive".into(),
-        });
-    }
-    let f0 = f(start);
-    check_finite(f0, start)?;
-    if f0 == 0.0 {
-        return Ok((start, start));
-    }
-    let mut width = initial_width;
-    let mut prev = start;
-    let mut fprev = f0;
-    for _ in 0..max_expand {
-        let next = start + width;
-        let fnext = f(next);
-        check_finite(fnext, next)?;
-        if fnext == 0.0 || fnext.signum() != fprev.signum() {
-            return Ok((prev, next));
-        }
-        prev = next;
-        fprev = fnext;
-        width *= 2.0;
-    }
-    Err(NumError::NoConvergence {
-        iterations: max_expand,
-        residual: fprev.abs(),
-    })
-}
-
 fn check_finite(v: f64, at: f64) -> Result<(), NumError> {
     if v.is_finite() {
         Ok(())
@@ -290,27 +242,5 @@ mod tests {
     fn brent_double_root_like_touching_is_rejected() {
         // x^2 touches zero but never changes sign: invalid bracket.
         assert!(brent(|x: f64| x * x, -1.0, 1.0, 1e-12).is_err());
-    }
-
-    #[test]
-    fn expand_bracket_walks_to_crossing() {
-        // Crossing at t = 10; start searching near 0 with width 1.
-        let (a, b) = expand_bracket(|t| t - 10.0, 0.0, 1.0, 20).unwrap();
-        assert!(a <= 10.0 && 10.0 <= b);
-        let r = brent(|t| t - 10.0, a, b, 1e-12).unwrap();
-        assert!((r - 10.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn expand_bracket_gives_up() {
-        assert!(matches!(
-            expand_bracket(|_| 1.0, 0.0, 1.0, 8),
-            Err(NumError::NoConvergence { .. })
-        ));
-    }
-
-    #[test]
-    fn expand_bracket_rejects_zero_width() {
-        assert!(expand_bracket(|t| t, 0.0, 0.0, 8).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the numerics substrate, on the in-repo
 //! `mis-testkit` harness (offline replacement for `proptest`).
 
-use mis_num::{exproots, interp, lm, minimize, ode, quad, roots};
+use mis_num::{exproots, interp, minimize, ode, roots};
 use mis_testkit::prelude::*;
 
 #[test]
@@ -54,33 +54,6 @@ fn nelder_mead_solves_random_quadratics() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn lm_recovers_two_parameter_exponential() {
-    Config::default().run(&(0.2..2.0f64, 0.1..2.0f64), |&(a, tau)| {
-        let ts: Vec<f64> = (0..25).map(|i| i as f64 * 0.1).collect();
-        let data: Vec<f64> = ts.iter().map(|t| a * (-t / tau).exp()).collect();
-        let fit = lm::levenberg_marquardt(
-            |p, out| {
-                for (i, t) in ts.iter().enumerate() {
-                    out[i] = p[0] * (-t / p[1]).exp() - data[i];
-                }
-            },
-            &[1.0, 1.0],
-            ts.len(),
-            &lm::LmConfig::default(),
-        )
-        .unwrap();
-        prop_assert!((fit.x[0] - a).abs() < 1e-4, "a: {} vs {}", fit.x[0], a);
-        prop_assert!(
-            (fit.x[1] - tau).abs() < 1e-4,
-            "tau: {} vs {}",
-            fit.x[1],
-            tau
-        );
-        Ok(())
-    });
 }
 
 #[test]
@@ -178,36 +151,4 @@ fn lerp_is_exact_on_linear_functions() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn abs_area_triangle_inequality() {
-    Config::default().run(
-        &(
-            vec(-2.0..2.0f64, 6),
-            vec(-2.0..2.0f64, 6),
-            vec(-2.0..2.0f64, 6),
-        ),
-        |(f, g, h)| {
-            let xs: Vec<f64> = (0..6).map(|i| i as f64).collect();
-            let d = |p: &[f64], q: &[f64]| quad::abs_area_between(&xs, p, &xs, q).unwrap();
-            let fg = d(f, g);
-            let gh = d(g, h);
-            let fh = d(f, h);
-            prop_assert!(fh <= fg + gh + 1e-9, "triangle: {fh} > {fg} + {gh}");
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn trapezoid_linearity() {
-    Config::default().run(&(vec(-3.0..3.0f64, 8), -2.0..2.0f64), |(ys, scale)| {
-        let xs: Vec<f64> = (0..8).map(|i| i as f64 * 0.5).collect();
-        let scaled: Vec<f64> = ys.iter().map(|v| v * scale).collect();
-        let a1 = quad::trapezoid(&xs, ys).unwrap();
-        let a2 = quad::trapezoid(&xs, &scaled).unwrap();
-        prop_assert!((a2 - scale * a1).abs() < 1e-9 * (1.0 + a1.abs()));
-        Ok(())
-    });
 }

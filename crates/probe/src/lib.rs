@@ -5,22 +5,22 @@
 //!
 //! A [`Probe`] is a named-metric registry handed to an engine at
 //! construction. The engine registers the metrics it will record —
-//! [`Counter`]s, high-water [`Gauge`]s, fixed-bucket log2
-//! [`Histogram`]s, monotonic [`SpanTimer`]s — and keeps the returned
-//! handles. Registration is a cold-path operation (it locks the
-//! registry and may allocate); *recording* through a handle is an
-//! atomic update with no locking and no allocation, so instrumented
-//! hot paths keep the workspace's steady-state zero-allocation
-//! guarantees (asserted under the `mis-testkit` counting allocator).
+//! [`Counter`]s, fixed-bucket log2 [`Histogram`]s, monotonic
+//! [`SpanTimer`]s — and keeps the returned handles. Registration is a
+//! cold-path operation (it locks the registry and may allocate);
+//! *recording* through a handle is an atomic update with no locking and
+//! no allocation, so instrumented hot paths keep the workspace's
+//! steady-state zero-allocation guarantees (asserted under the
+//! `mis-testkit` counting allocator).
 //!
 //! # The disabled-mode guarantee
 //!
 //! [`Probe::disabled`] yields a probe whose *record* calls
-//! ([`Counter::inc`]/[`Counter::add`], [`Gauge::record_max`],
-//! [`Histogram::record`], the [`SpanTimer`] span operations) reduce to
-//! one predictable branch on a pre-loaded flag — no atomics, no clock
-//! reads — so engines can take instrumentation unconditionally and pay
-//! nothing hot-path-measurable when nobody is watching.
+//! ([`Counter::inc`]/[`Counter::add`], [`Histogram::record`], the
+//! [`SpanTimer`] span operations) reduce to one predictable branch on a
+//! pre-loaded flag — no atomics, no clock reads — so engines can take
+//! instrumentation unconditionally and pay nothing hot-path-measurable
+//! when nobody is watching.
 //!
 //! # Reports
 //!
@@ -57,6 +57,6 @@ mod report;
 pub mod trace;
 pub mod vcd;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Probe, SpanTimer};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Probe, SpanTimer};
 pub use report::{MetricValue, ProbeReport, ReportRow};
 pub use trace::{EventKind, TraceEvent, TraceSink, TraceSnapshot, TraceTrack, TrackSnapshot};

@@ -39,7 +39,6 @@ struct TimerCell {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
     Histogram(Arc<HistCell>),
     Timer(Arc<TimerCell>),
 }
@@ -48,7 +47,6 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
             Metric::Timer(_) => "timer",
         }
@@ -152,18 +150,6 @@ impl Probe {
         }
     }
 
-    /// Registers (or re-opens) the gauge `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match self.register(name, || Metric::Gauge(Arc::new(AtomicU64::new(0)))) {
-            Metric::Gauge(cell) => Gauge {
-                enabled: self.shared.enabled,
-                cell,
-            },
-            _ => unreachable!("register checked the kind"),
-        }
-    }
-
     /// Registers (or re-opens) the histogram `name`.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -209,7 +195,6 @@ impl Probe {
                 name: e.name.clone(),
                 value: match &e.metric {
                     Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Metric::Gauge(c) => MetricValue::Gauge(c.load(Ordering::Relaxed)),
                     Metric::Histogram(h) => {
                         let snap = HistogramSnapshot::from_cell(h);
                         MetricValue::Histogram {
@@ -273,30 +258,6 @@ impl Counter {
     }
 }
 
-/// A high-water value.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    enabled: bool,
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Raises the gauge to `v` if larger — the hot-path high-water
-    /// write (no-op when the probe is disabled).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        if self.enabled {
-            self.cell.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value.
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
 /// A fixed-bucket log2 histogram of `u64` samples: bucket `0` holds
 /// zeros, bucket `i ≥ 1` the range `[2^(i-1), 2^i)`. Quantile
 /// estimates come from bucket midpoints, so an estimate is always
@@ -345,16 +306,15 @@ impl Histogram {
     }
 }
 
-/// An owned copy of a histogram's bucket counts: mergeable (bucket-wise
-/// addition — exactly associative and commutative) and queryable for
-/// quantile estimates.
+/// An owned copy of a histogram's bucket counts, queryable for quantile
+/// estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: [u64; HIST_BUCKETS],
 }
 
 impl HistogramSnapshot {
-    /// The empty snapshot (merge identity).
+    /// The empty snapshot.
     #[must_use]
     pub fn empty() -> Self {
         HistogramSnapshot {
@@ -383,15 +343,6 @@ impl HistogramSnapshot {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Bucket-wise sum — associative and commutative by construction.
-    #[must_use]
-    pub fn merge(mut self, other: &HistogramSnapshot) -> Self {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self
     }
 
     /// The bucket midpoint estimate of the `q`-quantile (`q` clamped
@@ -483,16 +434,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_record_when_enabled() {
+    fn counters_record_when_enabled() {
         let p = Probe::new();
         let c = p.counter("a.count");
         c.inc();
         c.add(4);
         assert_eq!(c.value(), 5);
-        let g = p.gauge("a.hw");
-        g.record_max(7);
-        g.record_max(3);
-        assert_eq!(g.value(), 7);
         // Re-opening by name shares storage.
         assert_eq!(p.counter("a.count").value(), 5);
     }
@@ -505,9 +452,6 @@ mod tests {
         c.inc();
         c.add(10);
         assert_eq!(c.value(), 0);
-        let g = p.gauge("y");
-        g.record_max(5);
-        assert_eq!(g.value(), 0);
         let h = p.histogram("z");
         h.record(3);
         assert_eq!(h.snapshot().count(), 0);
@@ -546,7 +490,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let p = Probe::new();
         let _c = p.counter("same");
-        let _g = p.gauge("same");
+        let _h = p.histogram("same");
     }
 
     #[test]

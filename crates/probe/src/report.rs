@@ -11,8 +11,6 @@ use crate::json;
 pub enum MetricValue {
     /// A counter's current count.
     Counter(u64),
-    /// A gauge's current value.
-    Gauge(u64),
     /// A span timer's aggregates.
     Timer {
         /// Closed spans.
@@ -42,19 +40,17 @@ impl MetricValue {
     pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
             MetricValue::Timer { .. } => "timer",
             MetricValue::Histogram { .. } => "histogram",
         }
     }
 
-    /// The scalar value of a counter or gauge; `None` for the
-    /// aggregate kinds. The `sim_profile --expect` gate compares
-    /// against this.
+    /// The scalar value of a counter; `None` for the aggregate kinds.
+    /// The `sim_profile --expect` gate compares against this.
     #[must_use]
     pub fn scalar(&self) -> Option<u64> {
         match self {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(*v),
+            MetricValue::Counter(v) => Some(*v),
             _ => None,
         }
     }
@@ -111,7 +107,7 @@ impl ProbeReport {
                 r.value.kind()
             );
             match &r.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+                MetricValue::Counter(v) => {
                     let _ = write!(s, ",\"value\":{v}");
                 }
                 MetricValue::Timer {
@@ -156,7 +152,6 @@ impl fmt::Display for ProbeReport {
             write!(f, "  {:width$}  ", r.name)?;
             match &r.value {
                 MetricValue::Counter(v) => writeln!(f, "counter    {v}")?,
-                MetricValue::Gauge(v) => writeln!(f, "gauge      {v}")?,
                 MetricValue::Timer {
                     count,
                     total_ns,
@@ -194,7 +189,7 @@ mod tests {
     fn sample_probe() -> Probe {
         let p = Probe::new();
         p.counter("sim.events").add(42);
-        p.gauge("sim.heap_hw").record_max(9);
+        p.counter("sim.gates").add(9);
         p.timer("par.merge")
             .record(std::time::Duration::from_nanos(1500));
         let h = p.histogram("sim.edges_per_gate");
@@ -246,12 +241,7 @@ mod tests {
     fn text_report_lists_every_metric() {
         let text = sample_probe().report().to_string();
         assert!(text.starts_with("probe report (4 metrics)"));
-        for name in [
-            "par.merge",
-            "sim.edges_per_gate",
-            "sim.events",
-            "sim.heap_hw",
-        ] {
+        for name in ["par.merge", "sim.edges_per_gate", "sim.events", "sim.gates"] {
             assert!(text.contains(name), "{text}");
         }
     }

@@ -132,13 +132,11 @@ fn mixed_kind_metrics_from_threads_render_one_wellformed_line() {
             scope.spawn(move || {
                 probe.counter("mix.count").add(t + 1);
                 probe.histogram("mix.hist").record(t * 10);
-                probe.gauge("mix.gauge").record_max(t);
             });
         }
     });
     let report = probe.report();
     assert_eq!(report.get("mix.count"), Some(&MetricValue::Counter(10)));
-    assert_eq!(report.get("mix.gauge"), Some(&MetricValue::Gauge(3)));
     match report.get("mix.hist") {
         Some(MetricValue::Histogram { count: 4, .. }) => {}
         other => panic!("expected 4-sample histogram, got {other:?}"),

@@ -244,7 +244,7 @@ fn engine_tallies(report: &ProbeReport) -> Vec<(String, u64)> {
         .filter(|r| r.name.starts_with("sim.") || r.name.starts_with("chan."))
         .map(|r| {
             let v = match r.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => v,
+                MetricValue::Counter(v) => v,
                 MetricValue::Timer { count, .. } | MetricValue::Histogram { count, .. } => count,
             };
             (r.name.clone(), v)

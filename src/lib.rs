@@ -21,8 +21,8 @@
 //! * [`sim`] (`mis-sim`) — netlist simulation at circuit scale: ISCAS-85
 //!   `.bench` ingestion (committed C17 and C432-scale fixtures under
 //!   `data/bench/`), `Arc`-shared standard-cell libraries, the
-//!   signal-order evaluator bit-identical to `digital`'s levelized
-//!   sweep, and cone-only fault replay.
+//!   signal-order evaluator checked bit for bit against `digital`'s
+//!   naive `Network::run` reference, and cone-only fault replay.
 //! * [`analyze`] (`mis-analyze`) — static netlist analysis: structural
 //!   lints over `.bench` netlists (stable `A001`–`A007` diagnostics with
 //!   source-line anchors) and static timing bounds — per-signal arrival
@@ -36,8 +36,10 @@
 //! * [`waveform`] (`mis-waveform`) — analog waveforms, digital traces,
 //!   digitization, deviation area, random trace generation.
 //! * [`num`] (`mis-num`) / [`linalg`] (`mis-linalg`) — the numerical
-//!   substrate (roots, optimization, RK45, exponential-sum crossings;
-//!   dense LU, 2×2 eigen).
+//!   substrate: Brent roots, exact exponential-sum crossings and the
+//!   golden-section/Nelder–Mead fit; dense LU for the analog simulator;
+//!   an RK45 integrator and a 2×2 eigensolver that tests use as
+//!   independent oracles for the closed-form trajectories.
 //!
 //! # Quickstart
 //!
