@@ -48,8 +48,8 @@
 //! `--fuzz` ignores the campaign flags and instead runs the
 //! differential fuzz harness (random circuits, stimuli and faults;
 //! engine-vs-`Network::run` and serial-vs-cone-replay bit-identity,
-//! faulted-STA soundness, graceful budgets) for the given iteration
-//! count — CI's smoke leg.
+//! campaign-vs-memo-less-replay outcomes, faulted-STA soundness,
+//! graceful budgets) for the given iteration count — CI's smoke leg.
 //!
 //! Exit code 1 on campaign, fuzz, or expectation failure; 2 on usage
 //! errors.
@@ -226,8 +226,9 @@ fn run_fuzz(args: &Args, iterations: u32) -> Result<(), String> {
     })?;
     if args.json {
         let line = format!(
-            "{{\"fuzz\":{{\"iterations\":{},\"edges_checked\":{},\"runs_compared\":{}}}}}",
-            report.iterations, report.edges_checked, report.runs_compared
+            "{{\"fuzz\":{{\"iterations\":{},\"edges_checked\":{},\"runs_compared\":{},\
+             \"faults_compared\":{}}}}}",
+            report.iterations, report.edges_checked, report.runs_compared, report.faults_compared
         );
         if !is_wellformed(&line) {
             return Err(format!("internal error: malformed JSON output: {line}"));
@@ -236,8 +237,8 @@ fn run_fuzz(args: &Args, iterations: u32) -> Result<(), String> {
     } else {
         emit(format_args!(
             "fuzz ok: {} iterations, {} engine runs compared, {} edges checked \
-             against faulted STA windows\n",
-            report.iterations, report.runs_compared, report.edges_checked
+             against faulted STA windows, {} campaign outcomes compared\n",
+            report.iterations, report.runs_compared, report.edges_checked, report.faults_compared
         ));
     }
     Ok(())

@@ -12,31 +12,40 @@
 //!    [`ConeReplay`] against the shared, read-only [`GoldenRun`]: only
 //!    the gates whose fan-in differs from golden are re-evaluated, and
 //!    a re-evaluated gate whose output equals golden stops the
-//!    propagation. Cone replay is bit-identical to a full serial
-//!    [`mis_sim::Simulator`] replay under the same [`FaultOverlay`]
-//!    (see `mis_sim::cone`), and it charges the same budget totals, so
-//!    a fault's outcome is that of its full replay — a pure function
-//!    of the fault, independent of the worker that runs it. An output
-//!    is detected exactly when the replay marks it dirty, by the same
-//!    exact trace equality that stops propagation.
-//! 2. **Per-index result slots.** Workers claim small blocks of fault
-//!    indices from one shared cursor, so which worker runs which fault
+//!    propagation. Where a replay reaches a gate held constant with no
+//!    other dirty fan-out left, it splices in the recorded replay of
+//!    that gate stuck at that value from the campaign's shared
+//!    [`ConeMemo`] instead of re-evaluating the suffix. A record is a
+//!    completed replay of the same golden run, so the spliced result
+//!    is the memo-less one whichever fault published it and whether or
+//!    not the slot was filled in time. Cone replay is bit-identical to
+//!    a full serial [`mis_sim::Simulator`] replay under the same
+//!    [`FaultOverlay`] (see `mis_sim::cone`), and it charges the same
+//!    budget totals and reports the same gate count, so a fault's
+//!    outcome is that of its full replay — a pure function of the
+//!    fault, independent of the worker that runs it and of the order.
+//!    An output is detected exactly when the replay marks it dirty, by
+//!    the same exact trace equality that stops propagation.
+//! 2. **Per-index result slots.** Workers claim small blocks of faults
+//!    from one shared cursor over the faults sorted by descending site
+//!    signal (ties by index), so downstream replays are recorded before
+//!    the upstream ones that splice them. Which worker runs which fault
 //!    depends on scheduling — but by leg 1 a fault's outcome does not.
 //!    Each worker buffers `(fault index, result)` pairs, and after the
 //!    join the coordinator scatters them into fault-list order; there
 //!    is no shared accumulator whose order could vary.
 //! 3. **Lowest-fault-index error selection.** A worker that hits a
-//!    non-budget error records the failing fault's index and stops
-//!    claiming; the error with the lowest index wins. Claims only move
-//!    forward, so the block holding the list's first failing fault was
-//!    claimed, and every lower index run, whichever worker got there —
-//!    the same error at every worker count. (Budget trips are not
-//!    errors at the campaign level: they are recorded per fault as
+//!    non-budget error records the failing fault's index and keeps
+//!    going; every fault runs, and the error with the lowest index wins
+//!    — the same error at every worker count, although the processing
+//!    order is not the index order. (Budget trips are not errors at
+//!    the campaign level: they are recorded per fault as
 //!    [`FaultOutcome::BudgetTripped`].)
 //!
 //! Each worker owns one warm [`TraceArena`] reused across all its
 //! faulty runs, so a campaign's steady state allocates only the
-//! per-fault outcome bookkeeping, never trace storage.
+//! per-fault outcome bookkeeping and the published records (one per
+//! recorded (signal, value), O(cone) each), never trace storage.
 //!
 //! The golden run is the campaign's only full evaluation. A fault costs
 //! its perturbed gates — on the committed C880 fixture about 4 % of the
@@ -46,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mis_digital::{Network, SignalId, SimError};
 use mis_probe::{EventKind, Probe, SpanTimer, TraceSink, TraceTrack};
-use mis_sim::{ConeReplay, GoldenRun, RunBudget, Simulator};
+use mis_sim::{ConeMemo, ConeReplay, GoldenRun, RunBudget, Simulator};
 use mis_waveform::{DigitalTrace, TraceArena};
 
 use crate::error::FaultError;
@@ -129,9 +138,10 @@ impl CampaignReport {
 }
 
 /// Faults a worker claims from the shared cursor at a time. Small
-/// enough that the input-side faults (the largest cones, at the front
-/// of the list) spread over every worker; large enough that a claim —
-/// one atomic add — stays rare next to the microsecond replays.
+/// enough that the input-side faults (the largest cones, at the end of
+/// the processing order) spread over every worker; large enough that a
+/// claim — one atomic add — stays rare next to the microsecond
+/// replays.
 const CLAIM_BLOCK: usize = 8;
 
 /// One campaign worker's private state.
@@ -144,13 +154,15 @@ struct Worker<'n> {
 }
 
 /// What one worker hands back at the join: its `(fault index, result)`
-/// pairs, and its first non-budget failure (after which it stopped).
+/// pairs, and its lowest-indexed non-budget failure.
 type WorkerOutcome = (Vec<(usize, FaultResult)>, Option<(usize, FaultError)>);
 
 /// [`run_campaign`] with the campaign counters — `fault.injected`,
 /// `fault.detected`, `fault.budget_trips`, and `fault.cone_gates` (gates
-/// re-evaluated across all faulty replays, the campaign's exact work
-/// count) — and one `fault.w<i>.busy` span timer per worker that ran
+/// the memo-less cone replays of all faults would re-evaluate — spliced
+/// gates count as evaluated, so this is the campaign's exact work count
+/// at every worker count, not the gates this run evaluated) — and one
+/// `fault.w<i>.busy` span timer per worker that ran
 /// (the campaign-utilization picture) recording into `probe`. At most
 /// `faults.len()` workers run (at least one), whatever `config.workers`
 /// asks for: a worker beyond that could claim no fault. The counters
@@ -202,6 +214,11 @@ pub fn run_campaign_traced(
     let detected_ctr = probe.counter("fault.detected");
     let trips_ctr = probe.counter("fault.budget_trips");
     let cone_ctr = probe.counter("fault.cone_gates");
+    let memo = ConeMemo::new(&golden);
+    // Downstream sites first, so their records exist when the upstream
+    // replays reach them.
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(faults[i].signal.index()));
     let cursor = AtomicUsize::new(0);
     // Per-worker state, registered cold on the coordinator in worker
     // order (so the timeline's track order is fixed): a busy timer, a
@@ -217,9 +234,9 @@ pub fn run_campaign_traced(
         })
         .collect::<Result<Vec<_>, SimError>>()?;
 
-    // One worker's claim loop: take the next `CLAIM_BLOCK` fault
-    // indices from the shared cursor until the list is exhausted or a
-    // fault fails with a non-budget error.
+    // One worker's claim loop: take the next `CLAIM_BLOCK` faults in
+    // processing order from the shared cursor until the list is
+    // exhausted, keeping the lowest-indexed non-budget failure.
     let work = |worker: Worker<'_>| -> WorkerOutcome {
         let Worker {
             index: w,
@@ -230,24 +247,25 @@ pub fn run_campaign_traced(
         let busy_started = busy.start();
         let loop_started = track.start();
         let mut ran = Vec::new();
-        let mut failed = None;
+        let mut failed: Option<(usize, FaultError)> = None;
         let mut detected_here = 0u32;
         let mut arena = TraceArena::new();
         let mut cone_gates = 0u64;
-        'claims: loop {
+        loop {
             // Relaxed: the cursor publishes no data (the fault list is
-            // read-only; results come back through the join), and
-            // read-modify-writes on one atomic never hand out an index
-            // twice.
+            // read-only, records publish through their `OnceLock`s,
+            // results come back through the join), and read-modify-writes
+            // on one atomic never hand out a position twice.
             let first = cursor.fetch_add(CLAIM_BLOCK, Ordering::Relaxed);
             if first >= faults.len() {
                 break;
             }
-            for (i, site) in faults.iter().enumerate().skip(first).take(CLAIM_BLOCK) {
+            for &i in order.iter().skip(first).take(CLAIM_BLOCK) {
+                let site = &faults[i];
                 injected.inc();
                 let fault_started = track.start();
-                let run = cone.run(
-                    &golden,
+                let run = cone.run_spliced(
+                    &memo,
                     site.signal,
                     &FaultOverlay::new(*site),
                     &mut arena,
@@ -275,8 +293,10 @@ pub fn run_campaign_traced(
                         (FaultOutcome::BudgetTripped, Vec::new())
                     }
                     Err(e) => {
-                        failed = Some((i, FaultError::Sim(e)));
-                        break 'claims;
+                        if failed.as_ref().is_none_or(|(j, _)| i < *j) {
+                            failed = Some((i, FaultError::Sim(e)));
+                        }
+                        continue;
                     }
                 };
                 let code = match outcome {
@@ -320,11 +340,9 @@ pub fn run_campaign_traced(
         outcomes
     });
 
-    // Scatter into fault-list order. Every worker stops at its first
-    // failure, and claims only move forward: the block holding the
-    // lowest failing index was claimed before any later block, and its
-    // worker ran every lower index in it. So the lowest recorded
-    // failure is the list's first failing fault at every worker count.
+    // Scatter into fault-list order. Every fault ran, so the lowest
+    // recorded failure is the list's first failing fault at every
+    // worker count.
     let mut slots: Vec<Option<FaultResult>> = vec![None; faults.len()];
     let mut first_failure: Option<(usize, FaultError)> = None;
     for (ran, failed) in outcomes {

@@ -12,7 +12,7 @@
 //! 2. a random stimulus (strictly increasing edge times per input);
 //! 3. one random [`FaultSite`] — stuck-at-0/1 or a transient glitch.
 //!
-//! It then asserts three properties the rest of the workspace argues
+//! It then asserts four properties the rest of the workspace argues
 //! structurally, end to end on the faulty run:
 //!
 //! * **Engine bit-identity.** Fault-free, the [`Simulator`] produces
@@ -30,6 +30,13 @@
 //!   succeeds; with one event less it returns
 //!   [`mis_digital::SimError::BudgetExceeded`] — never a panic or a
 //!   hang.
+//! * **Campaign splicing.** The campaign over every stuck-at site plus
+//!   the drawn fault, observing every signal, equals the report built
+//!   from per-fault memo-less [`ConeReplay::run`]s — unbudgeted, and
+//!   under an edge budget of the golden run's gate-edge total, which
+//!   trips the faults that add edges. The campaign splices recorded
+//!   stuck-at replays into its faults' replays; the reference never
+//!   does.
 //!
 //! A violation aborts the fuzz with a message naming the iteration and
 //! seed; `scripts/ci.sh` runs a bounded iteration count as a smoke leg
@@ -42,7 +49,8 @@ use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
 
-use crate::site::{FaultOverlay, FaultSite};
+use crate::campaign::{run_campaign, CampaignConfig, FaultOutcome};
+use crate::site::{stuck_at_sites, FaultOverlay, FaultSite};
 
 /// Bounds for one fuzz run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +80,9 @@ pub struct FuzzReport {
     /// Engine runs compared for bit-identity (the faulty serial run, the
     /// fault-free serial run and the cone replay, per iteration).
     pub runs_compared: u64,
+    /// Campaign fault outcomes compared against memo-less cone replays
+    /// (two campaigns per iteration).
+    pub faults_compared: u64,
 }
 
 /// Absolute slack for window-containment checks: far below the
@@ -163,6 +174,79 @@ fn random_fault(rng: &mut TestRng, net: &Network) -> FaultSite {
     }
 }
 
+/// Runs the campaign over every stuck-at site of `net` plus `extra`,
+/// observing every signal, unbudgeted and under an edge budget of the
+/// golden gate-edge total, and compares each report fault by fault
+/// with memo-less [`ConeReplay::run`]s. Returns the outcomes compared.
+fn check_campaign(
+    net: &Network,
+    inputs: &[DigitalTrace],
+    golden: &GoldenRun,
+    extra: FaultSite,
+) -> Result<u64, String> {
+    let mut faults = stuck_at_sites(net);
+    faults.push(extra);
+    let outputs: Vec<_> = (0..net.signal_count())
+        .map(|s| net.signal_id(s).expect("s < signal_count"))
+        .collect();
+    let gate_edges: u64 = outputs[net.input_count()..]
+        .iter()
+        .map(|&id| golden.trace(id).len() as u64)
+        .sum();
+    let mut cone = ConeReplay::new(net).map_err(|e| e.to_string())?;
+    let mut arena = TraceArena::new();
+    let mut compared = 0;
+    for budget in [
+        RunBudget::UNLIMITED,
+        RunBudget::UNLIMITED.with_max_edges(gate_edges),
+    ] {
+        let report = run_campaign(
+            net,
+            &outputs,
+            inputs,
+            &faults,
+            &CampaignConfig { workers: 2, budget },
+        )
+        .map_err(|e| e.to_string())?;
+        for (result, &site) in report.results.iter().zip(&faults) {
+            let run = cone.run(
+                golden,
+                site.signal,
+                &FaultOverlay::new(site),
+                &mut arena,
+                &budget,
+            );
+            let (outcome, detecting) = match run {
+                Ok(()) => {
+                    let detecting: Vec<usize> = (0..outputs.len())
+                        .filter(|&k| cone.is_dirty(outputs[k]))
+                        .collect();
+                    let outcome = if detecting.is_empty() {
+                        FaultOutcome::Undetected
+                    } else {
+                        FaultOutcome::Detected
+                    };
+                    (outcome, detecting)
+                }
+                Err(SimError::BudgetExceeded { .. }) => (FaultOutcome::BudgetTripped, Vec::new()),
+                Err(e) => return Err(e.to_string()),
+            };
+            if result.site != site
+                || result.outcome != outcome
+                || result.detecting_outputs != detecting
+            {
+                return Err(format!(
+                    "campaign diverges from the memo-less cone replay under fault {site} \
+                     with {budget:?}: {:?} at {:?} vs {outcome:?} at {detecting:?}",
+                    result.outcome, result.detecting_outputs
+                ));
+            }
+            compared += 1;
+        }
+    }
+    Ok(compared)
+}
+
 /// Runs the differential fuzz. Returns coverage statistics on success.
 ///
 /// # Errors
@@ -174,6 +258,7 @@ fn random_fault(rng: &mut TestRng, net: &Network) -> FaultSite {
 pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
     let mut edges_checked = 0u64;
     let mut runs_compared = 0u64;
+    let mut faults_compared = 0u64;
     for i in 0..config.iterations {
         let seed = config.seed.wrapping_add(u64::from(i));
         let tag = |what: &str| format!("fuzz iteration {i} (seed {seed:#x}): {what}");
@@ -238,6 +323,9 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             }
         }
 
+        faults_compared +=
+            check_campaign(&net, &inputs, &golden, site).map_err(|what| tag(&what))?;
+
         // Faulted STA soundness: every faulty edge inside its edited
         // window.
         let ta = TimingAnalysis::new(&net);
@@ -286,6 +374,7 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
         iterations: config.iterations,
         edges_checked,
         runs_compared,
+        faults_compared,
     })
 }
 
@@ -303,6 +392,10 @@ mod tests {
         assert_eq!(report.iterations, 12);
         assert!(report.edges_checked > 0, "fuzz must exercise real edges");
         assert_eq!(report.runs_compared, 12 * 3);
+        assert!(
+            report.faults_compared > 12 * 2,
+            "every campaign fault compared"
+        );
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //!   [`Simulator`] replays, for the exhaustive stuck-at list plus 24
 //!   deterministic glitches (the `fault_sim --glitches 24` fault list),
 //!   at 1, 2, 3 and 8 workers;
+//! * the same holds for lists that stress the splicing of recorded
+//!   stuck-at replays: the list shuffled, stuck-at-0 faults only (half
+//!   the splice targets never recorded), and every site three times;
 //! * a traced C432 campaign at 3 workers runs every fault exactly once
 //!   across the worker tracks, with the 1-worker `fault.cone_gates`;
 //! * under budgets set exactly at, and one below, each fault's full-run
@@ -16,11 +19,12 @@ use std::path::PathBuf;
 use mis_charlib::CharLib;
 use mis_digital::{InertialChannel, SimError};
 use mis_fault::{
-    run_campaign, run_campaign_traced, stuck_at_sites, CampaignConfig, CampaignReport,
+    run_campaign, run_campaign_traced, stuck_at_sites, CampaignConfig, CampaignReport, FaultKind,
     FaultOutcome, FaultOverlay, FaultResult, FaultSite,
 };
 use mis_probe::{EventKind, Probe, TraceSink};
 use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
+use mis_testkit::rng::TestRng;
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
@@ -141,52 +145,102 @@ fn golden_outputs(lo: &LoweredNetlist, inputs: &[DigitalTrace]) -> Vec<DigitalTr
         .collect()
 }
 
+/// Per-fault full-replay results for `faults`.
+fn full_replay_results(
+    lo: &LoweredNetlist,
+    inputs: &[DigitalTrace],
+    faults: &[FaultSite],
+) -> Vec<FaultResult> {
+    let golden = golden_outputs(lo, inputs);
+    let mut sim = Simulator::new(&lo.net).expect("engine");
+    faults
+        .iter()
+        .map(|&site| full_replay(lo, &mut sim, &golden, inputs, site, &RunBudget::UNLIMITED).0)
+        .collect()
+}
+
+/// Asserts the campaign over the faults of `results` equals the report
+/// those (full-replay) results make, at 1, 2, 3 and 8 workers.
+fn assert_campaign_matches(
+    what: &str,
+    lo: &LoweredNetlist,
+    inputs: &[DigitalTrace],
+    results: Vec<FaultResult>,
+) {
+    let faults: Vec<FaultSite> = results.iter().map(|r| r.site).collect();
+    let mut per_output = vec![0usize; lo.outputs.len()];
+    for r in &results {
+        for &k in &r.detecting_outputs {
+            per_output[k] += 1;
+        }
+    }
+    let want = CampaignReport {
+        detected: results
+            .iter()
+            .filter(|r| r.outcome == FaultOutcome::Detected)
+            .count(),
+        budget_trips: 0,
+        per_output,
+        results,
+    };
+    for workers in [1, 2, 3, 8] {
+        let got = run_campaign(
+            &lo.net,
+            &lo.outputs,
+            inputs,
+            &faults,
+            &CampaignConfig {
+                workers,
+                ..CampaignConfig::default()
+            },
+        )
+        .expect("campaign");
+        assert!(
+            got == want,
+            "{what}: cone report differs at {workers} workers"
+        );
+    }
+}
+
 #[test]
 fn campaign_report_equals_full_replay_on_every_fixture() {
     for (file, glitches) in [("c17.bench", 0), ("c432.bench", 24), ("c880.bench", 24)] {
         let lo = lowered(file);
         let inputs = traffic(lo.inputs.len());
-        let faults = fault_list(&lo, glitches);
-        let golden = golden_outputs(&lo, &inputs);
-        let mut sim = Simulator::new(&lo.net).expect("engine");
-        let results: Vec<FaultResult> = faults
+        let results = full_replay_results(&lo, &inputs, &fault_list(&lo, glitches));
+        assert_campaign_matches(file, &lo, &inputs, results);
+    }
+}
+
+#[test]
+fn splice_stressing_fault_lists_equal_full_replay() {
+    for file in ["c432.bench", "c880.bench"] {
+        let lo = lowered(file);
+        let inputs = traffic(lo.inputs.len());
+        let results = full_replay_results(&lo, &inputs, &fault_list(&lo, 24));
+        // Shuffled (Fisher-Yates): the index order no longer follows
+        // the signal order.
+        let mut shuffled = results.clone();
+        let mut rng = TestRng::seed_from_u64(0x5b11ce);
+        for k in (1..shuffled.len()).rev() {
+            shuffled.swap(k, rng.gen_u64_below(k as u64 + 1) as usize);
+        }
+        assert_campaign_matches(&format!("{file} shuffled"), &lo, &inputs, shuffled);
+        // Stuck-at-0 only: a gate held at 1 finds no record to splice.
+        let sa0: Vec<FaultResult> = results
             .iter()
-            .map(|&site| {
-                full_replay(&lo, &mut sim, &golden, &inputs, site, &RunBudget::UNLIMITED).0
-            })
+            .filter(|r| r.site.kind == FaultKind::StuckAt(false))
+            .cloned()
             .collect();
-        let mut per_output = vec![0usize; lo.outputs.len()];
-        for r in &results {
-            for &k in &r.detecting_outputs {
-                per_output[k] += 1;
-            }
-        }
-        let want = CampaignReport {
-            detected: results
-                .iter()
-                .filter(|r| r.outcome == FaultOutcome::Detected)
-                .count(),
-            budget_trips: 0,
-            per_output,
-            results,
-        };
-        for workers in [1, 2, 3, 8] {
-            let got = run_campaign(
-                &lo.net,
-                &lo.outputs,
-                &inputs,
-                &faults,
-                &CampaignConfig {
-                    workers,
-                    ..CampaignConfig::default()
-                },
-            )
-            .expect("campaign");
-            assert!(
-                got == want,
-                "{file}: cone report differs at {workers} workers"
-            );
-        }
+        assert_campaign_matches(&format!("{file} sa0 only"), &lo, &inputs, sa0);
+        // Every site three times, twice back to back and once more at
+        // the end: a duplicate may splice its own twin's record.
+        let thrice: Vec<FaultResult> = results
+            .iter()
+            .flat_map(|r| [r.clone(), r.clone()])
+            .chain(results.iter().cloned())
+            .collect();
+        assert_campaign_matches(&format!("{file} duplicated"), &lo, &inputs, thrice);
     }
 }
 

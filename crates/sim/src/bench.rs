@@ -431,9 +431,19 @@ impl BenchNetlist {
     /// Gate indices in a topological order (inputs-before-users), stable
     /// with respect to file order among independent gates.
     ///
+    /// The order is that of repeated stable scans in file order, each
+    /// scan placing every gate whose gate operands are already placed:
+    /// gate `i` lands in pass `p(i) = max(1, max over its gate operands
+    /// j of p(j) + [j > i])` (an operand later in the file is placed one
+    /// pass too late for `i` to follow it in the same scan), and the
+    /// order is ascending `(p(i), i)`. Passes are computed in Kahn
+    /// order, so the sort is `O(N log N)` where the scans were
+    /// quadratic on long chains listed against dependency order.
+    ///
     /// # Errors
     ///
-    /// Returns [`BenchError::Cycle`] naming a signal on a cycle.
+    /// Returns [`BenchError::Cycle`] naming the first gate in file order
+    /// that is on, or downstream of, a cycle.
     fn topo_order(&self) -> Result<Vec<usize>, BenchError> {
         let gate_of: HashMap<&str, usize> = self
             .gates
@@ -441,41 +451,63 @@ impl BenchNetlist {
             .enumerate()
             .map(|(i, g)| (g.output.as_str(), i))
             .collect();
-        let mut order = Vec::with_capacity(self.gates.len());
-        let mut placed = vec![false; self.gates.len()];
-        // Repeated stable scans: quadratic in the worst case, but netlist
-        // files are small and the scan preserves file order among ready
-        // gates, which keeps lowering deterministic and diffable.
-        loop {
-            let mut progressed = false;
-            for (i, g) in self.gates.iter().enumerate() {
-                if placed[i] {
-                    continue;
-                }
-                let ready = g
-                    .inputs
+        // Each gate's gate operands (with multiplicity), then the users
+        // of each gate, both as CSR rows.
+        let n = self.gates.len();
+        let mut op_start = Vec::with_capacity(n + 1);
+        let mut ops: Vec<usize> = Vec::new();
+        op_start.push(0);
+        for g in &self.gates {
+            ops.extend(
+                g.inputs
                     .iter()
-                    .all(|op| gate_of.get(op.as_str()).is_none_or(|&j| placed[j]));
-                if ready {
-                    placed[i] = true;
-                    order.push(i);
-                    progressed = true;
-                }
-            }
-            if order.len() == self.gates.len() {
-                return Ok(order);
-            }
-            if !progressed {
-                let (line, stuck) = self
-                    .gates
-                    .iter()
-                    .enumerate()
-                    .find(|(i, _)| !placed[*i])
-                    .map(|(i, g)| (self.gate_lines[i], g.output.clone()))
-                    .unwrap_or_default();
-                return Err(BenchError::Cycle { line, name: stuck });
+                    .filter_map(|op| gate_of.get(op.as_str()).copied()),
+            );
+            op_start.push(ops.len());
+        }
+        let mut waiting: Vec<usize> = op_start.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut start = vec![0usize; n + 1];
+        for &j in &ops {
+            start[j + 1] += 1;
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut users = vec![0usize; ops.len()];
+        let mut cursor = start.clone();
+        for i in 0..n {
+            for &j in &ops[op_start[i]..op_start[i + 1]] {
+                users[cursor[j]] = i;
+                cursor[j] += 1;
             }
         }
+        let mut pass = vec![1usize; n];
+        let mut ready: Vec<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(j) = ready.pop() {
+            order.push(j);
+            for &i in &users[start[j]..start[j + 1]] {
+                pass[i] = pass[i].max(pass[j] + usize::from(j > i));
+                waiting[i] -= 1;
+                if waiting[i] == 0 {
+                    ready.push(i);
+                }
+            }
+        }
+        if order.len() < n {
+            // A gate still waiting on an operand is on, or downstream
+            // of, a cycle.
+            let i = waiting
+                .iter()
+                .position(|&w| w > 0)
+                .expect("a gate is unplaced");
+            return Err(BenchError::Cycle {
+                line: self.gate_lines[i],
+                name: self.gates[i].output.clone(),
+            });
+        }
+        order.sort_unstable_by_key(|&i| (pass[i], i));
+        Ok(order)
     }
 
     /// Lowers the netlist onto a [`Network`], realizing each `.bench`
@@ -914,6 +946,100 @@ mod tests {
                 };
             }
             assert_eq!(stats.edges, edges, "{src:?}");
+        }
+    }
+
+    /// The order of repeated stable file-order scans, each placing
+    /// every gate whose gate operands are placed — the quadratic
+    /// algorithm `topo_order` replaced, kept as its oracle.
+    fn scan_order(nl: &BenchNetlist) -> Result<Vec<usize>, String> {
+        let gate_of: HashMap<&str, usize> = nl
+            .gates
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (g.output.as_str(), i))
+            .collect();
+        let mut order = Vec::new();
+        let mut placed = vec![false; nl.gates.len()];
+        loop {
+            let mut progressed = false;
+            for (i, g) in nl.gates.iter().enumerate() {
+                let ready = g
+                    .inputs
+                    .iter()
+                    .all(|op| gate_of.get(op.as_str()).is_none_or(|&j| placed[j]));
+                if !placed[i] && ready {
+                    placed[i] = true;
+                    order.push(i);
+                    progressed = true;
+                }
+            }
+            if order.len() == nl.gates.len() {
+                return Ok(order);
+            }
+            if !progressed {
+                let i = placed.iter().position(|&p| !p).unwrap();
+                return Err(nl.gates[i].output.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn topo_order_equals_the_stable_scan_on_shuffled_random_dags() {
+        use mis_testkit::rng::TestRng;
+        for seed in 0..300u64 {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let n_inputs = 1 + rng.gen_u64_below(3) as usize;
+            let n_gates = 1 + rng.gen_u64_below(40) as usize;
+            let mut names: Vec<String> = (0..n_inputs).map(|i| format!("i{i}")).collect();
+            // Gates in creation (dependency) order: each reads earlier
+            // names, so the netlist is a DAG before any cycle is added.
+            let mut gates: Vec<BenchGate> = (0..n_gates)
+                .map(|g| {
+                    let (func, arity) = if rng.gen_bool(0.3) {
+                        (BenchFunc::Not, 1)
+                    } else {
+                        (BenchFunc::Nand, 2 + rng.gen_u64_below(3) as usize)
+                    };
+                    let gate = BenchGate {
+                        output: format!("g{g}"),
+                        func,
+                        inputs: (0..arity)
+                            .map(|_| names[rng.gen_u64_below(names.len() as u64) as usize].clone())
+                            .collect(),
+                    };
+                    names.push(gate.output.clone());
+                    gate
+                })
+                .collect();
+            // One seed in eight closes a cycle through a later gate.
+            if n_gates > 1 && seed % 8 == 0 {
+                let (a, b) = (rng.gen_u64_below(n_gates as u64 - 1) as usize, n_gates - 1);
+                let back = gates[b].output.clone();
+                gates[a].inputs[0] = back;
+            }
+            // Shuffled file order (Fisher-Yates).
+            for k in (1..gates.len()).rev() {
+                gates.swap(k, rng.gen_u64_below(k as u64 + 1) as usize);
+            }
+            let inputs = names[..n_inputs].to_vec();
+            let outputs = vec![gates[0].output.clone()];
+            let oracle = scan_order(&BenchNetlist {
+                inputs: inputs.clone(),
+                outputs: outputs.clone(),
+                gates: gates.clone(),
+                input_lines: vec![0; n_inputs],
+                output_lines: vec![0; 1],
+                gate_lines: vec![0; n_gates],
+                topo: Vec::new(),
+            });
+            match (BenchNetlist::new(inputs, outputs, gates), oracle) {
+                (Ok(nl), Ok(want)) => assert_eq!(nl.topo, want, "seed {seed}"),
+                (Err(BenchError::Cycle { name, .. }), Err(want)) => {
+                    assert_eq!(name, want, "seed {seed}");
+                }
+                (got, want) => panic!("seed {seed}: {got:?} vs {want:?}"),
+            }
         }
     }
 

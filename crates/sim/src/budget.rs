@@ -32,7 +32,9 @@
 //! with each re-evaluated, changed gate's golden count swapped for its
 //! faulty one) once the cone is done. Both totals are exact, so a cone replay
 //! trips if and only if the full replay would; its deadline ticks
-//! count the gates it actually evaluates.
+//! count the gates it actually evaluates. A replay that splices in a
+//! recorded replay ([`crate::ConeMemo`]) takes the recorded suffix's
+//! edges from the record, so its edge total is exact too.
 //!
 //! A limit trips when the tally *exceeds* it: a run that needs exactly
 //! `max_events` events succeeds, one more event fails. A zero budget

@@ -38,11 +38,37 @@
 //! would perturb signals outside the site's cone, which this replay
 //! never visits.
 //!
+//! # Splicing recorded replays
+//!
+//! [`ConeReplay::run_spliced`] shares completed replays between the
+//! faults of one campaign through a [`ConeMemo`]. Suppose a replay
+//! re-evaluates gate `g` and gets a constant trace `v` (no edges) that
+//! differs from golden, and no earlier dirty signal has a fan-out
+//! beyond `g` (`max last_fanout[d] over dirty d <= g`, with
+//! `last_fanout` precomputed from the fan-out CSR). From then on the
+//! replay reads no faulty trace but `g`'s, so its remaining work is
+//! exactly the replay of `g` stuck at `v`. If that replay is recorded,
+//! the splice ORs its dirty set into this run's, adds its gate count
+//! (so [`ConeReplay::gates_evaluated`] still reports the full cone
+//! replay's work) and takes the suffix's edge delta from its edge
+//! total, then stops. A replay whose rewritten trace at a gate site is
+//! constant `v` *is* the replay of that gate stuck at `v`; it publishes
+//! its record when it completes (no budget trip, no error). A record is
+//! the list of dirty signals, a gate count and an edge total, so the
+//! memo holds O(cone) per recorded (signal, value), never a bitset per
+//! record.
+//!
+//! After a spliced run [`ConeReplay::is_dirty`] is exact for every
+//! signal, but the dirty signals past the splice point have no faulty
+//! trace in this run's arena: [`ConeReplay::trace`] panics for them.
+//!
 //! # Budgets
 //!
 //! A [`RunBudget`] is charged what a full serial replay would charge
 //! (see the budget module docs), so a cone replay trips exactly when
-//! the full replay does.
+//! the full replay does. A spliced run charges the exact full-run edge
+//! total too: its own edge total plus the recorded replay's, minus the
+//! golden total, plus `g`'s golden edge count (counted in both).
 //!
 //! # Examples
 //!
@@ -83,6 +109,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+use std::sync::OnceLock;
 
 use mis_digital::{Network, SignalId, SimError};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
@@ -147,12 +175,51 @@ impl GoldenRun {
     }
 }
 
+/// One completed replay of a signal held at a constant value.
+#[derive(Debug)]
+struct ConeRecord {
+    /// Signals the replay marked dirty, its site first.
+    dirty: Box<[u32]>,
+    /// Gates the replay evaluated, spliced ones included.
+    gates: u64,
+    /// The full run's edge total, as charged to the budget.
+    edges: u64,
+}
+
+/// The completed constant-site replays of one [`GoldenRun`], one slot
+/// per (signal, value), filled at most once and shared by reference
+/// between campaign workers — see the module docs on splicing.
+#[derive(Debug)]
+pub struct ConeMemo<'g> {
+    golden: &'g GoldenRun,
+    /// Slot `2 * s + v`: the replay of signal `s` held at `v`.
+    slots: Vec<OnceLock<ConeRecord>>,
+}
+
+impl<'g> ConeMemo<'g> {
+    /// An empty memo over `golden`'s signals.
+    #[must_use]
+    pub fn new(golden: &'g GoldenRun) -> Self {
+        ConeMemo {
+            golden,
+            slots: (0..2 * golden.span_of.len())
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    fn slot(&self, s: usize, value: bool) -> &OnceLock<ConeRecord> {
+        &self.slots[2 * s + usize::from(value)]
+    }
+}
+
 /// Cone-only replay of single-site faults against a [`GoldenRun`] — see
 /// the module docs for the algorithm and its equivalence argument.
 ///
 /// Construction builds the fan-out CSR and sizes the per-run bitsets;
 /// a warm [`ConeReplay::run`] (faulty arena sized by an earlier run)
-/// allocates nothing, tripped budgets included.
+/// allocates nothing, tripped budgets included. Only
+/// [`ConeReplay::run_spliced`] allocates, to publish a record.
 #[derive(Debug)]
 pub struct ConeReplay<'n> {
     net: &'n Network,
@@ -162,9 +229,18 @@ pub struct ConeReplay<'n> {
     /// Signals whose faulty trace differs from golden, one bit per
     /// signal.
     dirty: Vec<u64>,
+    /// The set bits of `dirty`, in marking order (capacity: every
+    /// signal, so appending never allocates).
+    dirty_list: Vec<u32>,
     /// Faulty-arena span of each dirty signal (stale for clean ones).
     span_of: Vec<u32>,
-    /// Gates the last run re-evaluated.
+    /// Highest fan-out target of each signal (0 without fan-out).
+    last_fanout: Vec<u32>,
+    /// `max last_fanout[d]` over the signals `d` marked dirty so far.
+    reach: usize,
+    /// The gate the last run spliced a recorded replay onto, if any.
+    spliced_at: Option<usize>,
+    /// Gates the last run re-evaluated, spliced ones included.
     evaluated: u64,
 }
 
@@ -183,12 +259,23 @@ impl<'n> ConeReplay<'n> {
     pub fn new(net: &'n Network) -> Result<Self, SimError> {
         let n = net.signal_count();
         let words = n.div_ceil(64);
+        let csr = FanoutCsr::build(net)?;
+        let last_fanout = (0..n)
+            .map(|s| {
+                let row = csr.start[s] as usize..csr.start[s + 1] as usize;
+                csr.targets[row].iter().copied().max().unwrap_or(0)
+            })
+            .collect();
         Ok(ConeReplay {
             net,
-            csr: FanoutCsr::build(net)?,
+            csr,
             pending: vec![0; words],
             dirty: vec![0; words],
+            dirty_list: Vec::with_capacity(n),
             span_of: vec![0; n],
+            last_fanout,
+            reach: 0,
+            spliced_at: None,
             evaluated: 0,
         })
     }
@@ -214,6 +301,40 @@ impl<'n> ConeReplay<'n> {
         faulty: &mut TraceArena,
         budget: &RunBudget,
     ) -> Result<(), SimError> {
+        self.replay(golden, None, site, overlay, faulty, budget)
+    }
+
+    /// [`ConeReplay::run`] against `memo`'s golden run, splicing in the
+    /// memo's recorded replays where this one reaches them, and
+    /// publishing this replay when `site` is a gate, its rewritten
+    /// trace is constant and the run completes (see the module docs).
+    /// The outcome, dirty set, [`ConeReplay::gates_evaluated`] and
+    /// budget behavior are those of [`ConeReplay::run`]; only
+    /// [`ConeReplay::trace`] is narrower.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConeReplay::run`].
+    pub fn run_spliced(
+        &mut self,
+        memo: &ConeMemo<'_>,
+        site: SignalId,
+        overlay: &dyn TraceOverlay,
+        faulty: &mut TraceArena,
+        budget: &RunBudget,
+    ) -> Result<(), SimError> {
+        self.replay(memo.golden, Some(memo), site, overlay, faulty, budget)
+    }
+
+    fn replay(
+        &mut self,
+        golden: &GoldenRun,
+        memo: Option<&ConeMemo<'_>>,
+        site: SignalId,
+        overlay: &dyn TraceOverlay,
+        faulty: &mut TraceArena,
+        budget: &RunBudget,
+    ) -> Result<(), SimError> {
         let n = self.net.signal_count();
         if golden.span_of.len() != n || site.index() >= n {
             return Err(SimError::Network {
@@ -226,8 +347,13 @@ impl<'n> ConeReplay<'n> {
         }
         debug_assert!(overlay.rewrites(site), "the overlay must rewrite its site");
         self.evaluated = 0;
+        self.reach = 0;
+        self.spliced_at = None;
         self.pending.fill(0);
-        self.dirty.fill(0);
+        for &d in &self.dirty_list {
+            self.dirty[d as usize / 64] = 0;
+        }
+        self.dirty_list.clear();
         faulty.reset();
         let inputs = self.net.input_count();
         let mut meter = BudgetMeter::start(budget);
@@ -244,9 +370,16 @@ impl<'n> ConeReplay<'n> {
             return meter.on_edges(edges);
         }
         let span = faulty.seal_out();
+        let rewritten = faulty.trace(span);
+        // A constant gate trace makes this the replay of `s` stuck at
+        // that value: publish it once it completes. (Splices happen at
+        // gates only, so an input's replay is never looked up.)
+        let publish = memo
+            .filter(|_| s >= inputs && rewritten.is_empty())
+            .map(|memo| memo.slot(s, rewritten.initial_value()));
         if s >= inputs {
             // Input traces are caller data and never charged.
-            edges = edges - want.len() as u64 + faulty.trace(span).len() as u64;
+            edges = edges - want.len() as u64 + rewritten.len() as u64;
         }
         self.mark_dirty(s, span);
 
@@ -263,12 +396,33 @@ impl<'n> ConeReplay<'n> {
             let g = w * 64 + bits.trailing_zeros() as usize;
             self.evaluated += 1;
             meter.tick_deadline(self.evaluated)?;
-            if let Some(span) = self.eval(g, golden, faulty)? {
-                edges = edges - golden.at(g).len() as u64 + faulty.trace(span).len() as u64;
-                self.mark_dirty(g, span);
+            let Some(span) = self.eval(g, golden, faulty)? else {
+                continue;
+            };
+            let out = faulty.trace(span);
+            let golden_len = golden.at(g).len() as u64;
+            edges = edges - golden_len + out.len() as u64;
+            // Checked before `g` is marked: `reach` covers the earlier
+            // dirty signals only.
+            let record = memo
+                .filter(|_| out.is_empty() && self.reach <= g)
+                .and_then(|memo| memo.slot(g, out.initial_value()).get());
+            self.mark_dirty(g, span);
+            if let Some(record) = record {
+                self.splice(g, record);
+                edges = edges + record.edges + golden_len - golden.gate_edges;
+                break;
             }
         }
-        meter.on_edges(edges)
+        meter.on_edges(edges)?;
+        if let Some(slot) = publish {
+            slot.get_or_init(|| ConeRecord {
+                dirty: self.dirty_list.as_slice().into(),
+                gates: self.evaluated,
+                edges,
+            });
+        }
+        Ok(())
     }
 
     /// Whether signal `id`'s trace in the last run differs from golden.
@@ -288,7 +442,9 @@ impl<'n> ConeReplay<'n> {
     /// # Panics
     ///
     /// Panics for a [`SignalId`] of another network, or mismatched
-    /// arenas.
+    /// arenas, and after a [`ConeReplay::run_spliced`] that spliced at
+    /// gate `g`, for a dirty signal past `g`: its faulty trace was
+    /// never computed in this run (its dirty bit is exact).
     #[must_use]
     pub fn trace<'a>(
         &self,
@@ -297,6 +453,13 @@ impl<'n> ConeReplay<'n> {
         id: SignalId,
     ) -> TraceRef<'a> {
         if self.is_dirty(id) {
+            if let Some(g) = self.spliced_at {
+                assert!(
+                    id.index() <= g,
+                    "signal s{} is dirty past the splice point s{g}: its trace was not replayed",
+                    id.index()
+                );
+            }
             faulty.trace(self.span_of[id.index()] as usize)
         } else {
             golden.trace(id)
@@ -304,7 +467,8 @@ impl<'n> ConeReplay<'n> {
     }
 
     /// Gates the last run re-evaluated (a tripped run counts those it
-    /// reached).
+    /// reached). A spliced run adds the recorded replay's count, so this
+    /// is always the work of the memo-less [`ConeReplay::run`].
     #[must_use]
     pub fn gates_evaluated(&self) -> u64 {
         self.evaluated
@@ -313,12 +477,32 @@ impl<'n> ConeReplay<'n> {
     /// Marks `s` dirty at faulty span `span` and schedules its fan-out.
     fn mark_dirty(&mut self, s: usize, span: usize) {
         self.dirty[s / 64] |= 1 << (s % 64);
-        // Lossless: at most one span per signal per run.
+        // Lossless: at most one span and one list entry per signal per
+        // run.
+        self.dirty_list.push(s as u32);
+        self.reach = self.reach.max(self.last_fanout[s] as usize);
         self.span_of[s] = span as u32;
         for k in self.csr.start[s]..self.csr.start[s + 1] {
             let g = self.csr.targets[k as usize] as usize;
             self.pending[g / 64] |= 1 << (g % 64);
         }
+    }
+
+    /// Takes `record`, the replay of `g` held at its present constant
+    /// value, as the rest of this run: its dirty signals past `g` and
+    /// its gate count.
+    fn splice(&mut self, g: usize, record: &ConeRecord) {
+        debug_assert_eq!(
+            record.dirty.first(),
+            Some(&(g as u32)),
+            "a record starts at its site"
+        );
+        for &d in &record.dirty[1..] {
+            self.dirty[d as usize / 64] |= 1 << (d % 64);
+        }
+        self.dirty_list.extend_from_slice(&record.dirty[1..]);
+        self.evaluated += record.gates;
+        self.spliced_at = Some(g);
     }
 
     /// Re-evaluates gate `g` and seals its output into `faulty` when it
@@ -504,6 +688,96 @@ mod tests {
         assert!(run(RunBudget::UNLIMITED.with_max_events(events - 1)).is_err());
         if edges > 0 {
             assert!(run(RunBudget::UNLIMITED.with_max_edges(edges - 1)).is_err());
+        }
+    }
+
+    /// a, b inputs; c1 = NOT(a); c2 = NOR(c1, b) inertial; c3 =
+    /// NOT(c2); with `side`, also side = AND(a, b) after them.
+    /// Stimulus: a and b pulse at different times.
+    fn chain(side: bool) -> (Network, Vec<DigitalTrace>) {
+        let mut net = Network::new();
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let c1 = net.add_gate("c1", GateKind::Not, &[a], None).unwrap();
+        let inertial = InertialChannel::symmetric(ps(40.0), ps(30.0)).unwrap();
+        let c2 = net
+            .add_gate("c2", GateKind::Nor, &[c1, b], Some(Box::new(inertial)))
+            .unwrap();
+        net.add_gate("c3", GateKind::Not, &[c2], None).unwrap();
+        if side {
+            net.add_gate("side", GateKind::And, &[a, b], None).unwrap();
+        }
+        let pulse = |t0, t1| {
+            DigitalTrace::with_edges(false, vec![(ps(t0), true), (ps(t1), false)]).unwrap()
+        };
+        (net, vec![pulse(100.0, 400.0), pulse(700.0, 900.0)])
+    }
+
+    #[test]
+    fn a_constant_gate_splices_the_recorded_stuck_at_replay() {
+        for side in [true, false] {
+            let (net, inputs) = chain(side);
+            let ids: Vec<SignalId> = (0..net.signal_count())
+                .map(|s| net.signal_id(s).unwrap())
+                .collect();
+            let (a, c1, c2) = (ids[0], ids[2], ids[3]);
+            let golden = GoldenRun::record(&mut Simulator::new(&net).unwrap(), &inputs).unwrap();
+            let memo = ConeMemo::new(&golden);
+            let mut cone = ConeReplay::new(&net).unwrap();
+            let mut faulty = TraceArena::new();
+            // a stuck-at-1 holds c1 at 0: the memo-less run first.
+            let a1 = Stuck(a, true);
+            cone.run(&golden, a, &a1, &mut faulty, &RunBudget::UNLIMITED)
+                .unwrap();
+            let plain: Vec<bool> = ids.iter().map(|&id| cone.is_dirty(id)).collect();
+            let plain_gates = cone.gates_evaluated();
+            let full = full_replay(&net, &inputs, &a1);
+            let edges: u64 = full[net.input_count()..]
+                .iter()
+                .map(|t| t.edges().len() as u64)
+                .sum();
+            assert!(edges > 0);
+            // c1 stuck-at-0 has a constant gate trace: it publishes.
+            let c1_0 = Stuck(c1, false);
+            cone.run_spliced(&memo, c1, &c1_0, &mut faulty, &RunBudget::UNLIMITED)
+                .unwrap();
+            assert_eq!(cone.spliced_at, None);
+            assert!(memo.slot(c1.index(), false).get().is_some());
+            for budget in [
+                RunBudget::UNLIMITED,
+                RunBudget::UNLIMITED.with_max_edges(edges),
+            ] {
+                cone.run_spliced(&memo, a, &a1, &mut faulty, &budget)
+                    .unwrap();
+                // `side` reads a past c1, so the reach check refuses.
+                let want = (!side).then_some(c1.index());
+                assert_eq!(cone.spliced_at, want, "side: {side}");
+                assert_eq!(cone.gates_evaluated(), plain_gates);
+                let dirty: Vec<bool> = ids.iter().map(|&id| cone.is_dirty(id)).collect();
+                assert_eq!(dirty, plain);
+                // Up to the splice point the traces are this run's own.
+                let own = if side { ids.len() } else { c1.index() + 1 };
+                for &id in &ids[..own] {
+                    assert_eq!(
+                        cone.trace(&golden, &faulty, id).to_trace(),
+                        full[id.index()]
+                    );
+                }
+            }
+            let short = RunBudget::UNLIMITED.with_max_edges(edges - 1);
+            assert!(cone
+                .run_spliced(&memo, a, &a1, &mut faulty, &short)
+                .is_err());
+            if !side {
+                // Past the splice point a dirty trace was never computed.
+                cone.run_spliced(&memo, a, &a1, &mut faulty, &RunBudget::UNLIMITED)
+                    .unwrap();
+                assert!(cone.is_dirty(c2));
+                let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = cone.trace(&golden, &faulty, c2);
+                }));
+                assert!(past.is_err(), "trace() past the splice point must panic");
+            }
         }
     }
 

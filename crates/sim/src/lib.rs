@@ -26,7 +26,8 @@
 //!   gates a fault perturbs, seeded from a recorded [`GoldenRun`] and
 //!   stopping wherever a re-evaluated trace equals golden —
 //!   bit-identical to a full [`Simulator`] replay under the same
-//!   overlay.
+//!   overlay. A [`ConeMemo`] lets the replays of one campaign splice
+//!   in each other's recorded stuck-at replays.
 //!
 //! Two cross-cutting controls thread through both evaluators:
 //! [`mod@budget`] bounds a run (events, edges, deadline) with a graceful
@@ -74,7 +75,7 @@ pub mod probe;
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
 pub use cells::CellLibrary;
-pub use cone::{ConeReplay, GoldenRun};
+pub use cone::{ConeMemo, ConeReplay, GoldenRun};
 pub use engine::Simulator;
 pub use error::BenchError;
 pub use kernel::ENGINE_INDEX_MAX;

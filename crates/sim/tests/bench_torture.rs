@@ -151,3 +151,26 @@ fn random_mutations_of_a_valid_netlist_never_panic() {
         }
     }
 }
+
+#[test]
+fn a_long_chain_listed_against_dependency_order_lowers_in_chain_order() {
+    // g1 = NOT(a), g2 = NOT(g1), ..., written last gate first: every
+    // gate's operand comes later in the file. A pass-per-level sort is
+    // quadratic here (seconds at 16k gates); the chain must parse and
+    // lower in dependency order.
+    const GATES: usize = 50_000;
+    let mut text = format!("INPUT(a)\nOUTPUT(g{GATES})\n");
+    for k in (2..=GATES).rev() {
+        text.push_str(&format!("g{k} = NOT(g{})\n", k - 1));
+    }
+    text.push_str("g1 = NOT(a)\n");
+    let nl = parse_must_not_panic(&text).expect("a reversed chain is a valid netlist");
+    let lowered = nl
+        .lower(&mis_sim::CellLibrary::ideal())
+        .expect("chain lowers");
+    assert_eq!(lowered.net.signal_count(), GATES + 1);
+    for k in [1, 2, GATES / 2, GATES] {
+        let id = lowered.net.signal_id(k).expect("in range");
+        assert_eq!(lowered.net.signal_name(id), format!("g{k}"));
+    }
+}

@@ -103,7 +103,8 @@ cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
 # cells and traffic, and the campaign report is identical at every
 # worker count — any drift means detection behavior changed.
 # fault.cone_gates is the campaign's exact work: gates re-evaluated
-# by cone-only replay across all faults (also worker-count
+# by memo-less cone-only replay across all faults (a spliced replay
+# counts the recorded replay's gates, so it is also worker-count
 # independent); drift means the replay's early stop or scheduling
 # changed. Re-pin via `fault_sim --json [--glitches 24] <fixture>`.
 echo "== fault-coverage pinning gate (fault_sim --expect, c17/c432/c880)"
@@ -119,6 +120,14 @@ cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json \
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765 \
     data/bench/c432.bench > /dev/null
+# The same C432 pins at 1 worker: with several workers a replay may
+# find a stuck-at record another worker has not finished, so which
+# replays splice depends on the worker count and on scheduling — the
+# report and the work count must not.
+cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
+    --workers 1 \
+    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765 \
+    data/bench/c432.bench > /dev/null
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
     data/bench/c880.bench > /dev/null
@@ -126,6 +135,12 @@ cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitch
 # so this proves coverage and work are identical at another count.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 1 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
+    data/bench/c880.bench > /dev/null
+# And at 3 workers, where a replay finds a record missing that at 1
+# worker it would splice: the pins hold whatever the splice hits.
+cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
+    --workers 3 \
     --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
     data/bench/c880.bench > /dev/null
 
@@ -146,8 +161,9 @@ cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
 
 # Differential-fuzz smoke: a bounded run of the mis-fault harness
 # (random bounded-channel circuits; engine-vs-Network::run and
-# serial-vs-cone-replay bit-identity, faulted-STA soundness,
-# graceful budget trips).
+# serial-vs-cone-replay bit-identity, spliced campaigns vs memo-less
+# cone replays with and without an edge budget, faulted-STA
+# soundness, graceful budget trips).
 # Deterministic per seed, so a failure here reproduces locally with
 # the same command.
 echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
