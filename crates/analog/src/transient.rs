@@ -85,12 +85,6 @@ impl TranResult {
         &self.times
     }
 
-    /// Number of accepted steps.
-    #[must_use]
-    pub fn step_count(&self) -> usize {
-        self.times.len()
-    }
-
     /// The sampled waveform of `node`.
     ///
     /// # Errors

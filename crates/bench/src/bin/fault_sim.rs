@@ -21,9 +21,8 @@
 //! Usage:
 //!
 //! ```text
-//! fault_sim [--json] [--workers N] [--glitches N] [--max-events N]
-//!           [--max-edges N] [--trace <out.json>] [--expect k=v,...]
-//!           <netlist.bench>
+//! fault_sim [--json] [--workers N] [--glitches N] [--max-edges N]
+//!           [--trace <out.json>] [--expect k=v,...] <netlist.bench>
 //! fault_sim --fuzz ITERS [--seed N] [--json]
 //! ```
 //!
@@ -72,7 +71,6 @@ struct Args {
     json: bool,
     workers: usize,
     glitches: usize,
-    max_events: Option<u64>,
     max_edges: Option<u64>,
     fuzz: Option<u32>,
     seed: u64,
@@ -86,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         workers: 4,
         glitches: 0,
-        max_events: None,
         max_edges: None,
         fuzz: None,
         seed: 0x5eed,
@@ -110,13 +107,6 @@ fn parse_args() -> Result<Args, String> {
                 args.glitches = value("--glitches", &mut argv)?
                     .parse()
                     .map_err(|e| format!("--glitches: {e}"))?;
-            }
-            "--max-events" => {
-                args.max_events = Some(
-                    value("--max-events", &mut argv)?
-                        .parse()
-                        .map_err(|e| format!("--max-events: {e}"))?,
-                );
             }
             "--max-edges" => {
                 args.max_edges = Some(
@@ -157,18 +147,6 @@ fn parse_args() -> Result<Args, String> {
         (Some(_), Some(_)) => Err("--fuzz takes no <netlist.bench>".to_string()),
         _ => Ok(args),
     }
-}
-
-/// The campaign's run budget from the `--max-*` flags.
-fn budget(args: &Args) -> RunBudget {
-    let mut b = RunBudget::UNLIMITED;
-    if let Some(n) = args.max_events {
-        b = b.with_max_events(n);
-    }
-    if let Some(n) = args.max_edges {
-        b = b.with_max_edges(n);
-    }
-    b
 }
 
 /// `n` transient glitches spread deterministically across the lowered
@@ -263,7 +241,10 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
     };
     let config = CampaignConfig {
         workers: args.workers,
-        budget: budget(args),
+        budget: RunBudget {
+            max_edges: args.max_edges,
+            ..RunBudget::UNLIMITED
+        },
     };
     let started = Instant::now();
     let report = run_campaign_traced(
@@ -374,8 +355,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fault_sim: {e}");
             eprintln!(
-                "usage: fault_sim [--json] [--workers N] [--glitches N] [--max-events N] \
-                 [--max-edges N] [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
+                "usage: fault_sim [--json] [--workers N] [--glitches N] [--max-edges N] \
+                 [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
             );
             eprintln!("       fault_sim --fuzz ITERS [--seed N] [--json]");
             return ExitCode::from(2);

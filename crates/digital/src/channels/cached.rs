@@ -867,15 +867,7 @@ impl CachedHybridNandChannel {
     ///
     /// Same as [`CachedHybridChannel::new`].
     pub fn from_dual(lib: &CharLib) -> Result<Self, SimError> {
-        Ok(Self::from_nor(CachedHybridChannel::new(lib)?))
-    }
-
-    /// Wraps an already-built dual NOR channel — no re-resampling, just
-    /// the duality adapter (used by netlist factories to share one
-    /// characterization across many gate instances).
-    #[must_use]
-    pub fn from_nor(inner: CachedHybridChannel) -> Self {
-        Self::from_shared(Arc::new(inner))
+        Ok(Self::from_shared(Arc::new(CachedHybridChannel::new(lib)?)))
     }
 
     /// Wraps an already-shared dual NOR channel without re-wrapping: the
@@ -884,12 +876,6 @@ impl CachedHybridNandChannel {
     #[must_use]
     pub fn from_shared(inner: Arc<CachedHybridChannel>) -> Self {
         CachedHybridNandChannel { inner }
-    }
-
-    /// The shared dual NOR tables.
-    #[must_use]
-    pub fn shared(&self) -> &Arc<CachedHybridChannel> {
-        &self.inner
     }
 }
 

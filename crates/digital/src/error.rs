@@ -5,8 +5,6 @@ use std::fmt;
 /// [`SimError::BudgetExceeded`] — which limit of a `RunBudget` tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetResource {
-    /// The evaluation-event limit (`max_events`).
-    Events,
     /// The emitted-edge limit (`max_edges`).
     Edges,
     /// The wall-clock deadline.
@@ -16,7 +14,6 @@ pub enum BudgetResource {
 impl fmt::Display for BudgetResource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            BudgetResource::Events => "events",
             BudgetResource::Edges => "edges",
             BudgetResource::Deadline => "deadline",
         })
@@ -142,15 +139,10 @@ mod tests {
     #[test]
     fn budget_exceeded_display_names_the_resource() {
         let e = SimError::BudgetExceeded {
-            resource: BudgetResource::Events,
+            resource: BudgetResource::Edges,
             limit: 12,
         };
-        assert!(e.to_string().contains("12 events"), "{e}");
-        let e = SimError::BudgetExceeded {
-            resource: BudgetResource::Edges,
-            limit: 0,
-        };
-        assert!(e.to_string().contains("0 edges"), "{e}");
+        assert!(e.to_string().contains("12 edges"), "{e}");
         let e = SimError::BudgetExceeded {
             resource: BudgetResource::Deadline,
             limit: 5_000,

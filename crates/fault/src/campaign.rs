@@ -200,8 +200,8 @@ pub fn run_campaign_traced(
             reason: "campaign needs at least one worker".into(),
         });
     }
-    // The golden run: fault-free, unbudgeted, serial. Its arena and
-    // span table are shared read-only with every worker. It traces onto
+    // The golden run: fault-free, unbudgeted, serial. Its arena is
+    // shared read-only with every worker. It traces onto
     // the `sim` track (with a detached counter bundle, so the
     // campaign's probe keeps only `fault.*` engine-independent
     // metrics).
@@ -536,16 +536,18 @@ mod tests {
             &faults,
             &CampaignConfig {
                 workers: 2,
-                budget: RunBudget::UNLIMITED.with_max_events(0),
+                budget: RunBudget::UNLIMITED.with_max_edges(0),
             },
         )
         .unwrap();
-        assert_eq!(report.budget_trips, report.total());
-        assert_eq!(report.detected, 0);
-        assert!(report
-            .results
-            .iter()
-            .all(|r| r.outcome == FaultOutcome::BudgetTripped));
+        // Every stuck-at holds y constant except b stuck-at-0, which is
+        // b's fault-free value: only that run still emits y's pulse.
+        assert_eq!(report.budget_trips, 1);
+        assert_eq!(report.detected, report.total() - 1);
+        for r in &report.results {
+            let b0 = r.site == FaultSite::stuck_at_0(net.signal_id(1).unwrap());
+            assert_eq!(r.outcome == FaultOutcome::BudgetTripped, b0, "{}", r.site);
+        }
     }
 
     /// A stuck-at on signal `s<idx>` of a wider network: out of range for

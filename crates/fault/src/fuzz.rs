@@ -26,8 +26,9 @@
 //!   inside the signal's arrival window computed by
 //!   [`TimingAnalysis::arrival_windows_edited`] under the fault's
 //!   [`crate::FaultSite::window_edit`].
-//! * **Graceful budgets.** With exactly enough event budget the run
-//!   succeeds; with one event less it returns
+//! * **Graceful budgets.** With exactly the faulty run's edge total as
+//!   its edge budget, the serial run and the cone replay both succeed;
+//!   with one edge less both return
 //!   [`mis_digital::SimError::BudgetExceeded`] — never a panic or a
 //!   hang.
 //! * **Campaign splicing.** The campaign over every stuck-at site plus
@@ -353,20 +354,30 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             }
         }
 
-        // Graceful budgets: exactly enough succeeds; one event short
-        // trips. Always an error, never a panic or hang.
-        let gates = (net.signal_count() - net.input_count()) as u64;
-        let exact = RunBudget::UNLIMITED.with_max_events(gates);
-        serial
-            .run_controlled_in(&inputs, &mut serial_arena, &exact, Some(&overlay))
-            .map_err(|e| tag(&format!("exact budget should suffice, got: {e}")))?;
-        let short = RunBudget::UNLIMITED.with_max_events(gates - 1);
-        match serial.run_controlled_in(&inputs, &mut serial_arena, &short, Some(&overlay)) {
-            Err(SimError::BudgetExceeded { .. }) => {}
-            other => {
-                return Err(tag(&format!(
-                    "serial engine under a short budget returned {other:?}"
-                )))
+        // Graceful budgets: the faulty run's exact edge total suffices
+        // for the serial run and the cone replay alike; one edge short
+        // trips both. Always an error, never a panic or hang.
+        let edges: u64 = (net.input_count()..net.signal_count())
+            .map(|s| serial_arena.trace(s).len() as u64)
+            .sum();
+        let mut budgets = vec![(RunBudget::UNLIMITED.with_max_edges(edges), false)];
+        if edges > 0 {
+            budgets.push((RunBudget::UNLIMITED.with_max_edges(edges - 1), true));
+        }
+        for (budget, trips) in budgets {
+            let full =
+                serial.run_controlled_in(&inputs, &mut serial_arena, &budget, Some(&overlay));
+            let replay = cone.run(&golden, site.signal, &overlay, &mut cone_arena, &budget);
+            for (what, run) in [("serial engine", full), ("cone replay", replay)] {
+                match run {
+                    Err(SimError::BudgetExceeded { .. }) if trips => {}
+                    Ok(()) if !trips => {}
+                    other => {
+                        return Err(tag(&format!(
+                            "{what} under {budget:?} (faulty run: {edges} edges) returned {other:?}"
+                        )))
+                    }
+                }
             }
         }
     }

@@ -13,7 +13,8 @@
 //!   glitch pulses that exercise exactly the inertial/hybrid
 //!   pulse-filtering paths the paper is about. [`FaultOverlay`]
 //!   realizes a site as a [`mis_sim::TraceOverlay`], the rewrite hook
-//!   the engine and the cone replay apply at the sealed-span boundary.
+//!   the engine and the cone replay apply to a signal's trace before
+//!   sealing it.
 //! * [`campaign`] — the deterministic campaign runner: a fault list
 //!   evaluated against a golden run over scoped worker threads (one
 //!   warm arena per worker), each fault replaying only the gates it

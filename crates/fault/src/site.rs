@@ -15,10 +15,10 @@
 //!   delay model under test.
 //!
 //! [`FaultOverlay`] realizes a site as a [`TraceOverlay`], the rewrite
-//! hook the `mis-sim` engine applies at the sealed-span boundary; the
-//! XOR-merge keeps edge times strictly increasing by cancelling
-//! coincident edges pairwise, so the rewritten trace is always
-//! well-formed. [`FaultSite::window_edit`] gives the static companion:
+//! hook the `mis-sim` engine applies before a signal's trace is
+//! sealed; the XOR-merge keeps edge times strictly increasing by
+//! cancelling coincident edges pairwise, so the rewritten trace is
+//! always well-formed. [`FaultSite::window_edit`] gives the static companion:
 //! the [`WindowEdit`] under which `mis-analyze`'s arrival windows stay
 //! sound for the faulted run (verified by the differential fuzzer in
 //! [`crate::fuzz`]).

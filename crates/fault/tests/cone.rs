@@ -81,7 +81,7 @@ fn fault_list(lo: &LoweredNetlist, glitches: usize) -> Vec<FaultSite> {
 }
 
 /// One fault's outcome by full replay on `sim` (golden outputs given),
-/// plus the run's totals: (events, gate edges).
+/// plus the run's gate-edge total.
 fn full_replay(
     lo: &LoweredNetlist,
     sim: &mut Simulator<'_>,
@@ -89,10 +89,9 @@ fn full_replay(
     inputs: &[DigitalTrace],
     site: FaultSite,
     budget: &RunBudget,
-) -> (FaultResult, u64, u64) {
+) -> (FaultResult, u64) {
     let mut arena = TraceArena::new();
     let run = sim.run_controlled_in(inputs, &mut arena, budget, Some(&FaultOverlay::new(site)));
-    let events = (lo.net.signal_count() - lo.net.input_count()) as u64;
     let result = match run {
         Ok(()) => {
             let detecting: Vec<usize> = lo
@@ -120,7 +119,6 @@ fn full_replay(
                     outcome: FaultOutcome::BudgetTripped,
                     detecting_outputs: Vec::new(),
                 },
-                events,
                 0,
             )
         }
@@ -132,7 +130,7 @@ fn full_replay(
                 .len() as u64
         })
         .sum();
-    (result, events, edges)
+    (result, edges)
 }
 
 fn golden_outputs(lo: &LoweredNetlist, inputs: &[DigitalTrace]) -> Vec<DigitalTrace> {
@@ -296,15 +294,9 @@ fn budgets_trip_exactly_when_full_replay_trips() {
         let golden = golden_outputs(&lo, &inputs);
         let mut sim = Simulator::new(&lo.net).expect("engine");
         for site in fault_list(&lo, 24) {
-            let (_, events, edges) =
+            let (_, edges) =
                 full_replay(&lo, &mut sim, &golden, &inputs, site, &RunBudget::UNLIMITED);
-            let exact = RunBudget::UNLIMITED
-                .with_max_events(events)
-                .with_max_edges(edges);
-            let mut budgets = vec![
-                (exact, false),
-                (RunBudget::UNLIMITED.with_max_events(events - 1), true),
-            ];
+            let mut budgets = vec![(RunBudget::UNLIMITED.with_max_edges(edges), false)];
             if edges > 0 {
                 budgets.push((RunBudget::UNLIMITED.with_max_edges(edges - 1), true));
             }

@@ -77,7 +77,8 @@ pub enum EventKind {
     /// fault index, `b` = outcome: 0 undetected, 1 detected, 2
     /// budget-tripped).
     FaultRun,
-    /// A run budget tripped (instant; `a` = resource code).
+    /// A run budget tripped (instant; `a` = resource code: 1 edges, 2
+    /// deadline).
     Budget,
     /// A coverage-over-time sample (counter; `b` = this worker's
     /// cumulative detected faults).

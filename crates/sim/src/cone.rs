@@ -62,13 +62,25 @@
 //! signal, but the dirty signals past the splice point have no faulty
 //! trace in this run's arena: [`ConeReplay::trace`] panics for them.
 //!
+//! # Cost
+//!
+//! A replay's bookkeeping is bounded by its cone, not by the netlist:
+//! the pending scan starts at the bitset word of the site's first
+//! fan-out and stops past word `reach / 64` (no pending gate lies
+//! beyond `reach`), and the next replay clears only the dirty bits and
+//! the pending words this one's early exit (a splice, a budget trip or
+//! an error) left set. The scan still steps over the empty words
+//! between the cone's gates, so its cost is the cone plus the cone's
+//! extent in signal order over 64.
+//!
 //! # Budgets
 //!
 //! A [`RunBudget`] is charged what a full serial replay would charge
-//! (see the budget module docs), so a cone replay trips exactly when
-//! the full replay does. A spliced run charges the exact full-run edge
-//! total too: its own edge total plus the recorded replay's, minus the
-//! golden total, plus `g`'s golden edge count (counted in both).
+//! (see the budget module docs), so a cone replay trips on edges
+//! exactly when the full replay does. A spliced run charges the exact
+//! full-run edge total too: its own edge total plus the recorded
+//! replay's, minus the golden total, plus `g`'s golden edge count
+//! (counted in both).
 //!
 //! # Examples
 //!
@@ -120,14 +132,12 @@ use crate::engine::Simulator;
 use crate::kernel::{self, FanoutCsr};
 use crate::overlay::TraceOverlay;
 
-/// A fault-free run kept for replay: the sealed arena plus the span of
-/// every signal in it. Read-only once recorded, so campaign workers
-/// share one by reference.
+/// A fault-free run kept for replay: the sealed arena, which holds
+/// signal `s`'s trace as its trace `s`. Read-only once recorded, so
+/// campaign workers share one by reference.
 #[derive(Debug)]
 pub struct GoldenRun {
     arena: TraceArena,
-    /// Arena span of each signal, in signal order.
-    span_of: Vec<u32>,
     /// Output edges summed over the non-input signals — the edge total
     /// a fault-free full replay charges its budget.
     gate_edges: u64,
@@ -135,7 +145,7 @@ pub struct GoldenRun {
 
 impl GoldenRun {
     /// Runs `sim` fault-free and unbudgeted over `inputs`, and keeps the
-    /// resulting arena and span table.
+    /// resulting arena.
     ///
     /// # Errors
     ///
@@ -144,19 +154,10 @@ impl GoldenRun {
         let mut arena = TraceArena::new();
         sim.run_in(inputs, &mut arena)?;
         let net = sim.network();
-        // Lossless: the engine checked the signal count fits `u32`.
-        let span_of: Vec<u32> = (0..net.signal_count())
-            .map(|s| sim.span(net.signal_id(s).expect("s < signal_count")) as u32)
-            .collect();
-        let gate_edges = span_of[net.input_count()..]
-            .iter()
-            .map(|&span| arena.trace(span as usize).len() as u64)
+        let gate_edges = (net.input_count()..net.signal_count())
+            .map(|s| arena.trace(s).len() as u64)
             .sum();
-        Ok(GoldenRun {
-            arena,
-            span_of,
-            gate_edges,
-        })
+        Ok(GoldenRun { arena, gate_edges })
     }
 
     /// Signal `id`'s golden trace.
@@ -171,7 +172,12 @@ impl GoldenRun {
 
     #[inline]
     fn at(&self, s: usize) -> TraceRef<'_> {
-        self.arena.trace(self.span_of[s] as usize)
+        self.arena.trace(s)
+    }
+
+    /// The number of signals recorded.
+    fn signal_count(&self) -> usize {
+        self.arena.trace_count()
     }
 }
 
@@ -202,7 +208,7 @@ impl<'g> ConeMemo<'g> {
     pub fn new(golden: &'g GoldenRun) -> Self {
         ConeMemo {
             golden,
-            slots: (0..2 * golden.span_of.len())
+            slots: (0..2 * golden.signal_count())
                 .map(|_| OnceLock::new())
                 .collect(),
         }
@@ -226,6 +232,9 @@ pub struct ConeReplay<'n> {
     csr: FanoutCsr,
     /// Gates scheduled for re-evaluation, one bit per signal.
     pending: Vec<u64>,
+    /// The `pending` word the scan is at. After a run, words from here
+    /// to `reach / 64` may hold bits an early exit left set.
+    scan: usize,
     /// Signals whose faulty trace differs from golden, one bit per
     /// signal.
     dirty: Vec<u64>,
@@ -270,6 +279,7 @@ impl<'n> ConeReplay<'n> {
             net,
             csr,
             pending: vec![0; words],
+            scan: 0,
             dirty: vec![0; words],
             dirty_list: Vec::with_capacity(n),
             span_of: vec![0; n],
@@ -336,20 +346,24 @@ impl<'n> ConeReplay<'n> {
         budget: &RunBudget,
     ) -> Result<(), SimError> {
         let n = self.net.signal_count();
-        if golden.span_of.len() != n || site.index() >= n {
+        if golden.signal_count() != n || site.index() >= n {
             return Err(SimError::Network {
                 reason: format!(
                     "cone replay over {n} signals got a golden run of {} signals and site s{}",
-                    golden.span_of.len(),
+                    golden.signal_count(),
                     site.index()
                 ),
             });
         }
         debug_assert!(overlay.rewrites(site), "the overlay must rewrite its site");
+        let s = site.index();
         self.evaluated = 0;
+        if let Some(stale) = self.pending.get_mut(self.scan..=self.reach / 64) {
+            stale.fill(0);
+        }
+        self.scan = s / 64;
         self.reach = 0;
         self.spliced_at = None;
-        self.pending.fill(0);
         for &d in &self.dirty_list {
             self.dirty[d as usize / 64] = 0;
         }
@@ -357,11 +371,8 @@ impl<'n> ConeReplay<'n> {
         faulty.reset();
         let inputs = self.net.input_count();
         let mut meter = BudgetMeter::start(budget);
-        // A full replay pops every gate exactly once.
-        meter.on_events((n - inputs) as u64)?;
         let mut edges = golden.gate_edges;
 
-        let s = site.index();
         let want = golden.at(s);
         let (_, out, _) = faulty.stage();
         overlay.rewrite(site, want, out)?;
@@ -382,14 +393,19 @@ impl<'n> ConeReplay<'n> {
             edges = edges - want.len() as u64 + rewritten.len() as u64;
         }
         self.mark_dirty(s, span);
-
-        // Fan-outs always follow their source, so the scan only moves
-        // forward and never revisits a word it has emptied.
-        let mut w = s / 64;
-        while w < self.pending.len() {
+        // Fan-outs always follow their source, so the scan starts at the
+        // site's first fan-out, only moves forward and never revisits a
+        // word it has emptied; and every pending gate is a fan-out of a
+        // dirty signal, so none lies past `reach`.
+        let row = self.csr.start[s] as usize..self.csr.start[s + 1] as usize;
+        if let Some(&first) = self.csr.targets[row].first() {
+            self.scan = first as usize / 64;
+        }
+        while self.scan <= self.reach / 64 {
+            let w = self.scan;
             let bits = self.pending[w];
             if bits == 0 {
-                w += 1;
+                self.scan += 1;
                 continue;
             }
             self.pending[w] = bits & (bits - 1);
@@ -671,24 +687,21 @@ mod tests {
 
     #[test]
     fn budget_charges_the_full_replay_totals() {
-        let (net, [a, ..], inputs) = fixture();
+        let (net, [_, b, ..], inputs) = fixture();
         let golden = GoldenRun::record(&mut Simulator::new(&net).unwrap(), &inputs).unwrap();
-        let ov = Stuck(a, true);
+        // b stuck-at-1 passes a's pulse through j and h.
+        let ov = Stuck(b, true);
         let full = full_replay(&net, &inputs, &ov);
-        let events = (net.signal_count() - net.input_count()) as u64;
         let edges: u64 = full[net.input_count()..]
             .iter()
             .map(|t| t.edges().len() as u64)
             .sum();
         let mut cone = ConeReplay::new(&net).unwrap();
         let mut faulty = TraceArena::new();
-        let mut run = |budget: RunBudget| cone.run(&golden, a, &ov, &mut faulty, &budget);
-        run(RunBudget::UNLIMITED.with_max_events(events)).unwrap();
+        let mut run = |budget: RunBudget| cone.run(&golden, b, &ov, &mut faulty, &budget);
         run(RunBudget::UNLIMITED.with_max_edges(edges)).unwrap();
-        assert!(run(RunBudget::UNLIMITED.with_max_events(events - 1)).is_err());
-        if edges > 0 {
-            assert!(run(RunBudget::UNLIMITED.with_max_edges(edges - 1)).is_err());
-        }
+        assert!(edges > 0);
+        assert!(run(RunBudget::UNLIMITED.with_max_edges(edges - 1)).is_err());
     }
 
     /// a, b inputs; c1 = NOT(a); c2 = NOR(c1, b) inertial; c3 =

@@ -20,9 +20,14 @@
 //! run budgets, trace overlays (fault injection), probe counters and
 //! timeline tracing.
 //!
-//! A warm run is allocation-free: the span map is preallocated at
-//! construction, and the arena reuses its flat storage (asserted by
-//! `crates/sim/tests/alloc.rs` under the counting allocator).
+//! Every run seals exactly one arena trace per signal, in signal order,
+//! so signal `s`'s trace is the arena's trace `s`. An overlay does not
+//! break that: it rewrites a signal's staged trace before the one seal
+//! (see [`crate::overlay`]).
+//!
+//! A warm run is allocation-free: the arena reuses its flat storage
+//! (asserted by `crates/sim/tests/alloc.rs` under the counting
+//! allocator).
 //!
 //! # Examples
 //!
@@ -46,26 +51,23 @@
 //! # }
 //! ```
 
-use mis_digital::{ChannelEvents, Network, SignalId, SignalSource, SimError};
+use mis_digital::{ChannelEvents, Network, SignalId, SimError};
 use mis_probe::{Probe, TraceSink};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
 use crate::budget::{BudgetMeter, RunBudget};
 use crate::kernel;
-use crate::overlay::{rewrite_span, TraceOverlay};
+use crate::overlay::TraceOverlay;
 use crate::probe::{census_index, SimCounters, SimTracer};
 
 /// A signal-order evaluator over a borrowed [`Network`] — see the
 /// module docs for the schedule and the bit-identity argument.
 ///
-/// Construction checks the network fits the engine's index width and
-/// sizes the span map; each [`Simulator::run_in`] then reuses that
-/// storage, so the per-run cost is the gate loop itself.
+/// Construction checks the network fits the engine's index width; the
+/// per-run cost is the gate loop itself.
 #[derive(Debug)]
 pub struct Simulator<'n> {
     net: &'n Network,
-    /// Arena span holding each signal's trace, filled during a run.
-    span_of: Vec<u32>,
     /// Engine metrics — a disabled bundle for [`Simulator::new`]
     /// engines, so recording is compiled in unconditionally and the
     /// unprobed hot loop pays only local register updates.
@@ -77,7 +79,7 @@ pub struct Simulator<'n> {
 }
 
 impl<'n> Simulator<'n> {
-    /// Prepares an engine for `net`: sizes every per-run buffer.
+    /// Prepares an engine for `net`.
     ///
     /// # Errors
     ///
@@ -115,11 +117,9 @@ impl<'n> Simulator<'n> {
         counters: SimCounters,
         tracer: SimTracer,
     ) -> Result<Self, SimError> {
-        let n = net.signal_count();
-        kernel::check_index_width(n)?;
+        kernel::check_index_width(net.signal_count())?;
         Ok(Simulator {
             net,
-            span_of: vec![0; n],
             counters,
             tracer,
         })
@@ -139,8 +139,8 @@ impl<'n> Simulator<'n> {
     }
 
     /// Evaluates the network into `arena` in signal order. After the
-    /// run, every signal's trace sits in the arena at
-    /// [`Simulator::span`].
+    /// run, signal `s`'s trace is the arena's trace `s` (read it with
+    /// [`Simulator::trace`]).
     ///
     /// On a warm arena (one prior run of similar edge counts) the whole
     /// evaluation performs zero heap allocations.
@@ -158,8 +158,9 @@ impl<'n> Simulator<'n> {
     }
 
     /// The fully general run: a [`RunBudget`] plus an optional
-    /// [`TraceOverlay`] rewriting sealed traces before downstream gates
-    /// read them — the entry point `mis-fault` injects faults through.
+    /// [`TraceOverlay`] rewriting traces before they are sealed, and so
+    /// before downstream gates read them — the entry point `mis-fault`
+    /// injects faults through.
     /// With [`RunBudget::UNLIMITED`] and no overlay this *is*
     /// [`Simulator::run_in`].
     ///
@@ -194,19 +195,22 @@ impl<'n> Simulator<'n> {
         let mut meter = BudgetMeter::start(budget);
         arena.reset();
         for (i, t) in inputs.iter().enumerate() {
-            // One span is sealed per signal and construction verified the
-            // signal count fits the index width, so the narrowing is
-            // lossless.
-            let mut span = arena.push_trace(t);
-            if let Some(ov) = overlay {
-                let id = self.net.signal_id(i).expect("i < signal_count");
-                if ov.rewrites(id) {
-                    span = rewrite_span(arena, span, id, ov)?;
+            let id = self.net.signal_id(i).expect("i < signal_count");
+            match overlay.filter(|ov| ov.rewrites(id)) {
+                Some(ov) => {
+                    let (_, out, scratch) = arena.stage();
+                    scratch.copy_trace(t);
+                    ov.rewrite(id, scratch.as_ref(), out)?;
+                    arena.seal_out();
+                }
+                None => {
+                    arena.push_trace(t);
                 }
             }
-            self.span_of[i] = span as u32;
+            // Construction verified the signal count fits the index
+            // width, so the narrowing is lossless.
             if self.tracer.is_enabled() {
-                self.tracer.seal(i as u32, arena.trace(span).len() as u32);
+                self.tracer.seal(i as u32, arena.trace(i).len() as u32);
             }
         }
         // The duplicate and channel tallies stay in registers through
@@ -215,13 +219,14 @@ impl<'n> Simulator<'n> {
         let mut dups = 0u64;
         let mut chan = ChannelEvents::default();
         for s in inputs.len()..self.net.signal_count() {
-            self.tracer.guard(meter.on_event())?;
+            let ordinal = (s - inputs.len() + 1) as u64;
+            self.tracer.guard(meter.tick_deadline(ordinal))?;
             let gate_started = self.tracer.start();
             match self.eval(s, arena, overlay)? {
                 Some(events) => chan += events,
                 None => dups += 1,
             }
-            let edges = arena.trace(self.span_of[s] as usize).len() as u64;
+            let edges = arena.trace(s).len() as u64;
             self.tracer.gate_span(gate_started, s as u32, edges as u32);
             self.tracer.guard(meter.on_edges(edges))?;
         }
@@ -235,13 +240,13 @@ impl<'n> Simulator<'n> {
     }
 
     /// The post-run per-kind edge census: one O(n) walk over the sealed
-    /// spans, run only when the probe is enabled — the gate loop never
+    /// traces, run only when the probe is enabled — the gate loop never
     /// pays for it.
     fn census(&self, arena: &TraceArena) {
         for s in 0..self.net.signal_count() {
             let id = self.net.signal_id(s).expect("s < signal_count");
             let class = census_index(&self.net.source(id));
-            let edges = arena.trace(self.span_of[s] as usize).len() as u64;
+            let edges = arena.trace(s).len() as u64;
             self.counters.census(class, edges);
         }
     }
@@ -257,19 +262,8 @@ impl<'n> Simulator<'n> {
         let mut arena = TraceArena::new();
         self.run_in(inputs, &mut arena)?;
         Ok((0..self.net.signal_count())
-            .map(|s| arena.to_trace(self.span_of[s] as usize))
+            .map(|s| arena.to_trace(s))
             .collect())
-    }
-
-    /// The arena span index holding signal `id`'s trace (valid after a
-    /// [`Simulator::run_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a foreign [`SignalId`].
-    #[must_use]
-    pub fn span(&self, id: SignalId) -> usize {
-        self.span_of[id.index()] as usize
     }
 
     /// Convenience: the view of signal `id`'s trace inside `arena`
@@ -280,17 +274,17 @@ impl<'n> Simulator<'n> {
     /// Panics for a foreign [`SignalId`] or a mismatched arena.
     #[must_use]
     pub fn trace<'a>(&self, arena: &'a TraceArena, id: SignalId) -> TraceRef<'a> {
-        arena.trace(self.span(id))
+        arena.trace(id.index())
     }
 
-    /// Evaluates one gate through the shared per-gate kernel
-    /// ([`crate::kernel::eval_signal_into`]) and seals its output span,
-    /// applying any overlay rewrite before the span is published.
-    /// Returns the kernel's channel events, or `None` when the gate
-    /// resolved as a duplicate-span shortcut (the run loop's duplicate
-    /// tally).
+    /// Evaluates gate `s` through the shared per-gate kernel
+    /// ([`crate::kernel::eval_signal_into`]) and seals its output as the
+    /// arena's trace `s`. An overlay rewrite of `s` reads the staged
+    /// fault-free trace and writes `out` before that one seal. Returns
+    /// the kernel's channel events, or `None` when the gate resolved as
+    /// a duplicate-span shortcut (the run loop's duplicate tally).
     fn eval(
-        &mut self,
+        &self,
         s: usize,
         arena: &mut TraceArena,
         overlay: Option<&dyn TraceOverlay>,
@@ -298,43 +292,38 @@ impl<'n> Simulator<'n> {
         let net = self.net;
         let id = net.signal_id(s).expect("s < signal_count");
         let source = net.source(id);
-        let (mut span, events) = match kernel::duplicate_shortcut(&source) {
-            Some((src, invert)) => (
-                arena.push_duplicate(self.span_of[src.index()] as usize, invert),
-                None,
-            ),
-            None => {
-                let (span, events) = self.eval_staged(source, arena)?;
-                (span, Some(events))
+        let rewrite = overlay.filter(|ov| ov.rewrites(id));
+        let shortcut = kernel::duplicate_shortcut(&source);
+        let events = match (shortcut, rewrite) {
+            (Some((src, invert)), None) => {
+                arena.push_duplicate(src.index(), invert);
+                None
+            }
+            (Some((src, invert)), Some(ov)) => {
+                let (sealed, out, _) = arena.stage();
+                let view = sealed.trace(src.index());
+                ov.rewrite(id, if invert { view.inverted() } else { view }, out)?;
+                arena.seal_out();
+                None
+            }
+            (None, rewrite) => {
+                let (sealed, out, scratch) = arena.stage();
+                let events = kernel::eval_signal_into(
+                    source,
+                    |sid| sealed.trace(sid.index()),
+                    out,
+                    scratch,
+                )?;
+                if let Some(ov) = rewrite {
+                    std::mem::swap(out, scratch);
+                    ov.rewrite(id, scratch.as_ref(), out)?;
+                }
+                arena.seal_out();
+                Some(events)
             }
         };
-        if let Some(ov) = overlay {
-            if ov.rewrites(id) {
-                span = rewrite_span(arena, span, id, ov)?;
-            }
-        }
-        // Lossless: spans per run = signal count, checked at construction.
-        self.span_of[s] = span as u32;
+        debug_assert_eq!(arena.trace_count(), s + 1, "one sealed trace per signal");
         Ok(events)
-    }
-
-    /// The staging-buffer path of [`Simulator::eval`]: runs the shared
-    /// kernel against the sealed arena storage and seals the result.
-    /// Returns the sealed span and the kernel's channel events.
-    fn eval_staged(
-        &mut self,
-        source: SignalSource<'_>,
-        arena: &mut TraceArena,
-    ) -> Result<(usize, ChannelEvents), SimError> {
-        let span_of = &self.span_of;
-        let (sealed, out, scratch) = arena.stage();
-        let events = kernel::eval_signal_into(
-            source,
-            |sid| sealed.trace(span_of[sid.index()] as usize),
-            out,
-            scratch,
-        )?;
-        Ok((arena.seal_out(), events))
     }
 }
 
@@ -497,9 +486,10 @@ mod tests {
         let sink = TraceSink::new();
         let mut sim = Simulator::new_traced(&net, &probe, &sink).unwrap();
         let mut arena = TraceArena::new();
-        let budget = crate::RunBudget::UNLIMITED.with_max_events(0);
+        let budget = crate::RunBudget::UNLIMITED.with_max_edges(0);
+        let input = DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap();
         assert!(sim
-            .run_controlled_in(&[DigitalTrace::constant(false)], &mut arena, &budget, None)
+            .run_controlled_in(&[input], &mut arena, &budget, None)
             .is_err());
         let snap = sink.snapshot();
         let track = snap.track("sim").unwrap();
@@ -508,7 +498,7 @@ mod tests {
             .iter()
             .find(|e| e.kind == EventKind::Budget)
             .expect("budget instant recorded");
-        assert_eq!(trip.a, 0, "events resource code");
+        assert_eq!(trip.a, 1, "edges resource code");
         // The aborted run seals no run span.
         assert!(!track.events.iter().any(|e| e.kind == EventKind::Run));
     }

@@ -45,7 +45,8 @@ pub(crate) fn check_index_width(count: usize) -> Result<(), SimError> {
 pub(crate) struct FanoutCsr {
     /// Row starts into `targets`, one entry per signal plus a tail.
     pub start: Vec<u32>,
-    /// Dependent gate signal indices, grouped by source signal.
+    /// Dependent gate signal indices, grouped by source signal, each
+    /// row in ascending order.
     pub targets: Vec<u32>,
 }
 

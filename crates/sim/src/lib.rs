@@ -30,11 +30,12 @@
 //!   in each other's recorded stuck-at replays.
 //!
 //! Two cross-cutting controls thread through both evaluators:
-//! [`mod@budget`] bounds a run (events, edges, deadline) with a graceful
+//! [`mod@budget`] bounds a run (edges, deadline) with a graceful
 //! [`mis_digital::SimError::BudgetExceeded`] instead of unbounded work,
-//! and [`mod@overlay`] rewrites sealed traces mid-run — the injection
-//! point the `mis-fault` campaigns build on. Parallelism lives one layer
-//! up, across runs: the campaigns spread faults over worker threads.
+//! and [`mod@overlay`] rewrites a signal's trace before it is sealed —
+//! the injection point the `mis-fault` campaigns build on. Parallelism
+//! lives one layer up, across runs: the campaigns spread faults over
+//! worker threads.
 //!
 //! # Examples
 //!

@@ -2,15 +2,18 @@
 //! engine run — the injection point `mis-fault` builds its fault model
 //! on.
 //!
-//! An overlay sees every signal's trace right after the engine seals it
-//! (input copies and gate outputs alike) and may replace it before any
-//! downstream gate reads it. Because the rewrite happens *at the
-//! sealed-span boundary* — the same place the engine and the cone
-//! replay publish traces — the two stay bit-identical under any
-//! overlay: a gate's output is still a pure function of its (now
-//! rewritten) fan-in traces, evaluated by the shared kernel, so the
-//! argument of `crate::kernel` goes through unchanged with "trace of
-//! signal `s`" reinterpreted as "rewritten trace of signal `s`".
+//! An overlay sees a signal's fault-free trace while it is still staged
+//! (an input copied into the arena's `scratch` buffer, a gate's kernel
+//! output swapped into `scratch`, or the duplicate shortcut's view of
+//! its fan-in) and writes its replacement into the arena's `out`
+//! buffer. The run then seals `out` once, so signal `s` still has
+//! exactly one trace in the arena, and no downstream gate ever sees the
+//! fault-free one. [`crate::Simulator`] and the cone replay rewrite at
+//! this same point, so the two stay bit-identical under any overlay: a
+//! gate's output is still a pure function of its (now rewritten) fan-in
+//! traces, evaluated by the shared kernel, so the argument of
+//! `crate::kernel` goes through unchanged with "trace of signal `s`"
+//! reinterpreted as "rewritten trace of signal `s`".
 //!
 //! Determinism requires `rewrite` to be a pure function of
 //! `(signal, view)` — interior mutability that makes the result depend
@@ -20,18 +23,18 @@
 use mis_digital::{SignalId, SimError};
 use mis_waveform::{EdgeBuf, TraceRef};
 
-/// A deterministic per-signal trace rewrite, applied at the sealed-span
-/// boundary (see the module docs).
+/// A deterministic per-signal trace rewrite, applied to the staged trace
+/// before it is sealed (see the module docs).
 ///
 /// [`TraceOverlay::rewrites`] is the cheap pre-filter the engine calls
 /// for every signal; only signals it accepts pay the staging round trip
 /// through [`TraceOverlay::rewrite`].
 pub trait TraceOverlay {
     /// Whether this overlay rewrites signal `id` — called once per
-    /// sealed signal per run.
+    /// signal per run.
     fn rewrites(&self, id: SignalId) -> bool;
 
-    /// Rewrites signal `id`'s sealed trace: reads the fault-free `view`
+    /// Rewrites signal `id`'s trace: reads the fault-free `view`
     /// and writes the replacement into `out`. The buffer arrives in an
     /// unspecified state — implementations must start with
     /// [`EdgeBuf::clear`]. Must be a pure function of `(id, view)`.
@@ -41,22 +44,6 @@ pub trait TraceOverlay {
     /// Implementations surface invalid rewrites (e.g. a non-monotone
     /// edge push) as [`SimError`]; the run aborts with it.
     fn rewrite(&self, id: SignalId, view: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError>;
-}
-
-/// Applies one overlay rewrite at the sealed-span boundary: stages the
-/// fault-free span `span` through the arena's `out` buffer and seals
-/// the replacement, returning its span index. The one rewrite path the
-/// engine and the cone replay share, so overlay semantics cannot
-/// diverge between them.
-pub(crate) fn rewrite_span(
-    arena: &mut mis_waveform::TraceArena,
-    span: usize,
-    id: SignalId,
-    overlay: &dyn TraceOverlay,
-) -> Result<usize, SimError> {
-    let (sealed, out, _scratch) = arena.stage();
-    overlay.rewrite(id, sealed.trace(span), out)?;
-    Ok(arena.seal_out())
 }
 
 #[cfg(test)]

@@ -160,7 +160,9 @@ impl SimCounters {
         }
     }
 
-    /// Cumulative evaluation events (one per non-input signal per run).
+    /// Cumulative evaluation events (one per non-input signal per run,
+    /// duplicate-span shortcuts included). The name is the deleted event
+    /// queue's; the count stays because the C880 benchmark reports it.
     #[must_use]
     pub fn events_popped(&self) -> u64 {
         self.events_popped.value()
@@ -267,13 +269,13 @@ impl SimTracer {
 
     /// Passes a budget-meter result through, recording an
     /// [`EventKind::Budget`] instant (payload = resource code) when it
-    /// tripped — how the event loops mark trips on the timeline without
-    /// disturbing error propagation.
+    /// tripped — how the gate loops mark trips on the timeline without
+    /// disturbing error propagation. The codes are fixed (edges 1,
+    /// deadline 2), so traces stay comparable across versions.
     #[inline]
     pub(crate) fn guard<T>(&self, r: Result<T, SimError>) -> Result<T, SimError> {
         if let Err(SimError::BudgetExceeded { resource, .. }) = &r {
             let code = match resource {
-                BudgetResource::Events => 0,
                 BudgetResource::Edges => 1,
                 BudgetResource::Deadline => 2,
             };
@@ -363,7 +365,7 @@ mod tests {
         t.run_span(t.start());
         t.gate_span(None, 1, 1);
         let err: Result<(), SimError> = Err(SimError::BudgetExceeded {
-            resource: BudgetResource::Events,
+            resource: BudgetResource::Deadline,
             limit: 0,
         });
         assert!(t.guard(err).is_err(), "guard still propagates");

@@ -310,12 +310,12 @@ fn tripped_budget_runs_stay_allocation_free() {
         let mut arena = TraceArena::new();
         sim.run_in(&inputs, &mut arena).expect("warm-up run");
         let warm_edges = arena.total_edges();
-        let budget = mis_sim::RunBudget::UNLIMITED.with_max_events(25);
+        let budget = mis_sim::RunBudget::UNLIMITED.with_max_edges(250);
         let (allocations, ()) = alloc::count_in(|| {
             for _ in 0..5 {
                 match sim.run_controlled_in(&inputs, &mut arena, &budget, None) {
                     Err(mis_digital::SimError::BudgetExceeded { .. }) => {}
-                    _ => panic!("a 25-event budget must trip on {file}"),
+                    _ => panic!("a 250-edge budget must trip on {file}"),
                 }
                 sim.run_in(&inputs, &mut arena).expect("run after a trip");
             }

@@ -53,59 +53,26 @@ fn traffic(n: usize, seed: u64) -> Vec<DigitalTrace> {
         .collect()
 }
 
-/// What one unbudgeted run of `name` costs: (events, gate-emitted
-/// edges), measured the same way the meter charges them — one event per
-/// gate evaluation, the sealed span length per evaluated gate (inputs
-/// are caller data and free).
-fn run_cost(name: &str, seed: u64) -> (u64, u64) {
+/// What one unbudgeted run of `name` emits: gate-output edges, measured
+/// the same way the meter charges them — the sealed trace length per
+/// evaluated gate (inputs are caller data and free).
+fn run_edges(name: &str, seed: u64) -> u64 {
     let lowered = lowered(name);
     let inputs = traffic(lowered.inputs.len(), seed);
     let mut sim = Simulator::new(&lowered.net).expect("engine");
     let mut arena = TraceArena::new();
     sim.run_in(&inputs, &mut arena).expect("unbudgeted run");
-    let events = (lowered.net.signal_count() - lowered.net.input_count()) as u64;
-    let edges: u64 = (0..lowered.net.signal_count())
+    (0..lowered.net.signal_count())
         .filter_map(|s| lowered.net.signal_id(s))
         .filter(|id| !lowered.inputs.contains(id))
         .map(|id| sim.trace(&arena, id).len() as u64)
-        .sum();
-    (events, edges)
-}
-
-#[test]
-fn exact_event_budget_passes_and_one_less_trips() {
-    for (file, seed) in [("c17.bench", 0xC17), ("c432.bench", 0x432)] {
-        let (events, _) = run_cost(file, seed);
-        let lowered = lowered(file);
-        let inputs = traffic(lowered.inputs.len(), seed);
-        let mut sim = Simulator::new(&lowered.net).expect("engine");
-        let mut arena = TraceArena::new();
-        sim.run_controlled_in(
-            &inputs,
-            &mut arena,
-            &RunBudget::UNLIMITED.with_max_events(events),
-            None,
-        )
-        .expect("exactly-enough event budget must succeed");
-        match sim.run_controlled_in(
-            &inputs,
-            &mut arena,
-            &RunBudget::UNLIMITED.with_max_events(events - 1),
-            None,
-        ) {
-            Err(SimError::BudgetExceeded { resource, limit }) => {
-                assert_eq!(resource, BudgetResource::Events, "{file}");
-                assert_eq!(limit, events - 1, "{file}");
-            }
-            other => panic!("{file}: one-less event budget returned {other:?}"),
-        }
-    }
+        .sum()
 }
 
 #[test]
 fn exact_edge_budget_passes_and_one_less_trips() {
     for (file, seed) in [("c17.bench", 0xC17), ("c432.bench", 0x432)] {
-        let (_, edges) = run_cost(file, seed);
+        let edges = run_edges(file, seed);
         let lowered = lowered(file);
         let inputs = traffic(lowered.inputs.len(), seed);
         let mut sim = Simulator::new(&lowered.net).expect("engine");
@@ -139,10 +106,6 @@ fn zero_budgets_trip_on_the_first_unit_of_work() {
     let mut arena = TraceArena::new();
     let mut sim = Simulator::new(&lowered.net).expect("engine");
     for (budget, resource) in [
-        (
-            RunBudget::UNLIMITED.with_max_events(0),
-            BudgetResource::Events,
-        ),
         (
             RunBudget::UNLIMITED.with_max_edges(0),
             BudgetResource::Edges,
@@ -187,15 +150,15 @@ fn a_tripped_run_leaves_engine_and_arena_reusable() {
     // Trip mid-circuit (enough budget to do real work first), then run
     // unbudgeted with the same engine and arena: the result must match
     // the clean pair's bit for bit.
-    for tripped_events in [1, 7, 50] {
+    for tripped_edges in [1, 70, 500] {
         match sim.run_controlled_in(
             &inputs,
             &mut arena,
-            &RunBudget::UNLIMITED.with_max_events(tripped_events),
+            &RunBudget::UNLIMITED.with_max_edges(tripped_edges),
             None,
         ) {
             Err(SimError::BudgetExceeded { .. }) => {}
-            other => panic!("budget of {tripped_events} events returned {other:?}"),
+            other => panic!("budget of {tripped_edges} edges returned {other:?}"),
         }
         sim.run_in(&inputs, &mut arena).expect("run after a trip");
         assert_eq!(arena.total_edges(), fresh_arena.total_edges());
@@ -212,12 +175,10 @@ fn a_tripped_run_leaves_engine_and_arena_reusable() {
 #[test]
 fn below_budget_runs_are_bit_identical_to_unbudgeted_ones() {
     for (file, seed) in [("c432.bench", 0x432), ("c880.bench", 0x880)] {
-        let (events, edges) = run_cost(file, seed);
+        let edges = run_edges(file, seed);
         let lowered = lowered(file);
         let inputs = traffic(lowered.inputs.len(), seed);
-        let budget = RunBudget::UNLIMITED
-            .with_max_events(events)
-            .with_max_edges(edges);
+        let budget = RunBudget::UNLIMITED.with_max_edges(edges);
         let mut budgeted = Simulator::new(&lowered.net).expect("engine");
         let mut budgeted_arena = TraceArena::new();
         budgeted
@@ -277,17 +238,23 @@ fn a_tripped_run_publishes_no_metrics() {
     let probe = Probe::new();
     let mut sim =
         Simulator::new_traced(&chain.net, &probe, &TraceSink::disabled()).expect("engine");
+    // Trip at the last gate, after the chain's MIS gates did their
+    // table walks.
+    let edges = (chain.net.input_count()..chain.net.signal_count())
+        .map(|s| arena.trace(s).len() as u64)
+        .sum::<u64>();
+    assert!(edges > 0);
     match sim.run_controlled_in(
         &inputs,
         &mut arena,
-        &RunBudget::UNLIMITED.with_max_events(2),
+        &RunBudget::UNLIMITED.with_max_edges(edges - 1),
         None,
     ) {
         Err(SimError::BudgetExceeded {
-            resource: BudgetResource::Events,
-            limit: 2,
+            resource: BudgetResource::Edges,
+            ..
         }) => {}
-        other => panic!("expected an event-budget trip, got {other:?}"),
+        other => panic!("expected an edge-budget trip, got {other:?}"),
     }
     let tripped = engine_tallies(&probe.report());
     assert!(

@@ -3,7 +3,8 @@
 //! (on every `mis_digital::netlists` topology and on randomized DAGs
 //! over all channel kinds, empty traces included, cold and on a warm
 //! arena), a check that the reference does not share the engine's
-//! in-place kernels, `.bench` parse→write→parse round trips with comment/
+//! in-place kernels, the one-trace-per-signal arena invariant under
+//! random overlays, `.bench` parse→write→parse round trips with comment/
 //! whitespace/CRLF/BOM torture, one malformed-input test per parser
 //! error variant, and round trips of the committed `data/charlib` text
 //! libraries and `data/bench` fixtures (C432 and C880 against
@@ -17,10 +18,12 @@ use mis_core::NorParams;
 use mis_digital::netlists::{self, ChannelPerGate};
 use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, ChannelEvents, ExpChannel, GateKind,
-    InertialChannel, Network, PureDelayChannel, SimError, SumExpChannel, TraceTransform,
+    InertialChannel, Network, PureDelayChannel, SignalId, SimError, SumExpChannel, TraceTransform,
     TwoInputTransform,
 };
-use mis_sim::{BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, Simulator};
+use mis_sim::{
+    BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, RunBudget, Simulator, TraceOverlay,
+};
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
@@ -204,6 +207,95 @@ fn engine_bit_identical_on_random_dags() {
             .map(|_| grid_trace(&mut rng, 8))
             .collect();
         assert_engine_matches(&net, &inputs);
+        Ok(())
+    });
+}
+
+/// One site's rewrite: held at a constant, or a pulse `[t0, t1]`
+/// XOR-merged into its trace (coincident edges cancel pairwise).
+#[derive(Debug, Clone, Copy)]
+enum Rewrite {
+    Stuck(bool),
+    Glitch(f64, f64),
+}
+
+/// Rewrites a few distinct sites, inputs and gates alike, one
+/// [`Rewrite`] each.
+struct SitesOverlay(Vec<(SignalId, Rewrite)>);
+
+impl TraceOverlay for SitesOverlay {
+    fn rewrites(&self, id: SignalId) -> bool {
+        self.0.iter().any(|&(s, _)| s == id)
+    }
+
+    fn rewrite(&self, id: SignalId, view: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+        let &(_, rewrite) = self
+            .0
+            .iter()
+            .find(|&&(s, _)| s == id)
+            .expect("called for a rewritten site");
+        match rewrite {
+            Rewrite::Stuck(v) => out.clear(v),
+            Rewrite::Glitch(t0, t1) => {
+                let mut times = view.times().to_vec();
+                times.extend([t0, t1]);
+                times.sort_by(f64::total_cmp);
+                out.clear(view.initial_value());
+                let mut k = 0;
+                while k < times.len() {
+                    if times.get(k + 1) == Some(&times[k]) {
+                        k += 2;
+                    } else {
+                        out.push_time(times[k])?;
+                        k += 1;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn every_run_seals_one_trace_per_signal_under_overlays() {
+    // Arena trace `s` is signal `s`'s trace in every run: an overlay
+    // rewrites the staged trace before the one seal, so no rewrite
+    // leaves a second trace behind.
+    Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let net = random_network(&mut rng);
+        let inputs: Vec<DigitalTrace> = (0..net.input_count())
+            .map(|_| grid_trace(&mut rng, 8))
+            .collect();
+        let n = net.signal_count();
+        let mut sites: Vec<(SignalId, Rewrite)> = Vec::new();
+        for _ in 0..1 + rng.gen_u64_below(3) {
+            let id = net.signal_id(rng.gen_u64_below(n as u64) as usize).unwrap();
+            let rewrite = if rng.gen_bool(0.5) {
+                Rewrite::Stuck(rng.gen_bool(0.5))
+            } else {
+                let t0 = ps(100.0 + rng.gen_u64_below(300) as f64 + 0.5);
+                Rewrite::Glitch(t0, t0 + ps(20.0))
+            };
+            if !sites.iter().any(|&(s, _)| s == id) {
+                sites.push((id, rewrite));
+            }
+        }
+        let overlay = SitesOverlay(sites);
+        let mut sim = Simulator::new(&net).unwrap();
+        let mut arena = TraceArena::new();
+        for ov in [Some(&overlay as &dyn TraceOverlay), None, Some(&overlay)] {
+            sim.run_controlled_in(&inputs, &mut arena, &RunBudget::UNLIMITED, ov)
+                .unwrap();
+            prop_assert_eq!(arena.trace_count(), n, "seed {seed}");
+        }
+        // A stuck site reads back as its constant.
+        for &(id, rewrite) in &overlay.0 {
+            if let Rewrite::Stuck(v) = rewrite {
+                let got = sim.trace(&arena, id);
+                prop_assert!(got.is_empty() && got.initial_value() == v, "seed {seed}");
+            }
+        }
         Ok(())
     });
 }
