@@ -14,11 +14,11 @@
 //!   price is already inside `sim`, which carries a disabled bundle
 //!   through the same code).
 //!
-//! Circuits: the eight-stage reconvergent NOR chain and the ISCAS-85
-//! C17 cut (from `mis_digital::netlists`), the depth-4 inverter tree,
-//! and the committed C432-scale (36 inputs, 132 gates) and C880-scale
-//! (60 inputs, 365 gates) `.bench` fixtures under both the Arc-shared
-//! cached-hybrid cell library and the inertial baseline. The
+//! Circuits, all lowered from `.bench` text: the eight-stage
+//! reconvergent NOR chain and the depth-4 inverter tree (generated
+//! below), and the committed ISCAS-85 C17 cut, C432-scale (36 inputs,
+//! 132 gates) and C880-scale (60 inputs, 365 gates) fixtures under both
+//! the Arc-shared cached-hybrid cell library and the inertial baseline. The
 //! characterized NOR tables come from the committed
 //! `data/charlib/nor_paper.mislib` — no re-characterization at bench
 //! startup.
@@ -29,8 +29,7 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::netlists::{self, ChannelPerGate};
-use mis_digital::{GateKind, InertialChannel, Network, TraceTransform};
+use mis_digital::{InertialChannel, Network};
 use mis_sim::{BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::bench::Harness;
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -43,10 +42,6 @@ fn workspace_root() -> PathBuf {
 
 fn inertial_proto() -> InertialChannel {
     InertialChannel::symmetric(ps(50.0), ps(38.0)).expect("channel")
-}
-
-fn inertial() -> Option<Box<dyn TraceTransform>> {
-    Some(Box::new(inertial_proto()))
 }
 
 /// Two 100-transition-per-input streams (the netlists re-use input `b`
@@ -119,20 +114,41 @@ fn main() {
     let lib_text = std::fs::read_to_string(workspace_root().join("data/charlib/nor_paper.mislib"))
         .expect("committed NOR library (regenerate: cargo run -p mis-bench --bin make_data)");
     let lib = CharLib::from_text(&lib_text).expect("committed library parses");
-    let mut cached = CellLibrary::hybrid(&lib, None).expect("cell library");
+    let cached = CellLibrary::hybrid(&lib, None).expect("cell library");
+    let inertial = CellLibrary::inertial(inertial_proto());
 
-    let chain_cached = netlists::ripple_chain(GateKind::Nor, 8, &mut cached).expect("netlist");
-    let chain_inertial =
-        netlists::ripple_chain(GateKind::Nor, 8, &mut ChannelPerGate(inertial)).expect("netlist");
-    let c17_cached = netlists::c17(&mut cached).expect("netlist");
-    let c17_inertial = netlists::c17(&mut ChannelPerGate(inertial)).expect("netlist");
-    let tree = netlists::fanout_tree(4, &mut inertial).expect("netlist");
-
+    // The eight-stage NOR chain: every stage after the first takes the
+    // previous stage and input `b`.
+    let mut chain_text = String::from("INPUT(a)\nINPUT(b)\nOUTPUT(s7)\ns0 = NOR(a, b)\n");
+    for s in 1..8 {
+        chain_text += &format!("s{s} = NOR(s{}, b)\n", s - 1);
+    }
+    // The depth-4 inverter tree: input `x` drives 2 + 4 + 8 + 16 NOTs.
+    let mut tree_text = String::from("INPUT(x)\n");
+    for d in 0..4 {
+        for j in 0..2 << d {
+            let src = if d == 0 {
+                "x".into()
+            } else {
+                format!("n{}_{}", d - 1, j / 2)
+            };
+            tree_text += &format!("n{d}_{j} = NOT({src})\n");
+        }
+    }
+    let parse = |text: &str| BenchNetlist::parse(text).expect("netlist parses");
     let load_fixture = |name: &str| {
         let text = std::fs::read_to_string(workspace_root().join("data/bench").join(name))
             .expect("committed fixture");
-        BenchNetlist::parse(&text).expect("fixture parses")
+        parse(&text)
     };
+    let chain = parse(&chain_text);
+    let c17 = load_fixture("c17.bench");
+    let chain_cached = chain.lower(&cached).expect("lowering");
+    let chain_inertial = chain.lower(&inertial).expect("lowering");
+    let c17_cached = c17.lower(&cached).expect("lowering");
+    let c17_inertial = c17.lower(&inertial).expect("lowering");
+    let tree = parse(&tree_text).lower(&inertial).expect("lowering");
+
     let c432 = load_fixture("c432.bench");
     let c432_cached = c432
         .lower(&CellLibrary::hybrid_shared(
@@ -140,9 +156,7 @@ fn main() {
             Some(inertial_proto()),
         ))
         .expect("lowering");
-    let c432_inertial = c432
-        .lower(&CellLibrary::inertial(inertial_proto()))
-        .expect("lowering");
+    let c432_inertial = c432.lower(&inertial).expect("lowering");
     let c880 = load_fixture("c880.bench");
     let c880_cached = c880
         .lower(&CellLibrary::hybrid_shared(
@@ -150,9 +164,7 @@ fn main() {
             Some(inertial_proto()),
         ))
         .expect("lowering");
-    let c880_inertial = c880
-        .lower(&CellLibrary::inertial(inertial_proto()))
-        .expect("lowering");
+    let c880_inertial = c880.lower(&inertial).expect("lowering");
 
     let chain_in = pair_inputs(0xc4a1);
     let c17_in: Vec<DigitalTrace> = vec![

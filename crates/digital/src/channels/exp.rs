@@ -173,7 +173,7 @@ impl ExpChannel {
 
 impl TraceTransform for ExpChannel {
     fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        apply_involution(input, input.initial_value(), |t, rising| {
+        apply_involution(input, |t, rising| {
             if rising {
                 self.delta_up(t)
             } else {
@@ -190,7 +190,6 @@ impl TraceTransform for ExpChannel {
     ) -> Result<ChannelEvents, SimError> {
         apply_involution_into(
             input,
-            input.initial_value(),
             |t, rising| {
                 if rising {
                     self.delta_up(t)

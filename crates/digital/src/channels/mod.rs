@@ -238,7 +238,6 @@ impl<T: TwoInputTransform + ?Sized> TwoInputTransform for std::sync::Arc<T> {
 /// defensive check).
 pub(crate) fn apply_involution<F>(
     input: &DigitalTrace,
-    initial_output: bool,
     mut delta: F,
 ) -> Result<DigitalTrace, SimError>
 where
@@ -261,9 +260,9 @@ where
         }
     }
     // Defensive polarity cleanup (identical to digitization): keep only
-    // value-changing edges starting from the initial output value.
-    let mut out = DigitalTrace::constant(initial_output);
-    let mut value = initial_output;
+    // value-changing edges starting from the input's initial value.
+    let mut value = input.initial_value();
+    let mut out = DigitalTrace::constant(value);
     for (t, rising) in scheduled {
         if rising != value {
             out.push_edge(t, rising)?;
@@ -275,12 +274,12 @@ where
 
 /// The in-place twin of [`apply_involution`]: identical event
 /// semantics, but the schedule stack *is* the output buffer, so the run
-/// allocates nothing. Callers must pass `initial_output` equal to the
-/// input's initial value (true for every involution channel here): the
-/// cancellation rule then removes adjacent opposite-polarity pairs only,
-/// so the surviving schedule alternates starting from `!initial_output`
-/// and the buffer's parity-implied polarities are exactly the legacy
-/// runner's — the legacy defensive polarity cleanup is a no-op.
+/// allocates nothing. The output starts at the input's initial value
+/// (every involution channel here is non-inverting): the cancellation
+/// rule then removes adjacent opposite-polarity pairs only, so the
+/// surviving schedule alternates starting from the opposite value and
+/// the buffer's parity-implied polarities are exactly the owned
+/// runner's — its defensive polarity cleanup is a no-op.
 ///
 /// # Errors
 ///
@@ -289,19 +288,13 @@ where
 /// a defensive check).
 pub(crate) fn apply_involution_into<F>(
     input: TraceRef<'_>,
-    initial_output: bool,
     mut delta: F,
     out: &mut EdgeBuf,
 ) -> Result<(), SimError>
 where
     F: FnMut(f64, bool) -> f64,
 {
-    debug_assert_eq!(
-        initial_output,
-        input.initial_value(),
-        "in-place involution runner requires a non-inverting channel"
-    );
-    out.clear(initial_output);
+    out.clear(input.initial_value());
     for (k, &t_in) in input.times().iter().enumerate() {
         let big_t = out.last_time().map_or(f64::INFINITY, |tp| t_in - tp);
         let d = delta(big_t, input.rising(k));
@@ -327,7 +320,7 @@ mod tests {
     fn involution_runner_constant_delay_passthrough() {
         let input =
             DigitalTrace::with_edges(false, vec![(ps(10.0), true), (ps(50.0), false)]).unwrap();
-        let out = apply_involution(&input, false, |_t, _r| ps(5.0)).unwrap();
+        let out = apply_involution(&input, |_t, _r| ps(5.0)).unwrap();
         assert_eq!(out.transition_count(), 2);
         assert!((out.edges()[0].time - ps(15.0)).abs() < 1e-18);
         assert!((out.edges()[1].time - ps(55.0)).abs() < 1e-18);
@@ -338,7 +331,7 @@ mod tests {
         // Second edge overtakes the first scheduled output: both vanish.
         let input =
             DigitalTrace::with_edges(false, vec![(ps(10.0), true), (ps(11.0), false)]).unwrap();
-        let out = apply_involution(&input, false, |t, r| {
+        let out = apply_involution(&input, |t, r| {
             // Rising slow, falling fast: the falling output would be
             // scheduled before the pending rising one.
             let _ = t;
@@ -356,7 +349,7 @@ mod tests {
     fn involution_runner_first_transition_uses_infinite_t() {
         let input = DigitalTrace::with_edges(false, vec![(ps(10.0), true)]).unwrap();
         let mut seen_t = f64::NAN;
-        let _ = apply_involution(&input, false, |t, _| {
+        let _ = apply_involution(&input, |t, _| {
             seen_t = t;
             ps(1.0)
         })

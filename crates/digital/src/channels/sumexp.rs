@@ -166,7 +166,7 @@ impl SumExpChannel {
 
 impl TraceTransform for SumExpChannel {
     fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        apply_involution(input, input.initial_value(), |t, _rising| self.delta(t))
+        apply_involution(input, |t, _rising| self.delta(t))
     }
 
     #[inline]
@@ -175,12 +175,7 @@ impl TraceTransform for SumExpChannel {
         input: TraceRef<'_>,
         out: &mut EdgeBuf,
     ) -> Result<ChannelEvents, SimError> {
-        apply_involution_into(
-            input,
-            input.initial_value(),
-            |t, _rising| self.delta(t),
-            out,
-        )?;
+        apply_involution_into(input, |t, _rising| self.delta(t), out)?;
         Ok(ChannelEvents::default())
     }
 

@@ -42,9 +42,9 @@
 //! only the engine decides whether the tallies are recorded. [`Network::run`] is the naive reference:
 //! it composes the owned functions signal by signal, sharing no code
 //! with the engine's hot path, so the two checking each other tests
-//! the kernels as well as the schedule. [`netlists`] builds the
-//! benchmark circuits (ripple chains, the ISCAS-85 C17 cut, fan-out
-//! trees).
+//! the kernels as well as the schedule. Circuits are built from
+//! `.bench` text by `mis_sim::BenchNetlist` through a
+//! `mis_sim::CellLibrary`.
 //!
 //! # Examples
 //!
@@ -78,7 +78,6 @@ mod channels;
 mod error;
 pub mod gates;
 pub mod involution;
-pub mod netlists;
 mod network;
 
 pub use channels::cached::{CachedHybridChannel, CachedHybridNandChannel};

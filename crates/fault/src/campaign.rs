@@ -100,7 +100,8 @@ pub struct FaultResult {
     /// What happened.
     pub outcome: FaultOutcome,
     /// Indices (into the campaign's output list) of the outputs whose
-    /// traces differed — empty unless [`FaultOutcome::Detected`].
+    /// traces differed, ascending — empty unless
+    /// [`FaultOutcome::Detected`].
     pub detecting_outputs: Vec<usize>,
 }
 
@@ -186,6 +187,10 @@ type WorkerOutcome = (Vec<(usize, FaultResult)>, Option<(usize, FaultError)>);
 /// * [`FaultError::Invalid`] — zero workers.
 /// * [`FaultError::Sim`] — the golden run failed, or a faulty run
 ///   failed with a non-budget error (the lowest-indexed such fault's).
+///
+/// # Panics
+///
+/// Panics when an output is not a signal of `net`.
 pub fn run_campaign_traced(
     net: &Network,
     outputs: &[SignalId],
@@ -214,6 +219,23 @@ pub fn run_campaign_traced(
     let detected_ctr = probe.counter("fault.detected");
     let trips_ctr = probe.counter("fault.budget_trips");
     let cone_ctr = probe.counter("fault.cone_gates");
+    // Each signal's indices into `outputs`, as CSR rows (a list may name
+    // a signal twice): a fault's detecting outputs are read off its
+    // dirty signals, so it costs its cone, not the output list.
+    let n = net.signal_count();
+    let mut out_start = vec![0usize; n + 1];
+    for id in outputs {
+        out_start[id.index() + 1] += 1;
+    }
+    for s in 0..n {
+        out_start[s + 1] += out_start[s];
+    }
+    let mut out_index = vec![0usize; outputs.len()];
+    let mut fill = out_start.clone();
+    for (k, id) in outputs.iter().enumerate() {
+        out_index[fill[id.index()]] = k;
+        fill[id.index()] += 1;
+    }
     let memo = ConeMemo::new(&golden);
     // Downstream sites first, so their records exist when the upstream
     // replays reach them.
@@ -274,12 +296,16 @@ pub fn run_campaign_traced(
                 cone_gates += cone.gates_evaluated();
                 let (outcome, detecting_outputs) = match run {
                     Ok(()) => {
-                        let detecting: Vec<usize> = outputs
+                        let mut detecting: Vec<usize> = cone
+                            .dirty_signals()
                             .iter()
-                            .enumerate()
-                            .filter(|&(_, &id)| cone.is_dirty(id))
-                            .map(|(k, _)| k)
+                            .flat_map(|&d| {
+                                let d = d as usize;
+                                &out_index[out_start[d]..out_start[d + 1]]
+                            })
+                            .copied()
                             .collect();
+                        detecting.sort_unstable();
                         if detecting.is_empty() {
                             (FaultOutcome::Undetected, detecting)
                         } else {
@@ -393,6 +419,10 @@ pub fn run_campaign_traced(
 /// # Errors
 ///
 /// As [`run_campaign_traced`].
+///
+/// # Panics
+///
+/// As [`run_campaign_traced`].
 pub fn run_campaign(
     net: &Network,
     outputs: &[SignalId],
@@ -461,6 +491,48 @@ mod tests {
             .collect();
         assert_eq!(undetected.len(), 1);
         assert_eq!(undetected[0].site.kind, FaultKind::StuckAt(false));
+    }
+
+    #[test]
+    fn detecting_outputs_ascend_on_a_repeated_out_of_order_output_list() {
+        let (net, outputs, inputs) = nor_fixture();
+        let (a, b, y) = (
+            net.signal_id(0).unwrap(),
+            net.signal_id(1).unwrap(),
+            outputs[0],
+        );
+        let observed = [y, b, a, y];
+        let faults = stuck_at_sites(&net);
+        let config = CampaignConfig::default();
+        let report = run_campaign(&net, &observed, &inputs, &faults, &config).unwrap();
+        // Oracle: one single-output campaign per observed signal.
+        let single: Vec<CampaignReport> = observed
+            .iter()
+            .map(|&o| run_campaign(&net, &[o], &inputs, &faults, &config).unwrap())
+            .collect();
+        for (i, r) in report.results.iter().enumerate() {
+            let want: Vec<usize> = (0..observed.len())
+                .filter(|&k| single[k].results[i].outcome == FaultOutcome::Detected)
+                .collect();
+            assert_eq!(r.detecting_outputs, want, "fault {i}");
+        }
+        // Faults in signal order (a, b, y) × (sa0, sa1). The stuck-at-1
+        // on b dirties b before y: signal order is not output order.
+        let detecting: Vec<Vec<usize>> = report
+            .results
+            .iter()
+            .map(|r| r.detecting_outputs.clone())
+            .collect();
+        let want = [
+            [0, 2, 3].as_slice(),
+            &[0, 2, 3],
+            &[],
+            &[0, 1, 3],
+            &[0, 3],
+            &[0, 3],
+        ];
+        assert_eq!(detecting, want);
+        assert_eq!(report.per_output, vec![5, 1, 2, 5]);
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl RunBudget {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Whether no limit is set (the [`RunBudget::UNLIMITED`] shape).
-    #[must_use]
-    pub const fn is_unlimited(&self) -> bool {
-        self.max_edges.is_none() && self.deadline.is_none()
-    }
 }
 
 /// How often the meter consults the wall clock: before the first gate
@@ -167,9 +161,7 @@ mod tests {
 
     #[test]
     fn unlimited_never_trips() {
-        let budget = RunBudget::UNLIMITED;
-        assert!(budget.is_unlimited());
-        let mut meter = BudgetMeter::start(&budget);
+        let mut meter = BudgetMeter::start(&RunBudget::UNLIMITED);
         for k in 1..=10_000 {
             meter.tick_deadline(k).unwrap();
             meter.on_edges(1_000).unwrap();

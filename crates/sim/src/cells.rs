@@ -2,13 +2,11 @@
 //! every instance in a netlist.
 //!
 //! [`CellLibrary`] is the `mis-sim` counterpart of a standard-cell
-//! library. It realizes the two-input gates of the
-//! `mis_digital::netlists` builders (it implements their
-//! [`GateFactory`]) as well as the unary and non-hybrid gate kinds that
-//! real `.bench` circuits contain, and it guarantees **sharing** — the
-//! characterized cached-hybrid table set
-//! (~20 KiB of resampled delay surfaces per cell type) is held behind one
-//! [`Arc`] and every NOR/NAND instance references it. At C432 scale this
+//! library. It realizes every gate kind that `.bench` circuits lower to
+//! (see [`crate::BenchNetlist::lower`]), and it guarantees **sharing**:
+//! the characterized cached-hybrid table set (~20 KiB of resampled delay
+//! surfaces per cell type) is held behind one [`Arc`] and every NOR/NAND
+//! instance references it. At C432 scale this
 //! is the difference between the tables living in cache and each gate
 //! dragging its own copy through memory.
 //!
@@ -30,7 +28,6 @@
 use std::sync::Arc;
 
 use mis_charlib::CharLib;
-use mis_digital::netlists::GateFactory;
 use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, GateKind, InertialChannel, Network, SignalId,
     SimError, TraceTransform, TwoInputTransform,
@@ -164,25 +161,13 @@ impl CellLibrary {
     }
 }
 
-impl GateFactory for CellLibrary {
-    fn add(
-        &mut self,
-        net: &mut Network,
-        name: &str,
-        kind: GateKind,
-        a: SignalId,
-        b: SignalId,
-    ) -> Result<SignalId, SimError> {
-        CellLibrary::add(self, net, name, kind, a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BenchNetlist;
     use mis_charlib::CharConfig;
     use mis_core::NorParams;
-    use mis_digital::{netlists, SignalSource};
+    use mis_digital::SignalSource;
     use mis_waveform::units::ps;
     use mis_waveform::DigitalTrace;
 
@@ -212,8 +197,10 @@ mod tests {
 
     #[test]
     fn hybrid_library_builds_a_nand_chain_of_hybrid_gates() {
-        let mut cells = CellLibrary::hybrid(&quick_lib(), None).unwrap();
-        let chain = netlists::ripple_chain(GateKind::Nand, 3, &mut cells).unwrap();
+        let cells = CellLibrary::hybrid(&quick_lib(), None).unwrap();
+        let text = "INPUT(a)\nINPUT(b)\nOUTPUT(s2)\n\
+                    s0 = NAND(a, b)\ns1 = NAND(s0, b)\ns2 = NAND(s1, b)\n";
+        let chain = BenchNetlist::parse(text).unwrap().lower(&cells).unwrap();
         for s in chain.net.input_count()..chain.net.signal_count() {
             let id = chain.net.signal_id(s).unwrap();
             assert!(matches!(

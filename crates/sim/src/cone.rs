@@ -451,6 +451,14 @@ impl<'n> ConeReplay<'n> {
         bit(&self.dirty, id.index())
     }
 
+    /// The signals the last run marked dirty, each once, in marking
+    /// order: [`ConeReplay::is_dirty`] as a list, exact after a splice
+    /// too.
+    #[must_use]
+    pub fn dirty_signals(&self) -> &[u32] {
+        &self.dirty_list
+    }
+
     /// Signal `id`'s trace in the last run: from `faulty` when dirty,
     /// from `golden` otherwise. Pass the same golden run and arena the
     /// run used.

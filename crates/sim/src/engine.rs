@@ -14,8 +14,8 @@
 //! replay). [`Network::run`] is the independent reference: it composes
 //! the owned gate functions and channel `apply`/`apply2` calls, with no
 //! arena and no in-place kernel. The engine is **bit-identical** to it,
-//! a property the `mis-sim` suite asserts on every
-//! `mis_digital::netlists` topology, on the C432/C880 fixtures and on
+//! a property the `mis-sim` suite asserts on reconvergent NOR/NAND
+//! chains, C17 and inverter trees, on the C432/C880 fixtures and on
 //! random DAGs. The engine also carries the per-gate control surface:
 //! run budgets, trace overlays (fault injection), probe counters and
 //! timeline tracing.

@@ -4,10 +4,10 @@
 //! [`Simulator::run_in`] over same-shaped inputs performs **zero** heap
 //! allocations — on the committed C432- and C880-scale fixtures with
 //! `Arc`-shared cached-hybrid cells, the exact workloads of the
-//! `netlist_throughput` bench tier, on the `mis_digital::netlists`
-//! topologies, and on a small network that reaches every channel
-//! kernel. Warm `ConeReplay` fault replays are
-//! held to the same bar. The counter is thread-local — see
+//! `netlist_throughput` bench tier, on the NOR chain, C17 and inverter
+//! tree lowered from `.bench` text, and on a small network that reaches
+//! every channel kernel. Warm `ConeReplay` fault replays are held to the
+//! same bar. The counter is thread-local — see
 //! `worker_thread_allocations_stay_off_this_threads_count` below, which
 //! pins down that serial-scoped contract.
 //!
@@ -17,7 +17,6 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::netlists;
 use mis_digital::{
     CachedHybridChannel, ExpChannel, GateKind, InertialChannel, Network, PureDelayChannel,
     SignalId, SimError,
@@ -184,13 +183,34 @@ fn warm_simulator_is_allocation_free_on_every_channel_kind() {
 #[test]
 fn warm_simulator_is_allocation_free_on_netlists_topologies() {
     let lib = committed_lib();
-    let mut factory = CellLibrary::hybrid(&lib, None).unwrap();
-    let chain = netlists::ripple_chain(GateKind::Nor, 8, &mut factory).unwrap();
-    let c17 = netlists::c17(&mut factory).unwrap();
-    let tree = netlists::fanout_tree(4, &mut || {
-        Some(Box::new(InertialChannel::symmetric(ps(30.0), ps(30.0)).unwrap()) as Box<_>)
-    })
-    .unwrap();
+    let cells = CellLibrary::hybrid(&lib, None).unwrap();
+    let mut chain_text = String::from("INPUT(a)\nINPUT(b)\nOUTPUT(s7)\ns0 = NOR(a, b)\n");
+    for s in 1..8 {
+        chain_text += &format!("s{s} = NOR(s{}, b)\n", s - 1);
+    }
+    let mut tree_text = String::from("INPUT(x)\n");
+    for d in 0..4 {
+        for j in 0..2 << d {
+            let src = if d == 0 {
+                "x".into()
+            } else {
+                format!("n{}_{}", d - 1, j / 2)
+            };
+            tree_text += &format!("n{d}_{j} = NOT({src})\n");
+        }
+    }
+    let lower = |text: &str, cells: &CellLibrary| {
+        BenchNetlist::parse(text)
+            .expect("netlist parses")
+            .lower(cells)
+            .expect("lowering")
+    };
+    let chain = lower(&chain_text, &cells);
+    let c17 = fixture("c17.bench").lower(&cells).expect("lowering");
+    let tree = lower(
+        &tree_text,
+        &CellLibrary::inertial(InertialChannel::symmetric(ps(30.0), ps(30.0)).unwrap()),
+    );
 
     let chain_in = pair_traffic(0xC41);
     let c17_in: Vec<DigitalTrace> = (0..5)

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mis_charlib::CharLib;
-use mis_digital::{netlists, BudgetResource, GateKind, InertialChannel, SimError};
+use mis_digital::{BudgetResource, InertialChannel, SimError};
 use mis_probe::{MetricValue, Probe, ProbeReport, TraceSink};
 use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -219,8 +219,14 @@ fn a_tripped_run_publishes_no_metrics() {
     // after real channel work must leave every `sim.*` and `chan.*`
     // metric untouched, and the next unlimited run must publish exactly
     // one run's tallies.
-    let mut cells = CellLibrary::hybrid(&committed_lib(), None).expect("cell library");
-    let chain = netlists::ripple_chain(GateKind::Nor, 4, &mut cells).expect("netlist");
+    let cells = CellLibrary::hybrid(&committed_lib(), None).expect("cell library");
+    let chain = BenchNetlist::parse(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(s3)\n\
+         s0 = NOR(a, b)\ns1 = NOR(s0, b)\ns2 = NOR(s1, b)\ns3 = NOR(s2, b)\n",
+    )
+    .expect("netlist parses")
+    .lower(&cells)
+    .expect("lowering");
     let inputs = traffic(chain.net.input_count(), 0xB0D);
     let mut arena = TraceArena::new();
 

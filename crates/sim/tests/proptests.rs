@@ -1,6 +1,7 @@
 //! Property-based tests for the `mis-sim` subsystem: bit-identity of the
 //! signal-order engine against the owned-trace `Network::run` reference
-//! (on every `mis_digital::netlists` topology and on randomized DAGs
+//! (on reconvergent chains, C17 and inverter trees lowered from `.bench`
+//! text, and on randomized DAGs
 //! over all channel kinds, empty traces included, cold and on a warm
 //! arena), a check that the reference does not share the engine's
 //! in-place kernels, the one-trace-per-signal arena invariant under
@@ -15,14 +16,14 @@ use std::sync::OnceLock;
 
 use mis_charlib::{CharConfig, CharGate, CharLib};
 use mis_core::NorParams;
-use mis_digital::netlists::{self, ChannelPerGate};
 use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, ChannelEvents, ExpChannel, GateKind,
     InertialChannel, Network, PureDelayChannel, SignalId, SimError, SumExpChannel, TraceTransform,
     TwoInputTransform,
 };
 use mis_sim::{
-    BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, RunBudget, Simulator, TraceOverlay,
+    BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, LoweredNetlist, RunBudget,
+    Simulator, TraceOverlay,
 };
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
@@ -85,25 +86,62 @@ fn assert_engine_matches(net: &Network, inputs: &[DigitalTrace]) {
     }
 }
 
+/// `.bench` text of a chain of `stages` two-input `func` gates: stage 0
+/// combines inputs `a` and `b`, every later stage the previous stage and
+/// `b` (a reconvergent side input). The output is the last stage.
+fn chain_bench(func: &str, stages: usize) -> String {
+    let mut text = format!(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(s{})\ns0 = {func}(a, b)\n",
+        stages - 1
+    );
+    for s in 1..stages {
+        text += &format!("s{s} = {func}(s{}, b)\n", s - 1);
+    }
+    text
+}
+
+/// `.bench` text of a complete inverter tree: input `x` drives
+/// `2^depth − 1` NOT gates, level by level; the leaves are the outputs.
+fn tree_bench(depth: usize) -> String {
+    let mut text = String::from("INPUT(x)\n");
+    for j in 0..1 << depth {
+        text += &format!("OUTPUT(n{}_{j})\n", depth - 1);
+    }
+    for d in 0..depth {
+        for j in 0..2 << d {
+            let src = if d == 0 {
+                "x".into()
+            } else {
+                format!("n{}_{}", d - 1, j / 2)
+            };
+            text += &format!("n{d}_{j} = NOT({src})\n");
+        }
+    }
+    text
+}
+
+fn lower(text: &str, cells: &CellLibrary) -> LoweredNetlist {
+    BenchNetlist::parse(text)
+        .expect("netlist parses")
+        .lower(cells)
+        .expect("lowering")
+}
+
 #[test]
 fn engine_bit_identical_on_all_netlists_topologies() {
     let lib = shared_lib();
     let mut rng = TestRng::seed_from_u64(0x51B);
-    let inertial = || {
-        Some(
-            Box::new(InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap())
-                as Box<dyn TraceTransform>,
-        )
-    };
-    let mut cached = CellLibrary::hybrid(lib, None).unwrap();
-    let builds = vec![
-        netlists::ripple_chain(GateKind::Nor, 8, &mut ChannelPerGate(inertial)).unwrap(),
-        netlists::ripple_chain(GateKind::Nor, 8, &mut cached).unwrap(),
-        netlists::ripple_chain(GateKind::Nand, 5, &mut cached).unwrap(),
-        netlists::c17(&mut ChannelPerGate(inertial)).unwrap(),
-        netlists::c17(&mut cached).unwrap(),
-        netlists::fanout_tree(4, &mut inertial.clone()).unwrap(),
-        netlists::fanout_tree(3, &mut || None).unwrap(),
+    let inertial = CellLibrary::inertial(InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap());
+    let cached = CellLibrary::hybrid(lib, None).unwrap();
+    let c17 = std::fs::read_to_string(workspace_root().join("data/bench/c17.bench")).unwrap();
+    let builds = [
+        lower(&chain_bench("NOR", 8), &inertial),
+        lower(&chain_bench("NOR", 8), &cached),
+        lower(&chain_bench("NAND", 5), &cached),
+        lower(&c17, &inertial),
+        lower(&c17, &cached),
+        lower(&tree_bench(4), &inertial),
+        lower(&tree_bench(3), &CellLibrary::ideal()),
     ];
     for built in &builds {
         let inputs: Vec<DigitalTrace> = (0..built.net.input_count())
@@ -607,33 +645,31 @@ fn committed_charlib_text_libraries_round_trip() {
 }
 
 #[test]
-fn c17_fixture_matches_builtin_topology_bit_for_bit() {
+fn c17_fixture_truth_table_on_constant_inputs() {
     let text = std::fs::read_to_string(workspace_root().join("data/bench/c17.bench")).unwrap();
     let nl = BenchNetlist::parse(&text).expect("c17 fixture parses");
     assert_eq!(nl.inputs().len(), 5);
     assert_eq!(nl.outputs().len(), 2);
     assert_eq!(nl.gates().len(), 6);
 
-    let ch = InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap();
-    let lowered = nl.lower(&CellLibrary::inertial(ch.clone())).unwrap();
-    let mut reference = ChannelPerGate(|| {
-        Some(Box::new(InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap()) as Box<_>)
-    });
-    let builtin = netlists::c17(&mut reference).unwrap();
-
-    let mut rng = TestRng::seed_from_u64(0xC17);
-    for _ in 0..8 {
-        let inputs: Vec<DigitalTrace> = (0..5).map(|_| grid_trace(&mut rng, 12)).collect();
-        let want = builtin.net.run(&inputs).unwrap();
-        let mut sim = Simulator::new(&lowered.net).expect("engine construction");
-        let got = sim.run(&inputs).unwrap();
-        for (k, out) in lowered.outputs.iter().enumerate() {
-            assert_eq!(
-                got[out.index()],
-                want[builtin.outputs[k].index()],
-                "output {k}"
-            );
-        }
+    let lowered = nl.lower(&CellLibrary::ideal()).unwrap();
+    let nand = |x: bool, y: bool| !(x && y);
+    // Exhaustive over all 32 input vectors: constant traces propagate
+    // as initial values through zero-time NANDs.
+    for bits in 0..32u32 {
+        let v: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
+        let inputs: Vec<DigitalTrace> = v.iter().map(|&x| DigitalTrace::constant(x)).collect();
+        let traces = lowered.net.run(&inputs).unwrap();
+        let g10 = nand(v[0], v[2]);
+        let g11 = nand(v[2], v[3]);
+        let g16 = nand(v[1], g11);
+        let g19 = nand(g11, v[4]);
+        let got = [0, 1].map(|k| traces[lowered.outputs[k].index()].initial_value());
+        assert_eq!(
+            got,
+            [nand(g10, g16), nand(g16, g19)],
+            "outputs 22, 23 for bits {bits:05b}"
+        );
     }
 }
 

@@ -170,6 +170,16 @@ echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
     --fuzz 16 > /dev/null
 
+# Bench-target smoke: every harness = false bench target of mis-bench
+# runs once in quick mode, so a bench whose setup panics (say, on
+# generated .bench text that fails to parse) fails the default gate.
+# A run-to-completion check like the examples step: the results go to
+# the scratch directory and are compared with nothing, and the
+# committed BENCH_*.json baselines are not touched.
+echo "== bench-target smoke (cargo bench -p mis-bench, quick mode)"
+TESTKIT_BENCH_QUICK=1 TESTKIT_BENCH_DIR="$scratch" \
+    cargo bench -q --offline -p mis-bench > /dev/null
+
 # Optional: CI-scale benchmark smoke + regression gate (quick-mode runs
 # of the harness = false bench targets, diffed against the committed
 # BENCH_*.json baselines; >25 % median regression on any existing id
