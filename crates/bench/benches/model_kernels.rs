@@ -140,6 +140,15 @@ fn main() {
                 out.len()
             });
         }
+        // A 500-transition input against one that stops after 50: the
+        // merge steps through the first tenth and finishes the other
+        // input's tail as one block.
+        let mut short = EdgeBuf::new();
+        short.copy_trace(&grid_trace(0xc0b3, 50));
+        h.bench("gates/combine2_into/nor_tail_500", || {
+            gates::combine2_into(nor, abuf.as_ref(), short.as_ref(), &mut out).expect("ideal");
+            out.len()
+        });
     }
 
     {

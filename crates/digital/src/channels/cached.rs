@@ -472,6 +472,44 @@ impl CachedHybridChannel {
             bounds,
         })
     }
+
+    /// The body of [`TwoInputTransform::apply2_into`], which also returns
+    /// how many input events the held-high stop skipped.
+    fn schedule_into(
+        &self,
+        a: TraceRef<'_>,
+        b: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<(ChannelEvents, usize), SimError> {
+        let mut s = Scheduler::new(self, a.initial_value(), b.initial_value(), out);
+        // Same two-pointer merge as `apply2`, over the SoA views,
+        // polarities by parity, while both inputs have edges left. Which
+        // input fires next is a coin flip to the branch predictor, so
+        // the selection is arranged as data flow (conditional moves on
+        // one compare) rather than control flow — only `handle`'s own
+        // state machine branches remain.
+        let (ta, tb) = (a.times(), b.times());
+        let (ia, ib) = (a.initial_value(), b.initial_value());
+        let (na, nb) = (ta.len(), tb.len());
+        let (mut i, mut j) = (0, 0);
+        while i < na && j < nb {
+            let (tai, tbj) = (ta[i], tb[j]);
+            let take_a = tai <= tbj;
+            let t = if take_a { tai } else { tbj };
+            let (idx, init) = if take_a { (i, ia) } else { (j, ib) };
+            let v = (idx % 2 == 0) ^ init;
+            let which = usize::from(!take_a);
+            i += usize::from(take_a);
+            j += usize::from(!take_a);
+            s.handle_dyn(t, which, v)?;
+        }
+        let skipped = if i < na {
+            s.feed_tail(a, i, 0, b.final_value())?
+        } else {
+            s.feed_tail(b, j, 1, a.final_value())?
+        };
+        Ok((s.finish()?, skipped))
+    }
 }
 
 /// Mutable scheduling state of one channel run. The output is written to
@@ -577,6 +615,52 @@ impl<'a, 'o> Scheduler<'a, 'o> {
         self.out.push_time(t)?;
         self.value = rising;
         Ok(())
+    }
+
+    /// [`Scheduler::handle`] with the polarity known only at run time.
+    #[inline]
+    fn handle_dyn(&mut self, t: f64, which: usize, rising: bool) -> Result<(), SimError> {
+        if rising {
+            self.handle::<true>(t, which)
+        } else {
+            self.handle::<false>(t, which)
+        }
+    }
+
+    /// Feeds input `which`'s events from index `from` on, after the
+    /// other input's last edge, and returns how many it skipped.
+    ///
+    /// The held-high stop: while the other input rests high
+    /// (`other_high`), the NOR is pulled low in modes (1,0) and (1,1)
+    /// and can only rise once both inputs are low, which never happens
+    /// again. So once the output is committed low with nothing
+    /// pending, a further event of this input commits nothing (nothing
+    /// is pending), cancels nothing, and schedules nothing: a rise
+    /// schedules a fall only while one is pending or the output is high,
+    /// and a fall leaves the ideal value low. Neither looks a delay up
+    /// (the `V_N` freeze on entering (1,1) is state, not a tally). The
+    /// remaining events only move the internal-node history that a
+    /// later rise would read, so they are skipped and the output and
+    /// the [`ChannelEvents`] equal those of feeding them all. Until that
+    /// point, events inside a pending fall's window still reschedule it.
+    /// With the other input held low, every event can move the output,
+    /// and all are fed.
+    #[inline]
+    fn feed_tail(
+        &mut self,
+        input: TraceRef<'_>,
+        from: usize,
+        which: usize,
+        other_high: bool,
+    ) -> Result<usize, SimError> {
+        let (ts, init) = (input.times(), input.initial_value());
+        for (k, &t) in ts.iter().enumerate().skip(from) {
+            if other_high && !self.value && self.pending_t == f64::INFINITY {
+                return Ok(ts.len() - k);
+            }
+            self.handle_dyn(t, which, (k % 2 == 0) ^ init)?;
+        }
+        Ok(0)
     }
 
     /// One input event of polarity `V` (const-specialized: a rising and a
@@ -797,39 +881,22 @@ impl TwoInputTransform for CachedHybridChannel {
 
     /// The SoA event loop: a two-pointer merge feeding the scheduler,
     /// which returns its event tallies at the end.
+    ///
+    /// Once one input has no edges left and rests high, the other
+    /// input's events are fed only until the output is committed low
+    /// with nothing pending. The NOR can then never rise again (one
+    /// input stays high), and a further event commits, cancels,
+    /// schedules and looks up nothing; it only moves the internal-node
+    /// history a later rise would read. So the output and the returned
+    /// tallies are exactly those of feeding every event, as
+    /// [`TwoInputTransform::apply2`] does.
     fn apply2_into(
         &self,
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
     ) -> Result<ChannelEvents, SimError> {
-        let mut s = Scheduler::new(self, a.initial_value(), b.initial_value(), out);
-        // Same two-pointer merge over the SoA views, polarities by
-        // parity. Which input fires next is a coin flip to the branch
-        // predictor, so the selection is arranged as data flow
-        // (conditional moves on one compare) rather than control flow —
-        // only `handle`'s own state machine branches remain.
-        let (ta, tb) = (a.times(), b.times());
-        let (ia, ib) = (a.initial_value(), b.initial_value());
-        let (na, nb) = (ta.len(), tb.len());
-        let (mut i, mut j) = (0, 0);
-        while i < na || j < nb {
-            let tai = if i < na { ta[i] } else { f64::INFINITY };
-            let tbj = if j < nb { tb[j] } else { f64::INFINITY };
-            let take_a = tai <= tbj;
-            let t = if take_a { tai } else { tbj };
-            let (idx, init) = if take_a { (i, ia) } else { (j, ib) };
-            let v = (idx % 2 == 0) ^ init;
-            let which = usize::from(!take_a);
-            i += usize::from(take_a);
-            j += usize::from(!take_a);
-            if v {
-                s.handle::<true>(t, which)?;
-            } else {
-                s.handle::<false>(t, which)?;
-            }
-        }
-        s.finish()
+        self.schedule_into(a, b, out).map(|(events, _)| events)
     }
 
     fn name(&self) -> &str {
@@ -896,7 +963,8 @@ impl TwoInputTransform for CachedHybridNandChannel {
         // In the SoA representation NOT is free (flip the initial value,
         // keep the times), so the duality costs nothing: run the dual NOR
         // scheduler on inverted views and invert the result in place.
-        // The dual NOR scheduler's events are the NAND channel's events.
+        // The dual NOR scheduler's events are the NAND channel's events,
+        // and its held-high stop is the NAND's stop on an input held low.
         let events = self.inner.apply2_into(a.inverted(), b.inverted(), out)?;
         out.invert();
         Ok(events)
@@ -1155,5 +1223,63 @@ mod tests {
         assert!(out.initial_value(), "NAND of (0,0) is high");
         assert_eq!(out.transition_count(), 1);
         assert!(!out.edges()[0].rising);
+    }
+
+    #[test]
+    fn held_high_stop_skips_only_events_that_cannot_move_the_output() {
+        // A rises once at 200 ps and stays high. B pulses before that (a
+        // glitch the scheduler cancels, in the two-input merge), then
+        // switches three times inside the pending fall's window (each
+        // reschedules it: B high is the MIS fall, one lookup; B low is
+        // A's single-input fall), and keeps switching after the fall
+        // commits, where NOR(1, x) can no longer rise.
+        let ch = channel();
+        let a = DigitalTrace::with_edges(false, vec![(ps(200.0), true)]).unwrap();
+        let b_edges = [50.0, 52.0, 205.0, 210.0, 215.0, 400.0, 500.0, 600.0];
+        let b = DigitalTrace::with_edges(
+            false,
+            b_edges
+                .iter()
+                .enumerate()
+                .map(|(k, &t)| (ps(t), k % 2 == 0))
+                .collect(),
+        )
+        .unwrap();
+        // Hand-derived: the B glitch cancels one pending fall; B's two
+        // rises in the window each look the MIS fall up; the B fall at
+        // 400 ps commits the output low, and its last two events are
+        // skipped.
+        let want_events = ChannelEvents {
+            pending_cancelled: 1,
+            table_lookups: 2,
+            pulse_filtered: 0,
+        };
+        let nand = CachedHybridNandChannel::from_shared(Arc::new(ch.clone()));
+        let (mut va, mut vb, mut out) = (EdgeBuf::new(), EdgeBuf::new(), EdgeBuf::new());
+        // Either input order: the held-high input is A, then B.
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            va.copy_trace(x);
+            vb.copy_trace(y);
+            let want = ch.apply2(x, y).unwrap();
+            let (events, skipped) = ch
+                .schedule_into(va.as_ref(), vb.as_ref(), &mut out)
+                .unwrap();
+            assert_eq!(out.to_trace(), want);
+            assert_eq!((events, skipped), (want_events, 2));
+            // One fall, sharpened by B's last rise in the window: the
+            // events inside it were fed.
+            assert_eq!(want.transition_count(), 1);
+            assert!(want.edges()[0].time < ps(200.0) + ch.fall_s10);
+            // The NAND dual on the inverted inputs runs this very NOR
+            // schedule through its inverted views.
+            let (nx, ny) = (gates::not(x).unwrap(), gates::not(y).unwrap());
+            va.copy_trace(&nx);
+            vb.copy_trace(&ny);
+            let events = nand
+                .apply2_into(va.as_ref(), vb.as_ref(), &mut out)
+                .unwrap();
+            assert_eq!(out.to_trace(), nand.apply2(&nx, &ny).unwrap());
+            assert_eq!(events, want_events);
+        }
     }
 }

@@ -66,18 +66,22 @@ pub fn combine2<F: Fn(bool, bool) -> bool>(
 /// [`combine2`] is what the `Network::run` reference uses instead.
 ///
 /// The merge is driven by a truth table and has no data-dependent
-/// branches:
+/// branches while both inputs still have edges:
 ///
 /// * `f` is evaluated once per call, at its 4 input combinations, into
 ///   a 4-bit table. The loop only looks values up, so a `fn` pointer
 ///   costs no more than an inlined closure.
-/// * Each step takes `t`, the earlier of the two cursor heads (an
-///   exhausted cursor reads `+inf`). It advances every cursor whose head
-///   is not after the other head, so simultaneous edges on both inputs
-///   coalesce into one event, and toggles that input's value. It writes
-///   `t` into the next output slot unconditionally and advances the
-///   output length only when the looked-up value differs from the
-///   current one. The tails run through the same step.
+/// * Each step takes `t`, the earlier of the two cursor heads. It
+///   advances every cursor whose head is not after the other head, so
+///   simultaneous edges on both inputs coalesce into one event, and
+///   toggles that input's value. It writes `t` into the next output
+///   slot unconditionally and advances the output length only when the
+///   looked-up value differs from the current one.
+/// * The step runs only while both cursors have edges left. Once one
+///   input is exhausted its value is final, so each remaining edge of
+///   the other input toggles between the same two table entries: either
+///   every one flips the output or none does. One lookup decides, and
+///   the tail is copied into the slots as one block or dropped.
 /// * The slots come from [`EdgeBuf::fill_with`], which then checks the
 ///   kept edges in one pass, with [`EdgeBuf::push_time`]'s checks.
 ///   Alternation holds by construction: an edge is kept only when the
@@ -111,18 +115,17 @@ pub fn combine2_into<F: Fn(bool, bool) -> bool>(
     );
     let initial = (table >> (va | vb << 1)) & 1;
     out.fill_with(initial == 1, ta.len() + tb.len(), |slots| {
-        let n = slots.len();
+        let (na, nb) = (ta.len(), tb.len());
         let (mut i, mut j, mut len) = (0, 0, 0);
         let mut value = initial;
         // `!(x > y) | !(y > x)` holds for any pair, NaN included, so
         // every step consumes a head. The advances compare the heads
         // directly, which keeps `t` off the cursors' dependency chain.
-        while i + j < n {
-            let x = ta.get(i).copied().unwrap_or(f64::INFINITY);
-            let y = tb.get(j).copied().unwrap_or(f64::INFINITY);
+        while i < na && j < nb {
+            let (x, y) = (ta[i], tb[j]);
             let t = if y < x { y } else { x };
-            let step_a = usize::from((i < ta.len()) & !(x > y));
-            let step_b = usize::from((j < tb.len()) & !(y > x));
+            let step_a = usize::from(!(x > y));
+            let step_b = usize::from(!(y > x));
             i += step_a;
             j += step_b;
             va ^= step_a;
@@ -131,6 +134,19 @@ pub fn combine2_into<F: Fn(bool, bool) -> bool>(
             slots[len] = t;
             len += usize::from(v != value);
             value = v;
+        }
+        // At most one input has edges left, and the other's value is
+        // final: its edges all flip the output (the table differs at the
+        // two values of the live input) or none does. `len <= i + j`, so
+        // the tail fits in the `na + nb` slots.
+        let (tail, flips) = if i < na {
+            (&ta[i..], (table >> (vb << 1)) ^ (table >> (1 | vb << 1)))
+        } else {
+            (&tb[j..], (table >> va) ^ (table >> (va | 2)))
+        };
+        if flips & 1 == 1 {
+            slots[len..len + tail.len()].copy_from_slice(tail);
+            len += tail.len();
         }
         len
     })?;

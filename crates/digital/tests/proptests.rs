@@ -189,6 +189,20 @@ fn grid_trace(rng: &mut TestRng, max_edges: u64) -> DigitalTrace {
     trace
 }
 
+/// Length-skewed input pairs: a short trace (0–3 edges), held high and
+/// held low after its last edge (it and its inverse), against a trace
+/// of up to `long_edges` edges, in both orders, so the long input
+/// mostly runs on past the short input's last edge.
+fn skewed_pairs(rng: &mut TestRng, long_edges: u64) -> Vec<(DigitalTrace, DigitalTrace)> {
+    let short = grid_trace(rng, 3);
+    let long = grid_trace(rng, long_edges);
+    let inverse = gates::not(&short).unwrap();
+    [short, inverse]
+        .into_iter()
+        .flat_map(|s| [(s.clone(), long.clone()), (long.clone(), s)])
+        .collect()
+}
+
 /// Channel palette index → fresh allocating channel (`None` = no channel).
 fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
     match ch {
@@ -226,50 +240,66 @@ fn apply_into_bit_identical_to_apply_for_every_channel() {
 
 #[test]
 fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
+    let nor = Arc::new(CachedHybridChannel::new(shared_lib()).unwrap());
+    let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
     Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
         let mut rng = TestRng::seed_from_u64(seed);
-        let (a, b) = (grid_trace(&mut rng, 10), grid_trace(&mut rng, 10));
+        let mut pairs = vec![(grid_trace(&mut rng, 10), grid_trace(&mut rng, 10))];
+        // The held-high stop and the held-low tail, in both input slots.
+        pairs.extend(skewed_pairs(&mut rng, 30));
         let (mut va, mut vb) = (EdgeBuf::new(), EdgeBuf::new());
-        va.copy_trace(&a);
-        vb.copy_trace(&b);
         let mut out = EdgeBuf::new();
+        for (k, (a, b)) in pairs.iter().enumerate() {
+            va.copy_trace(a);
+            vb.copy_trace(b);
 
-        let nor = Arc::new(CachedHybridChannel::new(shared_lib()).unwrap());
-        let want_nor = nor.apply2(&a, &b).unwrap();
-        nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
-        prop_assert_eq!(&out.to_trace(), &want_nor, "cached NOR");
+            let want_nor = nor.apply2(a, b).unwrap();
+            nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
+            prop_assert_eq!(&out.to_trace(), &want_nor, "cached NOR, pair {}", k);
 
-        let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
-        let want_nand = nand.apply2(&a, &b).unwrap();
-        nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
-            .unwrap();
-        prop_assert_eq!(&out.to_trace(), &want_nand, "cached NAND");
-
-        // The engine's exact call: `apply2_into` on a boxed channel
-        // behind the `Arc` cell libraries hand to networks. The
-        // forwarding must keep both the output and the scheduler's
-        // returned tallies.
-        let direct = [
-            nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap(),
+            let want_nand = nand.apply2(a, b).unwrap();
             nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
-                .unwrap(),
-        ];
-        for ((ch, want), direct) in [
-            (
-                Box::new(Arc::clone(&nor)) as Box<dyn TwoInputTransform>,
-                &want_nor,
-            ),
-            (
-                Box::new(nand.clone()) as Box<dyn TwoInputTransform>,
-                &want_nand,
-            ),
-        ]
-        .into_iter()
-        .zip(direct)
-        {
-            let events = ch.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
-            prop_assert_eq!(&out.to_trace(), want, "{} through Arc", ch.name());
-            prop_assert_eq!(events, direct, "{} events through Arc", ch.name());
+                .unwrap();
+            prop_assert_eq!(&out.to_trace(), &want_nand, "cached NAND, pair {}", k);
+
+            // The engine's exact call: `apply2_into` on a boxed channel
+            // behind the `Arc` cell libraries hand to networks. The
+            // forwarding must keep both the output and the scheduler's
+            // returned tallies.
+            let direct = [
+                nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap(),
+                nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
+                    .unwrap(),
+            ];
+            for ((ch, want), direct) in [
+                (
+                    Box::new(Arc::clone(&nor)) as Box<dyn TwoInputTransform>,
+                    &want_nor,
+                ),
+                (
+                    Box::new(nand.clone()) as Box<dyn TwoInputTransform>,
+                    &want_nand,
+                ),
+            ]
+            .into_iter()
+            .zip(direct)
+            {
+                let events = ch.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
+                prop_assert_eq!(
+                    &out.to_trace(),
+                    want,
+                    "{} through Arc, pair {}",
+                    ch.name(),
+                    k
+                );
+                prop_assert_eq!(
+                    events,
+                    direct,
+                    "{} events through Arc, pair {}",
+                    ch.name(),
+                    k
+                );
+            }
         }
         Ok(())
     });
@@ -279,7 +309,10 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
 /// (sort + dedup + `value_at`), over all 16 two-input truth tables. The
 /// 5 ps grid makes simultaneous edges common, `(a, a)` makes every edge
 /// a tie, and one warm buffer is reused across every case, so a merge
-/// that leaves stale slots from a longer earlier output fails.
+/// that leaves stale slots from a longer earlier output fails. The
+/// length-skewed pairs give every case long tails past the short
+/// input's last edge, held high and held low, so across the tables
+/// each case copies some tails and drops others.
 #[test]
 fn combine2_into_matches_owned_combine2_for_every_truth_table() {
     let out = RefCell::new(EdgeBuf::new());
@@ -287,7 +320,8 @@ fn combine2_into_matches_owned_combine2_for_every_truth_table() {
         let mut rng = TestRng::seed_from_u64(seed);
         let (a, b) = (grid_trace(&mut rng, 200), grid_trace(&mut rng, 200));
         let (lo, hi) = (DigitalTrace::constant(false), DigitalTrace::constant(true));
-        let pairs = [
+        let skewed = skewed_pairs(&mut rng, 200);
+        let mut pairs = vec![
             (&a, &b),
             (&b, &a),
             (&a, &a),
@@ -295,6 +329,7 @@ fn combine2_into_matches_owned_combine2_for_every_truth_table() {
             (&hi, &b),
             (&lo, &hi),
         ];
+        pairs.extend(skewed.iter().map(|(x, y)| (x, y)));
         let mut out = out.borrow_mut();
         let (mut va, mut vb) = (EdgeBuf::new(), EdgeBuf::new());
         for table in 0..16usize {

@@ -170,6 +170,21 @@ echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
     --fuzz 16 > /dev/null
 
+# Benchmark correctness run: the frozen C880 benchmark, 1 s per
+# workload. It checks every operation it times (eval outputs against
+# `Network::run`, campaign reports against a one-worker reference) and
+# reports the failures in its result line, so the step passes only on
+# exit status 0 and "failed":0. Nothing is timed or compared here.
+echo "== benchmark correctness run (c880bench, 1 s per workload)"
+for workload in c880-eval-cached c880-eval-inertial c880-campaign; do
+    result="$(cargo run --release --offline --quiet --manifest-path c880bench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if ! [[ "$result" =~ \"failed\":0[,}] ]]; then
+        echo "c880bench $workload: failed operations: $result" >&2
+        exit 1
+    fi
+done
+
 # Bench-target smoke: every harness = false bench target of mis-bench
 # runs once in quick mode, so a bench whose setup panics (say, on
 # generated .bench text that fails to parse) fails the default gate.
