@@ -2,9 +2,9 @@
 //! benchmark circuits, the workload of the interconnected-gates
 //! follow-up paper (Ferdowsi et al., arXiv:2403.10540).
 //!
-//! Every id times `mis_sim::Simulator::run_in`, the signal-order engine,
-//! into a warm `TraceArena` (zero heap allocations, asserted by
-//! `crates/sim/tests/alloc.rs`):
+//! Every circuit id times `mis_sim::Simulator::run_in`, the
+//! signal-order engine, into a warm `TraceArena` (zero heap
+//! allocations, asserted by `crates/sim/tests/alloc.rs`):
 //!
 //! * `sim` ids — the engine with its disabled probe, the cost of a
 //!   plain evaluation;
@@ -13,6 +13,14 @@
 //!   twin is the price of *enabled* instrumentation (the disabled-probe
 //!   price is already inside `sim`, which carries a disabled bundle
 //!   through the same code).
+//!
+//! The `pipeline` ids time the set-up layers every C880 run pays before
+//! its first evaluation: `pipeline/c880_parse` (`BenchNetlist::parse`,
+//! file read excluded), `pipeline/c880_lower` (`BenchNetlist::lower`
+//! onto the Arc-shared cached-hybrid cells) and
+//! `pipeline/stimulus_pool_32x60` (32 stimulus sets for C880's 60
+//! inputs, one generated LOCAL pair per two inputs, alternating the
+//! dense 100/50 ps and sparse 400/150 ps spacings).
 //!
 //! Circuits, all lowered from `.bench` text: the eight-stage
 //! reconvergent NOR chain and the depth-4 inverter tree (generated
@@ -65,6 +73,27 @@ fn wide_inputs(n: usize, seed: u64) -> Vec<DigitalTrace> {
             } else {
                 pair.b
             }
+        })
+        .collect()
+}
+
+/// `sets` stimulus sets of `inputs` traces, one generated 40-transition
+/// LOCAL pair per two inputs, alternating dense and sparse spacing.
+fn stimulus_pool(sets: usize, inputs: usize, seed: u64) -> Vec<Vec<DigitalTrace>> {
+    let dense = TraceConfig::new(ps(100.0), ps(50.0), Assignment::Local, 40);
+    let sparse = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40);
+    let mut k = seed;
+    (0..sets)
+        .map(|_| {
+            let mut set = Vec::with_capacity(inputs + 1);
+            for p in 0..inputs.div_ceil(2) {
+                let cfg = if p % 2 == 0 { &dense } else { &sparse };
+                k += 1;
+                let pair = cfg.generate(k).expect("trace generation");
+                set.extend([pair.a, pair.b]);
+            }
+            set.truncate(inputs);
+            set
         })
         .collect()
 }
@@ -157,13 +186,14 @@ fn main() {
         ))
         .expect("lowering");
     let c432_inertial = c432.lower(&inertial).expect("lowering");
-    let c880 = load_fixture("c880.bench");
-    let c880_cached = c880
-        .lower(&CellLibrary::hybrid_shared(
-            std::sync::Arc::clone(cached.shared_tables().expect("hybrid tables")),
-            Some(inertial_proto()),
-        ))
-        .expect("lowering");
+    let c880_text = std::fs::read_to_string(workspace_root().join("data/bench/c880.bench"))
+        .expect("committed fixture");
+    let c880 = parse(&c880_text);
+    let c880_cells = CellLibrary::hybrid_shared(
+        std::sync::Arc::clone(cached.shared_tables().expect("hybrid tables")),
+        Some(inertial_proto()),
+    );
+    let c880_cached = c880.lower(&c880_cells).expect("lowering");
     let c880_inertial = c880.lower(&inertial).expect("lowering");
 
     let chain_in = pair_inputs(0xc4a1);
@@ -177,6 +207,18 @@ fn main() {
     let tree_in = vec![pair_inputs(0x7ee).remove(0)];
     let c432_in = wide_inputs(36, 0x432);
     let c880_in = wide_inputs(60, 0x880);
+
+    // Set-up layers: what every C880 run pays before its first
+    // evaluation.
+    h.bench("pipeline/c880_parse", || {
+        BenchNetlist::parse(&c880_text).expect("netlist parses")
+    });
+    h.bench("pipeline/c880_lower", || {
+        c880.lower(&c880_cells).expect("lowering")
+    });
+    h.bench("pipeline/stimulus_pool_32x60", || {
+        stimulus_pool(32, 60, 0x880)
+    });
 
     let mut arena = TraceArena::new();
 

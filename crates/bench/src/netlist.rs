@@ -45,9 +45,11 @@ pub fn committed_cells() -> Result<CellLibrary, String> {
     CellLibrary::hybrid(&lib, Some(fallback)).map_err(|e| format!("cell library: {e}"))
 }
 
-/// Deterministic input traffic for `n` netlist inputs:
-/// local-assignment pairs, 40 edges per trace, seeded per input off the
-/// fixed `0x5eed` base — the stimulus behind CI's pinned event counts.
+/// Deterministic input traffic for `n` netlist inputs: input `i` gets
+/// one trace of a 40-transition LOCAL pair seeded `0x5eed + i` (trace A
+/// for even `i`, B for odd), so each trace has 20 edges and the other
+/// half of every generated pair is discarded. This is the stimulus
+/// behind CI's pinned event counts.
 ///
 /// # Errors
 ///

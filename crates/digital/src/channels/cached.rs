@@ -143,8 +143,9 @@ impl UniformCurve {
 
 /// Starting resampled points per slice (~4.7 ps step over the default
 /// ±300 ps range — cubic Hermite cells converge orders of magnitude
-/// faster than the piecewise-linear sampling this replaced, so the
-/// validated tables stay small enough to live in L1/L2).
+/// faster than the piecewise-linear sampling this replaced; on the
+/// committed library the validated tables reach 513–1,025 points, about
+/// 100 KiB per cell type, see `UniformFamily`).
 const MIN_RESAMPLE_POINTS: usize = 129;
 
 /// Hard cap on resampled points per slice (memory guard for extreme
@@ -191,9 +192,13 @@ fn resample_error(fam: &SurfaceFamily, table: &UniformFamily, n: usize) -> f64 {
 /// laid out point-major (`ys[(i·m + s)·2 ..]`), so the slice pair
 /// bracketing a voltage reads adjacent memory. Cubic cells converge as
 /// `h⁴` where the previous piecewise-linear table converged as `h²`,
-/// which shrinks the validated tables by an order of magnitude (the
-/// rising family drops from ~160 KiB to ~20 KiB) and keeps the hot-loop
-/// reads cache-resident: the lookup cost is arithmetic, not misses.
+/// which shrinks the validated tables at a given error budget. On the
+/// committed `nor_paper.mislib` the rising family resamples to 1,025
+/// points × 5 slices (80 KiB of `(value, h·slope)` pairs) and the
+/// falling family to 513 × 1 (8 KiB); with the seven 257-point
+/// correction curves (14 KiB) a cell type holds ≈ 100 KiB of tables,
+/// more than a typical 32–48 KiB L1d. A lookup touches two adjacent
+/// points of one or two slices.
 #[derive(Debug, Clone)]
 struct UniformFamily {
     lo: f64,
@@ -921,7 +926,7 @@ impl TwoInputTransform for CachedHybridChannel {
 ///
 /// The dual NOR tables are held behind an [`Arc`], so cloning this
 /// channel — one clone per NAND gate instance in a netlist — shares one
-/// resampled table set instead of copying ~20 KiB per gate.
+/// resampled table set instead of copying ≈ 100 KiB per gate.
 #[derive(Debug, Clone)]
 pub struct CachedHybridNandChannel {
     inner: Arc<CachedHybridChannel>,
@@ -995,6 +1000,30 @@ mod tests {
 
     fn channel() -> CachedHybridChannel {
         CachedHybridChannel::new(&lib()).unwrap()
+    }
+
+    #[test]
+    fn committed_library_resamples_to_its_documented_table_sizes() {
+        // The module, `CellLibrary` and DESIGN.md quote these sizes; a
+        // change to the resampling rule or the committed library must
+        // update them together.
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../data/charlib/nor_paper.mislib");
+        let text = std::fs::read_to_string(path).expect("committed NOR library");
+        let ch = CachedHybridChannel::new(&CharLib::from_text(&text).unwrap()).unwrap();
+        let shape = |f: &UniformFamily| (f.last + 1, f.m);
+        assert_eq!(shape(&ch.rising), (1025, 5), "rising (n, m)");
+        assert_eq!(shape(&ch.falling), (513, 1), "falling (n, m)");
+        let curves: Vec<&UniformCurve> = ch
+            .fall_corr
+            .iter()
+            .chain(&ch.rise_corr)
+            .chain([&ch.vn_decay])
+            .collect();
+        assert!(curves.iter().all(|c| c.ys.len() == 257));
+        let floats = ch.rising.ys.len() + ch.falling.ys.len() + 7 * 257;
+        // 82,000 + 8,208 + 14,392 bytes: ≈ 100 KiB per cell type.
+        assert_eq!(8 * floats, 104_600);
     }
 
     #[test]

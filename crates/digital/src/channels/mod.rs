@@ -172,7 +172,8 @@ pub trait TwoInputTransform: Send + Sync {
 }
 
 // Channels behind shared pointers are channels too: one characterized
-// table set (`Arc<CachedHybridChannel>` is ~20 KiB of resampled surfaces)
+// table set (`Arc<CachedHybridChannel>` holds ≈ 100 KiB of resampled
+// surfaces and correction curves on the committed library)
 // can drive every gate instance of a cell type, instead of each instance
 // carrying its own flat copy. This is what cell libraries hand to
 // `Network` — `Box::new(Arc::clone(&tables))` costs one refcount bump.

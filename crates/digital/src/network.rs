@@ -68,7 +68,9 @@ enum Source {
     Input,
     Gate {
         kind: GateKind,
-        inputs: Vec<SignalId>,
+        /// Fan-in, stored inline: `inputs[..kind.arity()]` (a unary gate
+        /// repeats its operand in the unused slot).
+        inputs: [SignalId; 2],
         channel: Option<Box<dyn TraceTransform>>,
     },
     TwoInputChannelGate {
@@ -132,7 +134,11 @@ pub enum SignalSource<'a> {
 /// ```
 #[derive(Default)]
 pub struct Network {
-    names: Vec<String>,
+    /// Every signal's name, concatenated in declaration order.
+    names: String,
+    /// End of each signal's name in `names`; it starts where the
+    /// previous signal's ends.
+    name_end: Vec<usize>,
     sources: Vec<Source>,
     input_count: usize,
 }
@@ -142,8 +148,20 @@ impl Network {
     #[must_use]
     pub fn new() -> Self {
         Network {
-            names: Vec::new(),
+            names: String::new(),
+            name_end: Vec::new(),
             sources: Vec::new(),
+            input_count: 0,
+        }
+    }
+
+    /// Creates an empty network with room for `signals` inputs and gates.
+    #[must_use]
+    pub fn with_capacity(signals: usize) -> Self {
+        Network {
+            names: String::new(),
+            name_end: Vec::with_capacity(signals),
+            sources: Vec::with_capacity(signals),
             input_count: 0,
         }
     }
@@ -161,7 +179,7 @@ impl Network {
             self.sources.len(),
             "inputs must precede gates"
         );
-        self.names.push(name.to_owned());
+        self.push_name(name);
         self.sources.push(Source::Input);
         self.input_count += 1;
         SignalId(self.sources.len() - 1)
@@ -191,10 +209,10 @@ impl Network {
             });
         }
         self.check_refs(name, inputs)?;
-        self.names.push(name.to_owned());
+        self.push_name(name);
         self.sources.push(Source::Gate {
             kind,
-            inputs: inputs.to_vec(),
+            inputs: [inputs[0], inputs[inputs.len() - 1]],
             channel,
         });
         Ok(SignalId(self.sources.len() - 1))
@@ -213,7 +231,7 @@ impl Network {
         channel: Box<dyn TwoInputTransform>,
     ) -> Result<SignalId, SimError> {
         self.check_refs(name, &inputs)?;
-        self.names.push(name.to_owned());
+        self.push_name(name);
         self.sources
             .push(Source::TwoInputChannelGate { inputs, channel });
         Ok(SignalId(self.sources.len() - 1))
@@ -254,7 +272,7 @@ impl Network {
                 channel,
             } => SignalSource::Gate {
                 kind: *kind,
-                inputs,
+                inputs: &inputs[..kind.arity()],
                 channel: channel.as_deref(),
             },
             Source::TwoInputChannelGate { inputs, channel } => SignalSource::TwoInputChannelGate {
@@ -271,7 +289,8 @@ impl Network {
     /// Panics for a foreign [`SignalId`].
     #[must_use]
     pub fn signal_name(&self, id: SignalId) -> &str {
-        &self.names[id.0]
+        let start = id.0.checked_sub(1).map_or(0, |prev| self.name_end[prev]);
+        &self.names[start..self.name_end[id.0]]
     }
 
     /// Evaluates the network: `inputs[i]` drives the i-th declared input;
@@ -334,6 +353,11 @@ impl Network {
         Ok(traces)
     }
 
+    fn push_name(&mut self, name: &str) {
+        self.names.push_str(name);
+        self.name_end.push(self.names.len());
+    }
+
     fn check_refs(&self, name: &str, refs: &[SignalId]) -> Result<(), SimError> {
         for r in refs {
             if r.0 >= self.sources.len() {
@@ -349,7 +373,12 @@ impl Network {
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("signals", &self.names)
+            .field(
+                "signals",
+                &(0..self.sources.len())
+                    .map(|i| self.signal_name(SignalId(i)))
+                    .collect::<Vec<_>>(),
+            )
             .field("inputs", &self.input_count)
             .finish()
     }

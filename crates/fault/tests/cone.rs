@@ -49,7 +49,8 @@ fn lowered(name: &str) -> LoweredNetlist {
         .expect("lowering")
 }
 
-/// The CLI traffic: local pairs, 40 edges per trace, seeded off 0x5eed.
+/// The CLI traffic: one trace (20 edges) of each 40-transition local
+/// pair seeded off 0x5eed; the other half of the pair is discarded.
 fn traffic(n: usize) -> Vec<DigitalTrace> {
     (0..n)
         .map(|i| {

@@ -75,18 +75,21 @@ impl BenchFunc {
     /// synonym for `BUFF`.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        let n = name.to_ascii_uppercase();
-        Some(match n.as_str() {
-            "AND" => BenchFunc::And,
-            "OR" => BenchFunc::Or,
-            "NAND" => BenchFunc::Nand,
-            "NOR" => BenchFunc::Nor,
-            "XOR" => BenchFunc::Xor,
-            "XNOR" => BenchFunc::Xnor,
-            "NOT" => BenchFunc::Not,
-            "BUF" | "BUFF" => BenchFunc::Buff,
-            _ => return None,
-        })
+        const NAMES: [(&str, BenchFunc); 9] = [
+            ("AND", BenchFunc::And),
+            ("OR", BenchFunc::Or),
+            ("NAND", BenchFunc::Nand),
+            ("NOR", BenchFunc::Nor),
+            ("XOR", BenchFunc::Xor),
+            ("XNOR", BenchFunc::Xnor),
+            ("NOT", BenchFunc::Not),
+            ("BUF", BenchFunc::Buff),
+            ("BUFF", BenchFunc::Buff),
+        ];
+        NAMES
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|&(_, f)| f)
     }
 
     /// The canonical upper-case name.
@@ -139,15 +142,30 @@ pub struct BenchNetlist {
     /// 1-based source line of each gate definition, parallel to `gates`
     /// (0 when programmatic).
     gate_lines: Vec<usize>,
-    /// Gate indices in topological order, computed once at validation
-    /// (a pure function of `gates`).
+    /// Every name reference resolved once, at validation.
+    resolved: Resolved,
+}
+
+/// The name table of a validated netlist, a pure function of its
+/// declarations. A *definition index* `d` names a primary input
+/// (`d < inputs.len()`) or gate `d − inputs.len()`.
+#[derive(Debug, Clone, Default)]
+struct Resolved {
+    /// Every gate operand's definition index, in file order: gate `g`'s
+    /// operands are `operands[op_start[g]..op_start[g + 1]]`.
+    operands: Vec<usize>,
+    /// Row starts into `operands`, one per gate plus the end.
+    op_start: Vec<usize>,
+    /// Each `OUTPUT` declaration's definition index.
+    outputs: Vec<usize>,
+    /// Gate indices in topological order.
     topo: Vec<usize>,
 }
 
 /// Equality is over the *declarations* only: source-line spans are
 /// provenance, not netlist content (the canonical writer re-flows lines,
 /// and round-trip identity `parse(to_text(n)) == n` must survive that),
-/// and `topo` is a pure function of `gates`.
+/// and the resolved name table is a pure function of the declarations.
 impl PartialEq for BenchNetlist {
     fn eq(&self, other: &Self) -> bool {
         self.inputs == other.inputs && self.outputs == other.outputs && self.gates == other.gates
@@ -187,6 +205,17 @@ impl BenchNetlist {
         for g in &gates {
             check_arity(0, g.func, g.inputs.len())?;
         }
+        // `parse` checks every name as it reads it; names assembled in
+        // code are checked here, so `to_text` can carry each of them.
+        for name in inputs.iter().chain(&outputs) {
+            check_signal_name(0, name)?;
+        }
+        for g in &gates {
+            check_signal_name(0, &g.output)?;
+            for op in &g.inputs {
+                check_signal_name(0, op)?;
+            }
+        }
         let (ni, no, ng) = (inputs.len(), outputs.len(), gates.len());
         BenchNetlist {
             inputs,
@@ -195,7 +224,7 @@ impl BenchNetlist {
             input_lines: vec![0; ni],
             output_lines: vec![0; no],
             gate_lines: vec![0; ng],
-            topo: Vec::new(),
+            resolved: Resolved::default(),
         }
         .validated()
     }
@@ -261,6 +290,8 @@ impl BenchNetlist {
         let mut input_lines = Vec::new();
         let mut output_lines = Vec::new();
         let mut gate_lines = Vec::new();
+        // Operand names of the current line, reused across lines.
+        let mut args: Vec<&str> = Vec::new();
         for (no, raw) in text.lines().enumerate() {
             let line = no + 1;
             // Strip trailing comment, then surrounding whitespace.
@@ -271,7 +302,7 @@ impl BenchNetlist {
             if let Some(eq) = code.find('=') {
                 let name = code[..eq].trim();
                 check_signal_name(line, name)?;
-                let (func_name, args) = parse_call(line, code[eq + 1..].trim())?;
+                let func_name = parse_call(line, code[eq + 1..].trim(), &mut args)?;
                 let func =
                     BenchFunc::from_name(func_name).ok_or_else(|| BenchError::UnknownFunction {
                         line,
@@ -285,23 +316,21 @@ impl BenchNetlist {
                 });
                 gate_lines.push(line);
             } else {
-                let (kw, args) = parse_call(line, code)?;
-                let name = match (kw.to_ascii_uppercase().as_str(), args.as_slice()) {
-                    ("INPUT", [name]) | ("OUTPUT", [name]) => *name,
-                    ("INPUT" | "OUTPUT", _) => {
-                        return Err(BenchError::Syntax {
-                            line,
-                            reason: format!("{kw} takes exactly one signal name"),
-                        })
-                    }
-                    _ => {
-                        return Err(BenchError::Syntax {
-                            line,
-                            reason: format!("expected INPUT/OUTPUT declaration, got '{kw}(...)'"),
-                        })
-                    }
+                let kw = parse_call(line, code, &mut args)?;
+                let is_input = kw.eq_ignore_ascii_case("INPUT");
+                if !is_input && !kw.eq_ignore_ascii_case("OUTPUT") {
+                    return Err(BenchError::Syntax {
+                        line,
+                        reason: format!("expected INPUT/OUTPUT declaration, got '{kw}(...)'"),
+                    });
+                }
+                let &[name] = args.as_slice() else {
+                    return Err(BenchError::Syntax {
+                        line,
+                        reason: format!("{kw} takes exactly one signal name"),
+                    });
                 };
-                if kw.eq_ignore_ascii_case("INPUT") {
+                if is_input {
                     inputs.push(name.to_owned());
                     input_lines.push(line);
                 } else {
@@ -317,7 +346,7 @@ impl BenchNetlist {
             input_lines,
             output_lines,
             gate_lines,
-            topo: Vec::new(),
+            resolved: Resolved::default(),
         }
         .validated()
     }
@@ -350,51 +379,38 @@ impl BenchNetlist {
     }
 
     /// Semantic validation shared by [`BenchNetlist::parse`] and
-    /// [`BenchNetlist::new`] — the single place every semantic violation
-    /// is diagnosed, consuming the retained source spans so parsed
+    /// [`BenchNetlist::new`], the single place every semantic violation
+    /// is diagnosed. It consumes the retained source spans, so parsed
     /// netlists report real line numbers (programmatic ones report 0):
-    /// well-formed signal names (the text form must be able to carry
-    /// every name — redundant after `parse`, load-bearing for `new`), at
-    /// least one input, no duplicate definitions (reported at the second
-    /// occurrence in source order), no dangling references (reported at
-    /// the first referencing line), no cycles. Stores the topological
-    /// order for [`BenchNetlist::lower`] on success.
+    /// at least one input, no duplicate definitions (reported at the
+    /// second occurrence in source order), no dangling references
+    /// (reported at the first referencing line), no cycles. On success
+    /// it stores the resolved name table: one hash lookup per reference
+    /// here, so the topological sort and [`BenchNetlist::lower`] index
+    /// plain vectors.
     fn validated(mut self) -> Result<Self, BenchError> {
-        for (i, name) in self.inputs.iter().enumerate() {
-            check_signal_name(self.input_lines[i], name)?;
-        }
-        for (i, name) in self.outputs.iter().enumerate() {
-            check_signal_name(self.output_lines[i], name)?;
-        }
-        for (i, g) in self.gates.iter().enumerate() {
-            check_signal_name(self.gate_lines[i], &g.output)?;
-            for op in &g.inputs {
-                check_signal_name(self.gate_lines[i], op)?;
-            }
-        }
         if self.inputs.is_empty() {
             return Err(BenchError::Empty);
         }
-        // Definitions in source order (stable for the all-zero
-        // programmatic spans, where vector order — inputs, then gates —
-        // stands in for file order), so a duplicate is reported at its
-        // *second* occurrence.
-        let mut defs: Vec<(&str, usize)> = self
-            .inputs
-            .iter()
-            .zip(&self.input_lines)
-            .map(|(n, &l)| (n.as_str(), l))
-            .chain(
-                self.gates
-                    .iter()
-                    .zip(&self.gate_lines)
-                    .map(|(g, &l)| (g.output.as_str(), l)),
-            )
-            .collect();
-        defs.sort_by_key(|&(_, line)| line);
-        let mut defined: HashMap<&str, ()> = HashMap::new();
-        for (name, line) in defs {
-            if defined.insert(name, ()).is_some() {
+        let (ni, ng) = (self.inputs.len(), self.gates.len());
+        // Definitions in source order: both span lists ascend, so a
+        // merge visits them by line, inputs first on a tie (the all-zero
+        // programmatic spans, where vector order stands in for file
+        // order). A duplicate is thus reported at its *second*
+        // occurrence.
+        let mut def_of: HashMap<&str, usize> = HashMap::with_capacity(ni + ng);
+        let (mut i, mut g) = (0, 0);
+        while i < ni || g < ng {
+            let input_next = g == ng || (i < ni && self.input_lines[i] <= self.gate_lines[g]);
+            let (name, line, def) = if input_next {
+                i += 1;
+                (self.inputs[i - 1].as_str(), self.input_lines[i - 1], i - 1)
+            } else {
+                g += 1;
+                let k = g - 1;
+                (self.gates[k].output.as_str(), self.gate_lines[k], ni + k)
+            };
+            if def_of.insert(name, def).is_some() {
                 return Err(BenchError::Duplicate {
                     line,
                     name: name.to_owned(),
@@ -402,30 +418,51 @@ impl BenchNetlist {
             }
         }
         // References in source order: gate operands at their gate's line,
-        // `OUTPUT` declarations at their own.
-        let mut refs: Vec<(&str, usize)> = self
-            .gates
-            .iter()
-            .zip(&self.gate_lines)
-            .flat_map(|(g, &l)| g.inputs.iter().map(move |op| (op.as_str(), l)))
-            .chain(
-                self.outputs
-                    .iter()
-                    .zip(&self.output_lines)
-                    .map(|(n, &l)| (n.as_str(), l)),
-            )
-            .collect();
-        refs.sort_by_key(|&(_, line)| line);
-        for (name, line) in refs {
-            if !defined.contains_key(name) {
-                return Err(BenchError::Undefined {
-                    line,
-                    name: name.to_owned(),
-                });
+        // `OUTPUT` declarations at their own; a gate operand wins a tie.
+        let mut operands = Vec::with_capacity(self.gates.iter().map(|g| g.inputs.len()).sum());
+        let mut op_start = Vec::with_capacity(ng + 1);
+        op_start.push(0);
+        let mut first_missing: Option<(usize, &str)> = None;
+        'gates: for (g, &line) in self.gates.iter().zip(&self.gate_lines) {
+            for op in &g.inputs {
+                let Some(&d) = def_of.get(op.as_str()) else {
+                    first_missing = Some((line, op));
+                    break 'gates;
+                };
+                operands.push(d);
             }
+            op_start.push(operands.len());
         }
-        self.topo = self.topo_order()?;
+        let mut outputs = Vec::with_capacity(self.outputs.len());
+        for (name, &line) in self.outputs.iter().zip(&self.output_lines) {
+            let Some(&d) = def_of.get(name.as_str()) else {
+                if first_missing.is_none_or(|(first, _)| line < first) {
+                    first_missing = Some((line, name));
+                }
+                break;
+            };
+            outputs.push(d);
+        }
+        if let Some((line, name)) = first_missing {
+            return Err(BenchError::Undefined {
+                line,
+                name: name.to_owned(),
+            });
+        }
+        self.resolved = Resolved {
+            operands,
+            op_start,
+            outputs,
+            topo: Vec::new(),
+        };
+        self.resolved.topo = self.topo_order()?;
         Ok(self)
+    }
+
+    /// The definition indices of gate `g`'s operands, in written order.
+    fn operands(&self, g: usize) -> &[usize] {
+        let r = &self.resolved;
+        &r.operands[r.op_start[g]..r.op_start[g + 1]]
     }
 
     /// Gate indices in a topological order (inputs-before-users), stable
@@ -445,38 +482,27 @@ impl BenchNetlist {
     /// Returns [`BenchError::Cycle`] naming the first gate in file order
     /// that is on, or downstream of, a cycle.
     fn topo_order(&self) -> Result<Vec<usize>, BenchError> {
-        let gate_of: HashMap<&str, usize> = self
-            .gates
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.output.as_str(), i))
-            .collect();
-        // Each gate's gate operands (with multiplicity), then the users
-        // of each gate, both as CSR rows.
+        let ni = self.inputs.len();
         let n = self.gates.len();
-        let mut op_start = Vec::with_capacity(n + 1);
-        let mut ops: Vec<usize> = Vec::new();
-        op_start.push(0);
-        for g in &self.gates {
-            ops.extend(
-                g.inputs
-                    .iter()
-                    .filter_map(|op| gate_of.get(op.as_str()).copied()),
-            );
-            op_start.push(ops.len());
-        }
-        let mut waiting: Vec<usize> = op_start.windows(2).map(|w| w[1] - w[0]).collect();
+        // Gate `i`'s gate operands (with multiplicity), as gate indices.
+        let gate_ops = |i: usize| {
+            self.operands(i)
+                .iter()
+                .filter_map(move |&d| d.checked_sub(ni))
+        };
+        // The users of each gate, as CSR rows.
+        let mut waiting: Vec<usize> = (0..n).map(|i| gate_ops(i).count()).collect();
         let mut start = vec![0usize; n + 1];
-        for &j in &ops {
+        for j in (0..n).flat_map(gate_ops) {
             start[j + 1] += 1;
         }
         for j in 0..n {
             start[j + 1] += start[j];
         }
-        let mut users = vec![0usize; ops.len()];
+        let mut users = vec![0usize; start[n]];
         let mut cursor = start.clone();
         for i in 0..n {
-            for &j in &ops[op_start[i]..op_start[i + 1]] {
+            for j in gate_ops(i) {
                 users[cursor[j]] = i;
                 cursor[j] += 1;
             }
@@ -519,21 +545,35 @@ impl BenchNetlist {
     /// Propagates [`Network`] builder failures as [`BenchError::Build`]
     /// (defensive — validation already covers the builder's checks).
     pub fn lower(&self, cells: &CellLibrary) -> Result<LoweredNetlist, BenchError> {
-        let mut net = Network::new();
-        let mut id_of: HashMap<&str, SignalId> = HashMap::new();
-        let mut inputs = Vec::with_capacity(self.inputs.len());
-        for name in &self.inputs {
+        let ni = self.inputs.len();
+        let mut net = Network::with_capacity(self.lowered_stats().signals);
+        // The lowered signal of each definition index.
+        let mut id_of: Vec<Option<SignalId>> = vec![None; ni + self.gates.len()];
+        let mut inputs = Vec::with_capacity(ni);
+        for (d, name) in self.inputs.iter().enumerate() {
             let id = net.add_input(name);
-            id_of.insert(name, id);
+            id_of[d] = Some(id);
             inputs.push(id);
         }
-        for &gi in &self.topo {
+        let mut ops: Vec<SignalId> = Vec::new();
+        let mut tmp = String::new();
+        for &gi in &self.resolved.topo {
             let g = &self.gates[gi];
-            let ops: Vec<SignalId> = g.inputs.iter().map(|op| id_of[op.as_str()]).collect();
-            let id = lower_gate(&mut net, cells, &g.output, g.func, &ops)?;
-            id_of.insert(&g.output, id);
+            ops.clear();
+            ops.extend(
+                self.operands(gi)
+                    .iter()
+                    .map(|&d| id_of[d].expect("topological order lowers operands first")),
+            );
+            let id = lower_gate(&mut net, cells, &mut tmp, &g.output, g.func, &ops)?;
+            id_of[ni + gi] = Some(id);
         }
-        let outputs = self.outputs.iter().map(|o| id_of[o.as_str()]).collect();
+        let outputs = self
+            .resolved
+            .outputs
+            .iter()
+            .map(|&d| id_of[d].expect("every definition is lowered"))
+            .collect();
         Ok(LoweredNetlist {
             net,
             inputs,
@@ -585,14 +625,21 @@ pub struct LoweredStats {
 }
 
 /// Lowers one `.bench` gate: a zero-time balanced reduction tree with the
-/// timed cell at the root.
+/// timed cell at the root. `tmp` is a scratch buffer for the tree's
+/// temporary names, reused across gates.
 fn lower_gate(
     net: &mut Network,
     cells: &CellLibrary,
+    tmp: &mut String,
     name: &str,
     func: BenchFunc,
     ops: &[SignalId],
 ) -> Result<SignalId, BenchError> {
+    let mut temps = Temps {
+        name,
+        buf: tmp,
+        next: 0,
+    };
     let id = match func {
         BenchFunc::Not => cells.add_unary(net, name, GateKind::Not, ops[0])?,
         BenchFunc::Buff => cells.add_unary(net, name, GateKind::Buf, ops[0])?,
@@ -603,9 +650,8 @@ fn lower_gate(
                 _ => GateKind::Xor,
             };
             let mid = ops.len() / 2;
-            let mut counter = 0;
-            let left = reduce_ideal(net, name, kind, &ops[..mid], &mut counter)?;
-            let right = reduce_ideal(net, name, kind, &ops[mid..], &mut counter)?;
+            let left = reduce_ideal(net, &mut temps, kind, &ops[..mid])?;
+            let right = reduce_ideal(net, &mut temps, kind, &ops[mid..])?;
             cells.add(net, name, kind, left, right)?
         }
         BenchFunc::Nand | BenchFunc::Nor => {
@@ -618,53 +664,64 @@ fn lower_gate(
                 (GateKind::Or, GateKind::Nor)
             };
             let mid = ops.len() / 2;
-            let mut counter = 0;
-            let left = reduce_ideal(net, name, inner, &ops[..mid], &mut counter)?;
-            let right = reduce_ideal(net, name, inner, &ops[mid..], &mut counter)?;
+            let left = reduce_ideal(net, &mut temps, inner, &ops[..mid])?;
+            let right = reduce_ideal(net, &mut temps, inner, &ops[mid..])?;
             cells.add(net, name, root, left, right)?
         }
         BenchFunc::Xnor => {
-            let mut counter = 0;
-            let parity = reduce_ideal(net, name, GateKind::Xor, ops, &mut counter)?;
+            let parity = reduce_ideal(net, &mut temps, GateKind::Xor, ops)?;
             cells.add_unary(net, name, GateKind::Not, parity)?
         }
     };
     Ok(id)
 }
 
+/// Names the zero-time temporaries of one `.bench` gate `name`,
+/// `<name>#t<k>` in creation order.
+struct Temps<'a> {
+    name: &'a str,
+    buf: &'a mut String,
+    next: usize,
+}
+
+impl Temps<'_> {
+    fn next_name(&mut self) -> &str {
+        self.buf.clear();
+        let _ = write!(self.buf, "{}#t{}", self.name, self.next);
+        self.next += 1;
+        self.buf
+    }
+}
+
 /// Reduces `ops` to one signal through a balanced tree of zero-time
-/// `kind` gates (a single operand passes through untouched). Temporary
-/// signals are named `<name>#t<k>`.
+/// `kind` gates (a single operand passes through untouched).
 fn reduce_ideal(
     net: &mut Network,
-    name: &str,
+    temps: &mut Temps<'_>,
     kind: GateKind,
     ops: &[SignalId],
-    counter: &mut usize,
 ) -> Result<SignalId, BenchError> {
     Ok(match ops {
         [] => unreachable!("arity checked at parse time"),
         [one] => *one,
-        [a, b] => net.add_gate(&tmp_name(name, counter), kind, &[*a, *b], None)?,
+        [a, b] => net.add_gate(temps.next_name(), kind, &[*a, *b], None)?,
         _ => {
             let mid = ops.len() / 2;
-            let left = reduce_ideal(net, name, kind, &ops[..mid], counter)?;
-            let right = reduce_ideal(net, name, kind, &ops[mid..], counter)?;
-            net.add_gate(&tmp_name(name, counter), kind, &[left, right], None)?
+            let left = reduce_ideal(net, temps, kind, &ops[..mid])?;
+            let right = reduce_ideal(net, temps, kind, &ops[mid..])?;
+            net.add_gate(temps.next_name(), kind, &[left, right], None)?
         }
     })
 }
 
-fn tmp_name(name: &str, counter: &mut usize) -> String {
-    let n = format!("{name}#t{counter}");
-    *counter += 1;
-    n
-}
-
-/// Splits `NAME ( a , b )` into the name and its operand list. Rejects
-/// missing/mismatched parentheses, empty operands, and garbage after the
-/// closing parenthesis.
-fn parse_call(line: usize, code: &str) -> Result<(&str, Vec<&str>), BenchError> {
+/// Splits `NAME ( a , b )` into the name, returned, and its operand
+/// list, written over `args`. Rejects missing/mismatched parentheses,
+/// empty operands, and garbage after the closing parenthesis.
+fn parse_call<'t>(
+    line: usize,
+    code: &'t str,
+    args: &mut Vec<&'t str>,
+) -> Result<&'t str, BenchError> {
     let open = code.find('(').ok_or_else(|| BenchError::Syntax {
         line,
         reason: format!("expected '(' in '{code}'"),
@@ -689,13 +746,13 @@ fn parse_call(line: usize, code: &str) -> Result<(&str, Vec<&str>), BenchError> 
             reason: "empty operand list".into(),
         });
     }
-    let mut args = Vec::new();
+    args.clear();
     for op in body.split(',') {
         let op = op.trim();
         check_signal_name(line, op)?;
         args.push(op);
     }
-    Ok((name, args))
+    Ok(name)
 }
 
 /// Signal names: non-empty, no whitespace, none of the structural
@@ -709,7 +766,7 @@ fn check_signal_name(line: usize, name: &str) -> Result<(), BenchError> {
     }
     if let Some(bad) = name
         .chars()
-        .find(|c| c.is_whitespace() || "(),=#".contains(*c))
+        .find(|&c| matches!(c, '(' | ')' | ',' | '=' | '#') || c.is_whitespace())
     {
         return Err(BenchError::Syntax {
             line,
@@ -1031,10 +1088,10 @@ mod tests {
                 input_lines: vec![0; n_inputs],
                 output_lines: vec![0; 1],
                 gate_lines: vec![0; n_gates],
-                topo: Vec::new(),
+                resolved: Resolved::default(),
             });
             match (BenchNetlist::new(inputs, outputs, gates), oracle) {
-                (Ok(nl), Ok(want)) => assert_eq!(nl.topo, want, "seed {seed}"),
+                (Ok(nl), Ok(want)) => assert_eq!(nl.resolved.topo, want, "seed {seed}"),
                 (Err(BenchError::Cycle { name, .. }), Err(want)) => {
                     assert_eq!(name, want, "seed {seed}");
                 }
@@ -1048,5 +1105,69 @@ mod tests {
         let nl = BenchNetlist::parse("INPUT(a)\nOUTPUT(y)\ny = BUF(a)").unwrap();
         assert_eq!(nl.gates()[0].func, BenchFunc::Buff);
         assert!(nl.to_text().contains("y = BUFF(a)"));
+    }
+
+    /// FNV-1a over a lowered network's structure: per signal its name,
+    /// source kind, gate function, fan-in ids and channel name.
+    fn structure_fingerprint(net: &Network) -> u64 {
+        use mis_digital::SignalSource;
+        let mut text = String::new();
+        for s in 0..net.signal_count() {
+            let id = net.signal_id(s).unwrap();
+            let _ = write!(text, "{}|", net.signal_name(id));
+            match net.source(id) {
+                SignalSource::Input => text.push_str("input"),
+                SignalSource::Gate {
+                    kind,
+                    inputs,
+                    channel,
+                } => {
+                    let ids: Vec<usize> = inputs.iter().map(|i| i.index()).collect();
+                    let ch = channel.map(|c| c.name().to_owned());
+                    let _ = write!(text, "gate|{kind:?}|{ids:?}|{ch:?}");
+                }
+                SignalSource::TwoInputChannelGate { inputs, channel } => {
+                    let _ = write!(
+                        text,
+                        "two|{:?}|{}",
+                        inputs.map(|i| i.index()),
+                        channel.name()
+                    );
+                }
+            }
+            text.push('\n');
+        }
+        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn lowered_fixtures_match_their_golden_structure() {
+        use mis_charlib::CharLib;
+        use mis_digital::InertialChannel;
+        use mis_waveform::units::ps;
+        let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../data");
+        let lib_text = std::fs::read_to_string(root.join("charlib/nor_paper.mislib")).unwrap();
+        let lib = CharLib::from_text(&lib_text).unwrap();
+        let fallback = InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap();
+        let cells = CellLibrary::hybrid(&lib, Some(fallback)).unwrap();
+        let got: Vec<u64> = ["c17", "c432", "c880"]
+            .iter()
+            .map(|name| {
+                let text =
+                    std::fs::read_to_string(root.join(format!("bench/{name}.bench"))).unwrap();
+                let lowered = BenchNetlist::parse(&text).unwrap().lower(&cells).unwrap();
+                structure_fingerprint(&lowered.net)
+            })
+            .collect();
+        // Per signal: name, kind, fan-in ids and channel. A change here
+        // changes what every pin and bench id measures.
+        let want = [
+            0x195f_b7d7_94e6_2178,
+            0xef36_5604_8e9d_9532,
+            0x6305_15a4_fe8c_8751,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 }

@@ -4,10 +4,11 @@
 //! [`CellLibrary`] is the `mis-sim` counterpart of a standard-cell
 //! library. It realizes every gate kind that `.bench` circuits lower to
 //! (see [`crate::BenchNetlist::lower`]), and it guarantees **sharing**:
-//! the characterized cached-hybrid table set (~20 KiB of resampled delay
-//! surfaces per cell type) is held behind one [`Arc`] and every NOR/NAND
-//! instance references it. At C432 scale this
-//! is the difference between the tables living in cache and each gate
+//! the characterized cached-hybrid table set (≈ 100 KiB of resampled
+//! delay surfaces and correction curves per cell type on the committed
+//! `nor_paper.mislib`) is held behind one [`Arc`] and every NOR/NAND
+//! instance references it. At C432 scale this is the difference between
+//! one table set shared through the cache hierarchy and each gate
 //! dragging its own copy through memory.
 //!
 //! A library built from a committed `mis-charlib` text file skips

@@ -7,7 +7,9 @@
 //! `netlist_throughput` bench tier, on the NOR chain, C17 and inverter
 //! tree lowered from `.bench` text, and on a small network that reaches
 //! every channel kernel. Warm `ConeReplay` fault replays are held to the
-//! same bar. The counter is thread-local — see
+//! same bar. The set-up layers get exact counts instead: a LOCAL trace
+//! pair is two allocations, and C880's parse + lower stays within a
+//! recorded bound. The counter is thread-local — see
 //! `worker_thread_allocations_stay_off_this_threads_count` below, which
 //! pins down that serial-scoped contract.
 //!
@@ -477,5 +479,48 @@ fn worker_thread_allocations_stay_off_this_threads_count() {
     assert!(
         allocations < 32,
         "worker-thread allocations leaked into the spawning thread's count: {allocations}"
+    );
+}
+
+#[test]
+fn local_trace_generation_allocates_each_trace_once() {
+    // LOCAL edge counts are known before the first draw, so each trace
+    // of the pair is allocated once at its exact size: no regrowth.
+    for (transitions, seed) in [(40, 0x5eed), (2, 1), (501, 42)] {
+        let cfg = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, transitions);
+        let (allocations, pair) = alloc::count_in(|| cfg.generate(seed).expect("generation"));
+        assert_eq!(
+            allocations, 2,
+            "{transitions} transitions: LOCAL generate() allocated {allocations} times"
+        );
+        assert_eq!(
+            pair.a.edges().len() + pair.b.edges().len(),
+            transitions,
+            "{transitions} transitions"
+        );
+    }
+}
+
+#[test]
+fn c880_parse_and_lower_stay_within_their_allocation_bound() {
+    // Names are resolved once, gate operands are stored inline and the
+    // network is sized up front. What remains is the parsed netlist's
+    // own `String`s and operand lists, one box per channel and a few
+    // tables. The bound is exact, so a per-gate `Vec`, a per-signal
+    // name `String` or a per-stage name map coming back fails it
+    // (C880: 60 inputs, 366 gates, 570 lowered signals).
+    let text =
+        std::fs::read_to_string(workspace_root().join("data/bench/c880.bench")).expect("fixture");
+    let cells = committed_cells();
+    let (allocations, lowered) = alloc::count_in(|| {
+        BenchNetlist::parse(&text)
+            .expect("fixture parses")
+            .lower(&cells)
+            .expect("lowering")
+    });
+    assert_eq!(lowered.net.signal_count(), 570);
+    assert!(
+        allocations <= 2_052,
+        "C880 parse + lower allocated {allocations} times, bound 2,052"
     );
 }

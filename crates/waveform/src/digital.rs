@@ -44,6 +44,17 @@ impl DigitalTrace {
         }
     }
 
+    /// A constant trace with room for `edges` transitions, so a caller
+    /// that knows its edge count up front fills it with [`Self::push_edge`]
+    /// in one allocation.
+    #[must_use]
+    pub(crate) fn with_capacity(value: bool, edges: usize) -> Self {
+        DigitalTrace {
+            initial: value,
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
     /// Builds a trace from `(time, rising)` pairs.
     ///
     /// # Errors

@@ -116,14 +116,15 @@ impl TraceConfig {
             });
         }
         let mut rng = TestRng::seed_from_u64(seed);
-        let mut a = DigitalTrace::constant(false);
-        let mut b = DigitalTrace::constant(false);
-
-        match self.assignment {
+        let (a, b) = match self.assignment {
             Assignment::Local => {
-                // Each input gets ~half the transitions on its own clock.
+                // Each input gets ~half the transitions on its own clock,
+                // so both edge counts are known before the first draw and
+                // each trace is allocated once, at its exact size.
                 let n_a = self.transitions / 2 + self.transitions % 2;
                 let n_b = self.transitions / 2;
+                let mut a = DigitalTrace::with_capacity(false, n_a);
+                let mut b = DigitalTrace::with_capacity(false, n_b);
                 let mut t = self.start_time;
                 let mut val = false;
                 for _ in 0..n_a {
@@ -140,8 +141,12 @@ impl TraceConfig {
                     val = !val;
                     b.push_edge(t, val).expect("monotone by construction");
                 }
+                (a, b)
             }
             Assignment::Global => {
+                // The per-input counts are known only after the draws.
+                let mut a = DigitalTrace::constant(false);
+                let mut b = DigitalTrace::constant(false);
                 let mut t = self.start_time;
                 for _ in 0..self.transitions {
                     t += self.interval(&mut rng);
@@ -153,8 +158,9 @@ impl TraceConfig {
                         b.push_edge(t, v).expect("monotone by construction");
                     }
                 }
+                (a, b)
             }
-        }
+        };
         let horizon = a
             .edges()
             .last()
@@ -213,6 +219,68 @@ mod tests {
         assert_eq!(p1, p2);
         let p3 = cfg.generate(8).unwrap();
         assert_ne!(p1, p3);
+    }
+
+    /// FNV-1a over the bit patterns of every trace's initial value and
+    /// edge times, in order: any change to the draw stream, the
+    /// Box–Muller step or the edge layout changes it.
+    fn fingerprint<'a>(traces: impl IntoIterator<Item = &'a DigitalTrace>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in traces {
+            eat(&[u8::from(t.initial_value())]);
+            eat(&(t.edges().len() as u64).to_le_bytes());
+            for e in t.edges() {
+                eat(&e.time.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_streams_match_their_golden_fingerprints() {
+        let local = |n: usize| {
+            let p = TraceConfig::new(ps(100.0), ps(50.0), Assignment::Local, n)
+                .generate(42)
+                .unwrap();
+            fingerprint([&p.a, &p.b])
+        };
+        let global = TraceConfig::new(ps(2000.0), ps(1000.0), Assignment::Global, 250)
+            .generate(5)
+            .unwrap();
+        // The stimulus behind every CI `--expect` pin:
+        // `mis_bench::netlist::traffic(60)`, one trace of each pair.
+        let traffic: Vec<DigitalTrace> = (0..60u64)
+            .map(|i| {
+                let p = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
+                    .generate(0x5eed + i)
+                    .unwrap();
+                if i % 2 == 0 {
+                    p.a
+                } else {
+                    p.b
+                }
+            })
+            .collect();
+        let got = [
+            local(40),
+            local(501),
+            fingerprint([&global.a, &global.b]),
+            fingerprint(&traffic),
+        ];
+        // Every `--expect` pin and paper figure rests on these bits: a
+        // change here is a change of stimulus, never a refactor.
+        let want = [
+            0xebf0_6a00_9113_67ac,
+            0xc721_2622_0c5f_ed19,
+            0xbe35_2481_e87c_d953,
+            0xb99c_13ee_77b0_3ad6,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 
     #[test]
