@@ -119,8 +119,7 @@ pub struct Diagnostic {
     /// Which check fired.
     pub code: DiagCode,
     /// 1-based `.bench` source line the finding anchors to, `0` for
-    /// netlist-wide findings or programmatically assembled netlists
-    /// (which carry no source spans).
+    /// netlist-wide findings such as `A007`.
     pub line: usize,
     /// The signal or gate-output name involved, when the finding is
     /// about one.

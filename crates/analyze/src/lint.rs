@@ -12,10 +12,10 @@
 //!
 //! Findings anchor to real `.bench` source lines: the parser retains a
 //! span per declaration ([`BenchNetlist::gate_lines`] and friends), so
-//! a CI failure points at the line to fix. Programmatic netlists carry
-//! line `0` throughout.
-
-use std::collections::{HashMap, HashSet};
+//! a CI failure points at the line to fix. The checks read the
+//! netlist's definition indices ([`BenchNetlist::operands`],
+//! [`BenchNetlist::outputs`]) and keep one flag per definition; names
+//! are spelled only for the findings they report.
 
 use mis_sim::{BenchNetlist, ENGINE_INDEX_MAX};
 
@@ -54,45 +54,50 @@ impl Default for LintConfig {
 #[must_use]
 pub fn lint(nl: &BenchNetlist, config: &LintConfig) -> LintReport {
     let mut out: Vec<Diagnostic> = Vec::new();
+    let ni = nl.input_count();
+    let defs = ni + nl.gate_count();
 
-    let outputs: HashSet<&str> = nl.outputs().iter().map(String::as_str).collect();
-    let inputs: HashSet<&str> = nl.inputs().iter().map(String::as_str).collect();
-    let mut read: HashSet<&str> = HashSet::new();
-    for g in nl.gates() {
-        for op in &g.inputs {
-            read.insert(op.as_str());
-        }
+    // Per definition index: read by a gate or named by an OUTPUT.
+    let mut used = vec![false; defs];
+    for &d in (0..nl.gate_count())
+        .flat_map(|g| nl.operands(g))
+        .chain(nl.outputs())
+    {
+        used[d] = true;
     }
 
     // A001 — unused signals, at their declaration line.
-    for (name, &line) in nl.inputs().iter().zip(nl.input_lines()) {
-        if !read.contains(name.as_str()) && !outputs.contains(name.as_str()) {
+    for (d, &line) in nl.input_lines().iter().enumerate() {
+        if !used[d] {
+            let name = nl.name(d);
             out.push(Diagnostic {
                 code: DiagCode::UnusedSignal,
                 line,
-                signal: Some(name.clone()),
+                signal: Some(name.to_owned()),
                 message: format!("input '{name}' is never read by a gate nor exported"),
             });
         }
     }
-    for (g, &line) in nl.gates().iter().zip(nl.gate_lines()) {
-        if !read.contains(g.output.as_str()) && !outputs.contains(g.output.as_str()) {
+    for (g, &line) in nl.gate_lines().iter().enumerate() {
+        if !used[ni + g] {
+            let name = nl.name(ni + g);
             out.push(Diagnostic {
                 code: DiagCode::UnusedSignal,
                 line,
-                signal: Some(g.output.clone()),
-                message: format!("gate output '{}' is never read nor exported", g.output),
+                signal: Some(name.to_owned()),
+                message: format!("gate output '{name}' is never read nor exported"),
             });
         }
     }
 
     // A002 — outputs that are primary inputs, at the OUTPUT line.
-    for (name, &line) in nl.outputs().iter().zip(nl.output_lines()) {
-        if inputs.contains(name.as_str()) {
+    for (&d, &line) in nl.outputs().iter().zip(nl.output_lines()) {
+        if d < ni {
+            let name = nl.name(d);
             out.push(Diagnostic {
                 code: DiagCode::OutputWithoutCone,
                 line,
-                signal: Some(name.clone()),
+                signal: Some(name.to_owned()),
                 message: format!(
                     "output '{name}' is a primary input: no gate drives it, it only \
                      echoes the input"
@@ -101,47 +106,58 @@ pub fn lint(nl: &BenchNetlist, config: &LintConfig) -> LintReport {
         }
     }
 
-    // Per-gate operand-shape checks: A003, A004, A006.
-    for (g, &line) in nl.gates().iter().zip(nl.gate_lines()) {
-        let mut seen: HashSet<&str> = HashSet::new();
-        let mut dup: Option<&str> = None;
-        for op in &g.inputs {
-            if !seen.insert(op.as_str()) && dup.is_none() {
-                dup = Some(op.as_str());
+    // Per-gate operand-shape checks: A003, A004, A006. `seen` flags the
+    // current gate's operands and is cleared again after each gate.
+    let mut seen = vec![false; defs];
+    for (g, &line) in nl.gate_lines().iter().enumerate() {
+        let ops = nl.operands(g);
+        let name = nl.name(ni + g);
+        let mut dup: Option<usize> = None;
+        let mut distinct = 0;
+        for &d in ops {
+            if std::mem::replace(&mut seen[d], true) {
+                dup.get_or_insert(d);
+            } else {
+                distinct += 1;
             }
+        }
+        for &d in ops {
+            seen[d] = false;
         }
         if let Some(d) = dup {
             out.push(Diagnostic {
                 code: DiagCode::DuplicateOperand,
                 line,
-                signal: Some(g.output.clone()),
-                message: format!("gate '{}' lists operand '{d}' more than once", g.output),
-            });
-        }
-        if seen.len() == 1 && !g.func.is_unary() {
-            out.push(Diagnostic {
-                code: DiagCode::ConstantFoldableGate,
-                line,
-                signal: Some(g.output.clone()),
+                signal: Some(name.to_owned()),
                 message: format!(
-                    "gate '{}' = {}({}, ...) reduces to a constant or a copy of its \
-                     single distinct operand",
-                    g.output,
-                    g.func.name(),
-                    g.inputs[0]
+                    "gate '{name}' lists operand '{}' more than once",
+                    nl.name(d)
                 ),
             });
         }
-        if g.inputs.len() > config.max_fan_in {
+        let func = nl.func(g);
+        if distinct == 1 && !func.is_unary() {
+            out.push(Diagnostic {
+                code: DiagCode::ConstantFoldableGate,
+                line,
+                signal: Some(name.to_owned()),
+                message: format!(
+                    "gate '{name}' = {}({}, ...) reduces to a constant or a copy of its \
+                     single distinct operand",
+                    func.name(),
+                    nl.name(ops[0])
+                ),
+            });
+        }
+        if ops.len() > config.max_fan_in {
             out.push(Diagnostic {
                 code: DiagCode::ExcessiveFanIn,
                 line,
-                signal: Some(g.output.clone()),
+                signal: Some(name.to_owned()),
                 message: format!(
-                    "gate '{}' has fan-in {} (limit {}): the delay model covers the \
+                    "gate '{name}' has fan-in {} (limit {}): the delay model covers the \
                      timed root cell, not a reduction tree this deep",
-                    g.output,
-                    g.inputs.len(),
+                    ops.len(),
                     config.max_fan_in
                 ),
             });
@@ -151,34 +167,24 @@ pub fn lint(nl: &BenchNetlist, config: &LintConfig) -> LintReport {
     // A005 — dead gates: walk the fan-in relation backward from every
     // OUTPUT; gates whose outputs the walk never reaches cannot affect
     // any observable signal.
-    let gate_of: HashMap<&str, usize> = nl
-        .gates()
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.output.as_str(), i))
-        .collect();
-    let mut alive: HashSet<&str> = HashSet::new();
-    let mut stack: Vec<&str> = nl.outputs().iter().map(String::as_str).collect();
-    while let Some(name) = stack.pop() {
-        if !alive.insert(name) {
+    let mut alive = vec![false; defs];
+    let mut stack: Vec<usize> = nl.outputs().to_vec();
+    while let Some(d) = stack.pop() {
+        if std::mem::replace(&mut alive[d], true) {
             continue;
         }
-        if let Some(&gi) = gate_of.get(name) {
-            for op in &nl.gates()[gi].inputs {
-                stack.push(op.as_str());
-            }
+        if let Some(g) = d.checked_sub(ni) {
+            stack.extend_from_slice(nl.operands(g));
         }
     }
-    for (g, &line) in nl.gates().iter().zip(nl.gate_lines()) {
-        if !alive.contains(g.output.as_str()) {
+    for (g, &line) in nl.gate_lines().iter().enumerate() {
+        if !alive[ni + g] {
+            let name = nl.name(ni + g);
             out.push(Diagnostic {
                 code: DiagCode::DeadGate,
                 line,
-                signal: Some(g.output.clone()),
-                message: format!(
-                    "gate '{}' feeds no OUTPUT: it is simulated but unobservable",
-                    g.output
-                ),
+                signal: Some(name.to_owned()),
+                message: format!("gate '{name}' feeds no OUTPUT: it is simulated but unobservable"),
             });
         }
     }
@@ -278,42 +284,6 @@ mod tests {
         let report = lint(&nl, &tight);
         assert_eq!(codes(&report), vec![(DiagCode::ExcessiveFanIn, 5)]);
         assert_eq!(report.diagnostics()[0].signal.as_deref(), Some("y"));
-    }
-
-    #[test]
-    fn programmatic_netlists_report_line_zero() {
-        use mis_sim::{BenchFunc, BenchGate};
-        let nl = BenchNetlist::new(
-            vec!["a".into(), "b".into()],
-            vec!["y".into()],
-            vec![
-                BenchGate {
-                    output: "y".into(),
-                    func: BenchFunc::Nor,
-                    inputs: vec!["a".into(), "a".into()],
-                },
-                BenchGate {
-                    output: "z".into(),
-                    func: BenchFunc::Not,
-                    inputs: vec!["b".into()],
-                },
-            ],
-        )
-        .unwrap();
-        let report = lint(&nl, &LintConfig::default());
-        for d in report.diagnostics() {
-            assert_eq!(d.line, 0);
-        }
-        let got: Vec<DiagCode> = report.diagnostics().iter().map(|d| d.code).collect();
-        assert_eq!(
-            got,
-            vec![
-                DiagCode::UnusedSignal,         // z, never read nor exported
-                DiagCode::DuplicateOperand,     // y = NOR(a, a)
-                DiagCode::ConstantFoldableGate, // y = NOR(a, a)
-                DiagCode::DeadGate,             // z feeds no OUTPUT
-            ]
-        );
     }
 
     #[test]

@@ -11,21 +11,26 @@
 //! * the committed ISCAS fixtures (C17, C432, C880) under the ideal,
 //!   inertial and characterized-hybrid cell libraries.
 //!
+//! The linter is held to a name-based reference: on random `.bench`
+//! texts full of findings and on the committed fixtures, [`lint`]
+//! reports exactly what the string-set formulation reports.
+//!
 //! Tolerance: window containment is checked with 1 fs of absolute
 //! slack (`TOL`), absorbing the ~ulp discrepancies between the fp
 //! sequences the scheduler and the bound computation execute.
 
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use mis_analyze::{lint, LintConfig, TimingAnalysis, Window};
+use mis_analyze::{lint, DiagCode, Diagnostic, LintConfig, LintReport, TimingAnalysis, Window};
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
     CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
     PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
-use mis_sim::{BenchNetlist, CellLibrary, Simulator};
+use mis_sim::{BenchFunc, BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
@@ -310,4 +315,200 @@ fn unbounded_channels_surface_as_unbounded_windows() {
         report.critical_path.is_empty(),
         "no finite output arrival to backtrack"
     );
+}
+
+/// The linter as it was written over names: string sets for the read,
+/// exported and input names, a name → gate map for the dead-gate walk.
+/// Kept as the oracle for the index-based [`lint`]. `A007`, a size
+/// check that reads no names, is left out: no test netlist comes near
+/// the index width.
+fn reference_lint(nl: &BenchNetlist, config: &LintConfig) -> LintReport {
+    let ni = nl.input_count();
+    let input_names: Vec<&str> = (0..ni).map(|d| nl.name(d)).collect();
+    let output_names: Vec<&str> = nl.outputs().iter().map(|&d| nl.name(d)).collect();
+    let gates: Vec<(&str, BenchFunc, Vec<&str>)> = (0..nl.gate_count())
+        .map(|g| {
+            let ops = nl.operands(g).iter().map(|&d| nl.name(d)).collect();
+            (nl.name(ni + g), nl.func(g), ops)
+        })
+        .collect();
+    let mut out: Vec<Diagnostic> = Vec::new();
+    let outputs: HashSet<&str> = output_names.iter().copied().collect();
+    let inputs: HashSet<&str> = input_names.iter().copied().collect();
+    let read: HashSet<&str> = gates.iter().flat_map(|g| g.2.iter().copied()).collect();
+    let finding = |code, line, name: &str, message| Diagnostic {
+        code,
+        line,
+        signal: Some(name.to_owned()),
+        message,
+    };
+    for (&name, &line) in input_names.iter().zip(nl.input_lines()) {
+        if !read.contains(name) && !outputs.contains(name) {
+            let message = format!("input '{name}' is never read by a gate nor exported");
+            out.push(finding(DiagCode::UnusedSignal, line, name, message));
+        }
+    }
+    for (g, &line) in gates.iter().zip(nl.gate_lines()) {
+        if !read.contains(g.0) && !outputs.contains(g.0) {
+            let message = format!("gate output '{}' is never read nor exported", g.0);
+            out.push(finding(DiagCode::UnusedSignal, line, g.0, message));
+        }
+    }
+    for (&name, &line) in output_names.iter().zip(nl.output_lines()) {
+        if inputs.contains(name) {
+            let message = format!(
+                "output '{name}' is a primary input: no gate drives it, it only \
+                 echoes the input"
+            );
+            out.push(finding(DiagCode::OutputWithoutCone, line, name, message));
+        }
+    }
+    for ((name, func, ops), &line) in gates.iter().zip(nl.gate_lines()) {
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut dup: Option<&str> = None;
+        for &op in ops {
+            if !seen.insert(op) && dup.is_none() {
+                dup = Some(op);
+            }
+        }
+        if let Some(d) = dup {
+            let message = format!("gate '{name}' lists operand '{d}' more than once");
+            out.push(finding(DiagCode::DuplicateOperand, line, name, message));
+        }
+        if seen.len() == 1 && !func.is_unary() {
+            let message = format!(
+                "gate '{name}' = {}({}, ...) reduces to a constant or a copy of its \
+                 single distinct operand",
+                func.name(),
+                ops[0]
+            );
+            out.push(finding(DiagCode::ConstantFoldableGate, line, name, message));
+        }
+        if ops.len() > config.max_fan_in {
+            let message = format!(
+                "gate '{name}' has fan-in {} (limit {}): the delay model covers the \
+                 timed root cell, not a reduction tree this deep",
+                ops.len(),
+                config.max_fan_in
+            );
+            out.push(finding(DiagCode::ExcessiveFanIn, line, name, message));
+        }
+    }
+    let gate_of: HashMap<&str, usize> = gates.iter().enumerate().map(|(i, g)| (g.0, i)).collect();
+    let mut alive: HashSet<&str> = HashSet::new();
+    let mut stack: Vec<&str> = output_names.clone();
+    while let Some(name) = stack.pop() {
+        if alive.insert(name) {
+            if let Some(&gi) = gate_of.get(name) {
+                stack.extend(gates[gi].2.iter().copied());
+            }
+        }
+    }
+    for (g, &line) in gates.iter().zip(nl.gate_lines()) {
+        if !alive.contains(g.0) {
+            let message = format!(
+                "gate '{}' feeds no OUTPUT: it is simulated but unobservable",
+                g.0
+            );
+            out.push(finding(DiagCode::DeadGate, line, g.0, message));
+        }
+    }
+    LintReport::new(out)
+}
+
+/// Random `.bench` text built to trip every warning: inputs left
+/// unread, operands listed twice, gates over one distinct operand,
+/// gates outside every output cone, fan-ins above the limit, and
+/// `OUTPUT`s naming inputs. Gates may be written against dependency
+/// order and `OUTPUT`s before or after them.
+fn findings_bench(rng: &mut TestRng) -> String {
+    const FUNCS: [BenchFunc; 8] = [
+        BenchFunc::And,
+        BenchFunc::Or,
+        BenchFunc::Nand,
+        BenchFunc::Nor,
+        BenchFunc::Xor,
+        BenchFunc::Xnor,
+        BenchFunc::Not,
+        BenchFunc::Buff,
+    ];
+    let n_inputs = 1 + rng.gen_u64_below(5) as usize;
+    let mut defined: Vec<String> = (0..n_inputs).map(|i| format!("i{i}")).collect();
+    let mut gates = Vec::new();
+    for g in 0..1 + rng.gen_u64_below(12) {
+        let func = FUNCS[rng.gen_u64_below(8) as usize];
+        let arity = if func.is_unary() {
+            1
+        } else if rng.gen_bool(0.15) {
+            17 + rng.gen_u64_below(4) as usize
+        } else {
+            2 + rng.gen_u64_below(3) as usize
+        };
+        let fold = rng.gen_bool(0.1);
+        let mut ops: Vec<String> = Vec::with_capacity(arity);
+        for k in 0..arity {
+            let op = if k > 0 && (fold || rng.gen_bool(0.2)) {
+                ops[rng.gen_u64_below(k as u64) as usize].clone()
+            } else {
+                defined[rng.gen_u64_below(defined.len() as u64) as usize].clone()
+            };
+            ops.push(op);
+        }
+        gates.push(format!("g{g} = {}({})\n", func.name(), ops.join(", ")));
+        defined.push(format!("g{g}"));
+    }
+    if rng.gen_bool(0.5) {
+        gates.reverse();
+    }
+    let outputs: String = (0..rng.gen_u64_below(4))
+        .map(|_| {
+            let name = &defined[rng.gen_u64_below(defined.len() as u64) as usize];
+            format!("OUTPUT({name})\n")
+        })
+        .collect();
+    let mut text: String = (0..n_inputs).map(|i| format!("INPUT(i{i})\n")).collect();
+    let gates = gates.concat();
+    if rng.gen_bool(0.5) {
+        text += &outputs;
+        text += &gates;
+    } else {
+        text += &gates;
+        text += &outputs;
+    }
+    text
+}
+
+#[test]
+fn lint_matches_the_name_based_reference_on_random_netlists() {
+    Config::with_cases(CASES * 4).run(&(0u64..u64::MAX), |&seed| {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let text = findings_bench(&mut rng);
+        let nl = BenchNetlist::parse(&text).expect("generator emits valid netlists");
+        let config = LintConfig {
+            max_fan_in: 2 + rng.gen_u64_below(20) as usize,
+        };
+        prop_assert_eq!(
+            lint(&nl, &config),
+            reference_lint(&nl, &config),
+            "seed {seed}:\n{text}"
+        );
+        Ok(())
+    });
+}
+
+#[test]
+fn lint_matches_the_name_based_reference_on_the_fixtures() {
+    for file in ["c17.bench", "c432.bench", "c880.bench"] {
+        let text = std::fs::read_to_string(workspace_root().join("data/bench").join(file))
+            .expect("committed fixture");
+        let nl = BenchNetlist::parse(&text).expect("fixture parses");
+        for max_fan_in in [2, 4, 16] {
+            let config = LintConfig { max_fan_in };
+            assert_eq!(
+                lint(&nl, &config),
+                reference_lint(&nl, &config),
+                "{file}, fan-in limit {max_fan_in}"
+            );
+        }
+    }
 }

@@ -20,12 +20,17 @@
 //! onto the Arc-shared cached-hybrid cells) and
 //! `pipeline/stimulus_pool_32x60` (32 stimulus sets for C880's 60
 //! inputs, one generated LOCAL pair per two inputs, alternating the
-//! dense 100/50 ps and sparse 400/150 ps spacings).
+//! dense 100/50 ps and sparse 400/150 ps spacings). Two more price the
+//! `.bench` front end itself: `pipeline/chain50k_parse` parses a
+//! 50,000-gate `NOT` chain written last gate first (50,002 lines, so
+//! the median over 50,002 is the per-line parse cost at scale), and
+//! `pipeline/c880_lint` runs every `mis_analyze::lint` check on the
+//! parsed C880.
 //!
 //! Circuits, all lowered from `.bench` text: the eight-stage
 //! reconvergent NOR chain and the depth-4 inverter tree (generated
 //! below), and the committed ISCAS-85 C17 cut, C432-scale (36 inputs,
-//! 132 gates) and C880-scale (60 inputs, 365 gates) fixtures under both
+//! 132 gates) and C880-scale (60 inputs, 366 gates) fixtures under both
 //! the Arc-shared cached-hybrid cell library and the inertial baseline. The
 //! characterized NOR tables come from the committed
 //! `data/charlib/nor_paper.mislib` — no re-characterization at bench
@@ -36,6 +41,7 @@
 
 use std::path::PathBuf;
 
+use mis_analyze::{lint, LintConfig};
 use mis_charlib::CharLib;
 use mis_digital::{InertialChannel, Network};
 use mis_sim::{BenchNetlist, CellLibrary, Simulator};
@@ -219,6 +225,15 @@ fn main() {
     h.bench("pipeline/stimulus_pool_32x60", || {
         stimulus_pool(32, 60, 0x880)
     });
+    let mut chain50k_text = String::from("INPUT(a)\nOUTPUT(g50000)\n");
+    for k in (2..=50_000).rev() {
+        chain50k_text += &format!("g{k} = NOT(g{})\n", k - 1);
+    }
+    chain50k_text += "g1 = NOT(a)\n";
+    h.bench("pipeline/chain50k_parse", || {
+        BenchNetlist::parse(&chain50k_text).expect("netlist parses")
+    });
+    h.bench("pipeline/c880_lint", || lint(&c880, &LintConfig::default()));
 
     let mut arena = TraceArena::new();
 

@@ -301,9 +301,9 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
     } else {
         emit(format_args!(
             "== {file} ({} inputs, {} outputs, {} gates)\n",
-            nl.inputs().len(),
+            nl.input_count(),
             nl.outputs().len(),
-            nl.gates().len()
+            nl.gate_count()
         ));
         emit(format_args!(
             "faults: {} ({stuck} stuck-at + {} glitch), workers: {}\n",

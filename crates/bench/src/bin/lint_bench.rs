@@ -179,9 +179,9 @@ fn main() -> ExitCode {
             if report.is_clean() {
                 emit(format_args!(
                     "clean: {} inputs, {} outputs, {} gates\n",
-                    nl.inputs().len(),
+                    nl.input_count(),
                     nl.outputs().len(),
-                    nl.gates().len()
+                    nl.gate_count()
                 ));
             } else {
                 emit(format_args!("{report}"));
@@ -217,9 +217,9 @@ fn main() -> ExitCode {
             let line = format!(
                 "{{\"file\":{},\"inputs\":{},\"outputs\":{},\"gates\":{},{},\"timing\":{}}}",
                 json_string(file),
-                nl.inputs().len(),
+                nl.input_count(),
                 nl.outputs().len(),
-                nl.gates().len(),
+                nl.gate_count(),
                 lint_json(&report),
                 timing.as_ref().map_or("null".to_string(), timing_json)
             );

@@ -8,7 +8,7 @@
 //! * `data/bench/c432.bench` — the C432-scale benchmark circuit (see
 //!   below), emitted through the canonical `mis-sim` `.bench` writer;
 //! * `data/bench/c880.bench` — the C880-scale 8-bit ALU (see below),
-//!   the parallel-evaluation workload.
+//!   the fixture of the headline benchmark and its fault campaigns.
 //!
 //! The committed files let benches, examples and tests skip
 //! re-characterization; this binary exists so they stay reproducible.
@@ -44,7 +44,7 @@ use mis_bench::netlist::workspace_root;
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::nand::NandParams;
 use mis_core::NorParams;
-use mis_sim::{BenchFunc, BenchGate, BenchNetlist};
+use mis_sim::{BenchFunc, BenchNetlist};
 
 fn write_file(path: &Path, contents: &str) -> Result<(), String> {
     let dir = path
@@ -77,9 +77,9 @@ fn build_artifacts() -> Result<Vec<(&'static str, String)>, String> {
          # Structural reconstruction after Hansen/Yalcin/Hayes (1999); NOT the\n\
          # byte-identical ISCAS-85 distribution netlist. {} inputs, {} outputs,\n\
          # {} gates, fan-in up to 9. Regenerate: cargo run -p mis-bench --bin make_data",
-        c432.inputs().len(),
+        c432.input_count(),
         c432.outputs().len(),
-        c432.gates().len()
+        c432.gate_count()
     );
     c432_text.push_str(&c432.to_text());
 
@@ -91,9 +91,9 @@ fn build_artifacts() -> Result<Vec<(&'static str, String)>, String> {
          # Structural reconstruction after Hansen/Yalcin/Hayes (1999); NOT the\n\
          # byte-identical ISCAS-85 distribution netlist. {} inputs, {} outputs,\n\
          # {} gates, fan-in up to 8. Regenerate: cargo run -p mis-bench --bin make_data",
-        c880.inputs().len(),
+        c880.input_count(),
         c880.outputs().len(),
-        c880.gates().len()
+        c880.gate_count()
     );
     c880_text.push_str(&c880.to_text());
 
@@ -163,13 +163,9 @@ fn main() -> ExitCode {
 /// one-hot signals XOR ≡ OR, so the parity trees are exact).
 fn c432_reconstruction() -> BenchNetlist {
     let mut inputs = Vec::new();
-    let mut gates: Vec<BenchGate> = Vec::new();
+    let mut gates = String::new();
     let mut gate = |output: &str, func: BenchFunc, ops: &[String]| {
-        gates.push(BenchGate {
-            output: output.to_owned(),
-            func,
-            inputs: ops.to_vec(),
-        });
+        let _ = writeln!(gates, "{output} = {}({})", func.name(), ops.join(", "));
     };
     let bus = |name: &str, i: usize| format!("{name}{i}");
     for b in ["E", "A", "B", "C"] {
@@ -252,10 +248,8 @@ fn c432_reconstruction() -> BenchNetlist {
     gate("T45", BenchFunc::Xor, &["G4".into(), "G5".into()]);
     gate("CHAN2", BenchFunc::Xor, &["T45".into(), "T67".into()]);
     gate("CHAN3", BenchFunc::Buff, &["G8".into()]);
-    let outputs = ["PA", "PB", "PC", "CHAN3", "CHAN2", "CHAN1", "CHAN0"]
-        .map(String::from)
-        .to_vec();
-    BenchNetlist::new(inputs, outputs, gates).expect("reconstruction is well-formed")
+    let outputs = ["PA", "PB", "PC", "CHAN3", "CHAN2", "CHAN1", "CHAN0"].map(String::from);
+    assemble(&inputs, &outputs, &gates)
 }
 
 /// Builds the C880-scale 8-bit ALU: operand buses `A`/`B` through an
@@ -267,17 +261,13 @@ fn c432_reconstruction() -> BenchNetlist {
 /// priority encoder over the pass bus (binary index `K2..K0` plus the
 /// any-lane-set valid flag `KV`). 60 inputs, 27
 /// outputs, 366 gates, fan-in up to 8 — and, deliberately, many
-/// output cones that only partially overlap: the workload the parallel
-/// per-cone engine partitions.
+/// output cones that only partially overlap, so most faults reach
+/// only part of the circuit.
 fn c880_reconstruction() -> BenchNetlist {
     let mut inputs = Vec::new();
-    let mut gates: Vec<BenchGate> = Vec::new();
+    let mut gates = String::new();
     let mut gate = |output: &str, func: BenchFunc, ops: &[String]| {
-        gates.push(BenchGate {
-            output: output.to_owned(),
-            func,
-            inputs: ops.to_vec(),
-        });
+        let _ = writeln!(gates, "{output} = {}({})", func.name(), ops.join(", "));
     };
     let bus = |name: &str, i: usize| format!("{name}{i}");
     for b in ["A", "B", "C", "D", "E", "G"] {
@@ -529,5 +519,19 @@ fn c880_reconstruction() -> BenchNetlist {
     outputs.extend(["COUT", "OVF", "PAR", "ZERO"].map(String::from));
     outputs.extend((0..8).map(|i| bus("T", i)));
     outputs.extend(["PT", "EQ", "AGB", "K2", "K1", "K0", "KV"].map(String::from));
-    BenchNetlist::new(inputs, outputs, gates).expect("reconstruction is well-formed")
+    assemble(&inputs, &outputs, &gates)
+}
+
+/// Parses a reconstruction from its `.bench` parts: the `INPUT` and
+/// `OUTPUT` names and the gate definition lines.
+fn assemble(inputs: &[String], outputs: &[String], gates: &str) -> BenchNetlist {
+    let mut text = String::new();
+    for i in inputs {
+        let _ = writeln!(text, "INPUT({i})");
+    }
+    for o in outputs {
+        let _ = writeln!(text, "OUTPUT({o})");
+    }
+    text.push_str(gates);
+    BenchNetlist::parse(&text).expect("reconstruction is well-formed")
 }

@@ -131,9 +131,9 @@ fn run(args: &Args) -> Result<(), String> {
         let line = format!(
             "{{\"file\":{},\"inputs\":{},\"outputs\":{},\"gates\":{},{}",
             json_string(&args.file),
-            nl.inputs().len(),
+            nl.input_count(),
             nl.outputs().len(),
-            nl.gates().len(),
+            nl.gate_count(),
             &probe_line[1..],
         );
         if !is_wellformed(&line) {
@@ -144,9 +144,9 @@ fn run(args: &Args) -> Result<(), String> {
         emit(format_args!(
             "== {} ({} inputs, {} outputs, {} gates)\n",
             args.file,
-            nl.inputs().len(),
+            nl.input_count(),
             nl.outputs().len(),
-            nl.gates().len()
+            nl.gate_count()
         ));
         emit(format_args!("{report}"));
         if let Some(attr) = &attribution {

@@ -31,7 +31,7 @@
 //!     y = NAND(a, b)  # one gate
 //! ";
 //! let parsed = BenchNetlist::parse(src)?;
-//! assert_eq!(parsed.inputs().len(), 2);
+//! assert_eq!(parsed.input_count(), 2);
 //! let lowered = parsed.lower(&CellLibrary::ideal())?;
 //! let a = DigitalTrace::constant(true);
 //! let b = DigitalTrace::constant(true);
@@ -114,43 +114,24 @@ impl BenchFunc {
     }
 }
 
-/// One `z = FUNC(a, b, ...)` definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchGate {
-    /// The driven signal.
-    pub output: String,
-    /// The gate function.
-    pub func: BenchFunc,
-    /// Operand signal names, in written order.
-    pub inputs: Vec<String>,
-}
-
 /// A parsed `.bench` netlist: declarations and definitions in file
 /// order, structurally validated (no duplicates, no dangling references,
 /// no combinational cycles) but not yet lowered to a [`Network`].
+///
+/// Every name is stored once, by *definition index*: `d` names primary
+/// input `d` (`d < input_count()`) or gate `d − input_count()`. Gate
+/// operands and `OUTPUT` declarations are stored as the definition
+/// index they name, and [`BenchNetlist::name`] spells one.
 #[derive(Debug, Clone)]
 pub struct BenchNetlist {
-    inputs: Vec<String>,
-    outputs: Vec<String>,
-    gates: Vec<BenchGate>,
-    /// 1-based source line of each `INPUT` declaration, parallel to
-    /// `inputs` (0 for programmatically assembled netlists).
-    input_lines: Vec<usize>,
-    /// 1-based source line of each `OUTPUT` declaration, parallel to
-    /// `outputs` (0 when programmatic).
-    output_lines: Vec<usize>,
-    /// 1-based source line of each gate definition, parallel to `gates`
-    /// (0 when programmatic).
-    gate_lines: Vec<usize>,
-    /// Every name reference resolved once, at validation.
-    resolved: Resolved,
-}
-
-/// The name table of a validated netlist, a pure function of its
-/// declarations. A *definition index* `d` names a primary input
-/// (`d < inputs.len()`) or gate `d − inputs.len()`.
-#[derive(Debug, Clone, Default)]
-struct Resolved {
+    /// Every definition's name, concatenated in definition order.
+    names: String,
+    /// End offset in `names` of each definition's name.
+    name_end: Vec<usize>,
+    /// Number of primary inputs.
+    inputs: usize,
+    /// Each gate's function, in file order.
+    funcs: Vec<BenchFunc>,
     /// Every gate operand's definition index, in file order: gate `g`'s
     /// operands are `operands[op_start[g]..op_start[g + 1]]`.
     operands: Vec<usize>,
@@ -158,6 +139,12 @@ struct Resolved {
     op_start: Vec<usize>,
     /// Each `OUTPUT` declaration's definition index.
     outputs: Vec<usize>,
+    /// 1-based source line of each `INPUT` declaration.
+    input_lines: Vec<usize>,
+    /// 1-based source line of each `OUTPUT` declaration.
+    output_lines: Vec<usize>,
+    /// 1-based source line of each gate definition.
+    gate_lines: Vec<usize>,
     /// Gate indices in topological order.
     topo: Vec<usize>,
 }
@@ -165,10 +152,16 @@ struct Resolved {
 /// Equality is over the *declarations* only: source-line spans are
 /// provenance, not netlist content (the canonical writer re-flows lines,
 /// and round-trip identity `parse(to_text(n)) == n` must survive that),
-/// and the resolved name table is a pure function of the declarations.
+/// and the topological order is a pure function of the declarations.
 impl PartialEq for BenchNetlist {
     fn eq(&self, other: &Self) -> bool {
-        self.inputs == other.inputs && self.outputs == other.outputs && self.gates == other.gates
+        self.names == other.names
+            && self.name_end == other.name_end
+            && self.inputs == other.inputs
+            && self.funcs == other.funcs
+            && self.operands == other.operands
+            && self.op_start == other.op_start
+            && self.outputs == other.outputs
     }
 }
 
@@ -186,84 +179,112 @@ pub struct LoweredNetlist {
     pub outputs: Vec<SignalId>,
 }
 
+/// The names of one `.bench` text as [`BenchNetlist::parse`] scans it:
+/// each distinct name gets the next id at its first appearance, so ids
+/// follow written order.
+#[derive(Default)]
+struct Interner<'t> {
+    id_of: HashMap<&'t str, usize>,
+    /// One entry per name id.
+    entries: Vec<Interned<'t>>,
+    /// The first redefinition in written order, as (line, name id).
+    duplicate: Option<(usize, usize)>,
+}
+
+struct Interned<'t> {
+    name: &'t str,
+    /// The line the name first appears on.
+    line: usize,
+    /// Whether a definition of the name has been read.
+    defined: bool,
+}
+
+impl<'t> Interner<'t> {
+    /// The id of a referenced name.
+    fn intern(&mut self, name: &'t str, line: usize) -> usize {
+        let next = self.entries.len();
+        let id = *self.id_of.entry(name).or_insert(next);
+        if id == next {
+            self.entries.push(Interned {
+                name,
+                line,
+                defined: false,
+            });
+        }
+        id
+    }
+
+    /// The id of a defined name; a second definition is noted, not
+    /// reported, because a later syntax error takes precedence.
+    fn define(&mut self, name: &'t str, line: usize) -> usize {
+        let id = self.intern(name, line);
+        if std::mem::replace(&mut self.entries[id].defined, true) {
+            self.duplicate.get_or_insert((line, id));
+        }
+        id
+    }
+}
+
 impl BenchNetlist {
-    /// Assembles and validates a netlist from its parts (the programmatic
-    /// twin of [`BenchNetlist::parse`], used e.g. by fixture generators).
-    ///
-    /// # Errors
-    ///
-    /// The same semantic violations `parse` reports — [`BenchError::Empty`],
-    /// [`BenchError::Duplicate`], [`BenchError::Undefined`],
-    /// [`BenchError::BadArity`], [`BenchError::Syntax`] (for names the
-    /// text form cannot carry), [`BenchError::Cycle`] — with `line 0`
-    /// throughout, as there is no source text to point into.
-    pub fn new(
-        inputs: Vec<String>,
-        outputs: Vec<String>,
-        gates: Vec<BenchGate>,
-    ) -> Result<Self, BenchError> {
-        for g in &gates {
-            check_arity(0, g.func, g.inputs.len())?;
-        }
-        // `parse` checks every name as it reads it; names assembled in
-        // code are checked here, so `to_text` can carry each of them.
-        for name in inputs.iter().chain(&outputs) {
-            check_signal_name(0, name)?;
-        }
-        for g in &gates {
-            check_signal_name(0, &g.output)?;
-            for op in &g.inputs {
-                check_signal_name(0, op)?;
-            }
-        }
-        let (ni, no, ng) = (inputs.len(), outputs.len(), gates.len());
-        BenchNetlist {
-            inputs,
-            outputs,
-            gates,
-            input_lines: vec![0; ni],
-            output_lines: vec![0; no],
-            gate_lines: vec![0; ng],
-            resolved: Resolved::default(),
-        }
-        .validated()
+    /// Number of primary inputs: definitions `0..input_count()`, in
+    /// `INPUT` declaration order.
+    #[must_use]
+    pub fn input_count(&self) -> usize {
+        self.inputs
     }
 
-    /// Primary input names, in declaration order.
+    /// Number of gate definitions: gate `g` is definition
+    /// `input_count() + g`, in file order.
     #[must_use]
-    pub fn inputs(&self) -> &[String] {
-        &self.inputs
+    pub fn gate_count(&self) -> usize {
+        self.funcs.len()
     }
 
-    /// Output names, in declaration order.
+    /// The name of definition `d`.
+    ///
+    /// # Panics
+    ///
+    /// If `d` is not below `input_count() + gate_count()`.
     #[must_use]
-    pub fn outputs(&self) -> &[String] {
+    pub fn name(&self, d: usize) -> &str {
+        let start = d.checked_sub(1).map_or(0, |prev| self.name_end[prev]);
+        &self.names[start..self.name_end[d]]
+    }
+
+    /// Gate `g`'s function.
+    #[must_use]
+    pub fn func(&self, g: usize) -> BenchFunc {
+        self.funcs[g]
+    }
+
+    /// The definition indices of gate `g`'s operands, in written order.
+    #[must_use]
+    pub fn operands(&self, g: usize) -> &[usize] {
+        &self.operands[self.op_start[g]..self.op_start[g + 1]]
+    }
+
+    /// The definition index each `OUTPUT` declaration names, in
+    /// declaration order.
+    #[must_use]
+    pub fn outputs(&self) -> &[usize] {
         &self.outputs
     }
 
-    /// Gate definitions, in file order.
-    #[must_use]
-    pub fn gates(&self) -> &[BenchGate] {
-        &self.gates
-    }
-
-    /// 1-based source line of each `INPUT` declaration, parallel to
-    /// [`BenchNetlist::inputs`]. All zeros for netlists assembled with
-    /// [`BenchNetlist::new`].
+    /// 1-based source line of each `INPUT` declaration, in declaration
+    /// order.
     #[must_use]
     pub fn input_lines(&self) -> &[usize] {
         &self.input_lines
     }
 
     /// 1-based source line of each `OUTPUT` declaration, parallel to
-    /// [`BenchNetlist::outputs`] (0 when programmatic).
+    /// [`BenchNetlist::outputs`].
     #[must_use]
     pub fn output_lines(&self) -> &[usize] {
         &self.output_lines
     }
 
-    /// 1-based source line of each gate definition, parallel to
-    /// [`BenchNetlist::gates`] (0 when programmatic).
+    /// 1-based source line of each gate definition, in file order.
     #[must_use]
     pub fn gate_lines(&self) -> &[usize] {
         &self.gate_lines
@@ -276,17 +297,31 @@ impl BenchNetlist {
     /// are accepted (both by `str::lines` and, for stray `\r`, by token
     /// trimming), and a leading UTF-8 byte-order mark is ignored.
     ///
+    /// One scan reads every line and interns each name once; the
+    /// netlist then stores only definition indices and one name table.
+    ///
     /// # Errors
     ///
     /// One [`BenchError`] variant per malformed-input class — see the
-    /// variant docs.
+    /// variant docs. A line-local error ([`BenchError::Syntax`],
+    /// [`BenchError::UnknownFunction`], [`BenchError::BadArity`]) is
+    /// reported at its first occurrence; otherwise [`BenchError::Empty`]
+    /// comes first, then the first duplicate definition (at its second
+    /// occurrence), then the first reference in written order to an
+    /// undefined name, then a [`BenchError::Cycle`].
     pub fn parse(text: &str) -> Result<Self, BenchError> {
         // The BOM would otherwise glue itself onto the first token and
         // turn `INPUT(...)` into an unrecognized keyword.
         let text = text.strip_prefix('\u{FEFF}').unwrap_or(text);
-        let mut inputs = Vec::new();
+        let mut names = Interner::default();
+        // Name ids of the definitions: `INPUT`s, and gates in file order.
+        let mut input_ids = Vec::new();
+        let mut gate_ids = Vec::new();
+        let mut funcs = Vec::new();
+        // Operands and `OUTPUT`s hold name ids until the scan ends.
+        let mut operands = Vec::new();
+        let mut op_start = vec![0];
         let mut outputs = Vec::new();
-        let mut gates: Vec<BenchGate> = Vec::new();
         let mut input_lines = Vec::new();
         let mut output_lines = Vec::new();
         let mut gate_lines = Vec::new();
@@ -309,12 +344,11 @@ impl BenchNetlist {
                         name: func_name.to_owned(),
                     })?;
                 check_arity(line, func, args.len())?;
-                gates.push(BenchGate {
-                    output: name.to_owned(),
-                    func,
-                    inputs: args.iter().map(|&a| a.to_owned()).collect(),
-                });
+                gate_ids.push(names.define(name, line));
+                funcs.push(func);
                 gate_lines.push(line);
+                operands.extend(args.iter().map(|op| names.intern(op, line)));
+                op_start.push(operands.len());
             } else {
                 let kw = parse_call(line, code, &mut args)?;
                 let is_input = kw.eq_ignore_ascii_case("INPUT");
@@ -331,24 +365,61 @@ impl BenchNetlist {
                     });
                 };
                 if is_input {
-                    inputs.push(name.to_owned());
+                    input_ids.push(names.define(name, line));
                     input_lines.push(line);
                 } else {
-                    outputs.push(name.to_owned());
+                    outputs.push(names.intern(name, line));
                     output_lines.push(line);
                 }
             }
         }
-        BenchNetlist {
-            inputs,
+        if input_ids.is_empty() {
+            return Err(BenchError::Empty);
+        }
+        if let Some((line, id)) = names.duplicate {
+            return Err(BenchError::Duplicate {
+                line,
+                name: names.entries[id].name.to_owned(),
+            });
+        }
+        // Ids follow written order and an undefined name is only ever
+        // referenced, so the lowest undefined id is the first dangling
+        // reference, at the line its name first appears on.
+        if let Some(e) = names.entries.iter().find(|e| !e.defined) {
+            return Err(BenchError::Undefined {
+                line: e.line,
+                name: e.name.to_owned(),
+            });
+        }
+        // Every name is now defined exactly once: renumber name ids as
+        // definition indices and spell the names in that order.
+        let mut def_of = vec![0; names.entries.len()];
+        let mut spelled =
+            String::with_capacity(names.entries.iter().map(|e| e.name.len()).sum::<usize>());
+        let mut name_end = Vec::with_capacity(def_of.len());
+        for (d, &id) in input_ids.iter().chain(&gate_ids).enumerate() {
+            def_of[id] = d;
+            spelled.push_str(names.entries[id].name);
+            name_end.push(spelled.len());
+        }
+        for id in operands.iter_mut().chain(&mut outputs) {
+            *id = def_of[*id];
+        }
+        let mut nl = BenchNetlist {
+            names: spelled,
+            name_end,
+            inputs: input_ids.len(),
+            funcs,
+            operands,
+            op_start,
             outputs,
-            gates,
             input_lines,
             output_lines,
             gate_lines,
-            resolved: Resolved::default(),
-        }
-        .validated()
+            topo: Vec::new(),
+        };
+        nl.topo = nl.topo_order()?;
+        Ok(nl)
     }
 
     /// Renders the netlist in canonical `.bench` form: `INPUT` block,
@@ -357,112 +428,25 @@ impl BenchNetlist {
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        for i in &self.inputs {
-            let _ = writeln!(s, "INPUT({i})");
+        for d in 0..self.inputs {
+            let _ = writeln!(s, "INPUT({})", self.name(d));
         }
         s.push('\n');
-        for o in &self.outputs {
-            let _ = writeln!(s, "OUTPUT({o})");
+        for &d in &self.outputs {
+            let _ = writeln!(s, "OUTPUT({})", self.name(d));
         }
         s.push('\n');
-        for g in &self.gates {
-            let _ = write!(s, "{} = {}(", g.output, g.func.name());
-            for (k, op) in g.inputs.iter().enumerate() {
+        for (g, func) in self.funcs.iter().enumerate() {
+            let _ = write!(s, "{} = {}(", self.name(self.inputs + g), func.name());
+            for (k, &d) in self.operands(g).iter().enumerate() {
                 if k > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(op);
+                s.push_str(self.name(d));
             }
             s.push_str(")\n");
         }
         s
-    }
-
-    /// Semantic validation shared by [`BenchNetlist::parse`] and
-    /// [`BenchNetlist::new`], the single place every semantic violation
-    /// is diagnosed. It consumes the retained source spans, so parsed
-    /// netlists report real line numbers (programmatic ones report 0):
-    /// at least one input, no duplicate definitions (reported at the
-    /// second occurrence in source order), no dangling references
-    /// (reported at the first referencing line), no cycles. On success
-    /// it stores the resolved name table: one hash lookup per reference
-    /// here, so the topological sort and [`BenchNetlist::lower`] index
-    /// plain vectors.
-    fn validated(mut self) -> Result<Self, BenchError> {
-        if self.inputs.is_empty() {
-            return Err(BenchError::Empty);
-        }
-        let (ni, ng) = (self.inputs.len(), self.gates.len());
-        // Definitions in source order: both span lists ascend, so a
-        // merge visits them by line, inputs first on a tie (the all-zero
-        // programmatic spans, where vector order stands in for file
-        // order). A duplicate is thus reported at its *second*
-        // occurrence.
-        let mut def_of: HashMap<&str, usize> = HashMap::with_capacity(ni + ng);
-        let (mut i, mut g) = (0, 0);
-        while i < ni || g < ng {
-            let input_next = g == ng || (i < ni && self.input_lines[i] <= self.gate_lines[g]);
-            let (name, line, def) = if input_next {
-                i += 1;
-                (self.inputs[i - 1].as_str(), self.input_lines[i - 1], i - 1)
-            } else {
-                g += 1;
-                let k = g - 1;
-                (self.gates[k].output.as_str(), self.gate_lines[k], ni + k)
-            };
-            if def_of.insert(name, def).is_some() {
-                return Err(BenchError::Duplicate {
-                    line,
-                    name: name.to_owned(),
-                });
-            }
-        }
-        // References in source order: gate operands at their gate's line,
-        // `OUTPUT` declarations at their own; a gate operand wins a tie.
-        let mut operands = Vec::with_capacity(self.gates.iter().map(|g| g.inputs.len()).sum());
-        let mut op_start = Vec::with_capacity(ng + 1);
-        op_start.push(0);
-        let mut first_missing: Option<(usize, &str)> = None;
-        'gates: for (g, &line) in self.gates.iter().zip(&self.gate_lines) {
-            for op in &g.inputs {
-                let Some(&d) = def_of.get(op.as_str()) else {
-                    first_missing = Some((line, op));
-                    break 'gates;
-                };
-                operands.push(d);
-            }
-            op_start.push(operands.len());
-        }
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        for (name, &line) in self.outputs.iter().zip(&self.output_lines) {
-            let Some(&d) = def_of.get(name.as_str()) else {
-                if first_missing.is_none_or(|(first, _)| line < first) {
-                    first_missing = Some((line, name));
-                }
-                break;
-            };
-            outputs.push(d);
-        }
-        if let Some((line, name)) = first_missing {
-            return Err(BenchError::Undefined {
-                line,
-                name: name.to_owned(),
-            });
-        }
-        self.resolved = Resolved {
-            operands,
-            op_start,
-            outputs,
-            topo: Vec::new(),
-        };
-        self.resolved.topo = self.topo_order()?;
-        Ok(self)
-    }
-
-    /// The definition indices of gate `g`'s operands, in written order.
-    fn operands(&self, g: usize) -> &[usize] {
-        let r = &self.resolved;
-        &r.operands[r.op_start[g]..r.op_start[g + 1]]
     }
 
     /// Gate indices in a topological order (inputs-before-users), stable
@@ -482,8 +466,8 @@ impl BenchNetlist {
     /// Returns [`BenchError::Cycle`] naming the first gate in file order
     /// that is on, or downstream of, a cycle.
     fn topo_order(&self) -> Result<Vec<usize>, BenchError> {
-        let ni = self.inputs.len();
-        let n = self.gates.len();
+        let ni = self.inputs;
+        let n = self.funcs.len();
         // Gate `i`'s gate operands (with multiplicity), as gate indices.
         let gate_ops = |i: usize| {
             self.operands(i)
@@ -529,7 +513,7 @@ impl BenchNetlist {
                 .expect("a gate is unplaced");
             return Err(BenchError::Cycle {
                 line: self.gate_lines[i],
-                name: self.gates[i].output.clone(),
+                name: self.name(ni + i).to_owned(),
             });
         }
         order.sort_unstable_by_key(|&i| (pass[i], i));
@@ -545,31 +529,30 @@ impl BenchNetlist {
     /// Propagates [`Network`] builder failures as [`BenchError::Build`]
     /// (defensive — validation already covers the builder's checks).
     pub fn lower(&self, cells: &CellLibrary) -> Result<LoweredNetlist, BenchError> {
-        let ni = self.inputs.len();
+        let ni = self.inputs;
         let mut net = Network::with_capacity(self.lowered_stats().signals);
         // The lowered signal of each definition index.
-        let mut id_of: Vec<Option<SignalId>> = vec![None; ni + self.gates.len()];
+        let mut id_of: Vec<Option<SignalId>> = vec![None; ni + self.funcs.len()];
         let mut inputs = Vec::with_capacity(ni);
-        for (d, name) in self.inputs.iter().enumerate() {
-            let id = net.add_input(name);
-            id_of[d] = Some(id);
+        for (d, id_slot) in id_of[..ni].iter_mut().enumerate() {
+            let id = net.add_input(self.name(d));
+            *id_slot = Some(id);
             inputs.push(id);
         }
         let mut ops: Vec<SignalId> = Vec::new();
         let mut tmp = String::new();
-        for &gi in &self.resolved.topo {
-            let g = &self.gates[gi];
+        for &gi in &self.topo {
             ops.clear();
             ops.extend(
                 self.operands(gi)
                     .iter()
                     .map(|&d| id_of[d].expect("topological order lowers operands first")),
             );
-            let id = lower_gate(&mut net, cells, &mut tmp, &g.output, g.func, &ops)?;
+            let name = self.name(ni + gi);
+            let id = lower_gate(&mut net, cells, &mut tmp, name, self.funcs[gi], &ops)?;
             id_of[ni + gi] = Some(id);
         }
         let outputs = self
-            .resolved
             .outputs
             .iter()
             .map(|&d| id_of[d].expect("every definition is lowered"))
@@ -597,11 +580,11 @@ impl BenchNetlist {
     /// two-input gate contributes two fan-out edges, each unary gate one.
     #[must_use]
     pub fn lowered_stats(&self) -> LoweredStats {
-        let mut signals = self.inputs.len();
+        let mut signals = self.inputs;
         let mut edges = 0usize;
-        for g in &self.gates {
-            let n = g.inputs.len();
-            let (binary, unary) = match g.func {
+        for (g, &func) in self.funcs.iter().enumerate() {
+            let n = self.operands(g).len();
+            let (binary, unary) = match func {
                 BenchFunc::Not | BenchFunc::Buff => (0, 1),
                 BenchFunc::Xnor => (n - 1, 1),
                 _ => (n - 1, 0),
@@ -818,9 +801,9 @@ mod tests {
     #[test]
     fn parses_c17_and_round_trips() {
         let nl = BenchNetlist::parse(C17).unwrap();
-        assert_eq!(nl.inputs().len(), 5);
+        assert_eq!(nl.input_count(), 5);
         assert_eq!(nl.outputs().len(), 2);
-        assert_eq!(nl.gates().len(), 6);
+        assert_eq!(nl.gate_count(), 6);
         let again = BenchNetlist::parse(&nl.to_text()).unwrap();
         assert_eq!(nl, again);
     }
@@ -873,32 +856,11 @@ mod tests {
              y   =   nand (  a ,\tb )   # gate\n",
         )
         .unwrap();
-        assert_eq!(nl.inputs(), ["a", "b"]);
-        assert_eq!(nl.outputs(), ["y"]);
-        assert_eq!(nl.gates()[0].func, BenchFunc::Nand);
-    }
-
-    #[test]
-    fn programmatic_constructor_rejects_unserializable_names() {
-        // `to_text` guarantees its output re-parses to an equal netlist;
-        // `new` must therefore reject names the text form cannot carry
-        // (whitespace splits tokens, '#' starts a comment, '(),=' are
-        // structural — and '#' also guards the lowering's temp names).
-        for bad in ["y z", "a#b", "p(q", "", "a,b", "x=y"] {
-            let r = BenchNetlist::new(
-                vec!["a".into()],
-                vec![],
-                vec![BenchGate {
-                    output: bad.to_owned(),
-                    func: BenchFunc::Not,
-                    inputs: vec!["a".into()],
-                }],
-            );
-            assert!(
-                matches!(r, Err(BenchError::Syntax { .. })),
-                "name {bad:?} must be rejected, got {r:?}"
-            );
-        }
+        assert_eq!((nl.input_count(), nl.name(0), nl.name(1)), (2, "a", "b"));
+        assert_eq!(nl.outputs(), [2]);
+        assert_eq!(nl.name(2), "y");
+        assert_eq!(nl.func(0), BenchFunc::Nand);
+        assert_eq!(nl.operands(0), [0, 1]);
     }
 
     #[test]
@@ -912,7 +874,7 @@ mod tests {
         // A BOM with no following newline convention still parses, and a
         // file ending in a bare `\r` (no final newline) does too.
         let stub = "\u{FEFF}INPUT(a)\ny = NOT(a)\r";
-        assert_eq!(BenchNetlist::parse(stub).unwrap().gates().len(), 1);
+        assert_eq!(BenchNetlist::parse(stub).unwrap().gate_count(), 1);
     }
 
     #[test]
@@ -955,6 +917,102 @@ mod tests {
     }
 
     #[test]
+    fn error_precedence_across_classes_and_within_undefined() {
+        // Each text holds several faults; the one reported is pinned.
+        // Line-local errors anywhere beat every semantic one, then
+        // Empty > Duplicate > Undefined > Cycle, and among undefined
+        // names the first reference in written order wins.
+        let later_syntax = "INPUT(a)\nINPUT(a)\ny = NOT(a) junk";
+        assert!(matches!(
+            BenchNetlist::parse(later_syntax),
+            Err(BenchError::Syntax { line: 3, .. })
+        ));
+        match BenchNetlist::parse("INPUT(a)\nINPUT(a)\ny = DFF(a)") {
+            Err(BenchError::UnknownFunction { line: 3, name }) => assert_eq!(name, "DFF"),
+            other => panic!("expected UnknownFunction, got {other:?}"),
+        }
+        match BenchNetlist::parse("INPUT(a)\nINPUT(a)\ny = NOT(a, a)") {
+            Err(BenchError::BadArity {
+                line: 3,
+                function,
+                count: 2,
+            }) => assert_eq!(function, "NOT"),
+            other => panic!("expected BadArity, got {other:?}"),
+        }
+        let cases: [(&str, BenchError); 9] = [
+            // Empty beats a duplicate and an undefined name.
+            ("OUTPUT(y)\ny = NOT(z)\ny = BUFF(z)", BenchError::Empty),
+            // Duplicate beats an earlier undefined reference.
+            (
+                "INPUT(a)\nOUTPUT(ghost)\ny = NOT(a)\ny = BUFF(a)",
+                BenchError::Duplicate {
+                    line: 4,
+                    name: "y".into(),
+                },
+            ),
+            // The first duplicate in written order, a gate redefining
+            // an input included.
+            (
+                "INPUT(a)\ny = NOT(a)\nz = NOT(a)\nz = BUFF(a)\ny = BUFF(a)",
+                BenchError::Duplicate {
+                    line: 4,
+                    name: "z".into(),
+                },
+            ),
+            (
+                "INPUT(a)\nINPUT(b)\nb = NOT(a)\na = NOT(b)",
+                BenchError::Duplicate {
+                    line: 3,
+                    name: "b".into(),
+                },
+            ),
+            // Undefined beats a cycle written before it.
+            (
+                "INPUT(a)\nx = NAND(a, y)\ny = NAND(a, x)\nz = NOT(ghost)",
+                BenchError::Undefined {
+                    line: 4,
+                    name: "ghost".into(),
+                },
+            ),
+            // Two undefined operands on one line: the first written.
+            (
+                "INPUT(a)\ny = NAND(p, q)\nOUTPUT(q)",
+                BenchError::Undefined {
+                    line: 2,
+                    name: "p".into(),
+                },
+            ),
+            // An OUTPUT line before the first gate using the name.
+            (
+                "INPUT(a)\nOUTPUT(r)\ny = NAND(a, q)\nz = NOT(r)",
+                BenchError::Undefined {
+                    line: 2,
+                    name: "r".into(),
+                },
+            ),
+            // A gate operand before a later undefined OUTPUT.
+            (
+                "INPUT(a)\ny = NOT(q)\nOUTPUT(r)",
+                BenchError::Undefined {
+                    line: 2,
+                    name: "q".into(),
+                },
+            ),
+            // The cycle alone: its first gate in file order.
+            (
+                "INPUT(a)\nOUTPUT(z)\nz = NOT(x)\nx = NAND(a, y)\ny = NAND(a, x)",
+                BenchError::Cycle {
+                    line: 3,
+                    name: "z".into(),
+                },
+            ),
+        ];
+        for (text, want) in cases {
+            assert_eq!(BenchNetlist::parse(text).unwrap_err(), want, "{text:?}");
+        }
+    }
+
+    #[test]
     fn spans_track_declarations_and_survive_cloning() {
         let nl = BenchNetlist::parse(C17).unwrap();
         assert_eq!(nl.input_lines(), [3, 4, 5, 6, 7]);
@@ -965,16 +1023,8 @@ mod tests {
         let again = BenchNetlist::parse(&nl.to_text()).unwrap();
         assert_eq!(nl, again);
         assert_ne!(nl.input_lines(), again.input_lines());
-        // Programmatic netlists carry zero spans.
-        let built = BenchNetlist::new(
-            nl.inputs().to_vec(),
-            nl.outputs().to_vec(),
-            nl.gates().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(built, nl);
-        assert!(built.input_lines().iter().all(|&l| l == 0));
-        assert!(built.gate_lines().iter().all(|&l| l == 0));
+        let cloned = nl.clone();
+        assert_eq!(cloned.gate_lines(), nl.gate_lines());
     }
 
     #[test]
@@ -1006,37 +1056,39 @@ mod tests {
         }
     }
 
+    /// One generated gate: output name, function, operand names.
+    type Gate = (String, BenchFunc, Vec<String>);
+
     /// The order of repeated stable file-order scans, each placing
     /// every gate whose gate operands are placed — the quadratic
-    /// algorithm `topo_order` replaced, kept as its oracle.
-    fn scan_order(nl: &BenchNetlist) -> Result<Vec<usize>, String> {
-        let gate_of: HashMap<&str, usize> = nl
-            .gates
+    /// algorithm `topo_order` replaced, kept as its oracle. On a cycle,
+    /// the first gate in file order left unplaced.
+    fn scan_order(gates: &[Gate]) -> Result<Vec<usize>, String> {
+        let gate_of: HashMap<&str, usize> = gates
             .iter()
             .enumerate()
-            .map(|(i, g)| (g.output.as_str(), i))
+            .map(|(i, g)| (g.0.as_str(), i))
             .collect();
         let mut order = Vec::new();
-        let mut placed = vec![false; nl.gates.len()];
+        let mut placed = vec![false; gates.len()];
         loop {
             let mut progressed = false;
-            for (i, g) in nl.gates.iter().enumerate() {
-                let ready = g
-                    .inputs
-                    .iter()
-                    .all(|op| gate_of.get(op.as_str()).is_none_or(|&j| placed[j]));
+            for (i, g) in gates.iter().enumerate() {
+                let ready =
+                    g.2.iter()
+                        .all(|op| gate_of.get(op.as_str()).is_none_or(|&j| placed[j]));
                 if !placed[i] && ready {
                     placed[i] = true;
                     order.push(i);
                     progressed = true;
                 }
             }
-            if order.len() == nl.gates.len() {
+            if order.len() == gates.len() {
                 return Ok(order);
             }
             if !progressed {
                 let i = placed.iter().position(|&p| !p).unwrap();
-                return Err(nl.gates[i].output.clone());
+                return Err(gates[i].0.clone());
             }
         }
     }
@@ -1051,47 +1103,39 @@ mod tests {
             let mut names: Vec<String> = (0..n_inputs).map(|i| format!("i{i}")).collect();
             // Gates in creation (dependency) order: each reads earlier
             // names, so the netlist is a DAG before any cycle is added.
-            let mut gates: Vec<BenchGate> = (0..n_gates)
+            let mut gates: Vec<Gate> = (0..n_gates)
                 .map(|g| {
                     let (func, arity) = if rng.gen_bool(0.3) {
                         (BenchFunc::Not, 1)
                     } else {
                         (BenchFunc::Nand, 2 + rng.gen_u64_below(3) as usize)
                     };
-                    let gate = BenchGate {
-                        output: format!("g{g}"),
-                        func,
-                        inputs: (0..arity)
-                            .map(|_| names[rng.gen_u64_below(names.len() as u64) as usize].clone())
-                            .collect(),
-                    };
-                    names.push(gate.output.clone());
-                    gate
+                    let ops = (0..arity)
+                        .map(|_| names[rng.gen_u64_below(names.len() as u64) as usize].clone())
+                        .collect();
+                    names.push(format!("g{g}"));
+                    (format!("g{g}"), func, ops)
                 })
                 .collect();
             // One seed in eight closes a cycle through a later gate.
             if n_gates > 1 && seed % 8 == 0 {
                 let (a, b) = (rng.gen_u64_below(n_gates as u64 - 1) as usize, n_gates - 1);
-                let back = gates[b].output.clone();
-                gates[a].inputs[0] = back;
+                gates[a].2[0] = gates[b].0.clone();
             }
             // Shuffled file order (Fisher-Yates).
             for k in (1..gates.len()).rev() {
                 gates.swap(k, rng.gen_u64_below(k as u64 + 1) as usize);
             }
-            let inputs = names[..n_inputs].to_vec();
-            let outputs = vec![gates[0].output.clone()];
-            let oracle = scan_order(&BenchNetlist {
-                inputs: inputs.clone(),
-                outputs: outputs.clone(),
-                gates: gates.clone(),
-                input_lines: vec![0; n_inputs],
-                output_lines: vec![0; 1],
-                gate_lines: vec![0; n_gates],
-                resolved: Resolved::default(),
-            });
-            match (BenchNetlist::new(inputs, outputs, gates), oracle) {
-                (Ok(nl), Ok(want)) => assert_eq!(nl.resolved.topo, want, "seed {seed}"),
+            let mut text: String = names[..n_inputs]
+                .iter()
+                .map(|i| format!("INPUT({i})\n"))
+                .collect();
+            let _ = writeln!(text, "OUTPUT({})", gates[0].0);
+            for (out, func, ops) in &gates {
+                let _ = writeln!(text, "{out} = {}({})", func.name(), ops.join(", "));
+            }
+            match (BenchNetlist::parse(&text), scan_order(&gates)) {
+                (Ok(nl), Ok(want)) => assert_eq!(nl.topo, want, "seed {seed}"),
                 (Err(BenchError::Cycle { name, .. }), Err(want)) => {
                     assert_eq!(name, want, "seed {seed}");
                 }
@@ -1103,7 +1147,7 @@ mod tests {
     #[test]
     fn buf_synonym_and_canonical_writer() {
         let nl = BenchNetlist::parse("INPUT(a)\nOUTPUT(y)\ny = BUF(a)").unwrap();
-        assert_eq!(nl.gates()[0].func, BenchFunc::Buff);
+        assert_eq!(nl.func(0), BenchFunc::Buff);
         assert!(nl.to_text().contains("y = BUFF(a)"));
     }
 

@@ -53,12 +53,12 @@ pub enum BenchError {
         /// The dangling signal name.
         name: String,
     },
-    /// The definitions contain a combinational cycle; `name` is a signal
-    /// on it.
+    /// The definitions contain a combinational cycle; `name` is the
+    /// first gate in file order that is on, or downstream of, it.
     Cycle {
-        /// 1-based line number of a gate definition on the cycle.
+        /// 1-based line number of that gate's definition.
         line: usize,
-        /// A signal participating in the cycle.
+        /// The gate's output signal.
         name: String,
     },
     /// The netlist declares no primary inputs at all (an empty or

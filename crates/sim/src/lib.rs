@@ -12,7 +12,7 @@
 //!   onto the [`mis_digital::Network`] builder (topological ordering of
 //!   forward references, balanced zero-time reduction of wide fan-ins,
 //!   one timed cell per `.bench` gate). Committed fixtures for C17 and
-//!   a C432-scale circuit live under `data/bench/`.
+//!   the C432- and C880-scale circuits live under `data/bench/`.
 //! * [`cells`] — [`CellLibrary`], the standard-cell view of the delay
 //!   models: one `Arc`-shared cached-hybrid table set per cell type
 //!   (NAND through the free view-inversion duality) plus an inertial
@@ -73,7 +73,7 @@ mod kernel;
 pub mod overlay;
 pub mod probe;
 
-pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
+pub use bench::{BenchFunc, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
 pub use cells::CellLibrary;
 pub use cone::{ConeMemo, ConeReplay, GoldenRun};

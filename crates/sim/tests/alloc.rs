@@ -8,8 +8,8 @@
 //! tree lowered from `.bench` text, and on a small network that reaches
 //! every channel kernel. Warm `ConeReplay` fault replays are held to the
 //! same bar. The set-up layers get exact counts instead: a LOCAL trace
-//! pair is two allocations, and C880's parse + lower stays within a
-//! recorded bound. The counter is thread-local — see
+//! pair is two allocations, and `.bench` parsing (C880 and a 50k-gate
+//! chain) and C880's parse + lower stay within recorded bounds. The counter is thread-local — see
 //! `worker_thread_allocations_stay_off_this_threads_count` below, which
 //! pins down that serial-scoped contract.
 //!
@@ -503,10 +503,10 @@ fn local_trace_generation_allocates_each_trace_once() {
 
 #[test]
 fn c880_parse_and_lower_stay_within_their_allocation_bound() {
-    // Names are resolved once, gate operands are stored inline and the
-    // network is sized up front. What remains is the parsed netlist's
-    // own `String`s and operand lists, one box per channel and a few
-    // tables. The bound is exact, so a per-gate `Vec`, a per-signal
+    // Names are interned once, gate operands are stored inline and the
+    // network is sized up front. What remains is the parser's doubling
+    // tables (92 allocations, pinned below), one box per channel and a
+    // few tables. The bound is exact, so a per-gate `Vec`, a per-signal
     // name `String` or a per-stage name map coming back fails it
     // (C880: 60 inputs, 366 gates, 570 lowered signals).
     let text =
@@ -520,7 +520,42 @@ fn c880_parse_and_lower_stay_within_their_allocation_bound() {
     });
     assert_eq!(lowered.net.signal_count(), 570);
     assert!(
-        allocations <= 2_052,
-        "C880 parse + lower allocated {allocations} times, bound 2,052"
+        allocations <= 476,
+        "C880 parse + lower allocated {allocations} times, bound 476"
+    );
+}
+
+/// A 50,000-gate `NOT` chain written last gate first (every operand is
+/// defined later in the file): 50,002 lines against C880's 459.
+fn reversed_chain_text() -> String {
+    const GATES: usize = 50_000;
+    let mut text = format!("INPUT(a)\nOUTPUT(g{GATES})\n");
+    for k in (2..=GATES).rev() {
+        text += &format!("g{k} = NOT(g{})\n", k - 1);
+    }
+    text + "g1 = NOT(a)\n"
+}
+
+#[test]
+fn parse_allocations_grow_with_doubling_tables_only() {
+    // `parse` interns each name once into one name table and stores
+    // indices in vectors grown by doubling, so its allocation count
+    // grows with the log of the netlist, not with its lines. A per-name
+    // `String` or a per-gate `Vec` coming back fails the chain's bound
+    // by tens of thousands.
+    let c880 =
+        std::fs::read_to_string(workspace_root().join("data/bench/c880.bench")).expect("fixture");
+    let chain = reversed_chain_text();
+    let (small, nl) = alloc::count_in(|| BenchNetlist::parse(&c880).expect("fixture parses"));
+    assert_eq!(nl.gate_count(), 366);
+    let (large, nl) = alloc::count_in(|| BenchNetlist::parse(&chain).expect("chain parses"));
+    assert_eq!(nl.gate_count(), 50_000);
+    // Both bounds are exact. The chain has 109× C880's lines but makes
+    // only 1.3× its allocations: one more doubling of each table per
+    // factor of two in size.
+    assert!(small <= 92, "C880 parse allocated {small} times, bound 92");
+    assert!(
+        large <= 120,
+        "chain parse allocated {large} times, bound 120"
     );
 }

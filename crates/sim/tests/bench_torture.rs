@@ -26,7 +26,7 @@ fn multi_kib_lines_parse_or_error_cleanly() {
     let long_name = "n".repeat(65_536);
     let giant_ident = format!("INPUT({long_name})\nOUTPUT({long_name})\n");
     let parsed = parse_must_not_panic(&giant_ident).expect("long identifiers are just names");
-    assert_eq!(parsed.inputs().len(), 1);
+    assert_eq!(parsed.input_count(), 1);
 
     let mut soup = String::from("INPUT(a)\nOUTPUT(y)\n");
     soup.push_str("y = AND(");
@@ -35,7 +35,7 @@ fn multi_kib_lines_parse_or_error_cleanly() {
     }
     soup.push_str("a)\n");
     let parsed = parse_must_not_panic(&soup).expect("huge fan-in is legal");
-    assert_eq!(parsed.gates()[0].inputs.len(), 40_001);
+    assert_eq!(parsed.operands(0).len(), 40_001);
 }
 
 #[test]

@@ -22,8 +22,8 @@ use mis_digital::{
     TwoInputTransform,
 };
 use mis_sim::{
-    BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, LoweredNetlist, RunBudget,
-    Simulator, TraceOverlay,
+    BenchError, BenchFunc, BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator,
+    TraceOverlay,
 };
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
@@ -388,8 +388,8 @@ fn reference_does_not_share_the_engines_channel_kernels() {
 }
 
 /// Random `.bench` netlist with safe names, wide gates, and forward
-/// references (gates are emitted in reverse definition order half the
-/// time).
+/// references (gates are written in reverse definition order half the
+/// time), written as `.bench` lines and parsed.
 fn random_bench(rng: &mut TestRng) -> BenchNetlist {
     const FUNCS: [BenchFunc; 8] = [
         BenchFunc::And,
@@ -403,8 +403,7 @@ fn random_bench(rng: &mut TestRng) -> BenchNetlist {
     ];
     let n_inputs = 1 + rng.gen_u64_below(4) as usize;
     let n_gates = 1 + rng.gen_u64_below(8) as usize;
-    let inputs: Vec<String> = (0..n_inputs).map(|i| format!("in{i}")).collect();
-    let mut defined = inputs.clone();
+    let mut defined: Vec<String> = (0..n_inputs).map(|i| format!("in{i}")).collect();
     let mut gates = Vec::new();
     for g in 0..n_gates {
         let func = FUNCS[rng.gen_u64_below(8) as usize];
@@ -413,27 +412,25 @@ fn random_bench(rng: &mut TestRng) -> BenchNetlist {
         } else {
             2 + rng.gen_u64_below(4) as usize
         };
-        let ops: Vec<String> = (0..arity)
-            .map(|_| defined[rng.gen_u64_below(defined.len() as u64) as usize].clone())
+        let ops: Vec<&str> = (0..arity)
+            .map(|_| defined[rng.gen_u64_below(defined.len() as u64) as usize].as_str())
             .collect();
         // Lower-case names stay fixed under the torture test's random
         // line-case flips (only keywords are case-insensitive).
-        let name = format!("s{g}");
-        defined.push(name.clone());
-        gates.push(BenchGate {
-            output: name,
-            func,
-            inputs: ops,
-        });
+        gates.push(format!("s{g} = {}({})\n", func.name(), ops.join(", ")));
+        defined.push(format!("s{g}"));
     }
     if rng.gen_bool(0.5) {
         gates.reverse(); // forward references stay legal
     }
     let n_out = 1 + rng.gen_u64_below(3) as usize;
-    let outputs: Vec<String> = (0..n_out)
-        .map(|_| defined[rng.gen_u64_below(defined.len() as u64) as usize].clone())
-        .collect();
-    BenchNetlist::new(inputs, outputs, gates).expect("generator emits valid netlists")
+    let mut text: String = (0..n_inputs).map(|i| format!("INPUT(in{i})\n")).collect();
+    for _ in 0..n_out {
+        let name = &defined[rng.gen_u64_below(defined.len() as u64) as usize];
+        text += &format!("OUTPUT({name})\n");
+    }
+    text += &gates.concat();
+    BenchNetlist::parse(&text).expect("generator emits valid netlists")
 }
 
 #[test]
@@ -648,9 +645,9 @@ fn committed_charlib_text_libraries_round_trip() {
 fn c17_fixture_truth_table_on_constant_inputs() {
     let text = std::fs::read_to_string(workspace_root().join("data/bench/c17.bench")).unwrap();
     let nl = BenchNetlist::parse(&text).expect("c17 fixture parses");
-    assert_eq!(nl.inputs().len(), 5);
+    assert_eq!(nl.input_count(), 5);
     assert_eq!(nl.outputs().len(), 2);
-    assert_eq!(nl.gates().len(), 6);
+    assert_eq!(nl.gate_count(), 6);
 
     let lowered = nl.lower(&CellLibrary::ideal()).unwrap();
     let nand = |x: bool, y: bool| !(x && y);
@@ -707,9 +704,9 @@ fn c432_reference(e: u16, a: u16, b: u16, c: u16) -> [bool; 7] {
 fn c432_fixture_loads_runs_and_encodes_priorities() {
     let text = std::fs::read_to_string(workspace_root().join("data/bench/c432.bench")).unwrap();
     let nl = BenchNetlist::parse(&text).expect("c432 fixture parses");
-    assert_eq!(nl.inputs().len(), 36);
+    assert_eq!(nl.input_count(), 36);
     assert_eq!(nl.outputs().len(), 7);
-    assert_eq!(nl.gates().len(), 132);
+    assert_eq!(nl.gate_count(), 132);
 
     let lowered = nl.lower(&CellLibrary::ideal()).unwrap();
     let mut sim = Simulator::new(&lowered.net).expect("engine construction");
@@ -813,9 +810,9 @@ fn c880_reference(
 fn c880_fixture_loads_runs_and_matches_the_alu_reference() {
     let text = std::fs::read_to_string(workspace_root().join("data/bench/c880.bench")).unwrap();
     let nl = BenchNetlist::parse(&text).expect("c880 fixture parses");
-    assert_eq!(nl.inputs().len(), 60);
+    assert_eq!(nl.input_count(), 60);
     assert_eq!(nl.outputs().len(), 27);
-    assert_eq!(nl.gates().len(), 366);
+    assert_eq!(nl.gate_count(), 366);
 
     let lowered = nl.lower(&CellLibrary::ideal()).unwrap();
     let mut sim = Simulator::new(&lowered.net).expect("engine construction");
@@ -844,7 +841,7 @@ fn c880_fixture_loads_runs_and_matches_the_alu_reference() {
                 want[k],
                 "output {k} ('{}') for a={a:08b} b={b:08b} c={c:08b} d={d:08b} e={e:08b} \
                  g={g:08b} f={f:04b} ctl={ctl:08b}",
-                nl.outputs()[k]
+                nl.name(nl.outputs()[k])
             );
         }
     };
