@@ -46,7 +46,7 @@ use mis_charlib::CharLib;
 use mis_digital::{InertialChannel, Network};
 use mis_sim::{BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::bench::Harness;
-use mis_waveform::generate::{Assignment, TraceConfig};
+use mis_waveform::generate::{netlist_traffic, Assignment, TraceConfig};
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
 
@@ -67,20 +67,9 @@ fn pair_inputs(seed: u64) -> Vec<DigitalTrace> {
     vec![pair.a, pair.b]
 }
 
-/// One moderately busy stream per primary input (C432's 36 inputs).
+/// One moderately busy stream per primary input: the CI traffic.
 fn wide_inputs(n: usize, seed: u64) -> Vec<DigitalTrace> {
-    (0..n)
-        .map(|i| {
-            let pair = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
-                .generate(seed + i as u64)
-                .expect("trace generation");
-            if i % 2 == 0 {
-                pair.a
-            } else {
-                pair.b
-            }
-        })
-        .collect()
+    netlist_traffic(n, seed).expect("trace generation")
 }
 
 /// `sets` stimulus sets of `inputs` traces, one generated 40-transition

@@ -2,9 +2,8 @@
 //!
 //! * `data/charlib/nor_paper.mislib` — the paper-Table-1 NOR gate
 //!   characterized at the default budget (`CharConfig::default`), in the
-//!   bit-exact `mis-charlib` text form;
-//! * `data/charlib/nand_dual.mislib` — the dual NAND gate characterized
-//!   the same way;
+//!   bit-exact `mis-charlib` text form (NAND cells reuse it through the
+//!   duality, so no NAND library is characterized);
 //! * `data/bench/c432.bench` — the C432-scale benchmark circuit (see
 //!   below), emitted through the canonical `mis-sim` `.bench` writer;
 //! * `data/bench/c880.bench` — the C880-scale 8-bit ALU (see below),
@@ -18,7 +17,7 @@
 //! With `--check`, nothing is written: every artifact is regenerated
 //! in memory and compared byte-for-byte against the committed file, and
 //! any drift (or a missing file) fails the run — the reproducibility
-//! gate `scripts/ci.sh` runs in its `CI_BENCH=1` leg.
+//! gate of `scripts/ci.sh`'s default run.
 //!
 //! # The C432-scale circuit
 //!
@@ -42,7 +41,6 @@ use std::process::ExitCode;
 
 use mis_bench::netlist::workspace_root;
 use mis_charlib::{CharConfig, CharLib};
-use mis_core::nand::NandParams;
 use mis_core::NorParams;
 use mis_sim::{BenchFunc, BenchNetlist};
 
@@ -64,10 +62,6 @@ fn build_artifacts() -> Result<Vec<(&'static str, String)>, String> {
     println!("characterizing NOR (paper Table 1, default budget)...");
     let nor = CharLib::nor(&NorParams::paper_table1(), &cfg)
         .map_err(|e| format!("NOR characterization: {e}"))?;
-
-    println!("characterizing dual NAND...");
-    let nand = CharLib::nand(&NandParams::from_dual(NorParams::paper_table1()), &cfg)
-        .map_err(|e| format!("NAND characterization: {e}"))?;
 
     let c432 = c432_reconstruction();
     let mut c432_text = String::new();
@@ -99,7 +93,6 @@ fn build_artifacts() -> Result<Vec<(&'static str, String)>, String> {
 
     Ok(vec![
         ("data/charlib/nor_paper.mislib", nor.to_text()),
-        ("data/charlib/nand_dual.mislib", nand.to_text()),
         ("data/bench/c432.bench", c432_text),
         ("data/bench/c880.bench", c880_text),
     ])

@@ -9,7 +9,9 @@
 //! a text table — or, under `--json`, as one machine-readable line the
 //! binary validates against `mis_probe::json::is_wellformed` before
 //! printing, so a broken renderer fails the run instead of feeding
-//! garbage downstream.
+//! garbage downstream. The report carries one extra counter,
+//! `sim.output_digest`: the FNV-1a digest of every `OUTPUT` trace in
+//! `OUTPUT` order (`mis_bench::netlist::output_digest`).
 //!
 //! Usage:
 //!
@@ -37,7 +39,7 @@ use std::process::ExitCode;
 
 use mis_analyze::{attribute_levels, TimingAnalysis};
 use mis_bench::emit;
-use mis_bench::netlist::{check_expect, committed_cells, parse_expect, traffic};
+use mis_bench::netlist::{check_expect, committed_cells, output_digest, parse_expect, traffic};
 use mis_probe::json::{is_wellformed, json_string};
 use mis_probe::vcd::{write_vcd, VcdSignal};
 use mis_probe::{Probe, TraceSink};
@@ -107,6 +109,8 @@ fn run(args: &Args) -> Result<(), String> {
     let mut arena = TraceArena::new();
     sim.run_in(&inputs, &mut arena)
         .map_err(|e| format!("simulation: {e}"))?;
+    let digest = output_digest(lowered.outputs.iter().map(|&id| sim.trace(&arena, id)));
+    probe.counter("sim.output_digest").add(digest);
 
     // The timeline export and the per-level join come before the probe
     // snapshot so the `level.L<n>.eval_ns` histograms land in the

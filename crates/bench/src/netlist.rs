@@ -13,9 +13,9 @@ use mis_charlib::CharLib;
 use mis_digital::InertialChannel;
 use mis_probe::{MetricValue, ProbeReport};
 use mis_sim::CellLibrary;
-use mis_waveform::generate::{Assignment, TraceConfig};
+use mis_waveform::generate::netlist_traffic;
 use mis_waveform::units::ps;
-use mis_waveform::DigitalTrace;
+use mis_waveform::{DigitalTrace, TraceRef};
 
 /// The workspace root, resolved from this crate's manifest directory —
 /// where the committed `data/` artifacts live.
@@ -45,25 +45,39 @@ pub fn committed_cells() -> Result<CellLibrary, String> {
     CellLibrary::hybrid(&lib, Some(fallback)).map_err(|e| format!("cell library: {e}"))
 }
 
-/// Deterministic input traffic for `n` netlist inputs: input `i` gets
-/// one trace of a 40-transition LOCAL pair seeded `0x5eed + i` (trace A
-/// for even `i`, B for odd), so each trace has 20 edges and the other
-/// half of every generated pair is discarded. This is the stimulus
-/// behind CI's pinned event counts.
+/// Deterministic input traffic for `n` netlist inputs:
+/// [`netlist_traffic`] at seed base `0x5eed`, the stimulus behind CI's
+/// pinned event counts.
 ///
 /// # Errors
 ///
 /// A message describing the trace-generation failure (degenerate
 /// configuration; cannot happen for the fixed parameters here).
 pub fn traffic(n: usize) -> Result<Vec<DigitalTrace>, String> {
-    (0..n)
-        .map(|i| {
-            let pair = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
-                .generate(0x5eed + i as u64)
-                .map_err(|e| format!("traffic generation: {e}"))?;
-            Ok(if i % 2 == 0 { pair.a } else { pair.b })
-        })
-        .collect()
+    netlist_traffic(n, 0x5eed).map_err(|e| format!("traffic generation: {e}"))
+}
+
+/// A 64-bit FNV-1a digest of simulated traces, in the order given:
+/// per trace its initial value (one byte), then the bits of each edge
+/// time (little-endian `f64::to_bits`). `sim_profile` reports it over
+/// every `OUTPUT` trace as `sim.output_digest`, so an `--expect` pin on
+/// it fails on any moved output bit — which an event-count pin can
+/// miss. Edge times come out of `libm` calls, so a digest is pinned per
+/// platform.
+pub fn output_digest<'a>(traces: impl IntoIterator<Item = TraceRef<'a>>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for t in traces {
+        eat(&[u8::from(t.initial_value())]);
+        for time in t.times() {
+            eat(&time.to_bits().to_le_bytes());
+        }
+    }
+    h
 }
 
 /// Parses an `--expect` spec — `metric=value` pairs separated by
@@ -147,6 +161,25 @@ mod tests {
         assert!(check_expect(&report, &[], "t").is_ok());
         assert!(check_expect(&report, &pin("sim.runs", 3), "t").is_err());
         assert!(check_expect(&report, &pin("sim.missing", 0), "t").is_err());
+    }
+
+    #[test]
+    fn output_digest_sees_every_value_and_edge_bit() {
+        use mis_waveform::EdgeBuf;
+        let digest = |initial: bool, times: &[f64]| {
+            let mut buf = EdgeBuf::new();
+            buf.clear(initial);
+            for &t in times {
+                buf.push_time(t).unwrap();
+            }
+            output_digest([buf.as_ref()])
+        };
+        let base = digest(false, &[ps(10.0), ps(20.0)]);
+        assert_eq!(base, digest(false, &[ps(10.0), ps(20.0)]));
+        assert_ne!(base, digest(true, &[ps(10.0), ps(20.0)]));
+        let one_ulp_later = f64::from_bits(ps(20.0).to_bits() + 1);
+        assert_ne!(base, digest(false, &[ps(10.0), one_ulp_later]));
+        assert_ne!(base, digest(false, &[ps(10.0)]));
     }
 
     #[test]

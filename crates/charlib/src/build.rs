@@ -10,29 +10,10 @@
 
 use std::collections::HashMap;
 
-use mis_core::nand::NandParams;
 use mis_core::{delay, NorParams, RisingInitialVn};
 use mis_waveform::units::ps;
 
 use crate::{CharError, DelaySurface, SurfaceFamily};
-
-/// Which gate a characterized library describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CharGate {
-    /// 2-input CMOS NOR (the paper's gate).
-    Nor,
-    /// 2-input CMOS NAND via the exact electrical duality.
-    Nand,
-}
-
-impl std::fmt::Display for CharGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CharGate::Nor => write!(f, "nor"),
-            CharGate::Nand => write!(f, "nand"),
-        }
-    }
-}
 
 /// Configuration of a characterization sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,11 +101,12 @@ impl CharConfig {
     }
 }
 
-/// A characterized gate library: both delay surfaces plus the provenance
-/// needed to rebuild or serialize it.
+/// A characterized 2-input NOR library: both delay surfaces plus the
+/// provenance needed to rebuild or serialize it. NAND cells reuse it
+/// through the electrical duality (`mis_digital::NandChannel`), so no
+/// NAND characterization exists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CharLib {
-    pub(crate) gate: CharGate,
     pub(crate) params: NorParams,
     pub(crate) budget: f64,
     pub(crate) falling: SurfaceFamily,
@@ -159,7 +141,6 @@ impl CharLib {
             })?);
         }
         Ok(CharLib {
-            gate: CharGate::Nor,
             params: *params,
             budget: cfg.budget,
             falling,
@@ -167,43 +148,7 @@ impl CharLib {
         })
     }
 
-    /// Characterizes a NAND gate (via the exact duality of
-    /// [`mis_core::nand`]): here the *falling* output is the
-    /// state-dependent side (series stack, frozen `V_M` hypotheses) and
-    /// the rising surface is state-independent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates exact-solver failures and [`CharError::BudgetNotMet`].
-    pub fn nand(params: &NandParams, cfg: &CharConfig) -> Result<Self, CharError> {
-        params.validate()?;
-        cfg.validate()?;
-        let vdd = params.dual().vdd;
-        let voltages: Vec<f64> = cfg.vn_fractions.iter().map(|f| f * vdd).collect();
-        let mut slices = Vec::with_capacity(voltages.len());
-        for &x in &voltages {
-            slices.push(refine_surface(cfg, |d| {
-                Ok(params.falling_delay(d, RisingInitialVn::Explicit(x))?)
-            })?);
-        }
-        let rising = SurfaceFamily::single(refine_surface(cfg, |d| Ok(params.rising_delay(d)?))?)?;
-        Ok(CharLib {
-            gate: CharGate::Nand,
-            params: *params.dual(),
-            budget: cfg.budget,
-            falling: SurfaceFamily::new(voltages, slices)?,
-            rising,
-        })
-    }
-
-    /// The gate this library characterizes.
-    #[must_use]
-    pub fn gate(&self) -> CharGate {
-        self.gate
-    }
-
-    /// The hybrid-model parameters the sweep used (for NAND libraries,
-    /// the *dual* NOR parameter set).
+    /// The hybrid-model parameters the sweep used.
     #[must_use]
     pub fn params(&self) -> &NorParams {
         &self.params
@@ -215,13 +160,15 @@ impl CharLib {
         self.budget
     }
 
-    /// The falling-output surface family (single slice for NOR).
+    /// The falling-output surface family (a single slice when
+    /// characterized: the NOR's falling delay does not depend on `V_N`).
     #[must_use]
     pub fn falling(&self) -> &SurfaceFamily {
         &self.falling
     }
 
-    /// The rising-output surface family (single slice for NAND).
+    /// The rising-output surface family (one slice per frozen `V_N`
+    /// hypothesis of [`CharConfig::vn_fractions`]).
     #[must_use]
     pub fn rising(&self) -> &SurfaceFamily {
         &self.rising
@@ -374,7 +321,6 @@ mod tests {
         let p = NorParams::paper_table1();
         let cfg = quick_cfg();
         let lib = CharLib::nor(&p, &cfg).unwrap();
-        assert_eq!(lib.gate(), CharGate::Nor);
         assert_eq!(lib.budget(), cfg.budget);
         // Dense sweep strictly inside the characterized range.
         for i in 0..=200 {
@@ -435,28 +381,6 @@ mod tests {
                 assert!(points <= 24);
             }
             other => panic!("expected BudgetNotMet, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn nand_library_mirrors_duality() {
-        let nand = NandParams::from_dual(NorParams::paper_table1());
-        let cfg = CharConfig {
-            vn_fractions: vec![0.0, 1.0],
-            ..quick_cfg()
-        };
-        let lib = CharLib::nand(&nand, &cfg).unwrap();
-        assert_eq!(lib.gate(), CharGate::Nand);
-        // Rising NAND == falling NOR (exact duality), so the interpolated
-        // rising surface must track the NOR falling delay within budget.
-        for &d in &[ps(-80.0), ps(-10.0), 0.0, ps(35.0), ps(110.0)] {
-            let exact = delay::falling_delay(&NorParams::paper_table1(), d).unwrap();
-            assert!((lib.rising_delay(d, 0.0) - exact).abs() <= cfg.budget);
-        }
-        // Falling NAND at V_M = GND == rising NOR at X = VDD.
-        for &d in &[ps(-60.0), 0.0, ps(60.0)] {
-            let exact = nand.falling_delay(d, RisingInitialVn::Gnd).unwrap();
-            assert!((lib.falling_delay(d, 0.0) - exact).abs() <= cfg.budget);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! avoid exactly this by *characterizing* each gate once into lookup
 //! tables. This crate does the same for the MIS delay functions:
 //!
-//! 1. [`CharLib::nor`] / [`CharLib::nand`] sweep a gate's `δ↓(Δ)` /
+//! 1. [`CharLib::nor`] sweeps the 2-input NOR's `δ↓(Δ)` /
 //!    `δ↑(Δ)` curves with the exact `mis-core` solvers over an adaptively
 //!    refined Δ grid ([`CharConfig::budget`] caps the interpolation
 //!    error, [`build`] clusters grid points around the `Δ ≈ 0` kink);
@@ -23,7 +23,10 @@
 //!    re-sweeping.
 //!
 //! `mis-digital`'s `CachedHybridChannel` consumes these tables to get
-//! hybrid-model accuracy at near-inertial event cost.
+//! hybrid-model accuracy at near-inertial event cost. Only the NOR is
+//! characterized: a NAND cell is the NOR channel under the exact
+//! duality `NAND(a, b) = ¬NOR(¬a, ¬b)` (`mis_digital::NandChannel`),
+//! on the same tables.
 //!
 //! # Examples
 //!
@@ -61,6 +64,6 @@ mod error;
 mod surface;
 mod textio;
 
-pub use build::{CharConfig, CharGate, CharLib};
+pub use build::{CharConfig, CharLib};
 pub use error::CharError;
 pub use surface::{DelaySurface, SurfaceFamily};

@@ -6,6 +6,10 @@
 //! formatting, so `build → save → load` reproduces every sample (and
 //! therefore every interpolant tangent) bit for bit.
 //!
+//! Every library is a NOR library (NAND cells reuse it through the
+//! duality), so `gate nor` is the one gate line written and accepted;
+//! the line stays so that format version 1 files keep their bytes.
+//!
 //! ```text
 //! mis-charlib 1
 //! gate nor
@@ -26,7 +30,7 @@ use std::fmt::Write as _;
 
 use mis_core::{NorParams, RisingInitialVn};
 
-use crate::{CharError, CharGate, CharLib, DelaySurface, SurfaceFamily};
+use crate::{CharError, CharLib, DelaySurface, SurfaceFamily};
 
 const MAGIC: &str = "mis-charlib";
 const VERSION: &str = "1";
@@ -37,7 +41,7 @@ impl CharLib {
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{MAGIC} {VERSION}");
-        let _ = writeln!(s, "gate {}", self.gate);
+        s.push_str("gate nor\n");
         let _ = writeln!(s, "budget {:e}", self.budget);
         let p = &self.params;
         let _ = writeln!(
@@ -75,11 +79,9 @@ impl CharLib {
             return Err(parse_err(header_no, "expected header 'mis-charlib 1'"));
         }
         let (gate_no, gate_line) = next_line(&mut lines)?;
-        let gate = match strip_keyword(gate_line, "gate") {
-            Some("nor") => CharGate::Nor,
-            Some("nand") => CharGate::Nand,
-            _ => return Err(parse_err(gate_no, "expected 'gate nor' or 'gate nand'")),
-        };
+        if strip_keyword(gate_line, "gate") != Some("nor") {
+            return Err(parse_err(gate_no, "expected 'gate nor'"));
+        }
         let (budget_no, budget_line) = next_line(&mut lines)?;
         let budget = strip_keyword(budget_line, "budget")
             .ok_or_else(|| parse_err(budget_no, "expected 'budget <seconds>'"))
@@ -143,7 +145,6 @@ impl CharLib {
             return Err(parse_err(end_no, "expected 'end'"));
         }
         Ok(CharLib {
-            gate,
             params,
             budget,
             falling,

@@ -6,7 +6,6 @@
 use std::sync::OnceLock;
 
 use mis_charlib::{CharConfig, CharLib};
-use mis_core::nand::NandParams;
 use mis_core::{delay, NorParams, RisingInitialVn};
 use mis_testkit::prelude::*;
 use mis_waveform::units::ps;
@@ -122,25 +121,4 @@ fn serializer_round_trip_preserves_surfaces_bit_for_bit() {
         prop_assert!(lib.rising_delay(d, x) == loaded.rising_delay(d, x));
         Ok(())
     });
-}
-
-#[test]
-fn nand_duality_round_trip() {
-    // A NAND library characterizes the dual curves; serialization must
-    // round-trip it just like the NOR one.
-    let nand = NandParams::from_dual(NorParams::paper_table1());
-    let quick = CharConfig {
-        delta_lo: ps(-80.0),
-        delta_hi: ps(80.0),
-        initial_points: 9,
-        max_points: 257,
-        budget: ps(0.3),
-        vn_fractions: vec![0.0, 0.5, 1.0],
-    };
-    let lib = CharLib::nand(&nand, &quick).expect("nand characterization");
-    let loaded = CharLib::from_text(&lib.to_text()).expect("parse");
-    assert_eq!(lib, loaded);
-    // Spot-check duality through the table: rising NAND == falling NOR.
-    let exact = delay::falling_delay(&NorParams::paper_table1(), ps(7.0)).unwrap();
-    assert!((lib.rising_delay(ps(7.0), 0.0) - exact).abs() <= quick.budget);
 }

@@ -2,14 +2,12 @@
 //! channel that schedules output transitions from `mis-charlib` lookup
 //! tables instead of re-solving the delay equation per event.
 
-use std::sync::Arc;
-
-use mis_charlib::{CharGate, CharLib, SurfaceFamily};
+use mis_charlib::{CharLib, SurfaceFamily};
 use mis_core::{Mode, ModeConstants, ModeSystem, ModeTrajectory, NorParams};
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
 use crate::channels::{ChannelEvents, DelayBounds, TwoInputTransform};
-use crate::{gates, SimError};
+use crate::SimError;
 
 /// A cached two-input NOR delay channel driven by characterized delay
 /// surfaces ([`mis_charlib::CharLib`]).
@@ -393,17 +391,8 @@ impl CachedHybridChannel {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Network`] when handed a non-NOR library and
-    /// propagates parameter validation failures.
+    /// Propagates parameter validation failures ([`SimError::Model`]).
     pub fn new(lib: &CharLib) -> Result<Self, SimError> {
-        if lib.gate() != CharGate::Nor {
-            return Err(SimError::Network {
-                reason: format!(
-                    "CachedHybridChannel needs a NOR library, got '{}'",
-                    lib.gate()
-                ),
-            });
-        }
         let params: &NorParams = lib.params();
         let sys = ModeSystem::new(params, Mode::S10)?;
         // λ₁ = γ + β is the slow (dominant) eigenvalue of a coupled mode.
@@ -918,81 +907,15 @@ impl TwoInputTransform for CachedHybridChannel {
     }
 }
 
-/// The cached hybrid model as a two-input **NAND** channel, through the
-/// same analog duality as [`crate::HybridNandChannel`]: input traces are
-/// inverted, pushed through the cached *dual NOR* channel, and the output
-/// is inverted back. Consumes a characterized **NOR** library for the
-/// dual parameter set.
-///
-/// The dual NOR tables are held behind an [`Arc`], so cloning this
-/// channel — one clone per NAND gate instance in a netlist — shares one
-/// resampled table set instead of copying ≈ 100 KiB per gate.
-#[derive(Debug, Clone)]
-pub struct CachedHybridNandChannel {
-    inner: Arc<CachedHybridChannel>,
-}
-
-impl CachedHybridNandChannel {
-    /// Builds the channel from the dual NOR library.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CachedHybridChannel::new`].
-    pub fn from_dual(lib: &CharLib) -> Result<Self, SimError> {
-        Ok(Self::from_shared(Arc::new(CachedHybridChannel::new(lib)?)))
-    }
-
-    /// Wraps an already-shared dual NOR channel without re-wrapping: the
-    /// NAND adapter and every cached NOR gate built from the same
-    /// [`Arc`] reference one table set.
-    #[must_use]
-    pub fn from_shared(inner: Arc<CachedHybridChannel>) -> Self {
-        CachedHybridNandChannel { inner }
-    }
-}
-
-impl TwoInputTransform for CachedHybridNandChannel {
-    fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        let a_inv = gates::not(a)?;
-        let b_inv = gates::not(b)?;
-        let nor_out = self.inner.apply2(&a_inv, &b_inv)?;
-        gates::not(&nor_out)
-    }
-
-    fn apply2_into(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-    ) -> Result<ChannelEvents, SimError> {
-        // In the SoA representation NOT is free (flip the initial value,
-        // keep the times), so the duality costs nothing: run the dual NOR
-        // scheduler on inverted views and invert the result in place.
-        // The dual NOR scheduler's events are the NAND channel's events,
-        // and its held-high stop is the NAND's stop on an input held low.
-        let events = self.inner.apply2_into(a.inverted(), b.inverted(), out)?;
-        out.invert();
-        Ok(events)
-    }
-
-    fn name(&self) -> &str {
-        "hybrid-nand-cached"
-    }
-
-    /// Identical to the dual NOR's bounds: the duality inverts *values*
-    /// (free in the SoA view), never edge times.
-    fn delay_bounds(&self) -> Option<DelayBounds> {
-        self.inner.delay_bounds()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channels::hybrid::HybridNorChannel;
+    use crate::{gates, NandChannel};
     use mis_charlib::CharConfig;
     use mis_core::{delay, NorParams, RisingInitialVn};
     use mis_waveform::units::ps;
+    use std::sync::Arc;
 
     fn lib() -> CharLib {
         CharLib::nor(&NorParams::paper_table1(), &CharConfig::default()).expect("characterization")
@@ -1024,19 +947,6 @@ mod tests {
         let floats = ch.rising.ys.len() + ch.falling.ys.len() + 7 * 257;
         // 82,000 + 8,208 + 14,392 bytes: ≈ 100 KiB per cell type.
         assert_eq!(8 * floats, 104_600);
-    }
-
-    #[test]
-    fn rejects_nand_library() {
-        let nand = mis_core::nand::NandParams::from_dual(NorParams::paper_table1());
-        let cfg = CharConfig {
-            initial_points: 5,
-            budget: ps(1.0),
-            vn_fractions: vec![0.0, 1.0],
-            ..CharConfig::default()
-        };
-        let nlib = CharLib::nand(&nand, &cfg).unwrap();
-        assert!(CachedHybridChannel::new(&nlib).is_err());
     }
 
     #[test]
@@ -1239,13 +1149,13 @@ mod tests {
                 assert!(hit, "edge {:e} escapes [{:e}, {:e}]", e.time, b.lo, b.hi);
             }
         }
-        let nand = CachedHybridNandChannel::from_dual(&lib()).unwrap();
+        let nand = NandChannel::new(ch);
         assert_eq!(nand.delay_bounds(), Some(b), "duality keeps edge times");
     }
 
     #[test]
     fn nand_wrapper_matches_duality() {
-        let ch = CachedHybridNandChannel::from_dual(&lib()).unwrap();
+        let ch = NandChannel::new(channel());
         let a = DigitalTrace::with_edges(false, vec![(ps(300.0), true)]).unwrap();
         let b = DigitalTrace::with_edges(false, vec![(ps(310.0), true)]).unwrap();
         let out = ch.apply2(&a, &b).unwrap();
@@ -1283,7 +1193,7 @@ mod tests {
             table_lookups: 2,
             pulse_filtered: 0,
         };
-        let nand = CachedHybridNandChannel::from_shared(Arc::new(ch.clone()));
+        let nand = NandChannel::new(Arc::new(ch.clone()));
         let (mut va, mut vb, mut out) = (EdgeBuf::new(), EdgeBuf::new(), EdgeBuf::new());
         // Either input order: the held-high input is A, then B.
         for (x, y) in [(&a, &b), (&b, &a)] {

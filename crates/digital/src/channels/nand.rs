@@ -1,26 +1,33 @@
-use mis_core::nand::NandParams;
-use mis_core::NorParams;
-use mis_waveform::DigitalTrace;
+//! The 2-input NAND as the dual of any NOR channel — the one place the
+//! workspace encodes `NAND(a, b) = ¬NOR(¬a, ¬b)`.
 
-use crate::channels::TwoInputTransform;
-use crate::{gates, HybridNorChannel, SimError};
+use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-/// The hybrid model as a two-input **NAND** channel, realized through the
-/// exact duality `NAND(a, b) = ¬NOR(¬a, ¬b)` at the *analog* level: input
-/// traces are inverted, pushed through the dual NOR's continuous-state
-/// model, and the output trace is inverted back. Because the duality maps
-/// voltages by `v ↦ V_DD − v`, the timing (threshold crossings at
-/// `V_DD/2`) is preserved exactly.
+use crate::channels::{ChannelEvents, DelayBounds, TwoInputTransform};
+use crate::{gates, SimError};
+
+/// A two-input **NAND** channel realized through the exact duality
+/// `NAND(a, b) = ¬NOR(¬a, ¬b)` at the *analog* level: the input traces
+/// are inverted, pushed through the dual NOR channel `C`, and the output
+/// trace is inverted back. Because the duality maps voltages by
+/// `v ↦ V_DD − v`, threshold crossings at `V_DD/2` — the timing — are
+/// preserved exactly, so a NOR channel over the dual parameter set (see
+/// [`mis_core::nand::NandParams`]) times the NAND.
+///
+/// `C` is any NOR channel: [`crate::HybridNorChannel`] gives the exact
+/// NAND, an `Arc<`[`crate::CachedHybridChannel`]`>` the cached NAND that
+/// `mis_sim::CellLibrary::hybrid` builds, one refcount bump per gate.
 ///
 /// # Examples
 ///
 /// ```
-/// use mis_digital::{HybridNandChannel, TwoInputTransform};
+/// use mis_digital::{HybridNorChannel, NandChannel, TwoInputTransform};
 /// use mis_core::NorParams;
 /// use mis_waveform::{DigitalTrace, units::ps};
 ///
 /// # fn main() -> Result<(), mis_digital::SimError> {
-/// let ch = HybridNandChannel::from_dual(&NorParams::paper_table1())?;
+/// let nor = HybridNorChannel::new(&NorParams::paper_table1())?;
+/// let ch = NandChannel::new(nor);
 /// let a = DigitalTrace::with_edges(false, vec![(ps(200.0), true)])?;
 /// let b = DigitalTrace::with_edges(false, vec![(ps(210.0), true)])?;
 /// let out = ch.apply2(&a, &b)?;
@@ -30,55 +37,78 @@ use crate::{gates, HybridNorChannel, SimError};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct HybridNandChannel {
-    inner: HybridNorChannel,
+pub struct NandChannel<C> {
+    nor: C,
 }
 
-impl HybridNandChannel {
-    /// Creates the channel from the dual NOR parameter set (see
-    /// [`NandParams`] for the reinterpretation of the fields).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Model`] for invalid parameters.
-    pub fn from_dual(dual: &NorParams) -> Result<Self, SimError> {
-        Ok(HybridNandChannel {
-            inner: HybridNorChannel::new(dual)?,
-        })
-    }
-
-    /// Creates the channel from a [`NandParams`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Model`] for invalid parameters.
-    pub fn new(params: &NandParams) -> Result<Self, SimError> {
-        Self::from_dual(params.dual())
+impl<C: TwoInputTransform> NandChannel<C> {
+    /// The NAND dual of the NOR channel `nor`.
+    #[must_use]
+    pub fn new(nor: C) -> Self {
+        NandChannel { nor }
     }
 }
 
-impl TwoInputTransform for HybridNandChannel {
+impl<C: TwoInputTransform> TwoInputTransform for NandChannel<C> {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        let a_inv = gates::not(a)?;
-        let b_inv = gates::not(b)?;
-        let nor_out = self.inner.apply2(&a_inv, &b_inv)?;
+        let nor_out = self.nor.apply2(&gates::not(a)?, &gates::not(b)?)?;
         gates::not(&nor_out)
     }
 
+    /// In the SoA representation NOT is free (flip the initial value,
+    /// keep the times), so the duality costs nothing: the NOR kernel runs
+    /// on inverted views and its result is inverted in place. Its events
+    /// are the NAND's events; the cached NOR's held-high stop is the
+    /// NAND's stop on an input held low.
+    fn apply2_into(
+        &self,
+        a: TraceRef<'_>,
+        b: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
+        let events = self.nor.apply2_into(a.inverted(), b.inverted(), out)?;
+        out.invert();
+        Ok(events)
+    }
+
+    /// `hybrid-nand-cached` over the cached NOR, `hybrid-nand` over the
+    /// exact one.
     fn name(&self) -> &str {
-        "hybrid-nand"
+        if self.nor.name() == "hybrid-nor-cached" {
+            "hybrid-nand-cached"
+        } else {
+            "hybrid-nand"
+        }
+    }
+
+    /// The NOR's bounds: the duality inverts *values*, never edge times.
+    fn delay_bounds(&self) -> Option<DelayBounds> {
+        self.nor.delay_bounds()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HybridNorChannel;
     use mis_core::nand::NandParams;
-    use mis_core::RisingInitialVn;
+    use mis_core::{NorParams, RisingInitialVn};
     use mis_waveform::units::ps;
 
-    fn channel() -> HybridNandChannel {
-        HybridNandChannel::from_dual(&NorParams::paper_table1()).unwrap()
+    fn channel() -> NandChannel<HybridNorChannel> {
+        NandChannel::new(HybridNorChannel::new(&NorParams::paper_table1()).unwrap())
+    }
+
+    #[test]
+    fn names_follow_the_nor_channel() {
+        assert_eq!(channel().name(), "hybrid-nand");
+        let lib = mis_charlib::CharLib::nor(
+            &NorParams::paper_table1(),
+            &mis_charlib::CharConfig::quick(),
+        )
+        .unwrap();
+        let cached = std::sync::Arc::new(crate::CachedHybridChannel::new(&lib).unwrap());
+        assert_eq!(NandChannel::new(cached).name(), "hybrid-nand-cached");
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //!   model: schedules transitions from `mis-charlib` delay surfaces
 //!   (one table lookup per event) instead of re-solving the delay
 //!   equation, at near-inertial cost.
+//! * [`NandChannel`] — the 2-input NAND over any of the two NOR channels
+//!   above, through the exact duality `NAND(a, b) = ¬NOR(¬a, ¬b)`; the
+//!   only NAND timing in the workspace.
 //!
 //! [`Network`] composes zero-time Boolean gates with channels into
 //! feed-forward circuits; [`accuracy`] implements the paper's Fig. 7
@@ -80,11 +83,11 @@ pub mod gates;
 pub mod involution;
 mod network;
 
-pub use channels::cached::{CachedHybridChannel, CachedHybridNandChannel};
+pub use channels::cached::CachedHybridChannel;
 pub use channels::exp::ExpChannel;
 pub use channels::hybrid::HybridNorChannel;
 pub use channels::inertial::InertialChannel;
-pub use channels::nand::HybridNandChannel;
+pub use channels::nand::NandChannel;
 pub use channels::pure::PureDelayChannel;
 pub use channels::sumexp::SumExpChannel;
 pub use channels::{ChannelEvents, DelayBounds, TraceTransform, TwoInputTransform};

@@ -13,8 +13,8 @@ use std::sync::{Arc, OnceLock};
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ExpChannel, HybridNorChannel,
-    InertialChannel, PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
+    gates, involution, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel,
+    NandChannel, PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
@@ -238,10 +238,23 @@ fn apply_into_bit_identical_to_apply_for_every_channel() {
     });
 }
 
+/// Every two-input channel's in-place path against its owned one: the
+/// cached NOR, and the NAND adapter over the cached NOR (what cell
+/// libraries build) and over the exact hybrid NOR.
 #[test]
-fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
+fn apply2_into_bit_identical_to_apply2() {
     let nor = Arc::new(CachedHybridChannel::new(shared_lib()).unwrap());
-    let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
+    let nand = NandChannel::new(Arc::clone(&nor));
+    let exact_nand = NandChannel::new(HybridNorChannel::new(&NorParams::paper_table1()).unwrap());
+    // Each channel called directly and as the engine calls it: through
+    // a box (the `Arc` forwarding, for the NOR, that cell libraries hand
+    // to networks). The forwarding must keep both the output and the
+    // scheduler's returned tallies.
+    let channels: [(&dyn TwoInputTransform, Box<dyn TwoInputTransform>); 3] = [
+        (&*nor, Box::new(Arc::clone(&nor))),
+        (&nand, Box::new(nand.clone())),
+        (&exact_nand, Box::new(exact_nand.clone())),
+    ];
     Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {
         let mut rng = TestRng::seed_from_u64(seed);
         let mut pairs = vec![(grid_trace(&mut rng, 10), grid_trace(&mut rng, 10))];
@@ -252,51 +265,21 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
         for (k, (a, b)) in pairs.iter().enumerate() {
             va.copy_trace(a);
             vb.copy_trace(b);
-
-            let want_nor = nor.apply2(a, b).unwrap();
-            nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
-            prop_assert_eq!(&out.to_trace(), &want_nor, "cached NOR, pair {}", k);
-
-            let want_nand = nand.apply2(a, b).unwrap();
-            nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
-                .unwrap();
-            prop_assert_eq!(&out.to_trace(), &want_nand, "cached NAND, pair {}", k);
-
-            // The engine's exact call: `apply2_into` on a boxed channel
-            // behind the `Arc` cell libraries hand to networks. The
-            // forwarding must keep both the output and the scheduler's
-            // returned tallies.
-            let direct = [
-                nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap(),
-                nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
-                    .unwrap(),
-            ];
-            for ((ch, want), direct) in [
-                (
-                    Box::new(Arc::clone(&nor)) as Box<dyn TwoInputTransform>,
-                    &want_nor,
-                ),
-                (
-                    Box::new(nand.clone()) as Box<dyn TwoInputTransform>,
-                    &want_nand,
-                ),
-            ]
-            .into_iter()
-            .zip(direct)
-            {
-                let events = ch.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
+            for (direct, boxed) in &channels {
+                let want = direct.apply2(a, b).unwrap();
+                let events = direct
+                    .apply2_into(va.as_ref(), vb.as_ref(), &mut out)
+                    .unwrap();
+                prop_assert_eq!(&out.to_trace(), &want, "{}, pair {}", direct.name(), k);
+                let boxed_events = boxed
+                    .apply2_into(va.as_ref(), vb.as_ref(), &mut out)
+                    .unwrap();
+                prop_assert_eq!(&out.to_trace(), &want, "{} boxed, pair {}", boxed.name(), k);
                 prop_assert_eq!(
-                    &out.to_trace(),
-                    want,
-                    "{} through Arc, pair {}",
-                    ch.name(),
-                    k
-                );
-                prop_assert_eq!(
+                    boxed_events,
                     events,
-                    direct,
-                    "{} events through Arc, pair {}",
-                    ch.name(),
+                    "{} events boxed, pair {}",
+                    boxed.name(),
                     k
                 );
             }

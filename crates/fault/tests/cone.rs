@@ -25,7 +25,7 @@ use mis_fault::{
 use mis_probe::{EventKind, Probe, TraceSink};
 use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
 use mis_testkit::rng::TestRng;
-use mis_waveform::generate::{Assignment, TraceConfig};
+use mis_waveform::generate::netlist_traffic;
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
 
@@ -49,21 +49,9 @@ fn lowered(name: &str) -> LoweredNetlist {
         .expect("lowering")
 }
 
-/// The CLI traffic: one trace (20 edges) of each 40-transition local
-/// pair seeded off 0x5eed; the other half of the pair is discarded.
+/// The CLI traffic (`mis_bench::netlist::traffic`).
 fn traffic(n: usize) -> Vec<DigitalTrace> {
-    (0..n)
-        .map(|i| {
-            let pair = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
-                .generate(0x5eed + i as u64)
-                .expect("trace generation");
-            if i % 2 == 0 {
-                pair.a
-            } else {
-                pair.b
-            }
-        })
-        .collect()
+    netlist_traffic(n, 0x5eed).expect("trace generation")
 }
 
 /// Every stuck-at site plus `fault_sim`'s `n` deterministic glitches.

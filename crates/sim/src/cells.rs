@@ -30,8 +30,8 @@ use std::sync::Arc;
 
 use mis_charlib::CharLib;
 use mis_digital::{
-    CachedHybridChannel, CachedHybridNandChannel, GateKind, InertialChannel, Network, SignalId,
-    SimError, TraceTransform, TwoInputTransform,
+    CachedHybridChannel, GateKind, InertialChannel, NandChannel, Network, SignalId, SimError,
+    TraceTransform, TwoInputTransform,
 };
 
 /// A gate-type → timing-realization mapping shared by every gate
@@ -45,17 +45,13 @@ use mis_digital::{
 ///   cloning per instance is free compared to table-backed cells);
 /// * **cached hybrid** — NOR and NAND realized as two-input channel
 ///   gates referencing one [`Arc`]-shared [`CachedHybridChannel`] table
-///   set (NAND through the free view-inversion duality).
+///   set (NAND as a [`NandChannel`] over the shared NOR, through the
+///   free view-inversion duality).
 #[derive(Debug, Clone)]
 pub struct CellLibrary {
-    hybrid: Option<HybridCells>,
+    /// The NOR table set every NOR and NAND instance shares.
+    hybrid: Option<Arc<CachedHybridChannel>>,
     fallback: Option<InertialChannel>,
-}
-
-#[derive(Debug, Clone)]
-struct HybridCells {
-    nor: Arc<CachedHybridChannel>,
-    nand: CachedHybridNandChannel,
 }
 
 impl CellLibrary {
@@ -84,8 +80,8 @@ impl CellLibrary {
     ///
     /// # Errors
     ///
-    /// Propagates [`CachedHybridChannel::new`] failures (non-NOR
-    /// library, invalid parameters).
+    /// Propagates [`CachedHybridChannel::new`] failures (invalid
+    /// parameters).
     pub fn hybrid(lib: &CharLib, fallback: Option<InertialChannel>) -> Result<Self, SimError> {
         Ok(Self::hybrid_shared(
             Arc::new(CachedHybridChannel::new(lib)?),
@@ -98,9 +94,8 @@ impl CellLibrary {
     /// library's gates all reference the same tables).
     #[must_use]
     pub fn hybrid_shared(nor: Arc<CachedHybridChannel>, fallback: Option<InertialChannel>) -> Self {
-        let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
         CellLibrary {
-            hybrid: Some(HybridCells { nor, nand }),
+            hybrid: Some(nor),
             fallback,
         }
     }
@@ -109,7 +104,7 @@ impl CellLibrary {
     /// (lets tests assert instances share rather than copy).
     #[must_use]
     pub fn shared_tables(&self) -> Option<&Arc<CachedHybridChannel>> {
-        self.hybrid.as_ref().map(|h| &h.nor)
+        self.hybrid.as_ref()
     }
 
     /// One fresh fallback channel, boxed for a gate output.
@@ -132,10 +127,10 @@ impl CellLibrary {
         a: SignalId,
         b: SignalId,
     ) -> Result<SignalId, SimError> {
-        if let Some(h) = &self.hybrid {
+        if let Some(nor) = &self.hybrid {
             let channel: Option<Box<dyn TwoInputTransform>> = match kind {
-                GateKind::Nor => Some(Box::new(Arc::clone(&h.nor))),
-                GateKind::Nand => Some(Box::new(h.nand.clone())),
+                GateKind::Nor => Some(Box::new(Arc::clone(nor))),
+                GateKind::Nand => Some(Box::new(NandChannel::new(Arc::clone(nor)))),
                 _ => None,
             };
             if let Some(ch) = channel {

@@ -28,7 +28,7 @@ use mis_sim::{
     BenchNetlist, CellLibrary, ConeReplay, GoldenRun, RunBudget, Simulator, TraceOverlay,
 };
 use mis_testkit::alloc::{self, CountingAllocator};
-use mis_waveform::generate::{Assignment, TraceConfig};
+use mis_waveform::generate::{netlist_traffic, Assignment, TraceConfig};
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceArena, TraceRef};
 
@@ -60,18 +60,7 @@ fn fixture(name: &str) -> BenchNetlist {
 }
 
 fn traffic(n: usize, seed: u64) -> Vec<DigitalTrace> {
-    (0..n)
-        .map(|i| {
-            let pair = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
-                .generate(seed + i as u64)
-                .expect("trace generation");
-            if i % 2 == 0 {
-                pair.a
-            } else {
-                pair.b
-            }
-        })
-        .collect()
+    netlist_traffic(n, seed).expect("trace generation")
 }
 
 #[test]

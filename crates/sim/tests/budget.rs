@@ -12,7 +12,7 @@ use mis_charlib::CharLib;
 use mis_digital::{BudgetResource, InertialChannel, SimError};
 use mis_probe::{MetricValue, Probe, ProbeReport, TraceSink};
 use mis_sim::{BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator};
-use mis_waveform::generate::{Assignment, TraceConfig};
+use mis_waveform::generate::netlist_traffic;
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena};
 
@@ -39,18 +39,7 @@ fn lowered(name: &str) -> LoweredNetlist {
 }
 
 fn traffic(n: usize, seed: u64) -> Vec<DigitalTrace> {
-    (0..n)
-        .map(|i| {
-            let pair = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
-                .generate(seed + i as u64)
-                .expect("trace generation");
-            if i % 2 == 0 {
-                pair.a
-            } else {
-                pair.b
-            }
-        })
-        .collect()
+    netlist_traffic(n, seed).expect("trace generation")
 }
 
 /// What one unbudgeted run of `name` emits: gate-output edges, measured

@@ -14,11 +14,11 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use mis_charlib::{CharConfig, CharGate, CharLib};
+use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    CachedHybridChannel, CachedHybridNandChannel, ChannelEvents, ExpChannel, GateKind,
-    InertialChannel, Network, PureDelayChannel, SignalId, SimError, SumExpChannel, TraceTransform,
+    CachedHybridChannel, ChannelEvents, ExpChannel, GateKind, InertialChannel, NandChannel,
+    Network, PureDelayChannel, SignalId, SimError, SumExpChannel, TraceTransform,
     TwoInputTransform,
 };
 use mis_sim::{
@@ -218,7 +218,9 @@ fn random_network(rng: &mut TestRng) -> Network {
             }
             _ => {
                 let channel: Box<dyn TwoInputTransform> = if rng.gen_bool(0.5) {
-                    Box::new(CachedHybridNandChannel::from_dual(shared_lib()).unwrap())
+                    Box::new(NandChannel::new(
+                        CachedHybridChannel::new(shared_lib()).unwrap(),
+                    ))
                 } else {
                     Box::new(CachedHybridChannel::new(shared_lib()).unwrap())
                 };
@@ -621,24 +623,17 @@ fn error_empty() {
 
 #[test]
 fn committed_charlib_text_libraries_round_trip() {
-    for (file, gate) in [
-        ("data/charlib/nor_paper.mislib", CharGate::Nor),
-        ("data/charlib/nand_dual.mislib", CharGate::Nand),
-    ] {
-        let path = workspace_root().join(file);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let lib = CharLib::from_text(&text).expect("committed library parses");
-        assert_eq!(lib.gate(), gate, "{file}");
-        // Loader round trip is the identity on the committed bytes, so
-        // `load → save` can never silently reformat a committed library.
-        assert_eq!(lib.to_text(), text, "{file} round trip");
-        // And the loaded tables drive the cached fast path directly.
-        if gate == CharGate::Nor {
-            let cells = CellLibrary::hybrid(&lib, None).expect("loaded NOR library builds cells");
-            assert!(cells.shared_tables().is_some());
-        }
-    }
+    let file = "data/charlib/nor_paper.mislib";
+    let path = workspace_root().join(file);
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let lib = CharLib::from_text(&text).expect("committed library parses");
+    // Loader round trip is the identity on the committed bytes, so
+    // `load → save` can never silently reformat a committed library.
+    assert_eq!(lib.to_text(), text, "{file} round trip");
+    // And the loaded tables drive the cached fast path directly.
+    let cells = CellLibrary::hybrid(&lib, None).expect("loaded NOR library builds cells");
+    assert!(cells.shared_tables().is_some());
 }
 
 #[test]

@@ -206,6 +206,28 @@ pub fn paper_configurations() -> Vec<TraceConfig> {
     ]
 }
 
+/// The netlist stimulus behind every CI `--expect` pin, the netlist
+/// tests and the netlist benches: input `i` of `inputs` gets one trace
+/// of a 40-transition LOCAL pair (`µ` = 400 ps, `σ` = 150 ps) seeded
+/// `seed + i` — trace A for even `i`, B for odd — so each trace has 20
+/// edges and the other half of every generated pair is discarded. The
+/// command-line tools use `seed` = `0x5eed`.
+///
+/// # Errors
+///
+/// Never for these fixed parameters; propagates
+/// [`TraceConfig::generate`] failures.
+pub fn netlist_traffic(inputs: usize, seed: u64) -> Result<Vec<DigitalTrace>, WaveformError> {
+    use crate::units::ps;
+    let cfg = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40);
+    (0..inputs)
+        .map(|i| {
+            let pair = cfg.generate(seed + i as u64)?;
+            Ok(if i % 2 == 0 { pair.a } else { pair.b })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,20 +274,8 @@ mod tests {
         let global = TraceConfig::new(ps(2000.0), ps(1000.0), Assignment::Global, 250)
             .generate(5)
             .unwrap();
-        // The stimulus behind every CI `--expect` pin:
-        // `mis_bench::netlist::traffic(60)`, one trace of each pair.
-        let traffic: Vec<DigitalTrace> = (0..60u64)
-            .map(|i| {
-                let p = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40)
-                    .generate(0x5eed + i)
-                    .unwrap();
-                if i % 2 == 0 {
-                    p.a
-                } else {
-                    p.b
-                }
-            })
-            .collect();
+        // The stimulus behind every CI `--expect` pin.
+        let traffic = netlist_traffic(60, 0x5eed).unwrap();
         let got = [
             local(40),
             local(501),

@@ -81,18 +81,21 @@ cargo run --release -q -p mis-bench --bin lint_bench --offline -- \
 # fixture under the committed cell library and deterministic traffic
 # (seed base 0x5eed) and compares probe counters against the frozen
 # values below — any drift in event scheduling, duplicate-span
-# shortcuts, table-lookup census, or pulse filtering fails CI. Re-pin
+# shortcuts, table-lookup census, or pulse filtering fails CI.
+# sim.output_digest (FNV-1a over every OUTPUT trace) also fails on a
+# moved output edge time that leaves every count unchanged; edge times
+# come out of libm, so a digest is pinned per platform. Re-pin
 # them only with an intentional engine change, via
 # `sim_profile --json <fixture>`.
 echo "== engine-count pinning gate (sim_profile --expect, c17/c432/c880)"
 cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-    --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=144,chan.pending_cancelled=6,chan.table_lookups=83,chan.pulse_filtered=0 \
+    --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=144,chan.pending_cancelled=6,chan.table_lookups=83,chan.pulse_filtered=0,sim.output_digest=9564398975812880454 \
     data/bench/c17.bench > /dev/null
 cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-    --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=830,sim.edges.not=740,chan.pending_cancelled=44,chan.table_lookups=476,chan.pulse_filtered=118 \
+    --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=830,sim.edges.not=740,chan.pending_cancelled=44,chan.table_lookups=476,chan.pulse_filtered=118,sim.output_digest=4576534959320419708 \
     data/bench/c432.bench > /dev/null
 cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-    --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=1238,sim.edges.not=1750,chan.pending_cancelled=65,chan.table_lookups=741,chan.pulse_filtered=1424 \
+    --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=1238,sim.edges.not=1750,chan.pending_cancelled=65,chan.table_lookups=741,chan.pulse_filtered=1424,sim.output_digest=9682654919253990138 \
     data/bench/c880.bench > /dev/null
 
 # Fault-coverage pinning gate: fault_sim runs the exhaustive
@@ -197,8 +200,9 @@ TESTKIT_BENCH_QUICK=1 TESTKIT_BENCH_DIR="$scratch" \
 
 # Optional: CI-scale benchmark smoke + regression gate (quick-mode runs
 # of the harness = false bench targets, diffed against the committed
-# BENCH_*.json baselines; >25 % median regression on any existing id
-# fails — see scripts/bench_diff.sh; refresh baselines with a full
+# BENCH_*.json baselines; an existing id whose fresh floor (`min_ns`)
+# exceeds its committed median by more than 25 % fails — see
+# scripts/bench_diff.sh; refresh baselines with a full
 # `cargo bench -p mis-bench`). The same leg re-runs the counting-
 # allocator suites explicitly: the zero-allocation guarantees of the
 # arena engine (mis-digital) and of the signal-order simulator (mis-sim,
