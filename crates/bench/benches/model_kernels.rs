@@ -4,7 +4,9 @@
 //! ideal-gate merge, and one analog transient of the reference gate.
 //!
 //! Runs on the in-repo `mis-testkit` bench harness (offline replacement
-//! for `criterion`); JSON results land in `BENCH_model_kernels.json`.
+//! for `criterion`), which prints a table and a JSON line and writes no
+//! file; `scripts/ab.sh` compares every id against a base revision in
+//! one session.
 
 use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;

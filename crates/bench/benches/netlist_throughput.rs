@@ -36,8 +36,9 @@
 //! `data/charlib/nor_paper.mislib` — no re-characterization at bench
 //! startup.
 //!
-//! Runs on the in-repo `mis-testkit` bench harness; JSON results land in
-//! `BENCH_netlist_throughput.json`.
+//! Runs on the in-repo `mis-testkit` bench harness, which prints a table
+//! and a JSON line and writes no file; `scripts/ab.sh` compares every id
+//! against a base revision in one session.
 
 use std::path::PathBuf;
 

@@ -1,317 +1,457 @@
-//! Compares a fresh `BENCH_*.json` against a committed baseline and fails
-//! (exit code 1) when any id present in the baseline regressed by more
-//! than the allowed factor against the baseline median, or disappeared
-//! from the fresh run. New ids in the fresh run are reported but never
-//! fail the check.
-//!
-//! The fresh side of the comparison is the *fastest sample* (`min_ns`),
-//! not the fresh median: CI runs the benches in quick mode on shared
-//! machines, where medians carry scheduling noise that would make a 25 %
-//! gate flaky, while a genuine code regression lifts the floor of the
-//! distribution as reliably as its middle.
-//!
-//! Usage:
+//! Summarizes and gates the results file of `scripts/ab.sh`, the
+//! workspace's one benchmark comparison.
 //!
 //! ```text
-//! bench_diff <baseline.json> <fresh.json> [max_regression_factor]
-//! bench_diff --history <history.jsonl> [--env TAG] <snapshot.json>...
+//! bench_diff <results.tsv>
 //! ```
 //!
-//! The factor defaults to 1.25 (a >25 % regression of the fresh floor
-//! over the committed median fails). The parser is schema-specific to
-//! the `mis-testkit` bench JSON — no external JSON dependency needed.
+//! The file has a header line, then one tab-separated row per measured
+//! value: group (a `c880bench` workload or a `mis-bench` suite), id (an
+//! end-to-end metric or a bench id), pair, side (`base` or `change`),
+//! value, and the run's failed operations (`NA` for both when the run
+//! printed no result line).
 //!
-//! `--history` turns the three overwritten `BENCH_*.json` snapshots
-//! into a queryable perf trajectory: for each snapshot it appends one
-//! self-validated JSON line — suite name (from the `BENCH_<suite>.json`
-//! filename), environment tag, the host's `nproc`, the `rustc --version`
-//! line, the checkout's `git rev-parse HEAD`, unix timestamp, and every
-//! id's median — to the given `.jsonl` log (created if absent). A host
-//! field that cannot be read is recorded as an empty string. The
-//! committed `BENCH_HISTORY.jsonl` is that log for the committed
-//! baselines; CI smoke-appends to a scratch copy.
+//! Per group and id it prints each side's median (q1–q3, linear
+//! interpolation between order statistics), the ratio change/base of
+//! the medians and "change better in k of n" (ties count for neither
+//! side); the failed-operation totals close each group. It exits 1 when
+//! a change median is worse than the base median by more than the id's
+//! bound (`BENCHMARK.json`'s for its end-to-end metrics, 25 % for every
+//! bench id, where lower is better), when the change side has failed
+//! operations or runs without a result, or when the base reports an id
+//! in a pair where the change does not. An id that only the change
+//! reports is printed and passes. Exit code 2 on usage or format
+//! errors.
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use mis_probe::json::{is_wellformed, json_f64, json_string};
+/// The end-to-end metrics of `BENCHMARK.json`: name, whether higher is
+/// better, and the largest relative worsening of the median that
+/// passes.
+const END_TO_END: [(&str, bool, f64); 4] = [
+    ("op_us_p50", false, 0.25),
+    ("runs_per_s", true, 0.25),
+    ("setup_s", false, 0.25),
+    ("peak_rss_mb", false, 0.15),
+];
+
+/// Whether higher is better for `id`, and its bound. Any id that is not
+/// an end-to-end metric is a bench time in ns.
+fn rule(id: &str) -> (bool, f64) {
+    END_TO_END
+        .iter()
+        .find(|(name, ..)| *name == id)
+        .map_or((false, 0.25), |&(_, higher, bound)| (higher, bound))
+}
+
+fn better(higher: bool) -> &'static str {
+    if higher {
+        "higher"
+    } else {
+        "lower"
+    }
+}
+
+/// One measured value of one run.
+struct Row {
+    group: String,
+    id: String,
+    pair: usize,
+    change: bool,
+    value: Option<f64>,
+    failed: Option<u64>,
+}
+
+/// One results row, or `None` when it is malformed.
+fn row(line: &str) -> Option<Row> {
+    fn field<T: FromStr>(s: &str) -> Option<Option<T>> {
+        if s == "NA" {
+            Some(None)
+        } else {
+            s.parse().ok().map(Some)
+        }
+    }
+    let f: Vec<&str> = line.split('\t').collect();
+    let [group, id, pair, side @ ("base" | "change"), value, failed] = f[..] else {
+        return None;
+    };
+    Some(Row {
+        group: group.to_string(),
+        id: id.to_string(),
+        pair: pair.parse().ok()?,
+        change: side == "change",
+        value: field(value)?,
+        failed: field(failed)?,
+    })
+}
+
+/// Parses a results file (header line first).
+fn parse(text: &str) -> Result<Vec<Row>, String> {
+    let rows = text.lines().enumerate().skip(1);
+    rows.filter(|(_, line)| !line.is_empty())
+        .map(|(n, line)| row(line).ok_or_else(|| format!("line {}: malformed row {line:?}", n + 1)))
+        .collect()
+}
+
+/// The distinct items of `items`, in order of first appearance.
+fn first_seen<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen
+}
+
+/// Linear interpolation between the order statistics of ascending
+/// `sorted` at quantile `p`.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let h = (sorted.len() - 1) as f64 * p;
+    let lo = h as usize;
+    if lo + 1 < sorted.len() {
+        sorted[lo] + (h - lo as f64) * (sorted[lo + 1] - sorted[lo])
+    } else {
+        sorted[lo]
+    }
+}
+
+/// `v` as C's `%.6g`: six significant digits, trailing zeros dropped,
+/// exponent form outside `[1e-4, 1e6)`.
+fn fmt_g(v: f64) -> String {
+    if v == 0.0 {
+        return "0".to_string();
+    }
+    let sci = format!("{v:.5e}");
+    let (mantissa, exp) = sci.split_once('e').expect("exponent form");
+    let exp: i32 = exp.parse().expect("integer exponent");
+    let trim = |s: &str| {
+        if s.contains('.') {
+            s.trim_end_matches('0').trim_end_matches('.').to_string()
+        } else {
+            s.to_string()
+        }
+    };
+    if (-4..6).contains(&exp) {
+        let decimals = usize::try_from(5 - exp).expect("exp < 6");
+        trim(&format!("{v:.decimals$}"))
+    } else {
+        let sign = if exp < 0 { '-' } else { '+' };
+        format!("{}e{sign}{:02}", trim(mantissa), exp.abs())
+    }
+}
+
+/// `median (q1-q3)` of ascending `sorted`.
+fn spread(sorted: &[f64]) -> String {
+    let q = |p| fmt_g(quantile(sorted, p));
+    format!("{} ({}-{})", q(0.5), q(0.25), q(0.75))
+}
+
+/// Summarizes `rows` into `out` and returns what fails the change
+/// (empty when it passes).
+fn summarize(rows: &[Row], out: &mut String) -> Vec<String> {
+    let mut failures = Vec::new();
+    for group in first_seen(rows.iter().map(|r| r.group.as_str())) {
+        let rows: Vec<&Row> = rows.iter().filter(|r| r.group == group).collect();
+        let pairs = first_seen(rows.iter().map(|r| r.pair));
+        let ids = first_seen(rows.iter().map(|r| r.id.as_str()));
+        let width = ids.iter().map(|id| id.len()).fold(12, usize::max);
+        let _ = write!(out, "\n{group} ({} pairs)\n", pairs.len());
+        let _ = writeln!(
+            out,
+            "  {:<width$} {:<32} {:<32} {:<7} change better in",
+            "metric", "base median (q1-q3)", "change median (q1-q3)", "ratio"
+        );
+        for id in ids {
+            let (higher, bound) = rule(id);
+            let value = |pair: usize, change: bool| {
+                rows.iter()
+                    .find(|r| r.id == id && r.pair == pair && r.change == change)
+                    .and_then(|r| r.value)
+            };
+            let missing = pairs
+                .iter()
+                .filter(|&&p| value(p, false).is_some() && value(p, true).is_none())
+                .count();
+            if missing > 0 {
+                let _ = writeln!(
+                    out,
+                    "  {id:<width$} MISSING: the change lacks it in {missing} pairs"
+                );
+                failures.push(format!("{group} {id}: missing on the change side"));
+                continue;
+            }
+            let both: Vec<(f64, f64)> = pairs
+                .iter()
+                .filter_map(|&p| Some((value(p, false)?, value(p, true)?)))
+                .collect();
+            if both.is_empty() {
+                let _ = writeln!(out, "  {id:<width$} not compared: no base value");
+                continue;
+            }
+            let wins = both
+                .iter()
+                .filter(|&&(b, c)| if higher { c > b } else { c < b })
+                .count();
+            let (mut base, mut change): (Vec<f64>, Vec<f64>) = both.into_iter().unzip();
+            base.sort_by(f64::total_cmp);
+            change.sort_by(f64::total_cmp);
+            let (bm, cm) = (quantile(&base, 0.5), quantile(&change, 0.5));
+            let ratio = if bm == 0.0 { 0.0 } else { cm / bm };
+            let _ = write!(
+                out,
+                "  {id:<width$} {:<32} {:<32} {ratio:<7.3} {wins} of {} ({} is better)",
+                spread(&base),
+                spread(&change),
+                base.len(),
+                better(higher)
+            );
+            if (higher && cm < bm * (1.0 - bound)) || (!higher && cm > bm * (1.0 + bound)) {
+                let _ = write!(out, "  REGRESSED (bound {bound})");
+                failures.push(format!(
+                    "{group} {id}: ratio {ratio:.3}, {} is better, bound {bound}",
+                    better(higher)
+                ));
+            }
+            out.push('\n');
+        }
+        // One failed count per run, from its first row.
+        let runs = first_seen(rows.iter().map(|r| (r.pair, r.change)));
+        let failed = |change: bool| {
+            let side = runs.iter().filter(|&&(_, c)| c == change);
+            let counts = side.map(|&(p, c)| {
+                let run = rows.iter().find(|r| r.pair == p && r.change == c);
+                run.and_then(|r| r.failed)
+            });
+            counts.fold((0, 0), |(sum, blind), f| {
+                f.map_or((sum, blind + 1), |f| (sum + f, blind))
+            })
+        };
+        let ((base_failed, base_blind), (change_failed, change_blind)) =
+            (failed(false), failed(true));
+        let _ = writeln!(
+            out,
+            "  failed operations: base {base_failed}, change {change_failed}"
+        );
+        if base_blind + change_blind > 0 {
+            let _ = writeln!(
+                out,
+                "  runs without a result: base {base_blind}, change {change_blind}"
+            );
+        }
+        if change_failed + change_blind > 0 {
+            failures.push(format!(
+                "{group}: {change_failed} failed operations and {change_blind} runs \
+                 without a result on the change side"
+            ));
+        }
+    }
+    failures
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--history") {
-        return match run_history(&args[1..]) {
-            Ok(msg) => {
-                println!("{msg}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bench_diff: {e}");
-                eprintln!(
-                    "usage: bench_diff --history <history.jsonl> [--env TAG] <snapshot.json>..."
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.len() < 2 || args.len() > 3 {
-        eprintln!("usage: bench_diff <baseline.json> <fresh.json> [max_regression_factor]");
-        eprintln!("       bench_diff --history <history.jsonl> [--env TAG] <snapshot.json>...");
+    let [path] = &args[..] else {
+        eprintln!("usage: bench_diff <results.tsv>");
         return ExitCode::from(2);
-    }
-    let factor: f64 = match args.get(2) {
-        Some(s) => match s.parse() {
-            Ok(f) if f >= 1.0 => f,
-            _ => {
-                eprintln!("bench_diff: bad max_regression_factor '{}'", args[2]);
-                return ExitCode::from(2);
-            }
-        },
-        None => 1.25,
     };
-    let (baseline, fresh) = match (read_results(&args[0]), read_results(&args[1])) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
+    let rows = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| parse(&text))
+        .and_then(|rows| {
+            if rows.is_empty() {
+                Err(format!("{path}: no results"))
+            } else {
+                Ok(rows)
+            }
+        });
+    let rows = match rows {
+        Ok(rows) => rows,
+        Err(e) => {
             eprintln!("bench_diff: {e}");
             return ExitCode::from(2);
         }
     };
-
-    let mut failed = false;
-    for row in &baseline {
-        match fresh.iter().find(|f| f.id == row.id) {
-            None => {
-                println!(
-                    "MISSING  {}: present in baseline, absent in fresh run",
-                    row.id
-                );
-                failed = true;
-            }
-            Some(f) => {
-                let ratio = f.min_ns / row.median_ns;
-                let verdict = if ratio > factor {
-                    failed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{verdict:<9} {}: baseline median {:.1} ns vs fresh floor {:.1} ns \
-                     ({ratio:.2}x, limit {factor:.2}x)",
-                    row.id, row.median_ns, f.min_ns
-                );
-            }
-        }
+    let mut out = String::new();
+    let failures = summarize(&rows, &mut out);
+    print!("{out}");
+    if failures.is_empty() {
+        println!("\nbench_diff: OK");
+        return ExitCode::SUCCESS;
     }
-    for f in &fresh {
-        if !baseline.iter().any(|b| b.id == f.id) {
-            println!(
-                "new       {}: median {:.1} ns (no baseline yet)",
-                f.id, f.median_ns
-            );
-        }
+    eprintln!("\nbench_diff: FAILED");
+    for f in &failures {
+        eprintln!("  {f}");
     }
-    if failed {
-        eprintln!(
-            "bench_diff: FAILED ({} baseline ids checked)",
-            baseline.len()
-        );
-        ExitCode::FAILURE
-    } else {
-        println!("bench_diff: OK ({} baseline ids checked)", baseline.len());
-        ExitCode::SUCCESS
-    }
-}
-
-struct Row {
-    id: String,
-    median_ns: f64,
-    min_ns: f64,
-}
-
-/// Extracts `(id, median_ns, min_ns)` rows from a `mis-testkit` bench
-/// JSON file.
-fn read_results(path: &str) -> Result<Vec<Row>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut out = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(pos) = rest.find("\"id\":\"") {
-        rest = &rest[pos + 6..];
-        let end = rest
-            .find('"')
-            .ok_or_else(|| format!("{path}: unterminated id string"))?;
-        let id = rest[..end].to_owned();
-        let median_ns = field_after(rest, "\"median_ns\":", path, &id)?;
-        let min_ns = field_after(rest, "\"min_ns\":", path, &id)?;
-        out.push(Row {
-            id,
-            median_ns,
-            min_ns,
-        });
-        rest = &rest[end..];
-    }
-    if out.is_empty() {
-        return Err(format!("{path}: no benchmark results found"));
-    }
-    Ok(out)
-}
-
-/// Parses the float following `key` in `text` (searching forward from the
-/// current result's id).
-fn field_after(text: &str, key: &str, path: &str, id: &str) -> Result<f64, String> {
-    let pos = text
-        .find(key)
-        .ok_or_else(|| format!("{path}: result '{id}' has no {key}"))?;
-    let rest = &text[pos + key.len()..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|_| format!("{path}: bad {key} for '{id}'"))
-}
-
-/// Where a history record was measured: core count, compiler and
-/// commit. Each field is empty when it cannot be read.
-struct Host {
-    nproc: String,
-    rustc: String,
-    git_sha: String,
-}
-
-impl Host {
-    fn detect() -> Self {
-        let command = |program: &str, args: &[&str]| {
-            std::process::Command::new(program)
-                .args(args)
-                .output()
-                .ok()
-                .filter(|out| out.status.success())
-                .and_then(|out| String::from_utf8(out.stdout).ok())
-                .map(|text| text.trim().to_string())
-                .unwrap_or_default()
-        };
-        Host {
-            nproc: std::thread::available_parallelism()
-                .map(|n| n.to_string())
-                .unwrap_or_default(),
-            rustc: command("rustc", &["--version"]),
-            git_sha: command("git", &["rev-parse", "HEAD"]),
-        }
-    }
-}
-
-/// One history record — `{"suite":...,"env":...,"nproc":...,"rustc":...,
-/// "git_sha":...,"unix_s":...,"medians":{id:ns}}` — validated before it
-/// is returned, same contract as every other JSON emitter in the
-/// workspace.
-fn history_line(
-    suite: &str,
-    env_tag: &str,
-    host: &Host,
-    unix_s: u64,
-    rows: &[Row],
-) -> Result<String, String> {
-    let medians: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{}:{}", json_string(&r.id), json_f64(r.median_ns)))
-        .collect();
-    let line = format!(
-        "{{\"suite\":{},\"env\":{},\"nproc\":{},\"rustc\":{},\"git_sha\":{},\"unix_s\":{unix_s},\"medians\":{{{}}}}}",
-        json_string(suite),
-        json_string(env_tag),
-        json_string(&host.nproc),
-        json_string(&host.rustc),
-        json_string(&host.git_sha),
-        medians.join(",")
-    );
-    if !is_wellformed(&line) {
-        return Err(format!("internal error: malformed history line: {line}"));
-    }
-    Ok(line)
-}
-
-/// The `--history` mode: appends one [`history_line`] per snapshot file
-/// to the history log.
-fn run_history(args: &[String]) -> Result<String, String> {
-    let mut it = args.iter();
-    let history_path = it.next().ok_or("missing <history.jsonl>")?.clone();
-    let mut env_tag = "local".to_string();
-    let mut snapshots: Vec<String> = Vec::new();
-    while let Some(arg) = it.next() {
-        if arg == "--env" {
-            env_tag = it.next().ok_or("--env needs a value")?.clone();
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag '{arg}'"));
-        } else {
-            snapshots.push(arg.clone());
-        }
-    }
-    if snapshots.is_empty() {
-        return Err("no <snapshot.json> files given".to_string());
-    }
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_err(|e| format!("system clock before the epoch: {e}"))?
-        .as_secs();
-    let host = Host::detect();
-    let mut lines = String::new();
-    for path in &snapshots {
-        let rows = read_results(path)?;
-        lines.push_str(&history_line(
-            &suite_name(path),
-            &env_tag,
-            &host,
-            unix_s,
-            &rows,
-        )?);
-        lines.push('\n');
-    }
-    use std::io::Write as _;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&history_path)
-        .map_err(|e| format!("open {history_path}: {e}"))?;
-    file.write_all(lines.as_bytes())
-        .map_err(|e| format!("append {history_path}: {e}"))?;
-    Ok(format!(
-        "appended {} suite record(s) to {history_path} (env {env_tag})",
-        snapshots.len()
-    ))
-}
-
-/// The suite name encoded in a snapshot path: `BENCH_<suite>.json`
-/// yields `<suite>`; anything else falls back to the file stem.
-fn suite_name(path: &str) -> String {
-    let stem = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or(path);
-    stem.strip_prefix("BENCH_").unwrap_or(stem).to_string()
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A results file: one `(group, id, pair, side, value, failed)`
+    /// row per entry.
+    fn results(rows: &[(&str, &str, usize, &str, &str, &str)]) -> Vec<Row> {
+        let mut text = String::from("group\tid\tpair\tside\tvalue\tfailed\n");
+        for (group, id, pair, side, value, failed) in rows {
+            let _ = writeln!(text, "{group}\t{id}\t{pair}\t{side}\t{value}\t{failed}");
+        }
+        parse(&text).unwrap()
+    }
+
+    /// Base and change values of one id over consecutive pairs.
+    fn ab(id: &str, base: &[&str], change: &[&str]) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (p, (b, c)) in base.iter().zip(change).enumerate() {
+            rows.push(("g", id, p + 1, "base", *b, "0"));
+            rows.push(("g", id, p + 1, "change", *c, "0"));
+        }
+        results(&rows)
+    }
+
+    fn gate(rows: &[Row]) -> (Vec<String>, String) {
+        let mut out = String::new();
+        (summarize(rows, &mut out), out)
+    }
+
     #[test]
-    fn history_line_records_the_host_and_stays_wellformed() {
-        let host = Host {
-            nproc: "2".to_string(),
-            rustc: "rustc 1.90.0 (\"stable\")".to_string(),
-            git_sha: String::new(),
-        };
-        let rows = [Row {
-            id: "c432_cached/sim".to_string(),
-            median_ns: 1500.0,
-            min_ns: 1400.0,
-        }];
-        let line = history_line("netlist_throughput", "ci", &host, 7, &rows).unwrap();
-        assert_eq!(
-            line,
-            r#"{"suite":"netlist_throughput","env":"ci","nproc":"2","rustc":"rustc 1.90.0 (\"stable\")","git_sha":"","unix_s":7,"medians":{"c432_cached/sim":1.5e3}}"#
+    fn a_ratio_at_the_bound_passes_and_just_over_it_fails() {
+        let at = ab("op_us_p50", &["100"], &["125"]);
+        assert!(gate(&at).0.is_empty());
+        let over = ab("op_us_p50", &["100"], &["125.01"]);
+        assert_eq!(gate(&over).0.len(), 1);
+        // peak_rss_mb has the tighter 15 % bound.
+        assert!(gate(&ab("peak_rss_mb", &["100"], &["114.9"])).0.is_empty());
+        assert_eq!(gate(&ab("peak_rss_mb", &["100"], &["115.1"])).0.len(), 1);
+        // A bench id is a time with the 25 % bound.
+        assert!(gate(&ab("suite/id", &["1000"], &["1250"])).0.is_empty());
+        let (failures, out) = gate(&ab("suite/id", &["1000"], &["1251"]));
+        assert_eq!(failures.len(), 1);
+        assert!(out.contains("REGRESSED"), "{out}");
+    }
+
+    #[test]
+    fn higher_is_better_for_runs_per_s_only() {
+        // runs_per_s may fall 25 % and no more; rising is never a
+        // regression.
+        assert!(gate(&ab("runs_per_s", &["100"], &["75"])).0.is_empty());
+        assert_eq!(gate(&ab("runs_per_s", &["100"], &["74.9"])).0.len(), 1);
+        assert!(gate(&ab("runs_per_s", &["100"], &["1000"])).0.is_empty());
+        // A lower-better time falling is never a regression.
+        assert!(gate(&ab("setup_s", &["100"], &["1"])).0.is_empty());
+        let (_, out) = gate(&ab("runs_per_s", &["100", "100"], &["110", "90"]));
+        assert!(out.contains("1 of 2 (higher is better)"), "{out}");
+    }
+
+    #[test]
+    fn failed_operations_on_the_change_side_fail() {
+        let mut rows = results(&[
+            ("w", "op_us_p50", 1, "base", "100", "3"),
+            ("w", "op_us_p50", 1, "change", "100", "0"),
+        ]);
+        let (failures, out) = gate(&rows);
+        assert!(failures.is_empty(), "base failures are not the change's");
+        assert!(out.contains("failed operations: base 3, change 0"), "{out}");
+        rows[1].failed = Some(2);
+        assert_eq!(gate(&rows).0.len(), 1);
+        // A change run without a result line fails too.
+        rows[1].failed = None;
+        rows[1].value = None;
+        let (failures, out) = gate(&rows);
+        assert!(!failures.is_empty());
+        assert!(
+            out.contains("runs without a result: base 0, change 1"),
+            "{out}"
         );
-        assert!(is_wellformed(&line));
+    }
+
+    #[test]
+    fn a_base_only_id_fails_and_a_change_only_id_passes() {
+        let base_only = results(&[("s", "old/id", 1, "base", "10", "0")]);
+        let (failures, out) = gate(&base_only);
+        assert_eq!(failures.len(), 1);
+        assert!(out.contains("MISSING"), "{out}");
+        let change_only = results(&[("s", "new/id", 1, "change", "10", "0")]);
+        let (failures, out) = gate(&change_only);
+        assert!(failures.is_empty());
+        assert!(
+            out.contains("new/id") && out.contains("not compared: no base value"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn ties_count_for_neither_side() {
+        let (_, out) = gate(&ab(
+            "op_us_p50",
+            &["100", "100", "100", "100"],
+            &["100", "99", "101", "100"],
+        ));
+        assert!(out.contains("1 of 4 (lower is better)"), "{out}");
+    }
+
+    #[test]
+    fn medians_and_quartiles_interpolate_between_order_statistics() {
+        let (_, out) = gate(&ab(
+            "op_us_p50",
+            &["4", "1", "3", "2"],
+            &["10", "20", "30", "40"],
+        ));
+        assert!(
+            out.contains("2.5 (1.75-3.25)") && out.contains("25 (17.5-32.5)"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn numbers_print_as_c_percent_g() {
+        let cases = [
+            (0.0, "0"),
+            (190.5, "190.5"),
+            (244_123.0, "244123"),
+            (1_234_567.0, "1.23457e+06"),
+            (0.004_23, "0.00423"),
+            (0.000_012_5, "1.25e-05"),
+            (6.931_999, "6.932"),
+            (999_999.7, "1e+06"),
+        ];
+        for (v, want) in cases {
+            assert_eq!(fmt_g(v), want, "{v}");
+        }
+    }
+
+    /// The end-to-end table above is `BENCHMARK.json`'s `end_to_end`
+    /// list, so a benchmark change cannot leave the gate behind.
+    #[test]
+    fn end_to_end_table_matches_benchmark_json() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let list = &text[text.find("\"end_to_end\"").unwrap()..];
+        let list = &list[..list.find(']').unwrap()];
+        let field = |entry: &str, key: &str| {
+            let rest = &entry[entry.find(&format!("\"{key}\"")).unwrap() + key.len() + 2..];
+            let rest = rest.trim_start().trim_start_matches(':').trim_start();
+            let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+            rest[..end].trim().trim_matches('"').to_string()
+        };
+        let entries: Vec<(String, String, f64)> = list
+            .split('{')
+            .skip(1)
+            .map(|entry| {
+                (
+                    field(entry, "name"),
+                    field(entry, "better"),
+                    field(entry, "bound").parse().unwrap(),
+                )
+            })
+            .collect();
+        let table: Vec<(String, String, f64)> = END_TO_END
+            .iter()
+            .map(|&(name, higher, bound)| (name.to_string(), better(higher).to_string(), bound))
+            .collect();
+        assert_eq!(entries, table);
     }
 }

@@ -16,7 +16,10 @@
 //! the gates it perturbs (`mis_sim::ConeReplay`); the report is
 //! identical to full-netlist replay. `fault.cone_gates` counts the gates
 //! re-evaluated across the campaign — the campaign's exact work, pinned
-//! in CI next to the coverage counters.
+//! in CI next to the coverage counters. `fault.report_digest` is the
+//! FNV-1a digest of the whole report (`mis_bench::netlist::report_digest`:
+//! every fault's site, outcome and detecting outputs, no timers), so a
+//! pin on it fails when any single fault's result changes.
 //!
 //! Usage:
 //!
@@ -57,7 +60,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mis_bench::emit;
-use mis_bench::netlist::{check_expect, committed_cells, parse_expect, traffic};
+use mis_bench::netlist::{check_expect, committed_cells, parse_expect, report_digest, traffic};
 use mis_fault::{
     fuzz_differential, run_campaign_traced, stuck_at_sites, CampaignConfig, FaultOutcome,
     FaultSite, FuzzConfig,
@@ -258,6 +261,9 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
     )
     .map_err(|e| format!("campaign: {e}"))?;
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    probe
+        .counter("fault.report_digest")
+        .add(report_digest(&report));
     let snap = probe.report();
     let busy_ns = busy_totals(&snap);
     let (busy_share, imbalance) = worker_balance(&busy_ns, wall_ns);

@@ -1,7 +1,8 @@
 //! Shared plumbing for the netlist CLIs (`sim_profile`, `lint_bench`,
 //! `fault_sim`): the committed characterized cell realization, the
-//! deterministic input traffic every binary drives fixtures with, and
-//! the `--expect` metric pins CI checks their probe reports against. One
+//! deterministic input traffic every binary drives fixtures with, the
+//! output and campaign-report digests, and the `--expect` metric pins
+//! CI checks their probe reports against. One
 //! definition keeps the binaries' numbers comparable — a profiled event
 //! count, a timing window and a fault-coverage figure for the same
 //! `.bench` file all describe the same lowered circuit under the same
@@ -11,6 +12,7 @@ use std::path::PathBuf;
 
 use mis_charlib::CharLib;
 use mis_digital::InertialChannel;
+use mis_fault::{CampaignReport, FaultKind, FaultOutcome};
 use mis_probe::{MetricValue, ProbeReport};
 use mis_sim::CellLibrary;
 use mis_waveform::generate::netlist_traffic;
@@ -57,6 +59,18 @@ pub fn traffic(n: usize) -> Result<Vec<DigitalTrace>, String> {
     netlist_traffic(n, 0x5eed).map_err(|e| format!("traffic generation: {e}"))
 }
 
+/// One 64-bit FNV-1a step: folds `bytes` into the hash `h` (start from
+/// [`FNV_OFFSET`]). The one hasher behind [`output_digest`] and
+/// [`report_digest`].
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// A 64-bit FNV-1a digest of simulated traces, in the order given:
 /// per trace its initial value (one byte), then the bits of each edge
 /// time (little-endian `f64::to_bits`). `sim_profile` reports it over
@@ -65,19 +79,45 @@ pub fn traffic(n: usize) -> Result<Vec<DigitalTrace>, String> {
 /// miss. Edge times come out of `libm` calls, so a digest is pinned per
 /// platform.
 pub fn output_digest<'a>(traces: impl IntoIterator<Item = TraceRef<'a>>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    traces.into_iter().fold(FNV_OFFSET, |h, t| {
+        let h = fnv1a(h, &[u8::from(t.initial_value())]);
+        t.times()
+            .iter()
+            .fold(h, |h, time| fnv1a(h, &time.to_bits().to_le_bytes()))
+    })
+}
+
+/// A 64-bit FNV-1a digest of a campaign report, in fault-list order.
+/// Per fault, each word a little-endian `u64`: the site's signal index;
+/// its kind (0 stuck-at-0, 1 stuck-at-1, 2 glitch followed by the
+/// glitch's time and width bits); the outcome (0 detected, 1
+/// undetected, 2 budget-tripped); the number of detecting outputs, then
+/// their indices. A report holds no timers and is the same at every
+/// worker count, and so is its digest. `fault_sim` reports it as
+/// `fault.report_digest`, which fails a pin when any one fault's result
+/// changes, even if every count holds.
+#[must_use]
+pub fn report_digest(report: &CampaignReport) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for r in &report.results {
+        words.push(r.site.signal.index() as u64);
+        match r.site.kind {
+            FaultKind::StuckAt(v) => words.push(u64::from(v)),
+            FaultKind::Glitch { time, width } => {
+                words.extend([2, time.to_bits(), width.to_bits()]);
+            }
         }
-    };
-    for t in traces {
-        eat(&[u8::from(t.initial_value())]);
-        for time in t.times() {
-            eat(&time.to_bits().to_le_bytes());
-        }
+        words.push(match r.outcome {
+            FaultOutcome::Detected => 0,
+            FaultOutcome::Undetected => 1,
+            FaultOutcome::BudgetTripped => 2,
+        });
+        words.push(r.detecting_outputs.len() as u64);
+        words.extend(r.detecting_outputs.iter().map(|&k| k as u64));
     }
-    h
+    words
+        .iter()
+        .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()))
 }
 
 /// Parses an `--expect` spec — `metric=value` pairs separated by
@@ -180,6 +220,55 @@ mod tests {
         let one_ulp_later = f64::from_bits(ps(20.0).to_bits() + 1);
         assert_ne!(base, digest(false, &[ps(10.0), one_ulp_later]));
         assert_ne!(base, digest(false, &[ps(10.0)]));
+    }
+
+    #[test]
+    fn report_digest_sees_every_site_outcome_and_detecting_output() {
+        use mis_fault::{CampaignReport, FaultResult, FaultSite};
+        use mis_sim::{BenchNetlist, CellLibrary};
+        let nl = BenchNetlist::parse("INPUT(a)\nOUTPUT(b)\nOUTPUT(c)\nb = NOT(a)\nc = NOT(b)\n")
+            .unwrap();
+        let net = nl.lower(&CellLibrary::ideal()).unwrap().net;
+        let (a, b) = (net.signal_id(0).unwrap(), net.signal_id(1).unwrap());
+        let result = |site, outcome, detecting_outputs| FaultResult {
+            site,
+            outcome,
+            detecting_outputs,
+        };
+        let report = |results| CampaignReport {
+            results,
+            detected: 0,
+            budget_trips: 0,
+            per_output: Vec::new(),
+        };
+        let base = vec![
+            result(FaultSite::stuck_at_0(a), FaultOutcome::Detected, vec![0, 1]),
+            result(
+                FaultSite::glitch(b, ps(100.0), ps(20.0)).unwrap(),
+                FaultOutcome::Undetected,
+                Vec::new(),
+            ),
+        ];
+        let digest = report_digest(&report(base.clone()));
+        // The aggregate counts are derived; the digest reads the records.
+        let mut counted = report(base.clone());
+        counted.detected = 1;
+        assert_eq!(report_digest(&counted), digest);
+        let mutants: [fn(&mut Vec<FaultResult>); 6] = [
+            |r| {
+                r[0].detecting_outputs.pop();
+            },
+            |r| r[0].outcome = FaultOutcome::BudgetTripped,
+            |r| r[0].site = FaultSite::stuck_at_1(r[0].site.signal),
+            |r| r[1].site.signal = r[0].site.signal,
+            |r| r[1].site = FaultSite::glitch(r[1].site.signal, ps(100.0), ps(30.0)).unwrap(),
+            |r| r.swap(0, 1),
+        ];
+        for (i, mutate) in mutants.iter().enumerate() {
+            let mut results = base.clone();
+            mutate(&mut results);
+            assert_ne!(report_digest(&report(results)), digest, "mutant {i}");
+        }
     }
 
     #[test]

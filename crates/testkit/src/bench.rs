@@ -5,9 +5,10 @@
 //! then timed over [`BenchOptions::sample_count`] samples. Reported
 //! statistics are per-iteration nanoseconds: mean, median, p95, min, max.
 //!
-//! Results print as an aligned table and are additionally emitted as JSON
-//! — both to stdout and to a `BENCH_<name>.json` file — so successive
-//! runs can be tracked longitudinally.
+//! Results print as an aligned table, one `<name>/<id>  median … ns` line
+//! per benchmark, and then as one JSON line on stdout. Nothing is
+//! written to disk: `scripts/ab.sh` reads the table lines of a base and
+//! a change build in one session, and compares those.
 //!
 //! ```no_run
 //! use mis_testkit::bench::{black_box, Harness};
@@ -309,47 +310,10 @@ impl Harness {
         s
     }
 
-    /// Prints the JSON report to stdout and writes `BENCH_<name>.json`,
-    /// returning the collected results.
-    ///
-    /// The file lands in `TESTKIT_BENCH_DIR` when set, else the workspace
-    /// root (two levels above the bench crate's `CARGO_MANIFEST_DIR`),
-    /// else the current directory. Filtered runs never write a file (a
-    /// partial id set would shadow the full result set wherever it
-    /// lands). Quick runs skip the file too, so a low-resolution result
-    /// set never clobbers the full longitudinal baseline — **unless**
-    /// `TESTKIT_BENCH_DIR` is set explicitly: an explicit directory is a
-    /// scratch target (CI regression checks diff quick-mode output there
-    /// against the committed baseline), not the baseline itself.
+    /// Prints the JSON report to stdout and returns the collected
+    /// results.
     pub fn finish(self) -> Vec<BenchResult> {
-        let json = self.to_json();
-        println!("{json}");
-        let explicit_dir = std::env::var("TESTKIT_BENCH_DIR").ok();
-        // A filtered run is always partial: writing it anywhere would
-        // shadow ids of the full result set, so it never produces a file.
-        if let Some(f) = &self.filter {
-            println!("filter {f:?} active: not writing BENCH_{}.json", self.name);
-            return self.results;
-        }
-        if self.quick && explicit_dir.is_none() {
-            println!(
-                "quick mode: not overwriting BENCH_{}.json (its baseline uses full sampling)",
-                self.name
-            );
-            return self.results;
-        }
-        let dir = explicit_dir
-            .or_else(|| {
-                std::env::var("CARGO_MANIFEST_DIR")
-                    .ok()
-                    .map(|m| format!("{m}/../.."))
-            })
-            .unwrap_or_else(|| String::from("."));
-        let path = format!("{dir}/BENCH_{}.json", self.name);
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        println!("{}", self.to_json());
         self.results
     }
 }

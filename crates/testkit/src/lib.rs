@@ -13,8 +13,8 @@
 //!   [`prop::Strategy`] input generators, configurable case counts,
 //!   failing-input reporting and basic greedy shrinking.
 //! * [`mod@bench`] — a criterion-free micro-bench harness: warmup,
-//!   auto-calibrated timed iterations, median/p95 statistics and JSON
-//!   output for longitudinal `BENCH_*.json` tracking.
+//!   auto-calibrated timed iterations, median/p95 statistics, printed
+//!   as a table and one JSON line.
 //!
 //! With the `counting-alloc` feature, `alloc` additionally provides a
 //! thread-local counting `#[global_allocator]` wrapper so zero-allocation

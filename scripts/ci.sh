@@ -109,19 +109,23 @@ cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
 # by memo-less cone-only replay across all faults (a spliced replay
 # counts the recorded replay's gates, so it is also worker-count
 # independent); drift means the replay's early stop or scheduling
-# changed. Re-pin via `fault_sim --json [--glitches 24] <fixture>`.
+# changed. fault.report_digest (FNV-1a over every fault's site, outcome
+# and detecting outputs, in fault-list order) also fails when one
+# fault's detecting outputs change while every count holds; it is
+# identical at every worker count. Re-pin via `fault_sim --json
+# [--glitches 24] <fixture>`.
 echo "== fault-coverage pinning gate (fault_sim --expect, c17/c432/c880)"
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json \
-    --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52 \
+    --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52,fault.report_digest=1750636178703075620 \
     data/bench/c17.bench > /dev/null
 # The same C17 pins with more workers (64) than faults (22): a campaign
 # runs at most one worker per fault, and the report does not change.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json \
     --workers 64 \
-    --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52 \
+    --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52,fault.report_digest=1750636178703075620 \
     data/bench/c17.bench > /dev/null
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
-    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765 \
+    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765,fault.report_digest=16057399173076312908 \
     data/bench/c432.bench > /dev/null
 # The same C432 pins at 1 worker: with several workers a replay may
 # find a stuck-at record another worker has not finished, so which
@@ -129,22 +133,22 @@ cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitch
 # report and the work count must not.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 1 \
-    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765 \
+    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765,fault.report_digest=16057399173076312908 \
     data/bench/c432.bench > /dev/null
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
-    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613,fault.report_digest=7697756077282780866 \
     data/bench/c880.bench > /dev/null
 # The same C880 pins at 1 worker: workers claim faults dynamically,
 # so this proves coverage and work are identical at another count.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 1 \
-    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613,fault.report_digest=7697756077282780866 \
     data/bench/c880.bench > /dev/null
 # And at 3 workers, where a replay finds a record missing that at 1
 # worker it would splice: the pins hold whatever the splice hits.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 3 \
-    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613,fault.report_digest=7697756077282780866 \
     data/bench/c880.bench > /dev/null
 
 # Timeline-tracing smoke: both binaries export a Chrome Trace JSON
@@ -191,39 +195,54 @@ done
 # Bench-target smoke: every harness = false bench target of mis-bench
 # runs once in quick mode, so a bench whose setup panics (say, on
 # generated .bench text that fails to parse) fails the default gate.
-# A run-to-completion check like the examples step: the results go to
-# the scratch directory and are compared with nothing, and the
-# committed BENCH_*.json baselines are not touched.
+# A run-to-completion check like the examples step: the harness prints
+# its table and JSON line and writes no file; nothing is compared.
 echo "== bench-target smoke (cargo bench -p mis-bench, quick mode)"
-TESTKIT_BENCH_QUICK=1 TESTKIT_BENCH_DIR="$scratch" \
-    cargo bench -q --offline -p mis-bench > /dev/null
+TESTKIT_BENCH_QUICK=1 cargo bench -q --offline -p mis-bench > /dev/null
 
-# Optional: CI-scale benchmark smoke + regression gate (quick-mode runs
-# of the harness = false bench targets, diffed against the committed
-# BENCH_*.json baselines; an existing id whose fresh floor (`min_ns`)
-# exceeds its committed median by more than 25 % fails — see
-# scripts/bench_diff.sh; refresh baselines with a full
-# `cargo bench -p mis-bench`). The same leg re-runs the counting-
-# allocator suites explicitly: the zero-allocation guarantees of the
-# arena engine (mis-digital) and of the signal-order simulator (mis-sim,
-# on the committed C432/C880 fixtures) are performance invariants and
-# belong with the perf gate (they also run as part of the workspace
-# tests above). Enable with CI_BENCH=1.
+# The opt-in A/B script must not rot between perf changes: every script
+# parses, and scripts/ab.sh rejects bad arguments with its usage line
+# (exit 2) before it builds or runs anything.
+echo "== script syntax and scripts/ab.sh usage"
+for script in scripts/*.sh; do
+    bash -n "$script"
+done
+for args in "" "HEAD pairs"; do
+    status=0
+    # $args unquoted: word splitting makes the argument list.
+    usage="$(scripts/ab.sh $args 2>&1)" || status=$?
+    if [[ "$status" != 2 || "$usage" != *"usage: scripts/ab.sh <rev> [pairs] [seconds]"* ]]; then
+        echo "scripts/ab.sh ${args:-(no arguments)}: want exit 2 and the usage line, got $status: $usage" >&2
+        exit 1
+    fi
+done
+
+# Optional: the performance leg. It re-runs the counting-allocator
+# suites explicitly: the zero-allocation guarantees of the arena engine
+# (mis-digital) and of the signal-order simulator (mis-sim, on the
+# committed C432/C880 fixtures) are performance invariants and belong
+# with the perf gate (they also run as part of the workspace tests
+# above). Then scripts/ab.sh compares the working tree against its
+# parent in one session: HEAD when the tree has uncommitted changes,
+# else HEAD~1. Both sides are built from source, every c880bench
+# workload and every mis-bench id is run in alternating pairs, and the
+# leg fails when a change median is worse than the base median by more
+# than BENCHMARK.json's bound (25 % for a bench id), when the change
+# fails operations, or when it drops an id. Pairs and seconds are fixed
+# here: 10 pairs of 2 s runs take ~2.5 min on 2 vCPUs once both sides
+# are built (~3.5 min for the parent's export). A few bench ids are
+# bimodal from process to process on a small host and can read past
+# their bound on unchanged code: compare a failure with an unchanged
+# `scripts/ab.sh HEAD` run before blaming the change. Enable with
+# CI_BENCH=1.
 if [[ "${CI_BENCH:-0}" != "0" ]]; then
     echo "== allocation-counter gate (crates/digital/tests/alloc.rs)"
     cargo test -q -p mis-digital --test alloc --offline
     echo "== allocation-counter gate (crates/sim/tests/alloc.rs)"
     cargo test -q -p mis-sim --test alloc --offline
-    # Bench-history smoke: the --history mode appends one self-validated
-    # JSON line per committed baseline to a scratch log (the committed
-    # trajectory lives in BENCH_HISTORY.jsonl; append a real record with
-    # `bench_diff --history BENCH_HISTORY.jsonl --env <tag> BENCH_*.json`
-    # whenever the baselines are refreshed).
-    echo "== bench-history smoke (bench_diff --history)"
-    cargo run --release -q -p mis-bench --bin bench_diff --offline -- \
-        --history "$scratch/history.jsonl" --env ci-smoke BENCH_*.json > /dev/null
-    echo "== bench regression gate (scripts/bench_diff.sh)"
-    scripts/bench_diff.sh
+    if [[ -n "$(git status --porcelain)" ]]; then base=HEAD; else base=HEAD~1; fi
+    echo "== benchmark A/B gate (scripts/ab.sh $base 10 2)"
+    scripts/ab.sh "$base" 10 2
 fi
 
 echo "tier-1 gate: OK"
