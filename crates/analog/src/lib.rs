@@ -20,9 +20,10 @@
 //! * [`MosParams`] — a smooth EKV-style compact model (symmetric
 //!   forward/reverse channel, continuous from sub-threshold to strong
 //!   inversion) with analytic derivatives for Newton.
-//! * [`transient`] — nodal analysis with trapezoidal (default) or
-//!   backward-Euler companion models, full Newton with voltage-step
-//!   damping, breakpoint-aware adaptive time stepping.
+//! * [`transient`] — nodal analysis with trapezoidal companion models
+//!   (a backward-Euler step after each breakpoint), full Newton with
+//!   voltage-step damping, breakpoint-aware adaptive time stepping, at
+//!   one fixed solver setting.
 //! * [`nor`] — the parameterized NOR gate netlist ([`NorTech`]) calibrated
 //!   to FreePDK15-like magnitudes (`V_DD = 0.8 V`, ps-scale delays,
 //!   aF-scale capacitances).
@@ -34,7 +35,7 @@
 //! An RC low-pass step response, validated against the closed form:
 //!
 //! ```
-//! use mis_analog::{Circuit, Device, transient::{simulate, TransientOptions}};
+//! use mis_analog::{Circuit, Device, transient::simulate};
 //! use mis_waveform::AnalogWaveform;
 //!
 //! # fn main() -> Result<(), mis_analog::AnalogError> {
@@ -44,7 +45,7 @@
 //! let out = c.add_free_node("out");
 //! c.add_device(Device::resistor(vin, out, 1.0e3))?;
 //! c.add_device(Device::capacitor(out, Circuit::GROUND, 1.0e-15))?;
-//! let result = simulate(&c, 1e-9, &TransientOptions::default())?;
+//! let result = simulate(&c, 1e-9)?;
 //! let w = result.waveform(out)?;
 //! // After 5 RC (= 5 ps) the output is within 1 % of the rail.
 //! assert!(w.value_at(1e-12 + 5.0e-12) > 0.99 - 0.01);

@@ -13,7 +13,7 @@ use mis_waveform::{AnalogWaveform, DigitalTrace};
 
 use crate::circuit::{Circuit, Device, NodeId};
 use crate::mosfet::{mosfet_calibrated, MosParams, MosPolarity};
-use crate::transient::{simulate, TranResult, TransientOptions};
+use crate::transient::{simulate, TranResult};
 use crate::AnalogError;
 
 /// Technology parameters of the NOR gate testbench.
@@ -176,7 +176,8 @@ impl NorTech {
     }
 
     /// Builds and simulates the gate driven by two digital traces rendered
-    /// as ramp waveforms with the technology's input slew.
+    /// as ramp waveforms with the technology's input slew, from `t = 0` to
+    /// `t_stop` (see [`simulate`]).
     ///
     /// # Errors
     ///
@@ -186,12 +187,11 @@ impl NorTech {
         a: &DigitalTrace,
         b: &DigitalTrace,
         t_stop: f64,
-        opts: &TransientOptions,
     ) -> Result<NorSim, AnalogError> {
         let a_wave = a.render_analog(self.vdd, self.input_slew, 0.0, t_stop)?;
         let b_wave = b.render_analog(self.vdd, self.input_slew, 0.0, t_stop)?;
         let nor = self.build(a_wave, b_wave)?;
-        let result = simulate(&nor.circuit, t_stop, opts)?;
+        let result = simulate(&nor.circuit, t_stop)?;
         NorSim::from_result(&nor, &result)
     }
 }
@@ -248,10 +248,6 @@ mod tests {
     use super::*;
     use mis_waveform::units::ps;
 
-    fn quick_opts() -> TransientOptions {
-        TransientOptions::default()
-    }
-
     #[test]
     fn dc_truth_table() {
         // For each input state, the settled output must be the NOR value.
@@ -267,7 +263,7 @@ mod tests {
             let a = AnalogWaveform::constant(level(a_high), 0.0, ps(400.0));
             let b = AnalogWaveform::constant(level(b_high), 0.0, ps(400.0));
             let nor = tech.build(a, b).unwrap();
-            let res = simulate(&nor.circuit, ps(400.0), &quick_opts()).unwrap();
+            let res = simulate(&nor.circuit, ps(400.0)).unwrap();
             let vo = res.final_voltage(nor.o);
             if out_high {
                 assert!(vo > 0.9 * tech.vdd, "({a_high},{b_high}) → {vo}");
@@ -289,7 +285,7 @@ mod tests {
         let a = AnalogWaveform::constant(tech.vdd, 0.0, ps(400.0));
         let b = AnalogWaveform::constant(tech.vdd, 0.0, ps(400.0));
         let nor = tech.build(a, b).unwrap();
-        let res = simulate(&nor.circuit, ps(400.0), &quick_opts()).unwrap();
+        let res = simulate(&nor.circuit, ps(400.0)).unwrap();
         let vn = res.final_voltage(nor.n);
         assert!(vn > 0.0 && vn < tech.vdd, "V_N = {vn}");
         assert!(res.final_voltage(nor.o) < 0.05 * tech.vdd);
@@ -304,7 +300,7 @@ mod tests {
         let a = AnalogWaveform::constant(tech.vdd, 0.0, ps(400.0));
         let b = AnalogWaveform::constant(0.0, 0.0, ps(400.0));
         let nor = tech.build(a, b).unwrap();
-        let res = simulate(&nor.circuit, ps(400.0), &quick_opts()).unwrap();
+        let res = simulate(&nor.circuit, ps(400.0)).unwrap();
         assert!(res.final_voltage(nor.n).abs() < 0.05 * tech.vdd);
     }
 
@@ -313,9 +309,7 @@ mod tests {
         let tech = NorTech::freepdk15_like();
         let a = DigitalTrace::with_edges(false, vec![(ps(300.0), true)]).unwrap();
         let b = DigitalTrace::constant(false);
-        let sim = tech
-            .simulate_traces(&a, &b, ps(800.0), &quick_opts())
-            .unwrap();
+        let sim = tech.simulate_traces(&a, &b, ps(800.0)).unwrap();
         let crossings = sim.vo.crossings(tech.vdd / 2.0).unwrap();
         assert_eq!(crossings.len(), 1, "{crossings:?}");
         assert!(!crossings[0].1, "falling");
@@ -333,9 +327,7 @@ mod tests {
         let mut bad = tech.clone();
         bad.co = -1.0;
         let a = DigitalTrace::constant(false);
-        assert!(bad
-            .simulate_traces(&a, &a, ps(100.0), &quick_opts())
-            .is_err());
+        assert!(bad.simulate_traces(&a, &a, ps(100.0)).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Nonlinear transient analysis: full-Newton nodal analysis with
-//! trapezoidal / backward-Euler companion models and breakpoint-aware
-//! adaptive time stepping.
+//! trapezoidal companion models (a backward-Euler step after each
+//! breakpoint damps corner ringing) and breakpoint-aware adaptive time
+//! stepping, at one fixed solver setting.
 //!
 //! Voltage sources are ideal and grounded (every driven node's voltage is
 //! a known function of time), so the unknown vector contains only the free
@@ -15,59 +16,31 @@ use mis_waveform::AnalogWaveform;
 use crate::circuit::{Circuit, Device, NodeId};
 use crate::AnalogError;
 
-/// Companion-model integration method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Integration {
-    /// First-order implicit Euler: robust, dissipative.
-    BackwardEuler,
-    /// Second-order trapezoidal rule with a backward-Euler step after each
-    /// breakpoint (to damp corner ringing). The default.
-    Trapezoidal,
-}
+// The solver's one setting. Every measurement in the workspace (the
+// characteristic delays, the Fig. 2 sweeps, the accuracy experiment's
+// analog reference) runs at these values, so changing one moves every
+// pinned analog bit.
 
-/// Options for [`simulate`].
-#[derive(Debug, Clone)]
-pub struct TransientOptions {
-    /// Smallest allowed step, seconds.
-    pub h_min: f64,
-    /// Largest allowed step, seconds.
-    pub h_max: f64,
-    /// First step after t = 0 and after each breakpoint, seconds.
-    pub h_initial: f64,
-    /// Largest accepted per-step voltage change on any node, volts; larger
-    /// changes trigger step halving (bounds interpolation error on
-    /// threshold crossings).
-    pub dv_max: f64,
-    /// Newton iteration limit per step.
-    pub newton_max_iter: usize,
-    /// Newton residual tolerance, amperes.
-    pub newton_i_tol: f64,
-    /// Newton update tolerance, volts.
-    pub newton_v_tol: f64,
-    /// Per-iteration Newton update clamp, volts (damping).
-    pub newton_dv_clamp: f64,
-    /// Leak conductance from every free node to ground, siemens.
-    pub gmin: f64,
-    /// Integration method.
-    pub integration: Integration,
-}
-
-impl Default for TransientOptions {
-    fn default() -> Self {
-        TransientOptions {
-            h_min: 1e-16,
-            h_max: 20e-12,
-            h_initial: 10e-15,
-            dv_max: 0.02,
-            newton_max_iter: 80,
-            newton_i_tol: 1e-12,
-            newton_v_tol: 1e-9,
-            newton_dv_clamp: 0.3,
-            gmin: 1e-12,
-            integration: Integration::Trapezoidal,
-        }
-    }
-}
+/// Smallest allowed step, seconds.
+const H_MIN: f64 = 1e-16;
+/// Largest allowed step, seconds.
+const H_MAX: f64 = 20e-12;
+/// First step after t = 0 and after each breakpoint, seconds.
+const H_INITIAL: f64 = 10e-15;
+/// Largest accepted per-step voltage change on any node, volts; larger
+/// changes trigger step shrinking (bounds interpolation error on
+/// threshold crossings).
+const DV_MAX: f64 = 0.02;
+/// Newton iteration limit per step.
+const NEWTON_MAX_ITER: usize = 80;
+/// Newton residual tolerance, amperes.
+const NEWTON_I_TOL: f64 = 1e-12;
+/// Newton update tolerance, volts.
+const NEWTON_V_TOL: f64 = 1e-9;
+/// Per-iteration Newton update clamp, volts (damping).
+const NEWTON_DV_CLAMP: f64 = 0.3;
+/// Leak conductance from every free node to ground, siemens.
+const GMIN: f64 = 1e-12;
 
 /// Result of a transient simulation: all accepted time points with the
 /// voltage of every node.
@@ -119,14 +92,10 @@ impl TranResult {
 /// # Errors
 ///
 /// * [`AnalogError::Netlist`] — no free nodes, or `t_stop <= 0`.
-/// * [`AnalogError::NewtonFailed`] — no convergence even at `h_min`.
-/// * [`AnalogError::Linalg`] — singular nodal matrix (floating subcircuit
-///   without `gmin`).
-pub fn simulate(
-    circuit: &Circuit,
-    t_stop: f64,
-    opts: &TransientOptions,
-) -> Result<TranResult, AnalogError> {
+/// * [`AnalogError::NewtonFailed`] — no convergence even at the smallest
+///   step (0.1 fs).
+/// * [`AnalogError::Linalg`] — singular nodal matrix.
+pub fn simulate(circuit: &Circuit, t_stop: f64) -> Result<TranResult, AnalogError> {
     if !(t_stop > 0.0) {
         return Err(AnalogError::Netlist {
             reason: "t_stop must be positive".into(),
@@ -138,7 +107,7 @@ pub fn simulate(
             reason: "circuit has no free nodes to solve".into(),
         });
     }
-    let mut engine = Engine::new(circuit, free, opts.clone());
+    let mut engine = Engine::new(circuit, free);
     engine.dc_operating_point()?;
 
     let mut result = TranResult {
@@ -151,9 +120,8 @@ pub fn simulate(
     let breakpoints = circuit.breakpoints(t_stop);
     let mut bp_idx = 0usize;
     let mut t = 0.0;
-    let mut h = opts.h_initial;
-    // Force a backward-Euler step after every discontinuity when using
-    // the trapezoidal method.
+    let mut h = H_INITIAL;
+    // Force a backward-Euler step after every discontinuity.
     let mut be_restart = true;
 
     while t < t_stop {
@@ -163,15 +131,15 @@ pub fn simulate(
         }
         let next_bp = breakpoints.get(bp_idx).copied().unwrap_or(f64::INFINITY);
         let limit = next_bp.min(t_stop);
-        let mut h_eff = h.min(limit - t).max(opts.h_min.min(limit - t));
+        let mut h_eff = h.min(limit - t).max(H_MIN.min(limit - t));
 
         loop {
             match engine.step(t, h_eff, be_restart) {
-                Ok(max_dv) if max_dv <= opts.dv_max => {
+                Ok(max_dv) if max_dv <= DV_MAX => {
                     break;
                 }
                 Ok(_) | Err(StepError::Newton) => {
-                    if h_eff <= opts.h_min * 1.0001 {
+                    if h_eff <= H_MIN * 1.0001 {
                         // Accept a minimal step even if it moves fast —
                         // better than dying — unless Newton itself failed.
                         if engine.step(t, h_eff, true).is_ok() {
@@ -182,7 +150,7 @@ pub fn simulate(
                             residual: engine.last_residual,
                         });
                     }
-                    h_eff = (h_eff / 4.0).max(opts.h_min);
+                    h_eff = (h_eff / 4.0).max(H_MIN);
                 }
                 Err(StepError::Linalg(e)) => return Err(AnalogError::Linalg(e)),
             }
@@ -196,9 +164,9 @@ pub fn simulate(
         let at_breakpoint = (t - next_bp).abs() < 1e-24;
         be_restart = at_breakpoint;
         h = if at_breakpoint {
-            opts.h_initial
+            H_INITIAL
         } else {
-            (h_eff * 1.8).min(opts.h_max)
+            (h_eff * 1.8).min(H_MAX)
         };
     }
     Ok(result)
@@ -215,7 +183,6 @@ struct Engine<'c> {
     free: Vec<NodeId>,
     /// node id → index into the free vector (usize::MAX for driven nodes).
     free_index: Vec<usize>,
-    opts: TransientOptions,
     /// Committed node voltages (all nodes).
     v_all: Vec<f64>,
     /// Committed capacitor currents (per device index; 0 for non-caps).
@@ -227,7 +194,7 @@ struct Engine<'c> {
 }
 
 impl<'c> Engine<'c> {
-    fn new(circuit: &'c Circuit, free: Vec<NodeId>, opts: TransientOptions) -> Self {
+    fn new(circuit: &'c Circuit, free: Vec<NodeId>) -> Self {
         let mut free_index = vec![usize::MAX; circuit.node_count()];
         for (k, n) in free.iter().enumerate() {
             free_index[n.0] = k;
@@ -237,7 +204,6 @@ impl<'c> Engine<'c> {
             circuit,
             free,
             free_index,
-            opts,
             v_all: vec![0.0; circuit.node_count()],
             i_cap: vec![0.0; n_dev],
             v_trial: vec![0.0; circuit.node_count()],
@@ -301,7 +267,7 @@ impl<'c> Engine<'c> {
         let m = self.free.len();
         let mut residual = vec![0.0; m];
         let mut jac = Matrix::zeros(m, m);
-        for _ in 0..self.opts.newton_max_iter {
+        for _ in 0..NEWTON_MAX_ITER {
             residual.iter_mut().for_each(|r| *r = 0.0);
             for a in 0..m {
                 for b in 0..m {
@@ -317,15 +283,15 @@ impl<'c> Engine<'c> {
             let delta = lu.solve(&neg_f).map_err(StepError::Linalg)?;
             let d_norm = delta.iter().fold(0.0_f64, |mx, d| mx.max(d.abs()));
             // Damping: clamp the update length.
-            let scale = if d_norm > self.opts.newton_dv_clamp {
-                self.opts.newton_dv_clamp / d_norm
+            let scale = if d_norm > NEWTON_DV_CLAMP {
+                NEWTON_DV_CLAMP / d_norm
             } else {
                 1.0
             };
             for (k, node) in self.free.iter().enumerate() {
                 self.v_trial[node.0] += scale * delta[k];
             }
-            if f_norm < self.opts.newton_i_tol && d_norm * scale < self.opts.newton_v_tol {
+            if f_norm < NEWTON_I_TOL && d_norm * scale < NEWTON_V_TOL {
                 return Ok(());
             }
         }
@@ -346,8 +312,8 @@ impl<'c> Engine<'c> {
         let v = &self.v_trial;
         // gmin leaks.
         for (k, node) in self.free.iter().enumerate() {
-            residual[k] += self.opts.gmin * v[node.0];
-            jac[(k, k)] += self.opts.gmin;
+            residual[k] += GMIN * v[node.0];
+            jac[(k, k)] += GMIN;
         }
         for (d_idx, dev) in self.circuit.devices().iter().enumerate() {
             match dev {
@@ -360,15 +326,12 @@ impl<'c> Engine<'c> {
                     let Some(h) = h else { continue }; // DC: open circuit
                     let vab = v[a.0] - v[b.0];
                     let vab_prev = self.v_all[a.0] - self.v_all[b.0];
-                    let (i, geq) = match (self.opts.integration, force_be) {
-                        (Integration::BackwardEuler, _) | (Integration::Trapezoidal, true) => {
-                            let geq = farads / h;
-                            (geq * (vab - vab_prev), geq)
-                        }
-                        (Integration::Trapezoidal, false) => {
-                            let geq = 2.0 * farads / h;
-                            (geq * (vab - vab_prev) - self.i_cap[d_idx], geq)
-                        }
+                    let (i, geq) = if force_be {
+                        let geq = farads / h;
+                        (geq * (vab - vab_prev), geq)
+                    } else {
+                        let geq = 2.0 * farads / h;
+                        (geq * (vab - vab_prev) - self.i_cap[d_idx], geq)
                     };
                     self.i_cap_trial[d_idx] = i;
                     stamp_pair(residual, jac, fidx, *a, *b, i, geq);
@@ -462,11 +425,7 @@ mod tests {
         ckt.add_device(Device::resistor(vin, out, r)).unwrap();
         ckt.add_device(Device::capacitor(out, Circuit::GROUND, c))
             .unwrap();
-        let opts = TransientOptions {
-            h_max: 50e-12,
-            ..TransientOptions::default()
-        };
-        let res = simulate(&ckt, 6e-9, &opts).unwrap();
+        let res = simulate(&ckt, 6e-9).unwrap();
         let w = res.waveform(out).unwrap();
         let tau = r * c;
         for &dt in &[0.5 * tau, tau, 2.0 * tau, 4.0 * tau] {
@@ -480,24 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_euler_also_converges() {
-        let mut ckt = Circuit::new();
-        let vin = ckt
-            .add_driven_node("in", step_source(0.1e-9, 0.0, 1.0, 10e-9))
-            .unwrap();
-        let out = ckt.add_free_node("out");
-        ckt.add_device(Device::resistor(vin, out, 1e3)).unwrap();
-        ckt.add_device(Device::capacitor(out, Circuit::GROUND, 1e-15))
-            .unwrap();
-        let opts = TransientOptions {
-            integration: Integration::BackwardEuler,
-            ..TransientOptions::default()
-        };
-        let res = simulate(&ckt, 5e-9, &opts).unwrap();
-        assert!((res.final_voltage(out) - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn resistive_divider_dc() {
         let mut ckt = Circuit::new();
         let vdd = ckt.add_rail("vdd", 1.0);
@@ -505,7 +446,7 @@ mod tests {
         ckt.add_device(Device::resistor(vdd, mid, 3e3)).unwrap();
         ckt.add_device(Device::resistor(mid, Circuit::GROUND, 1e3))
             .unwrap();
-        let res = simulate(&ckt, 1e-9, &TransientOptions::default()).unwrap();
+        let res = simulate(&ckt, 1e-9).unwrap();
         assert!((res.final_voltage(mid) - 0.25).abs() < 1e-6);
     }
 
@@ -533,7 +474,7 @@ mod tests {
         ckt.add_device(Device::mosfet(out, vin, vdd, p)).unwrap();
         ckt.add_device(Device::capacitor(out, Circuit::GROUND, 500e-18))
             .unwrap();
-        let res = simulate(&ckt, ps(600.0), &TransientOptions::default()).unwrap();
+        let res = simulate(&ckt, ps(600.0)).unwrap();
         let w = res.waveform(out).unwrap();
         // Before the edge: output at VDD; well after: at GND.
         assert!(w.value_at(ps(90.0)) > 0.95 * vdd_v);
@@ -558,7 +499,7 @@ mod tests {
             .unwrap();
         ckt.add_device(Device::capacitor(mid, Circuit::GROUND, 100e-18))
             .unwrap();
-        let res = simulate(&ckt, 0.5e-9, &TransientOptions::default()).unwrap();
+        let res = simulate(&ckt, 0.5e-9).unwrap();
         // Divider: 300/(300+100) = 0.75 (gmin droop is negligible here).
         assert!((res.final_voltage(mid) - 0.75).abs() < 1e-3);
     }
@@ -567,7 +508,7 @@ mod tests {
     fn no_free_nodes_rejected() {
         let ckt = Circuit::new();
         assert!(matches!(
-            simulate(&ckt, 1e-9, &TransientOptions::default()),
+            simulate(&ckt, 1e-9),
             Err(AnalogError::Netlist { .. })
         ));
     }
@@ -576,7 +517,7 @@ mod tests {
     fn negative_t_stop_rejected() {
         let mut ckt = Circuit::new();
         ckt.add_free_node("x");
-        assert!(simulate(&ckt, -1.0, &TransientOptions::default()).is_err());
+        assert!(simulate(&ckt, -1.0).is_err());
     }
 
     #[test]
@@ -585,7 +526,7 @@ mod tests {
         let n = ckt.add_free_node("n");
         ckt.add_device(Device::resistor(n, Circuit::GROUND, 1e3))
             .unwrap();
-        let res = simulate(&ckt, 1e-9, &TransientOptions::default()).unwrap();
+        let res = simulate(&ckt, 1e-9).unwrap();
         assert!(res.waveform(NodeId(42)).is_err());
     }
 
@@ -599,7 +540,7 @@ mod tests {
         ckt.add_device(Device::resistor(vin, out, 10e3)).unwrap();
         ckt.add_device(Device::capacitor(out, Circuit::GROUND, 50e-15))
             .unwrap();
-        let res = simulate(&ckt, 3e-9, &TransientOptions::default()).unwrap();
+        let res = simulate(&ckt, 3e-9).unwrap();
         let times = res.times();
         // Count samples in the quiet first 0.9 ns vs the active 0.4 ns
         // after the edge; the active window must be sampled more densely.

@@ -21,9 +21,9 @@
 //! inertial gate model's, not multiples of it.
 //!
 //! Runs on the in-repo `mis-testkit` bench harness (offline replacement
-//! for `criterion`), which prints a table and a JSON line and writes no
-//! file; `scripts/ab.sh` compares every id against a base revision in
-//! one session.
+//! for `criterion`), which prints a table and writes no file;
+//! `scripts/ab.sh` compares every id against a base revision in one
+//! session.
 
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;

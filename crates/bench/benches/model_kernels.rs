@@ -4,11 +4,10 @@
 //! ideal-gate merge, and one analog transient of the reference gate.
 //!
 //! Runs on the in-repo `mis-testkit` bench harness (offline replacement
-//! for `criterion`), which prints a table and a JSON line and writes no
-//! file; `scripts/ab.sh` compares every id against a base revision in
-//! one session.
+//! for `criterion`), which prints a table and writes no file;
+//! `scripts/ab.sh` compares every id against a base revision in one
+//! session.
 
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_core::charlie::CharacteristicDelays;
 use mis_core::{delay, fit, HybridTrajectory, Mode, ModeSwitch, NorParams, RisingInitialVn};
@@ -155,11 +154,10 @@ fn main() {
 
     {
         let tech = NorTech::freepdk15_like();
-        let opts = TransientOptions::default();
         let a = DigitalTrace::with_edges(false, vec![(ps(300.0), true)]).expect("trace");
         let bb = DigitalTrace::constant(false);
         h.bench("analog_transient_single_edge", || {
-            tech.simulate_traces(black_box(&a), &bb, ps(700.0), &opts)
+            tech.simulate_traces(black_box(&a), &bb, ps(700.0))
                 .expect("transient")
         });
     }

@@ -37,8 +37,8 @@
 //! startup.
 //!
 //! Runs on the in-repo `mis-testkit` bench harness, which prints a table
-//! and a JSON line and writes no file; `scripts/ab.sh` compares every id
-//! against a base revision in one session.
+//! and writes no file; `scripts/ab.sh` compares every id against a base
+//! revision in one session.
 
 use std::path::PathBuf;
 

@@ -9,7 +9,6 @@
 //! Run: `cargo run --release -p mis-bench --bin fig2 [-- --part b] [--quick] [--csv]`
 
 use mis_analog::measure::{self, RisingPrecondition};
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_bench::{ascii_plot, banner, BinArgs, Series};
 use mis_waveform::units::{ps, to_ps};
@@ -19,33 +18,32 @@ fn main() {
     let args = BinArgs::parse();
     let part = args.option("--part").unwrap_or("all").to_owned();
     let tech = NorTech::freepdk15_like();
-    let opts = TransientOptions::default();
 
     if part == "a" || part == "all" {
         banner(
             "Fig. 2a",
             "analog waveforms, falling output transition (Δ = 30 ps)",
         );
-        waveform_part(&tech, &opts, &args, true);
+        waveform_part(&tech, &args, true);
     }
     if part == "b" || part == "all" {
         banner("Fig. 2b", "falling output delay δ↓_S(Δ) — MIS speed-up");
-        delay_part(&tech, &opts, &args, true);
+        delay_part(&tech, &args, true);
     }
     if part == "c" || part == "all" {
         banner(
             "Fig. 2c",
             "analog waveforms, rising output transition (Δ = 30 ps)",
         );
-        waveform_part(&tech, &opts, &args, false);
+        waveform_part(&tech, &args, false);
     }
     if part == "d" || part == "all" {
         banner("Fig. 2d", "rising output delay δ↑_S(Δ) — MIS slow-down");
-        delay_part(&tech, &opts, &args, false);
+        delay_part(&tech, &args, false);
     }
 }
 
-fn waveform_part(tech: &NorTech, opts: &TransientOptions, args: &BinArgs, falling: bool) {
+fn waveform_part(tech: &NorTech, args: &BinArgs, falling: bool) {
     let t0 = ps(300.0);
     let delta = ps(30.0);
     let (a, b) = if falling {
@@ -61,7 +59,7 @@ fn waveform_part(tech: &NorTech, opts: &TransientOptions, args: &BinArgs, fallin
     };
     let t_end = t0 + delta + ps(400.0);
     let sim = tech
-        .simulate_traces(&a, &b, t_end, opts)
+        .simulate_traces(&a, &b, t_end)
         .expect("waveform simulation");
     let n = if args.quick { 60 } else { 160 };
     let mut series = Series::new("time_ps", &["V_A", "V_B", "V_O", "V_N"]);
@@ -83,13 +81,13 @@ fn waveform_part(tech: &NorTech, opts: &TransientOptions, args: &BinArgs, fallin
     }
 }
 
-fn delay_part(tech: &NorTech, opts: &TransientOptions, args: &BinArgs, falling: bool) {
+fn delay_part(tech: &NorTech, args: &BinArgs, falling: bool) {
     let n = if args.quick { 9 } else { 25 };
     let deltas = measure::delta_grid(ps(-60.0), ps(60.0), n);
     let points = if falling {
-        measure::falling_sweep(tech, &deltas, opts).expect("falling sweep")
+        measure::falling_sweep(tech, &deltas).expect("falling sweep")
     } else {
-        measure::rising_sweep(tech, &deltas, RisingPrecondition::WorstCaseGnd, opts)
+        measure::rising_sweep(tech, &deltas, RisingPrecondition::WorstCaseGnd)
             .expect("rising sweep")
     };
     let mut series = Series::new("delta_ps", &["delay_ps"]);

@@ -9,7 +9,6 @@
 //! Run: `cargo run --release -p mis-bench --bin fig5 [-- --quick] [--csv]`
 
 use mis_analog::measure;
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_bench::{ascii_plot, banner, BinArgs, Series};
 use mis_core::charlie::CharacteristicDelays;
@@ -23,10 +22,9 @@ fn main() {
         "hybrid-model falling MIS delays δ↓_M(Δ) vs analog δ↓_S(Δ)",
     );
     let tech = NorTech::freepdk15_like();
-    let tran = TransientOptions::default();
 
     // Fit the model to the reference (Section V workflow).
-    let chars = measure::characteristic_delays(&tech, &tran).expect("reference characterization");
+    let chars = measure::characteristic_delays(&tech).expect("reference characterization");
     let targets = CharacteristicDelays::from_array(chars);
     let dmin = (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0);
     let outcome = fit::fit(
@@ -53,7 +51,7 @@ fn main() {
 
     let n = if args.quick { 9 } else { 25 };
     let deltas = measure::delta_grid(ps(-60.0), ps(60.0), n);
-    let analog = measure::falling_sweep(&tech, &deltas, &tran).expect("analog sweep");
+    let analog = measure::falling_sweep(&tech, &deltas).expect("analog sweep");
 
     let mut series = Series::new("delta_ps", &["model_ps", "analog_ps", "error_ps"]);
     let mut worst = 0.0_f64;

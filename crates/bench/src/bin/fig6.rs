@@ -7,7 +7,6 @@
 //! Run: `cargo run --release -p mis-bench --bin fig6 [-- --quick] [--csv]`
 
 use mis_analog::measure::{self, RisingPrecondition};
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_bench::{banner, BinArgs, Series};
 use mis_core::charlie::CharacteristicDelays;
@@ -21,9 +20,8 @@ fn main() {
         "hybrid-model rising MIS delays δ↑_M(Δ) for V_N ∈ {GND, V_DD/2, V_DD} vs analog",
     );
     let tech = NorTech::freepdk15_like();
-    let tran = TransientOptions::default();
 
-    let chars = measure::characteristic_delays(&tech, &tran).expect("reference characterization");
+    let chars = measure::characteristic_delays(&tech).expect("reference characterization");
     let targets = CharacteristicDelays::from_array(chars);
     let dmin = (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0);
     let params = fit::fit(
@@ -40,7 +38,7 @@ fn main() {
 
     let n = if args.quick { 9 } else { 25 };
     let deltas = measure::delta_grid(ps(-90.0), ps(90.0), n);
-    let analog = measure::rising_sweep(&tech, &deltas, RisingPrecondition::WorstCaseGnd, &tran)
+    let analog = measure::rising_sweep(&tech, &deltas, RisingPrecondition::WorstCaseGnd)
         .expect("analog sweep");
 
     let mut series = Series::new(

@@ -9,7 +9,6 @@
 //!
 //! Run: `cargo run --release -p mis-bench --bin fig7 [-- --quick] [--csv]`
 
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_bench::{banner, BinArgs};
 use mis_digital::accuracy::{run_experiment, ExperimentConfig};
@@ -23,16 +22,8 @@ fn main() {
         "normalized deviation area per waveform configuration (lower is better)",
     );
     let repetitions = if args.quick { 2 } else { 20 };
-    let cfg = ExperimentConfig {
-        repetitions,
-        ..ExperimentConfig::calibrated(
-            NorTech::freepdk15_like(),
-            TransientOptions::default(),
-            None,
-            repetitions,
-        )
-        .expect("calibration")
-    };
+    let cfg =
+        ExperimentConfig::calibrated(NorTech::freepdk15_like(), repetitions).expect("calibration");
     println!(
         "fitted hybrid: R1 {:.1}k R2 {:.1}k R3 {:.1}k R4 {:.1}k C_N {:.1}aF C_O {:.1}aF δ_min {:.1}ps",
         cfg.hybrid.r1 / 1e3,

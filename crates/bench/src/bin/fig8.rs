@@ -6,7 +6,6 @@
 //! Run: `cargo run --release -p mis-bench --bin fig8 [-- --quick] [--csv]`
 
 use mis_analog::measure;
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_bench::{banner, BinArgs, Series};
 use mis_core::charlie::CharacteristicDelays;
@@ -20,8 +19,7 @@ fn main() {
         "hybrid model with vs without pure delay, falling transitions, vs analog",
     );
     let tech = NorTech::freepdk15_like();
-    let tran = TransientOptions::default();
-    let chars = measure::characteristic_delays(&tech, &tran).expect("reference characterization");
+    let chars = measure::characteristic_delays(&tech).expect("reference characterization");
     let targets = CharacteristicDelays::from_array(chars);
 
     // Fit twice: once with the ratio-2 pure delay, once with δ_min = 0.
@@ -55,7 +53,7 @@ fn main() {
 
     let n = if args.quick { 9 } else { 25 };
     let deltas = measure::delta_grid(ps(-60.0), ps(60.0), n);
-    let analog = measure::falling_sweep(&tech, &deltas, &tran).expect("analog sweep");
+    let analog = measure::falling_sweep(&tech, &deltas).expect("analog sweep");
     let mut series = Series::new(
         "delta_ps",
         &["SPICE-sub", "HM_with_dmin", "HM_without_dmin"],

@@ -9,7 +9,6 @@
 //! Run: `cargo run --release -p mis-bench --bin table1 [-- --charlie]`
 
 use mis_analog::measure;
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_bench::{banner, BinArgs};
 use mis_core::charlie::{self, CharacteristicDelays};
@@ -21,8 +20,7 @@ fn main() {
     banner("Table I", "fitted parameter values of the hybrid model");
 
     let tech = NorTech::freepdk15_like();
-    let tran = TransientOptions::default();
-    let chars = measure::characteristic_delays(&tech, &tran).expect("reference characterization");
+    let chars = measure::characteristic_delays(&tech).expect("reference characterization");
     let targets = CharacteristicDelays::from_array(chars);
     println!(
         "reference characteristic delays [ps]: δ↓(−∞) {:.2}  δ↓(0) {:.2}  δ↓(∞) {:.2}  \

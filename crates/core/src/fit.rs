@@ -29,11 +29,10 @@ pub struct FitConfig {
     pub vth: f64,
     /// Nelder–Mead evaluation budget.
     pub max_evals: usize,
-    /// Initial guess for `C_O` used when seeding from the closed forms.
-    pub seed_co: f64,
-    /// Per-target weights in [`CharacteristicDelays::as_array`] order.
-    pub weights: [f64; 6],
 }
+
+/// Initial guess for `C_O` used when seeding from the closed forms.
+const SEED_CO: f64 = 600e-18;
 
 impl Default for FitConfig {
     fn default() -> Self {
@@ -42,8 +41,6 @@ impl Default for FitConfig {
             vdd: 0.8,
             vth: 0.4,
             max_evals: 6000,
-            seed_co: 600e-18,
-            weights: [1.0; 6],
         }
     }
 }
@@ -64,7 +61,8 @@ impl FitConfig {
 pub struct FitOutcome {
     /// The fitted parameters (including the `delta_min` used).
     pub params: NorParams,
-    /// Sum of squared relative residuals over the six targets.
+    /// Sum of squared relative residuals over the six targets (all six
+    /// weigh the same).
     pub cost: f64,
     /// Relative residuals `(model − target)/target` per characteristic
     /// delay, in [`CharacteristicDelays::as_array`] order.
@@ -112,7 +110,7 @@ pub fn feasibility_ratio(
 /// `C_N` starts at a typical parasitic fraction of `C_O`.
 fn seed(targets: &[f64; 6], cfg: &FitConfig) -> [f64; 6] {
     let ln_factor = (cfg.vdd / cfg.vth).ln();
-    let co = cfg.seed_co;
+    let co = SEED_CO;
     let r4 = (targets[0] / (ln_factor * co)).max(1e3);
     // eq. (8): δ↓(0) = lnf·C_O·R₃R₄/(R₃+R₄) ⟹ R₃ = δ₀·R₄/(δ₋∞ − δ₀).
     let denom = targets[0] - targets[1];
@@ -183,7 +181,7 @@ pub fn fit(targets: &CharacteristicDelays, cfg: &FitConfig) -> Result<FitOutcome
                 let m = model.as_array();
                 let mut cost = 0.0;
                 for i in 0..6 {
-                    let r = cfg.weights[i] * (m[i] - shifted[i]) / shifted[i];
+                    let r = (m[i] - shifted[i]) / shifted[i];
                     cost += r * r;
                 }
                 cost

@@ -400,7 +400,6 @@ mod tests {
                 t,
                 t_end,
                 &x,
-                &mis_num::ode::AdaptiveOptions::default(),
             )
             .unwrap();
             let last = samples.last().unwrap();

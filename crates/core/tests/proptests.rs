@@ -62,7 +62,6 @@ fn analytic_trajectory_matches_rk45() {
                 0.0,
                 t,
                 &[vn0, vo0],
-                &mis_num::ode::AdaptiveOptions::default(),
             )
             .unwrap();
             let numeric = &samples.last().unwrap().y;

@@ -7,8 +7,7 @@
 //! Models evaluated (the paper's bar groups):
 //!
 //! 1. inertial delay (normalization baseline, score 1 by construction),
-//! 2. the IDM Exp-Channel with an empirical pure delay (20 ps in the
-//!    paper),
+//! 2. the IDM Exp-Channel with the paper's empirical 20 ps pure delay,
 //! 3. the hybrid model **without** pure delay,
 //! 4. the hybrid model **with** pure delay (δ_min = 18 ps) — the paper's
 //!    headline configuration.
@@ -18,7 +17,6 @@
 //! input traces directly.
 
 use mis_analog::measure;
-use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_charlib::CharLib;
 use mis_core::NorParams;
@@ -28,24 +26,23 @@ use mis_waveform::{deviation_area, DigitalTrace};
 use crate::channels::{TraceTransform, TwoInputTransform};
 use crate::{gates, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel, SimError};
 
+/// Pure delay of the Exp-Channel: the paper's empirical 20 ps.
+const EXP_PURE_DELAY: f64 = 20e-12;
+
+/// Base RNG seed; repetition `k` of waveform configuration `i` uses
+/// `BASE_SEED + 1000·i + k`.
+const BASE_SEED: u64 = 0x5eed;
+
 /// Configuration of the accuracy experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Golden-reference technology.
     pub tech: NorTech,
-    /// Transient-simulation options for the reference runs.
-    pub tran: TransientOptions,
     /// Hybrid model parameters *with* pure delay (the "HM with δ_min"
     /// bars); the "without" variant is derived by zeroing `delta_min`.
     pub hybrid: NorParams,
-    /// Pure delay of the Exp-Channel (the paper uses 20 ps, found
-    /// empirically).
-    pub exp_pure_delay: f64,
     /// Repetitions per waveform configuration (paper: 20).
     pub repetitions: usize,
-    /// Base RNG seed; repetition `k` of configuration `i` uses
-    /// `base_seed + 1000·i + k`.
-    pub base_seed: u64,
     /// Optional characterized library: when set, a fifth model ("HM
     /// cached") — the [`CachedHybridChannel`] fast path — is scored
     /// alongside the paper's four. Characterize it from the same
@@ -58,11 +55,8 @@ impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
             tech: NorTech::freepdk15_like(),
-            tran: TransientOptions::default(),
             hybrid: NorParams::paper_table1(),
-            exp_pure_delay: 20e-12,
             repetitions: 20,
-            base_seed: 0x5eed,
             cached: None,
         }
     }
@@ -75,8 +69,8 @@ impl ExperimentConfig {
     /// subtract the pure delay `δ_min`, and least-squares fit
     /// `R1..R4, C_N, C_O` (Section V).
     ///
-    /// `delta_min = None` derives the pure delay from the paper's
-    /// feasibility argument: the model forces
+    /// The pure delay comes from the paper's feasibility argument: the
+    /// model forces
     /// `δ↓(−∞)/δ↓(0) = (R₃+R₄)/R₃ ≈ 2` for matched nMOS, so
     /// `δ_min = 2·δ↓(0) − δ↓(−∞)` makes the *shifted* targets hit exactly
     /// ratio 2 (their technology yielded 18 ps; ours differs — that the
@@ -85,19 +79,12 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// Propagates characterization and fit failures.
-    pub fn calibrated(
-        tech: NorTech,
-        tran: TransientOptions,
-        delta_min: Option<f64>,
-        repetitions: usize,
-    ) -> Result<Self, SimError> {
-        let chars =
-            measure::characteristic_delays(&tech, &tran).map_err(|e| SimError::Network {
-                reason: format!("reference characterization failed: {e}"),
-            })?;
+    pub fn calibrated(tech: NorTech, repetitions: usize) -> Result<Self, SimError> {
+        let chars = measure::characteristic_delays(&tech).map_err(|e| SimError::Network {
+            reason: format!("reference characterization failed: {e}"),
+        })?;
         let targets = mis_core::charlie::CharacteristicDelays::from_array(chars);
-        let dmin = delta_min
-            .unwrap_or_else(|| (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0));
+        let dmin = (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0);
         let fit_cfg = mis_core::fit::FitConfig {
             delta_min: dmin,
             vdd: tech.vdd,
@@ -107,11 +94,8 @@ impl ExperimentConfig {
         let outcome = mis_core::fit::fit(&targets, &fit_cfg)?;
         Ok(ExperimentConfig {
             tech,
-            tran,
             hybrid: outcome.params,
-            exp_pure_delay: 20e-12,
             repetitions,
-            base_seed: 0x5eed,
             cached: None,
         })
     }
@@ -162,14 +146,13 @@ pub fn run_experiment(
     trace_configs: &[TraceConfig],
 ) -> Result<Vec<ConfigScores>, SimError> {
     // Parametrize the baselines once from the golden reference.
-    let chars =
-        measure::characteristic_delays(&cfg.tech, &cfg.tran).map_err(|e| SimError::Network {
-            reason: format!("reference characterization failed: {e}"),
-        })?;
+    let chars = measure::characteristic_delays(&cfg.tech).map_err(|e| SimError::Network {
+        reason: format!("reference characterization failed: {e}"),
+    })?;
     let sis_fall = 0.5 * (chars[0] + chars[2]);
     let sis_rise = 0.5 * (chars[3] + chars[5]);
     let inertial = InertialChannel::symmetric(sis_rise, sis_fall)?;
-    let exp = ExpChannel::from_sis_delays(sis_rise, sis_fall, cfg.exp_pure_delay)?;
+    let exp = ExpChannel::from_sis_delays(sis_rise, sis_fall, EXP_PURE_DELAY)?;
     let hybrid_with = HybridNorChannel::new(&cfg.hybrid)?;
     let hybrid_without = HybridNorChannel::new(&cfg.hybrid.without_pure_delay())?;
     let cached = cfg
@@ -199,7 +182,7 @@ pub fn run_experiment(
         let mut raw = vec![0.0_f64; n_models];
         let mut norm = vec![0.0_f64; n_models];
         for rep in 0..cfg.repetitions.max(1) {
-            let seed = cfg.base_seed + 1000 * ci as u64 + rep as u64;
+            let seed = BASE_SEED + 1000 * ci as u64 + rep as u64;
             let pair = tc.generate(seed)?;
             let t_end = pair.horizon;
             let reference = reference_trace(cfg, &pair.a, &pair.b, t_end)?;
@@ -253,7 +236,7 @@ pub fn reference_trace(
 ) -> Result<DigitalTrace, SimError> {
     let sim = cfg
         .tech
-        .simulate_traces(a, b, t_end, &cfg.tran)
+        .simulate_traces(a, b, t_end)
         .map_err(|e| SimError::Network {
             reason: format!("reference simulation failed: {e}"),
         })?;
@@ -301,16 +284,7 @@ mod tests {
         // The paper's headline (Fig. 7, first two groups): for short
         // pulses the *fitted* hybrid model with pure delay clearly beats
         // the inertial baseline.
-        let cfg = ExperimentConfig {
-            repetitions: 3,
-            ..ExperimentConfig::calibrated(
-                NorTech::freepdk15_like(),
-                mis_analog::transient::TransientOptions::default(),
-                None,
-                3,
-            )
-            .unwrap()
-        };
+        let cfg = ExperimentConfig::calibrated(NorTech::freepdk15_like(), 3).unwrap();
         let tcs = vec![TraceConfig::new(ps(150.0), ps(60.0), Assignment::Local, 40)];
         let scores = run_experiment(&cfg, &tcs).unwrap();
         let hm_with = &scores[0].models[3];

@@ -8,29 +8,12 @@
 
 use crate::NumError;
 
-/// Options for [`integrate_adaptive`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveOptions {
-    /// Relative local-error tolerance.
-    pub rtol: f64,
-    /// Absolute local-error tolerance.
-    pub atol: f64,
-    /// Initial step size; `None` picks `(t1-t0)/100`.
-    pub initial_step: Option<f64>,
-    /// Hard cap on accepted + rejected steps.
-    pub max_steps: usize,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions {
-            rtol: 1e-9,
-            atol: 1e-12,
-            initial_step: None,
-            max_steps: 100_000,
-        }
-    }
-}
+/// Relative local-error tolerance.
+const RTOL: f64 = 1e-9;
+/// Absolute local-error tolerance.
+const ATOL: f64 = 1e-12;
+/// Hard cap on accepted + rejected steps.
+const MAX_STEPS: usize = 100_000;
 
 /// Dense output sample from [`integrate_adaptive`]: the accepted step
 /// endpoints.
@@ -43,8 +26,9 @@ pub struct OdeSample {
 }
 
 /// Integrates `y' = f(t, y)` from `t0` to `t1` with the Dormand–Prince
-/// 5(4) embedded pair, returning all accepted samples (including the
-/// initial condition).
+/// 5(4) embedded pair (relative tolerance 1e-9, absolute 1e-12, first
+/// step `(t1-t0)/100`, at most 100,000 steps), returning all accepted
+/// samples (including the initial condition).
 ///
 /// # Errors
 ///
@@ -55,15 +39,11 @@ pub struct OdeSample {
 /// # Examples
 ///
 /// ```
-/// use mis_num::ode::{integrate_adaptive, AdaptiveOptions};
+/// use mis_num::ode::integrate_adaptive;
 ///
 /// # fn main() -> Result<(), mis_num::NumError> {
 /// // y' = -y, y(0) = 1: y(1) = e^{-1}.
-/// let samples = integrate_adaptive(
-///     |_t, y, dy| dy[0] = -y[0],
-///     0.0, 1.0, &[1.0],
-///     &AdaptiveOptions::default(),
-/// )?;
+/// let samples = integrate_adaptive(|_t, y, dy| dy[0] = -y[0], 0.0, 1.0, &[1.0])?;
 /// let yf = samples.last().expect("at least the initial sample").y[0];
 /// assert!((yf - (-1.0f64).exp()).abs() < 1e-8);
 /// # Ok(())
@@ -74,7 +54,6 @@ pub fn integrate_adaptive<F>(
     t0: f64,
     t1: f64,
     y0: &[f64],
-    opts: &AdaptiveOptions,
 ) -> Result<Vec<OdeSample>, NumError>
 where
     F: FnMut(f64, &[f64], &mut [f64]),
@@ -148,11 +127,11 @@ where
 
     let mut t = t0;
     let mut y = y0.to_vec();
-    let mut h = opts.initial_step.unwrap_or((t1 - t0) / 100.0).min(t1 - t0);
+    let mut h = (t1 - t0) / 100.0;
     let mut k = vec![vec![0.0; n]; 7];
     let mut ytmp = vec![0.0; n];
 
-    for _step in 0..opts.max_steps {
+    for _step in 0..MAX_STEPS {
         if t >= t1 {
             return Ok(samples);
         }
@@ -186,7 +165,7 @@ where
                 acc4 += B4[s] * k[s][i];
             }
             y5[i] = y[i] + h * acc5;
-            let sc = opts.atol + opts.rtol * y[i].abs().max(y5[i].abs());
+            let sc = ATOL + RTOL * y[i].abs().max(y5[i].abs());
             let e = h * (acc5 - acc4) / sc;
             err_norm = err_norm.max(e.abs());
         }
@@ -211,7 +190,7 @@ where
         }
     }
     Err(NumError::NoConvergence {
-        iterations: opts.max_steps,
+        iterations: MAX_STEPS,
         residual: f64::NAN,
     })
 }
@@ -232,7 +211,6 @@ mod tests {
             0.0,
             2.0,
             &[1.0, 0.0],
-            &AdaptiveOptions::default(),
         )
         .unwrap();
         let yf = &samples.last().unwrap().y;
@@ -256,7 +234,6 @@ mod tests {
             0.0,
             1.0,
             &[1.0, 1.0],
-            &AdaptiveOptions::default(),
         )
         .unwrap();
         let yf = &samples.last().unwrap().y;
@@ -266,14 +243,7 @@ mod tests {
 
     #[test]
     fn adaptive_zero_length_interval() {
-        let s = integrate_adaptive(
-            |_t, _y, dy| dy[0] = 1.0,
-            1.0,
-            1.0,
-            &[42.0],
-            &AdaptiveOptions::default(),
-        )
-        .unwrap();
+        let s = integrate_adaptive(|_t, _y, dy| dy[0] = 1.0, 1.0, 1.0, &[42.0]).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].y[0], 42.0);
     }
@@ -281,27 +251,15 @@ mod tests {
     #[test]
     fn adaptive_rejects_nan_derivative() {
         assert!(matches!(
-            integrate_adaptive(
-                |_t, _y, dy| dy[0] = f64::NAN,
-                0.0,
-                1.0,
-                &[1.0],
-                &AdaptiveOptions::default()
-            ),
+            integrate_adaptive(|_t, _y, dy| dy[0] = f64::NAN, 0.0, 1.0, &[1.0]),
             Err(NumError::NonFiniteValue { .. })
         ));
     }
 
     #[test]
     fn adaptive_samples_are_monotone_in_time() {
-        let samples = integrate_adaptive(
-            |t, _y, dy| dy[0] = (5.0 * t).sin(),
-            0.0,
-            3.0,
-            &[0.0],
-            &AdaptiveOptions::default(),
-        )
-        .unwrap();
+        let samples =
+            integrate_adaptive(|t, _y, dy| dy[0] = (5.0 * t).sin(), 0.0, 3.0, &[0.0]).unwrap();
         for w in samples.windows(2) {
             assert!(w[1].t > w[0].t);
         }

@@ -59,14 +59,8 @@ fn nelder_mead_solves_random_quadratics() {
 #[test]
 fn rk45_matches_closed_form_decay() {
     Config::default().run(&(0.1..20.0f64, 0.1..2.0f64), |&(k, y0)| {
-        let samples = ode::integrate_adaptive(
-            |_t, y, dy| dy[0] = -k * y[0],
-            0.0,
-            1.0,
-            &[y0],
-            &ode::AdaptiveOptions::default(),
-        )
-        .unwrap();
+        let samples =
+            ode::integrate_adaptive(|_t, y, dy| dy[0] = -k * y[0], 0.0, 1.0, &[y0]).unwrap();
         let yf = samples.last().unwrap().y[0];
         let exact = y0 * (-k).exp();
         prop_assert!((yf - exact).abs() < 1e-7 * (1.0 + exact.abs()));

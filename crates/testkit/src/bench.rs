@@ -1,14 +1,14 @@
 //! A criterion-free micro-benchmark harness.
 //!
 //! Each benchmark is calibrated (iterations per sample sized so one
-//! sample takes roughly [`BenchOptions::target_sample_time`]), warmed up,
-//! then timed over [`BenchOptions::sample_count`] samples. Reported
-//! statistics are per-iteration nanoseconds: mean, median, p95, min, max.
+//! sample takes roughly 5 ms, 1 ms in quick mode), warmed up, then timed
+//! over 30 samples (10 in quick mode). Reported statistics are
+//! per-iteration nanoseconds: median and p95.
 //!
-//! Results print as an aligned table, one `<name>/<id>  median … ns` line
-//! per benchmark, and then as one JSON line on stdout. Nothing is
-//! written to disk: `scripts/ab.sh` reads the table lines of a base and
-//! a change build in one session, and compares those.
+//! Results print as an aligned table on stdout, one `<name>/<id>  median
+//! … ns` line per benchmark. Nothing is written to disk: `scripts/ab.sh`
+//! reads the table lines of a base and a change build in one session,
+//! and compares those.
 //!
 //! ```no_run
 //! use mis_testkit::bench::{black_box, Harness};
@@ -18,24 +18,24 @@
 //! h.finish();
 //! ```
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Harness configuration.
+/// Harness configuration: the default or the quick one, picked by
+/// [`Harness::from_args`].
 #[derive(Debug, Clone)]
-pub struct BenchOptions {
+struct BenchOptions {
     /// Time spent running the routine before measurement begins.
-    pub warmup_time: Duration,
+    warmup_time: Duration,
     /// Number of timed samples per benchmark.
-    pub sample_count: usize,
+    sample_count: usize,
     /// Desired wall-clock duration of one sample; iterations per sample
     /// are calibrated to hit it.
-    pub target_sample_time: Duration,
+    target_sample_time: Duration,
     /// Upper bound on iterations per sample (also bounds the number of
     /// pre-built inputs a batched benchmark holds in memory).
-    pub max_iters_per_sample: u64,
+    max_iters_per_sample: u64,
 }
 
 impl Default for BenchOptions {
@@ -51,8 +51,7 @@ impl Default for BenchOptions {
 
 impl BenchOptions {
     /// CI-scale options: one short warmup, few samples.
-    #[must_use]
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         BenchOptions {
             warmup_time: Duration::from_millis(20),
             sample_count: 10,
@@ -69,16 +68,10 @@ pub struct Stats {
     pub iters_per_sample: u64,
     /// Number of samples taken.
     pub samples: usize,
-    /// Mean over samples.
-    pub mean_ns: f64,
     /// Median over samples.
     pub median_ns: f64,
     /// 95th percentile over samples.
     pub p95_ns: f64,
-    /// Fastest sample.
-    pub min_ns: f64,
-    /// Slowest sample.
-    pub max_ns: f64,
 }
 
 impl Stats {
@@ -95,15 +88,11 @@ impl Stats {
             .map(|d| d.as_secs_f64() * 1e9 / iters_per_sample as f64)
             .collect();
         per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let n = per_iter.len();
         Stats {
             iters_per_sample,
-            samples: n,
-            mean_ns: per_iter.iter().sum::<f64>() / n as f64,
+            samples: per_iter.len(),
             median_ns: percentile(&per_iter, 50.0),
             p95_ns: percentile(&per_iter, 95.0),
-            min_ns: per_iter[0],
-            max_ns: per_iter[n - 1],
         }
     }
 }
@@ -129,20 +118,16 @@ pub struct BenchResult {
 pub struct Harness {
     name: String,
     opts: BenchOptions,
-    quick: bool,
     filter: Option<String>,
     results: Vec<BenchResult>,
 }
 
 impl Harness {
-    /// Creates a harness with explicit options.
-    #[must_use]
-    pub fn new(name: &str, opts: BenchOptions) -> Self {
+    fn new(name: &str, opts: BenchOptions, filter: Option<String>) -> Self {
         Harness {
             name: name.to_owned(),
             opts,
-            quick: false,
-            filter: None,
+            filter,
             results: Vec::new(),
         }
     }
@@ -169,10 +154,7 @@ impl Harness {
         } else {
             BenchOptions::default()
         };
-        let mut h = Harness::new(name, opts);
-        h.quick = quick;
-        h.filter = filter;
-        h
+        Harness::new(name, opts, filter)
     }
 
     /// Whether `id` passes the command-line filter.
@@ -273,73 +255,11 @@ impl Harness {
         });
     }
 
-    /// Renders all results as a JSON document (schema:
-    /// `{"bench", "mode": "quick"|"full", "results": [{"id",
-    /// "iters_per_sample", "samples", "mean_ns", "median_ns", "p95_ns",
-    /// "min_ns", "max_ns"}]}`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(s, "\"bench\":{}", json_string(&self.name));
-        let _ = write!(
-            s,
-            ",\"mode\":\"{}\"",
-            if self.quick { "quick" } else { "full" }
-        );
-        s.push_str(",\"results\":[");
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"id\":{},\"iters_per_sample\":{},\"samples\":{},\
-                 \"mean_ns\":{},\"median_ns\":{},\"p95_ns\":{},\
-                 \"min_ns\":{},\"max_ns\":{}}}",
-                json_string(&r.id),
-                r.stats.iters_per_sample,
-                r.stats.samples,
-                json_f64(r.stats.mean_ns),
-                json_f64(r.stats.median_ns),
-                json_f64(r.stats.p95_ns),
-                json_f64(r.stats.min_ns),
-                json_f64(r.stats.max_ns),
-            );
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Prints the JSON report to stdout and returns the collected
-    /// results.
+    /// Returns the collected results, in run order (the table lines are
+    /// already printed).
     pub fn finish(self) -> Vec<BenchResult> {
-        println!("{}", self.to_json());
         self.results
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a timing as JSON (finite; fixed precision keeps files diffable).
-fn json_f64(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite timing statistic");
-    format!("{v:.3}")
 }
 
 #[cfg(test)]
@@ -359,10 +279,9 @@ mod tests {
     fn stats_of_constant_samples_are_flat() {
         let totals = vec![Duration::from_micros(100); 8];
         let s = Stats::from_sample_totals(&totals, 100);
-        assert!((s.mean_ns - 1000.0).abs() < 1e-6);
         assert_eq!(s.median_ns, 1000.0);
         assert_eq!(s.p95_ns, 1000.0);
-        assert_eq!(s.min_ns, s.max_ns);
+        assert_eq!((s.iters_per_sample, s.samples), (100, 8));
     }
 
     #[test]
@@ -371,56 +290,27 @@ mod tests {
         let s = Stats::from_sample_totals(&totals, 1);
         assert_eq!(s.median_ns, 5.0);
         assert_eq!(s.p95_ns, 10.0);
-        assert_eq!(s.min_ns, 1.0);
-        assert_eq!(s.max_ns, 10.0);
     }
 
     #[test]
     fn harness_runs_and_orders_results() {
-        let mut h = Harness::new("selftest", tiny_opts());
+        let mut h = Harness::new("selftest", tiny_opts(), None);
         h.bench("fast", || black_box(1u64 + 1));
         h.bench_batched("batched", || vec![1u64; 64], |v| v.iter().sum::<u64>());
-        assert_eq!(h.results.len(), 2);
-        assert_eq!(h.results[0].id, "fast");
-        assert!(h.results.iter().all(|r| r.stats.median_ns > 0.0));
-        assert!(h
-            .results
-            .iter()
-            .all(|r| r.stats.min_ns <= r.stats.median_ns && r.stats.median_ns <= r.stats.max_ns));
-    }
-
-    #[test]
-    fn json_schema_has_all_keys() {
-        let mut h = Harness::new("schema \"check\"", tiny_opts());
-        h.bench("a", || black_box(0u8));
-        let json = h.to_json();
-        for key in [
-            "\"bench\":",
-            "\"mode\":",
-            "\"results\":",
-            "\"id\":",
-            "\"iters_per_sample\":",
-            "\"samples\":",
-            "\"mean_ns\":",
-            "\"median_ns\":",
-            "\"p95_ns\":",
-            "\"min_ns\":",
-            "\"max_ns\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // The quoted name must be escaped into valid JSON.
-        assert!(json.contains("schema \\\"check\\\""));
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let results = h.finish();
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].id, "fast");
+        assert!(results.iter().all(|r| r.stats.median_ns > 0.0));
+        assert!(results.iter().all(|r| r.stats.median_ns <= r.stats.p95_ns));
     }
 
     #[test]
     fn filter_skips_unmatched_ids() {
-        let mut h = Harness::new("filtered", tiny_opts());
-        h.filter = Some(String::from("keep"));
+        let mut h = Harness::new("filtered", tiny_opts(), Some(String::from("keep")));
         h.bench("keep_this", || black_box(1u8));
         h.bench("drop_this", || black_box(1u8));
-        assert_eq!(h.results.len(), 1);
-        assert_eq!(h.results[0].id, "keep_this");
+        let results = h.finish();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].id, "keep_this");
     }
 }

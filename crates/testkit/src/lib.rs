@@ -14,7 +14,7 @@
 //!   failing-input reporting and basic greedy shrinking.
 //! * [`mod@bench`] — a criterion-free micro-bench harness: warmup,
 //!   auto-calibrated timed iterations, median/p95 statistics, printed
-//!   as a table and one JSON line.
+//!   as a table.
 //!
 //! With the `counting-alloc` feature, `alloc` additionally provides a
 //! thread-local counting `#[global_allocator]` wrapper so zero-allocation

@@ -102,12 +102,22 @@ impl TraceConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`WaveformError::InvalidInput`] for non-positive `mu`,
-    /// negative `sigma`, or zero transitions.
+    /// Returns [`WaveformError::InvalidInput`] for a `mu` that is not
+    /// finite and positive, a `sigma` that is not finite and non-negative,
+    /// a non-finite `start_time`, a `min_gap` that is not finite and
+    /// positive, or zero transitions. Propagates a
+    /// [`DigitalTrace::push_edge`] failure, e.g. when `start_time` is so
+    /// large that adding an interval no longer advances time.
     pub fn generate(&self, seed: u64) -> Result<TracePair, WaveformError> {
-        if !(self.mu > 0.0) || self.sigma < 0.0 {
+        let finite_positive = |x: f64| x > 0.0 && x.is_finite();
+        if !(finite_positive(self.mu) && self.sigma >= 0.0 && self.sigma.is_finite()) {
             return Err(WaveformError::InvalidInput {
-                reason: "mu must be positive and sigma non-negative".into(),
+                reason: "mu must be finite and positive, sigma finite and non-negative".into(),
+            });
+        }
+        if !(self.start_time.is_finite() && finite_positive(self.min_gap)) {
+            return Err(WaveformError::InvalidInput {
+                reason: "start_time must be finite, min_gap finite and positive".into(),
             });
         }
         if self.transitions == 0 {
@@ -130,7 +140,7 @@ impl TraceConfig {
                 for _ in 0..n_a {
                     t += self.interval(&mut rng);
                     val = !val;
-                    a.push_edge(t, val).expect("monotone by construction");
+                    a.push_edge(t, val)?;
                 }
                 // Offset B's stream start by an independent draw so the two
                 // streams are not phase locked.
@@ -139,7 +149,7 @@ impl TraceConfig {
                 for _ in 0..n_b {
                     t += self.interval(&mut rng);
                     val = !val;
-                    b.push_edge(t, val).expect("monotone by construction");
+                    b.push_edge(t, val)?;
                 }
                 (a, b)
             }
@@ -152,10 +162,10 @@ impl TraceConfig {
                     t += self.interval(&mut rng);
                     if rng.gen_bool(0.5) {
                         let v = !a.final_value();
-                        a.push_edge(t, v).expect("monotone by construction");
+                        a.push_edge(t, v)?;
                     } else {
                         let v = !b.final_value();
-                        b.push_edge(t, v).expect("monotone by construction");
+                        b.push_edge(t, v)?;
                     }
                 }
                 (a, b)
@@ -391,5 +401,21 @@ mod tests {
         assert!(TraceConfig::new(ps(1.0), ps(1.0), Assignment::Local, 0)
             .generate(0)
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_or_zero_gap_configs_are_typed_errors() {
+        let infinite_mu = TraceConfig::new(f64::INFINITY, ps(1.0), Assignment::Local, 10);
+        let zero_gap = TraceConfig {
+            min_gap: 0.0,
+            ..TraceConfig::new(ps(1.0), ps(100.0), Assignment::Local, 400)
+        };
+        let nan_sigma = TraceConfig::new(ps(100.0), f64::NAN, Assignment::Global, 10);
+        for cfg in [infinite_mu, zero_gap, nan_sigma] {
+            assert!(
+                matches!(cfg.generate(3), Err(WaveformError::InvalidInput { .. })),
+                "{cfg:?}"
+            );
+        }
     }
 }

@@ -11,7 +11,6 @@
 //! Run: `cargo run --release --example fit_your_gate`
 
 use mis_delay::analog::measure::{self, RisingPrecondition};
-use mis_delay::analog::transient::TransientOptions;
 use mis_delay::analog::NorTech;
 use mis_delay::core::charlie::CharacteristicDelays;
 use mis_delay::core::{delay, fit, RisingInitialVn};
@@ -19,10 +18,9 @@ use mis_delay::waveform::units::{ps, to_ps};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = NorTech::freepdk15_like();
-    let tran = TransientOptions::default();
 
     println!("1) characterizing the reference gate (6 transient runs)...");
-    let chars = measure::characteristic_delays(&tech, &tran)?;
+    let chars = measure::characteristic_delays(&tech)?;
     let names = ["δ↓(−∞)", "δ↓(0)", "δ↓(+∞)", "δ↑(−∞)", "δ↑(0)", "δ↑(+∞)"];
     for (n, c) in names.iter().zip(&chars) {
         println!("   {n} = {:.2} ps", to_ps(*c));
@@ -82,9 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &d_ps in &[-60.0, -30.0, -10.0, 0.0, 10.0, 30.0, 60.0] {
         let d = ps(d_ps);
         let fm = delay::falling_delay(&p, d)?;
-        let fa = measure::falling_delay(&tech, d, &tran)?;
+        let fa = measure::falling_delay(&tech, d)?;
         let rm = delay::rising_delay(&p, d, RisingInitialVn::Gnd)?;
-        let ra = measure::rising_delay(&tech, d, RisingPrecondition::WorstCaseGnd, &tran)?;
+        let ra = measure::rising_delay(&tech, d, RisingPrecondition::WorstCaseGnd)?;
         println!(
             "   {:>8.1} {:>9.2} ps {:>9.2} ps {:>9.2} ps {:>9.2} ps",
             d_ps,

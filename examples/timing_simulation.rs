@@ -4,7 +4,6 @@
 //!
 //! Run: `cargo run --release --example timing_simulation`
 
-use mis_delay::analog::transient::TransientOptions;
 use mis_delay::analog::NorTech;
 use mis_delay::digital::accuracy::{reference_trace, run_experiment, ExperimentConfig};
 use mis_delay::digital::{
@@ -16,12 +15,7 @@ use mis_delay::waveform::units::{ps, to_ps};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("calibrating the hybrid model to the analog reference...");
-    let cfg = ExperimentConfig::calibrated(
-        NorTech::freepdk15_like(),
-        TransientOptions::default(),
-        None,
-        3,
-    )?;
+    let cfg = ExperimentConfig::calibrated(NorTech::freepdk15_like(), 3)?;
 
     // One concrete trace pair, inspected closely. Keep the generated
     // edges renderable by the analog reference: consecutive edges on one

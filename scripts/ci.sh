@@ -50,6 +50,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 # to completion: they are the runtime callers of the parameter fit
 # (`mis_core::fit`, Nelder–Mead), the accuracy experiment and the
 # characterization layer, which the unit tests only reach in pieces.
+# They are also the runtime callers of the analog reference
+# (`mis_analog::transient::simulate`, one fixed solver setting); beyond
+# them only tests (tests/pipeline.rs, the reduced Fig. 7 test, the
+# analog crate's own) and the model_kernels bench run it.
 echo "== examples (cargo run --example, every example)"
 for example in examples/*.rs; do
     example="$(basename "$example" .rs)"
@@ -196,7 +200,7 @@ done
 # runs once in quick mode, so a bench whose setup panics (say, on
 # generated .bench text that fails to parse) fails the default gate.
 # A run-to-completion check like the examples step: the harness prints
-# its table and JSON line and writes no file; nothing is compared.
+# its table and writes no file; nothing is compared.
 echo "== bench-target smoke (cargo bench -p mis-bench, quick mode)"
 TESTKIT_BENCH_QUICK=1 cargo bench -q --offline -p mis-bench > /dev/null
 

@@ -3,7 +3,6 @@
 //! delay clearly beats inertial delay on short-pulse traffic, and the
 //! hybrid model *without* pure delay does not.
 
-use mis_delay::analog::transient::TransientOptions;
 use mis_delay::analog::NorTech;
 use mis_delay::charlib::{CharConfig, CharLib};
 use mis_delay::digital::accuracy::{run_experiment, ExperimentConfig};
@@ -12,16 +11,7 @@ use mis_delay::waveform::units::ps;
 
 #[test]
 fn fig7_orderings_hold_at_reduced_scale() {
-    let cfg = ExperimentConfig {
-        repetitions: 2,
-        ..ExperimentConfig::calibrated(
-            NorTech::freepdk15_like(),
-            TransientOptions::default(),
-            None,
-            2,
-        )
-        .expect("calibration")
-    };
+    let cfg = ExperimentConfig::calibrated(NorTech::freepdk15_like(), 2).expect("calibration");
     let configs = vec![
         TraceConfig::new(ps(100.0), ps(50.0), Assignment::Local, 60),
         TraceConfig::new(ps(2000.0), ps(1000.0), Assignment::Global, 40),

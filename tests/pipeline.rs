@@ -3,22 +3,20 @@
 //! `mis-core` and `mis-num`.
 
 use mis_delay::analog::measure::{self, RisingPrecondition};
-use mis_delay::analog::transient::TransientOptions;
 use mis_delay::analog::NorTech;
 use mis_delay::core::charlie::CharacteristicDelays;
 use mis_delay::core::{delay, fit, RisingInitialVn};
 use mis_delay::waveform::units::{ps, to_ps};
 
-fn calibration() -> (NorTech, TransientOptions, CharacteristicDelays) {
+fn calibration() -> (NorTech, CharacteristicDelays) {
     let tech = NorTech::freepdk15_like();
-    let tran = TransientOptions::default();
-    let chars = measure::characteristic_delays(&tech, &tran).expect("characterization");
-    (tech, tran, CharacteristicDelays::from_array(chars))
+    let chars = measure::characteristic_delays(&tech).expect("characterization");
+    (tech, CharacteristicDelays::from_array(chars))
 }
 
 #[test]
 fn full_fit_pipeline_produces_small_falling_error() {
-    let (tech, tran, targets) = calibration();
+    let (tech, targets) = calibration();
     let dmin = (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0);
     let outcome = fit::fit(
         &targets,
@@ -41,7 +39,7 @@ fn full_fit_pipeline_produces_small_falling_error() {
     for &d_ps in &[-50.0, -25.0, -8.0, 0.0, 8.0, 25.0, 50.0] {
         let d = ps(d_ps);
         let model = delay::falling_delay(&outcome.params, d).expect("model delay");
-        let analog = measure::falling_delay(&tech, d, &tran).expect("analog delay");
+        let analog = measure::falling_delay(&tech, d).expect("analog delay");
         assert!(
             (model - analog).abs() < ps(1.5),
             "Δ = {d_ps} ps: model {:.2} ps vs analog {:.2} ps",
@@ -56,7 +54,7 @@ fn rising_fit_matches_tails_but_misses_peak() {
     // The paper's documented limitation, reproduced quantitatively: with
     // V_N = GND the fitted model is accurate at the SIS tails yet cannot
     // produce the analog MIS peak at Δ ≈ 0.
-    let (tech, tran, targets) = calibration();
+    let (tech, targets) = calibration();
     let dmin = (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0);
     let params = fit::fit(
         &targets,
@@ -74,8 +72,8 @@ fn rising_fit_matches_tails_but_misses_peak() {
     for &d_ps in &[-200.0, 200.0] {
         let d = ps(d_ps);
         let model = delay::rising_delay(&params, d, RisingInitialVn::Gnd).expect("model");
-        let analog = measure::rising_delay(&tech, d, RisingPrecondition::WorstCaseGnd, &tran)
-            .expect("analog");
+        let analog =
+            measure::rising_delay(&tech, d, RisingPrecondition::WorstCaseGnd).expect("analog");
         assert!(
             (model - analog).abs() < ps(2.5),
             "tail Δ = {d_ps}: {:.2} vs {:.2} ps",
@@ -88,7 +86,7 @@ fn rising_fit_matches_tails_but_misses_peak() {
     // tail gap by a clear margin.
     let model_0 = delay::rising_delay(&params, 0.0, RisingInitialVn::Gnd).expect("model");
     let analog_0 =
-        measure::rising_delay(&tech, 0.0, RisingPrecondition::WorstCaseGnd, &tran).expect("analog");
+        measure::rising_delay(&tech, 0.0, RisingPrecondition::WorstCaseGnd).expect("analog");
     assert!(
         analog_0 - model_0 > ps(0.8),
         "the MIS peak should be visibly under-predicted: model {:.2} vs analog {:.2} ps",
@@ -99,7 +97,7 @@ fn rising_fit_matches_tails_but_misses_peak() {
 
 #[test]
 fn pure_delay_restores_feasibility_and_cuts_cost() {
-    let (tech, _tran, targets) = calibration();
+    let (tech, targets) = calibration();
     let raw_ratio = fit::feasibility_ratio(&targets, 0.0).expect("ratio");
     assert!(
         raw_ratio < 1.95,
@@ -134,7 +132,7 @@ fn pure_delay_restores_feasibility_and_cuts_cost() {
 
 #[test]
 fn fitted_parameters_have_physical_structure() {
-    let (tech, _tran, targets) = calibration();
+    let (tech, targets) = calibration();
     let dmin = (2.0 * targets.fall_zero - targets.fall_minus_inf).max(0.0);
     let p = fit::fit(
         &targets,
