@@ -3,9 +3,10 @@
 //! gate CI runs over the committed fixtures.
 //!
 //! The netlist is lowered under the committed characterized cell
-//! library and driven with the same deterministic traffic `sim_profile`
-//! uses (seed base `0x5eed`), so the golden run here is byte-for-byte
-//! the run CI already pins event counts on. The fault list is the
+//! library (or, under `--cells inertial`, onto the committed inertial
+//! fallback on every gate) and driven with the same deterministic
+//! traffic `sim_profile` uses (seed base `0x5eed`), so the golden run
+//! here is byte-for-byte the run CI already pins event counts on. The fault list is the
 //! exhaustive single-stuck-at set (two faults per lowered signal), plus
 //! `--glitches N` transient pulses placed deterministically across the
 //! signals. The campaign report — coverage, per-output detections,
@@ -24,8 +25,9 @@
 //! Usage:
 //!
 //! ```text
-//! fault_sim [--json] [--workers N] [--glitches N] [--max-edges N]
-//!           [--trace <out.json>] [--expect k=v,...] <netlist.bench>
+//! fault_sim [--json] [--cells hybrid|inertial] [--workers N] [--glitches N]
+//!           [--max-edges N] [--trace <out.json>] [--expect k=v,...]
+//!           <netlist.bench>
 //! fault_sim --fuzz ITERS [--seed N] [--json]
 //! ```
 //!
@@ -60,7 +62,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mis_bench::emit;
-use mis_bench::netlist::{check_expect, committed_cells, parse_expect, report_digest, traffic};
+use mis_bench::netlist::{check_expect, parse_expect, report_digest, traffic, Cells};
 use mis_fault::{
     fuzz_differential, run_campaign_traced, stuck_at_sites, CampaignConfig, FaultOutcome,
     FaultSite, FuzzConfig,
@@ -72,6 +74,7 @@ use mis_waveform::units::ps;
 
 struct Args {
     json: bool,
+    cells: Cells,
     workers: usize,
     glitches: usize,
     max_edges: Option<u64>,
@@ -85,6 +88,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: false,
+        cells: Cells::Hybrid,
         workers: 4,
         glitches: 0,
         max_edges: None,
@@ -101,6 +105,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--json" => args.json = true,
+            "--cells" => args.cells = Cells::parse(&value("--cells", &mut argv)?)?,
             "--workers" => {
                 args.workers = value("--workers", &mut argv)?
                     .parse()
@@ -228,7 +233,7 @@ fn run_fuzz(args: &Args, iterations: u32) -> Result<(), String> {
 fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
     let nl = BenchNetlist::parse(&text).map_err(|e| format!("parse {file}: {e}"))?;
-    let cells = committed_cells()?;
+    let cells = args.cells.library()?;
     let lowered = nl.lower(&cells).map_err(|e| format!("lowering: {e}"))?;
     let inputs = traffic(lowered.inputs.len())?;
 
@@ -361,8 +366,9 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fault_sim: {e}");
             eprintln!(
-                "usage: fault_sim [--json] [--workers N] [--glitches N] [--max-edges N] \
-                 [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
+                "usage: fault_sim [--json] [--cells hybrid|inertial] [--workers N] \
+                 [--glitches N] [--max-edges N] [--trace <out.json>] [--expect k=v,...] \
+                 <netlist.bench>"
             );
             eprintln!("       fault_sim --fuzz ITERS [--seed N] [--json]");
             return ExitCode::from(2);

@@ -3,21 +3,23 @@
 //! and the count-pinning gate CI runs over the committed fixtures.
 //!
 //! The netlist is lowered under the committed characterized cell
-//! library (the same realization `lint_bench` and the benches use),
-//! driven once with deterministic local-assignment traffic
-//! (seed base `0x5eed`), and the probe registry snapshot is printed as
-//! a text table — or, under `--json`, as one machine-readable line the
-//! binary validates against `mis_probe::json::is_wellformed` before
-//! printing, so a broken renderer fails the run instead of feeding
-//! garbage downstream. The report carries one extra counter,
+//! library (the same realization `lint_bench` and the benches use), or
+//! under `--cells inertial` onto the committed inertial fallback on
+//! every gate (`mis_bench::netlist::Cells`), driven once with
+//! deterministic local-assignment traffic (seed base `0x5eed`), and the
+//! probe registry snapshot is printed as a text table — or, under
+//! `--json`, as one machine-readable line the binary validates against
+//! `mis_probe::json::is_wellformed` before printing, so a broken
+//! renderer fails the run instead of feeding garbage downstream. The
+//! report carries one extra counter,
 //! `sim.output_digest`: the FNV-1a digest of every `OUTPUT` trace in
 //! `OUTPUT` order (`mis_bench::netlist::output_digest`).
 //!
 //! Usage:
 //!
 //! ```text
-//! sim_profile [--json] [--vcd <out.vcd>] [--trace <out.json>]
-//!             [--expect k=v,...] <netlist.bench>
+//! sim_profile [--json] [--cells hybrid|inertial] [--vcd <out.vcd>]
+//!             [--trace <out.json>] [--expect k=v,...] <netlist.bench>
 //! ```
 //!
 //! `--vcd` additionally dumps every named (non-synthetic) signal's
@@ -39,7 +41,7 @@ use std::process::ExitCode;
 
 use mis_analyze::{attribute_levels, TimingAnalysis};
 use mis_bench::emit;
-use mis_bench::netlist::{check_expect, committed_cells, output_digest, parse_expect, traffic};
+use mis_bench::netlist::{check_expect, output_digest, parse_expect, traffic, Cells};
 use mis_probe::json::{is_wellformed, json_string};
 use mis_probe::vcd::{write_vcd, VcdSignal};
 use mis_probe::{Probe, TraceSink};
@@ -48,6 +50,7 @@ use mis_waveform::TraceArena;
 
 struct Args {
     json: bool,
+    cells: Cells,
     vcd: Option<String>,
     trace: Option<String>,
     expect: Vec<(String, u64)>,
@@ -56,6 +59,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut json = false;
+    let mut cells = Cells::Hybrid;
     let mut vcd = None;
     let mut trace = None;
     let mut expect = Vec::new();
@@ -64,6 +68,9 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--json" => json = true,
+            "--cells" => {
+                cells = Cells::parse(&argv.next().ok_or("--cells needs a library name")?)?;
+            }
             "--vcd" => {
                 vcd = Some(argv.next().ok_or("--vcd needs an output path")?);
             }
@@ -81,6 +88,7 @@ fn parse_args() -> Result<Args, String> {
     match <[String; 1]>::try_from(files) {
         Ok([file]) => Ok(Args {
             json,
+            cells,
             vcd,
             trace,
             expect,
@@ -94,7 +102,7 @@ fn run(args: &Args) -> Result<(), String> {
     let text =
         std::fs::read_to_string(&args.file).map_err(|e| format!("read {}: {e}", args.file))?;
     let nl = BenchNetlist::parse(&text).map_err(|e| format!("parse {}: {e}", args.file))?;
-    let cells = committed_cells()?;
+    let cells = args.cells.library()?;
     let lowered = nl.lower(&cells).map_err(|e| format!("lowering: {e}"))?;
     let inputs = traffic(lowered.inputs.len())?;
 
@@ -192,8 +200,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("sim_profile: {e}");
             eprintln!(
-                "usage: sim_profile [--json] [--vcd <out.vcd>] [--trace <out.json>] \
-                 [--expect k=v,...] <netlist.bench>"
+                "usage: sim_profile [--json] [--cells hybrid|inertial] [--vcd <out.vcd>] \
+                 [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
             );
             return ExitCode::from(2);
         }

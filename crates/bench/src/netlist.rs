@@ -1,5 +1,6 @@
 //! Shared plumbing for the netlist CLIs (`sim_profile`, `lint_bench`,
-//! `fault_sim`): the committed characterized cell realization, the
+//! `fault_sim`): the committed characterized cell realization and its
+//! inertial-only alternative (`--cells`), the
 //! deterministic input traffic every binary drives fixtures with, the
 //! output and campaign-report digests, and the `--expect` metric pins
 //! CI checks their probe reports against. One
@@ -42,9 +43,54 @@ pub fn committed_cells() -> Result<CellLibrary, String> {
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("read {}: {e} (run make_data first)", path.display()))?;
     let lib = CharLib::from_text(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    let fallback = InertialChannel::symmetric(ps(50.0), ps(38.0))
-        .map_err(|e| format!("fallback channel: {e}"))?;
-    CellLibrary::hybrid(&lib, Some(fallback)).map_err(|e| format!("cell library: {e}"))
+    CellLibrary::hybrid(&lib, Some(fallback()?)).map_err(|e| format!("cell library: {e}"))
+}
+
+/// The symmetric inertial channel (50 ps delay, 38 ps rejection window)
+/// that [`committed_cells`] falls back to outside the characterized set
+/// and that [`Cells::Inertial`] puts on every gate.
+fn fallback() -> Result<InertialChannel, String> {
+    InertialChannel::symmetric(ps(50.0), ps(38.0)).map_err(|e| format!("fallback channel: {e}"))
+}
+
+/// The cell library a netlist CLI lowers onto, chosen with `--cells`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cells {
+    /// `hybrid` (the default): [`committed_cells`], the paper's MIS
+    /// model on NOR/NAND roots.
+    Hybrid,
+    /// `inertial`: `CellLibrary::inertial` over the committed fallback
+    /// on every gate, no MIS model.
+    Inertial,
+}
+
+impl Cells {
+    /// Reads a `--cells` value.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the accepted values.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "hybrid" => Ok(Cells::Hybrid),
+            "inertial" => Ok(Cells::Inertial),
+            _ => Err(format!(
+                "--cells: unknown library '{name}' (hybrid or inertial)"
+            )),
+        }
+    }
+
+    /// Builds the chosen library.
+    ///
+    /// # Errors
+    ///
+    /// [`committed_cells`] failures for [`Cells::Hybrid`].
+    pub fn library(self) -> Result<CellLibrary, String> {
+        match self {
+            Cells::Hybrid => committed_cells(),
+            Cells::Inertial => Ok(CellLibrary::inertial(fallback()?)),
+        }
+    }
 }
 
 /// Deterministic input traffic for `n` netlist inputs:
@@ -269,6 +315,15 @@ mod tests {
             mutate(&mut results);
             assert_ne!(report_digest(&report(results)), digest, "mutant {i}");
         }
+    }
+
+    #[test]
+    fn cells_parse_every_library_name_and_reject_others() {
+        assert_eq!(Cells::parse("hybrid"), Ok(Cells::Hybrid));
+        assert_eq!(Cells::parse("inertial"), Ok(Cells::Inertial));
+        let err = Cells::parse("cached").unwrap_err();
+        assert!(err.contains("hybrid or inertial"), "{err}");
+        assert!(Cells::Inertial.library().is_ok());
     }
 
     #[test]

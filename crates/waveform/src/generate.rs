@@ -15,7 +15,9 @@
 //!
 //! Intervals are clamped below at `min_gap` to keep traces physical
 //! (the normal distribution has unbounded support; SPICE decks need
-//! positive, non-overlapping edges).
+//! positive, non-overlapping edges). The normals come from Marsaglia's
+//! polar method, which needs no trigonometry and yields two normals per
+//! accepted point of the unit disc; both are used.
 
 use mis_testkit::rng::TestRng;
 
@@ -95,7 +97,10 @@ impl TraceConfig {
         )
     }
 
-    /// Generates a reproducible trace pair from `seed`.
+    /// Generates a reproducible trace pair from `seed`: the same seed
+    /// always gives the same bits. How many uniform draws a pair takes
+    /// varies with the seed, since the normal sampler rejects about a
+    /// fifth of its candidate points.
     ///
     /// Both inputs start low (the NOR output therefore starts high), which
     /// is the settled state the paper's SPICE decks use.
@@ -125,7 +130,7 @@ impl TraceConfig {
                 reason: "at least one transition required".into(),
             });
         }
-        let mut rng = TestRng::seed_from_u64(seed);
+        let mut normals = Normals::new(seed);
         let (a, b) = match self.assignment {
             Assignment::Local => {
                 // Each input gets ~half the transitions on its own clock,
@@ -138,16 +143,16 @@ impl TraceConfig {
                 let mut t = self.start_time;
                 let mut val = false;
                 for _ in 0..n_a {
-                    t += self.interval(&mut rng);
+                    t += self.interval(&mut normals);
                     val = !val;
                     a.push_edge(t, val)?;
                 }
                 // Offset B's stream start by an independent draw so the two
                 // streams are not phase locked.
-                let mut t = self.start_time + 0.5 * self.interval(&mut rng);
+                let mut t = self.start_time + 0.5 * self.interval(&mut normals);
                 let mut val = false;
                 for _ in 0..n_b {
-                    t += self.interval(&mut rng);
+                    t += self.interval(&mut normals);
                     val = !val;
                     b.push_edge(t, val)?;
                 }
@@ -159,8 +164,8 @@ impl TraceConfig {
                 let mut b = DigitalTrace::constant(false);
                 let mut t = self.start_time;
                 for _ in 0..self.transitions {
-                    t += self.interval(&mut rng);
-                    if rng.gen_bool(0.5) {
+                    t += self.interval(&mut normals);
+                    if normals.rng.gen_bool(0.5) {
                         let v = !a.final_value();
                         a.push_edge(t, v)?;
                     } else {
@@ -180,14 +185,46 @@ impl TraceConfig {
         Ok(TracePair { a, b, horizon })
     }
 
-    /// Draws one `N(µ, σ²)` interval, clamped at `min_gap`
-    /// (Box–Muller; the testkit PRNG is uniform-only, and exactly two
-    /// uniform draws per sample keep the stream reproducible).
-    fn interval(&self, rng: &mut TestRng) -> f64 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (self.mu + self.sigma * z).max(self.min_gap)
+    /// Draws one `N(µ, σ²)` interval, clamped at `min_gap`.
+    fn interval(&self, normals: &mut Normals) -> f64 {
+        (self.mu + self.sigma * normals.next()).max(self.min_gap)
+    }
+}
+
+/// Standard normal draws by Marsaglia's polar method over the testkit
+/// PRNG (which is uniform-only). A candidate `(u, v)` uniform on the
+/// square `[-1, 1)²` is accepted inside the unit disc (`0 < s < 1`,
+/// `s = u² + v²`, probability π/4); then `u·f` and `v·f` with
+/// `f = √(−2 ln s / s)` are two independent `N(0, 1)` draws. The second
+/// is kept as `spare` and returned by the next call, so one `ln`, one
+/// `sqrt` and one division serve two intervals, and no `cos` is needed.
+struct Normals {
+    rng: TestRng,
+    spare: Option<f64>,
+}
+
+impl Normals {
+    fn new(seed: u64) -> Self {
+        Normals {
+            rng: TestRng::seed_from_u64(seed),
+            spare: None,
+        }
+    }
+
+    fn next(&mut self) -> f64 {
+        if let Some(z) = self.spare.take() {
+            return z;
+        }
+        loop {
+            let u = 2.0 * self.rng.unit_f64() - 1.0;
+            let v = 2.0 * self.rng.unit_f64() - 1.0;
+            let s = u * u + v * v;
+            if s < 1.0 && s > 0.0 {
+                let f = (-2.0 * s.ln() / s).sqrt();
+                self.spare = Some(v * f);
+                return u * f;
+            }
+        }
     }
 }
 
@@ -217,10 +254,10 @@ pub fn paper_configurations() -> Vec<TraceConfig> {
 }
 
 /// The netlist stimulus behind every CI `--expect` pin, the netlist
-/// tests and the netlist benches: input `i` of `inputs` gets one trace
-/// of a 40-transition LOCAL pair (`µ` = 400 ps, `σ` = 150 ps) seeded
-/// `seed + i` — trace A for even `i`, B for odd — so each trace has 20
-/// edges and the other half of every generated pair is discarded. The
+/// tests and the netlist benches: inputs `2k` and `2k + 1` get traces A
+/// and B of one 40-transition LOCAL pair (`µ` = 400 ps, `σ` = 150 ps)
+/// seeded `seed + k`, so each trace has 20 edges and every generated
+/// edge is used (for an odd `inputs` the last pair's B is dropped). The
 /// command-line tools use `seed` = `0x5eed`.
 ///
 /// # Errors
@@ -230,12 +267,13 @@ pub fn paper_configurations() -> Vec<TraceConfig> {
 pub fn netlist_traffic(inputs: usize, seed: u64) -> Result<Vec<DigitalTrace>, WaveformError> {
     use crate::units::ps;
     let cfg = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40);
-    (0..inputs)
-        .map(|i| {
-            let pair = cfg.generate(seed + i as u64)?;
-            Ok(if i % 2 == 0 { pair.a } else { pair.b })
-        })
-        .collect()
+    let mut traces = Vec::with_capacity(inputs + 1);
+    for k in 0..inputs.div_ceil(2) {
+        let pair = cfg.generate(seed + k as u64)?;
+        traces.extend([pair.a, pair.b]);
+    }
+    traces.truncate(inputs);
+    Ok(traces)
 }
 
 #[cfg(test)]
@@ -255,7 +293,7 @@ mod tests {
 
     /// FNV-1a over the bit patterns of every trace's initial value and
     /// edge times, in order: any change to the draw stream, the
-    /// Box–Muller step or the edge layout changes it.
+    /// normal sampler or the edge layout changes it.
     fn fingerprint<'a>(traces: impl IntoIterator<Item = &'a DigitalTrace>) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -295,12 +333,49 @@ mod tests {
         // Every `--expect` pin and paper figure rests on these bits: a
         // change here is a change of stimulus, never a refactor.
         let want = [
-            0xebf0_6a00_9113_67ac,
-            0xc721_2622_0c5f_ed19,
-            0xbe35_2481_e87c_d953,
-            0xb99c_13ee_77b0_3ad6,
+            0x1c5a_b946_2dde_1716,
+            0xc653_20e3_c38f_ed5b,
+            0x9af2_dc5d_bcd1_df1a,
+            0xf8b1_0fb2_2dae_60be,
         ];
         assert_eq!(got, want, "{got:#018x?}");
+    }
+
+    #[test]
+    fn normals_have_unit_variance_and_the_normal_one_sigma_share() {
+        // 200,000 draws: the standard errors are ≈0.0022 for the mean
+        // and the lag-1 correlation, ≈0.0032 for the variance and
+        // ≈0.0010 for the ±1σ share; each tolerance is 6–7 of them.
+        const N: usize = 200_000;
+        let mut normals = Normals::new(2024);
+        let z: Vec<f64> = (0..N).map(|_| normals.next()).collect();
+        let n = N as f64;
+        let mean = z.iter().sum::<f64>() / n;
+        let var = z.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        let within = z.iter().filter(|x| x.abs() <= 1.0).count() as f64 / n;
+        // Draws 2i and 2i + 1 are the two halves of one accepted point:
+        // they must be uncorrelated.
+        let lag1 = z.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (n - 1.0);
+        assert!(mean.abs() < 0.015, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.02, "variance {var}");
+        assert!((within - 0.6827).abs() < 0.007, "±1σ share {within}");
+        assert!(lag1.abs() < 0.015, "lag-1 correlation {lag1}");
+        assert!(z.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn netlist_traffic_inputs_share_one_pair_per_two_inputs() {
+        let cfg = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40);
+        let traffic = netlist_traffic(7, 100).unwrap();
+        assert_eq!(traffic.len(), 7);
+        for (k, two) in traffic.chunks(2).enumerate() {
+            let pair = cfg.generate(100 + k as u64).unwrap();
+            assert_eq!(two[0], pair.a, "input {}", 2 * k);
+            if let Some(b) = two.get(1) {
+                assert_eq!(*b, pair.b, "input {}", 2 * k + 1);
+            }
+        }
+        assert!(traffic.iter().all(|t| t.transition_count() == 20));
     }
 
     #[test]

@@ -20,11 +20,13 @@ use mis_delay::waveform::{DigitalTrace, TraceArena, TraceRef};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The committed characterized NOR library (regenerate with
     // `cargo run -p mis-bench --bin make_data`).
-    let lib_path = concat!(env!("CARGO_MANIFEST_DIR"), "/data/charlib/nor_paper.mislib");
+    // The path is printed relative to the repository root, so the
+    // output is the same in every checkout.
+    let lib_rel = "data/charlib/nor_paper.mislib";
+    let lib_path = format!("{}/{lib_rel}", env!("CARGO_MANIFEST_DIR"));
     let lib = CharLib::from_text(&std::fs::read_to_string(lib_path)?)?;
     println!(
-        "loaded committed NOR library ({} — budget {:.2} ps)",
-        lib_path,
+        "loaded committed NOR library ({lib_rel} — budget {:.2} ps)",
         to_ps(lib.budget())
     );
 

@@ -91,15 +91,28 @@ cargo run --release -q -p mis-bench --bin lint_bench --offline -- \
 # come out of libm, so a digest is pinned per platform. Re-pin
 # them only with an intentional engine change, via
 # `sim_profile --json <fixture>`.
-echo "== engine-count pinning gate (sim_profile --expect, c17/c432/c880)"
+echo "== engine-count pinning gate (sim_profile --expect, c17/c432/c880, hybrid and inertial cells)"
 cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-    --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=144,chan.pending_cancelled=6,chan.table_lookups=83,chan.pulse_filtered=0,sim.output_digest=9564398975812880454 \
+    --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=148,chan.pending_cancelled=2,chan.table_lookups=79,chan.pulse_filtered=0,sim.output_digest=10389416547872364272 \
     data/bench/c17.bench > /dev/null
 cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-    --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=830,sim.edges.not=740,chan.pending_cancelled=44,chan.table_lookups=476,chan.pulse_filtered=118,sim.output_digest=4576534959320419708 \
+    --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=812,sim.edges.not=748,chan.pending_cancelled=47,chan.table_lookups=472,chan.pulse_filtered=92,sim.output_digest=18075339963316914990 \
     data/bench/c432.bench > /dev/null
 cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
-    --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=1238,sim.edges.not=1750,chan.pending_cancelled=65,chan.table_lookups=741,chan.pulse_filtered=1424,sim.output_digest=9682654919253990138 \
+    --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=1256,sim.edges.not=1792,chan.pending_cancelled=95,chan.table_lookups=789,chan.pulse_filtered=1438,sim.output_digest=11588235492358638794 \
+    data/bench/c880.bench > /dev/null
+# The same fixtures under --cells inertial (CellLibrary::inertial over
+# the committed fallback on every gate, no MIS model), so an output
+# change in the engine or the inertial channel fails without the
+# cached tables in the path.
+cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json --cells inertial \
+    --expect sim.events_popped=6,sim.gates_evaluated=6,sim.edges.input=100,sim.edges.mis=0,sim.edges.nand=142,chan.table_lookups=0,chan.pulse_filtered=8,sim.output_digest=11737505322092215259 \
+    data/bench/c17.bench > /dev/null
+cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json --cells inertial \
+    --expect sim.events_popped=184,sim.gates_evaluated=184,sim.edges.input=720,sim.edges.mis=0,sim.edges.nand=124,sim.edges.nor=640,sim.edges.not=748,chan.table_lookups=0,chan.pulse_filtered=218,sim.output_digest=5226888375655841900 \
+    data/bench/c432.bench > /dev/null
+cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json --cells inertial \
+    --expect sim.events_popped=510,sim.gates_evaluated=510,sim.edges.input=1200,sim.edges.mis=0,sim.edges.nand=274,sim.edges.nor=960,sim.edges.not=1794,chan.table_lookups=0,chan.pulse_filtered=1626,sim.output_digest=16614487077986428134 \
     data/bench/c880.bench > /dev/null
 
 # Fault-coverage pinning gate: fault_sim runs the exhaustive
@@ -118,7 +131,7 @@ cargo run --release -q -p mis-bench --bin sim_profile --offline -- --json \
 # fault's detecting outputs change while every count holds; it is
 # identical at every worker count. Re-pin via `fault_sim --json
 # [--glitches 24] <fixture>`.
-echo "== fault-coverage pinning gate (fault_sim --expect, c17/c432/c880)"
+echo "== fault-coverage pinning gate (fault_sim --expect, c17/c432/c880, hybrid and inertial cells)"
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json \
     --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52,fault.report_digest=1750636178703075620 \
     data/bench/c17.bench > /dev/null
@@ -129,7 +142,7 @@ cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json \
     --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52,fault.report_digest=1750636178703075620 \
     data/bench/c17.bench > /dev/null
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
-    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765,fault.report_digest=16057399173076312908 \
+    --expect fault.injected=464,fault.detected=380,fault.budget_trips=0,fault.cone_gates=16798,fault.report_digest=4535761438089587283 \
     data/bench/c432.bench > /dev/null
 # The same C432 pins at 1 worker: with several workers a replay may
 # find a stuck-at record another worker has not finished, so which
@@ -137,22 +150,32 @@ cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitch
 # report and the work count must not.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 1 \
-    --expect fault.injected=464,fault.detected=356,fault.budget_trips=0,fault.cone_gates=14765,fault.report_digest=16057399173076312908 \
+    --expect fault.injected=464,fault.detected=380,fault.budget_trips=0,fault.cone_gates=16798,fault.report_digest=4535761438089587283 \
     data/bench/c432.bench > /dev/null
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
-    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613,fault.report_digest=7697756077282780866 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=25056,fault.report_digest=12965115163071488319 \
     data/bench/c880.bench > /dev/null
 # The same C880 pins at 1 worker: workers claim faults dynamically,
 # so this proves coverage and work are identical at another count.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 1 \
-    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613,fault.report_digest=7697756077282780866 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=25056,fault.report_digest=12965115163071488319 \
     data/bench/c880.bench > /dev/null
 # And at 3 workers, where a replay finds a record missing that at 1
 # worker it would splice: the pins hold whatever the splice hits.
 cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 \
     --workers 3 \
-    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=24613,fault.report_digest=7697756077282780866 \
+    --expect fault.injected=1164,fault.detected=1049,fault.budget_trips=0,fault.cone_gates=25056,fault.report_digest=12965115163071488319 \
+    data/bench/c880.bench > /dev/null
+# The same campaigns under --cells inertial.
+cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --cells inertial \
+    --expect fault.injected=22,fault.detected=22,fault.budget_trips=0,fault.cone_gates=52,fault.report_digest=1750636178703075620 \
+    data/bench/c17.bench > /dev/null
+cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 --cells inertial \
+    --expect fault.injected=464,fault.detected=343,fault.budget_trips=0,fault.cone_gates=14482,fault.report_digest=2380947776392982622 \
+    data/bench/c432.bench > /dev/null
+cargo run --release -q -p mis-bench --bin fault_sim --offline -- --json --glitches 24 --cells inertial \
+    --expect fault.injected=1164,fault.detected=1037,fault.budget_trips=0,fault.cone_gates=24581,fault.report_digest=14117642473326379746 \
     data/bench/c880.bench > /dev/null
 
 # Timeline-tracing smoke: both binaries export a Chrome Trace JSON
