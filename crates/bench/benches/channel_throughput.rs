@@ -91,6 +91,4 @@ fn main() {
             .expect("cached hybrid");
         out.len()
     });
-
-    h.finish();
 }

@@ -161,8 +161,6 @@ fn main() {
                 .expect("transient")
         });
     }
-
-    h.finish();
 }
 
 /// A seeded `edges`-transition trace on a 5 ps grid, 1–8 ticks apart.

@@ -15,9 +15,12 @@
 //!   through the same code).
 //!
 //! The `pipeline` ids time the set-up layers every C880 run pays before
-//! its first evaluation: `pipeline/c880_parse` (`BenchNetlist::parse`,
-//! file read excluded), `pipeline/c880_lower` (`BenchNetlist::lower`
-//! onto the Arc-shared cached-hybrid cells) and
+//! its first evaluation: `pipeline/c880_cells` (`CellLibrary::hybrid`
+//! on the committed library, parsed once outside the timed closure: the
+//! cached NOR tables tabulated at their recorded counts),
+//! `pipeline/c880_parse` (`BenchNetlist::parse`, file read excluded),
+//! `pipeline/c880_lower` (`BenchNetlist::lower` onto the Arc-shared
+//! cached-hybrid cells) and
 //! `pipeline/stimulus_pool_32x60` (32 stimulus sets for C880's 60
 //! inputs, one generated LOCAL pair per two inputs, alternating the
 //! dense 100/50 ps and sparse 400/150 ps spacings). Two more price the
@@ -206,6 +209,9 @@ fn main() {
 
     // Set-up layers: what every C880 run pays before its first
     // evaluation.
+    h.bench("pipeline/c880_cells", || {
+        CellLibrary::hybrid(&lib, Some(inertial_proto())).expect("cell library")
+    });
     h.bench("pipeline/c880_parse", || {
         BenchNetlist::parse(&c880_text).expect("netlist parses")
     });
@@ -265,6 +271,4 @@ fn main() {
             &c880_in,
         );
     }
-
-    h.finish();
 }

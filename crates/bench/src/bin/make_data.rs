@@ -2,7 +2,9 @@
 //!
 //! * `data/charlib/nor_paper.mislib` — the paper-Table-1 NOR gate
 //!   characterized at the default budget (`CharConfig::default`), in the
-//!   bit-exact `mis-charlib` text form (NAND cells reuse it through the
+//!   bit-exact `mis-charlib` text form, format 2: with the resample
+//!   counts that `CachedHybridChannel`'s search picks, so loading it
+//!   tabulates each family once (NAND cells reuse it through the
 //!   duality, so no NAND library is characterized);
 //! * `data/bench/c432.bench` — the C432-scale benchmark circuit (see
 //!   below), emitted through the canonical `mis-sim` `.bench` writer;
@@ -17,7 +19,9 @@
 //! With `--check`, nothing is written: every artifact is regenerated
 //! in memory and compared byte-for-byte against the committed file, and
 //! any drift (or a missing file) fails the run — the reproducibility
-//! gate of `scripts/ci.sh`'s default run.
+//! gate of `scripts/ci.sh`'s default run. A drifted artifact's first
+//! differing line is printed on both sides, so a one-line drift (say,
+//! a resample count) reads at a glance.
 //!
 //! # The C432-scale circuit
 //!
@@ -42,6 +46,7 @@ use std::process::ExitCode;
 use mis_bench::netlist::workspace_root;
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
+use mis_digital::CachedHybridChannel;
 use mis_sim::{BenchFunc, BenchNetlist};
 
 fn write_file(path: &Path, contents: &str) -> Result<(), String> {
@@ -62,6 +67,8 @@ fn build_artifacts() -> Result<Vec<(&'static str, String)>, String> {
     println!("characterizing NOR (paper Table 1, default budget)...");
     let nor = CharLib::nor(&NorParams::paper_table1(), &cfg)
         .map_err(|e| format!("NOR characterization: {e}"))?;
+    let counts = CachedHybridChannel::search_resample_counts(&nor);
+    let nor = nor.with_resample_counts(counts);
 
     let c432 = c432_reconstruction();
     let mut c432_text = String::new();
@@ -131,6 +138,7 @@ fn main() -> ExitCode {
                     committed.len(),
                     contents.len()
                 );
+                println!("{}", first_difference(&committed, contents));
                 drift += 1;
             }
             Err(e) => {
@@ -148,6 +156,28 @@ fn main() -> ExitCode {
     }
     println!("make_data --check: OK ({} artifacts)", artifacts.len());
     ExitCode::SUCCESS
+}
+
+/// The first line at which `committed` and `regenerated` differ, both
+/// sides quoted (`<end of file>` past the shorter one).
+fn first_difference(committed: &str, regenerated: &str) -> String {
+    let (mut old, mut new) = (committed.lines(), regenerated.lines());
+    let mut no = 1;
+    loop {
+        match (old.next(), new.next()) {
+            (a, b) if a == b && a.is_some() => no += 1,
+            (None, None) => return "         same lines; line endings differ".into(),
+            (a, b) => {
+                let quote =
+                    |l: Option<&str>| l.map_or("<end of file>".into(), |l| format!("'{l}'"));
+                return format!(
+                    "         first difference at line {no}:\n           committed   {}\n           regenerated {}",
+                    quote(a),
+                    quote(b)
+                );
+            }
+        }
+    }
 }
 
 /// Builds the C432-scale interrupt controller: enable bus `E`, request

@@ -111,6 +111,20 @@ pub struct CharLib {
     pub(crate) budget: f64,
     pub(crate) falling: SurfaceFamily,
     pub(crate) rising: SurfaceFamily,
+    pub(crate) resample: Option<ResampleCounts>,
+}
+
+/// The uniform point count per surface family at which a consumer's
+/// resampled lookup tables meet a quarter of the library budget
+/// (`mis_digital::CachedHybridChannel` searches for them by doubling).
+/// A library that records them (text format 2) lets the consumer
+/// tabulate each family once at its count instead of searching.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResampleCounts {
+    /// Points of the falling family's table.
+    pub falling: usize,
+    /// Points of the rising family's table.
+    pub rising: usize,
 }
 
 impl CharLib {
@@ -145,7 +159,25 @@ impl CharLib {
             budget: cfg.budget,
             falling,
             rising: SurfaceFamily::new(voltages, slices)?,
+            resample: None,
         })
+    }
+
+    /// The library with `counts` recorded, so that it serializes as
+    /// format 2 and its consumers tabulate once.
+    #[must_use]
+    pub fn with_resample_counts(self, counts: ResampleCounts) -> Self {
+        CharLib {
+            resample: Some(counts),
+            ..self
+        }
+    }
+
+    /// The recorded resample counts (`None` for a format-1 or freshly
+    /// characterized library).
+    #[must_use]
+    pub fn resample_counts(&self) -> Option<ResampleCounts> {
+        self.resample
     }
 
     /// The hybrid-model parameters the sweep used.

@@ -64,6 +64,6 @@ mod error;
 mod surface;
 mod textio;
 
-pub use build::{CharConfig, CharLib};
+pub use build::{CharConfig, CharLib, ResampleCounts};
 pub use error::CharError;
 pub use surface::{DelaySurface, SurfaceFamily};

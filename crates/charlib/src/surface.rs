@@ -45,6 +45,14 @@ impl DelaySurface {
         self.curve.eval(delta)
     }
 
+    /// [`DelaySurface::eval`] for a sweep over non-decreasing
+    /// separations, bit for bit, with a forward cursor over the knots
+    /// instead of a binary search per call (see
+    /// [`MonotoneCubic::walk`]).
+    pub fn walk(&self) -> impl FnMut(f64) -> f64 + '_ {
+        self.curve.walk()
+    }
+
     /// The characterized separations.
     #[must_use]
     pub fn deltas(&self) -> &[f64] {

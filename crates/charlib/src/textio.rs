@@ -10,12 +10,24 @@
 //! duality), so `gate nor` is the one gate line written and accepted;
 //! the line stays so that format version 1 files keep their bytes.
 //!
+//! Format 2 adds one `resample <family> <points>` header line per
+//! surface family: the uniform table size at which the cached channel's
+//! resampling meets a quarter of the budget ([`crate::ResampleCounts`]),
+//! so a loader tabulates each family once instead of searching for the
+//! size. The lines are keyed by family name and may come in any order;
+//! each family of the library needs exactly one, and a cell added to the
+//! format later adds its own families' lines. A library without counts
+//! is written as format 1, and format 1 files still load (their
+//! consumers search).
+//!
 //! ```text
-//! mis-charlib 1
+//! mis-charlib 2
 //! gate nor
 //! budget 1e-13
 //! params <r1> <r2> <r3> <r4> <cn> <co> <vdd> <vth> <delta_min>
 //! policy gnd
+//! resample falling 513
+//! resample rising 1025
 //! falling 1
 //! slice 0e0 65
 //! <delta> <delay>
@@ -30,17 +42,17 @@ use std::fmt::Write as _;
 
 use mis_core::{NorParams, RisingInitialVn};
 
-use crate::{CharError, CharLib, DelaySurface, SurfaceFamily};
+use crate::{CharError, CharLib, DelaySurface, ResampleCounts, SurfaceFamily};
 
 const MAGIC: &str = "mis-charlib";
-const VERSION: &str = "1";
 
 impl CharLib {
     /// Renders the library as its committed text form.
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "{MAGIC} {VERSION}");
+        let version = if self.resample.is_some() { 2 } else { 1 };
+        let _ = writeln!(s, "{MAGIC} {version}");
         s.push_str("gate nor\n");
         let _ = writeln!(s, "budget {:e}", self.budget);
         let p = &self.params;
@@ -57,6 +69,10 @@ impl CharLib {
             RisingInitialVn::Explicit(v) => {
                 let _ = writeln!(s, "policy explicit {v:e}");
             }
+        }
+        if let Some(counts) = self.resample {
+            let _ = writeln!(s, "resample falling {}", counts.falling);
+            let _ = writeln!(s, "resample rising {}", counts.rising);
         }
         write_family(&mut s, "falling", &self.falling);
         write_family(&mut s, "rising", &self.rising);
@@ -75,9 +91,16 @@ impl CharLib {
         let mut lines = text.lines().enumerate();
         let (header_no, header) = next_line(&mut lines)?;
         let mut it = header.split_whitespace();
-        if it.next() != Some(MAGIC) || it.next() != Some(VERSION) || it.next().is_some() {
-            return Err(parse_err(header_no, "expected header 'mis-charlib 1'"));
-        }
+        let version = match (it.next(), it.next(), it.next()) {
+            (Some(MAGIC), Some("1"), None) => 1,
+            (Some(MAGIC), Some("2"), None) => 2,
+            _ => {
+                return Err(parse_err(
+                    header_no,
+                    "expected header 'mis-charlib 1' or 'mis-charlib 2'",
+                ))
+            }
+        };
         let (gate_no, gate_line) = next_line(&mut lines)?;
         if strip_keyword(gate_line, "gate") != Some("nor") {
             return Err(parse_err(gate_no, "expected 'gate nor'"));
@@ -138,8 +161,15 @@ impl CharLib {
                 reason: "budget must be positive and finite".into(),
             });
         }
-        let falling = read_family(&mut lines, "falling")?;
-        let rising = read_family(&mut lines, "rising")?;
+        let (resample, falling_head) = if version == 2 {
+            let (counts, head) = read_resample_counts(&mut lines)?;
+            (Some(counts), head)
+        } else {
+            (None, next_line(&mut lines)?)
+        };
+        let falling = read_family(&mut lines, falling_head, "falling")?;
+        let rising_head = next_line(&mut lines)?;
+        let rising = read_family(&mut lines, rising_head, "rising")?;
         let (end_no, end) = next_line(&mut lines)?;
         if end != "end" {
             return Err(parse_err(end_no, "expected 'end'"));
@@ -149,6 +179,7 @@ impl CharLib {
             budget,
             falling,
             rising,
+            resample,
         })
     }
 }
@@ -165,8 +196,50 @@ fn write_family(s: &mut String, name: &str, fam: &SurfaceFamily) {
     }
 }
 
-fn read_family(lines: &mut Lines<'_>, name: &str) -> Result<SurfaceFamily, CharError> {
-    let (head_no, head) = next_line(lines)?;
+/// Reads the format-2 `resample <family> <points>` lines, returning the
+/// counts and the first line after them (the first family's head).
+fn read_resample_counts<'a>(
+    lines: &mut Lines<'a>,
+) -> Result<(ResampleCounts, (usize, &'a str)), CharError> {
+    let (mut falling, mut rising) = (None, None);
+    loop {
+        let (no, line) = next_line(lines)?;
+        let Some(rest) = strip_keyword(line, "resample") else {
+            let (Some(falling), Some(rising)) = (falling, rising) else {
+                return Err(parse_err(
+                    no,
+                    "format 2 needs 'resample falling <points>' and 'resample rising <points>'",
+                ));
+            };
+            return Ok((ResampleCounts { falling, rising }, (no, line)));
+        };
+        let mut it = rest.split_whitespace();
+        let slot = match it.next() {
+            Some("falling") => &mut falling,
+            Some("rising") => &mut rising,
+            _ => return Err(parse_err(no, "resample names an unknown family")),
+        };
+        let points = it
+            .next()
+            .ok_or_else(|| parse_err(no, "resample needs a point count"))
+            .and_then(|t| parse_usize(t, no))?;
+        if it.next().is_some() {
+            return Err(parse_err(no, "trailing tokens on resample line"));
+        }
+        if points < 2 {
+            return Err(parse_err(no, "a resampled table needs at least two points"));
+        }
+        if slot.replace(points).is_some() {
+            return Err(parse_err(no, "family resampled twice"));
+        }
+    }
+}
+
+fn read_family(
+    lines: &mut Lines<'_>,
+    (head_no, head): (usize, &str),
+    name: &str,
+) -> Result<SurfaceFamily, CharError> {
     let n_slices = strip_keyword(head, name)
         .ok_or_else(|| parse_err(head_no, &format!("expected '{name} <slices>'")))
         .and_then(|t| parse_usize(t, head_no))?;
@@ -367,6 +440,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn resample_counts_round_trip_as_format_2() {
+        let lib = tiny_lib();
+        assert_eq!(lib.resample_counts(), None);
+        assert!(lib.to_text().starts_with("mis-charlib 1\n"));
+        let counts = ResampleCounts {
+            falling: 257,
+            rising: 513,
+        };
+        let v2 = lib.clone().with_resample_counts(counts);
+        let text = v2.to_text();
+        assert!(text.starts_with("mis-charlib 2\n"));
+        assert!(text.contains("\nresample falling 257\nresample rising 513\nfalling 1\n"));
+        let loaded = CharLib::from_text(&text).unwrap();
+        assert_eq!(loaded.resample_counts(), Some(counts));
+        assert_eq!(loaded, v2);
+        assert_eq!(loaded.to_text(), text);
+        // The lines are keyed by family, so their order is free.
+        let swapped = text.replacen(
+            "resample falling 257\nresample rising 513",
+            "resample rising 513\nresample falling 257",
+            1,
+        );
+        assert_eq!(CharLib::from_text(&swapped).unwrap(), v2);
+        // A format-1 text still loads, without counts.
+        assert_eq!(CharLib::from_text(&lib.to_text()).unwrap(), lib);
+    }
+
+    #[test]
+    fn malformed_resample_lines_are_parse_errors_on_their_line() {
+        let text = tiny_lib()
+            .with_resample_counts(ResampleCounts {
+                falling: 257,
+                rising: 513,
+            })
+            .to_text();
+        for (from, to, line) in [
+            ("resample rising 513\n", "", 7),
+            ("resample rising 513", "resample rising 513 9", 7),
+            ("resample rising 513", "resample falling 513", 7),
+            ("resample rising 513", "resample inverter 513", 7),
+            ("resample rising 513", "resample rising 1", 7),
+            ("resample rising 513", "resample rising x", 7),
+            ("resample rising 513", "resample rising", 7),
+            ("mis-charlib 2", "mis-charlib 3", 1),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            match CharLib::from_text(&bad) {
+                Err(CharError::Parse { line: got, .. }) => assert_eq!(got, line, "{to:?}"),
+                other => panic!("{to:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Counts in a format-1 file are not a header line it knows.
+        let v1 = text.replacen("mis-charlib 2", "mis-charlib 1", 1);
+        assert!(matches!(
+            CharLib::from_text(&v1),
+            Err(CharError::Parse { line: 6, .. })
+        ));
     }
 
     #[test]

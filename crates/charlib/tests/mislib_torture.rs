@@ -66,6 +66,9 @@ fn truncation_at_every_line_is_a_typed_error() {
 
 #[test]
 fn rewritten_counts_are_typed_errors() {
+    // (The format-2 `resample <family> N` counts size a consumer's
+    // table, not the loader's, so a huge one loads; the cached channel
+    // rejects it past its cap.)
     // Each count token (`falling N`, `rising N`, `slice V N`) replaced
     // by zero, the largest u64, a negative, junk, and a count that fits
     // but whose up-front reservation would request terabytes — both in
@@ -143,8 +146,9 @@ fn random_byte_soup_never_panics() {
     // 400 random inputs over a hostile alphabet of the format's own
     // keywords, digits, signs, exponents and separators, plus raw
     // bytes decoded lossily. The only requirement is totality.
-    const ALPHABET: &[u8] = b"mis-charlib 1\ngate norand\nbudget params policy gnd \
-                              falling rising slice end 0123456789.e-+ \t\nNaNinf";
+    const ALPHABET: &[u8] = b"mis-charlib 1\nmis-charlib 2\ngate norand\nbudget params \
+                              policy gnd resample falling rising slice end 0123456789.e-+ \
+                              \t\nNaNinf";
     let mut rng = TestRng::seed_from_u64(0x15_11b);
     for round in 0..400 {
         let len = rng.gen_u64_below(2048) as usize;

@@ -5,7 +5,7 @@
 
 use std::sync::OnceLock;
 
-use mis_charlib::{CharConfig, CharLib};
+use mis_charlib::{CharConfig, CharLib, DelaySurface};
 use mis_core::{delay, NorParams, RisingInitialVn};
 use mis_testkit::prelude::*;
 use mis_waveform::units::ps;
@@ -119,6 +119,65 @@ fn serializer_round_trip_preserves_surfaces_bit_for_bit() {
         let d = ps(d_ps);
         prop_assert!(lib.falling_delay(d, x) == loaded.falling_delay(d, x));
         prop_assert!(lib.rising_delay(d, x) == loaded.rising_delay(d, x));
+        Ok(())
+    });
+}
+
+/// The cursor walk that tabulates the cached channel's uniform tables
+/// gives exactly the bits of `DelaySurface::eval` on the sweeps the
+/// tabulation makes: grid points, cell midpoints and the ±eps
+/// derivative probes, over a grid that overhangs random monotone knots
+/// on both sides (so it clamps), and on the knots themselves. A sweep
+/// in random order (backward steps re-search) must agree too.
+#[test]
+fn cursor_walk_equals_eval_bit_for_bit() {
+    Config::with_cases(96).run(&(0u64..u64::MAX), |&seed| {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let knots = 2 + rng.gen_u64_below(60) as usize;
+        let mut x = ps(rng.gen_range(-300.0..0.0));
+        let (mut deltas, mut delays) = (Vec::new(), Vec::new());
+        for _ in 0..knots {
+            deltas.push(x);
+            x += ps(rng.gen_range(0.01..20.0));
+            // Repeated ordinates make flat PCHIP cells.
+            let y = if rng.gen_bool(0.2) {
+                delays.last().copied().unwrap_or(ps(30.0))
+            } else {
+                ps(rng.gen_range(20.0..50.0))
+            };
+            delays.push(y);
+        }
+        let surface = DelaySurface::from_samples(deltas.clone(), delays).expect("table");
+        let (lo, hi) = surface.delta_range();
+        let over = 0.1 * (hi - lo);
+        let (a, b) = (lo - over, hi + over);
+        let n = 2 + rng.gen_u64_below(400) as usize;
+        let h = (b - a) / (n - 1) as f64;
+        let eps = h * 1e-4;
+        let same = |x: f64, got: f64| got.to_bits() == surface.eval(x).to_bits();
+        let (mut at, mut below, mut above, mut mid) = (
+            surface.walk(),
+            surface.walk(),
+            surface.walk(),
+            surface.walk(),
+        );
+        for i in 0..n {
+            let delta = a + h * i as f64;
+            prop_assert!(same(delta, at(delta)), "grid point {}", i);
+            prop_assert!(same(delta - eps, below(delta - eps)), "-eps at {}", i);
+            prop_assert!(same(delta + eps, above(delta + eps)), "+eps at {}", i);
+            let m = a + h * (i as f64 + 0.5);
+            prop_assert!(same(m, mid(m)), "midpoint {}", i);
+        }
+        let mut on_knots = surface.walk();
+        for &k in &deltas {
+            prop_assert!(same(k, on_knots(k)), "knot {:e}", k);
+        }
+        let mut shuffled = surface.walk();
+        for _ in 0..50 {
+            let x = rng.gen_range(a..b);
+            prop_assert!(same(x, shuffled(x)), "random-order {:e}", x);
+        }
         Ok(())
     });
 }

@@ -2,7 +2,7 @@
 //! channel that schedules output transitions from `mis-charlib` lookup
 //! tables instead of re-solving the delay equation per event.
 
-use mis_charlib::{CharLib, SurfaceFamily};
+use mis_charlib::{CharLib, ResampleCounts, SurfaceFamily};
 use mis_core::{Mode, ModeConstants, ModeSystem, ModeTrajectory, NorParams};
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
@@ -154,27 +154,63 @@ const MAX_RESAMPLE_POINTS: usize = 16_385;
 /// interpolation error (uniform Hermite cells vs the monotone-cubic
 /// surfaces) stays within `tol`, validated at every cell midpoint and
 /// doubling until the cap. This ties the uniform table to the library's
-/// declared budget instead of assuming a fixed step suffices.
-fn resample_within(fam: &SurfaceFamily, tol: f64) -> UniformFamily {
+/// declared budget instead of assuming a fixed step suffices. A library
+/// that records its counts ([`CharLib::resample_counts`]) skips the
+/// search: [`resample_at`] tabulates once at the recorded count.
+fn search_resample(fam: &SurfaceFamily, tol: f64) -> UniformFamily {
     let mut n = MIN_RESAMPLE_POINTS;
     loop {
         let table = UniformFamily::resample(fam, n);
-        if n >= MAX_RESAMPLE_POINTS || resample_error(fam, &table, n) <= tol {
+        if n >= MAX_RESAMPLE_POINTS || resample_error(fam, &table) <= tol {
             return table;
         }
         n = 2 * n - 1;
     }
 }
 
+/// Tabulates `family` once at a recorded count `n`, and checks the
+/// table once against `tol` as the search would have.
+///
+/// # Errors
+///
+/// [`SimError::ResampleTooCoarse`] when the table misses `tol`, and
+/// [`SimError::InvalidChannel`] for a count beyond the cap.
+fn resample_at(
+    fam: &SurfaceFamily,
+    family: &'static str,
+    n: usize,
+    tol: f64,
+) -> Result<UniformFamily, SimError> {
+    if !(2..=MAX_RESAMPLE_POINTS).contains(&n) {
+        return Err(SimError::InvalidChannel {
+            reason: format!("{family} resample count {n} outside 2..={MAX_RESAMPLE_POINTS}"),
+        });
+    }
+    let table = UniformFamily::resample(fam, n);
+    let error = resample_error(fam, &table);
+    if error <= tol {
+        Ok(table)
+    } else {
+        Err(SimError::ResampleTooCoarse {
+            family,
+            points: n,
+            error,
+            tolerance: tol,
+        })
+    }
+}
+
 /// Worst |uniform − cubic| over all cell midpoints of all slices.
-fn resample_error(fam: &SurfaceFamily, table: &UniformFamily, n: usize) -> f64 {
+fn resample_error(fam: &SurfaceFamily, table: &UniformFamily) -> f64 {
     let (lo, hi) = fam.delta_range();
+    let n = table.last + 1;
     let h = (hi - lo) / (n - 1) as f64;
     let mut worst = 0.0_f64;
     for (s, slice) in fam.slices().iter().enumerate() {
+        let mut cubic = slice.walk();
         for i in 0..n - 1 {
             let x = lo + h * (i as f64 + 0.5);
-            worst = worst.max((table.eval_slice(s, x) - slice.eval(x)).abs());
+            worst = worst.max((table.eval_slice(s, x) - cubic(x)).abs());
         }
     }
     worst
@@ -221,22 +257,27 @@ impl UniformFamily {
         // Central-difference step for the surface derivative: small
         // against the cell, large against f64 cancellation.
         let eps = h * 1e-4;
-        let mut ys = Vec::with_capacity(n * m * 2);
-        for i in 0..n {
-            let delta = lo + h * i as f64;
-            for slice in fam.slices() {
-                let value = slice.eval(delta);
+        let mut ys = vec![0.0; n * m * 2];
+        // Slice by slice, so the grid points and each of the ±eps probe
+        // sequences ascend and every one walks its slice's knots with a
+        // forward cursor.
+        for (s, slice) in fam.slices().iter().enumerate() {
+            let (mut at, mut below, mut above) = (slice.walk(), slice.walk(), slice.walk());
+            for i in 0..n {
+                let delta = lo + h * i as f64;
+                let value = at(delta);
                 // One-sided at the grid ends (the surface clamps outside
                 // its range, which would flatten a centered difference).
                 let d = if i == 0 {
-                    (slice.eval(delta + eps) - value) / eps
+                    (above(delta + eps) - value) / eps
                 } else if i == n - 1 {
-                    (value - slice.eval(delta - eps)) / eps
+                    (value - below(delta - eps)) / eps
                 } else {
-                    (slice.eval(delta + eps) - slice.eval(delta - eps)) / (2.0 * eps)
+                    (above(delta + eps) - below(delta - eps)) / (2.0 * eps)
                 };
-                ys.push(value);
-                ys.push(d * h);
+                let p = (i * m + s) * 2;
+                ys[p] = value;
+                ys[p + 1] = d * h;
             }
         }
         let voltages = fam.voltages().to_vec();
@@ -387,11 +428,30 @@ impl UniformFamily {
 }
 
 impl CachedHybridChannel {
-    /// Builds the channel from a characterized NOR library.
+    /// The resample counts the doubling search picks for `lib`'s
+    /// families. A library that records them
+    /// ([`CharLib::with_resample_counts`], text format 2) lets
+    /// [`CachedHybridChannel::new`] tabulate each family once, with the
+    /// same bits.
+    #[must_use]
+    pub fn search_resample_counts(lib: &CharLib) -> ResampleCounts {
+        let tol = 0.25 * lib.budget();
+        ResampleCounts {
+            falling: search_resample(lib.falling(), tol).last + 1,
+            rising: search_resample(lib.rising(), tol).last + 1,
+        }
+    }
+
+    /// Builds the channel from a characterized NOR library. Each surface
+    /// family is resampled onto a uniform table at the count the library
+    /// records, checked once against a quarter of the budget; a library
+    /// without counts searches for them by doubling.
     ///
     /// # Errors
     ///
     /// Propagates parameter validation failures ([`SimError::Model`]).
+    /// A recorded count whose table misses the quarter budget is
+    /// [`SimError::ResampleTooCoarse`], naming the family.
     pub fn new(lib: &CharLib) -> Result<Self, SimError> {
         let params: &NorParams = lib.params();
         let sys = ModeSystem::new(params, Mode::S10)?;
@@ -423,8 +483,17 @@ impl CachedHybridChannel {
         let vn_decay = UniformCurve::tabulate(0.0, 16.0 * tau_fall[FALL_S10], CURVE_POINTS, |d| {
             s10_from_rails.vn(d)
         });
-        let falling = resample_within(lib.falling(), 0.25 * lib.budget());
-        let rising = resample_within(lib.rising(), 0.25 * lib.budget());
+        let tol = 0.25 * lib.budget();
+        let (falling, rising) = match lib.resample_counts() {
+            Some(n) => (
+                resample_at(lib.falling(), "falling", n.falling, tol)?,
+                resample_at(lib.rising(), "rising", n.rising, tol)?,
+            ),
+            None => (
+                search_resample(lib.falling(), tol),
+                search_resample(lib.rising(), tol),
+            ),
+        };
         // Sound per-edge bounds, from the scheduler's two commit forms:
         // a fall commits at `anchor + base + fall_corr` and a rise at
         // `t + rising(Δ, v) + rise_corr`, where `anchor`/`t` are input
@@ -947,6 +1016,59 @@ mod tests {
         let floats = ch.rising.ys.len() + ch.falling.ys.len() + 7 * 257;
         // 82,000 + 8,208 + 14,392 bytes: ≈ 100 KiB per cell type.
         assert_eq!(8 * floats, 104_600);
+    }
+
+    #[test]
+    fn recorded_counts_tabulate_the_searched_tables_bit_for_bit() {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../data/charlib/nor_paper.mislib");
+        let v2_text = std::fs::read_to_string(path).expect("committed NOR library");
+        let v2 = CharLib::from_text(&v2_text).unwrap();
+        let counts = v2
+            .resample_counts()
+            .expect("the committed library is format 2");
+        // The same library as format 1: no counts, so `new` searches.
+        let v1_text = v2_text
+            .replacen("mis-charlib 2", "mis-charlib 1", 1)
+            .replacen("resample falling 513\n", "", 1)
+            .replacen("resample rising 1025\n", "", 1);
+        let v1 = CharLib::from_text(&v1_text).unwrap();
+        assert_eq!(v1.resample_counts(), None);
+        assert_eq!(CachedHybridChannel::search_resample_counts(&v1), counts);
+        let (tabulated, searched) = (
+            CachedHybridChannel::new(&v2).unwrap(),
+            CachedHybridChannel::new(&v1).unwrap(),
+        );
+        let bits = |f: &UniformFamily| f.ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tabulated.rising), bits(&searched.rising));
+        assert_eq!(bits(&tabulated.falling), bits(&searched.falling));
+        assert_eq!(tabulated.bounds, searched.bounds);
+        // One doubling too coarse misses the tolerance: a typed error
+        // naming the family, never a silent search.
+        let coarse = v1.clone().with_resample_counts(ResampleCounts {
+            rising: 513,
+            ..counts
+        });
+        match CachedHybridChannel::new(&coarse) {
+            Err(SimError::ResampleTooCoarse {
+                family,
+                points,
+                error,
+                tolerance,
+            }) => {
+                assert_eq!((family, points), ("rising", 513));
+                assert!(error > tolerance && tolerance == 0.25 * v1.budget());
+            }
+            other => panic!("expected ResampleTooCoarse, got {other:?}"),
+        }
+        let past_cap = v1.with_resample_counts(ResampleCounts {
+            falling: MAX_RESAMPLE_POINTS + 1,
+            ..counts
+        });
+        assert!(matches!(
+            CachedHybridChannel::new(&past_cap),
+            Err(SimError::InvalidChannel { .. })
+        ));
     }
 
     #[test]

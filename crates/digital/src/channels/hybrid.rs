@@ -1,8 +1,8 @@
 use mis_core::channel::NorGateModel;
 use mis_core::{InputId, NorParams};
-use mis_waveform::DigitalTrace;
+use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::TwoInputTransform;
+use crate::channels::{ChannelEvents, TwoInputTransform};
 use crate::SimError;
 
 /// The paper's hybrid model as a two-input NOR delay channel.
@@ -59,6 +59,45 @@ impl HybridNorChannel {
     }
 }
 
+impl HybridNorChannel {
+    /// The event loop of both entry points: the input events, already
+    /// deferred by `δ_min` and in time order, drive the ODE model from
+    /// the inputs' initial values `a0`/`b0`, and `commit` receives each
+    /// output crossing that survives, alternating from NOR(`a0`, `b0`).
+    fn drive(
+        &self,
+        (a0, b0): (bool, bool),
+        events: impl IntoIterator<Item = (f64, InputId, bool)>,
+        mut commit: impl FnMut(f64, bool) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let mut gate = NorGateModel::new(&self.params, a0, b0)?;
+        let mut value = gate.mode().nor_output();
+        let mut commit_until = |gate: &NorGateModel, until: f64| -> Result<(), SimError> {
+            for (tc, rising) in gate.output_crossings()? {
+                if tc > until {
+                    break;
+                }
+                if rising != value {
+                    commit(tc, rising)?;
+                    value = rising;
+                }
+            }
+            Ok(())
+        };
+        for (t, id, v) in events {
+            // Crossings predicted strictly before this event are
+            // committed; the rest are invalidated by the mode switch.
+            commit_until(&gate, t)?;
+            // The gate state must not be rewound: if a committed crossing
+            // coincides with the event, processing order is still valid
+            // because `set_input` advances from the anchor analytically.
+            gate.set_input(t, id, v)?;
+        }
+        // Tail: everything the final trajectory still crosses.
+        commit_until(&gate, f64::INFINITY)
+    }
+}
+
 impl TwoInputTransform for HybridNorChannel {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
         let dmin = self.params.delta_min;
@@ -74,41 +113,44 @@ impl TwoInputTransform for HybridNorChannel {
             )
             .collect();
         events.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite event times"));
-
-        let mut gate = NorGateModel::new(&self.params, a.initial_value(), b.initial_value())?;
-        let initial = gate.mode().nor_output();
-        let mut out = DigitalTrace::constant(initial);
-        let mut value = initial;
-
-        let commit_until = |gate: &NorGateModel,
-                            until: f64,
-                            out: &mut DigitalTrace,
-                            value: &mut bool|
-         -> Result<(), SimError> {
-            for (tc, rising) in gate.output_crossings()? {
-                if tc > until {
-                    break;
-                }
-                if rising != *value {
-                    out.push_edge(tc, rising)?;
-                    *value = rising;
-                }
-            }
-            Ok(())
-        };
-
-        for (t, id, v) in events {
-            // Crossings predicted strictly before this event are
-            // committed; the rest are invalidated by the mode switch.
-            commit_until(&gate, t, &mut out, &mut value)?;
-            // The gate state must not be rewound: if a committed crossing
-            // coincides with the event, processing order is still valid
-            // because `set_input` advances from the anchor analytically.
-            gate.set_input(t, id, v)?;
-        }
-        // Tail: everything the final trajectory still crosses.
-        commit_until(&gate, f64::INFINITY, &mut out, &mut value)?;
+        let inputs = (a.initial_value(), b.initial_value());
+        let mut out = DigitalTrace::constant(!(inputs.0 || inputs.1));
+        self.drive(inputs, events, |t, rising| Ok(out.push_edge(t, rising)?))?;
         Ok(out)
+    }
+
+    /// [`TwoInputTransform::apply2`] on the SoA views: the two edge
+    /// lists are merged as they are read (A first on equal deferred
+    /// times, as the stable sort orders them), and crossings go straight
+    /// into `out`, so no event list, sort or owned trace is built.
+    fn apply2_into(
+        &self,
+        a: TraceRef<'_>,
+        b: TraceRef<'_>,
+        out: &mut EdgeBuf,
+    ) -> Result<ChannelEvents, SimError> {
+        let dmin = self.params.delta_min;
+        let (ta, tb) = (a.times(), b.times());
+        let (mut i, mut j) = (0, 0);
+        let events = std::iter::from_fn(|| {
+            let take_a = match (ta.get(i), tb.get(j)) {
+                (Some(&x), Some(&y)) => x + dmin <= y + dmin,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return None,
+            };
+            Some(if take_a {
+                i += 1;
+                (ta[i - 1] + dmin, InputId::A, a.rising(i - 1))
+            } else {
+                j += 1;
+                (tb[j - 1] + dmin, InputId::B, b.rising(j - 1))
+            })
+        });
+        let inputs = (a.initial_value(), b.initial_value());
+        out.clear(!(inputs.0 || inputs.1));
+        self.drive(inputs, events, |t, _| Ok(out.push_time(t)?))?;
+        Ok(ChannelEvents::default())
     }
 
     fn name(&self) -> &str {

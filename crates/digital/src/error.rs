@@ -55,6 +55,19 @@ pub enum SimError {
         /// deadline in nanoseconds for wall-clock trips.
         limit: u64,
     },
+    /// A characterized library records a resample count whose uniform
+    /// table misses the cached channel's error tolerance (a quarter of
+    /// the library budget).
+    ResampleTooCoarse {
+        /// The surface family, e.g. `"rising"`.
+        family: &'static str,
+        /// The recorded point count.
+        points: usize,
+        /// Worst resampling error at the cell midpoints, seconds.
+        error: f64,
+        /// The tolerance it had to meet, seconds.
+        tolerance: f64,
+    },
     /// A trace violated an invariant while being processed.
     Trace(mis_waveform::WaveformError),
     /// The underlying hybrid model failed.
@@ -79,6 +92,16 @@ impl fmt::Display for SimError {
                 }
                 r => write!(f, "run budget exceeded: more than {limit} {r}"),
             },
+            SimError::ResampleTooCoarse {
+                family,
+                points,
+                error,
+                tolerance,
+            } => write!(
+                f,
+                "{family} table at {points} recorded points misses the resampling \
+                 tolerance: error {error:e} s > {tolerance:e} s"
+            ),
             SimError::Trace(e) => write!(f, "trace failure: {e}"),
             SimError::Model(e) => write!(f, "hybrid model failure: {e}"),
             SimError::Numeric(e) => write!(f, "numeric failure: {e}"),

@@ -3,7 +3,8 @@
 //! buffer is warm, re-applying a channel performs **zero** heap
 //! allocations and returns the same event tallies every time. The
 //! whole-netlist gates on a warm `mis_sim::Simulator` live in
-//! `crates/sim/tests/alloc.rs`.
+//! `crates/sim/tests/alloc.rs`. Building the cached channel from the
+//! committed library gets an exact count instead.
 //!
 //! This is an integration test (its own binary) precisely so the counting
 //! allocator can be installed globally without touching any other target.
@@ -90,4 +91,23 @@ fn counting_allocator_observes_allocations() {
     assert!(n >= 1, "vec allocation must be observed");
     drop(v);
     assert!(alloc::thread_deallocations() > before_dealloc);
+}
+
+#[test]
+fn cached_channel_construction_allocates_a_pinned_count() {
+    // The committed library records its resample counts (format 2), so
+    // each family is tabulated once: one table per family plus the
+    // correction curves and the voltage tables, 12 allocations where
+    // the doubling search made 25 (one per intermediate table). A
+    // search coming back, or a per-slice scratch table, fails here.
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../data/charlib/nor_paper.mislib");
+    let text = std::fs::read_to_string(path).expect("committed NOR library");
+    let lib = CharLib::from_text(&text).expect("library parses");
+    let (allocations, _channel) =
+        alloc::count_in(|| CachedHybridChannel::new(&lib).expect("channel"));
+    assert_eq!(
+        allocations, 12,
+        "CachedHybridChannel::new allocated {allocations} times"
+    );
 }

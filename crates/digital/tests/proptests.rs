@@ -239,20 +239,22 @@ fn apply_into_bit_identical_to_apply_for_every_channel() {
 }
 
 /// Every two-input channel's in-place path against its owned one: the
-/// cached NOR, and the NAND adapter over the cached NOR (what cell
-/// libraries build) and over the exact hybrid NOR.
+/// cached NOR, the exact hybrid NOR, and the NAND adapter over each
+/// (the cached one is what cell libraries build).
 #[test]
 fn apply2_into_bit_identical_to_apply2() {
     let nor = Arc::new(CachedHybridChannel::new(shared_lib()).unwrap());
     let nand = NandChannel::new(Arc::clone(&nor));
-    let exact_nand = NandChannel::new(HybridNorChannel::new(&NorParams::paper_table1()).unwrap());
+    let exact = HybridNorChannel::new(&NorParams::paper_table1()).unwrap();
+    let exact_nand = NandChannel::new(exact.clone());
     // Each channel called directly and as the engine calls it: through
     // a box (the `Arc` forwarding, for the NOR, that cell libraries hand
     // to networks). The forwarding must keep both the output and the
     // scheduler's returned tallies.
-    let channels: [(&dyn TwoInputTransform, Box<dyn TwoInputTransform>); 3] = [
+    let channels: [(&dyn TwoInputTransform, Box<dyn TwoInputTransform>); 4] = [
         (&*nor, Box::new(Arc::clone(&nor))),
         (&nand, Box::new(nand.clone())),
+        (&exact, Box::new(exact.clone())),
         (&exact_nand, Box::new(exact_nand.clone())),
     ];
     Config::with_cases(CASES).run(&(0u64..u64::MAX), |&seed| {

@@ -194,6 +194,14 @@ pub fn pchip_eval(xs: &[f64], ys: &[f64], slopes: &[f64], x: f64) -> f64 {
         return ys[last];
     }
     let hi = xs.partition_point(|&v| v <= x);
+    hermite_cell(xs, ys, slopes, hi, x)
+}
+
+/// The Hermite cubic of the cell `[xs[hi − 1], xs[hi]]` at `x`: the one
+/// arithmetic behind [`pchip_eval`] and [`MonotoneCubic::walk`], so both
+/// give the same bits for the same cell.
+#[inline]
+fn hermite_cell(xs: &[f64], ys: &[f64], slopes: &[f64], hi: usize, x: f64) -> f64 {
     let lo = hi - 1;
     let h = xs[hi] - xs[lo];
     let t = (x - xs[lo]) / h;
@@ -247,6 +255,48 @@ impl MonotoneCubic {
     #[must_use]
     pub fn eval(&self, x: f64) -> f64 {
         pchip_eval(&self.xs, &self.ys, &self.slopes, x)
+    }
+
+    /// An evaluator for a non-decreasing sequence of abscissae: each
+    /// call returns exactly [`MonotoneCubic::eval`] at its `x`, but
+    /// finds the cell by stepping a cursor forward from the previous
+    /// call's cell instead of a binary search, so a sweep over a
+    /// sorted grid costs O(grid + knots). An `x` below the previous one
+    /// is still answered exactly, by a fresh binary search.
+    ///
+    /// ```
+    /// # fn main() -> Result<(), mis_num::NumError> {
+    /// let c = mis_num::interp::MonotoneCubic::new(
+    ///     vec![0.0, 1.0, 4.0],
+    ///     vec![0.0, 1.0, 2.0],
+    /// )?;
+    /// let mut at = c.walk();
+    /// for x in [-1.0, 0.5, 0.5, 2.0, 9.0] {
+    ///     assert_eq!(at(x).to_bits(), c.eval(x).to_bits());
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn walk(&self) -> impl FnMut(f64) -> f64 + '_ {
+        let (xs, ys, slopes) = (&self.xs[..], &self.ys[..], &self.slopes[..]);
+        let last = xs.len() - 1;
+        // First index with `xs[hi] > x`, as `pchip_eval` finds it.
+        let mut hi = 1;
+        move |x| {
+            if x <= xs[0] {
+                return ys[0];
+            }
+            if x >= xs[last] {
+                return ys[last];
+            }
+            if xs[hi - 1] > x {
+                hi = xs.partition_point(|&v| v <= x);
+            }
+            while xs[hi] <= x {
+                hi += 1;
+            }
+            hermite_cell(xs, ys, slopes, hi, x)
+        }
     }
 
     /// The abscissae.

@@ -43,6 +43,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mis_digital::{GateKind, Network, SignalId};
 
@@ -179,12 +180,56 @@ pub struct LoweredNetlist {
     pub outputs: Vec<SignalId>,
 }
 
+/// A multiplicative word hasher (the FxHash step) for the short names
+/// of a `.bench` text: a few multiplies per name where the default
+/// SipHash runs its rounds. It resists no crafted collisions; a hostile
+/// netlist can make lookups slow, never wrong, since keys are compared
+/// in full.
+#[derive(Default)]
+struct NameHasher(u64);
+
+impl NameHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for NameHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        // The last 1–7 bytes as one word from fixed-size (overlapping)
+        // reads, not a variable-length copy, which would cost a `memcpy`
+        // call per name.
+        let rest = words.remainder();
+        let n = rest.len();
+        if n >= 4 {
+            let lo = u32::from_le_bytes(rest[..4].try_into().expect("four bytes"));
+            let hi = u32::from_le_bytes(rest[n - 4..].try_into().expect("four bytes"));
+            self.add(u64::from(lo) | (u64::from(hi) << 32));
+        } else if n > 0 {
+            let (first, mid, last) = (rest[0], rest[n / 2], rest[n - 1]);
+            self.add(u64::from(first) | (u64::from(mid) << 8) | (u64::from(last) << 16));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every input bit; the table indexes
+        // by the low ones, so rotate the high bits down.
+        self.0.rotate_left(26)
+    }
+}
+
 /// The names of one `.bench` text as [`BenchNetlist::parse`] scans it:
 /// each distinct name gets the next id at its first appearance, so ids
 /// follow written order.
-#[derive(Default)]
 struct Interner<'t> {
-    id_of: HashMap<&'t str, usize>,
+    id_of: HashMap<&'t str, usize, BuildHasherDefault<NameHasher>>,
     /// One entry per name id.
     entries: Vec<Interned<'t>>,
     /// The first redefinition in written order, as (line, name id).
@@ -200,6 +245,17 @@ struct Interned<'t> {
 }
 
 impl<'t> Interner<'t> {
+    /// An interner for `text`, sized so that it does not rehash on a
+    /// netlist with about one name per 16 bytes (C880 has one per 20).
+    fn for_text(text: &str) -> Self {
+        let names = text.len() / 16;
+        Interner {
+            id_of: HashMap::with_capacity_and_hasher(names, BuildHasherDefault::default()),
+            entries: Vec::with_capacity(names),
+            duplicate: None,
+        }
+    }
+
     /// The id of a referenced name.
     fn intern(&mut self, name: &'t str, line: usize) -> usize {
         let next = self.entries.len();
@@ -313,7 +369,7 @@ impl BenchNetlist {
         // The BOM would otherwise glue itself onto the first token and
         // turn `INPUT(...)` into an unrecognized keyword.
         let text = text.strip_prefix('\u{FEFF}').unwrap_or(text);
-        let mut names = Interner::default();
+        let mut names = Interner::for_text(text);
         // Name ids of the definitions: `INPUT`s, and gates in file order.
         let mut input_ids = Vec::new();
         let mut gate_ids = Vec::new();
@@ -458,8 +514,9 @@ impl BenchNetlist {
     /// j of p(j) + [j > i])` (an operand later in the file is placed one
     /// pass too late for `i` to follow it in the same scan), and the
     /// order is ascending `(p(i), i)`. Passes are computed in Kahn
-    /// order, so the sort is `O(N log N)` where the scans were
-    /// quadratic on long chains listed against dependency order.
+    /// order and the gates then bucketed by pass (a counting sort, each
+    /// bucket in file order), so the order costs `O(N)` where the scans
+    /// were quadratic on long chains listed against dependency order.
     ///
     /// # Errors
     ///
@@ -492,15 +549,19 @@ impl BenchNetlist {
             }
         }
         let mut pass = vec![1usize; n];
-        let mut ready: Vec<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
+        // Kahn order, with `order` itself as the work queue: a gate's
+        // pass is final once all its operands are placed, whatever the
+        // order they were placed in.
         let mut order = Vec::with_capacity(n);
-        while let Some(j) = ready.pop() {
-            order.push(j);
+        order.extend((0..n).filter(|&i| waiting[i] == 0));
+        let mut next = 0;
+        while let Some(&j) = order.get(next) {
+            next += 1;
             for &i in &users[start[j]..start[j + 1]] {
                 pass[i] = pass[i].max(pass[j] + usize::from(j > i));
                 waiting[i] -= 1;
                 if waiting[i] == 0 {
-                    ready.push(i);
+                    order.push(i);
                 }
             }
         }
@@ -516,7 +577,19 @@ impl BenchNetlist {
                 name: self.name(ni + i).to_owned(),
             });
         }
-        order.sort_unstable_by_key(|&i| (pass[i], i));
+        // Ascending `(pass, i)`: bucket starts by pass (passes are at
+        // most `n`), then every gate in file order into its bucket.
+        let mut first = vec![0usize; n + 2];
+        for &p in &pass {
+            first[p + 1] += 1;
+        }
+        for p in 1..first.len() {
+            first[p] += first[p - 1];
+        }
+        for (i, &p) in pass.iter().enumerate() {
+            order[first[p]] = i;
+            first[p] += 1;
+        }
         Ok(order)
     }
 
@@ -741,6 +814,20 @@ fn parse_call<'t>(
 /// Signal names: non-empty, no whitespace, none of the structural
 /// characters `( ) , = #`.
 fn check_signal_name(line: usize, name: &str) -> Result<(), BenchError> {
+    // Byte scan for the usual all-ASCII name. The whitespace bytes are
+    // the ASCII characters `char::is_whitespace` accepts (vertical tab
+    // included); anything else takes the `char` scan, which also words
+    // the error.
+    let clean_ascii = |b: u8| {
+        b.is_ascii()
+            && !matches!(
+                b,
+                b'(' | b')' | b',' | b'=' | b'#' | b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r'
+            )
+    };
+    if !name.is_empty() && name.bytes().all(clean_ascii) {
+        return Ok(());
+    }
     if name.is_empty() {
         return Err(BenchError::Syntax {
             line,

@@ -15,7 +15,6 @@
 //!
 //! let mut h = Harness::from_args("example");
 //! h.bench("sum_1000", || (0..1000u64).fold(0, |a, b| black_box(a + b)));
-//! h.finish();
 //! ```
 
 use std::time::{Duration, Instant};
@@ -104,22 +103,12 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
-/// One named benchmark and its statistics.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark identifier (unique within a harness).
-    pub id: String,
-    /// Measured statistics.
-    pub stats: Stats,
-}
-
 /// Collects and reports a group of benchmarks.
 #[derive(Debug)]
 pub struct Harness {
     name: String,
     opts: BenchOptions,
     filter: Option<String>,
-    results: Vec<BenchResult>,
 }
 
 impl Harness {
@@ -128,7 +117,6 @@ impl Harness {
             name: name.to_owned(),
             opts,
             filter,
-            results: Vec::new(),
         }
     }
 
@@ -162,10 +150,11 @@ impl Harness {
         self.filter.as_deref().is_none_or(|f| id.contains(f))
     }
 
-    /// Benchmarks `routine` called back-to-back.
-    pub fn bench<R>(&mut self, id: &str, mut routine: impl FnMut() -> R) {
+    /// Benchmarks `routine` called back-to-back, and returns its
+    /// statistics (`None` when the filter skips `id`).
+    pub fn bench<R>(&mut self, id: &str, mut routine: impl FnMut() -> R) -> Option<Stats> {
         if !self.selected(id) {
-            return;
+            return None;
         }
         let iters = self.calibrate(&mut routine);
         // Warmup.
@@ -183,20 +172,20 @@ impl Harness {
                 t0.elapsed()
             })
             .collect();
-        self.push(id, Stats::from_sample_totals(&totals, iters));
+        Some(self.report(id, Stats::from_sample_totals(&totals, iters)))
     }
 
     /// Benchmarks `routine` with a fresh input per call; `setup` runs
     /// outside the timed region (the equivalent of criterion's
-    /// `iter_batched`).
+    /// `iter_batched`). Returns the statistics as [`Harness::bench`].
     pub fn bench_batched<I, R>(
         &mut self,
         id: &str,
         mut setup: impl FnMut() -> I,
         mut routine: impl FnMut(I) -> R,
-    ) {
+    ) -> Option<Stats> {
         if !self.selected(id) {
-            return;
+            return None;
         }
         let mut with_setup = || routine(setup());
         let iters = self.calibrate(&mut with_setup);
@@ -214,7 +203,7 @@ impl Harness {
                 t0.elapsed()
             })
             .collect();
-        self.push(id, Stats::from_sample_totals(&totals, iters));
+        Some(self.report(id, Stats::from_sample_totals(&totals, iters)))
     }
 
     /// Sizes iterations-per-sample so one sample lasts about
@@ -240,7 +229,8 @@ impl Harness {
         }
     }
 
-    fn push(&mut self, id: &str, stats: Stats) {
+    /// Prints the table line of `id`.
+    fn report(&self, id: &str, stats: Stats) -> Stats {
         println!(
             "{:<40} median {:>12.1} ns   p95 {:>12.1} ns   ({} iters x {} samples)",
             format!("{}/{}", self.name, id),
@@ -249,16 +239,7 @@ impl Harness {
             stats.iters_per_sample,
             stats.samples
         );
-        self.results.push(BenchResult {
-            id: id.to_owned(),
-            stats,
-        });
-    }
-
-    /// Returns the collected results, in run order (the table lines are
-    /// already printed).
-    pub fn finish(self) -> Vec<BenchResult> {
-        self.results
+        stats
     }
 }
 
@@ -293,24 +274,22 @@ mod tests {
     }
 
     #[test]
-    fn harness_runs_and_orders_results() {
+    fn harness_runs_and_reports_stats() {
         let mut h = Harness::new("selftest", tiny_opts(), None);
-        h.bench("fast", || black_box(1u64 + 1));
-        h.bench_batched("batched", || vec![1u64; 64], |v| v.iter().sum::<u64>());
-        let results = h.finish();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].id, "fast");
-        assert!(results.iter().all(|r| r.stats.median_ns > 0.0));
-        assert!(results.iter().all(|r| r.stats.median_ns <= r.stats.p95_ns));
+        let fast = h.bench("fast", || black_box(1u64 + 1));
+        let batched = h.bench_batched("batched", || vec![1u64; 64], |v| v.iter().sum::<u64>());
+        for stats in [fast, batched] {
+            let s = stats.expect("unfiltered ids run");
+            assert!(s.median_ns > 0.0);
+            assert!(s.median_ns <= s.p95_ns);
+            assert_eq!(s.samples, 5);
+        }
     }
 
     #[test]
     fn filter_skips_unmatched_ids() {
         let mut h = Harness::new("filtered", tiny_opts(), Some(String::from("keep")));
-        h.bench("keep_this", || black_box(1u8));
-        h.bench("drop_this", || black_box(1u8));
-        let results = h.finish();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].id, "keep_this");
+        assert!(h.bench("keep_this", || black_box(1u8)).is_some());
+        assert!(h.bench("drop_this", || black_box(1u8)).is_none());
     }
 }

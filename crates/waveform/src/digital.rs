@@ -44,17 +44,6 @@ impl DigitalTrace {
         }
     }
 
-    /// A constant trace with room for `edges` transitions, so a caller
-    /// that knows its edge count up front fills it with [`Self::push_edge`]
-    /// in one allocation.
-    #[must_use]
-    pub(crate) fn with_capacity(value: bool, edges: usize) -> Self {
-        DigitalTrace {
-            initial: value,
-            edges: Vec::with_capacity(edges),
-        }
-    }
-
     /// Builds a trace from `(time, rising)` pairs.
     ///
     /// # Errors
@@ -72,6 +61,32 @@ impl DigitalTrace {
                 WaveformError::NonFinite { .. } => WaveformError::NonFinite { index: i },
                 other => other,
             })?;
+        }
+        Ok(trace)
+    }
+
+    /// A trace of `edges`, whose polarities alternate from `initial` by
+    /// construction. Their times are checked in one branch-free pass
+    /// (finite, strictly increasing); only when that fails are the edges
+    /// pushed one by one, to report the first offending edge exactly as
+    /// [`DigitalTrace::push_edge`] does.
+    pub(crate) fn from_alternating(initial: bool, edges: Vec<Edge>) -> Result<Self, WaveformError> {
+        debug_assert!(edges
+            .iter()
+            .enumerate()
+            .all(|(k, e)| e.rising == ((k % 2 == 0) ^ initial)));
+        let mut ok = true;
+        let mut last = f64::NEG_INFINITY;
+        for e in &edges {
+            ok &= e.time.is_finite() & (e.time > last);
+            last = e.time;
+        }
+        if ok {
+            return Ok(DigitalTrace { initial, edges });
+        }
+        let mut trace = DigitalTrace::constant(initial);
+        for e in edges {
+            trace.push_edge(e.time, e.rising)?;
         }
         Ok(trace)
     }

@@ -21,7 +21,7 @@
 
 use mis_testkit::rng::TestRng;
 
-use crate::{DigitalTrace, WaveformError};
+use crate::{DigitalTrace, Edge, WaveformError};
 
 /// Whether transition streams are generated per input or shared globally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,24 +138,11 @@ impl TraceConfig {
                 // each trace is allocated once, at its exact size.
                 let n_a = self.transitions / 2 + self.transitions % 2;
                 let n_b = self.transitions / 2;
-                let mut a = DigitalTrace::with_capacity(false, n_a);
-                let mut b = DigitalTrace::with_capacity(false, n_b);
-                let mut t = self.start_time;
-                let mut val = false;
-                for _ in 0..n_a {
-                    t += self.interval(&mut normals);
-                    val = !val;
-                    a.push_edge(t, val)?;
-                }
+                let a = self.local_stream(self.start_time, n_a, &mut normals)?;
                 // Offset B's stream start by an independent draw so the two
                 // streams are not phase locked.
-                let mut t = self.start_time + 0.5 * self.interval(&mut normals);
-                let mut val = false;
-                for _ in 0..n_b {
-                    t += self.interval(&mut normals);
-                    val = !val;
-                    b.push_edge(t, val)?;
-                }
+                let start_b = self.start_time + 0.5 * self.interval(&mut normals);
+                let b = self.local_stream(start_b, n_b, &mut normals)?;
                 (a, b)
             }
             Assignment::Global => {
@@ -187,7 +174,32 @@ impl TraceConfig {
 
     /// Draws one `N(µ, σ²)` interval, clamped at `min_gap`.
     fn interval(&self, normals: &mut Normals) -> f64 {
-        (self.mu + self.sigma * normals.next()).max(self.min_gap)
+        self.scale(normals.next())
+    }
+
+    /// The interval of a standard normal draw `z`.
+    fn scale(&self, z: f64) -> f64 {
+        (self.mu + self.sigma * z).max(self.min_gap)
+    }
+
+    /// One LOCAL stream: `n` edges starting low, each one interval after
+    /// the previous, from `start`. The edges are written into a vector
+    /// of exactly `n` and checked in one pass
+    /// ([`DigitalTrace::from_alternating`]).
+    fn local_stream(
+        &self,
+        start: f64,
+        n: usize,
+        normals: &mut Normals,
+    ) -> Result<DigitalTrace, WaveformError> {
+        let mut edges = Vec::with_capacity(n);
+        let (mut t, mut rising) = (start, false);
+        normals.draw(n, |z| {
+            t += self.scale(z);
+            rising = !rising;
+            edges.push(Edge { time: t, rising });
+        });
+        DigitalTrace::from_alternating(false, edges)
     }
 }
 
@@ -223,6 +235,45 @@ impl Normals {
                 let f = (-2.0 * s.ln() / s).sqrt();
                 self.spare = Some(v * f);
                 return u * f;
+            }
+        }
+    }
+
+    /// Hands the next `n` draws to `sink`: the values, their order and
+    /// the generator state afterwards are those of `n` calls of
+    /// [`Normals::next`]. Points are drawn in chunks. The candidates
+    /// come first, each written to the next free slot, which only an
+    /// accepted one then claims, so rejection costs no branch. The
+    /// chunk's `ln`, `sqrt` and division follow as independent
+    /// operations that pipeline, where one call at a time waits on each.
+    fn draw(&mut self, mut n: usize, mut sink: impl FnMut(f64)) {
+        const CHUNK: usize = 16;
+        if n > 0 {
+            if let Some(z) = self.spare.take() {
+                sink(z);
+                n -= 1;
+            }
+        }
+        while n > 0 {
+            let points = n.div_ceil(2).min(CHUNK);
+            let mut accepted = [[0.0; 3]; CHUNK];
+            let mut k = 0;
+            while k < points {
+                let u = 2.0 * self.rng.unit_f64() - 1.0;
+                let v = 2.0 * self.rng.unit_f64() - 1.0;
+                let s = u * u + v * v;
+                accepted[k] = [u, v, s];
+                k += usize::from(s < 1.0 && s > 0.0);
+            }
+            for &[u, v, s] in &accepted[..points] {
+                let f = (-2.0 * s.ln() / s).sqrt();
+                sink(u * f);
+                if n == 1 {
+                    self.spare = Some(v * f);
+                    return;
+                }
+                sink(v * f);
+                n -= 2;
             }
         }
     }
@@ -364,6 +415,32 @@ mod tests {
     }
 
     #[test]
+    fn chunked_draws_equal_one_at_a_time_draws() {
+        // Every count across the chunk size and its parity, from a fresh
+        // sampler and from one holding a spare, then three lazy draws:
+        // the same values, and the same generator state after.
+        for seed in 0..8 {
+            for n in 0..70 {
+                for spare_first in [false, true] {
+                    let (mut lazy, mut chunked) = (Normals::new(seed), Normals::new(seed));
+                    let mut want = Vec::new();
+                    let mut got = Vec::new();
+                    if spare_first {
+                        want.push(lazy.next());
+                        got.push(chunked.next());
+                    }
+                    want.extend((0..n + 3).map(|_| lazy.next()));
+                    chunked.draw(n, |z| got.push(z));
+                    got.extend((0..3).map(|_| chunked.next()));
+                    let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "seed {seed}, n {n}");
+                    assert_eq!(chunked.rng, lazy.rng, "seed {seed}, n {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn netlist_traffic_inputs_share_one_pair_per_two_inputs() {
         let cfg = TraceConfig::new(ps(400.0), ps(150.0), Assignment::Local, 40);
         let traffic = netlist_traffic(7, 100).unwrap();
@@ -476,6 +553,23 @@ mod tests {
         assert!(TraceConfig::new(ps(1.0), ps(1.0), Assignment::Local, 0)
             .generate(0)
             .is_err());
+    }
+
+    #[test]
+    fn a_start_time_past_interval_resolution_reports_the_first_stalled_edge() {
+        // At 1e6 s one ulp is ≈116 ps, so an interval below ≈58 ps no
+        // longer advances time: the first such draw is a repeated edge
+        // time, reported at its index as `push_edge` reports it.
+        let cfg = TraceConfig {
+            start_time: 1e6,
+            ..TraceConfig::new(ps(100.0), ps(50.0), Assignment::Local, 40)
+        };
+        let stalled = WaveformError::NotMonotonic {
+            index: 5,
+            reason: "edge at 1000000.0000000007 not after previous edge at 1000000.0000000007"
+                .into(),
+        };
+        assert_eq!(cfg.generate(7), Err(stalled));
     }
 
     #[test]
