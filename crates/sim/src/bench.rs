@@ -43,7 +43,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use mis_digital::{GateKind, Network, SignalId};
 
@@ -180,18 +180,20 @@ pub struct LoweredNetlist {
     pub outputs: Vec<SignalId>,
 }
 
-/// A multiplicative word hasher (the FxHash step) for the short names
-/// of a `.bench` text: a few multiplies per name where the default
-/// SipHash runs its rounds. It resists no crafted collisions; a hostile
-/// netlist can make lookups slow, never wrong, since keys are compared
-/// in full.
-#[derive(Default)]
+/// A keyed multiply hasher for the short names of a `.bench` text: one
+/// folded 64×64→128-bit multiply per eight bytes where SipHash runs its
+/// rounds. Both halves of the product go into every step, so each input
+/// bit reaches the low bits the table indexes by. The key is drawn from
+/// the standard library's random state once per interner, so colliding
+/// names cannot be prepared ahead of a parse; keys are compared in full,
+/// so a collision costs time, never a wrong id.
 struct NameHasher(u64);
 
 impl NameHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+        let m = u128::from(self.0 ^ word) * 0xf135_7aea_2e62_a9c5_u128;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
     }
 }
 
@@ -219,9 +221,25 @@ impl Hasher for NameHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        // The product's high bits mix every input bit; the table indexes
-        // by the low ones, so rotate the high bits down.
-        self.0.rotate_left(26)
+        self.0
+    }
+}
+
+/// The key of one interner's [`NameHasher`]s.
+#[derive(Clone, Copy)]
+struct NameKey(u64);
+
+impl NameKey {
+    fn random() -> Self {
+        NameKey(RandomState::new().hash_one(()))
+    }
+}
+
+impl BuildHasher for NameKey {
+    type Hasher = NameHasher;
+
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher(self.0)
     }
 }
 
@@ -229,7 +247,7 @@ impl Hasher for NameHasher {
 /// each distinct name gets the next id at its first appearance, so ids
 /// follow written order.
 struct Interner<'t> {
-    id_of: HashMap<&'t str, usize, BuildHasherDefault<NameHasher>>,
+    id_of: HashMap<&'t str, usize, NameKey>,
     /// One entry per name id.
     entries: Vec<Interned<'t>>,
     /// The first redefinition in written order, as (line, name id).
@@ -250,7 +268,7 @@ impl<'t> Interner<'t> {
     fn for_text(text: &str) -> Self {
         let names = text.len() / 16;
         Interner {
-            id_of: HashMap::with_capacity_and_hasher(names, BuildHasherDefault::default()),
+            id_of: HashMap::with_capacity_and_hasher(names, NameKey::random()),
             entries: Vec::with_capacity(names),
             duplicate: None,
         }
@@ -514,9 +532,8 @@ impl BenchNetlist {
     /// j of p(j) + [j > i])` (an operand later in the file is placed one
     /// pass too late for `i` to follow it in the same scan), and the
     /// order is ascending `(p(i), i)`. Passes are computed in Kahn
-    /// order and the gates then bucketed by pass (a counting sort, each
-    /// bucket in file order), so the order costs `O(N)` where the scans
-    /// were quadratic on long chains listed against dependency order.
+    /// order, so the sort is `O(N log N)` where the scans were
+    /// quadratic on long chains listed against dependency order.
     ///
     /// # Errors
     ///
@@ -577,19 +594,7 @@ impl BenchNetlist {
                 name: self.name(ni + i).to_owned(),
             });
         }
-        // Ascending `(pass, i)`: bucket starts by pass (passes are at
-        // most `n`), then every gate in file order into its bucket.
-        let mut first = vec![0usize; n + 2];
-        for &p in &pass {
-            first[p + 1] += 1;
-        }
-        for p in 1..first.len() {
-            first[p] += first[p - 1];
-        }
-        for (i, &p) in pass.iter().enumerate() {
-            order[first[p]] = i;
-            first[p] += 1;
-        }
+        order.sort_unstable_by_key(|&i| (pass[i], i));
         Ok(order)
     }
 
@@ -814,30 +819,22 @@ fn parse_call<'t>(
 /// Signal names: non-empty, no whitespace, none of the structural
 /// characters `( ) , = #`.
 fn check_signal_name(line: usize, name: &str) -> Result<(), BenchError> {
-    // Byte scan for the usual all-ASCII name. The whitespace bytes are
-    // the ASCII characters `char::is_whitespace` accepts (vertical tab
-    // included); anything else takes the `char` scan, which also words
-    // the error.
-    let clean_ascii = |b: u8| {
-        b.is_ascii()
-            && !matches!(
-                b,
-                b'(' | b')' | b',' | b'=' | b'#' | b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r'
-            )
-    };
-    if !name.is_empty() && name.bytes().all(clean_ascii) {
-        return Ok(());
-    }
     if name.is_empty() {
         return Err(BenchError::Syntax {
             line,
             reason: "empty signal name".into(),
         });
     }
-    if let Some(bad) = name
-        .chars()
-        .find(|&c| matches!(c, '(' | ')' | ',' | '=' | '#') || c.is_whitespace())
-    {
+    let forbidden = |c: char| matches!(c, '(' | ')' | ',' | '=' | '#') || c.is_whitespace();
+    // Bytes up to the first non-ASCII or forbidden one; `char`s are
+    // decoded only from there on.
+    let Some(from) = name
+        .bytes()
+        .position(|b| !b.is_ascii() || forbidden(char::from(b)))
+    else {
+        return Ok(());
+    };
+    if let Some(bad) = name[from..].chars().find(|&c| forbidden(c)) {
         return Err(BenchError::Syntax {
             line,
             reason: format!("invalid character '{bad}' in signal name '{name}'"),
@@ -1001,6 +998,53 @@ mod tests {
             BenchError::Cycle { line, .. } => assert_eq!(line, 2),
             other => panic!("expected Cycle, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn signal_names_report_their_first_forbidden_character() {
+        for ok in ["a", "N_17.x", "ü", "dé", "a\u{0}b", "名前"] {
+            assert_eq!(check_signal_name(1, ok), Ok(()), "{ok:?}");
+        }
+        // ASCII and non-ASCII whitespace, structural characters, and a
+        // forbidden ASCII character after a non-ASCII one.
+        for (name, bad) in [
+            ("a\u{b}b", '\u{b}'),
+            ("a\u{c}", '\u{c}'),
+            ("x#", '#'),
+            ("a\u{a0}b", '\u{a0}'),
+            ("é=b", '='),
+            ("ü\u{2003}(", '\u{2003}'),
+        ] {
+            let want = BenchError::Syntax {
+                line: 4,
+                reason: format!("invalid character '{bad}' in signal name '{name}'"),
+            };
+            assert_eq!(check_signal_name(4, name), Err(want), "{name:?}");
+        }
+        assert!(matches!(
+            check_signal_name(2, ""),
+            Err(BenchError::Syntax { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn interners_with_different_keys_assign_the_same_ids() {
+        let names = ["a", "b", "N1", "N10", "a_long_signal_name_17", "a", "N1"];
+        let ids = |key: NameKey| {
+            let mut interner = Interner {
+                id_of: HashMap::with_hasher(key),
+                entries: Vec::new(),
+                duplicate: None,
+            };
+            names
+                .iter()
+                .map(|n| interner.intern(n, 1))
+                .collect::<Vec<_>>()
+        };
+        let want = vec![0, 1, 2, 3, 4, 0, 2];
+        assert_eq!(ids(NameKey(0)), want);
+        assert_eq!(ids(NameKey(u64::MAX)), want);
+        assert_eq!(ids(NameKey::random()), want);
     }
 
     #[test]

@@ -501,7 +501,7 @@ fn local_trace_generation_allocates_each_trace_once() {
 fn c880_parse_and_lower_stay_within_their_allocation_bound() {
     // Names are interned once, gate operands are stored inline and the
     // network is sized up front. What remains is the parser's doubling
-    // tables (73 allocations, pinned below), one box per channel and a
+    // tables (72 allocations, pinned below), one box per channel and a
     // few tables. The bound is exact, so a per-gate `Vec`, a per-signal
     // name `String` or a per-stage name map coming back fails it
     // (C880: 60 inputs, 366 gates, 570 lowered signals).
@@ -516,8 +516,8 @@ fn c880_parse_and_lower_stay_within_their_allocation_bound() {
     });
     assert_eq!(lowered.net.signal_count(), 570);
     assert!(
-        allocations <= 457,
-        "C880 parse + lower allocated {allocations} times, bound 457"
+        allocations <= 456,
+        "C880 parse + lower allocated {allocations} times, bound 456"
     );
 }
 
@@ -550,6 +550,6 @@ fn parse_allocations_grow_with_doubling_tables_only() {
     // only 1.3× its allocations: one more doubling of each table per
     // factor of two in size (the name table is sized from the text up
     // front and does not double).
-    assert!(small <= 73, "C880 parse allocated {small} times, bound 73");
-    assert!(large <= 92, "chain parse allocated {large} times, bound 92");
+    assert!(small <= 72, "C880 parse allocated {small} times, bound 72");
+    assert!(large <= 91, "chain parse allocated {large} times, bound 91");
 }

@@ -90,18 +90,15 @@ impl TestRng {
     /// Panics when `n == 0`.
     pub fn gen_u64_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "gen_u64_below: empty range");
-        let mut m = u128::from(self.next_u64()) * u128::from(n);
-        // Multiply-shift outputs whose low word is below 2^64 mod n would
-        // be over-represented, so they are rejected and redrawn. That
-        // threshold is below n, so a low word of at least n passes
-        // without the division that computes it.
-        if (m as u64) < n {
-            let threshold = n.wrapping_neg() % n;
-            while (m as u64) < threshold {
-                m = u128::from(self.next_u64()) * u128::from(n);
+        // 2^64 mod n; multiply-shift outputs below this threshold would be
+        // over-represented, so reject and redraw them.
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
             }
         }
-        (m >> 64) as u64
     }
 
     /// A uniform draw from a half-open range; supported for `f64` and the

@@ -223,29 +223,22 @@ impl Normals {
         }
     }
 
+    /// One draw, as [`Normals::draw`] of one.
     fn next(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        loop {
-            let u = 2.0 * self.rng.unit_f64() - 1.0;
-            let v = 2.0 * self.rng.unit_f64() - 1.0;
-            let s = u * u + v * v;
-            if s < 1.0 && s > 0.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
-                self.spare = Some(v * f);
-                return u * f;
-            }
-        }
+        let mut z = 0.0;
+        self.draw(1, |x| z = x);
+        z
     }
 
-    /// Hands the next `n` draws to `sink`: the values, their order and
-    /// the generator state afterwards are those of `n` calls of
-    /// [`Normals::next`]. Points are drawn in chunks. The candidates
-    /// come first, each written to the next free slot, which only an
-    /// accepted one then claims, so rejection costs no branch. The
-    /// chunk's `ln`, `sqrt` and division follow as independent
-    /// operations that pipeline, where one call at a time waits on each.
+    /// Hands the next `n` draws to `sink`: a held spare first, then `u·f`
+    /// and `v·f` of each accepted point, an odd count keeping the last
+    /// `v·f` as the spare. So `n` draws at once or one at a time give the
+    /// same values and leave the same generator state. Points are drawn
+    /// in chunks. The candidates come first, each written to the next
+    /// free slot, which only an accepted one then claims, so rejection
+    /// costs no branch. The chunk's `ln`, `sqrt` and division follow as
+    /// independent operations that pipeline, where one point at a time
+    /// waits on each.
     fn draw(&mut self, mut n: usize, mut sink: impl FnMut(f64)) {
         const CHUNK: usize = 16;
         if n > 0 {
