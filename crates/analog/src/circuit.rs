@@ -228,16 +228,6 @@ impl Circuit {
         self.names.len()
     }
 
-    /// The name given to `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a foreign [`NodeId`] (not from this circuit).
-    #[must_use]
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0]
-    }
-
     /// Ids of all free (solved) nodes, in insertion order.
     #[must_use]
     pub fn free_nodes(&self) -> Vec<NodeId> {
@@ -301,7 +291,6 @@ mod tests {
         let c = Circuit::new();
         assert_eq!(c.node_count(), 1);
         assert_eq!(c.driven_voltage(Circuit::GROUND, 5.0), Some(0.0));
-        assert_eq!(c.node_name(Circuit::GROUND), "gnd");
     }
 
     #[test]

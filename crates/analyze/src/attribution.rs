@@ -70,15 +70,6 @@ pub struct LevelAttribution {
     pub unattributed: u64,
 }
 
-impl LevelAttribution {
-    /// The widest level (most signals) — the upper bound on useful
-    /// wavefront parallelism for a level-sliced schedule.
-    #[must_use]
-    pub fn peak_width(&self) -> usize {
-        self.rows.iter().map(|r| r.signals).max().unwrap_or(0)
-    }
-}
-
 impl fmt::Display for LevelAttribution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -199,7 +190,6 @@ mod tests {
         assert_eq!(attr.rows[2].edges, 5);
         assert_eq!(attr.total_events, 3);
         assert_eq!(attr.unattributed, 0);
-        assert_eq!(attr.peak_width(), 2);
         // The per-level histograms registered and saw the samples.
         let report = probe.report();
         assert!(report.get("level.L01.eval_ns").is_some());

@@ -83,20 +83,6 @@ impl DiagCode {
         }
     }
 
-    /// Short human title of the check.
-    #[must_use]
-    pub fn title(self) -> &'static str {
-        match self {
-            DiagCode::UnusedSignal => "unused signal",
-            DiagCode::OutputWithoutCone => "output without a driving cone",
-            DiagCode::DuplicateOperand => "duplicate fan-in operand",
-            DiagCode::ConstantFoldableGate => "constant-foldable gate",
-            DiagCode::DeadGate => "gate outside every output cone",
-            DiagCode::ExcessiveFanIn => "excessive fan-in",
-            DiagCode::IndexWidthOverflow => "lowered size exceeds engine index width",
-        }
-    }
-
     /// The fixed severity of this check (see [`Severity`]).
     #[must_use]
     pub fn severity(self) -> Severity {
@@ -221,7 +207,6 @@ mod tests {
         ];
         for (i, c) in all.iter().enumerate() {
             assert_eq!(c.code(), format!("A{:03}", i + 1));
-            assert!(!c.title().is_empty());
         }
         assert_eq!(DiagCode::IndexWidthOverflow.severity(), Severity::Error);
         assert_eq!(DiagCode::UnusedSignal.severity(), Severity::Warning);
@@ -233,7 +218,7 @@ mod tests {
             code,
             line,
             signal: None,
-            message: format!("{} here", code.title()),
+            message: format!("{code} here"),
         };
         let report = LintReport::new(vec![
             d(DiagCode::DeadGate, 9),

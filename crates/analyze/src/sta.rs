@@ -24,8 +24,8 @@
 //!   hybrid because its commit rule anchors on an input edge and its
 //!   table lookups are bounded by exact per-cell extrema. Shifting the
 //!   fan-in hull by `[lo, hi]` therefore covers every output edge.
-//! * **Unbounded channels.** The exact involution channels
-//!   (`ExpChannel`, `SumExpChannel`) advertise no bounds; their outputs
+//! * **Unbounded channels.** The exact involution channel
+//!   (`ExpChannel`) advertises no bounds; its outputs
 //!   get [`Window::UNBOUNDED`], which contains everything — still
 //!   sound, just vacuous. The report counts these separately.
 //! * **Quiescence.** Every channel maps a constant trace to a constant

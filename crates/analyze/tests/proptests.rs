@@ -28,7 +28,7 @@ use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
     CachedHybridChannel, ExpChannel, GateKind, InertialChannel, NandChannel, Network,
-    PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
+    PureDelayChannel, TraceTransform, TwoInputTransform,
 };
 use mis_sim::{BenchFunc, BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
@@ -77,7 +77,8 @@ fn grid_trace(rng: &mut TestRng, max_edges: u64) -> DigitalTrace {
 }
 
 /// Channel palette index → fresh channel (`None` = zero-time). Palette
-/// 3 and 4 are the exact involution channels, which advertise no
+/// 3 and 4 are exact involution channels (an asymmetric and a symmetric
+/// `ExpChannel`), which advertise no
 /// [`mis_digital::DelayBounds`] — their windows must come out unbounded
 /// and the property holds vacuously for them.
 fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
@@ -91,7 +92,7 @@ fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
             ExpChannel::from_sis_delays(ps(50.0), ps(38.0), ps(15.0)).unwrap(),
         )),
         _ => Some(Box::new(
-            SumExpChannel::from_sis_delay(ps(50.0), ps(15.0), 0.7, 3.0).unwrap(),
+            ExpChannel::from_sis_delays(ps(50.0), ps(50.0), ps(15.0)).unwrap(),
         )),
     }
 }

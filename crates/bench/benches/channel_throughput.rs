@@ -28,8 +28,8 @@
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel, SumExpChannel,
-    TraceTransform, TwoInputTransform,
+    gates, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel, TraceTransform,
+    TwoInputTransform,
 };
 use mis_testkit::bench::Harness;
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -45,7 +45,6 @@ fn main() {
 
     let inertial = InertialChannel::symmetric(ps(50.0), ps(38.0)).expect("channel");
     let exp = ExpChannel::from_sis_delays(ps(50.0), ps(38.0), ps(20.0)).expect("channel");
-    let sumexp = SumExpChannel::from_sis_delay(ps(50.0), ps(20.0), 0.7, 4.0).expect("channel");
     let hybrid = HybridNorChannel::new(&NorParams::paper_table1()).expect("channel");
     let lib =
         CharLib::nor(&NorParams::paper_table1(), &CharConfig::default()).expect("characterization");
@@ -71,13 +70,6 @@ fn main() {
     h.bench("channel_500_transitions/exp_involution", || {
         gates::combine2_into(nor, abuf.as_ref(), bbuf.as_ref(), &mut scratch).expect("ideal");
         exp.apply_into(scratch.as_ref(), &mut out).expect("exp");
-        out.len()
-    });
-    h.bench("channel_500_transitions/sumexp_involution", || {
-        gates::combine2_into(nor, abuf.as_ref(), bbuf.as_ref(), &mut scratch).expect("ideal");
-        sumexp
-            .apply_into(scratch.as_ref(), &mut out)
-            .expect("sumexp");
         out.len()
     });
     h.bench_batched(

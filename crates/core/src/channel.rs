@@ -31,7 +31,7 @@ use crate::{InputId, Mode, ModeSystem, ModeTrajectory, ModelError, NorParams};
 /// let mut gate = NorGateModel::new(&p, false, false)?; // output high
 /// gate.set_input(ps(100.0), InputId::A, true)?;
 /// gate.set_input(ps(110.0), InputId::B, true)?;        // Δ = 10 ps
-/// let (t_cross, rising) = gate.next_output_crossing()?.expect("output falls");
+/// let (t_cross, rising) = gate.output_crossings()?.next().expect("output falls");
 /// assert!(!rising);
 /// assert!(t_cross > ps(110.0));
 /// # Ok(())
@@ -88,12 +88,6 @@ impl NorGateModel {
         self.trajectory.eval((t - self.t_anchor).max(0.0))
     }
 
-    /// The absolute time of the current trajectory anchor (the last event).
-    #[must_use]
-    pub fn anchor_time(&self) -> f64 {
-        self.t_anchor
-    }
-
     /// The model parameters.
     #[must_use]
     pub fn params(&self) -> &NorParams {
@@ -129,9 +123,13 @@ impl NorGateModel {
         Ok(())
     }
 
-    /// The next output threshold crossing strictly after the anchor, as
-    /// `(absolute time, rising)` — or `None` if the output stays on its
-    /// side of the threshold in the current mode.
+    /// *All* output threshold crossings strictly after the anchor in the
+    /// current mode, as `(absolute time, rising)` pairs, sorted; the first
+    /// is the next output transition, and there is none if the output
+    /// stays on its side of the threshold. A two-exponential trajectory
+    /// can graze the threshold twice (a bump), producing two genuine
+    /// output transitions from a single mode switch. The crossings are
+    /// held inline, so the query allocates nothing.
     ///
     /// Must be re-queried after every [`NorGateModel::set_input`]: a mode
     /// switch invalidates earlier predictions (this is how glitch
@@ -140,40 +138,13 @@ impl NorGateModel {
     /// # Errors
     ///
     /// Propagates crossing-solver failures.
-    pub fn next_output_crossing(&self) -> Result<Option<(f64, bool)>, ModelError> {
-        let horizon = 60.0 * self.params.slowest_time_constant();
-        let crossings = self.trajectory.vo_crossings(self.params.vth, horizon)?;
-        for tc in crossings {
-            if tc > 0.0 {
-                let rising = self.trajectory.vo_derivative(tc) > 0.0;
-                return Ok(Some((self.t_anchor + tc, rising)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Whether the analog output is above the threshold at time `t`.
-    #[must_use]
-    pub fn output_high_at(&self, t: f64) -> bool {
-        self.state_at(t)[1] > self.params.vth
-    }
-
-    /// *All* output threshold crossings strictly after the anchor in the
-    /// current mode, as `(absolute time, rising)` pairs, sorted. A
-    /// two-exponential trajectory can graze the threshold twice (a bump),
-    /// producing two genuine output transitions from a single mode switch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates crossing-solver failures.
-    pub fn output_crossings(&self) -> Result<Vec<(f64, bool)>, ModelError> {
+    pub fn output_crossings(&self) -> Result<impl Iterator<Item = (f64, bool)> + '_, ModelError> {
         let horizon = 60.0 * self.params.slowest_time_constant();
         let crossings = self.trajectory.vo_crossings(self.params.vth, horizon)?;
         Ok(crossings
             .into_iter()
             .filter(|&t| t > 0.0)
-            .map(|t| (self.t_anchor + t, self.trajectory.vo_derivative(t) > 0.0))
-            .collect())
+            .map(|t| (self.t_anchor + t, self.trajectory.vo_derivative(t) > 0.0)))
     }
 }
 
@@ -226,7 +197,7 @@ mod tests {
                 (ps(100.0), InputId::B, ps(100.0) - delta, InputId::A)
             };
             g.set_input(t_first, first, true).unwrap();
-            let prediction = g.next_output_crossing().unwrap();
+            let prediction = g.output_crossings().unwrap().next();
             let committed = match prediction {
                 Some((tc, _)) if tc <= t_second => Some(tc),
                 _ => None,
@@ -235,7 +206,7 @@ mod tests {
                 Some(tc) => tc,
                 None => {
                     g.set_input(t_second, second, true).unwrap();
-                    let (tc, rising) = g.next_output_crossing().unwrap().expect("output falls");
+                    let (tc, rising) = g.output_crossings().unwrap().next().expect("output falls");
                     assert!(!rising);
                     tc
                 }
@@ -265,7 +236,7 @@ mod tests {
                 g.set_input(tb, InputId::B, false).unwrap();
                 g.set_input(ta, InputId::A, false).unwrap();
             }
-            let (t_cross, rising) = g.next_output_crossing().unwrap().expect("rises");
+            let (t_cross, rising) = g.output_crossings().unwrap().next().expect("rises");
             assert!(rising);
             let expected =
                 delay::rising_delay(&par, delta, RisingInitialVn::Gnd).unwrap() + ta.max(tb);
@@ -294,7 +265,7 @@ mod tests {
         // Both inputs fall simultaneously.
         g.set_input(ps(400.0), InputId::A, false).unwrap();
         g.set_input(ps(400.0), InputId::B, false).unwrap();
-        let t_tracked = g.next_output_crossing().unwrap().unwrap().0 - ps(400.0);
+        let t_tracked = g.output_crossings().unwrap().next().unwrap().0 - ps(400.0);
         let t_memoryless = delay::rising_delay(&par, 0.0, RisingInitialVn::Gnd).unwrap();
         assert!(
             (t_tracked - t_memoryless).abs() > ps(0.05),
@@ -310,13 +281,17 @@ mod tests {
         let par = p();
         let mut g = NorGateModel::new(&par, false, false).unwrap();
         g.set_input(ps(100.0), InputId::A, true).unwrap();
-        let first = g.next_output_crossing().unwrap().expect("predicted fall");
+        let first = g
+            .output_crossings()
+            .unwrap()
+            .next()
+            .expect("predicted fall");
         // Revert A well before the predicted crossing.
         let revert_at = ps(100.0) + 0.2 * (first.0 - ps(100.0));
         g.set_input(revert_at, InputId::A, false).unwrap();
         // The output had barely moved; in S00 it recovers towards VDD and
         // never crosses the threshold.
-        assert!(g.next_output_crossing().unwrap().is_none());
+        assert!(g.output_crossings().unwrap().next().is_none());
     }
 
     #[test]
@@ -328,14 +303,15 @@ mod tests {
     }
 
     #[test]
-    fn output_high_at_tracks_crossing() {
+    fn output_crossing_matches_the_analog_state() {
         let par = p();
         let mut g = NorGateModel::new(&par, false, false).unwrap();
         g.set_input(ps(100.0), InputId::A, true).unwrap();
         g.set_input(ps(100.0), InputId::B, true).unwrap();
-        let (tc, _) = g.next_output_crossing().unwrap().unwrap();
-        assert!(g.output_high_at(tc - ps(1.0)));
-        assert!(!g.output_high_at(tc + ps(1.0)));
+        let (tc, rising) = g.output_crossings().unwrap().next().unwrap();
+        assert!(!rising);
+        assert!(g.state_at(tc - ps(1.0))[1] > par.vth);
+        assert!(g.state_at(tc + ps(1.0))[1] < par.vth);
     }
 
     #[test]

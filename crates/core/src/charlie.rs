@@ -27,10 +27,7 @@
 //! `δ_min` is **not** added, matching the role these quantities play in
 //! fitting (where `δ_min` is subtracted from the measured targets).
 
-use crate::{
-    delay, HybridTrajectory, Mode, ModeConstants, ModeSwitch, ModeSystem, ModelError, NorParams,
-    RisingInitialVn,
-};
+use crate::{delay, Mode, ModeConstants, ModeSystem, ModelError, NorParams, RisingInitialVn};
 
 /// The paper's probe time for falling-transition approximations
 /// (`w = 10⁻¹⁰ s` in eq. (10)).
@@ -319,38 +316,6 @@ pub fn sensitivity_matrix(params: &NorParams) -> Result<[[f64; 6]; 6], ModelErro
         }
     }
     Ok(out)
-}
-
-/// Exact rising-delay crossing for the special schedule used in the
-/// paper's Fig. 6 discussion, exposed for benchmarks: the full two-phase
-/// trajectory object, so callers can sample it.
-///
-/// # Errors
-///
-/// Propagates trajectory-construction failures.
-pub fn rising_trajectory(
-    params: &NorParams,
-    delta: f64,
-    x: f64,
-) -> Result<HybridTrajectory, ModelError> {
-    let ts = delta.abs();
-    let first_mode = if delta >= 0.0 { Mode::S01 } else { Mode::S10 };
-    HybridTrajectory::new(
-        params,
-        Mode::S11,
-        [x, 0.0],
-        0.0,
-        &[
-            ModeSwitch {
-                at: 0.0,
-                to: first_mode,
-            },
-            ModeSwitch {
-                at: ts,
-                to: Mode::S00,
-            },
-        ],
-    )
 }
 
 #[cfg(test)]

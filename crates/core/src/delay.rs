@@ -196,16 +196,6 @@ impl DelayCurve {
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite delays"))
             .map(|(&d, &v)| (d, v))
     }
-
-    /// The separation at which the delay is largest.
-    #[must_use]
-    pub fn argmax(&self) -> Option<(f64, f64)> {
-        self.deltas
-            .iter()
-            .zip(&self.delays)
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite delays"))
-            .map(|(&d, &v)| (d, v))
-    }
 }
 
 /// Sweeps [`falling_delay`] over `n` uniformly spaced separations in
@@ -221,34 +211,6 @@ pub fn falling_curve(
     delta_hi: f64,
     n: usize,
 ) -> Result<DelayCurve, ModelError> {
-    sweep(delta_lo, delta_hi, n, |d| falling_delay(params, d))
-}
-
-/// Sweeps [`rising_delay`] (the paper's Fig. 6 curves, one per `V_N`
-/// policy).
-///
-/// # Errors
-///
-/// Propagates [`rising_delay`] failures; rejects `n < 2` or a reversed
-/// range.
-pub fn rising_curve(
-    params: &NorParams,
-    delta_lo: f64,
-    delta_hi: f64,
-    n: usize,
-    initial_vn: RisingInitialVn,
-) -> Result<DelayCurve, ModelError> {
-    sweep(delta_lo, delta_hi, n, |d| {
-        rising_delay(params, d, initial_vn)
-    })
-}
-
-fn sweep<F: FnMut(f64) -> Result<f64, ModelError>>(
-    delta_lo: f64,
-    delta_hi: f64,
-    n: usize,
-    mut f: F,
-) -> Result<DelayCurve, ModelError> {
     if !(delta_hi > delta_lo) || n < 2 {
         return Err(ModelError::InvalidParams {
             reason: "sweep needs delta_hi > delta_lo and n >= 2".into(),
@@ -259,7 +221,7 @@ fn sweep<F: FnMut(f64) -> Result<f64, ModelError>>(
     for i in 0..n {
         let d = delta_lo + (delta_hi - delta_lo) * i as f64 / (n - 1) as f64;
         deltas.push(d);
-        delays.push(f(d)?);
+        delays.push(falling_delay(params, d)?);
     }
     Ok(DelayCurve { deltas, delays })
 }
@@ -421,7 +383,6 @@ mod tests {
         let par = p();
         assert!(falling_curve(&par, ps(10.0), ps(-10.0), 5).is_err());
         assert!(falling_curve(&par, ps(-10.0), ps(10.0), 1).is_err());
-        assert!(rising_curve(&par, 0.0, 0.0, 5, RisingInitialVn::Gnd).is_err());
     }
 
     #[test]
@@ -431,7 +392,6 @@ mod tests {
             delays: vec![3.0, 1.0, 2.0],
         };
         assert_eq!(c.argmin().unwrap(), (0.0, 1.0));
-        assert_eq!(c.argmax().unwrap(), (-1.0, 3.0));
     }
 
     #[test]

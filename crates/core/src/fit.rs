@@ -6,8 +6,10 @@
 //! simultaneous match is impossible because the model forces
 //! `δ↓(−∞)/δ↓(0) = (R₃+R₄)/R₃ ≈ 2` for matched nMOS, while the measured
 //! ratio is ≈ 38/28 ≈ 1.36. Subtracting a pure delay `δ_min` from all
-//! targets restores feasibility (18 ps makes the ratio 20/10 = 2), which
-//! is exactly what [`fit_with_pure_delay`] automates.
+//! targets restores feasibility (18 ps makes the ratio 20/10 = 2); the
+//! closed form `δ_min = 2·δ↓(0) − δ↓(−∞)` picks the pure delay that makes
+//! the shifted falling ratio exactly 2, and [`FitConfig::delta_min`]
+//! takes it.
 //!
 //! Fitting runs in log-parameter space (positivity for free) with
 //! Nelder–Mead, seeded from the closed forms of eqs. (8)–(9).
@@ -214,50 +216,6 @@ pub fn fit(targets: &CharacteristicDelays, cfg: &FitConfig) -> Result<FitOutcome
     })
 }
 
-/// Fits with an outer golden-section search over `δ_min` — the automated
-/// version of the paper's manual "subtract 18 ps" workaround. Searches
-/// `δ_min ∈ [lo, hi]` for the pure delay minimizing the inner fit cost.
-///
-/// # Errors
-///
-/// * [`ModelError::FitFailed`] — invalid bracket (must satisfy
-///   `0 <= lo < hi < min(targets)`), or every inner fit failed.
-pub fn fit_with_pure_delay(
-    targets: &CharacteristicDelays,
-    cfg: &FitConfig,
-    lo: f64,
-    hi: f64,
-) -> Result<FitOutcome, ModelError> {
-    let min_target = targets
-        .as_array()
-        .iter()
-        .fold(f64::INFINITY, |m, &v| m.min(v));
-    if !(lo >= 0.0 && lo < hi && hi < min_target) {
-        return Err(ModelError::FitFailed {
-            reason: format!("pure-delay bracket [{lo:e}, {hi:e}] must lie in [0, {min_target:e})"),
-        });
-    }
-    // The inner fit is expensive; a modest evaluation budget per probe and
-    // a coarse tolerance keep the outer search tractable.
-    let inner_cfg = FitConfig {
-        max_evals: cfg.max_evals / 4,
-        ..cfg.clone()
-    };
-    let probe = |dmin: f64| -> f64 {
-        let c = FitConfig {
-            delta_min: dmin,
-            ..inner_cfg.clone()
-        };
-        fit(targets, &c).map_or(f64::INFINITY, |o| o.cost)
-    };
-    let best = mis_num::minimize::golden_section(probe, lo, hi, 0.25e-12)?;
-    let final_cfg = FitConfig {
-        delta_min: best.x,
-        ..cfg.clone()
-    };
-    fit(targets, &final_cfg)
-}
-
 fn params_from_log(logp: &[f64], cfg: &FitConfig) -> Result<NorParams, ModelError> {
     if logp.len() != 6 {
         return Err(ModelError::FitFailed {
@@ -365,40 +323,5 @@ mod tests {
             fit(&targets, &cfg),
             Err(ModelError::FitFailed { .. })
         ));
-    }
-
-    #[test]
-    fn pure_delay_search_finds_improving_delta_min() {
-        let targets = CharacteristicDelays::from_array([
-            ps(38.0),
-            ps(28.0),
-            ps(36.0),
-            ps(55.0),
-            ps(56.0),
-            ps(53.0),
-        ]);
-        let cfg = FitConfig {
-            max_evals: 2000,
-            ..FitConfig::default()
-        };
-        let outcome = fit_with_pure_delay(&targets, &cfg, 0.0, ps(26.0)).unwrap();
-        // The optimum pure delay should be in the vicinity of the paper's
-        // manually chosen 18 ps (the exact value depends on the rising
-        // targets too).
-        assert!(
-            (ps(8.0)..=ps(26.0)).contains(&outcome.params.delta_min),
-            "found δ_min = {} ps",
-            outcome.params.delta_min / 1e-12
-        );
-        let baseline = fit(&targets, &FitConfig::default()).unwrap();
-        assert!(outcome.cost < baseline.cost);
-    }
-
-    #[test]
-    fn pure_delay_search_validates_bracket() {
-        let targets = CharacteristicDelays::of_model(&truth()).unwrap();
-        let cfg = FitConfig::default();
-        assert!(fit_with_pure_delay(&targets, &cfg, ps(10.0), ps(5.0)).is_err());
-        assert!(fit_with_pure_delay(&targets, &cfg, 0.0, ps(10_000.0)).is_err());
     }
 }

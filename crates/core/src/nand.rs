@@ -128,13 +128,6 @@ impl NandParams {
     pub fn falling_sis(&self) -> Result<(f64, f64), ModelError> {
         delay::rising_sis(&self.dual)
     }
-
-    /// The Boolean NAND of two inputs — convenience mirroring
-    /// [`crate::Mode::nor_output`].
-    #[must_use]
-    pub fn output(a: bool, b: bool) -> bool {
-        !(a && b)
-    }
 }
 
 #[cfg(test)]
@@ -145,14 +138,6 @@ mod tests {
 
     fn nand() -> NandParams {
         NandParams::from_dual(NorParams::paper_table1())
-    }
-
-    #[test]
-    fn truth_table() {
-        assert!(NandParams::output(false, false));
-        assert!(NandParams::output(true, false));
-        assert!(NandParams::output(false, true));
-        assert!(!NandParams::output(true, true));
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use mis_num::exproots::Roots;
+
 use crate::{Mode, ModelError, NorParams};
 
 /// The analytic constants of the two *coupled* modes — `α`, `β`, `γ` and
@@ -275,13 +277,14 @@ impl ModeTrajectory {
     /// All times in `[0, t_max]` at which `V_O` crosses `level`, sorted.
     ///
     /// Exact (analytically bracketed) — crossings cannot be missed by
-    /// sampling. At most two can exist for a two-exponential trajectory.
+    /// sampling. At most two can exist for a two-exponential trajectory,
+    /// so they come back inline, without an allocation.
     ///
     /// # Errors
     ///
     /// Propagates invalid-input failures from the root finder (e.g.
     /// non-positive `t_max`).
-    pub fn vo_crossings(&self, level: f64, t_max: f64) -> Result<Vec<f64>, ModelError> {
+    pub fn vo_crossings(&self, level: f64, t_max: f64) -> Result<Roots, ModelError> {
         Ok(mis_num::exproots::exp2_crossings(
             self.ko[0],
             self.l1,
@@ -300,8 +303,10 @@ impl ModeTrajectory {
     ///
     /// See [`ModeTrajectory::vo_crossings`].
     pub fn first_vo_crossing(&self, level: f64, t_max: f64) -> Result<Option<f64>, ModelError> {
-        let roots = self.vo_crossings(level, t_max)?;
-        Ok(roots.into_iter().find(|&t| t > 0.0))
+        Ok(self
+            .vo_crossings(level, t_max)?
+            .into_iter()
+            .find(|&t| t > 0.0))
     }
 }
 

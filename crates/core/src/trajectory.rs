@@ -110,12 +110,6 @@ impl HybridTrajectory {
         self.segments[idx].eval((t - self.starts[idx]).max(0.0))
     }
 
-    /// The mode active at absolute time `t`.
-    #[must_use]
-    pub fn mode_at(&self, t: f64) -> Mode {
-        self.segments[self.segment_index(t)].mode()
-    }
-
     /// First time `> after` at which the output crosses `level`, searching
     /// up to `horizon` past the last switch.
     ///
@@ -242,25 +236,6 @@ mod tests {
             assert!(approx_eq(before[0], after[0], 1e-6), "V_N jump at {ts:e}");
             assert!(approx_eq(before[1], after[1], 1e-6), "V_O jump at {ts:e}");
         }
-    }
-
-    #[test]
-    fn mode_at_respects_schedule() {
-        let par = p();
-        let traj = HybridTrajectory::new(
-            &par,
-            Mode::S00,
-            [par.vdd, par.vdd],
-            0.0,
-            &[ModeSwitch {
-                at: ps(10.0),
-                to: Mode::S11,
-            }],
-        )
-        .unwrap();
-        assert_eq!(traj.mode_at(ps(5.0)), Mode::S00);
-        assert_eq!(traj.mode_at(ps(10.0)), Mode::S11);
-        assert_eq!(traj.mode_at(ps(100.0)), Mode::S11);
     }
 
     #[test]

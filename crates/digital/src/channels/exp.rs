@@ -47,7 +47,7 @@ impl ExpChannel {
     ///
     /// Returns [`SimError::InvalidChannel`] for non-positive time
     /// constants or a negative pure delay.
-    pub fn with_taus(tau_up: f64, tau_down: f64, pure_delay: f64) -> Result<Self, SimError> {
+    fn with_taus(tau_up: f64, tau_down: f64, pure_delay: f64) -> Result<Self, SimError> {
         for (name, v) in [("tau_up", tau_up), ("tau_down", tau_down)] {
             if !(v > 0.0) || !v.is_finite() {
                 return Err(SimError::InvalidChannel {
@@ -65,26 +65,6 @@ impl ExpChannel {
             tau_up,
             tau_down,
         })
-    }
-
-    /// Symmetric channel: `τ↑ = τ↓ = tau`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExpChannel::with_taus`].
-    pub fn new(tau: f64, pure_delay: f64) -> Result<Self, SimError> {
-        Self::with_taus(tau, tau, pure_delay)
-    }
-
-    /// Creates a symmetric channel matching a given SIS delay `δ(∞)`:
-    /// `τ = (δ(∞) − δ_p)/ln 2`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidChannel`] unless
-    /// `0 <= pure_delay < sis_delay`.
-    pub fn from_sis_delay(sis_delay: f64, pure_delay: f64) -> Result<Self, SimError> {
-        Self::from_sis_delays(sis_delay, sis_delay, pure_delay)
     }
 
     /// Creates a channel matching rising/falling SIS delays.
@@ -122,14 +102,6 @@ impl ExpChannel {
         self.delta_dir(t, self.tau_down, self.tau_up)
     }
 
-    /// The delay function for a transition of the given polarity.
-    #[must_use]
-    pub fn delta(&self, t: f64) -> f64 {
-        // Symmetric-channel convenience (τ↑ = τ↓); for asymmetric
-        // channels prefer the direction-specific accessors.
-        self.delta_up(t)
-    }
-
     fn delta_dir(&self, t: f64, tau_self: f64, tau_other: f64) -> f64 {
         let arg = 2.0 - (-(t + self.pure_delay) / tau_other).exp();
         if arg <= 0.0 {
@@ -137,37 +109,6 @@ impl ExpChannel {
         } else {
             self.pure_delay + tau_self * arg.ln()
         }
-    }
-
-    /// The rising SIS delay `δ↑(∞) = δ_p + τ↑·ln 2`.
-    #[must_use]
-    pub fn sis_delay_up(&self) -> f64 {
-        self.pure_delay + self.tau_up * std::f64::consts::LN_2
-    }
-
-    /// The falling SIS delay `δ↓(∞) = δ_p + τ↓·ln 2`.
-    #[must_use]
-    pub fn sis_delay_down(&self) -> f64 {
-        self.pure_delay + self.tau_down * std::f64::consts::LN_2
-    }
-
-    /// The symmetric SIS delay (equals both directional ones for a
-    /// symmetric channel).
-    #[must_use]
-    pub fn sis_delay(&self) -> f64 {
-        self.sis_delay_up()
-    }
-
-    /// The channel's rising time constant.
-    #[must_use]
-    pub fn tau(&self) -> f64 {
-        self.tau_up
-    }
-
-    /// The channel's pure-delay component.
-    #[must_use]
-    pub fn pure_delay(&self) -> f64 {
-        self.pure_delay
     }
 }
 
@@ -212,26 +153,30 @@ mod tests {
     use super::*;
     use mis_waveform::units::ps;
 
+    /// A symmetric channel: `δ(∞) = 55 ps` both ways, `δ_p = 20 ps`, so
+    /// `τ·ln 2 = 35 ps` and the cancellation horizon is `T = −55 ps`.
     fn ch() -> ExpChannel {
-        ExpChannel::from_sis_delay(ps(55.0), ps(20.0)).unwrap()
+        ExpChannel::from_sis_delays(ps(55.0), ps(55.0), ps(20.0)).unwrap()
     }
+
+    const HORIZON: f64 = -55.0e-12;
 
     #[test]
     fn sis_delay_round_trip() {
-        assert!((ch().sis_delay() - ps(55.0)).abs() < 1e-20);
-        assert!((ch().delta(1.0) - ps(55.0)).abs() < 1e-18, "T = 1 s ≈ ∞");
+        assert!((ch().delta_up(f64::INFINITY) - ps(55.0)).abs() < 1e-20);
+        assert!((ch().delta_up(1.0) - ps(55.0)).abs() < 1e-18, "T = 1 s ≈ ∞");
         let asym = ExpChannel::from_sis_delays(ps(54.0), ps(38.0), ps(20.0)).unwrap();
-        assert!((asym.sis_delay_up() - ps(54.0)).abs() < 1e-20);
-        assert!((asym.sis_delay_down() - ps(38.0)).abs() < 1e-20);
+        assert!((asym.delta_up(f64::INFINITY) - ps(54.0)).abs() < 1e-20);
+        assert!((asym.delta_down(f64::INFINITY) - ps(38.0)).abs() < 1e-20);
     }
 
     #[test]
     fn delta_is_monotone_increasing_in_t() {
         let c = ch();
         let mut prev = f64::NEG_INFINITY;
-        let mut t = -c.pure_delay() - c.tau() * std::f64::consts::LN_2 + ps(0.5);
+        let mut t = HORIZON + ps(0.5);
         while t < ps(200.0) {
-            let d = c.delta(t);
+            let d = c.delta_up(t);
             assert!(d >= prev, "δ must be monotone at T = {t:e}");
             prev = d;
             t += ps(1.0);
@@ -242,7 +187,7 @@ mod tests {
     fn involution_property_exact_symmetric() {
         let c = ch();
         for &t in &[ps(-25.0), ps(-5.0), 0.0, ps(10.0), ps(100.0)] {
-            let lhs = -c.delta(-c.delta(t));
+            let lhs = -c.delta_up(-c.delta_up(t));
             assert!(
                 (lhs - t).abs() < ps(1e-9),
                 "involution broken at T = {t:e}: {lhs:e}"
@@ -301,16 +246,14 @@ mod tests {
 
     #[test]
     fn constructor_validation() {
-        assert!(ExpChannel::new(0.0, 0.0).is_err());
-        assert!(ExpChannel::new(1e-12, -1.0).is_err());
-        assert!(ExpChannel::from_sis_delay(ps(10.0), ps(20.0)).is_err());
+        assert!(ExpChannel::with_taus(0.0, 1e-12, 0.0).is_err());
+        assert!(ExpChannel::with_taus(1e-12, 1e-12, -1.0).is_err());
+        assert!(ExpChannel::from_sis_delays(ps(10.0), ps(10.0), ps(20.0)).is_err());
         assert!(ExpChannel::from_sis_delays(ps(30.0), ps(10.0), ps(20.0)).is_err());
     }
 
     #[test]
     fn delta_saturates_to_negative_infinity() {
-        let c = ch();
-        let horizon = -c.pure_delay() - c.tau() * std::f64::consts::LN_2;
-        assert_eq!(c.delta(horizon - ps(1.0)), f64::NEG_INFINITY);
+        assert_eq!(ch().delta_up(HORIZON - ps(1.0)), f64::NEG_INFINITY);
     }
 }

@@ -6,7 +6,6 @@ pub mod hybrid;
 pub mod inertial;
 pub mod nand;
 pub mod pure;
-pub mod sumexp;
 
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 

@@ -72,8 +72,7 @@ pub enum SimError {
     Trace(mis_waveform::WaveformError),
     /// The underlying hybrid model failed.
     Model(mis_core::ModelError),
-    /// A numeric routine failed (e.g. waveform inversion in a sum-exp
-    /// channel).
+    /// A numeric routine failed.
     Numeric(mis_num::NumError),
 }
 

@@ -2,9 +2,8 @@
 //!
 //! The defining axiom of the Involution Delay Model (Függer et al., TCAD
 //! 2020) is that a channel's delay function is a *negative involution*:
-//! `−δ(−δ(T)) = T` on its domain. This module provides a checker used by
-//! tests and by the experiment harness to certify channel implementations,
-//! plus a sampler for plotting `δ(T)`.
+//! `−δ(−δ(T)) = T` on its domain. This module provides the checker that
+//! the tests use to certify [`crate::ExpChannel`]'s delay function.
 
 /// Verdict of an involution check.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +36,8 @@ impl InvolutionReport {
 /// use mis_waveform::units::ps;
 ///
 /// # fn main() -> Result<(), mis_digital::SimError> {
-/// let ch = ExpChannel::from_sis_delay(ps(55.0), ps(20.0))?;
-/// let report = involution::check(|t| ch.delta(t), ps(-30.0), ps(200.0), 100);
+/// let ch = ExpChannel::from_sis_delays(ps(55.0), ps(55.0), ps(20.0))?;
+/// let report = involution::check(|t| ch.delta_up(t), ps(-30.0), ps(200.0), 100);
 /// assert!(report.holds(ps(1e-6)));
 /// # Ok(())
 /// # }
@@ -71,29 +70,16 @@ pub fn check<F: Fn(f64) -> f64>(delta: F, t_lo: f64, t_hi: f64, n: usize) -> Inv
     }
 }
 
-/// Samples a delay function on a uniform grid, returning `(T, δ(T))`
-/// pairs with finite δ — convenience for plotting and reporting.
-#[must_use]
-pub fn sample<F: Fn(f64) -> f64>(delta: F, t_lo: f64, t_hi: f64, n: usize) -> Vec<(f64, f64)> {
-    (0..n.max(2))
-        .filter_map(|i| {
-            let t = t_lo + (t_hi - t_lo) * i as f64 / (n.max(2) - 1) as f64;
-            let d = delta(t);
-            d.is_finite().then_some((t, d))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExpChannel, SumExpChannel};
+    use crate::ExpChannel;
     use mis_waveform::units::ps;
 
     #[test]
     fn exp_channel_is_involution() {
-        let ch = ExpChannel::from_sis_delay(ps(40.0), ps(15.0)).unwrap();
-        let report = check(|t| ch.delta(t), ps(-25.0), ps(300.0), 200);
+        let ch = ExpChannel::from_sis_delays(ps(40.0), ps(40.0), ps(15.0)).unwrap();
+        let report = check(|t| ch.delta_up(t), ps(-25.0), ps(300.0), 200);
         assert!(
             report.holds(ps(1e-6)),
             "worst: {:e}",
@@ -103,32 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn sumexp_channel_is_involution() {
-        let ch = SumExpChannel::from_sis_delay(ps(40.0), ps(15.0), 0.6, 3.0).unwrap();
-        let report = check(|t| ch.delta(t), ps(-20.0), ps(300.0), 120);
-        assert!(
-            report.holds(ps(0.01)),
-            "worst: {:e}",
-            report.worst_violation
-        );
-    }
-
-    #[test]
     fn pure_delay_is_involution_too() {
         // δ(T) = const satisfies −δ(−δ(T)) = ... only trivially? No:
         // −δ(−δ(T)) = −const ≠ T. A constant delay is NOT an involution —
         // the checker must say so.
         let report = check(|_t| ps(10.0), ps(-5.0), ps(50.0), 50);
         assert!(!report.holds(ps(0.001)));
-    }
-
-    #[test]
-    fn sampler_skips_cancellation_region() {
-        let ch = ExpChannel::from_sis_delay(ps(40.0), ps(15.0)).unwrap();
-        let pts = sample(|t| ch.delta(t), ps(-100.0), ps(100.0), 50);
-        assert!(!pts.is_empty());
-        assert!(pts.iter().all(|&(_, d)| d.is_finite()));
-        // Early T (deep in the cancellation region) must be absent.
-        assert!(pts.first().unwrap().0 > ps(-50.0));
     }
 }

@@ -13,9 +13,6 @@
 //! * [`ExpChannel`] — the IDM's exponential involution channel:
 //!   `δ(T) = δ_p + τ·ln(2 − e^{−(T+δ_p)/τ})`, an exact involution
 //!   (`−δ(−δ(T)) = T`), with the standard IDM cancellation rule.
-//! * [`SumExpChannel`] — an involution channel whose switching waveform is
-//!   a sum of two exponentials, with numerically inverted delays
-//!   (the Involution Tool's more expressive channel family).
 //! * [`HybridNorChannel`] — the paper's contribution as a *two-input*
 //!   channel: wraps the continuous-state [`mis_core::channel::NorGateModel`]
 //!   and defers input events by the pure delay `δ_min`.
@@ -89,7 +86,6 @@ pub use channels::hybrid::HybridNorChannel;
 pub use channels::inertial::InertialChannel;
 pub use channels::nand::NandChannel;
 pub use channels::pure::PureDelayChannel;
-pub use channels::sumexp::SumExpChannel;
 pub use channels::{ChannelEvents, DelayBounds, TraceTransform, TwoInputTransform};
 pub use error::{BudgetResource, SimError};
 pub use network::{GateKind, Network, SignalId, SignalSource};

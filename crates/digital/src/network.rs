@@ -122,7 +122,7 @@ pub enum SignalSource<'a> {
 /// # fn main() -> Result<(), mis_digital::SimError> {
 /// let mut net = Network::new();
 /// let x = net.add_input("x");
-/// let ch = || Box::new(ExpChannel::from_sis_delay(ps(30.0), ps(10.0)).unwrap());
+/// let ch = || Box::new(ExpChannel::from_sis_delays(ps(30.0), ps(30.0), ps(10.0)).unwrap());
 /// let y1 = net.add_gate("y1", GateKind::Not, &[x], Some(ch()))?;
 /// let _y2 = net.add_gate("y2", GateKind::Not, &[y1], Some(ch()))?;
 /// let input = DigitalTrace::with_edges(false, vec![(ps(100.0), true)])?;

@@ -12,7 +12,8 @@
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    CachedHybridChannel, ChannelEvents, InertialChannel, TraceTransform, TwoInputTransform,
+    CachedHybridChannel, ChannelEvents, HybridNorChannel, InertialChannel, TraceTransform,
+    TwoInputTransform,
 };
 use mis_testkit::alloc::{self, CountingAllocator};
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -41,6 +42,7 @@ fn warm_channel_apply_into_is_allocation_free() {
     // five times the warm-up's events.
     let lib = quick_lib();
     let cached = CachedHybridChannel::new(&lib).unwrap();
+    let exact = HybridNorChannel::new(&NorParams::paper_table1()).unwrap();
     let inertial = InertialChannel::symmetric(ps(45.0), ps(35.0)).unwrap();
     let inputs = traffic(0xB0B);
     let (mut abuf, mut bbuf) = (EdgeBuf::new(), EdgeBuf::new());
@@ -52,19 +54,28 @@ fn warm_channel_apply_into_is_allocation_free() {
         .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
         .unwrap();
     let warm_inertial = inertial.apply_into(abuf.as_ref(), &mut out).unwrap();
+    // The exact ODE channel tracks no tallies; its crossings come back
+    // inline from the two-exponential root finder.
+    let warm_exact = exact
+        .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
+        .unwrap();
     assert!(
         warm_cached.table_lookups > 0,
         "dense traffic must walk the MIS surfaces"
     );
-    let (allocations, (sum_cached, sum_inertial)) = alloc::count_in(|| {
-        let (mut c, mut i) = (ChannelEvents::default(), ChannelEvents::default());
+    let (allocations, (sum_cached, sum_inertial, sum_exact)) = alloc::count_in(|| {
+        let mut c = ChannelEvents::default();
+        let (mut i, mut e) = (c, c);
         for _ in 0..5 {
             c += cached
                 .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
                 .unwrap();
             i += inertial.apply_into(abuf.as_ref(), &mut out).unwrap();
+            e += exact
+                .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
+                .unwrap();
         }
-        (c, i)
+        (c, i, e)
     });
     assert_eq!(
         allocations, 0,
@@ -77,6 +88,8 @@ fn warm_channel_apply_into_is_allocation_free() {
     };
     assert_eq!(sum_cached, times5(warm_cached));
     assert_eq!(sum_inertial, times5(warm_inertial));
+    assert_eq!(sum_exact, times5(warm_exact));
+    assert!(!out.is_empty(), "dense traffic must cross the threshold");
     // Each channel reports only the events it tracks.
     assert_eq!(warm_cached.pulse_filtered, 0);
     assert_eq!(warm_inertial.table_lookups, 0);

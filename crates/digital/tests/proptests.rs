@@ -13,8 +13,8 @@ use std::sync::{Arc, OnceLock};
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, involution, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel,
-    NandChannel, PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
+    gates, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel, NandChannel,
+    PureDelayChannel, TraceTransform, TwoInputTransform,
 };
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
@@ -66,24 +66,6 @@ fn exp_channel_involution_for_random_parameters() {
 }
 
 #[test]
-fn sumexp_involution_for_random_shapes() {
-    Config::with_cases(CASES).run(
-        &(0.1..0.9f64, 1.2..8.0f64, 30e-12..100e-12f64),
-        |&(a, ratio, sis)| {
-            let ch = SumExpChannel::from_sis_delay(sis, 10e-12, a, ratio).unwrap();
-            let rep = involution::check(|t| ch.delta(t), -15e-12, 300e-12, 60);
-            prop_assert!(
-                rep.holds(ps(0.05)),
-                "worst violation {:e} at {:e}",
-                rep.worst_violation,
-                rep.worst_at
-            );
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn channels_produce_wellformed_output_on_random_traffic() {
     Config::with_cases(CASES).run(&trace(12), |input| {
         // Well-formedness is enforced by DigitalTrace construction inside
@@ -92,7 +74,6 @@ fn channels_produce_wellformed_output_on_random_traffic() {
         let channels: Vec<Box<dyn TraceTransform>> = vec![
             Box::new(InertialChannel::symmetric(ps(40.0), ps(30.0)).unwrap()),
             Box::new(ExpChannel::from_sis_delays(ps(50.0), ps(38.0), ps(15.0)).unwrap()),
-            Box::new(SumExpChannel::from_sis_delay(ps(50.0), ps(15.0), 0.7, 3.0).unwrap()),
         ];
         for ch in &channels {
             let out = ch.apply(input).unwrap();
@@ -215,7 +196,7 @@ fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
             ExpChannel::from_sis_delays(ps(50.0), ps(38.0), ps(15.0)).unwrap(),
         )),
         _ => Some(Box::new(
-            SumExpChannel::from_sis_delay(ps(50.0), ps(15.0), 0.7, 3.0).unwrap(),
+            ExpChannel::from_sis_delays(ps(50.0), ps(50.0), ps(15.0)).unwrap(),
         )),
     }
 }

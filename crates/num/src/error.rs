@@ -5,16 +5,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum NumError {
-    /// A bracketing interval was invalid: the function does not change sign
-    /// over `[a, b]`, or the interval is degenerate.
-    InvalidBracket {
-        /// Left endpoint supplied.
-        a: f64,
-        /// Right endpoint supplied.
-        b: f64,
-        /// Diagnostic detail.
-        reason: String,
-    },
     /// An iteration failed to converge within its budget.
     NoConvergence {
         /// Iterations performed before giving up.
@@ -37,9 +27,6 @@ pub enum NumError {
 impl fmt::Display for NumError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NumError::InvalidBracket { a, b, reason } => {
-                write!(f, "invalid bracket [{a}, {b}]: {reason}")
-            }
             NumError::NoConvergence {
                 iterations,
                 residual,
@@ -68,11 +55,9 @@ mod tests {
             residual: 1e-3,
         };
         assert!(e.to_string().contains("50 iterations"));
-        let e = NumError::InvalidBracket {
-            a: 0.0,
-            b: 1.0,
-            reason: "no sign change".into(),
+        let e = NumError::InvalidInput {
+            reason: "empty starting point".into(),
         };
-        assert!(e.to_string().contains("no sign change"));
+        assert!(e.to_string().contains("empty starting point"));
     }
 }

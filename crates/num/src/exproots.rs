@@ -7,13 +7,53 @@
 //! interval. Such an `f` has **at most two** real roots, because its
 //! derivative `a·λ₁·e^{λ₁t} + b·λ₂·e^{λ₂t}` vanishes at most once (the
 //! ratio of two exponentials is monotone). This module brackets each
-//! monotone piece analytically and refines with Brent — crossings are never
-//! missed by sampling artifacts.
+//! monotone piece analytically and refines with bracket-safeguarded
+//! Newton — crossings are never missed by sampling artifacts. Because there
+//! are at most two, they come back inline in a [`Roots`] value, so a
+//! crossing query allocates nothing.
+
+use std::ops::Deref;
 
 use crate::NumError;
 
 /// Absolute tolerance for root refinement, as a fraction of `t_max`.
 const REL_XTOL: f64 = 1e-15;
+
+/// The roots of a two-exponential function on an interval: at most two,
+/// sorted increasingly, held inline. Reads as a `&[f64]` through
+/// [`Deref`] and iterates by value.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Roots {
+    t: [f64; 2],
+    len: usize,
+}
+
+impl Roots {
+    /// Appends `r` unless it lies within `2·xtol` of a root already held.
+    fn push_unique(&mut self, r: f64, xtol: f64) {
+        if self.iter().all(|&x| (x - r).abs() > 2.0 * xtol) {
+            self.t[self.len] = r;
+            self.len += 1;
+        }
+    }
+}
+
+impl Deref for Roots {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.t[..self.len]
+    }
+}
+
+impl IntoIterator for Roots {
+    type Item = f64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<f64, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.t.into_iter().take(self.len)
+    }
+}
 
 /// Returns all roots of `a·e^{l1·t} + b·e^{l2·t} = c` with `0 <= t <= t_max`,
 /// sorted increasingly.
@@ -48,7 +88,7 @@ pub fn exp2_crossings(
     l2: f64,
     c: f64,
     t_max: f64,
-) -> Result<Vec<f64>, NumError> {
+) -> Result<Roots, NumError> {
     if !(t_max > 0.0) || !t_max.is_finite() {
         return Err(NumError::InvalidInput {
             reason: "t_max must be positive and finite".into(),
@@ -94,20 +134,23 @@ pub fn exp2_crossings(
         0 => {
             // Constant function: either no roots or "everywhere"; report none
             // (a constant exactly on the threshold carries no crossing event).
-            Ok(Vec::new())
+            Ok(Roots::default())
         }
         1 => {
             // coef·e^{λt} + offset = 0 ⟹ t = ln(−offset/coef)/λ.
             let (coef, lam) = amp[0];
             let ratio = -offset / coef;
             if ratio <= 0.0 {
-                return Ok(Vec::new());
+                return Ok(Roots::default());
             }
             let t = ratio.ln() / lam;
             if (0.0..=t_max).contains(&t) {
-                Ok(vec![t])
+                Ok(Roots {
+                    t: [t, 0.0],
+                    len: 1,
+                })
             } else {
-                Ok(Vec::new())
+                Ok(Roots::default())
             }
         }
         _ => {
@@ -155,7 +198,7 @@ pub fn exp2_crossings(
             // what makes rising delays (root-found in the coupled (0,0)
             // mode) as cheap as falling ones (closed-form in (1,1)).
             let scan_step = 0.5 / la.abs().max(lb.abs());
-            let mut out = Vec::new();
+            let mut out = Roots::default();
             for (lo, hi) in pieces {
                 if !(hi > lo) {
                     continue;
@@ -163,19 +206,20 @@ pub fn exp2_crossings(
                 let flo = f(lo);
                 let fhi = f(hi);
                 if flo == 0.0 {
-                    push_unique(&mut out, lo, xtol);
+                    out.push_unique(lo, xtol);
                     continue;
                 }
                 if fhi == 0.0 {
-                    push_unique(&mut out, hi, xtol);
+                    out.push_unique(hi, xtol);
                     continue;
                 }
                 if flo.signum() != fhi.signum() {
                     let r = monotone_root(f, f_df, lo, hi, flo, fhi, scan_step, xtol)?;
-                    push_unique(&mut out, r, xtol);
+                    out.push_unique(r, xtol);
                 }
             }
-            out.sort_by(|x, y| x.partial_cmp(y).expect("finite roots"));
+            // The pieces are disjoint and visited left to right, and each
+            // root lies inside its piece, so the roots come out sorted.
             Ok(out)
         }
     }
@@ -274,12 +318,6 @@ fn newton_bracketed(
     })
 }
 
-fn push_unique(out: &mut Vec<f64>, r: f64, xtol: f64) {
-    if out.iter().all(|&x| (x - r).abs() > 2.0 * xtol) {
-        out.push(r);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +364,7 @@ mod tests {
         let f = |t: f64| 5.0 * (-5.0 * t).exp() - 4.0 * (-t).exp();
         let r = exp2_crossings(5.0, -5.0, -4.0, -1.0, -0.5, 20.0).unwrap();
         assert_eq!(r.len(), 2, "expected a dip through the level twice: {r:?}");
-        for &t in &r {
+        for t in r {
             assert!((f(t) + 0.5).abs() < 1e-9);
         }
         assert!(r[0] < r[1]);
@@ -388,7 +426,7 @@ mod tests {
         for &t0 in &[1e-12_f64, 1e-15, 1e-18] {
             let tau = 25e-12_f64;
             let level = 0.8 * (-t0 / tau).exp();
-            // Two-exponential form so the Brent path is exercised.
+            // Two-exponential form so the Newton path is exercised.
             let r = exp2_crossings(0.4, -1.0 / tau, 0.4, -1.0 / tau * (1.0 + 1e-3), level, 1e-9)
                 .unwrap();
             assert_eq!(r.len(), 1, "t0 = {t0:e}: {r:?}");
@@ -404,7 +442,7 @@ mod tests {
     fn no_crossing_two_exponential_is_clean_and_fast() {
         // A genuinely out-of-reach level with two distinct exponents: the
         // solver must report "no roots" without ever invoking the
-        // iterative refinement (there is no sign change to hand to Brent),
+        // iterative refinement (there is no sign change to hand to Newton),
         // i.e. a clean Ok(empty) — never a NoConvergence error.
         let r = exp2_crossings(0.3, -2.0e10, 0.5, -0.7e10, 2.0, 1e-8).unwrap();
         assert!(r.is_empty());

@@ -1,7 +1,7 @@
 //! Piecewise-linear and monotone-cubic interpolation over sorted sample
 //! tables.
 //!
-//! [`lerp_table`] is the workhorse for sampled voltage waveforms. The
+//! [`lerp_table_unchecked`] is the workhorse for sampled voltage waveforms. The
 //! monotone cubic ([`pchip_slopes`] / [`pchip_eval`] / [`MonotoneCubic`])
 //! exists for *characterized delay surfaces*: a `δ(Δ)` table has a sharp
 //! minimum near `Δ = 0`, and a shape-preserving interpolant is what
@@ -10,37 +10,11 @@
 
 use crate::NumError;
 
-/// Linear interpolation of `(xs, ys)` samples at `x`.
-///
-/// `xs` must be strictly increasing. Values outside the sample range are
-/// clamped to the boundary ordinates (constant extrapolation), which is the
-/// correct semantics for voltage waveforms that have settled before the
-/// first and after the last sample.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidInput`] if the tables are empty, of unequal
-/// length, or `xs` is not strictly increasing.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), mis_num::NumError> {
-/// let xs = [0.0, 1.0, 2.0];
-/// let ys = [0.0, 10.0, 0.0];
-/// assert_eq!(mis_num::interp::lerp_table(&xs, &ys, 0.5)?, 5.0);
-/// assert_eq!(mis_num::interp::lerp_table(&xs, &ys, -1.0)?, 0.0); // clamped
-/// # Ok(())
-/// # }
-/// ```
-pub fn lerp_table(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumError> {
-    validate_table(xs, ys)?;
-    Ok(lerp_table_unchecked(xs, ys, x))
-}
-
-/// [`lerp_table`] without validation, for hot loops over pre-validated
-/// tables. The caller must guarantee the invariants documented there; a
-/// violated invariant yields an unspecified (but memory-safe) result.
+/// Linear interpolation in a sorted sample table, clamped to the end
+/// values outside `[xs[0], xs[last]]`. No validation, for hot loops over
+/// tables checked once by [`validate_table`]: the caller must guarantee
+/// its invariants; a violated invariant yields an unspecified (but
+/// memory-safe) result.
 #[must_use]
 pub fn lerp_table_unchecked(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     if x <= xs[0] {
@@ -321,7 +295,7 @@ impl MonotoneCubic {
 /// # Errors
 ///
 /// Returns [`NumError::InvalidInput`] under the same conditions as
-/// [`lerp_table`].
+/// [`validate_table`].
 pub fn level_crossings(xs: &[f64], ys: &[f64], level: f64) -> Result<Vec<(f64, bool)>, NumError> {
     validate_table(xs, ys)?;
     let mut out = Vec::new();
@@ -352,10 +326,10 @@ mod tests {
     fn lerp_midpoints_and_clamps() {
         let xs = [0.0, 1.0, 3.0];
         let ys = [0.0, 2.0, -2.0];
-        assert_eq!(lerp_table(&xs, &ys, 0.5).unwrap(), 1.0);
-        assert_eq!(lerp_table(&xs, &ys, 2.0).unwrap(), 0.0);
-        assert_eq!(lerp_table(&xs, &ys, -5.0).unwrap(), 0.0);
-        assert_eq!(lerp_table(&xs, &ys, 99.0).unwrap(), -2.0);
+        assert_eq!(lerp_table_unchecked(&xs, &ys, 0.5), 1.0);
+        assert_eq!(lerp_table_unchecked(&xs, &ys, 2.0), 0.0);
+        assert_eq!(lerp_table_unchecked(&xs, &ys, -5.0), 0.0);
+        assert_eq!(lerp_table_unchecked(&xs, &ys, 99.0), -2.0);
     }
 
     #[test]
@@ -363,16 +337,16 @@ mod tests {
         let xs = [0.0, 1.0, 2.0];
         let ys = [5.0, 7.0, 9.0];
         for i in 0..3 {
-            assert_eq!(lerp_table(&xs, &ys, xs[i]).unwrap(), ys[i]);
+            assert_eq!(lerp_table_unchecked(&xs, &ys, xs[i]), ys[i]);
         }
     }
 
     #[test]
     fn rejects_bad_tables() {
-        assert!(lerp_table(&[], &[], 0.0).is_err());
-        assert!(lerp_table(&[0.0, 1.0], &[0.0], 0.0).is_err());
-        assert!(lerp_table(&[0.0, 0.0], &[1.0, 2.0], 0.0).is_err());
-        assert!(lerp_table(&[1.0, 0.0], &[1.0, 2.0], 0.0).is_err());
+        assert!(validate_table(&[], &[]).is_err());
+        assert!(validate_table(&[0.0, 1.0], &[0.0]).is_err());
+        assert!(validate_table(&[0.0, 0.0], &[1.0, 2.0]).is_err());
+        assert!(validate_table(&[1.0, 0.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -4,13 +4,10 @@
 //! obtained from MATLAB and hand analysis; this crate provides them from
 //! scratch:
 //!
-//! * **Root finding** ([`roots`], [`exproots`]) — inverting switching
-//!   waveforms to find threshold-crossing times (Brent's method, with
-//!   bisection as its test oracle; exact crossings of two-exponential
-//!   sums).
-//! * **Minimization** ([`minimize`]) — golden-section 1-D search (the
-//!   paper validates its formulas with MATLAB's `fminbnd`) and the
-//!   Nelder–Mead simplex that fits the model parameters of Section V.
+//! * **Root finding** ([`exproots`]) — exact threshold-crossing times of
+//!   two-exponential sums, the form of every per-mode output trajectory.
+//! * **Minimization** ([`minimize`]) — the Nelder–Mead simplex that fits
+//!   the model parameters of Section V.
 //! * **ODE integration** ([`ode`]) — an adaptive Dormand–Prince RK45
 //!   integrator used only to *validate* the analytic per-mode solutions of
 //!   the hybrid model.
@@ -26,6 +23,5 @@ pub mod exproots;
 pub mod interp;
 pub mod minimize;
 pub mod ode;
-pub mod roots;
 
 pub use error::NumError;

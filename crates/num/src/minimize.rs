@@ -1,10 +1,8 @@
-//! Derivative-free minimization: golden-section search and Nelder–Mead.
+//! Derivative-free minimization: Nelder–Mead.
 //!
-//! The paper validates its characteristic-delay formulas against MATLAB's
-//! `fminbnd` (a golden-section/parabolic hybrid) and obtains the Table I
-//! parameters by least-squares fitting. [`golden_section`] is our `fminbnd`
-//! stand-in; [`NelderMead`] is the derivative-free simplex optimizer the
-//! fitting pipeline builds on (robust to the noisy, kinked objectives that
+//! The paper obtains the Table I parameters by least-squares fitting.
+//! [`NelderMead`] is the derivative-free simplex optimizer the fitting
+//! pipeline builds on (robust to the noisy, kinked objectives that
 //! threshold-crossing delays produce).
 
 use crate::NumError;
@@ -13,92 +11,6 @@ use crate::NumError;
 /// one coordinate by 10 % — or by an absolute 0.1 for near-zero
 /// coordinates.
 const INITIAL_STEP: f64 = 0.1;
-
-/// Result of a scalar minimization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalarMin {
-    /// Abscissa of the located minimum.
-    pub x: f64,
-    /// Objective value at [`ScalarMin::x`].
-    pub value: f64,
-    /// Iterations used.
-    pub iterations: usize,
-}
-
-/// Minimizes a unimodal scalar function over `[a, b]` by golden-section
-/// search.
-///
-/// Note the fundamental accuracy floor of comparison-based minimization:
-/// near the minimum, objective differences scale with `(x - x*)²`, so the
-/// abscissa cannot be located more precisely than about `√ε ≈ 1.5e-8`
-/// relative to the problem scale, no matter how small `xtol` is.
-///
-/// # Errors
-///
-/// * [`NumError::InvalidBracket`] — `a >= b`.
-/// * [`NumError::NonFiniteValue`] — objective returned NaN/inf.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), mis_num::NumError> {
-/// let m = mis_num::minimize::golden_section(|x| (x - 1.5).powi(2), 0.0, 4.0, 1e-10)?;
-/// assert!((m.x - 1.5).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-pub fn golden_section<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    xtol: f64,
-) -> Result<ScalarMin, NumError> {
-    if !(a < b) {
-        return Err(NumError::InvalidBracket {
-            a,
-            b,
-            reason: "endpoints not ordered".into(),
-        });
-    }
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    let mut c = b - INV_PHI * (b - a);
-    let mut d = a + INV_PHI * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    let mut iterations = 0;
-    while (b - a) > xtol && iterations < 400 {
-        if !fc.is_finite() {
-            return Err(NumError::NonFiniteValue { at: c });
-        }
-        if !fd.is_finite() {
-            return Err(NumError::NonFiniteValue { at: d });
-        }
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - INV_PHI * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + INV_PHI * (b - a);
-            fd = f(d);
-        }
-        iterations += 1;
-    }
-    let x = 0.5 * (a + b);
-    let value = f(x);
-    if !value.is_finite() {
-        return Err(NumError::NonFiniteValue { at: x });
-    }
-    Ok(ScalarMin {
-        x,
-        value,
-        iterations,
-    })
-}
 
 /// Outcome of a Nelder–Mead run.
 #[derive(Debug, Clone, PartialEq)]
@@ -343,31 +255,6 @@ impl NelderMead {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn golden_section_quadratic() {
-        let m = golden_section(|x| (x - 3.0) * (x - 3.0) + 1.0, -10.0, 10.0, 1e-12).unwrap();
-        // √ε accuracy floor: ~1e-8 relative to the problem scale of 10.
-        assert!((m.x - 3.0).abs() < 1e-6);
-        assert!((m.value - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn golden_section_asymmetric_function() {
-        // Minimum of x - ln(x) at x = 1.
-        let m = golden_section(|x: f64| x - x.ln(), 0.1, 5.0, 1e-12).unwrap();
-        assert!((m.x - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn golden_section_rejects_bad_interval() {
-        assert!(golden_section(|x| x, 1.0, 0.0, 1e-10).is_err());
-    }
-
-    #[test]
-    fn golden_section_rejects_nan() {
-        assert!(golden_section(|_| f64::NAN, 0.0, 1.0, 1e-10).is_err());
-    }
 
     #[test]
     fn nelder_mead_sphere() {

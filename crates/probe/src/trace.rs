@@ -287,17 +287,6 @@ impl TraceSink {
         }
     }
 
-    /// Nanoseconds since the sink epoch (0 on a disabled sink — no
-    /// clock read).
-    #[must_use]
-    pub fn now_ns(&self) -> u64 {
-        if self.shared.enabled {
-            ns_since(self.shared.epoch)
-        } else {
-            0
-        }
-    }
-
     /// A point-in-time copy of every track, sorted by track name — the
     /// deterministic basis of the exporter.
     #[must_use]
@@ -433,12 +422,6 @@ fn ts_us(ns: u64) -> String {
 }
 
 impl TraceSnapshot {
-    /// Total retained events across tracks.
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.tracks.iter().map(|t| t.events.len()).sum()
-    }
-
     /// All events of every track whose name equals `name`.
     #[must_use]
     pub fn track(&self, name: &str) -> Option<&TrackSnapshot> {
@@ -572,9 +555,8 @@ mod tests {
         t.span(EventKind::Run, 0, 0, t.start());
         t.instant(EventKind::Seal, 1, 2);
         t.sample(EventKind::Coverage, 0, 5);
-        assert_eq!(sink.now_ns(), 0);
         let snap = sink.snapshot();
-        assert_eq!(snap.event_count(), 0);
+        assert!(snap.tracks.iter().all(|t| t.events.is_empty()));
         assert_eq!(snap.tracks.len(), 1, "registration still lands");
     }
 

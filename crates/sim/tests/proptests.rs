@@ -18,8 +18,7 @@ use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
     CachedHybridChannel, ChannelEvents, ExpChannel, GateKind, InertialChannel, NandChannel,
-    Network, PureDelayChannel, SignalId, SimError, SumExpChannel, TraceTransform,
-    TwoInputTransform,
+    Network, PureDelayChannel, SignalId, SimError, TraceTransform, TwoInputTransform,
 };
 use mis_sim::{
     BenchError, BenchFunc, BenchNetlist, CellLibrary, LoweredNetlist, RunBudget, Simulator,
@@ -163,7 +162,7 @@ fn spec_channel(ch: usize) -> Option<Box<dyn TraceTransform>> {
             ExpChannel::from_sis_delays(ps(50.0), ps(38.0), ps(15.0)).unwrap(),
         )),
         _ => Some(Box::new(
-            SumExpChannel::from_sis_delay(ps(50.0), ps(15.0), 0.7, 3.0).unwrap(),
+            ExpChannel::from_sis_delays(ps(50.0), ps(50.0), ps(15.0)).unwrap(),
         )),
     }
 }

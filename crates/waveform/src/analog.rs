@@ -173,38 +173,6 @@ impl AnalogWaveform {
         DigitalTrace::with_edges(initial, edges)
     }
 
-    /// Measures the transition slew between `lo_frac` and `hi_frac` of the
-    /// swing `[v_lo, v_hi]` around the crossing nearest `t_near`.
-    /// Returns `None` when the waveform never spans the requested fractions
-    /// around that crossing.
-    #[must_use]
-    pub fn slew_near(
-        &self,
-        t_near: f64,
-        v_lo: f64,
-        v_hi: f64,
-        lo_frac: f64,
-        hi_frac: f64,
-    ) -> Option<f64> {
-        let lo_level = v_lo + lo_frac * (v_hi - v_lo);
-        let hi_level = v_lo + hi_frac * (v_hi - v_lo);
-        let lo = self.crossings(lo_level).ok()?;
-        let hi = self.crossings(hi_level).ok()?;
-        let nearest = |v: &[(f64, bool)]| {
-            v.iter()
-                .min_by(|a, b| {
-                    (a.0 - t_near)
-                        .abs()
-                        .partial_cmp(&(b.0 - t_near).abs())
-                        .expect("finite times")
-                })
-                .map(|&(t, _)| t)
-        };
-        let tl = nearest(&lo)?;
-        let th = nearest(&hi)?;
-        Some((th - tl).abs())
-    }
-
     /// Restricts the waveform to `[t0, t1]`, adding interpolated boundary
     /// samples.
     ///
@@ -310,13 +278,6 @@ mod tests {
         let d = w.digitize(0.4).unwrap();
         assert!(d.initial_value());
         assert!(d.edges().is_empty());
-    }
-
-    #[test]
-    fn slew_measures_20_80() {
-        // Linear 0→1 over 1 s: 20–80 % slew is 0.6 s.
-        let s = ramp().slew_near(0.5, 0.0, 1.0, 0.2, 0.8).unwrap();
-        assert!((s - 0.6).abs() < 1e-12);
     }
 
     #[test]

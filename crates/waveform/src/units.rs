@@ -8,15 +8,6 @@ pub const PS: f64 = 1e-12;
 /// Seconds per nanosecond.
 pub const NS: f64 = 1e-9;
 
-/// Farads per attofarad.
-pub const AF: f64 = 1e-18;
-
-/// Farads per femtofarad.
-pub const FF: f64 = 1e-15;
-
-/// Ohms per kiloohm.
-pub const KOHM: f64 = 1e3;
-
 /// Converts picoseconds to seconds.
 ///
 /// # Examples
@@ -55,7 +46,5 @@ mod tests {
     fn round_trips() {
         assert_eq!(to_ps(ps(123.456)), 123.456);
         assert_eq!(ns(1.0), 1000.0 * ps(1.0));
-        assert_eq!(1.5 * KOHM, 1500.0);
-        assert_eq!(2.0 * FF, 2000.0 * AF);
     }
 }

@@ -18,6 +18,13 @@ cargo metadata --offline --locked --format-version 1 \
 echo "== cargo fmt --check"
 cargo fmt --check
 
+# Code without a runtime caller stays only as a test oracle or as paper
+# content: every public library item that no runtime file names must be
+# listed, with its reason, in scripts/pub_audit.allow (a by-name
+# tripwire, see the script's header).
+echo "== public items without a runtime caller (scripts/pub_audit.sh)"
+scripts/pub_audit.sh
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

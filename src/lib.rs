@@ -12,8 +12,8 @@
 //!   (MNA + Newton, EKV-style devices) serving as the golden reference in
 //!   place of the paper's Spectre + FreePDK15 stack.
 //! * [`digital`] (`mis-digital`) — an event-driven timing simulator with
-//!   pure, inertial, exponential-involution, sum-exp and hybrid two-input
-//!   channels (exact and cached), plus the Fig. 7 accuracy experiment.
+//!   pure, inertial, exponential-involution and hybrid two-input channels
+//!   (exact and cached), plus the Fig. 7 accuracy experiment.
 //! * [`charlib`] (`mis-charlib`) — the gate-characterization layer:
 //!   interpolated `δ↓(Δ)`/`δ↑(Δ, V_N)` delay surfaces built once from the
 //!   exact model under an error budget, serialized to committable text,
@@ -36,8 +36,8 @@
 //! * [`waveform`] (`mis-waveform`) — analog waveforms, digital traces,
 //!   digitization, deviation area, random trace generation.
 //! * [`num`] (`mis-num`) / [`linalg`] (`mis-linalg`) — the numerical
-//!   substrate: Brent roots, exact exponential-sum crossings and the
-//!   golden-section/Nelder–Mead fit; dense LU for the analog simulator;
+//!   substrate: exact exponential-sum crossings and the Nelder–Mead fit;
+//!   dense LU for the analog simulator;
 //!   an RK45 integrator and a 2×2 eigensolver that tests use as
 //!   independent oracles for the closed-form trajectories.
 //!
