@@ -77,7 +77,7 @@ pub(crate) enum NodeKind {
     Driven(AnalogWaveform),
 }
 
-/// A flat netlist: named nodes (free or source-driven) plus devices.
+/// A flat netlist: nodes (free or source-driven) plus devices.
 ///
 /// # Examples
 ///
@@ -86,7 +86,7 @@ pub(crate) enum NodeKind {
 ///
 /// # fn main() -> Result<(), mis_analog::AnalogError> {
 /// let mut c = Circuit::new();
-/// let a = c.add_free_node("a");
+/// let a = c.add_free_node();
 /// c.add_device(Device::resistor(a, Circuit::GROUND, 1.0e3))?;
 /// assert_eq!(c.free_nodes().len(), 1);
 /// # Ok(())
@@ -94,7 +94,7 @@ pub(crate) enum NodeKind {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Circuit {
-    names: Vec<String>,
+    /// Indexed by [`NodeId`].
     kinds: Vec<NodeKind>,
     devices: Vec<Device>,
 }
@@ -107,7 +107,6 @@ impl Circuit {
     #[must_use]
     pub fn new() -> Self {
         Circuit {
-            names: vec!["gnd".to_owned()],
             kinds: vec![NodeKind::Driven(AnalogWaveform::constant(
                 0.0,
                 0.0,
@@ -118,13 +117,13 @@ impl Circuit {
     }
 
     /// Adds a node whose voltage is solved for.
-    pub fn add_free_node(&mut self, name: &str) -> NodeId {
-        self.names.push(name.to_owned());
+    pub fn add_free_node(&mut self) -> NodeId {
         self.kinds.push(NodeKind::Free);
-        NodeId(self.names.len() - 1)
+        NodeId(self.kinds.len() - 1)
     }
 
-    /// Adds a node driven by an ideal voltage source following `waveform`.
+    /// Adds a node driven by an ideal voltage source following `waveform`;
+    /// `name` only labels the error.
     ///
     /// # Errors
     ///
@@ -140,20 +139,18 @@ impl Circuit {
                 reason: format!("driven node '{name}' needs a waveform with >= 2 samples"),
             });
         }
-        self.names.push(name.to_owned());
         self.kinds.push(NodeKind::Driven(waveform));
-        Ok(NodeId(self.names.len() - 1))
+        Ok(NodeId(self.kinds.len() - 1))
     }
 
     /// Adds a node held at a constant voltage (e.g. the supply rail).
-    pub fn add_rail(&mut self, name: &str, volts: f64) -> NodeId {
-        self.names.push(name.to_owned());
+    pub fn add_rail(&mut self, volts: f64) -> NodeId {
         self.kinds.push(NodeKind::Driven(AnalogWaveform::constant(
             volts,
             0.0,
             f64::MAX / 4.0,
         )));
-        NodeId(self.names.len() - 1)
+        NodeId(self.kinds.len() - 1)
     }
 
     /// Adds a device after validating its terminals and element value.
@@ -164,7 +161,7 @@ impl Circuit {
     /// non-positive element values.
     pub fn add_device(&mut self, device: Device) -> Result<(), AnalogError> {
         let check_node = |n: NodeId| -> Result<(), AnalogError> {
-            if n.0 < self.names.len() {
+            if n.0 < self.kinds.len() {
                 Ok(())
             } else {
                 Err(AnalogError::Netlist {
@@ -225,7 +222,7 @@ impl Circuit {
     /// Number of nodes, including ground.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.names.len()
+        self.kinds.len()
     }
 
     /// Ids of all free (solved) nodes, in insertion order.
@@ -296,8 +293,8 @@ mod tests {
     #[test]
     fn free_and_rail_nodes() {
         let mut c = Circuit::new();
-        let n = c.add_free_node("n");
-        let vdd = c.add_rail("vdd", 0.8);
+        let n = c.add_free_node();
+        let vdd = c.add_rail(0.8);
         assert_eq!(c.driven_voltage(n, 0.0), None);
         assert_eq!(c.driven_voltage(vdd, 123.0), Some(0.8));
         assert_eq!(c.free_nodes(), vec![n]);
@@ -306,7 +303,7 @@ mod tests {
     #[test]
     fn device_validation() {
         let mut c = Circuit::new();
-        let n = c.add_free_node("n");
+        let n = c.add_free_node();
         assert!(c.add_device(Device::resistor(n, n, 1e3)).is_err());
         assert!(c
             .add_device(Device::resistor(n, Circuit::GROUND, -1.0))

@@ -42,7 +42,7 @@
 //! let mut c = Circuit::new();
 //! let vin = c.add_driven_node("in", AnalogWaveform::from_samples(
 //!     vec![0.0, 1e-12, 1.001e-12, 1e-9], vec![0.0, 0.0, 1.0, 1.0]).unwrap())?;
-//! let out = c.add_free_node("out");
+//! let out = c.add_free_node();
 //! c.add_device(Device::resistor(vin, out, 1.0e3))?;
 //! c.add_device(Device::capacitor(out, Circuit::GROUND, 1.0e-15))?;
 //! let result = simulate(&c, 1e-9)?;

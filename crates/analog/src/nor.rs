@@ -137,11 +137,11 @@ impl NorTech {
     ) -> Result<NorCircuit, AnalogError> {
         self.validate()?;
         let mut ckt = Circuit::new();
-        let vdd = ckt.add_rail("vdd", self.vdd);
+        let vdd = ckt.add_rail(self.vdd);
         let a = ckt.add_driven_node("a", a_wave)?;
         let b = ckt.add_driven_node("b", b_wave)?;
-        let n = ckt.add_free_node("n");
-        let o = ckt.add_free_node("o");
+        let n = ckt.add_free_node();
+        let o = ckt.add_free_node();
 
         // T1: pMOS, V_DD → N, gate A.
         ckt.add_device(Device::mosfet(n, a, vdd, self.pmos))?;

@@ -52,12 +52,6 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    /// The accepted time points.
-    #[must_use]
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
     /// The sampled waveform of `node`.
     ///
     /// # Errors
@@ -421,7 +415,7 @@ mod tests {
         let vin = ckt
             .add_driven_node("in", step_source(1e-9, 0.0, 1.0, 20e-9))
             .unwrap();
-        let out = ckt.add_free_node("out");
+        let out = ckt.add_free_node();
         ckt.add_device(Device::resistor(vin, out, r)).unwrap();
         ckt.add_device(Device::capacitor(out, Circuit::GROUND, c))
             .unwrap();
@@ -441,8 +435,8 @@ mod tests {
     #[test]
     fn resistive_divider_dc() {
         let mut ckt = Circuit::new();
-        let vdd = ckt.add_rail("vdd", 1.0);
-        let mid = ckt.add_free_node("mid");
+        let vdd = ckt.add_rail(1.0);
+        let mid = ckt.add_free_node();
         ckt.add_device(Device::resistor(vdd, mid, 3e3)).unwrap();
         ckt.add_device(Device::resistor(mid, Circuit::GROUND, 1e3))
             .unwrap();
@@ -455,7 +449,7 @@ mod tests {
         // nMOS pull-down + pMOS pull-up, input stepping low → high.
         let vdd_v = 0.8;
         let mut ckt = Circuit::new();
-        let vdd = ckt.add_rail("vdd", vdd_v);
+        let vdd = ckt.add_rail(vdd_v);
         let vin = ckt
             .add_driven_node(
                 "in",
@@ -466,7 +460,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let out = ckt.add_free_node("out");
+        let out = ckt.add_free_node();
         let n = MosParams::new(MosPolarity::Nmos, 2e-4, 0.25);
         let p = MosParams::new(MosPolarity::Pmos, 2e-4, 0.25);
         ckt.add_device(Device::mosfet(out, vin, Circuit::GROUND, n))
@@ -494,7 +488,7 @@ mod tests {
         let vin = ckt
             .add_driven_node("in", step_source(1e-10, 0.0, 1.0, 1e-9))
             .unwrap();
-        let mid = ckt.add_free_node("mid");
+        let mid = ckt.add_free_node();
         ckt.add_device(Device::capacitor(vin, mid, 300e-18))
             .unwrap();
         ckt.add_device(Device::capacitor(mid, Circuit::GROUND, 100e-18))
@@ -516,14 +510,14 @@ mod tests {
     #[test]
     fn negative_t_stop_rejected() {
         let mut ckt = Circuit::new();
-        ckt.add_free_node("x");
+        ckt.add_free_node();
         assert!(simulate(&ckt, -1.0).is_err());
     }
 
     #[test]
     fn result_rejects_foreign_node() {
         let mut ckt = Circuit::new();
-        let n = ckt.add_free_node("n");
+        let n = ckt.add_free_node();
         ckt.add_device(Device::resistor(n, Circuit::GROUND, 1e3))
             .unwrap();
         let res = simulate(&ckt, 1e-9).unwrap();
@@ -536,12 +530,12 @@ mod tests {
         let vin = ckt
             .add_driven_node("in", step_source(1e-9, 0.0, 1.0, 3e-9))
             .unwrap();
-        let out = ckt.add_free_node("out");
+        let out = ckt.add_free_node();
         ckt.add_device(Device::resistor(vin, out, 10e3)).unwrap();
         ckt.add_device(Device::capacitor(out, Circuit::GROUND, 50e-15))
             .unwrap();
         let res = simulate(&ckt, 3e-9).unwrap();
-        let times = res.times();
+        let times = &res.times;
         // Count samples in the quiet first 0.9 ns vs the active 0.4 ns
         // after the edge; the active window must be sampled more densely.
         let quiet = times.iter().filter(|&&t| t < 0.9e-9).count() as f64 / 0.9;

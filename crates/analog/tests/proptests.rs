@@ -32,7 +32,7 @@ fn rc_step_response_matches_closed_form() {
             let vin = ckt
                 .add_driven_node("in", step_input(t_step, v, 2.0 * t_end))
                 .unwrap();
-            let out = ckt.add_free_node("out");
+            let out = ckt.add_free_node();
             ckt.add_device(Device::resistor(vin, out, r)).unwrap();
             ckt.add_device(Device::capacitor(out, Circuit::GROUND, c))
                 .unwrap();
@@ -58,8 +58,8 @@ fn resistive_dividers_solve_exactly() {
         &(1e3..50e3f64, 1e3..50e3f64, 0.1..1.5f64),
         |&(r1, r2, v)| {
             let mut ckt = Circuit::new();
-            let vdd = ckt.add_rail("vdd", v);
-            let mid = ckt.add_free_node("mid");
+            let vdd = ckt.add_rail(v);
+            let mid = ckt.add_free_node();
             ckt.add_device(Device::resistor(vdd, mid, r1)).unwrap();
             ckt.add_device(Device::resistor(mid, Circuit::GROUND, r2))
                 .unwrap();
@@ -78,7 +78,7 @@ fn capacitive_divider_ratio() {
         let vin = ckt
             .add_driven_node("in", step_input(1e-11, 1.0, 1e-9))
             .unwrap();
-        let mid = ckt.add_free_node("mid");
+        let mid = ckt.add_free_node();
         ckt.add_device(Device::capacitor(vin, mid, c1)).unwrap();
         ckt.add_device(Device::capacitor(mid, Circuit::GROUND, c2))
             .unwrap();

@@ -256,19 +256,6 @@ impl TimingAnalysis {
         }
     }
 
-    /// Number of primary inputs (the stimulus arity).
-    #[must_use]
-    pub fn input_count(&self) -> usize {
-        self.input_positions.len()
-    }
-
-    /// Number of signals (inputs included), matching
-    /// [`Network::signal_count`].
-    #[must_use]
-    pub fn signal_count(&self) -> usize {
-        self.names.len()
-    }
-
     /// Topological level per signal: `0` for inputs, `1 + max` over
     /// fan-in levels for gates. Indexable by [`SignalId::index`].
     #[must_use]
@@ -288,8 +275,8 @@ impl TimingAnalysis {
     ///
     /// # Panics
     ///
-    /// Panics when `input_windows.len()` differs from
-    /// [`TimingAnalysis::input_count`].
+    /// Panics when `input_windows.len()` differs from the network's
+    /// input count.
     #[must_use]
     pub fn arrival_windows(&self, input_windows: &[Window]) -> Vec<Window> {
         self.arrival_windows_edited(input_windows, &[])
@@ -533,7 +520,6 @@ mod tests {
             )
             .unwrap();
         let ta = TimingAnalysis::new(&net);
-        assert_eq!(ta.input_count(), 2);
         assert_eq!(ta.levels(), &[0, 0, 1, 2]);
         let w = ta.arrival_windows(&[
             Window::new(ps(100.0), ps(200.0)),

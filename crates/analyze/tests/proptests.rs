@@ -34,7 +34,7 @@ use mis_sim::{BenchFunc, BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
-use mis_waveform::DigitalTrace;
+use mis_waveform::{DigitalTrace, TraceArena};
 
 const CASES: u32 = 48;
 
@@ -168,6 +168,16 @@ fn edge_times(trace: &DigitalTrace) -> Vec<f64> {
     trace.edges().iter().map(|e| e.time).collect()
 }
 
+/// Every signal's trace after one engine run, in signal order.
+fn engine_traces(net: &Network, inputs: &[DigitalTrace]) -> Vec<DigitalTrace> {
+    let mut sim = Simulator::new(net).expect("engine construction");
+    let mut arena = TraceArena::new();
+    sim.run_in(inputs, &mut arena).expect("engine run");
+    (0..arena.trace_count())
+        .map(|s| arena.trace(s).to_trace())
+        .collect()
+}
+
 /// Input windows straight from the stimulus: the tightest interval
 /// holding each trace's edge times ([`Window::EMPTY`] for constants).
 fn input_windows(inputs: &[DigitalTrace]) -> Vec<Window> {
@@ -206,11 +216,8 @@ fn windows_contain_event_engine_edges_on_random_dags() {
             .map(|_| grid_trace(&mut rng, 8))
             .collect();
         let ta = TimingAnalysis::new(&net);
-        prop_assert_eq!(ta.input_count(), net.input_count());
-        prop_assert_eq!(ta.signal_count(), net.signal_count());
         let windows = ta.arrival_windows(&input_windows(&inputs));
-        let mut sim = Simulator::new(&net).expect("engine construction");
-        let traces = sim.run(&inputs).expect("engine run");
+        let traces = engine_traces(&net, &inputs);
         assert_sound(&net, &windows, &traces, &format!("seed {seed}"));
         Ok(())
     });
@@ -229,8 +236,7 @@ fn quiet_inputs_produce_quiet_windows_and_quiet_traces() {
             .collect();
         let windows = TimingAnalysis::new(&net).arrival_windows(&input_windows(&inputs));
         prop_assert!(windows.iter().all(Window::is_empty));
-        let mut sim = Simulator::new(&net).expect("engine construction");
-        let traces = sim.run(&inputs).expect("run");
+        let traces = engine_traces(&net, &inputs);
         prop_assert!(traces.iter().all(|t| t.edges().is_empty()));
         Ok(())
     });
@@ -254,8 +260,7 @@ fn assert_fixture_sound(file: &str, cells: &CellLibrary, context: &str) {
         .map(|_| grid_trace(&mut rng, 4))
         .collect();
     let windows = ta.arrival_windows(&input_windows(&inputs));
-    let mut sim = Simulator::new(&lowered.net).expect("engine construction");
-    let traces = sim.run(&inputs).expect("run");
+    let traces = engine_traces(&lowered.net, &inputs);
     assert_sound(&lowered.net, &windows, &traces, context);
     // The report is well-formed: finite critical path under bounded
     // libraries, level census sums to the signal count.

@@ -251,7 +251,6 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
         workers: args.workers,
         budget: RunBudget {
             max_edges: args.max_edges,
-            ..RunBudget::UNLIMITED
         },
     };
     let started = Instant::now();

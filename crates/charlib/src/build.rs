@@ -205,21 +205,6 @@ impl CharLib {
     pub fn rising(&self) -> &SurfaceFamily {
         &self.rising
     }
-
-    /// Interpolated falling-output delay at separation `delta`; `state_v`
-    /// is the frozen internal-node voltage (ignored where
-    /// state-independent).
-    #[must_use]
-    pub fn falling_delay(&self, delta: f64, state_v: f64) -> f64 {
-        self.falling.eval(delta, state_v)
-    }
-
-    /// Interpolated rising-output delay at separation `delta`; `state_v`
-    /// as in [`CharLib::falling_delay`].
-    #[must_use]
-    pub fn rising_delay(&self, delta: f64, state_v: f64) -> f64 {
-        self.rising.eval(delta, state_v)
-    }
 }
 
 /// Builds one surface by adaptive refinement against `exact`, probing
@@ -358,7 +343,7 @@ mod tests {
         for i in 0..=200 {
             let d = ps(-120.0) + ps(240.0) * i as f64 / 200.0;
             let exact = delay::falling_delay(&p, d).unwrap();
-            let got = lib.falling_delay(d, 0.0);
+            let got = lib.falling().eval(d, 0.0);
             assert!(
                 (got - exact).abs() <= cfg.budget,
                 "falling at Δ = {:.1} ps: {:e} vs {:e}",
@@ -371,7 +356,7 @@ mod tests {
             for i in 0..=200 {
                 let d = ps(-120.0) + ps(240.0) * i as f64 / 200.0;
                 let exact = delay::rising_delay(&p, d, RisingInitialVn::Explicit(x)).unwrap();
-                let got = lib.rising_delay(d, x);
+                let got = lib.rising().eval(d, x);
                 assert!(
                     (got - exact).abs() <= cfg.budget,
                     "rising at Δ = {:.1} ps, X = {x}: {got:e} vs {exact:e}",

@@ -46,7 +46,7 @@
 //! };
 //! let lib = CharLib::nor(&params, &cfg)?;
 //! let exact = delay::falling_delay(&params, ps(12.5)).unwrap();
-//! let fast = lib.falling_delay(ps(12.5), 0.0);
+//! let fast = lib.falling().eval(ps(12.5), 0.0);
 //! assert!((fast - exact).abs() <= cfg.budget);
 //!
 //! // Commit the characterized library, reload it elsewhere:

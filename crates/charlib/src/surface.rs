@@ -83,23 +83,6 @@ impl DelaySurface {
         let xs = self.curve.xs();
         (xs[0], xs[xs.len() - 1])
     }
-
-    /// The sample extrema `(min δ, max δ)` of the table. Because the
-    /// monotone-cubic reconstruction never under- or overshoots past its
-    /// samples and extrapolation clamps to the boundary ordinates, these
-    /// bound [`DelaySurface::eval`] over **all** inputs — the per-cell
-    /// delay bounds static timing analysis propagates.
-    #[must_use]
-    pub fn delay_bounds(&self) -> (f64, f64) {
-        let ys = self.curve.ys();
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &y in ys {
-            lo = lo.min(y);
-            hi = hi.max(y);
-        }
-        (lo, hi)
-    }
 }
 
 /// A stack of [`DelaySurface`] slices indexed by a frozen internal-node
@@ -199,23 +182,6 @@ impl SurfaceFamily {
         }
         (lo, hi)
     }
-
-    /// The sample extrema `(min δ, max δ)` over every slice. The voltage
-    /// blend is a convex combination of two slice evaluations and each
-    /// slice evaluation stays within its own sample extrema (see
-    /// [`DelaySurface::delay_bounds`]), so these bound
-    /// [`SurfaceFamily::eval`] over all `(Δ, v)`.
-    #[must_use]
-    pub fn delay_bounds(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for s in &self.slices {
-            let (a, b) = s.delay_bounds();
-            lo = lo.min(a);
-            hi = hi.max(b);
-        }
-        (lo, hi)
-    }
 }
 
 #[cfg(test)]
@@ -268,11 +234,11 @@ mod tests {
 
     #[test]
     fn delay_bounds_cover_eval_everywhere() {
-        let s = vee(1.0);
-        assert_eq!(s.delay_bounds(), (1.0, 3.0));
+        // The slices' samples span [1, 3] and [2, 4]. A family blends two
+        // slice evaluations convexly, so it stays within their joint
+        // sample extrema.
         let fam = SurfaceFamily::new(vec![0.0, 1.0], vec![vee(1.0), vee(2.0)]).unwrap();
-        let (lo, hi) = fam.delay_bounds();
-        assert_eq!((lo, hi), (1.0, 4.0));
+        let (lo, hi) = (1.0, 4.0);
         // Dense probe, including clamped extrapolation in Δ and v.
         for i in -40..=40 {
             let d = 0.1 * f64::from(i);

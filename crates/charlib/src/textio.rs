@@ -368,8 +368,8 @@ mod tests {
         let loaded = CharLib::from_text(&lib.to_text()).unwrap();
         for i in 0..=50 {
             let d = ps(-70.0) + ps(140.0) * i as f64 / 50.0;
-            assert_eq!(lib.falling_delay(d, 0.0), loaded.falling_delay(d, 0.0));
-            assert_eq!(lib.rising_delay(d, 0.3), loaded.rising_delay(d, 0.3));
+            assert_eq!(lib.falling().eval(d, 0.0), loaded.falling().eval(d, 0.0));
+            assert_eq!(lib.rising().eval(d, 0.3), loaded.rising().eval(d, 0.3));
         }
     }
 

@@ -34,7 +34,7 @@ fn falling_surface_within_budget_at_random_separations() {
     Config::with_cases(96).run(&(-150.0..150.0f64), |&d_ps| {
         let d = ps(d_ps);
         let exact = delay::falling_delay(&p, d).expect("exact delay");
-        let got = lib.falling_delay(d, 0.0);
+        let got = lib.falling().eval(d, 0.0);
         prop_assert!(
             (got - exact).abs() <= budget,
             "Δ = {} ps: |{:e} − {:e}| > {:e}",
@@ -58,7 +58,7 @@ fn rising_slices_within_budget_at_random_separations() {
         let d = ps(d_ps);
         let x = [0.0, 0.25, 0.5, 0.75, 1.0][xi as usize] * p.vdd;
         let exact = delay::rising_delay(&p, d, RisingInitialVn::Explicit(x)).expect("exact");
-        let got = lib.rising_delay(d, x);
+        let got = lib.rising().eval(d, x);
         prop_assert!(
             (got - exact).abs() <= budget,
             "Δ = {} ps, X = {} V: |{:e} − {:e}| > {:e}",
@@ -84,7 +84,7 @@ fn rising_family_between_slices_stays_close() {
         let d = ps(d_ps);
         let x = xf * p.vdd;
         let exact = delay::rising_delay(&p, d, RisingInitialVn::Explicit(x)).expect("exact");
-        let got = lib.rising_delay(d, x);
+        let got = lib.rising().eval(d, x);
         prop_assert!(
             (got - exact).abs() <= tol,
             "Δ = {} ps, X = {} V: |{:e} − {:e}| > {:e}",
@@ -117,8 +117,8 @@ fn serializer_round_trip_preserves_surfaces_bit_for_bit() {
     // And the loaded library evaluates identically at random points.
     Config::with_cases(64).run(&(-200.0..200.0f64, 0.0..0.8f64), |&(d_ps, x)| {
         let d = ps(d_ps);
-        prop_assert!(lib.falling_delay(d, x) == loaded.falling_delay(d, x));
-        prop_assert!(lib.rising_delay(d, x) == loaded.rising_delay(d, x));
+        prop_assert!(lib.falling().eval(d, x) == loaded.falling().eval(d, x));
+        prop_assert!(lib.rising().eval(d, x) == loaded.rising().eval(d, x));
         Ok(())
     });
 }

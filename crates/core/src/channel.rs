@@ -88,12 +88,6 @@ impl NorGateModel {
         self.trajectory.eval((t - self.t_anchor).max(0.0))
     }
 
-    /// The model parameters.
-    #[must_use]
-    pub fn params(&self) -> &NorParams {
-        &self.params
-    }
-
     /// Applies an input event at absolute time `t`: the state is advanced
     /// analytically to `t`, then the mode switches according to the new
     /// input value. Events must be processed in non-decreasing time order.

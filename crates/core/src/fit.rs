@@ -47,17 +47,6 @@ impl Default for FitConfig {
     }
 }
 
-impl FitConfig {
-    /// The paper's configuration: `δ_min = 18 ps`, 0.8 V supply.
-    #[must_use]
-    pub fn paper() -> Self {
-        FitConfig {
-            delta_min: 18e-12,
-            ..FitConfig::default()
-        }
-    }
-}
-
 /// Outcome of a parametrization run.
 #[derive(Debug, Clone)]
 pub struct FitOutcome {
@@ -291,7 +280,11 @@ mod tests {
             ps(53.0),
         ]);
         let without = fit(&targets, &FitConfig::default()).unwrap();
-        let with = fit(&targets, &FitConfig::paper()).unwrap();
+        let paper = FitConfig {
+            delta_min: ps(18.0),
+            ..FitConfig::default()
+        };
+        let with = fit(&targets, &paper).unwrap();
         assert!(
             with.cost < without.cost * 0.5,
             "δ_min must cut the misfit at least in half: {:e} vs {:e}",

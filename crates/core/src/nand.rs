@@ -60,21 +60,6 @@ impl NandParams {
         NandParams { dual }
     }
 
-    /// The underlying dual NOR parameters.
-    #[must_use]
-    pub fn dual(&self) -> &NorParams {
-        &self.dual
-    }
-
-    /// Validates the parameter set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NorParams::validate`].
-    pub fn validate(&self) -> Result<(), ModelError> {
-        self.dual.validate()
-    }
-
     /// The NAND's falling-output MIS delay `δ↓(Δ)` (both inputs rise;
     /// the output discharges through the series nMOS stack).
     ///
@@ -110,24 +95,6 @@ impl NandParams {
     pub fn rising_delay(&self, delta: f64) -> Result<f64, ModelError> {
         delay::falling_delay(&self.dual, delta)
     }
-
-    /// Rising SIS limits `(δ↑(−∞), δ↑(+∞))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`delay::falling_sis`] failures.
-    pub fn rising_sis(&self) -> Result<(f64, f64), ModelError> {
-        delay::falling_sis(&self.dual)
-    }
-
-    /// Falling SIS limits `(δ↓(−∞), δ↓(+∞))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`delay::rising_sis`] failures.
-    pub fn falling_sis(&self) -> Result<(f64, f64), ModelError> {
-        delay::rising_sis(&self.dual)
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +113,10 @@ mod tests {
         // twice as fast — the dual of the NOR's Fig. 2b speed-up.
         let g = nand();
         let d0 = g.rising_delay(0.0).unwrap();
-        let (dm, dp) = g.rising_sis().unwrap();
+        let (dm, dp) = (
+            g.rising_delay(ps(-300.0)).unwrap(),
+            g.rising_delay(ps(300.0)).unwrap(),
+        );
         assert!(
             d0 < dm && d0 < dp,
             "MIS speed-up: {d0:e} vs ({dm:e}, {dp:e})"
@@ -175,27 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn falling_sis_asymmetry_mirrors_nor() {
-        let g = nand();
-        let (fm, fp) = g.falling_sis().unwrap();
-        let (rm, rp) = delay::rising_sis(&NorParams::paper_table1()).unwrap();
-        assert!(approx_eq(fm, rm, 1e-15));
-        assert!(approx_eq(fp, rp, 1e-15));
-    }
-
-    #[test]
     fn internal_node_hypothesis_matters_for_falling() {
         let g = nand();
         let a = g.falling_delay(ps(-15.0), RisingInitialVn::Gnd).unwrap();
         let b = g.falling_delay(ps(-15.0), RisingInitialVn::Vdd).unwrap();
         assert!((a - b).abs() > ps(0.05), "{a:e} vs {b:e}");
-    }
-
-    #[test]
-    fn validation_delegates() {
-        let mut p = NorParams::paper_table1();
-        p.r2 = -1.0;
-        assert!(NandParams::from_dual(p).validate().is_err());
-        assert!(nand().validate().is_ok());
     }
 }

@@ -100,12 +100,6 @@ impl ModeSystem {
         })
     }
 
-    /// The mode this system describes.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// The system matrix `A` (row-major, state `[V_N, V_O]`).
     #[must_use]
     pub fn matrix(&self) -> [[f64; 2]; 2] {
@@ -244,12 +238,6 @@ pub struct ModeTrajectory {
 }
 
 impl ModeTrajectory {
-    /// The mode this trajectory lives in.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// State `[V_N, V_O]` at time `t` after mode entry.
     #[must_use]
     pub fn eval(&self, t: f64) -> [f64; 2] {

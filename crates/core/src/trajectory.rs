@@ -1,5 +1,3 @@
-use mis_waveform::AnalogWaveform;
-
 use crate::{Mode, ModeSystem, ModeTrajectory, ModelError, NorParams};
 
 /// One entry of a mode-switch schedule: at absolute time `at`, the inputs
@@ -51,8 +49,6 @@ pub struct HybridTrajectory {
     /// Segment start times (absolute), parallel to `segments`.
     starts: Vec<f64>,
     segments: Vec<ModeTrajectory>,
-    /// End of the last segment's validity (`f64::INFINITY`).
-    params: NorParams,
 }
 
 impl HybridTrajectory {
@@ -95,11 +91,7 @@ impl HybridTrajectory {
             starts.push(sw.at);
             t_prev = sw.at;
         }
-        Ok(HybridTrajectory {
-            starts,
-            segments,
-            params: *params,
-        })
+        Ok(HybridTrajectory { starts, segments })
     }
 
     /// The state `[V_N, V_O]` at absolute time `t` (clamped to the first
@@ -141,52 +133,6 @@ impl HybridTrajectory {
             }
         }
         Ok(None)
-    }
-
-    /// Samples the trajectory on `n` uniform points over `[t0, t1]` as a
-    /// pair of analog waveforms `(V_N, V_O)` — the paper's Fig. 4 format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidParams`] for a reversed window or
-    /// `n < 2`; waveform construction errors are impossible for a uniform
-    /// grid but still propagate defensively.
-    pub fn sample(
-        &self,
-        t0: f64,
-        t1: f64,
-        n: usize,
-    ) -> Result<(AnalogWaveform, AnalogWaveform), ModelError> {
-        if !(t1 > t0) || n < 2 {
-            return Err(ModelError::InvalidParams {
-                reason: "sampling needs t1 > t0 and n >= 2".into(),
-            });
-        }
-        let mut ts = Vec::with_capacity(n);
-        let mut vn = Vec::with_capacity(n);
-        let mut vo = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = t0 + (t1 - t0) * i as f64 / (n - 1) as f64;
-            let x = self.eval(t);
-            ts.push(t);
-            vn.push(x[0]);
-            vo.push(x[1]);
-        }
-        let wn = AnalogWaveform::from_samples(ts.clone(), vn).map_err(|e| {
-            ModelError::InvalidParams {
-                reason: format!("V_N sampling failed: {e}"),
-            }
-        })?;
-        let wo = AnalogWaveform::from_samples(ts, vo).map_err(|e| ModelError::InvalidParams {
-            reason: format!("V_O sampling failed: {e}"),
-        })?;
-        Ok((wn, wo))
-    }
-
-    /// The parameter set this trajectory was built with.
-    #[must_use]
-    pub fn params(&self) -> &NorParams {
-        &self.params
     }
 
     fn segment_index(&self, t: f64) -> usize {
@@ -326,21 +272,6 @@ mod tests {
             .first_output_crossing(par.vth, ps(1000.0))
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn sample_produces_fig4_style_waveforms() {
-        let par = p();
-        // Fig. 4 initial conditions: V_N(0)=V_O(0)=VDD except (0,0) from
-        // GND and (1,1) with V_N = VDD/2.
-        let traj = HybridTrajectory::new(&par, Mode::S00, [0.0, 0.0], 0.0, &[]).unwrap();
-        let (wn, wo) = traj.sample(0.0, ps(150.0), 151).unwrap();
-        assert_eq!(wn.len(), 151);
-        // (0,0) charges both nodes towards VDD.
-        assert!(wo.value_at(ps(150.0)) > 0.9 * par.vdd);
-        assert!(wn.value_at(ps(150.0)) > 0.9 * par.vdd);
-        assert!(traj.sample(1.0, 0.0, 10).is_err());
-        assert!(traj.sample(0.0, 1.0, 1).is_err());
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl HybridNorChannel {
         params.validate()?;
         Ok(HybridNorChannel { params: *params })
     }
-
-    /// The underlying model parameters.
-    #[must_use]
-    pub fn params(&self) -> &NorParams {
-        &self.params
-    }
 }
 
 impl HybridNorChannel {

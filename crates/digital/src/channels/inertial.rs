@@ -74,18 +74,6 @@ impl InertialChannel {
             rejection,
         })
     }
-
-    /// The rising-edge delay, seconds.
-    #[must_use]
-    pub fn delay_up(&self) -> f64 {
-        self.delay_up
-    }
-
-    /// The falling-edge delay, seconds.
-    #[must_use]
-    pub fn delay_down(&self) -> f64 {
-        self.delay_down
-    }
 }
 
 impl TraceTransform for InertialChannel {

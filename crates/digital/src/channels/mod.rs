@@ -96,22 +96,16 @@ pub trait TraceTransform: Send + Sync {
 
     /// Applies the channel to a borrowed SoA view, writing the result
     /// into `out` (cleared first) — the arena hot path — and returns
-    /// the application's [`ChannelEvents`]. The default delegates to
-    /// the allocating [`TraceTransform::apply`] and reports zeros; the
-    /// workspace channels override it with allocation-free kernels.
+    /// the application's [`ChannelEvents`]. Required, with no default
+    /// that goes through the allocating [`TraceTransform::apply`], so a
+    /// channel cannot allocate on the hot path by omission; it must
+    /// produce the same trace as `apply`.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TraceTransform::apply`].
-    fn apply_into(
-        &self,
-        input: TraceRef<'_>,
-        out: &mut EdgeBuf,
-    ) -> Result<ChannelEvents, SimError> {
-        let result = self.apply(&input.to_trace())?;
-        out.copy_trace(&result);
-        Ok(ChannelEvents::default())
-    }
+    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf)
+        -> Result<ChannelEvents, SimError>;
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
@@ -141,9 +135,9 @@ pub trait TwoInputTransform: Send + Sync {
 
     /// Applies the channel to a pair of borrowed SoA views, writing the
     /// result into `out` (cleared first) — the arena hot path — and
-    /// returns the application's [`ChannelEvents`]. The default
-    /// delegates to the allocating [`TwoInputTransform::apply2`] and
-    /// reports zeros.
+    /// returns the application's [`ChannelEvents`]. Required for the
+    /// same reason as [`TraceTransform::apply_into`]; it must produce
+    /// the same trace as `apply2`.
     ///
     /// # Errors
     ///
@@ -153,11 +147,7 @@ pub trait TwoInputTransform: Send + Sync {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<ChannelEvents, SimError> {
-        let result = self.apply2(&a.to_trace(), &b.to_trace())?;
-        out.copy_trace(&result);
-        Ok(ChannelEvents::default())
-    }
+    ) -> Result<ChannelEvents, SimError>;
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str;

@@ -40,12 +40,6 @@ impl PureDelayChannel {
         }
         Ok(PureDelayChannel { delay })
     }
-
-    /// The configured delay, seconds.
-    #[must_use]
-    pub fn delay(&self) -> f64 {
-        self.delay
-    }
 }
 
 impl TraceTransform for PureDelayChannel {

@@ -1,25 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-/// The budgeted resource that ran out in a
-/// [`SimError::BudgetExceeded`] — which limit of a `RunBudget` tripped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetResource {
-    /// The emitted-edge limit (`max_edges`).
-    Edges,
-    /// The wall-clock deadline.
-    Deadline,
-}
-
-impl fmt::Display for BudgetResource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BudgetResource::Edges => "edges",
-            BudgetResource::Deadline => "deadline",
-        })
-    }
-}
-
 /// Errors produced by the digital timing simulator.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -49,10 +30,7 @@ pub enum SimError {
     /// design: the budgeted engines return it from hot loops that are
     /// themselves under a zero-allocation gate.
     BudgetExceeded {
-        /// Which limit tripped.
-        resource: BudgetResource,
-        /// The configured limit: a count for events/edges, the
-        /// deadline in nanoseconds for wall-clock trips.
+        /// The configured `max_edges`.
         limit: u64,
     },
     /// A characterized library records a resample count whose uniform
@@ -72,8 +50,6 @@ pub enum SimError {
     Trace(mis_waveform::WaveformError),
     /// The underlying hybrid model failed.
     Model(mis_core::ModelError),
-    /// A numeric routine failed.
-    Numeric(mis_num::NumError),
 }
 
 impl fmt::Display for SimError {
@@ -85,12 +61,9 @@ impl fmt::Display for SimError {
                 f,
                 "network too large for the engine's index width: {count} > {max}"
             ),
-            SimError::BudgetExceeded { resource, limit } => match resource {
-                BudgetResource::Deadline => {
-                    write!(f, "run budget exceeded: deadline of {limit} ns passed")
-                }
-                r => write!(f, "run budget exceeded: more than {limit} {r}"),
-            },
+            SimError::BudgetExceeded { limit } => {
+                write!(f, "run budget exceeded: more than {limit} edges")
+            }
             SimError::ResampleTooCoarse {
                 family,
                 points,
@@ -103,7 +76,6 @@ impl fmt::Display for SimError {
             ),
             SimError::Trace(e) => write!(f, "trace failure: {e}"),
             SimError::Model(e) => write!(f, "hybrid model failure: {e}"),
-            SimError::Numeric(e) => write!(f, "numeric failure: {e}"),
         }
     }
 }
@@ -113,7 +85,6 @@ impl Error for SimError {
         match self {
             SimError::Trace(e) => Some(e),
             SimError::Model(e) => Some(e),
-            SimError::Numeric(e) => Some(e),
             _ => None,
         }
     }
@@ -128,12 +99,6 @@ impl From<mis_waveform::WaveformError> for SimError {
 impl From<mis_core::ModelError> for SimError {
     fn from(e: mis_core::ModelError) -> Self {
         SimError::Model(e)
-    }
-}
-
-impl From<mis_num::NumError> for SimError {
-    fn from(e: mis_num::NumError) -> Self {
-        SimError::Numeric(e)
     }
 }
 
@@ -160,16 +125,8 @@ mod tests {
 
     #[test]
     fn budget_exceeded_display_names_the_resource() {
-        let e = SimError::BudgetExceeded {
-            resource: BudgetResource::Edges,
-            limit: 12,
-        };
+        let e = SimError::BudgetExceeded { limit: 12 };
         assert!(e.to_string().contains("12 edges"), "{e}");
-        let e = SimError::BudgetExceeded {
-            resource: BudgetResource::Deadline,
-            limit: 5_000,
-        };
-        assert!(e.to_string().contains("5000 ns"), "{e}");
         assert!(e.source().is_none());
     }
 }

@@ -181,42 +181,6 @@ pub fn nor(a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError>
     combine2(|x, y| !(x || y), a, b)
 }
 
-/// Zero-time NAND of two traces.
-///
-/// # Errors
-///
-/// See [`combine2`].
-pub fn nand(a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-    combine2(|x, y| !(x && y), a, b)
-}
-
-/// Zero-time AND.
-///
-/// # Errors
-///
-/// See [`combine2`].
-pub fn and(a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-    combine2(|x, y| x && y, a, b)
-}
-
-/// Zero-time OR.
-///
-/// # Errors
-///
-/// See [`combine2`].
-pub fn or(a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-    combine2(|x, y| x || y, a, b)
-}
-
-/// Zero-time XOR.
-///
-/// # Errors
-///
-/// See [`combine2`].
-pub fn xor(a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-    combine2(|x, y| x ^ y, a, b)
-}
-
 /// Zero-time inverter.
 ///
 /// # Errors
@@ -262,7 +226,7 @@ mod tests {
     fn glitch_free_when_function_value_unchanged() {
         // XOR of identical traces is constantly 0: no output events.
         let a = pulse(1.0, 2.0);
-        let y = xor(&a, &a.clone()).unwrap();
+        let y = combine2(|x, y| x ^ y, &a, &a.clone()).unwrap();
         assert_eq!(y.transition_count(), 0);
         assert!(!y.initial_value());
     }
@@ -327,15 +291,5 @@ mod tests {
         assert!(y.initial_value());
         assert!(!y.value_at(1.5));
         assert!(y.value_at(2.5));
-    }
-
-    #[test]
-    fn and_or_nand() {
-        let a = pulse(1.0, 4.0);
-        let b = pulse(2.0, 3.0);
-        assert!(and(&a, &b).unwrap().value_at(2.5));
-        assert!(!and(&a, &b).unwrap().value_at(1.5));
-        assert!(or(&a, &b).unwrap().value_at(1.5));
-        assert!(!nand(&a, &b).unwrap().value_at(2.5));
     }
 }

@@ -87,5 +87,5 @@ pub use channels::inertial::InertialChannel;
 pub use channels::nand::NandChannel;
 pub use channels::pure::PureDelayChannel;
 pub use channels::{ChannelEvents, DelayBounds, TraceTransform, TwoInputTransform};
-pub use error::{BudgetResource, SimError};
+pub use error::SimError;
 pub use network::{GateKind, Network, SignalId, SignalSource};

@@ -158,12 +158,6 @@ impl FaultOverlay {
     pub fn new(site: FaultSite) -> Self {
         FaultOverlay { site }
     }
-
-    /// The wrapped site.
-    #[must_use]
-    pub fn site(&self) -> FaultSite {
-        self.site
-    }
 }
 
 impl TraceOverlay for FaultOverlay {

@@ -82,12 +82,6 @@ impl Eigen2 {
         Eigen2 { a, eigenvalues }
     }
 
-    /// The matrix this decomposition was computed from.
-    #[must_use]
-    pub fn matrix(&self) -> [[f64; 2]; 2] {
-        self.a
-    }
-
     /// The classified eigenvalues.
     #[must_use]
     pub fn eigenvalues(&self) -> Eigenvalues2 {

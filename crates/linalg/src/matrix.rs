@@ -17,7 +17,6 @@ use crate::LinalgError;
 /// # fn main() -> Result<(), mis_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 /// assert_eq!(a.matvec(&[1.0, 1.0])?, vec![3.0, 7.0]);
-/// assert_eq!(Matrix::identity(2).matvec(&[5.0, 6.0])?, vec![5.0, 6.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -43,16 +42,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Builds a matrix from row slices.
@@ -82,22 +71,6 @@ impl Matrix {
             cols,
             data,
         })
-    }
-
-    /// Builds a matrix by evaluating `f(row, col)` for every entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[must_use]
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                m[(i, j)] = f(i, j);
-            }
-        }
-        m
     }
 
     /// Number of rows.
@@ -168,15 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_identity() {
+    fn zeros_has_the_requested_shape() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
         assert!((0..2).all(|i| (0..3).all(|j| z[(i, j)] == 0.0)));
-        let i = Matrix::identity(3);
-        assert_eq!(i[(0, 0)], 1.0);
-        assert_eq!(i[(0, 1)], 0.0);
-        assert_eq!(i[(2, 2)], 1.0);
     }
 
     #[test]

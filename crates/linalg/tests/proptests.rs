@@ -14,8 +14,11 @@ fn entry() -> impl Strategy<Value = f64> {
 /// matrices from connected circuits.
 fn well_conditioned(n: usize) -> impl Strategy<Value = Matrix> {
     vec(entry(), n * n).prop_map(move |vals| {
-        let mut m = Matrix::from_fn(n, n, |i, j| vals[i * n + j]);
+        let mut m = Matrix::zeros(n, n);
         for i in 0..n {
+            for j in 0..n {
+                m[(i, j)] = vals[i * n + j];
+            }
             let row_sum: f64 = (0..n).map(|j| m[(i, j)].abs()).sum();
             m[(i, i)] += row_sum + 1.0;
         }

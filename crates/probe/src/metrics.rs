@@ -100,12 +100,6 @@ impl Probe {
         }
     }
 
-    /// Whether record calls through this probe's handles land.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.shared.enabled
-    }
-
     /// Looks `name` up in the registry, inserting via `make` when
     /// absent.
     ///
@@ -298,12 +292,6 @@ impl Histogram {
             self.cell.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// A point-in-time copy of the bucket counts.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::from_cell(&self.cell)
-    }
 }
 
 /// An owned copy of a histogram's bucket counts, queryable for quantile
@@ -380,15 +368,6 @@ pub struct SpanTimer {
 }
 
 impl SpanTimer {
-    /// Runs `f` inside a timed span.
-    #[inline]
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = self.start();
-        let r = f();
-        self.stop(t0);
-        r
-    }
-
     /// Opens a span: `Some(now)` when enabled, `None` when disabled
     /// (no clock read). Pass the token to [`SpanTimer::stop`].
     #[inline]
@@ -416,12 +395,6 @@ impl SpanTimer {
         self.cell.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Closed spans so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
-    }
-
     /// Total nanoseconds across closed spans.
     #[must_use]
     pub fn total_ns(&self) -> u64 {
@@ -447,18 +420,18 @@ mod tests {
     #[test]
     fn disabled_probe_drops_every_record() {
         let p = Probe::disabled();
-        assert!(!p.is_enabled());
+        assert!(!p.shared.enabled);
         let c = p.counter("x");
         c.inc();
         c.add(10);
         assert_eq!(c.value(), 0);
         let h = p.histogram("z");
         h.record(3);
-        assert_eq!(h.snapshot().count(), 0);
+        assert_eq!(HistogramSnapshot::from_cell(&h.cell).count(), 0);
         let t = p.timer("w");
         assert!(t.start().is_none());
-        t.time(|| ());
-        assert_eq!(t.count(), 0);
+        t.record(Duration::from_nanos(5));
+        assert_eq!(t.cell.count.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -467,7 +440,7 @@ mod tests {
         for v in [0u64, 1, 1, 2, 3, 4, 1000] {
             h.record(v);
         }
-        let s = h.snapshot();
+        let s = HistogramSnapshot::from_cell(&h.cell);
         assert_eq!(s.count(), 7);
         // Median of {0,1,1,2,3,4,1000}: rank 4 → sample 2, bucket [2,3].
         assert_eq!(s.quantile(0.5), Some(2));
@@ -479,10 +452,9 @@ mod tests {
     #[test]
     fn timer_records_spans() {
         let t = Probe::new().timer("t");
-        t.time(|| std::hint::black_box(1 + 1));
-        let tok = t.start();
-        t.stop(tok);
-        assert_eq!(t.count(), 2);
+        t.stop(t.start());
+        t.record(Duration::from_nanos(5));
+        assert_eq!(t.cell.count.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub enum EventKind {
     /// fault index, `b` = outcome: 0 undetected, 1 detected, 2
     /// budget-tripped).
     FaultRun,
-    /// A run budget tripped (instant; `a` = resource code: 1 edges, 2
-    /// deadline).
+    /// A run budget tripped (instant; `a` = resource code, always 1:
+    /// the edge limit is the one budgeted resource).
     Budget,
     /// A coverage-over-time sample (counter; `b` = this worker's
     /// cumulative detected faults).
@@ -251,12 +251,6 @@ impl TraceSink {
                 tracks: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// Whether record calls through this sink's tracks land.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.shared.enabled
     }
 
     /// Registers (or re-opens) the track `name`: same name, same ring —
@@ -548,7 +542,7 @@ mod tests {
     #[test]
     fn disabled_sink_records_nothing_and_reads_no_clock() {
         let sink = TraceSink::disabled();
-        assert!(!sink.is_enabled());
+        assert!(!sink.shared.enabled);
         let t = sink.track("sim");
         assert!(!t.is_enabled());
         assert_eq!(t.start(), None);

@@ -115,9 +115,12 @@ fn histograms_accumulate_across_threads_on_the_same_name() {
             });
         }
     });
-    let snap = probe.histogram("cell.nor4.eval_ns").snapshot();
-    assert_eq!(snap.count(), THREADS * SAMPLES);
-    let p50 = snap.quantile(0.5).expect("samples recorded");
+    let report = probe.report();
+    let Some(&MetricValue::Histogram { count, p50, .. }) = report.get("cell.nor4.eval_ns") else {
+        panic!("histogram registered");
+    };
+    assert_eq!(count, THREADS * SAMPLES);
+    let p50 = p50.expect("samples recorded");
     // True median is ~4000; bucket-midpoint estimates stay well inside
     // an order of magnitude.
     assert!((1_000..=8_000).contains(&p50), "p50 = {p50}");

@@ -411,7 +411,6 @@ impl<'n> ConeReplay<'n> {
             self.pending[w] = bits & (bits - 1);
             let g = w * 64 + bits.trailing_zeros() as usize;
             self.evaluated += 1;
-            meter.tick_deadline(self.evaluated)?;
             let Some(span) = self.eval(g, golden, faulty)? else {
                 continue;
             };

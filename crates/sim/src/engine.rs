@@ -219,8 +219,6 @@ impl<'n> Simulator<'n> {
         let mut dups = 0u64;
         let mut chan = ChannelEvents::default();
         for s in inputs.len()..self.net.signal_count() {
-            let ordinal = (s - inputs.len() + 1) as u64;
-            self.tracer.guard(meter.tick_deadline(ordinal))?;
             let gate_started = self.tracer.start();
             match self.eval(s, arena, overlay)? {
                 Some(events) => chan += events,
@@ -249,21 +247,6 @@ impl<'n> Simulator<'n> {
             let edges = arena.trace(s).len() as u64;
             self.counters.census(class, edges);
         }
-    }
-
-    /// The allocating compatibility wrapper: evaluates through a
-    /// run-local arena and returns one owned trace per signal **in
-    /// signal order**, exactly like [`Network::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run_in`].
-    pub fn run(&mut self, inputs: &[DigitalTrace]) -> Result<Vec<DigitalTrace>, SimError> {
-        let mut arena = TraceArena::new();
-        self.run_in(inputs, &mut arena)?;
-        Ok((0..self.net.signal_count())
-            .map(|s| arena.to_trace(s))
-            .collect())
     }
 
     /// Convenience: the view of signal `id`'s trace inside `arena`
@@ -333,6 +316,15 @@ mod tests {
     use mis_digital::{GateKind, InertialChannel, Network, PureDelayChannel};
     use mis_waveform::units::ps;
 
+    /// Every signal's trace after one run, in signal order.
+    fn run(sim: &mut Simulator, inputs: &[DigitalTrace]) -> Result<Vec<DigitalTrace>, SimError> {
+        let mut arena = TraceArena::new();
+        sim.run_in(inputs, &mut arena)?;
+        Ok((0..arena.trace_count())
+            .map(|s| arena.trace(s).to_trace())
+            .collect())
+    }
+
     #[test]
     fn matches_network_run_on_a_small_circuit() {
         let mut net = Network::new();
@@ -361,7 +353,7 @@ mod tests {
         let tb = DigitalTrace::with_edges(false, vec![(ps(250.0), true)]).unwrap();
         let want = net.run(&[ta.clone(), tb.clone()]).unwrap();
         let mut sim = Simulator::new(&net).unwrap();
-        let got = sim.run(&[ta.clone(), tb]).unwrap();
+        let got = run(&mut sim, &[ta.clone(), tb]).unwrap();
         assert_eq!(got, want);
         // And the warm in-place path reproduces it.
         let mut arena = TraceArena::new();
@@ -382,7 +374,7 @@ mod tests {
         let mut net = Network::new();
         net.add_input("a");
         let mut sim = Simulator::new(&net).unwrap();
-        assert!(sim.run(&[]).is_err());
+        assert!(run(&mut sim, &[]).is_err());
     }
 
     #[test]
@@ -418,18 +410,22 @@ mod tests {
         // Every non-input signal is evaluated exactly once per run.
         assert_eq!(c.runs(), 2);
         assert_eq!(c.events_popped(), 2 * 2);
-        assert_eq!(c.duplicate_spans(), 2, "one channel-less NOT per run");
         assert_eq!(c.gates_evaluated(), 2);
+        let report = probe.report();
+        assert_eq!(
+            report.get("sim.duplicate_spans").unwrap().scalar(),
+            Some(2),
+            "one channel-less NOT per run"
+        );
 
         // The census sees each class's output edges: `a` has 2 edges,
         // `b` none; NOR output = delayed pulse (2 edges), NOT mirrors it.
-        let report = probe.report();
         assert_eq!(report.get("sim.edges.input").unwrap().scalar(), Some(2 * 2));
         assert_eq!(report.get("sim.edges.nor").unwrap().scalar(), Some(2 * 2));
         assert_eq!(report.get("sim.edges.not").unwrap().scalar(), Some(2 * 2));
         // Results are bit-identical to the unprobed engine.
-        let want = Simulator::new(&net).unwrap().run(&inputs).unwrap();
-        let got = sim.run(&inputs).unwrap();
+        let want = run(&mut Simulator::new(&net).unwrap(), &inputs).unwrap();
+        let got = run(&mut sim, &inputs).unwrap();
         assert_eq!(got, want);
     }
 
@@ -472,8 +468,8 @@ mod tests {
         assert_eq!(gate.a, 2, "gate span carries the NOR's signal index");
         assert_eq!(gate.b, 2, "gate span carries the sealed edge count");
         // Results are bit-identical to the untraced engine.
-        let want = Simulator::new(&net).unwrap().run(&inputs).unwrap();
-        assert_eq!(sim.run(&inputs).unwrap(), want);
+        let want = run(&mut Simulator::new(&net).unwrap(), &inputs).unwrap();
+        assert_eq!(run(&mut sim, &inputs).unwrap(), want);
     }
 
     #[test]
@@ -509,7 +505,7 @@ mod tests {
         let a = net.add_input("a");
         net.add_gate("y", GateKind::Not, &[a], None).unwrap();
         let mut sim = Simulator::new(&net).unwrap();
-        sim.run(&[DigitalTrace::constant(false)]).unwrap();
+        run(&mut sim, &[DigitalTrace::constant(false)]).unwrap();
         assert!(!sim.counters().is_enabled());
         assert_eq!(sim.counters().events_popped(), 0);
         assert_eq!(sim.counters().runs(), 0);
@@ -521,7 +517,7 @@ mod tests {
         let a = net.add_input("a");
         let y = net.add_gate("y", GateKind::Not, &[a], None).unwrap();
         let mut sim = Simulator::new(&net).unwrap();
-        let got = sim.run(&[DigitalTrace::constant(true)]).unwrap();
+        let got = run(&mut sim, &[DigitalTrace::constant(true)]).unwrap();
         assert!(!got[y.index()].initial_value());
         assert_eq!(got[y.index()].transition_count(), 0);
     }

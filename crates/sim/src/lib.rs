@@ -30,7 +30,7 @@
 //!   in each other's recorded stuck-at replays.
 //!
 //! Two cross-cutting controls thread through both evaluators:
-//! [`mod@budget`] bounds a run (edges, deadline) with a graceful
+//! [`mod@budget`] bounds a run's emitted edges with a graceful
 //! [`mis_digital::SimError::BudgetExceeded`] instead of unbounded work,
 //! and [`mod@overlay`] rewrites a signal's trace before it is sealed —
 //! the injection point the `mis-fault` campaigns build on. Parallelism

@@ -22,7 +22,7 @@
 
 use std::cell::Cell;
 
-use mis_digital::{BudgetResource, ChannelEvents, SignalSource, SimError};
+use mis_digital::{ChannelEvents, SignalSource, SimError};
 use mis_probe::{Counter, EventKind, Histogram, Probe, SpanTimer, TraceSink, TraceTrack};
 
 /// Edge-census classes, indexed by [`census_index`]: one per gate kind
@@ -174,12 +174,6 @@ impl SimCounters {
         self.gates_evaluated.value()
     }
 
-    /// Cumulative duplicate-span shortcuts.
-    #[must_use]
-    pub fn duplicate_spans(&self) -> u64 {
-        self.duplicate_spans.value()
-    }
-
     /// Completed runs.
     #[must_use]
     pub fn runs(&self) -> u64 {
@@ -268,18 +262,14 @@ impl SimTracer {
     }
 
     /// Passes a budget-meter result through, recording an
-    /// [`EventKind::Budget`] instant (payload = resource code) when it
-    /// tripped — how the gate loops mark trips on the timeline without
-    /// disturbing error propagation. The codes are fixed (edges 1,
-    /// deadline 2), so traces stay comparable across versions.
+    /// [`EventKind::Budget`] instant (payload 1, the code of the edge
+    /// limit) when it tripped — how the gate loop marks trips on the
+    /// timeline without disturbing error propagation. The code is
+    /// fixed, so traces stay comparable across versions.
     #[inline]
     pub(crate) fn guard<T>(&self, r: Result<T, SimError>) -> Result<T, SimError> {
-        if let Err(SimError::BudgetExceeded { resource, .. }) = &r {
-            let code = match resource {
-                BudgetResource::Edges => 1,
-                BudgetResource::Deadline => 2,
-            };
-            self.track.instant(EventKind::Budget, code, 0);
+        if let Err(SimError::BudgetExceeded { .. }) = &r {
+            self.track.instant(EventKind::Budget, 1, 0);
         }
         r
     }
@@ -303,10 +293,10 @@ mod tests {
         c.finish_run(None, 10, 3, chan);
         assert_eq!(c.runs(), 2);
         assert_eq!(c.events_popped(), 20);
-        assert_eq!(c.duplicate_spans(), 6);
         assert_eq!(c.gates_evaluated(), 14);
         let report = probe.report();
         let get = |name: &str| report.get(name).unwrap().scalar();
+        assert_eq!(get("sim.duplicate_spans"), Some(6));
         assert_eq!(get("chan.pending_cancelled"), Some(2));
         assert_eq!(get("chan.table_lookups"), Some(8));
         assert_eq!(get("chan.pulse_filtered"), Some(4));
@@ -331,10 +321,7 @@ mod tests {
         t.seal(0, 3);
         t.run_span(run);
         t.run_span(t.start());
-        let err: Result<(), SimError> = Err(SimError::BudgetExceeded {
-            resource: BudgetResource::Edges,
-            limit: 5,
-        });
+        let err: Result<(), SimError> = Err(SimError::BudgetExceeded { limit: 5 });
         assert!(t.guard(err).is_err());
         assert!(t.guard(Ok(())).is_ok());
         let snap = sink.snapshot();
@@ -350,8 +337,8 @@ mod tests {
                 EventKind::Budget
             ]
         );
-        // Run ordinals increment; the budget instant carries the
-        // resource code (edges = 1); a passing guard records nothing.
+        // Run ordinals increment; the budget instant carries the edge
+        // limit's code 1; a passing guard records nothing.
         assert_eq!(track.events[2].a, 0);
         assert_eq!(track.events[3].a, 1);
         assert_eq!(track.events[4].a, 1);
@@ -364,10 +351,7 @@ mod tests {
         assert_eq!(t.start(), None);
         t.run_span(t.start());
         t.gate_span(None, 1, 1);
-        let err: Result<(), SimError> = Err(SimError::BudgetExceeded {
-            resource: BudgetResource::Deadline,
-            limit: 0,
-        });
+        let err: Result<(), SimError> = Err(SimError::BudgetExceeded { limit: 0 });
         assert!(t.guard(err).is_err(), "guard still propagates");
     }
 

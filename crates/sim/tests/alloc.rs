@@ -309,8 +309,8 @@ fn tripped_budget_runs_stay_allocation_free() {
     // The graceful-degradation path is held to the same standard as the
     // happy path: a warm engine re-run under a too-small RunBudget must
     // return SimError::BudgetExceeded without a single heap allocation
-    // — the error variant is allocation-free by construction (resource
-    // tag + integer limit, no String), and tripping mid-run must not
+    // — the error variant is allocation-free by construction (an
+    // integer limit, no String), and tripping mid-run must not
     // disturb the arena's reset-not-shrink reuse. A full unbudgeted run
     // after each trip stays allocation-free too.
     let cells = committed_cells();

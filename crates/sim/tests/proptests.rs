@@ -63,12 +63,21 @@ fn grid_trace(rng: &mut TestRng, max_edges: u64) -> DigitalTrace {
     trace
 }
 
+/// Every signal's trace after one engine run, in signal order.
+fn engine_traces(sim: &mut Simulator, inputs: &[DigitalTrace]) -> Vec<DigitalTrace> {
+    let mut arena = TraceArena::new();
+    sim.run_in(inputs, &mut arena).expect("engine run");
+    (0..arena.trace_count())
+        .map(|s| arena.trace(s).to_trace())
+        .collect()
+}
+
 /// Asserts the engine reproduces `Network::run` bit for bit on `net`,
 /// including a second run on the warm arena (reuse contract).
 fn assert_engine_matches(net: &Network, inputs: &[DigitalTrace]) {
     let want = net.run(inputs).expect("reference run");
     let mut sim = Simulator::new(net).expect("engine construction");
-    let got = sim.run(inputs).expect("engine run");
+    let got = engine_traces(&mut sim, inputs);
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "signal {i} ('{}')", {
@@ -382,7 +391,7 @@ fn reference_does_not_share_the_engines_channel_kernels() {
         DigitalTrace::constant(false),
     ];
     let want = net.run(&inputs).unwrap();
-    let got = Simulator::new(&net).unwrap().run(&inputs).unwrap();
+    let got = engine_traces(&mut Simulator::new(&net).unwrap(), &inputs);
     assert_eq!(want[y.index()].edges()[0].time, ps(100.0));
     assert_eq!(got[y.index()].edges()[0].time, ps(101.0));
     assert_ne!(got[y.index()], want[y.index()]);
@@ -712,7 +721,7 @@ fn c432_fixture_loads_runs_and_encodes_priorities() {
                 inputs.push(DigitalTrace::constant(mask >> i & 1 == 1));
             }
         }
-        let traces = sim.run(&inputs).unwrap();
+        let traces = engine_traces(&mut sim, &inputs);
         let want = c432_reference(e, a, b, c);
         for (k, out) in lowered.outputs.iter().enumerate() {
             assert_eq!(
@@ -827,7 +836,7 @@ fn c880_fixture_loads_runs_and_matches_the_alu_reference() {
         for v in [cin, inv, ps0, ps1, ten, zen, pen, oen] {
             inputs.push(DigitalTrace::constant(v));
         }
-        let traces = sim.run(&inputs).unwrap();
+        let traces = engine_traces(&mut sim, &inputs);
         let want = c880_reference(a, b, c, d, e, g, f, cin, inv, ps0, ps1, ten, zen, pen, oen);
         for (k, out) in lowered.outputs.iter().enumerate() {
             assert_eq!(

@@ -372,8 +372,8 @@ pub struct Config {
     /// Number of passing cases required (proptest's default is 256).
     pub cases: u32,
     /// PRNG seed. Fixed by default so offline CI is reproducible;
-    /// override via the `TESTKIT_SEED` environment variable or
-    /// [`Config::seed`].
+    /// override via the `TESTKIT_SEED` environment variable or this
+    /// field.
     pub seed: u64,
     /// Total rejected draws tolerated before the run aborts.
     pub max_rejects: u32,
@@ -404,13 +404,6 @@ impl Config {
             cases,
             ..Config::default()
         }
-    }
-
-    /// Overrides the PRNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Runs `property` on `self.cases` inputs drawn from `strategy`.
@@ -625,7 +618,11 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let collect = |seed| {
             let vals = std::cell::RefCell::new(Vec::new());
-            Config::with_cases(20).seed(seed).run(&(0.0..1.0f64), |x| {
+            let config = Config {
+                seed,
+                ..Config::with_cases(20)
+            };
+            config.run(&(0.0..1.0f64), |x| {
                 vals.borrow_mut().push(*x);
                 Ok(())
             });

@@ -84,12 +84,6 @@ impl AnalogWaveform {
         &self.ts
     }
 
-    /// Sample voltages.
-    #[must_use]
-    pub fn voltages(&self) -> &[f64] {
-        &self.vs
-    }
-
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -100,18 +94,6 @@ impl AnalogWaveform {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Start of the sampled domain.
-    #[must_use]
-    pub fn t_start(&self) -> f64 {
-        self.ts[0]
-    }
-
-    /// End of the sampled domain.
-    #[must_use]
-    pub fn t_end(&self) -> f64 {
-        self.ts[self.ts.len() - 1]
     }
 
     /// Piecewise-linear value at `t` (constant extrapolation outside the
@@ -171,32 +153,6 @@ impl AnalogWaveform {
             }
         }
         DigitalTrace::with_edges(initial, edges)
-    }
-
-    /// Restricts the waveform to `[t0, t1]`, adding interpolated boundary
-    /// samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveformError::InvalidInput`] when the window is reversed
-    /// or does not intersect the sampled domain.
-    pub fn window(&self, t0: f64, t1: f64) -> Result<AnalogWaveform, WaveformError> {
-        if !(t1 > t0) {
-            return Err(WaveformError::InvalidInput {
-                reason: "window must satisfy t1 > t0".into(),
-            });
-        }
-        let mut ts = vec![t0];
-        let mut vs = vec![self.value_at(t0)];
-        for (&t, &v) in self.ts.iter().zip(&self.vs) {
-            if t > t0 && t < t1 {
-                ts.push(t);
-                vs.push(v);
-            }
-        }
-        ts.push(t1);
-        vs.push(self.value_at(t1));
-        AnalogWaveform::from_samples(ts, vs)
     }
 }
 
@@ -278,16 +234,5 @@ mod tests {
         let d = w.digitize(0.4).unwrap();
         assert!(d.initial_value());
         assert!(d.edges().is_empty());
-    }
-
-    #[test]
-    fn window_clips_and_interpolates() {
-        let w = AnalogWaveform::from_samples(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 0.0]).unwrap();
-        let win = w.window(0.5, 1.5).unwrap();
-        assert_eq!(win.t_start(), 0.5);
-        assert_eq!(win.t_end(), 1.5);
-        assert_eq!(win.value_at(0.5), 0.5);
-        assert_eq!(win.value_at(1.0), 1.0);
-        assert!(w.window(1.0, 1.0).is_err());
     }
 }

@@ -43,7 +43,7 @@
 //! let id = arena.push_trace(&t);
 //! assert_eq!(arena.trace(id).times(), &[1.0, 3.0]);
 //! assert!(arena.trace(id).rising(0));
-//! assert_eq!(arena.to_trace(id), t);
+//! assert_eq!(arena.trace(id).to_trace(), t);
 //! # Ok(())
 //! # }
 //! ```
@@ -290,28 +290,6 @@ impl EdgeBuf {
         Err(err)
     }
 
-    /// Appends an edge with an explicit polarity, additionally checking
-    /// that it alternates (the [`DigitalTrace::push_edge`] contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`EdgeBuf::push_time`], plus [`WaveformError::NotMonotonic`]
-    /// when `rising` equals the current final value.
-    #[inline]
-    pub fn push(&mut self, time: f64, rising: bool) -> Result<(), WaveformError> {
-        if rising == self.final_value() {
-            return Err(WaveformError::NotMonotonic {
-                index: self.times.len(),
-                reason: format!(
-                    "edge polarity {} does not alternate (signal already {})",
-                    if rising { "rising" } else { "falling" },
-                    if self.final_value() { "high" } else { "low" },
-                ),
-            });
-        }
-        self.push_time(time)
-    }
-
     /// Removes and returns the most recent edge time (stack-style
     /// cancellation).
     #[inline]
@@ -441,20 +419,6 @@ pub struct ArenaTraces<'a> {
 }
 
 impl<'a> ArenaTraces<'a> {
-    /// The number of sealed traces.
-    #[inline]
-    #[must_use]
-    pub fn len(self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether no trace has been sealed yet.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// A view of the `i`-th sealed trace.
     ///
     /// # Panics
@@ -476,18 +440,6 @@ impl TraceArena {
     #[must_use]
     pub fn new() -> Self {
         TraceArena::default()
-    }
-
-    /// Creates an arena pre-sized for `signals` traces of about
-    /// `edges_per_signal` edges each.
-    #[must_use]
-    pub fn with_capacity(signals: usize, edges_per_signal: usize) -> Self {
-        TraceArena {
-            times: Vec::with_capacity(signals * edges_per_signal),
-            spans: Vec::with_capacity(signals),
-            out: EdgeBuf::with_capacity(edges_per_signal),
-            scratch: EdgeBuf::with_capacity(edges_per_signal),
-        }
     }
 
     /// Drops all sealed traces and staging content, keeping capacity.
@@ -525,17 +477,6 @@ impl TraceArena {
             spans: &self.spans,
         }
         .trace(i)
-    }
-
-    /// Materializes the `i`-th sealed trace as an owned
-    /// [`DigitalTrace`] (allocates).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn to_trace(&self, i: usize) -> DigitalTrace {
-        self.trace(i).to_trace()
     }
 
     /// Copies an owned trace into the arena as the next sealed span,
@@ -634,11 +575,11 @@ mod tests {
     fn edgebuf_push_enforces_trace_invariants() {
         let mut buf = EdgeBuf::new();
         buf.clear(false);
-        buf.push(1.0, true).unwrap();
-        assert!(buf.push(2.0, true).is_err(), "polarity must alternate");
-        assert!(buf.push(0.5, false).is_err(), "time must increase");
+        buf.push_time(1.0).unwrap();
+        assert!(buf.push_time(0.5).is_err(), "time must increase");
         assert!(buf.push_time(f64::NAN).is_err());
-        buf.push(2.0, false).unwrap();
+        buf.push_time(2.0).unwrap();
+        assert!(!buf.final_value());
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.last_time(), Some(2.0));
         assert_eq!(buf.pop_time(), Some(2.0));
@@ -735,7 +676,6 @@ mod tests {
         arena.push_trace(&pulse(1.0, 4.0));
         {
             let (sealed, out, scratch) = arena.stage();
-            assert_eq!(sealed.len(), 1);
             out.clear(true);
             // Shift the sealed input by 0.5 through the staging buffer.
             for &t in sealed.trace(0).times() {
@@ -750,7 +690,7 @@ mod tests {
 
     #[test]
     fn arena_reset_keeps_capacity_and_drops_content() {
-        let mut arena = TraceArena::with_capacity(4, 16);
+        let mut arena = TraceArena::new();
         arena.push_trace(&pulse(1.0, 2.0));
         arena.reset();
         assert_eq!(arena.trace_count(), 0);

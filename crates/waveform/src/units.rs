@@ -5,9 +5,6 @@
 /// Seconds per picosecond.
 pub const PS: f64 = 1e-12;
 
-/// Seconds per nanosecond.
-pub const NS: f64 = 1e-9;
-
 /// Converts picoseconds to seconds.
 ///
 /// # Examples
@@ -32,12 +29,6 @@ pub fn to_ps(x: f64) -> f64 {
     x / PS
 }
 
-/// Converts nanoseconds to seconds.
-#[must_use]
-pub fn ns(x: f64) -> f64 {
-    x * NS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,6 +36,5 @@ mod tests {
     #[test]
     fn round_trips() {
         assert_eq!(to_ps(ps(123.456)), 123.456);
-        assert_eq!(ns(1.0), 1000.0 * ps(1.0));
     }
 }

@@ -18,10 +18,12 @@ cargo metadata --offline --locked --format-version 1 \
 echo "== cargo fmt --check"
 cargo fmt --check
 
-# Code without a runtime caller stays only as a test oracle or as paper
-# content: every public library item that no runtime file names must be
-# listed, with its reason, in scripts/pub_audit.allow (a by-name
-# tripwire, see the script's header).
+# Code without a runtime caller stays only as a test oracle, as paper
+# content or because a lint requires it: every public library item that
+# no runtime target uses, as rustc resolves it, must be listed with its
+# reason in scripts/pub_audit.allow (see the script's header). It checks
+# a marked copy in its own target directory under target/pub_audit/,
+# so the main build cache is left alone, and fails if a check fails.
 echo "== public items without a runtime caller (scripts/pub_audit.sh)"
 scripts/pub_audit.sh
 
